@@ -218,7 +218,6 @@ def build_parser():
     sp.add_argument("--id", help="identity id (%s); all if omitted"
                                  % ", ".join(ver.IDENTITY_IDS))
     sp.add_argument("--config", help="JSON suite configuration path")
-    sp.add_argument("--seed", type=int, default=0)
     for flag in ("alpha", "beta", "gamma", "delta", "a", "b", "chi", "phi",
                  "i", "j", "r", "s", "m"):
         sp.add_argument("--%s" % flag)

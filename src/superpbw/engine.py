@@ -8,7 +8,6 @@ from fractions import Fraction
 from .combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
 
 NEG_INF = float("-inf")
-_ONE = Fraction(1)
 
 
 class AlgebraError(ValueError):
@@ -76,23 +75,41 @@ def re_int(tok):
     return tok.lstrip("+-").isdigit()
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction.  A float is
+    refused: its binary expansion is not the number it was meant to be."""
+    if type(c) is not int:
+        if isinstance(c, float):
+            raise TypeError("coefficients must be exact, got the float %r" % c)
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _collect(terms):
+    """Sum (key, coeff) pairs or a dict into {key: exact nonzero coeff}."""
+    pairs = terms.items() if isinstance(terms, dict) else terms
+    acc = {}
+    for k, c in pairs:
+        c = _exact(c)
+        if c:
+            acc[k] = acc.get(k, 0) + c
+    return {k: _exact(c) for k, c in acc.items() if c}
+
+
 class UElem:
     """Finitely supported rational combination of canonical PBW words.
 
     Words are run-compressed letter sequences: tuples of ((sym, aelt), exp)
-    with exponents positive and odd letters never repeated.
+    with exponents positive and odd letters never repeated.  Coefficients are
+    ints when integral, else Fractions.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        pairs = terms.items() if isinstance(terms, dict) else terms
-        acc = {}
-        for w, c in pairs:
-            c = Fraction(c)
-            if c:
-                acc[w] = acc.get(w, 0) + c
-        self.terms = {w: c for w, c in acc.items() if c}
+        self.terms = _collect(terms)
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -110,7 +127,7 @@ class UElem:
         return UElem({w: -c for w, c in self.terms.items()})
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         if not scalar:
             return UElem()
         return UElem({w: scalar * c for w, c in self.terms.items()})
@@ -139,18 +156,13 @@ class UElem:
 
 class DividedForm:
     """Element in the divided-power integral basis: keys are ordered tuples of
-    (sym, multiset-over-B) pairs, one per generator appearing."""
+    (sym, multiset-over-B) pairs, one per generator appearing.  Coefficients
+    are ints when integral, else Fractions."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        pairs = terms.items() if isinstance(terms, dict) else terms
-        acc = {}
-        for k, c in pairs:
-            c = Fraction(c)
-            if c:
-                acc[k] = acc.get(k, 0) + c
-        self.terms = {k: c for k, c in acc.items() if c}
+        self.terms = _collect(terms)
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
@@ -216,51 +228,56 @@ class Engine:
 
     # -- normalization core ----------------------------------------------
 
-    def _first_violation(self, w):
-        for i in range(len(w) - 1):
-            u, v = w[i], w[i + 1]
-            if u == v:
-                if self._parity[u[0]]:
-                    return i
-                continue
-            if self._key(u) > self._key(v):
-                return i
-        return None
-
     def _insert(self, word, letter):
-        """word * letter as a dict of sorted flat words -> Fraction.
+        """word * letter as a tuple of (sorted flat word, coeff) pairs.
 
         Rewrites: adjacent swap  u v -> (-1)^{|u||v|} v u + [u,v] (x) ab,
         and the odd square  u u -> (1/2)[u,u] (x) a^2.  Terminates because a
         swap lowers the inversion count and every bracket shortens the word.
+        The bracket constants are integers, so the coefficients stay ints
+        unless an odd square has an odd constant.  Each work item carries
+        the index where the scan for the first violation resumes: a rewrite
+        at i leaves w[:i] sorted, so only the pair at i - 1 can be new.  The
+        first item is scanned from 0, so word need not be sorted.
         """
         memo_key = (word, letter)
         hit = self._insert_memo.get(memo_key)
         if hit is not None:
             return hit
+        key, parity = self._key, self._parity
+        amul, bracket = self.monoid.mul, self.spec.bracket
         out = {}
-        work = [(_ONE, word + (letter,))]
+        work = [(1, word + (letter,), 0)]
         while work:
-            c, w = work.pop()
-            i = self._first_violation(w)
-            if i is None:
+            c, w, i = work.pop()
+            last = len(w) - 1
+            while i < last:
+                u, v = w[i], w[i + 1]
+                if u == v:
+                    if parity[u[0]]:
+                        break
+                elif key(u) > key(v):
+                    break
+                i += 1
+            else:
                 out[w] = out.get(w, 0) + c
                 continue
-            u, v = w[i], w[i + 1]
             pre, post = w[:i], w[i + 2:]
+            back = i - 1 if i else 0
             if u == v:
-                aa = self.monoid.mul(u[1], u[1])
+                aa = amul(u[1], u[1])
                 if aa is not None:
-                    for sym, k in self.spec.bracket(u[0], u[0]):
-                        work.append((c * Fraction(k, 2), pre + ((sym, aa),) + post))
+                    for sym, k in bracket(u[0], u[0]):
+                        half = k // 2 if k % 2 == 0 else Fraction(k, 2)
+                        work.append((c * half, pre + ((sym, aa),) + post, back))
                 continue
-            sign = -1 if (self._parity[u[0]] and self._parity[v[0]]) else 1
-            work.append((sign * c, pre + (v, u) + post))
-            ab = self.monoid.mul(u[1], v[1])
+            sign = -1 if (parity[u[0]] and parity[v[0]]) else 1
+            work.append((sign * c, pre + (v, u) + post, back))
+            ab = amul(u[1], v[1])
             if ab is not None:
-                for sym, k in self.spec.bracket(u[0], v[0]):
-                    work.append((c * k, pre + ((sym, ab),) + post))
-        out = {w: c for w, c in out.items() if c}
+                for sym, k in bracket(u[0], v[0]):
+                    work.append((c * k, pre + ((sym, ab),) + post, back))
+        out = tuple((w, c) for w, c in out.items() if c)
         self._insert_memo[memo_key] = out
         return out
 
@@ -268,7 +285,7 @@ class Engine:
         for L in letters:
             nxt = {}
             for w, c in flat_terms.items():
-                for w2, c2 in self._insert(w, L).items():
+                for w2, c2 in self._insert(w, L):
                     nxt[w2] = nxt.get(w2, 0) + c * c2
             flat_terms = {w: c for w, c in nxt.items() if c}
         return flat_terms
@@ -293,29 +310,30 @@ class Engine:
     def normalize(self, letters, coeff=1):
         """Expand a product of letters in the canonical PBW basis."""
         letters = [self.letter(sym, aelt) for sym, aelt in letters]
-        flat = self._fold({(): Fraction(coeff)}, letters)
-        return UElem({self._compress(w): c for w, c in flat.items()})
+        coeff = _exact(coeff)
+        flat = self._fold({(): 1}, letters)
+        return UElem({self._compress(w): coeff * c for w, c in flat.items()})
 
     def mul(self, x, y):
         out = {}
         for wy, cy in y.terms.items():
             lets = self._flatten(wy)
             for wx, cx in x.terms.items():
-                cur = self._fold({self._flatten(wx): cx * cy}, lets)
-                for w, c in cur.items():
+                cxy = cx * cy
+                for w, c in self._fold({self._flatten(wx): 1}, lets).items():
                     k = self._compress(w)
-                    out[k] = out.get(k, 0) + c
+                    out[k] = out.get(k, 0) + cxy * c
         return UElem(out)
 
     def scalar(self, c):
-        return UElem({(): Fraction(c)}) if c else UElem()
+        return UElem({(): c})
 
     def one(self):
         return self.scalar(1)
 
     def gen_elem(self, sym, aelt, coeff=1):
         """The single letter sym (x) aelt as a UElem."""
-        return UElem({((self.letter(sym, aelt), 1),): Fraction(coeff)})
+        return UElem({((self.letter(sym, aelt), 1),): coeff})
 
     def divided_power(self, sym, aelt, r):
         """(x (x) a)^(r) = (x (x) a)^r / r!, expanded to plain powers."""
@@ -361,7 +379,7 @@ class Engine:
         out = {}
         for i, c in enumerate(hvec, start=1):
             if c:
-                out[((self.letter(('h', i), aelt), 1),)] = Fraction(c)
+                out[((self.letter(('h', i), aelt), 1),)] = c
         return UElem(out)
 
     def p_vector(self, hvec, chi):
@@ -411,7 +429,8 @@ class Engine:
         return [(sym, Multiset(items)) for sym, items in blocks]
 
     def _h_mono_to_p(self, i, chi):
-        """Expand the monomial prod_a (h_i (x) a)^{chi(a)} over the p_i basis.
+        """Expand the monomial prod_a (h_i (x) a)^{chi(a)} over the p_i basis,
+        as a tuple of (phi, coeff) pairs.
 
         Triangular elimination: p_i(chi) matches the monomial in top degree,
         the remainder has lower degree and recurses.
@@ -421,21 +440,21 @@ class Engine:
         if hit is not None:
             return hit
         if not chi:
-            return {EMPTY: _ONE}
+            return ((EMPTY, 1),)
         P = self.p(i, chi)
         word = tuple(((('h', i), a), e) for a, e in chi.items())
         lead = P.terms.get(word)
         if not lead:
             raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, chi))
         rest = P - UElem({word: lead})
-        out = {chi: 1 / lead}
+        out = {chi: Fraction(1, lead)}
         for w, c in rest.terms.items():
             sub_chi = Multiset((a, e) for ((_, a), e) in w)
             if sub_chi.size >= chi.size:
                 raise AlgebraError("p remainder failed to drop in degree")
-            for phi, c2 in self._h_mono_to_p(i, sub_chi).items():
-                out[phi] = out.get(phi, 0) - (c / lead) * c2
-        out = {phi: c for phi, c in out.items() if c}
+            for phi, c2 in self._h_mono_to_p(i, sub_chi):
+                out[phi] = out.get(phi, 0) - Fraction(c, lead) * c2
+        out = tuple((phi, _exact(c)) for phi, c in out.items() if c)
         self._hmono_memo[key] = out
         return out
 
@@ -445,16 +464,16 @@ class Engine:
         for sym, ms in blocks:
             if sym[0] == 'h':
                 conv = self._h_mono_to_p(sym[1], ms)
-                parts.append([((sym, phi) if phi else None, c) for phi, c in conv.items()])
+                parts.append([((sym, phi) if phi else None, c) for phi, c in conv])
             elif self._parity[sym] == 0:
                 fact = 1
                 for _, e in ms.items():
                     fact *= math.factorial(e)
-                parts.append([((sym, ms), Fraction(fact))])
+                parts.append([((sym, ms), fact)])
             else:
                 if any(e > 1 for _, e in ms.items()):
                     raise AlgebraError("odd letter with exponent > 1 in a canonical word")
-                parts.append([((sym, ms), _ONE)])
+                parts.append([((sym, ms), 1)])
         return parts
 
     def to_divided(self, x):

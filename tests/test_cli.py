@@ -80,6 +80,14 @@ def test_verify_unknown_id(capsys):
     assert "unknown identity id" in err
 
 
+def test_verify_has_no_seed_flag(capsys):
+    # --seed was parsed and then ignored; it is gone, so argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--algebra", "sl2", "--id", "4.2", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_verify_config(tmp_path, capsys):
     config = {"algebras": ["sl2"], "identities": ["4.2"], "monoid": "trunc:2",
               "rmax": 1, "smax": 1, "chimax": 1, "integrality_trials": 3,

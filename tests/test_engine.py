@@ -9,6 +9,7 @@ from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
 from superpbw.engine import AlgebraError, Engine, NEG_INF, Order, UElem, key_degree
+from superpbw.identities import divided_D
 
 ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
 
@@ -319,3 +320,69 @@ def test_order_from_items():
     assert o.is_triangular(spec)
     with pytest.raises(AlgebraError):
         Order.from_items(spec, ["a", "1"])   # missing -a
+
+
+def _assert_exact(coeffs):
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sp4", "sl21", "osp12"])
+def test_coefficients_are_int_or_proper_fraction(name):
+    import random
+    eng = make(name, "trunc:3")
+    rng = random.Random(name)
+    letters = all_letters(eng, [ONE, T])
+    alpha = eng.spec.even_roots()[0]
+    elems = [eng.divided_power(('x', alpha), T, 3),
+             divided_D(eng, alpha, 2, 2, T, ONE),
+             eng.p(1, Multiset.of(T, T, T2)),
+             eng.p(alpha, Multiset.of(T, T2))]
+    for _ in range(12):
+        x = eng.normalize([rng.choice(letters) for _ in range(rng.randint(1, 4))],
+                          rng.choice([1, -2, Fraction(1, 2), Fraction(-3, 4)]))
+        y = eng.normalize([rng.choice(letters) for _ in range(rng.randint(1, 3))])
+        elems += [x, y, eng.mul(x, y)]
+    for x in elems:
+        _assert_exact(x.terms.values())
+        df = eng.to_divided(x)
+        _assert_exact(df.terms.values())
+        back = eng.from_divided(df)
+        _assert_exact(back.terms.values())
+        assert back == x
+    for i in range(1, eng.spec.rank + 1):
+        for chi in (Multiset.of(T), Multiset.of(T, T2), Multiset.of(T, T)):
+            _assert_exact(c for _, c in eng._h_mono_to_p(i, chi))
+
+
+def test_divided_round_trip_with_integer_p_lead():
+    # p_1(chi_t + chi_t^2) = (h (x) t)(h (x) t^2) - ... has the int lead 1, so
+    # the p-basis inversion divides ints; it must stay exact.
+    eng = make("sl2", "trunc:4")
+    chi = Multiset.of(T, T2)
+    assert type(eng.p(1, chi).terms[(((('h', 1), T), 1), ((('h', 1), T2), 1))]) is int
+    x = eng.normalize([(('h', 1), T), (('h', 1), T2)], Fraction(1, 3))
+    df = eng.to_divided(x)
+    _assert_exact(df.terms.values())
+    _assert_exact(c for _, c in eng._h_mono_to_p(1, chi))
+    assert eng.from_divided(df) == x
+    with pytest.raises(TypeError):
+        eng.normalize([(('h', 1), T)], 0.5)
+
+
+def test_memo_values_cannot_be_mutated():
+    eng = make("sl2")
+    word = ((('x', 'a'), T),)
+    letter = (('x', '-a'), ONE)
+    got = eng._insert(word, letter)
+    with pytest.raises(TypeError):
+        got[0] = (word, 5)
+    with pytest.raises(AttributeError):
+        got.clear()
+    assert eng._insert(word, letter) == got
+    assert eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]) == \
+        make("sl2").normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
+    conv = eng._h_mono_to_p(1, Multiset.of(T, T))
+    with pytest.raises(AttributeError):
+        conv.clear()
+    assert eng._h_mono_to_p(1, Multiset.of(T, T)) == conv

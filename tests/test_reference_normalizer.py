@@ -1,0 +1,121 @@
+"""Engine.normalize against a reference letter-by-letter normalizer.
+
+The reference is the straightening loop as first written: a Fraction threaded
+through every rewrite and a rescan of the whole word after each one.  It
+shares only the letter order, the parities and the tables with the engine,
+so a fast path in the engine's rewrite core that drops or misweights a term
+shows up here."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superpbw.algebra import preset
+from superpbw.coeffalg import monoid_preset
+from superpbw.engine import Engine, Order
+
+ALGEBRAS = ("sl2", "sl3", "sp4", "sl21", "osp12")
+ORDERS = {"triangular": Order.triangular, "lex": Order.lexicographic}
+ELTS = ((0,), (1,), (2,))          # 1, t, t^2 in C[t]/(t^3)
+
+
+def _first_violation(engine, w):
+    for i in range(len(w) - 1):
+        u, v = w[i], w[i + 1]
+        if u == v:
+            if engine._parity[u[0]]:
+                return i
+            continue
+        if engine._key(u) > engine._key(v):
+            return i
+    return None
+
+
+def _reference_insert(engine, word, letter, memo):
+    memo_key = (word, letter)
+    hit = memo.get(memo_key)
+    if hit is not None:
+        return hit
+    out = {}
+    work = [(Fraction(1), word + (letter,))]
+    while work:
+        c, w = work.pop()
+        i = _first_violation(engine, w)
+        if i is None:
+            out[w] = out.get(w, 0) + c
+            continue
+        u, v = w[i], w[i + 1]
+        pre, post = w[:i], w[i + 2:]
+        if u == v:
+            aa = engine.monoid.mul(u[1], u[1])
+            if aa is not None:
+                for sym, k in engine.spec.bracket(u[0], u[0]):
+                    work.append((c * Fraction(k, 2), pre + ((sym, aa),) + post))
+            continue
+        sign = -1 if (engine._parity[u[0]] and engine._parity[v[0]]) else 1
+        work.append((sign * c, pre + (v, u) + post))
+        ab = engine.monoid.mul(u[1], v[1])
+        if ab is not None:
+            for sym, k in engine.spec.bracket(u[0], v[0]):
+                work.append((c * k, pre + ((sym, ab),) + post))
+    out = {w: c for w, c in out.items() if c}
+    memo[memo_key] = out
+    return out
+
+
+def reference_normalize(engine, letters, coeff, memo):
+    """{canonical word: Fraction} for coeff * (product of letters)."""
+    flat = {(): Fraction(coeff)}
+    for L in (engine.letter(sym, aelt) for sym, aelt in letters):
+        nxt = {}
+        for w, c in flat.items():
+            for w2, c2 in _reference_insert(engine, w, L, memo).items():
+                nxt[w2] = nxt.get(w2, 0) + c * c2
+        flat = {w: c for w, c in nxt.items() if c}
+    return {engine._compress(w): c for w, c in flat.items() if c}
+
+
+@pytest.fixture(scope="module")
+def engines():
+    """(algebra, order) -> (engine, reference memo), built on first use."""
+    return {}
+
+
+def _engine(engines, name, order):
+    if (name, order) not in engines:
+        spec = preset(name)
+        engines[(name, order)] = (Engine(spec, monoid_preset("trunc:3"), ORDERS[order](spec)), {})
+    return engines[(name, order)]
+
+
+scalars = st.one_of(st.integers(-6, 6),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@settings(max_examples=250, deadline=None)
+@given(name=st.sampled_from(ALGEBRAS), order=st.sampled_from(sorted(ORDERS)),
+       picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, len(ELTS) - 1)),
+                      max_size=7),
+       coeff=scalars)
+def test_normalize_matches_reference(engines, name, order, picks, coeff):
+    engine, memo = _engine(engines, name, order)
+    syms = engine.spec.all_syms()
+    letters = [(syms[s % len(syms)], ELTS[e]) for s, e in picks]
+    got = engine.normalize(letters, coeff).terms
+    want = reference_normalize(engine, letters, coeff, memo)
+    assert got == want
+    for c in got.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def test_reference_sees_odd_squares_and_isotropic_zeros(engines):
+    # osp12's odd square carries a bracket constant; sl21's odd roots are
+    # isotropic, so their squares vanish.
+    osp, memo = _engine(engines, "osp12", "triangular")
+    sq = [(('x', 'g'), (1,))] * 2
+    assert reference_normalize(osp, sq, 1, memo) == osp.normalize(sq).terms != {}
+    sl21, memo = _engine(engines, "sl21", "lex")
+    sq = [(('x', 'a2'), (0,))] * 2
+    assert reference_normalize(sl21, sq, 1, memo) == sl21.normalize(sq).terms == {}
