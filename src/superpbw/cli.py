@@ -5,6 +5,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 parse error."""
 
 import argparse
+import functools
 import os
 import sys
 
@@ -252,9 +253,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: building it costs about as much
+    as a small normalize request."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "verify" and not args.config and not args.algebra:
         print("error: verify wants --algebra or --config", file=sys.stderr)
         return 2

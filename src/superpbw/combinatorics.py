@@ -134,11 +134,30 @@ def pi_product(psi, monoid):
     return out
 
 
+# Memos of the three enumerators, keyed by their arguments.  The index sets
+# are pure functions of the arguments (no monoid enters), so one table per
+# process serves every engine.  Values are tuples; callers get a fresh list.
+_sub_memo = {}
+_cs_memo = {}
+_cp_memo = {}
+
+
+def _memoized(memo, enumerate_, *args):
+    hit = memo.get(args)
+    if hit is None:
+        hit = memo[args] = tuple(enumerate_(*args))
+    return list(hit)
+
+
 def enumerate_sub(chi, k=None):
     """All psi <= chi, each exactly once; restricted to |psi| = k when k is given.
 
     Without k the count is prod_s (chi(s)+1).
     """
+    return _memoized(_sub_memo, _enumerate_sub, chi, k)
+
+
+def _enumerate_sub(chi, k):
     if k is not None and k < 0:
         raise ValueError("k must be >= 0")
     support = chi.items()
@@ -165,6 +184,10 @@ def enumerate_CS(chi, r):
     Elements are multisets of multisets; mass on the empty multiset phi = 0 is
     allowed and absorbs any leftover budget.
     """
+    return _memoized(_cs_memo, _enumerate_CS, chi, r)
+
+
+def _enumerate_CS(chi, r):
     if r < 0:
         raise ValueError("r must be >= 0")
     phis = enumerate_sub(chi)  # includes the empty multiset
@@ -199,6 +222,10 @@ def enumerate_CP(j, k):
     Parts equal to 0 count toward k but not j, so these are partitions of j
     into at most k parts, padded with zeros.
     """
+    return _memoized(_cp_memo, _enumerate_CP, j, k)
+
+
+def _enumerate_CP(j, k):
     if j < 0 or k < 0:
         raise ValueError("j, k must be >= 0")
     out = []

@@ -111,6 +111,13 @@ class UElem:
     def __init__(self, terms=()):
         self.terms = _collect(terms)
 
+    def _copy(self):
+        """The same element with its own terms dict, for handing out a
+        memoized value (keys and coefficients are immutable)."""
+        out = UElem.__new__(UElem)
+        out.terms = dict(self.terms)
+        return out
+
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
@@ -189,7 +196,8 @@ def key_degree(key):
 
 class Engine:
     """Straightening engine for one (algebra, coefficient monoid, order)
-    triple.  All operations are pure; the memo tables are transparent caches."""
+    triple.  All operations are pure; the memo tables are transparent caches,
+    and no caller gets hold of a value stored in one."""
 
     def __init__(self, spec, monoid, order=None):
         self.spec = spec
@@ -200,6 +208,7 @@ class Engine:
         self._insert_memo = {}
         self._p_memo = {}
         self._hmono_memo = {}
+        self._divpow_memo = {}
 
     # -- letters ---------------------------------------------------------
 
@@ -341,7 +350,13 @@ class Engine:
             raise AlgebraError("negative divided power")
         if r == 0:
             return self.one()
-        return self.normalize([(sym, aelt)] * r, Fraction(1, math.factorial(r)))
+        sym, aelt = self.letter(sym, aelt)
+        key = (sym, aelt, r)
+        hit = self._divpow_memo.get(key)
+        if hit is None:
+            hit = self.normalize([(sym, aelt)] * r, Fraction(1, math.factorial(r)))
+            self._divpow_memo[key] = hit
+        return hit._copy()
 
     def adopt(self, x):
         """Re-normalize a UElem produced by another engine over the same
@@ -390,7 +405,7 @@ class Engine:
         key = (hvec, chi)
         hit = self._p_memo.get(key)
         if hit is not None:
-            return hit
+            return hit._copy()
         if not chi:
             out = self.one()
         else:
@@ -405,7 +420,7 @@ class Engine:
                 acc = acc + multinomial(psi) * term
             out = Fraction(-1, chi.size) * acc
         self._p_memo[key] = out
-        return out
+        return out._copy()
 
     def p(self, which, chi):
         """p_i(chi) for a Cartan index, or p_alpha(chi) for a root label

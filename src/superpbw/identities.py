@@ -49,8 +49,7 @@ def scaled_divided(engine, sym, aelt, scalar, n):
         return engine.one()
     if aelt is None or scalar == 0:
         return UElem()
-    coeff = Fraction(scalar) ** n / math.factorial(n)
-    return engine.normalize([(sym, aelt)] * n, coeff)
+    return Fraction(scalar) ** n * engine.divided_power(sym, aelt, n)
 
 
 def eps_chain(spec, alpha, gamma, kmax):

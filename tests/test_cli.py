@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from superpbw import cli
 from superpbw.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -179,3 +180,20 @@ def test_usage_error_exit_2():
     proc = subprocess.run([sys.executable, "-m", "superpbw", "normalize"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_main_reuses_parser_across_calls(capsys):
+    assert cli._parser() is cli._parser()
+    code, out, _ = run(capsys, "normalize", "--algebra", "sl2", "x[a]{t} x[-a]{1}")
+    assert code == 0
+    assert out.splitlines() == ["1 x[-a]{1} x[a]{t}", "+ 1 h[1]{t}"]
+    code, out, _ = run(capsys, "validate-spec", "--algebra", "sl2")
+    assert code == 0
+    assert out.startswith("VALID sl2")
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--algebra", "sl2", "--no-such-flag", "x[a]{t}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, _ = run(capsys, "normalize", "--algebra", "sl2", "--divided", "h[1]{t}^2")
+    assert code == 0
+    assert out.splitlines()[-1] == "INTEGRAL: yes"

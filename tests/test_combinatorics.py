@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superpbw import combinatorics
 from superpbw.combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, \
     enumerate_sub, multinomial, pi_product, verify_comb_identity
 from superpbw.coeffalg import monoid_preset
@@ -198,3 +199,38 @@ def test_comb_identity_sweep_small():
         for psi1 in all_multisets(("a", "b", "c"), size):
             for d in range(-5, 6):
                 assert verify_comb_identity(psi1, d), (psi1, d)
+
+
+def test_memoized_enumerators_match_uncached(monkeypatch):
+    """The public enumerators return what the uncached bodies return, in the
+    same order, on a cold memo and on a warm one; mutating a returned list
+    leaves the next result alone."""
+    for name in ("_sub_memo", "_cs_memo", "_cp_memo"):
+        monkeypatch.setattr(combinatorics, name, {})
+    cases = []
+    for size in range(5):
+        for chi in all_multisets(("a", "b", "c"), size):
+            cases.append((enumerate_sub, combinatorics._enumerate_sub, (chi, None)))
+            for k in range(5):
+                cases.append((enumerate_sub, combinatorics._enumerate_sub, (chi, k)))
+                cases.append((enumerate_CS, combinatorics._enumerate_CS, (chi, k)))
+    for j in range(7):
+        for k in range(5):
+            cases.append((enumerate_CP, combinatorics._enumerate_CP, (j, k)))
+    for _ in range(2):
+        for public, uncached, args in cases:
+            want = uncached(*args)
+            got = public(*args)
+            assert got == want, (public.__name__, args)
+            got.append("junk")
+            got.reverse()
+            assert public(*args) == want, (public.__name__, args)
+
+
+def test_enumerators_still_refuse_negative_arguments():
+    with pytest.raises(ValueError):
+        enumerate_sub(Multiset.of("a"), -1)
+    with pytest.raises(ValueError):
+        enumerate_CS(Multiset.of("a"), -1)
+    with pytest.raises(ValueError):
+        enumerate_CP(-1, 2)

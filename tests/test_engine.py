@@ -386,3 +386,38 @@ def test_memo_values_cannot_be_mutated():
     with pytest.raises(AttributeError):
         conv.clear()
     assert eng._h_mono_to_p(1, Multiset.of(T, T)) == conv
+
+
+def test_p_hands_out_copies():
+    """Clearing a returned p-element once zeroed every later p(1, chi) and
+    broke to_divided of h[1]{t}^2 ("lost its leading monomial")."""
+    eng, fresh = make("sl2"), make("sl2")
+    chi1, chi2 = Multiset.of(T), Multiset.of(T, T)
+    eng.p(1, chi1).terms.clear()
+    eng.p_vector((1,), chi1).terms[()] = 7
+    assert eng.p(1, chi1) == fresh.p(1, chi1)
+    assert eng.p(1, chi2) == fresh.p(1, chi2)
+    got = eng.p(1, chi2)
+    got.terms.clear()
+    got.terms = {(): 1}
+    assert eng.p(1, chi2) == fresh.p(1, chi2)
+    h2 = eng.normalize([(('h', 1), T)] * 2)
+    assert eng.to_divided(h2) == fresh.to_divided(h2)
+    assert eng.to_divided(h2).terms == {((('h', 1), chi2),): 2,
+                                        ((('h', 1), Multiset.of(T2)),): -1}
+
+
+def test_divided_power_memo_hands_out_copies():
+    eng, fresh = make("sl2"), make("sl2")
+    sym = ('x', 'a')
+    want = fresh.divided_power(sym, T, 2)
+    got = eng.divided_power(sym, T, 2)
+    assert eng._divpow_memo[(sym, T, 2)] == want
+    got.terms.clear()
+    eng.divided_power(sym, T, 2).terms[()] = 5
+    assert eng._divpow_memo[(sym, T, 2)] == want
+    assert eng.divided_power(sym, T, 2) == want
+    assert eng.divided_power(sym, T, 2) is not eng.divided_power(sym, T, 2)
+    x3 = eng.normalize([(sym, T)] * 3)
+    assert eng.mul(eng.divided_power(sym, T, 2), eng.gen_elem(sym, T)) == \
+        Fraction(1, 2) * x3

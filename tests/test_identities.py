@@ -8,7 +8,8 @@ from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
 from superpbw.engine import Engine, Order, UElem
-from superpbw.identities import Inapplicable, divided_D, eps_chain, p_alpha, z_of
+from superpbw.identities import Inapplicable, divided_D, eps_chain, p_alpha, scaled_divided, \
+    z_of
 
 ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
 
@@ -147,3 +148,27 @@ def _X_neg(eng, psi):
     for a, m in psi.items():
         out = eng.mul(out, eng.divided_power(('x', '-a'), a, m))
     return out
+
+
+@pytest.mark.parametrize("algebra", ["sl2", "sl3", "sp4", "sl21", "osp12"])
+def test_scaled_divided_matches_normalized_power(algebra):
+    """scaled_divided reads x^(n) from the divided-power memo and scales it;
+    the result equals normalizing x^n with scalar^n / n! term by term, in
+    the same order and with the same coefficient types, cold and warm."""
+    eng = Engine(preset(algebra), monoid_preset("trunc:4"))
+    syms = eng.order.syms
+    for _ in range(2):
+        for sym in syms:
+            for a in eng.monoid.elements():
+                for scalar in (1, -3, Fraction(2, 3)):
+                    assert scaled_divided(eng, sym, a, scalar, 0) == eng.one()
+                    for n in range(1, 5):
+                        got = scaled_divided(eng, sym, a, scalar, n)
+                        want = eng.normalize([(sym, a)] * n,
+                                             Fraction(scalar) ** n / math.factorial(n))
+                        assert list(got.terms.items()) == list(want.terms.items())
+                        assert [type(c) for c in got.terms.values()] == \
+                            [type(c) for c in want.terms.values()]
+                    assert scaled_divided(eng, sym, a, 0, 2) == UElem()
+                    assert scaled_divided(eng, sym, None, scalar, 2) == UElem()
+                    assert scaled_divided(eng, sym, None, scalar, 0) == eng.one()
