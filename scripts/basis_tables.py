@@ -10,11 +10,10 @@ import argparse
 import sys
 from collections import Counter
 
-from superpbw.algebra import preset, load_spec_path, PRESET_NAMES
-from superpbw.coeffalg import monoid_preset
-from superpbw.engine import Engine, key_degree
+from superpbw.algebra import SpecError
+from superpbw.engine import key_degree
 from superpbw.exprio import divided_key_str, divided_sort_key
-from superpbw.verify import genfun_counts
+from superpbw.verify import genfun_counts, load_engine
 
 
 def main():
@@ -25,9 +24,12 @@ def main():
     ap.add_argument("--counts-only", action="store_true")
     args = ap.parse_args()
 
-    spec = preset(args.algebra) if args.algebra in PRESET_NAMES \
-        else load_spec_path(args.algebra)
-    engine = Engine(spec, monoid_preset(args.monoid))
+    try:
+        engine = load_engine(args.algebra, args.monoid)
+    except SpecError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
+    spec = engine.spec
 
     oracle = genfun_counts(spec, engine.monoid, args.degree)
     keys = engine.enumerate_basis(args.degree)

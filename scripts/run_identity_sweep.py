@@ -13,7 +13,8 @@ import sys
 import time
 
 from superpbw.verify import SuiteConfig, SweepBounds, run_suite
-from superpbw.algebra import PRESET_NAMES
+from superpbw.algebra import PRESET_NAMES, SpecError
+from superpbw.coeffalg import MonoidError
 
 
 def main():
@@ -31,15 +32,6 @@ def main():
     ap.add_argument("--quiet", action="store_true", help="print only the summary")
     args = ap.parse_args()
 
-    if args.config:
-        with open(args.config) as fh:
-            config = SuiteConfig.from_json(fh.read())
-    else:
-        config = SuiteConfig(
-            algebras=tuple(args.algebras), monoid=args.monoid,
-            bounds=SweepBounds(args.rmax, args.smax, args.mmax, args.chimax),
-            integrality_trials=args.trials, seed=args.seed)
-
     sink = open(args.output, "w") if args.output else None
 
     def emit(line):
@@ -49,10 +41,22 @@ def main():
             print(line)
 
     t0 = time.time()
-    result = run_suite(config, emit=emit)
+    try:
+        if args.config:
+            config = SuiteConfig.from_path(args.config)
+        else:
+            config = SuiteConfig(
+                algebras=tuple(args.algebras), monoid=args.monoid,
+                bounds=SweepBounds(args.rmax, args.smax, args.mmax, args.chimax),
+                integrality_trials=args.trials, seed=args.seed)
+        result = run_suite(config, emit=emit)
+    except (SpecError, MonoidError) as e:   # a bad config, algebra, table or monoid
+        print("error: %s" % e, file=sys.stderr)
+        return 2
+    finally:
+        if sink:
+            sink.close()
     print("elapsed %.1fs" % (time.time() - t0))
-    if sink:
-        sink.close()
     return 0 if result.ok else 1
 
 

@@ -3,11 +3,11 @@ universal enveloping algebras of map superalgebras g (x) A."""
 
 from .combinatorics import Multiset, binomial, multinomial, pi_product, \
     enumerate_sub, enumerate_CS, enumerate_CP, verify_comb_identity
-from .coeffalg import AElem, MonoidBasis, MonoidError, monoid_preset
+from .coeffalg import MonoidBasis, MonoidError, monoid_preset
 from .algebra import Root, RootStringData, SpecError, SuperAlgebraSpec, \
-    dump_spec, load_spec, load_spec_path, preset, root_string, validate, PRESET_NAMES
+    dump_spec, load_spec, preset, root_string, validate, PRESET_NAMES
 from .engine import AlgebraError, DividedForm, Engine, NEG_INF, Order, UElem, key_degree
-from .identities import SignTemplate, divided_D, p_alpha
+from .identities import SignTemplate, divided_D
 from .exprio import ParseError, divided_str, parse_expr, uelem_str, word_str
 from .verify import CheckReport, SuiteConfig, SuiteResult, SweepBounds, \
     get_engine, run_suite, sweep_identity, verify_basis_counts, verify_degree_bounds, \

@@ -2,6 +2,7 @@
 parities, integer structure constants, coroots, validation, presets, and a
 line-oriented file format for user-supplied tables."""
 
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,14 +57,10 @@ class SuperAlgebraSpec:
 
     # -- symbol helpers -------------------------------------------------
 
-    def cartan_syms(self):
-        return tuple(('h', i) for i in range(1, self.rank + 1))
-
-    def root_syms(self):
-        return tuple(('x', r.label) for r in self.roots)
-
     def all_syms(self):
-        return self.cartan_syms() + self.root_syms()
+        """The Cartan symbols h_1..h_l, then the root symbols."""
+        return (tuple(('h', i) for i in range(1, self.rank + 1))
+                + tuple(('x', r.label) for r in self.roots))
 
     def root(self, label):
         try:
@@ -87,9 +84,6 @@ class SuperAlgebraSpec:
 
     def odd_roots(self):
         return tuple(r.label for r in self.roots if r.parity == 1)
-
-    def positive_roots(self):
-        return tuple(r.label for r in self.roots if r.positive)
 
     def negative_of(self, label):
         return self.root(label).neg
@@ -609,7 +603,19 @@ def dump_spec(spec):
     return "\n".join(lines) + "\n"
 
 
-def load_spec_path(path, check=True):
-    with open(path) as fh:
-        return load_spec(fh.read(), name=path.rsplit("/", 1)[-1].rsplit(".", 1)[0],
-                         check=check)
+def read_algebra(algebra):
+    """What a spec is built from: (name, None) for a preset, (file stem,
+    table text) for an algebra file.  The pair keys caches by content."""
+    if algebra in PRESET_NAMES:
+        return algebra, None
+    try:
+        with open(algebra) as fh:
+            return os.path.basename(algebra).rsplit(".", 1)[0], fh.read()
+    except OSError as e:
+        raise SpecError("unknown algebra %r: not a preset (%s) nor a readable file (%s)"
+                        % (algebra, ", ".join(PRESET_NAMES), e.strerror or e))
+
+
+def spec_from_source(source, check=True):
+    name, text = source
+    return preset(name) if text is None else load_spec(text, name=name, check=check)

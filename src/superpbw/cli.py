@@ -6,13 +6,12 @@ parse error."""
 
 import argparse
 import functools
-import os
 import sys
 
-from .algebra import SpecError, load_spec_path, preset, validate, PRESET_NAMES
-from .coeffalg import MonoidError, monoid_preset
+from .algebra import SpecError, read_algebra, spec_from_source, validate, PRESET_NAMES
+from .coeffalg import MonoidError
 from .combinatorics import Multiset
-from .engine import AlgebraError, Engine, Order, key_degree
+from .engine import AlgebraError, key_degree
 from .exprio import ParseError, divided_key_str, divided_sort_key, divided_str, \
     parse_expr, uelem_str
 from . import identities as ident
@@ -23,27 +22,10 @@ class UsageError(Exception):
     pass
 
 
-def load_algebra(name):
-    if name in PRESET_NAMES:
-        return preset(name)
-    if os.path.exists(name):
-        return load_spec_path(name)
-    raise UsageError("unknown algebra %r: not a preset (%s) nor a readable file"
-                     % (name, ", ".join(PRESET_NAMES)))
-
-
-def make_order(spec, text):
-    if text is None or text == "triangular":
-        return Order.triangular(spec)
-    if text == "lex":
-        return Order.lexicographic(spec)
-    return Order.from_items(spec, text.split(","))
-
-
 def make_engine(args, default_monoid="poly"):
-    spec = load_algebra(args.algebra)
-    monoid = monoid_preset(getattr(args, "monoid", None) or default_monoid)
-    return Engine(spec, monoid, make_order(spec, getattr(args, "order", None)))
+    """A fresh engine per command, so each request starts on cold memos."""
+    return ver.load_engine(args.algebra, args.monoid or default_monoid,
+                           args.order or "triangular")
 
 
 def parse_mset(monoid, text):
@@ -61,57 +43,49 @@ def parse_mset(monoid, text):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_normalize(args):
-    engine = make_engine(args)
-    x = parse_expr(engine, args.expression)
-    if args.divided:
+def _print_elem(engine, x, divided):
+    if divided:
         df = engine.to_divided(x)
         print(divided_str(engine, df, multiline=True))
         print("INTEGRAL: %s" % ("yes" if df.is_integral() else "no"))
     else:
         print(uelem_str(engine, x, multiline=True))
+
+
+def cmd_normalize(args):
+    engine = make_engine(args)
+    _print_elem(engine, parse_expr(engine, args.expression), args.divided)
     return 0
 
 
-_PARAM_FLAGS = ("alpha", "beta", "gamma", "delta", "i", "j", "r", "s", "m",
-                "a", "b", "chi", "phi")
-
-
-def _fixed_params(args):
-    fixed = {}
-    for k in _PARAM_FLAGS:
-        v = getattr(args, k, None)
-        if v is not None:
-            fixed[k] = v
-    return fixed
+_PARAM_FLAGS = ("alpha", "beta", "gamma", "delta", "a", "b", "chi", "phi",
+                "i", "j", "r", "s", "m")
 
 
 def cmd_verify(args):
     if args.config:
-        with open(args.config) as fh:
-            config = ver.SuiteConfig.from_json(fh.read())
-        result = ver.run_suite(config, emit=print)
+        result = ver.run_suite(ver.SuiteConfig.from_path(args.config), emit=print)
         return 0 if result.ok else 1
 
+    if not args.algebra:
+        raise UsageError("verify wants --algebra or --config")
+    fixed = {k: getattr(args, k) for k in _PARAM_FLAGS if getattr(args, k) is not None}
+    ids = ver.SWEEP_IDS
+    if args.id:
+        if args.id not in ver.IDENTITIES:
+            raise UsageError("unknown identity id %r (have %s)"
+                             % (args.id, ", ".join(ver.IDENTITIES)))
+        declared = [name for name, _ in ver.IDENTITIES[args.id].axes]
+        stray = [k for k in fixed if k not in declared]
+        if stray:
+            raise UsageError("%s: not a parameter of %s (it has %s)"
+                             % (", ".join("--" + k for k in stray), args.id,
+                                ", ".join("--" + k for k in declared) or "none"))
+        ids = [args.id]
     engine = ver.get_engine(args.algebra, args.monoid or "trunc:4",
                             args.order or "triangular")
-    bounds = ver.SweepBounds()
-    fixed = _fixed_params(args)
-    ids = [args.id] if args.id else list(ver.IDENTITIES)
-    reports = []
-    for ident_id in ids:
-        if ident_id == "L5.2":
-            reps = ver.sweep_lemma_5_2(engine, bounds)
-            reps = [r for r in reps
-                    if all(dict(r.params).get(k) == v for k, v in fixed.items())]
-        elif ident_id == "comb":
-            reps = [ver.sweep_comb_identity()]
-        elif ident_id in ver.IDENTITIES:
-            reps = ver.sweep_identity(engine, ident_id, bounds, fixed or None)
-        else:
-            raise UsageError("unknown identity id %r (have %s)"
-                             % (ident_id, ", ".join(ver.IDENTITY_IDS)))
-        reports.extend(reps)
+    reports = [r for ident_id in ids
+               for r in ver.sweep_identity(engine, ident_id, ver.SweepBounds(), fixed)]
     if not reports:
         raise UsageError("no parameter combination matches the given flags")
     for r in reports:
@@ -128,29 +102,14 @@ def cmd_basis(args):
                          "(use --monoid trunc:<n>)")
     d = args.degree
     print("ALGEBRA %s MONOID %s DEGREE %d" % (engine.spec.name, engine.monoid.name, d))
-    segments = (("B-", -1), ("B0", 0), ("B+", 1))
-    for title, seg in segments:
-        syms = [s for s in engine.order.syms if engine.segment_of(s) == seg]
+    for title, seg in (("B-", -1), ("B0", 0), ("B+", 1), ("B", None)):
+        syms = [s for s in engine.order.syms if seg is None or engine.segment_of(s) == seg]
         keys = engine.enumerate_basis(d, syms)
         keys.sort(key=lambda k: (key_degree(k), divided_sort_key(engine, k)))
         print("%s (%d)" % (title, len(keys)))
         for k in keys:
             print(divided_key_str(engine, k))
-    keys = engine.enumerate_basis(d)
-    keys.sort(key=lambda k: (key_degree(k), divided_sort_key(engine, k)))
-    print("B (%d)" % len(keys))
-    for k in keys:
-        print(divided_key_str(engine, k))
     return 0
-
-
-def _print_elem(engine, x, divided):
-    if divided:
-        df = engine.to_divided(x)
-        print(divided_str(engine, df, multiline=True))
-        print("INTEGRAL: %s" % ("yes" if df.is_integral() else "no"))
-    else:
-        print(uelem_str(engine, x, multiline=True))
 
 
 def cmd_pelem(args):
@@ -173,12 +132,7 @@ def cmd_delem(args):
 
 
 def cmd_validate_spec(args):
-    if args.algebra in PRESET_NAMES:
-        spec = preset(args.algebra)
-    elif os.path.exists(args.algebra):
-        spec = load_spec_path(args.algebra, check=False)
-    else:
-        raise UsageError("unknown algebra %r" % args.algebra)
+    spec = spec_from_source(read_algebra(args.algebra), check=False)
     bad = validate(spec)
     if bad:
         for line in bad:
@@ -216,11 +170,10 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run identity and property checks")
     common(sp, algebra_required=False)   # --config mode carries its own algebras
-    sp.add_argument("--id", help="identity id (%s); all if omitted"
-                                 % ", ".join(ver.IDENTITY_IDS))
+    sp.add_argument("--id", help="check id (%s); every LHS = RHS identity if omitted"
+                                 % ", ".join(ver.IDENTITIES))
     sp.add_argument("--config", help="JSON suite configuration path")
-    for flag in ("alpha", "beta", "gamma", "delta", "a", "b", "chi", "phi",
-                 "i", "j", "r", "s", "m"):
+    for flag in _PARAM_FLAGS:
         sp.add_argument("--%s" % flag)
     sp.set_defaults(func=cmd_verify)
 
@@ -262,9 +215,6 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if args.command == "verify" and not args.config and not args.algebra:
-        print("error: verify wants --algebra or --config", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (UsageError, ParseError, SpecError, MonoidError, AlgebraError, ValueError) as e:

@@ -3,7 +3,6 @@ commutative monoids on integer exponent vectors (optionally truncated, which
 adds an absorbing zero)."""
 
 import re
-from fractions import Fraction
 
 _ELT_RE = re.compile(r"^([a-z])(?:\^(-?\d+))?$")
 
@@ -110,68 +109,3 @@ def monoid_preset(name):
             raise MonoidError("truncation bound must be >= 1")
         return MonoidBasis(name, ("t",), trunc=n)
     raise MonoidError("unknown monoid preset %r" % name)
-
-
-class AElem:
-    """Element of A: a finitely supported rational combination of basis elements."""
-
-    __slots__ = ("monoid", "coeffs")
-
-    def __init__(self, monoid, coeffs=()):
-        self.monoid = monoid
-        acc = {}
-        pairs = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for e, c in pairs:
-            if e is None:
-                continue
-            c = Fraction(c)
-            if c:
-                acc[e] = acc.get(e, Fraction(0)) + c
-        self.coeffs = {e: c for e, c in acc.items() if c}
-
-    @classmethod
-    def basis(cls, monoid, e, c=1):
-        return cls(monoid, [(e, Fraction(c))])
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return AElem(self.monoid, out)
-
-    def __neg__(self):
-        return AElem(self.monoid, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, AElem):
-            return AElem(self.monoid, {e: c * Fraction(other) for e, c in self.coeffs.items()})
-        if other.monoid is not self.monoid:
-            raise MonoidError("mixed monoids")
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = self.monoid.mul(e1, e2)
-                if e is None:
-                    continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return AElem(self.monoid, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, AElem) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        terms = sorted(self.coeffs.items(), key=lambda p: self.monoid.sort_key(p[0]))
-        return " + ".join("%s*%s" % (c, self.monoid.format_elt(e)) for e, c in terms)

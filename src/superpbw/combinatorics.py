@@ -114,6 +114,27 @@ class Multiset:
 EMPTY = Multiset()
 
 
+def multisets_upto(elems, cap, odd=False):
+    """All multisets over elems with size <= cap; 0/1 multiplicities when
+    odd is set."""
+    if odd:
+        picks = [[]]
+        for e in elems:
+            picks += [p + [e] for p in picks if len(p) < cap]
+        return [Multiset.of(*p) for p in picks]
+    out = []
+
+    def rec(idx, budget, acc):
+        if idx == len(elems):
+            out.append(Multiset(acc))
+            return
+        for c in range(budget + 1):
+            rec(idx + 1, budget - c, acc + [(elems[idx], c)])
+
+    rec(0, cap, [])
+    return out
+
+
 def multinomial(psi):
     """|psi|! / prod_s psi(s)!, the multinomial coefficient; a positive integer."""
     num = math.factorial(psi.size)

@@ -5,7 +5,8 @@ basis enumeration, and the triangular factorization."""
 import math
 from fractions import Fraction
 
-from .combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
+from .combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, multisets_upto, \
+    pi_product
 
 NEG_INF = float("-inf")
 
@@ -173,12 +174,6 @@ class DividedForm:
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
-
-    @property
-    def degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(ms.size for _, ms in k) for k in self.terms)
 
     def __eq__(self, other):
         return isinstance(other, DividedForm) and self.terms == other.terms
@@ -366,9 +361,6 @@ class Engine:
             out = out + self.normalize([L for L in self._flatten(w)], c)
         return out
 
-    def degree(self, x):
-        return x.degree
-
     def parity_of(self, x):
         """0 or 1 when x is parity homogeneous, None for 0 or mixed."""
         seen = None
@@ -546,26 +538,6 @@ class Engine:
 
     # -- basis enumeration and triangular splitting -------------------------
 
-    def multisets_upto(self, elems, cap, odd):
-        """All multisets over elems with size <= cap; 0/1 multiplicities when
-        odd is set."""
-        if odd:
-            picks = [[]]
-            for e in elems:
-                picks += [p + [e] for p in picks if len(p) < cap]
-            return [Multiset.of(*p) for p in picks]
-        out = []
-
-        def rec(idx, budget, acc):
-            if idx == len(elems):
-                out.append(Multiset(acc))
-                return
-            for c in range(budget + 1):
-                rec(idx + 1, budget - c, acc + [(elems[idx], c)])
-
-        rec(0, cap, [])
-        return out
-
     def enumerate_basis(self, degree_cap, syms=None):
         """All divided-basis keys of filtration degree <= degree_cap, ordered
         deterministically.  Needs a finite coefficient basis."""
@@ -582,7 +554,7 @@ class Engine:
                 return
             sym = syms[pos]
             odd = self._parity[sym] == 1
-            for ms in self.multisets_upto(elems, remaining, odd):
+            for ms in multisets_upto(elems, remaining, odd):
                 rec(pos + 1, remaining - ms.size, acc + ([(sym, ms)] if ms else []))
 
         rec(0, degree_cap, [])

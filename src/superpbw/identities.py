@@ -13,11 +13,6 @@ from .engine import AlgebraError, UElem
 from .algebra import root_string
 
 
-def p_alpha(engine, which, chi):
-    """p_i(chi) for a Cartan index i, p_alpha(chi) for a root label."""
-    return engine.p(which, chi)
-
-
 def divided_D(engine, alpha, j, k, d, c):
     """Sum over lam in CP_k(j) of prod_m (x_alpha (x) d^m c)^(lam(m)),
     expanded to plain powers; D_{j,0} = delta_{j,0}."""

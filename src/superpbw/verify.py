@@ -1,6 +1,10 @@
 """Executable checks for every closed-form claim: identity sweeps (LHS via the
 baseline normalizer vs the built RHS), degree bounds, the Cartan product law,
-random integrality sampling, basis counting, and the suite runner."""
+random integrality sampling, basis counting, and the suite runner.
+
+Every sweep is declared as data: a check names its parameters as ordered
+(param, axis kind) pairs, and `expand` takes the product of the axes in that
+nesting order, dropping the instances an optional `where` predicate rejects."""
 
 import itertools
 import json
@@ -9,10 +13,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import identities as ident
-from .algebra import SpecError, load_spec_path, preset, root_string, PRESET_NAMES
+from .algebra import SpecError, read_algebra, root_string, spec_from_source, PRESET_NAMES
 from .coeffalg import monoid_preset
-from .combinatorics import Multiset, binomial, verify_comb_identity
+from .combinatorics import Multiset, binomial, multisets_upto, verify_comb_identity
 from .engine import Engine, Order, UElem, key_degree
+from .exprio import mset_str, word_str
 
 
 @dataclass
@@ -46,64 +51,79 @@ class SweepBounds:
     chimax: int = 3
 
 
+# ---------------------------------------------------------------------------
+# loading engines
+
+def _build_engine(source, monoid, order):
+    spec = spec_from_source(source)
+    if order == "triangular":
+        o = Order.triangular(spec)
+    elif order in ("lex", "lexicographic"):
+        o = Order.lexicographic(spec)
+    else:
+        o = Order.from_items(spec, order.split(","))
+    return Engine(spec, monoid_preset(monoid), o)
+
+
+def load_engine(algebra, monoid="trunc:4", order="triangular"):
+    """A fresh engine for a preset name or an algebra file path, a monoid
+    preset, and an order: 'triangular', 'lex'/'lexicographic' or a comma list
+    of root labels and Cartan indices."""
+    return _build_engine(read_algebra(algebra), monoid, order)
+
+
 _engines = {}
 
 
 def get_engine(algebra, monoid="trunc:4", order="triangular"):
-    """Shared engines so p/normalizer memo tables persist across checks."""
-    key = (algebra, monoid, order)
+    """Shared engines so p/normalizer memo tables persist across checks.  A
+    file is keyed by its content, so rewriting it yields a new engine."""
+    key = (read_algebra(algebra), monoid, order)
     if key not in _engines:
-        spec = preset(algebra) if algebra in PRESET_NAMES else load_spec_path(algebra)
-        mon = monoid_preset(monoid)
-        if order == "triangular":
-            o = Order.triangular(spec)
-        elif order == "lexicographic":
-            o = Order.lexicographic(spec)
-        else:
-            o = Order.from_items(spec, order.split(","))
-        _engines[key] = Engine(spec, mon, o)
+        _engines[key] = _build_engine(key[0], monoid, order)
     return _engines[key]
 
 
 # ---------------------------------------------------------------------------
-# parameter formatting
+# parameter axes and formatting
 
-def fmt_mset(monoid, ms):
-    if not ms:
-        return "0"
-    return ",".join("%s:%d" % (monoid.format_elt(e), m) for e, m in ms.items())
+AXES = {
+    "even": lambda e, b: e.spec.even_roots(),
+    "odd": lambda e, b: e.spec.odd_roots(),
+    "root": lambda e, b: tuple(r.label for r in e.spec.roots),
+    "cartan": lambda e, b: range(1, e.spec.rank + 1),
+    "elem": lambda e, b: e.monoid.elements(),
+    "r": lambda e, b: range(b.rmax + 1),
+    "s": lambda e, b: range(b.smax + 1),
+    "m": lambda e, b: range(b.mmax + 1),
+    "mset": lambda e, b: multisets_upto(e.monoid.elements(), b.chimax),
+}
 
 
-def fmt_value(monoid, v):
+def expand(engine, bounds, axes, where=None):
+    """The parameter dicts of a sweep: the product of the axes, outermost
+    first, without the instances `where(engine, ps)` rejects."""
+    names = [name for name, _ in axes]
+    for values in itertools.product(*(AXES[kind](engine, bounds) for _, kind in axes)):
+        ps = dict(zip(names, values))
+        if where is None or where(engine, ps):
+            yield ps
+
+
+def fmt_value(engine, v):
     if isinstance(v, Multiset):
-        return fmt_mset(monoid, v)
+        return mset_str(engine, v) or "0"
     if isinstance(v, tuple):
-        return monoid.format_elt(v)
+        return engine.monoid.format_elt(v)
     return str(v)
 
 
 def fmt_params(engine, ps):
-    return tuple(sorted((k, fmt_value(engine.monoid, v)) for k, v in ps.items()))
+    return tuple(sorted((k, fmt_value(engine, v)) for k, v in ps.items()))
 
 
 # ---------------------------------------------------------------------------
 # identity registry
-
-def _even(engine):
-    return engine.spec.even_roots()
-
-
-def _odd(engine):
-    return engine.spec.odd_roots()
-
-
-def _elems(engine):
-    return engine.monoid.elements()
-
-
-def _msets(engine, cap):
-    return engine.multisets_upto(_elems(engine), cap, odd=False)
-
 
 def _applicable_true(engine, ps):
     return True, ""
@@ -165,163 +185,80 @@ def _gate_chain_any(engine, ps):
     return True, ""
 
 
-def _sweep_4_1(engine, b):
-    for i in range(1, engine.spec.rank + 1):
-        for j in range(i, engine.spec.rank + 1):
-            for chi in _msets(engine, b.chimax):
-                for phi in _msets(engine, b.chimax):
-                    yield {"i": i, "j": j, "chi": chi, "phi": phi}
-
-
-def _sweep_4_2(engine, b):
-    for beta in _even(engine):
-        for belt in _elems(engine):
-            for r in range(b.rmax + 1):
-                for s in range(b.smax + 1):
-                    yield {"beta": beta, "b": belt, "r": r, "s": s}
-
-
-def _sweep_4_3(engine, b):
-    for alpha in _even(engine):
-        for a in _elems(engine):
-            for belt in _elems(engine):
-                for r in range(b.rmax + 1):
-                    for s in range(b.smax + 1):
-                        yield {"alpha": alpha, "a": a, "b": belt, "r": r, "s": s}
-
-
-def _sweep_4_45(engine, b):
-    for alpha in _even(engine):
-        for i in range(1, engine.spec.rank + 1):
-            for belt in _elems(engine):
-                for r in range(b.rmax + 1):
-                    for chi in _msets(engine, b.chimax):
-                        yield {"alpha": alpha, "i": i, "b": belt, "r": r, "chi": chi}
-
-
-def _sweep_pairs(engine, b):
-    spec = engine.spec
-    for alpha in _even(engine):
-        for beta in _even(engine):
-            if beta in (alpha, spec.negative_of(alpha)):
-                continue
-            for a in _elems(engine):
-                for belt in _elems(engine):
-                    for r in range(b.rmax + 1):
-                        for s in range(b.smax + 1):
-                            yield {"alpha": alpha, "beta": beta, "a": a, "b": belt,
-                                   "r": r, "s": s}
-
-
-def _sweep_L4_3(engine, b):
-    for delta in (r.label for r in engine.spec.roots):
-        for i in range(1, engine.spec.rank + 1):
-            for belt in _elems(engine):
-                for chi in _msets(engine, b.chimax):
-                    yield {"delta": delta, "i": i, "b": belt, "chi": chi}
-
-
-def _sweep_4_7(engine, b):
-    for gamma in _odd(engine):
-        for i in range(1, engine.spec.rank + 1):
-            for a in _elems(engine):
-                for chi in _msets(engine, b.chimax):
-                    yield {"gamma": gamma, "i": i, "a": a, "chi": chi}
-
-
-def _sweep_4_8(engine, b):
-    for gamma in _odd(engine):
-        for a in _elems(engine):
-            yield {"gamma": gamma, "a": a}
-
-
-def _sweep_4_9(engine, b):
-    for gamma in _odd(engine):
-        for a in _elems(engine):
-            for belt in _elems(engine):
-                yield {"gamma": gamma, "a": a, "b": belt}
-
-
-def _sweep_4_10(engine, b):
-    spec = engine.spec
-    for gamma in _odd(engine):
-        for delta in _odd(engine):
-            if delta == spec.negative_of(gamma):
-                continue
-            for a in _elems(engine):
-                for belt in _elems(engine):
-                    yield {"gamma": gamma, "delta": delta, "a": a, "b": belt}
-
-
-def _sweep_4_11(engine, b):
-    for gamma in _odd(engine):
-        for m in range(b.mmax + 1):
-            for a in _elems(engine):
-                for belt in _elems(engine):
-                    yield {"gamma": gamma, "m": m, "a": a, "b": belt}
-
-
-def _sweep_4_12(engine, b):
-    for alpha in _even(engine):
-        for gamma in _odd(engine):
-            for m in range(b.mmax + 1):
-                for a in _elems(engine):
-                    for belt in _elems(engine):
-                        yield {"alpha": alpha, "gamma": gamma, "m": m, "a": a, "b": belt}
+def _not_neg(first, second):
+    """where-predicate: the root `second` is not -`first`."""
+    return lambda e, ps: ps[second] != e.spec.negative_of(ps[first])
 
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    lhs: object
-    rhs: object
-    sweep: object
+    axes: tuple                 # ((param, axis kind), ...), outermost first
+    lhs: object = None
+    rhs: object = None
+    where: object = None        # (engine, params) -> False drops the instance
     applicable: object = _applicable_true
     sign_key: object = None     # params -> cache key for solved sign reuse
+    run: object = None          # (engine, params) -> CheckReport, for checks
+                                # that are not an LHS = RHS comparison
 
 
 def _pair_sign_key(ps):
     return (ps["alpha"], ps["beta"])
 
 
+def _pair_check(rhs, applicable, sign_key=None):
+    """4.6 and its case formulas: two even roots with beta != +-alpha."""
+    return IdentityCheck(
+        (("alpha", "even"), ("beta", "even"), ("a", "elem"), ("b", "elem"), ("r", "r"),
+         ("s", "s")), ident.lhs_4_6, rhs, applicable=applicable, sign_key=sign_key,
+        where=lambda e, ps: ps["beta"] not in (ps["alpha"], e.spec.negative_of(ps["alpha"])))
+
+
+_X_P = (("alpha", "even"), ("i", "cartan"), ("b", "elem"), ("r", "r"), ("chi", "mset"))
+_AB = (("a", "elem"), ("b", "elem"))
+
 IDENTITIES = {
-    "4.1": IdentityCheck(ident.lhs_4_1, ident.rhs_4_1, _sweep_4_1),
-    "4.2": IdentityCheck(ident.lhs_4_2, ident.rhs_4_2, _sweep_4_2),
-    "4.3": IdentityCheck(ident.lhs_4_3, ident.rhs_4_3, _sweep_4_3),
-    "4.4": IdentityCheck(ident.lhs_4_4, ident.rhs_4_4, _sweep_4_45),
-    "4.5": IdentityCheck(ident.lhs_4_5, ident.rhs_4_5, _sweep_4_45),
-    "4.6": IdentityCheck(ident.lhs_4_6, ident.rhs_4_6, _sweep_pairs,
-                         applicable=_gate_chain_any, sign_key=_pair_sign_key),
-    "L4.4a": IdentityCheck(ident.lhs_4_6, ident.rhs_L44a, _sweep_pairs,
-                           applicable=_gate_pair_type("A2")),
-    "L4.4b": IdentityCheck(ident.lhs_4_6, ident.rhs_L44b, _sweep_pairs,
-                           applicable=_gate_pair_type("B2", allowed={(1, 1), (2, 1)}),
-                           sign_key=_pair_sign_key),
-    "L4.4c": IdentityCheck(ident.lhs_4_6, ident.rhs_L44c, _sweep_pairs,
-                           applicable=_gate_pair_type(
-                               "G2", allowed={(1, 1), (2, 1), (3, 1), (3, 2)}),
-                           sign_key=_pair_sign_key),
-    "L4.3": IdentityCheck(ident.lhs_xdelta_p, ident.rhs_xdelta_p, _sweep_L4_3),
-    "4.7": IdentityCheck(ident.lhs_xdelta_p, ident.rhs_xdelta_p, _sweep_4_7),
-    "4.8": IdentityCheck(ident.lhs_4_8, ident.rhs_4_8, _sweep_4_8,
+    "4.1": IdentityCheck((("i", "cartan"), ("j", "cartan"), ("chi", "mset"), ("phi", "mset")),
+                         ident.lhs_4_1, ident.rhs_4_1, where=lambda e, ps: ps["j"] >= ps["i"]),
+    "4.2": IdentityCheck((("beta", "even"), ("b", "elem"), ("r", "r"), ("s", "s")),
+                         ident.lhs_4_2, ident.rhs_4_2),
+    "4.3": IdentityCheck((("alpha", "even"),) + _AB + (("r", "r"), ("s", "s")),
+                         ident.lhs_4_3, ident.rhs_4_3),
+    "4.4": IdentityCheck(_X_P, ident.lhs_4_4, ident.rhs_4_4),
+    "4.5": IdentityCheck(_X_P, ident.lhs_4_5, ident.rhs_4_5),
+    "4.6": _pair_check(ident.rhs_4_6, _gate_chain_any, _pair_sign_key),
+    "L4.4a": _pair_check(ident.rhs_L44a, _gate_pair_type("A2")),
+    "L4.4b": _pair_check(ident.rhs_L44b, _gate_pair_type("B2", allowed={(1, 1), (2, 1)}),
+                         _pair_sign_key),
+    "L4.4c": _pair_check(ident.rhs_L44c, _gate_pair_type(
+        "G2", allowed={(1, 1), (2, 1), (3, 1), (3, 2)}), _pair_sign_key),
+    "L4.3": IdentityCheck((("delta", "root"), ("i", "cartan"), ("b", "elem"), ("chi", "mset")),
+                          ident.lhs_xdelta_p, ident.rhs_xdelta_p),
+    "4.7": IdentityCheck((("gamma", "odd"), ("i", "cartan"), ("a", "elem"), ("chi", "mset")),
+                         ident.lhs_xdelta_p, ident.rhs_xdelta_p),
+    "4.8": IdentityCheck((("gamma", "odd"), ("a", "elem")), ident.lhs_4_8, ident.rhs_4_8,
                          applicable=_gate_nonisotropic),
-    "4.9": IdentityCheck(ident.lhs_4_9, ident.rhs_4_9, _sweep_4_9),
-    "4.10": IdentityCheck(ident.lhs_4_10, ident.rhs_4_10, _sweep_4_10),
-    "4.11": IdentityCheck(ident.lhs_4_11, ident.rhs_4_11, _sweep_4_11,
-                          applicable=_gate_nonisotropic),
-    "4.12": IdentityCheck(ident.lhs_4_12, ident.rhs_4_12, _sweep_4_12,
-                          applicable=_gate_isotropic_partner),
+    "4.9": IdentityCheck((("gamma", "odd"),) + _AB, ident.lhs_4_9, ident.rhs_4_9),
+    "4.10": IdentityCheck((("gamma", "odd"), ("delta", "odd")) + _AB,
+                          ident.lhs_4_10, ident.rhs_4_10, where=_not_neg("gamma", "delta")),
+    "4.11": IdentityCheck((("gamma", "odd"), ("m", "m")) + _AB,
+                          ident.lhs_4_11, ident.rhs_4_11, applicable=_gate_nonisotropic),
+    "4.12": IdentityCheck((("alpha", "even"), ("gamma", "odd"), ("m", "m")) + _AB,
+                          ident.lhs_4_12, ident.rhs_4_12, applicable=_gate_isotropic_partner),
+    "L5.2": IdentityCheck((("i", "cartan"), ("chi", "mset"), ("phi", "mset")),
+                          run=lambda e, ps: verify_lemma_5_2(e, ps["i"], ps["chi"], ps["phi"])),
+    "comb": IdentityCheck((), run=lambda e, ps: sweep_comb_identity()),
 }
 
-IDENTITY_IDS = tuple(list(IDENTITIES) + ["L5.2", "comb"])
+# What a sweep runs when no id is named; L5.2 and comb have their own
+# SuiteConfig switches.
+SWEEP_IDS = tuple(k for k, check in IDENTITIES.items() if check.run is None)
 
 
 def _diff_terms(engine, lhs, rhs, limit=5):
-    from .exprio import word_str
-    delta = lhs - rhs
-    out = []
-    for w in sorted(delta.terms, key=engine.word_key)[:limit]:
-        out.append((word_str(engine, w), str(lhs.terms.get(w, 0)), str(rhs.terms.get(w, 0))))
-    return tuple(out)
+    words = sorted((lhs - rhs).terms, key=engine.word_key)[:limit]
+    return tuple((word_str(engine, w), str(lhs.terms.get(w, 0)), str(rhs.terms.get(w, 0)))
+                 for w in words)
 
 
 def _solve_signs(lhs, template, known):
@@ -389,32 +326,89 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
 
 
 def sweep_identity(engine, ident_id, bounds=None, fixed=None):
-    """All CheckReports for an identity over the default sweep, optionally
-    restricted by fixing some parameters."""
-    bounds = bounds or SweepBounds()
+    """All CheckReports for a registered check over its declared axes,
+    optionally restricted by fixing some parameters (printed values)."""
     check = IDENTITIES[ident_id]
     sign_cache = {}
     out = []
-    for ps in check.sweep(engine, bounds):
-        if fixed and any(k in ps and fmt_value(engine.monoid, ps[k]) != v
-                         for k, v in fixed.items()):
-            continue
-        out.append(verify_identity(engine, ident_id, ps, sign_cache))
+    for ps in expand(engine, bounds or SweepBounds(), check.axes, check.where):
+        if all(k not in ps or fmt_value(engine, ps[k]) == v for k, v in (fixed or {}).items()):
+            out.append(check.run(engine, ps) if check.run else
+                       verify_identity(engine, ident_id, ps, sign_cache))
     return out
 
 
 # ---------------------------------------------------------------------------
 # degree bounds (the seven super-bracket estimates)
 
-def _bound_report(engine, item, ps, value, limit, want_integral):
+@dataclass(frozen=True)
+class DegreeBound:
+    """deg [u, v] < limit over the axes; `integral` also asks for membership
+    in the integral span."""
+    item: int
+    axes: tuple
+    u: object                   # (engine, params) -> UElem
+    v: object
+    limit: object               # params -> int
+    integral: bool = False
+    where: object = None
+
+
+def _dp(root, elt, exp):
+    """(x_root (x) elt)^(exp); root is a parameter name or (engine, params) -> label."""
+    label = root if callable(root) else lambda e, ps: ps[root]
+    return lambda e, ps: e.divided_power(('x', label(e, ps)), ps[elt], ps[exp])
+
+
+def _x(root, elt):
+    return lambda e, ps: e.gen_elem(('x', ps[root]), ps[elt])
+
+
+def _p(e, ps):
+    return e.p(ps["i"], ps["chi"])
+
+
+def _minus_alpha(e, ps):
+    return e.spec.negative_of(ps["alpha"])
+
+
+def _minus_two_gamma(e, ps):
+    return e.spec.negative_of(e.spec.root_sum(ps["gamma"], ps["gamma"]))
+
+
+DEGREE_BOUNDS = (
+    DegreeBound(1, (("alpha", "even"),) + _AB + (("r", "r"), ("s", "r")),
+                _dp("alpha", "a", "r"), _dp(_minus_alpha, "b", "s"),
+                lambda ps: ps["r"] + ps["s"], integral=True),
+    DegreeBound(2, (("beta", "even"), ("i", "cartan"), ("a", "elem"), ("r", "r"),
+                    ("chi", "mset")),
+                _dp("beta", "a", "r"), _p, lambda ps: ps["r"] + ps["chi"].size, integral=True),
+    DegreeBound(3, (("beta", "even"), ("gamma", "even")) + _AB + (("r", "r"), ("s", "r")),
+                _dp("beta", "a", "r"), _dp("gamma", "b", "s"), lambda ps: ps["r"] + ps["s"],
+                where=_not_neg("beta", "gamma")),
+    DegreeBound(4, (("delta", "odd"), ("i", "cartan"), ("a", "elem"), ("chi", "mset")),
+                _x("delta", "a"), _p, lambda ps: ps["chi"].size + 1),
+    DegreeBound(5, (("beta", "even"), ("delta", "odd")) + _AB + (("r", "r"),),
+                _dp("beta", "a", "r"), _x("delta", "b"), lambda ps: ps["r"] + 1),
+    DegreeBound(6, (("delta", "odd"), ("zeta", "odd")) + _AB,
+                _x("delta", "a"), _x("zeta", "b"), lambda ps: 2),
+    DegreeBound(7, (("gamma", "odd"),) + _AB + (("m", "m"),),
+                _x("gamma", "a"), _dp(_minus_two_gamma, "b", "m"), lambda ps: ps["m"] + 1,
+                where=lambda e, ps: _gate_nonisotropic(e, ps)[0]),
+)
+
+
+def _bound_report(engine, bound, ps):
+    value = engine.super_comm(bound.u(engine, ps), bound.v(engine, ps))
     t0 = time.perf_counter()
     deg = value.degree
+    limit = bound.limit(ps)
     ok = deg < limit
     detail = "degree %s < %d" % (deg, limit)
-    if ok and want_integral:
+    if ok and bound.integral:
         ok = engine.is_integral(value)
         detail += ", integral" if ok else ", NOT integral"
-    return CheckReport("deg%d" % item, engine.spec.name, fmt_params(engine, ps),
+    return CheckReport("deg%d" % bound.item, engine.spec.name, fmt_params(engine, ps),
                        "pass" if ok else "fail", detail,
                        seconds=time.perf_counter() - t0)
 
@@ -423,94 +417,8 @@ def verify_degree_bounds(engine, bounds=None):
     """Bracket-degree estimates for the seven generator pairings; items (1)
     and (2) also assert membership in the integral span."""
     b = bounds or SweepBounds()
-    spec = engine.spec
-    reps = []
-    elems = _elems(engine)
-    rng_r = range(b.rmax + 1)
-
-    for alpha in _even(engine):
-        nalpha = spec.negative_of(alpha)
-        for a in elems:
-            for belt in elems:
-                for r in rng_r:
-                    for s in rng_r:
-                        u = engine.divided_power(('x', alpha), a, r)
-                        v = engine.divided_power(('x', nalpha), belt, s)
-                        reps.append(_bound_report(
-                            engine, 1, {"alpha": alpha, "a": a, "b": belt, "r": r, "s": s},
-                            engine.super_comm(u, v), r + s, True))
-
-    for beta in _even(engine):
-        for i in range(1, spec.rank + 1):
-            for a in elems:
-                for r in rng_r:
-                    for chi in _msets(engine, b.chimax):
-                        u = engine.divided_power(('x', beta), a, r)
-                        v = engine.p(i, chi)
-                        reps.append(_bound_report(
-                            engine, 2, {"beta": beta, "i": i, "a": a, "r": r, "chi": chi},
-                            engine.super_comm(u, v), r + chi.size, True))
-
-    for beta in _even(engine):
-        for gamma in _even(engine):
-            if gamma == spec.negative_of(beta):
-                continue
-            for a in elems:
-                for belt in elems:
-                    for r in rng_r:
-                        for s in rng_r:
-                            u = engine.divided_power(('x', beta), a, r)
-                            v = engine.divided_power(('x', gamma), belt, s)
-                            reps.append(_bound_report(
-                                engine, 3,
-                                {"beta": beta, "gamma": gamma, "a": a, "b": belt, "r": r, "s": s},
-                                engine.super_comm(u, v), r + s, False))
-
-    for delta in _odd(engine):
-        for i in range(1, spec.rank + 1):
-            for a in elems:
-                for chi in _msets(engine, b.chimax):
-                    u = engine.gen_elem(('x', delta), a)
-                    v = engine.p(i, chi)
-                    reps.append(_bound_report(
-                        engine, 4, {"delta": delta, "i": i, "a": a, "chi": chi},
-                        engine.super_comm(u, v), chi.size + 1, False))
-
-    for beta in _even(engine):
-        for delta in _odd(engine):
-            for a in elems:
-                for belt in elems:
-                    for r in rng_r:
-                        u = engine.divided_power(('x', beta), a, r)
-                        v = engine.gen_elem(('x', delta), belt)
-                        reps.append(_bound_report(
-                            engine, 5, {"beta": beta, "delta": delta, "a": a, "b": belt, "r": r},
-                            engine.super_comm(u, v), r + 1, False))
-
-    for delta in _odd(engine):
-        for zeta in _odd(engine):
-            for a in elems:
-                for belt in elems:
-                    u = engine.gen_elem(('x', delta), a)
-                    v = engine.gen_elem(('x', zeta), belt)
-                    reps.append(_bound_report(
-                        engine, 6, {"delta": delta, "zeta": zeta, "a": a, "b": belt},
-                        engine.super_comm(u, v), 2, False))
-
-    for gamma in _odd(engine):
-        g2 = spec.root_sum(gamma, gamma)
-        if g2 is None:
-            continue
-        partner = spec.negative_of(g2)
-        for a in elems:
-            for belt in elems:
-                for m in range(b.mmax + 1):
-                    u = engine.gen_elem(('x', gamma), a)
-                    v = engine.divided_power(('x', partner), belt, m)
-                    reps.append(_bound_report(
-                        engine, 7, {"gamma": gamma, "a": a, "b": belt, "m": m},
-                        engine.super_comm(u, v), m + 1, False))
-    return reps
+    return [_bound_report(engine, bound, ps) for bound in DEGREE_BOUNDS
+            for ps in expand(engine, b, bound.axes, bound.where)]
 
 
 # ---------------------------------------------------------------------------
@@ -541,41 +449,15 @@ def verify_lemma_5_2(engine, i, chi, phi):
                        seconds=time.perf_counter() - t0)
 
 
-def sweep_lemma_5_2(engine, bounds=None):
-    b = bounds or SweepBounds()
-    out = []
-    for i in range(1, engine.spec.rank + 1):
-        for chi in _msets(engine, b.chimax):
-            for phi in _msets(engine, b.chimax):
-                out.append(verify_lemma_5_2(engine, i, chi, phi))
-    return out
-
-
 def sweep_comb_identity(maxsize=6, support=3, drange=(-5, 5)):
     """The integer identity behind the Cartan straightening, checked for all
-    multisets up to the stated size over abstract supports."""
+    nonzero multisets up to the stated size over abstract supports."""
     t0 = time.perf_counter()
-    fails = []
-    total = 0
-    elems = list(range(support))
-
-    def msets(size):
-        def rec(idx, remaining, acc):
-            if idx == len(elems):
-                if remaining == 0:
-                    yield Multiset(acc)
-                return
-            for c in range(remaining + 1):
-                yield from rec(idx + 1, remaining - c, acc + [(elems[idx], c)])
-        yield from rec(0, size, [])
-
-    for size in range(1, maxsize + 1):
-        for psi1 in msets(size):
-            for d in range(drange[0], drange[1] + 1):
-                total += 1
-                if not verify_comb_identity(psi1, d):
-                    fails.append((psi1, d))
-    detail = "%d instances" % total
+    msets = sorted((ms for ms in multisets_upto(range(support), maxsize) if ms),
+                   key=lambda ms: ms.size)
+    cases = list(itertools.product(msets, range(drange[0], drange[1] + 1)))
+    fails = [case for case in cases if not verify_comb_identity(*case)]
+    detail = "%d instances" % len(cases)
     if fails:
         detail += "; first failure %r" % (fails[0],)
     return CheckReport("comb", "-", (("maxsize", str(maxsize)), ("support", str(support))),
@@ -589,23 +471,23 @@ def sample_generator(engine, rng, bounds):
     """One random generator of the integral form: an even divided power, an
     odd letter, or a Cartan p-element."""
     spec = engine.spec
-    elems = _elems(engine)
-    kind = rng.choice(["even", "odd", "p"] if _odd(engine) else ["even", "p"])
+    elems = engine.monoid.elements()
+    kind = rng.choice(["even", "odd", "p"] if spec.odd_roots() else ["even", "p"])
     if kind == "even":
-        alpha = rng.choice(_even(engine))
+        alpha = rng.choice(spec.even_roots())
         s = rng.randint(1, bounds.smax)
         belt = rng.choice(elems)
         return ("(x[%s]{%s})^(%d)" % (alpha, engine.monoid.format_elt(belt), s),
                 engine.divided_power(('x', alpha), belt, s))
     if kind == "odd":
-        gamma = rng.choice(_odd(engine))
+        gamma = rng.choice(spec.odd_roots())
         celt = rng.choice(elems)
         return ("x[%s]{%s}" % (gamma, engine.monoid.format_elt(celt)),
                 engine.gen_elem(('x', gamma), celt))
     i = rng.randint(1, spec.rank)
     size = rng.randint(0, bounds.chimax)
     chi = Multiset.of(*(rng.choice(elems) for _ in range(size)))
-    return ("p[%d]{%s}" % (i, fmt_mset(engine.monoid, chi)), engine.p(i, chi))
+    return ("p[%d]{%s}" % (i, fmt_value(engine, chi)), engine.p(i, chi))
 
 
 def sample_products(engine, gens, trials, seed, bounds=None):
@@ -624,39 +506,40 @@ def sample_products(engine, gens, trials, seed, bounds=None):
         yield " ".join(label), acc
 
 
+def _sampled_check(engine, identity, detail, failure, gens, trials, seed, bounds):
+    """Run `failure` (product -> None, or a note on what is wrong) over the
+    sampled products; the first failure goes into the detail."""
+    t0 = time.perf_counter()
+    verdict = "pass"
+    for desc, prod in sample_products(engine, gens, trials, seed, bounds):
+        note = failure(prod)
+        if note is not None:
+            verdict = "fail"
+            detail += "; first failure: %s%s" % (desc, note)
+            break
+    return CheckReport(identity, engine.spec.name,
+                       (("gens", str(gens)), ("trials", str(trials)), ("seed", str(seed))),
+                       verdict, detail, seconds=time.perf_counter() - t0)
+
+
 def verify_integrality(engine, gens=6, trials=100, seed=0, bounds=None):
     """Random products of integral-form generators must have integer
     coordinates in the divided-power basis."""
-    t0 = time.perf_counter()
-    fails = []
-    for desc, prod in sample_products(engine, gens, trials, seed, bounds):
-        if not engine.is_integral(prod):
-            fails.append(desc)
-    detail = "%d products of <= %d generators, seed %d" % (trials, gens, seed)
-    if fails:
-        detail += "; first failure: %s" % fails[0]
-    return CheckReport("integrality", engine.spec.name,
-                       (("gens", str(gens)), ("trials", str(trials)), ("seed", str(seed))),
-                       "fail" if fails else "pass", detail, seconds=time.perf_counter() - t0)
+    return _sampled_check(
+        engine, "integrality", "%d products of <= %d generators, seed %d" % (trials, gens, seed),
+        lambda prod: None if engine.is_integral(prod) else "", gens, trials, seed, bounds)
 
 
 def verify_triangular(engine, gens=6, trials=100, seed=0, bounds=None):
     """The same random products must factor through B- . B0 . B+ with integer
     coefficients (triangular decomposition of the integral form)."""
-    t0 = time.perf_counter()
-    fails = []
-    for desc, prod in sample_products(engine, gens, trials, seed, bounds):
-        _, factored = engine.triangular_factor(prod)
-        for c, kneg, kzero, kpos in factored:
+    def failure(prod):
+        for c, _, _, _ in engine.triangular_factor(prod)[1]:
             if c.denominator != 1:
-                fails.append("%s -> non-integer %s" % (desc, c))
-                break
-    detail = "%d products, seed %d" % (trials, seed)
-    if fails:
-        detail += "; first failure: %s" % fails[0]
-    return CheckReport("triangular", engine.spec.name,
-                       (("gens", str(gens)), ("trials", str(trials)), ("seed", str(seed))),
-                       "fail" if fails else "pass", detail, seconds=time.perf_counter() - t0)
+                return " -> non-integer %s" % c
+        return None
+    return _sampled_check(engine, "triangular", "%d products, seed %d" % (trials, seed),
+                          failure, gens, trials, seed, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +600,37 @@ def verify_basis_counts(engine, degree_cap):
 # ---------------------------------------------------------------------------
 # suite runner
 
+def _is_strings(v):
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _is_monoid(v):
+    try:
+        return isinstance(v, str) and monoid_preset(v) is not None
+    except ValueError:
+        return False
+
+
+_BOUND_KEYS = ("rmax", "smax", "mmax", "chimax")
+
+# suite config key -> (test of its JSON value, what the key wants)
+_CONFIG_KEYS = {
+    **{k: (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+       for k in _BOUND_KEYS + ("integrality_trials", "integrality_gens", "basis_degree")},
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "algebras": (_is_strings, "a list of presets or algebra file paths"),
+    "identities": (lambda v: _is_strings(v) and all(x in IDENTITIES for x in v),
+                   "a list of identity ids (%s)" % ", ".join(IDENTITIES)),
+    "monoid": (_is_monoid, "a monoid preset (poly, laurent, poly2, trunc:n)"),
+    **{k: (lambda v: isinstance(v, bool), "true or false")
+       for k in ("degree_bounds", "lemma_5_2", "comb")},
+}
+
+
 @dataclass
 class SuiteConfig:
     algebras: tuple = PRESET_NAMES
-    identities: tuple = tuple(IDENTITIES)
+    identities: tuple = SWEEP_IDS
     monoid: str = "trunc:4"
     bounds: SweepBounds = field(default_factory=SweepBounds)
     degree_bounds: bool = True
@@ -733,6 +643,8 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, text):
+        """Parse a JSON suite config; an unknown key or a bad value raises
+        SpecError naming the key."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
@@ -742,21 +654,27 @@ class SuiteConfig:
         kwargs = {}
         bounds = {}
         for k, v in raw.items():
-            if k in ("rmax", "smax", "mmax", "chimax"):
-                bounds[k] = int(v)
-            elif k in ("algebras", "identities"):
-                kwargs[k] = tuple(v)
-            elif k in ("monoid",):
-                kwargs[k] = str(v)
-            elif k in ("degree_bounds", "lemma_5_2", "comb"):
-                kwargs[k] = bool(v)
-            elif k in ("integrality_trials", "integrality_gens", "basis_degree", "seed"):
-                kwargs[k] = int(v)
-            else:
+            if k not in _CONFIG_KEYS:
                 raise SpecError("unknown suite config key %r" % k)
+            ok, wants = _CONFIG_KEYS[k]
+            if not ok(v):
+                raise SpecError("suite config key %r wants %s, got %r" % (k, wants, v))
+            if k in _BOUND_KEYS:
+                bounds[k] = v
+            else:
+                kwargs[k] = tuple(v) if isinstance(v, list) else v
         if bounds:
             kwargs["bounds"] = SweepBounds(**bounds)
         return cls(**kwargs)
+
+    @classmethod
+    def from_path(cls, path):
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise SpecError("cannot read suite config %r: %s" % (path, e.strerror or e))
+        return cls.from_json(text)
 
 
 @dataclass
@@ -785,29 +703,27 @@ def run_suite(config, emit=None):
     report line as it is produced."""
     reports = []
 
-    def add(r):
-        reports.append(r)
-        if emit:
-            emit(r.line())
+    def add(reps):
+        for r in reps:
+            reports.append(r)
+            if emit:
+                emit(r.line())
 
     for algebra in config.algebras:
         engine = get_engine(algebra, config.monoid)
         for ident_id in config.identities:
-            for r in sweep_identity(engine, ident_id, config.bounds):
-                add(r)
+            add(sweep_identity(engine, ident_id, config.bounds))
         if config.degree_bounds:
-            for r in verify_degree_bounds(engine, config.bounds):
-                add(r)
+            add(verify_degree_bounds(engine, config.bounds))
         if config.lemma_5_2:
-            for r in sweep_lemma_5_2(engine, config.bounds):
-                add(r)
-        add(verify_integrality(engine, config.integrality_gens,
-                               config.integrality_trials, config.seed, config.bounds))
-        add(verify_triangular(engine, config.integrality_gens,
-                              config.integrality_trials, config.seed, config.bounds))
-        add(verify_basis_counts(engine, config.basis_degree))
+            add(sweep_identity(engine, "L5.2", config.bounds))
+        add([verify_integrality(engine, config.integrality_gens,
+                                config.integrality_trials, config.seed, config.bounds),
+             verify_triangular(engine, config.integrality_gens,
+                               config.integrality_trials, config.seed, config.bounds),
+             verify_basis_counts(engine, config.basis_degree)])
     if config.comb:
-        add(sweep_comb_identity())
+        add([sweep_comb_identity()])
     result = SuiteResult(reports)
     if emit:
         emit(result.summary())

@@ -13,7 +13,7 @@ import time
 
 from superpbw.algebra import preset, validate, PRESET_NAMES
 from superpbw.verify import SweepBounds, get_engine, sweep_comb_identity, \
-    sweep_identity, sweep_lemma_5_2, verify_basis_counts, verify_degree_bounds, \
+    sweep_identity, verify_basis_counts, verify_degree_bounds, \
     verify_integrality, verify_triangular
 
 BOUNDS = SweepBounds(rmax=3, smax=3, mmax=3, chimax=3)
@@ -138,7 +138,7 @@ def test_criterion_06_cartan_products():
     total = 0
     for algebra in PRESET_NAMES:
         engine = get_engine(algebra)
-        for rep in sweep_lemma_5_2(engine, BOUNDS):
+        for rep in sweep_identity(engine, "L5.2", BOUNDS):
             total += 1
             if rep.verdict == "fail":
                 fails.append(rep.line())

@@ -197,3 +197,64 @@ def test_main_reuses_parser_across_calls(capsys):
     code, out, _ = run(capsys, "normalize", "--algebra", "sl2", "--divided", "h[1]{t}^2")
     assert code == 0
     assert out.splitlines()[-1] == "INTEGRAL: yes"
+
+
+def test_verify_missing_files_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.alg")
+    code, _, err = run(capsys, "verify", "--algebra", missing, "--id", "4.2")
+    assert code == 2
+    assert err.startswith("error: unknown algebra") and "missing.alg" in err
+    code, _, err = run(capsys, "verify", "--config", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert err.startswith("error: cannot read suite config")
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"rmax": [1]}, "rmax"),
+    ({"algebras": 3}, "algebras"),
+    ({"algebras": ["sl2"], "identities": ["nope"]}, "identities"),
+])
+def test_verify_bad_config_values_exit_2(tmp_path, capsys, config, key):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert err.startswith("error: suite config key %r" % key)
+    assert out == ""
+
+
+def test_verify_param_flags_must_be_declared_by_the_id(capsys):
+    # with --id, a flag the id's axes do not declare is refused by name ...
+    for ident_id in ("4.1", "L5.2", "comb"):
+        code, out, err = run(capsys, "verify", "--algebra", "sl2", "--id", ident_id,
+                             "--r", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --r: not a parameter of %s" % ident_id)
+    code, _, err = run(capsys, "verify", "--algebra", "sl2", "--id", "4.2",
+                       "--r", "2", "--alpha", "a", "--chi", "t:1")
+    assert code == 2
+    assert err.startswith("error: --alpha, --chi: not a parameter of 4.2")
+    # ... a declared one filters ...
+    code, out, _ = run(capsys, "verify", "--algebra", "sl2", "--id", "L5.2", "--chi", "t:1")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith("CHECK")]
+    assert lines and all(" chi=t:1 " in l for l in lines)
+    # ... and without --id a flag filters the identities that declare it
+    code, out, _ = run(capsys, "verify", "--algebra", "sl2", "--r", "2", "--s", "1")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith("CHECK")]
+    assert any(l.startswith("CHECK id=4.1 ") for l in lines)
+    assert all(" r=2 " in l for l in lines if l.startswith("CHECK id=4.2 "))
+
+
+def test_sweep_script_bad_config_exit_2(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rmax": [1]}')
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    for config in (str(tmp_path / "missing.json"), str(bad)):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "run_identity_sweep.py"),
+             "--config", config], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

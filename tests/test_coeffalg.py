@@ -1,10 +1,6 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from superpbw.coeffalg import AElem, MonoidError, monoid_preset
+from superpbw.coeffalg import MonoidError, monoid_preset
 
 
 def test_poly_mul():
@@ -64,38 +60,3 @@ def test_format_parse_round_trip():
             [mon.one, (1,) * len(mon.varnames), (3,) + (0,) * (len(mon.varnames) - 1)]
         for a in probe:
             assert mon.parse_elt(mon.format_elt(a)) == a
-
-
-def test_aelem_products():
-    mon = monoid_preset("poly")
-    one = AElem.basis(mon, (0,))
-    t = AElem.basis(mon, (1,))
-    assert (one + t) * (one - t) == one - t * t
-    assert t * AElem(mon) == AElem(mon)
-
-
-def test_aelem_truncation_examples():
-    # (t + t^2)^2 with truncation at t^3 vs t^4
-    for bound, expect in ((3, {(2,): Fraction(1)}),
-                          (4, {(2,): Fraction(1), (3,): Fraction(2)})):
-        mon = monoid_preset("trunc:%d" % bound)
-        x = AElem.basis(mon, (1,)) + AElem.basis(mon, (2,))
-        assert (x * x).coeffs == expect
-
-
-def _aelems(mon):
-    elt = st.tuples(st.integers(0, 3))
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    return st.lists(st.tuples(elt, coeff), max_size=4).map(lambda xs: AElem(mon, xs))
-
-
-@given(st.data())
-@settings(max_examples=60)
-def test_aelem_ring_laws(data):
-    mon = monoid_preset("trunc:4")
-    x = data.draw(_aelems(mon))
-    y = data.draw(_aelems(mon))
-    z = data.draw(_aelems(mon))
-    assert x * y == y * x
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z

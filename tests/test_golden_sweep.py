@@ -1,9 +1,11 @@
-"""The sweep report on sl2 + sl21 stays byte for byte what it was before the
-combinatorics and divided-power memos existed.
+"""The sweep report stays byte for byte what it was before the combinatorics
+and divided-power memos existed (sl2 + sl21) and before the sweeps were
+declared as axes (sl3 + sp4 + osp12, which cover L4.4a, the L4.4b sign caches
+and 4.8/4.11/deg7).
 
-The golden file holds, per identity, the number of its CHECK lines and the
+Each golden file holds, per identity, the number of its CHECK lines and the
 SHA-256 of those lines (joined with newlines), plus the SUMMARY line.
-Regenerate it (only after confirming a report change is intended) with
+Regenerate them (only after confirming a report change is intended) with
 
     PYTHONPATH=src python tests/test_golden_sweep.py --write
 """
@@ -15,16 +17,20 @@ import sys
 
 from superpbw.verify import SuiteConfig, SweepBounds, run_suite
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                      "golden_sweep_sl2_sl21.json")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
-CONFIG = SuiteConfig(algebras=("sl2", "sl21"), bounds=SweepBounds(2, 2, 2, 2),
-                     integrality_trials=10)
+GOLDENS = {
+    "golden_sweep_sl2_sl21.json": SuiteConfig(
+        algebras=("sl2", "sl21"), bounds=SweepBounds(2, 2, 2, 2), integrality_trials=10),
+    "golden_sweep_sl3_sp4_osp12.json": SuiteConfig(
+        algebras=("sl3", "sp4", "osp12"), bounds=SweepBounds(1, 1, 1, 1),
+        integrality_trials=10),
+}
 
 
-def report_digest():
+def report_digest(config):
     lines = []
-    run_suite(CONFIG, emit=lines.append)
+    run_suite(config, emit=lines.append)
     by_id = {}
     summary = None
     for line in lines:
@@ -45,10 +51,10 @@ def report_digest():
     }
 
 
-def test_sweep_report_matches_golden():
-    with open(GOLDEN) as fh:
+def check_golden(name):
+    with open(os.path.join(DATA, name)) as fh:
         want = json.load(fh)
-    got = report_digest()
+    got = report_digest(GOLDENS[name])
     differing = sorted(i for i in set(want["identities"]) | set(got["identities"])
                        if want["identities"].get(i) != got["identities"].get(i))
     assert not differing, "CHECK lines differ for identities: %s" % ", ".join(differing)
@@ -56,9 +62,18 @@ def test_sweep_report_matches_golden():
     assert got["total_lines"] == want["total_lines"]
 
 
+def test_sweep_report_matches_golden():
+    check_golden("golden_sweep_sl2_sl21.json")
+
+
+def test_sweep_report_matches_golden_sl3_sp4_osp12():
+    check_golden("golden_sweep_sl3_sp4_osp12.json")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_sweep.py --write")
-    with open(GOLDEN, "w") as fh:
-        json.dump(report_digest(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for name, config in GOLDENS.items():
+        with open(os.path.join(DATA, name), "w") as fh:
+            json.dump(report_digest(config), fh, indent=1, sort_keys=True)
+            fh.write("\n")

@@ -1,10 +1,12 @@
 import json
+import os
 
 import pytest
 
+from superpbw.algebra import SpecError
 from superpbw.combinatorics import Multiset
 from superpbw.verify import SuiteConfig, SweepBounds, genfun_counts, get_engine, \
-    run_suite, sweep_comb_identity, sweep_identity, sweep_lemma_5_2, verify_basis_counts, \
+    run_suite, sweep_comb_identity, sweep_identity, verify_basis_counts, \
     verify_degree_bounds, verify_identity, verify_integrality, verify_lemma_5_2, \
     verify_triangular
 
@@ -147,3 +149,48 @@ def test_sweep_identity_fixed_filter():
     reps = sweep_identity(eng, "4.2", fixed={"r": "2", "s": "1", "b": "t"})
     assert len(reps) == 2   # beta in {a, -a}
     assert all(r.verdict == "pass" for r in reps)
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"rmax": [1]}, "rmax"),
+    ({"algebras": 3}, "algebras"),
+    ({"algebras": "sl2"}, "algebras"),
+    ({"algebras": ["sl2"], "identities": ["nope"]}, "identities"),
+    ({"monoid": "trunc:x"}, "monoid"),
+    ({"comb": 1}, "comb"),
+    ({"integrality_trials": -1}, "integrality_trials"),
+])
+def test_suite_config_rejects_bad_values(raw, key):
+    with pytest.raises(SpecError, match="suite config key %r" % key):
+        SuiteConfig.from_json(json.dumps(raw))
+
+
+def test_suite_config_accepts_every_registered_id():
+    config = SuiteConfig.from_json(json.dumps({"identities": ["4.12", "L5.2", "comb"]}))
+    assert config.identities == ("4.12", "L5.2", "comb")
+    reps = run_suite(SuiteConfig(algebras=("sl2",), identities=("L5.2", "comb"),
+                                 monoid="trunc:2", bounds=SweepBounds(1, 1, 1, 1),
+                                 degree_bounds=False, lemma_5_2=False, comb=False,
+                                 integrality_trials=1, basis_degree=1)).reports
+    assert [r.identity for r in reps] == ["L5.2"] * 9 + ["comb", "integrality",
+                                                        "triangular", "basis"]
+
+
+def test_get_engine_keys_files_by_content(tmp_path):
+    table = open(os.path.join(os.path.dirname(__file__), "data", "sl2.alg")).read()
+    path = tmp_path / "mine.alg"
+    path.write_text(table)
+    first = get_engine(str(path), "trunc:2")
+    assert get_engine(str(path), "trunc:2") is first
+    # the same path with another table in it is another engine
+    path.write_text(
+        "algebra sl2b\ncartan 1\nroots\n  b even 2 neg -b positive\n  -b even -2 neg b\n"
+        "coroots\n  b 1\n  -b -1\nbrackets\n  h1 x[b] = x[b] 2\n  h1 x[-b] = x[-b] -2\n"
+        "  x[b] x[-b] = h1 1\n")
+    second = get_engine(str(path), "trunc:2")
+    assert second is not first
+    assert second.spec.name == "sl2b"
+    assert sorted(r.label for r in second.spec.roots) == ["-b", "b"]
+    assert sorted(r.label for r in first.spec.roots) == ["-a", "a"]
+    path.write_text(table)
+    assert get_engine(str(path), "trunc:2") is first
