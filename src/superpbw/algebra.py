@@ -110,10 +110,6 @@ class SuperAlgebraSpec:
 # ---------------------------------------------------------------------------
 # validation
 
-def _br_dict(spec, s1, s2):
-    return {sym: c for sym, c in spec.bracket(s1, s2)}
-
-
 def validate(spec):
     """Check the Chevalley-table invariants; returns a list of violations
     (empty = valid).  Covers super antisymmetry, super Jacobi, grading,
@@ -140,23 +136,23 @@ def validate(spec):
     for s1 in syms:
         for s2 in syms:
             sign = -1 if (par[s1] and par[s2]) else 1
-            lhs = _br_dict(spec, s1, s2)
-            rhs = {k: -sign * v for k, v in _br_dict(spec, s2, s1).items()}
+            lhs = dict(spec.bracket(s1, s2))
+            rhs = {k: -sign * v for k, v in spec.bracket(s2, s1)}
             if lhs != rhs:
                 bad.append("antisymmetry fails for (%s, %s)" % (s1, s2))
 
     # grading
     for i in range(1, spec.rank + 1):
         for j in range(1, spec.rank + 1):
-            if _br_dict(spec, ('h', i), ('h', j)):
+            if spec.bracket(('h', i), ('h', j)):
                 bad.append("Cartan generators h%d, h%d do not commute" % (i, j))
         for r in spec.roots:
             want = {('x', r.label): r.ev[i - 1]} if r.ev[i - 1] else {}
-            if _br_dict(spec, ('h', i), ('x', r.label)) != want:
+            if dict(spec.bracket(('h', i), ('x', r.label))) != want:
                 bad.append("[h%d, x_%s] disagrees with the stored evaluation" % (i, r.label))
     for r1 in spec.roots:
         for r2 in spec.roots:
-            got = _br_dict(spec, ('x', r1.label), ('x', r2.label))
+            got = dict(spec.bracket(('x', r1.label), ('x', r2.label)))
             ssum = tuple(a + b for a, b in zip(r1.ev, r2.ev))
             if r2.label == r1.neg:
                 if any(s[0] != 'h' for s in got):
@@ -393,40 +389,37 @@ def _preset_sl21():
          ("a1+a2", _e(3, 1, 3), "-a1-a2", True), ("-a1-a2", _e(3, 3, 1), "a1+a2", False)])
 
 
+# osp(1,2): even part sl2 on the long root 2g, odd root vectors scaled so that
+# [x_g, x_g] = 4 x_{2g}; no all-integer matrix realization exists at this
+# normalization, so the table is given literally, one direction per bracket.
+_OSP12 = """
+cartan 1
+roots
+  2g even 2 neg -2g positive
+  -2g even -2 neg 2g
+  g odd 1 neg -g positive
+  -g odd -1 neg g
+coroots
+  2g 1
+  -2g -1
+  g 2
+  -g 2
+brackets
+  h1 x[2g] = x[2g] 2
+  h1 x[-2g] = x[-2g] -2
+  h1 x[g] = x[g] 1
+  h1 x[-g] = x[-g] -1
+  x[2g] x[-2g] = h1 1
+  x[g] x[g] = x[2g] 4
+  x[-g] x[-g] = x[-2g] -4
+  x[g] x[-g] = h1 2
+  x[g] x[-2g] = x[-g] 1
+  x[-g] x[2g] = x[g] 1
+"""
+
+
 def _preset_osp12():
-    # osp(1,2): even part sl2 on the long root 2g, odd root vectors scaled so
-    # that [x_g, x_g] = 4 x_{2g}; no all-integer matrix realization exists at
-    # this normalization, so the table is given literally.
-    roots = [
-        Root("2g", 0, (2,), "-2g", True),
-        Root("-2g", 0, (-2,), "2g", False),
-        Root("g", 1, (1,), "-g", True),
-        Root("-g", 1, (-1,), "g", False),
-    ]
-    coroots = {"2g": (1,), "-2g": (-1,), "g": (2,), "-g": (2,)}
-    h = ('h', 1)
-    x = lambda lab: ('x', lab)
-    one_sided = {
-        (h, x("2g")): ((x("2g"), 2),),
-        (h, x("-2g")): ((x("-2g"), -2),),
-        (h, x("g")): ((x("g"), 1),),
-        (h, x("-g")): ((x("-g"), -1),),
-        (x("2g"), x("-2g")): ((h, 1),),
-        (x("g"), x("g")): ((x("2g"), 4),),
-        (x("-g"), x("-g")): ((x("-2g"), -4),),
-        (x("g"), x("-g")): ((h, 2),),
-        (x("g"), x("-2g")): ((x("-g"), 1),),
-        (x("-g"), x("2g")): ((x("g"), 1),),
-    }
-    par = {h: 0, x("2g"): 0, x("-2g"): 0, x("g"): 1, x("-g"): 1}
-    brackets = dict(one_sided)
-    for (s1, s2), terms in one_sided.items():
-        if (s2, s1) in brackets and (s2, s1) in one_sided and s1 != s2:
-            continue
-        sign = -1 if (par[s1] and par[s2]) else 1
-        rev = tuple((sym, -sign * c) for sym, c in terms)
-        brackets.setdefault((s2, s1), rev)
-    return SuperAlgebraSpec("osp12", 1, roots, coroots, brackets)
+    return load_spec(_OSP12, name="osp12", check=False)
 
 
 _PRESETS = {

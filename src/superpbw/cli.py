@@ -10,10 +10,9 @@ import sys
 
 from .algebra import SpecError, read_algebra, spec_from_source, validate, PRESET_NAMES
 from .coeffalg import MonoidError
-from .combinatorics import Multiset
 from .engine import AlgebraError, key_degree
 from .exprio import ParseError, divided_key_str, divided_sort_key, divided_str, \
-    parse_expr, uelem_str
+    parse_expr, parse_mset, uelem_str
 from . import identities as ident
 from . import verify as ver
 
@@ -26,18 +25,6 @@ def make_engine(args, default_monoid="poly"):
     """A fresh engine per command, so each request starts on cold memos."""
     return ver.load_engine(args.algebra, args.monoid or default_monoid,
                            args.order or "triangular")
-
-
-def parse_mset(monoid, text):
-    items = []
-    if text and text != "0":
-        for piece in text.split(","):
-            if ":" in piece:
-                elt, mult = piece.rsplit(":", 1)
-                items.append((monoid.parse_elt(elt), int(mult)))
-            else:
-                items.append((monoid.parse_elt(piece), 1))
-    return Multiset(items)
 
 
 # ---------------------------------------------------------------------------
@@ -63,27 +50,37 @@ _PARAM_FLAGS = ("alpha", "beta", "gamma", "delta", "a", "b", "chi", "phi",
 
 
 def cmd_verify(args):
+    texts = {k: getattr(args, k) for k in _PARAM_FLAGS if getattr(args, k) is not None}
     if args.config:
+        ignored = [k for k in ("algebra", "monoid", "order", "id") if getattr(args, k)]
+        if ignored or texts:
+            raise UsageError("--config runs the suite the file declares; it would ignore %s"
+                             % ", ".join("--" + k for k in ignored + list(texts)))
         result = ver.run_suite(ver.SuiteConfig.from_path(args.config), emit=print)
         return 0 if result.ok else 1
 
     if not args.algebra:
         raise UsageError("verify wants --algebra or --config")
-    fixed = {k: getattr(args, k) for k in _PARAM_FLAGS if getattr(args, k) is not None}
     ids = ver.SWEEP_IDS
     if args.id:
         if args.id not in ver.IDENTITIES:
             raise UsageError("unknown identity id %r (have %s)"
                              % (args.id, ", ".join(ver.IDENTITIES)))
-        declared = [name for name, _ in ver.IDENTITIES[args.id].axes]
-        stray = [k for k in fixed if k not in declared]
-        if stray:
-            raise UsageError("%s: not a parameter of %s (it has %s)"
-                             % (", ".join("--" + k for k in stray), args.id,
-                                ", ".join("--" + k for k in declared) or "none"))
         ids = [args.id]
+    kinds = dict(axis for ident_id in ids for axis in ver.IDENTITIES[ident_id].axes)
+    stray = [k for k in texts if k not in kinds]
+    if stray:
+        raise UsageError("%s: not a parameter of %s (it has %s)"
+                         % (", ".join("--" + k for k in stray), args.id or "any identity",
+                            ", ".join("--" + k for k in kinds) or "none"))
     engine = ver.get_engine(args.algebra, args.monoid or "trunc:4",
                             args.order or "triangular")
+    fixed = {}
+    for k, text in texts.items():
+        try:
+            fixed[k] = ver.parse_value(engine, kinds[k], text)
+        except ValueError as e:
+            raise UsageError("--%s: %s" % (k, e))
     reports = [r for ident_id in ids
                for r in ver.sweep_identity(engine, ident_id, ver.SweepBounds(), fixed)]
     if not reports:

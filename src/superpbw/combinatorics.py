@@ -135,12 +135,14 @@ def multisets_upto(elems, cap, odd=False):
     return out
 
 
+def factorial_product(psi):
+    """prod_s psi(s)!, the denominator of the divided powers a multiset names."""
+    return math.prod(math.factorial(m) for _, m in psi.items())
+
+
 def multinomial(psi):
     """|psi|! / prod_s psi(s)!, the multinomial coefficient; a positive integer."""
-    num = math.factorial(psi.size)
-    for _, m in psi.items():
-        num //= math.factorial(m)
-    return num
+    return math.factorial(psi.size) // factorial_product(psi)
 
 
 def pi_product(psi, monoid):

@@ -2,11 +2,12 @@
 degree, conversion to the divided-power integral basis, integrality testing,
 basis enumeration, and the triangular factorization."""
 
+import itertools
 import math
 from fractions import Fraction
 
-from .combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, multisets_upto, \
-    pi_product
+from .combinatorics import EMPTY, Multiset, enumerate_sub, factorial_product, multinomial, \
+    multisets_upto, pi_product
 
 NEG_INF = float("-inf")
 
@@ -79,75 +80,98 @@ def re_int(tok):
 def _exact(c):
     """c as an int when it is integral, else as a Fraction.  A float is
     refused: its binary expansion is not the number it was meant to be."""
-    if type(c) is not int:
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
         if isinstance(c, float):
             raise TypeError("coefficients must be exact, got the float %r" % c)
         c = Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
+    return c.numerator if c.denominator == 1 else c
 
 
-def _collect(terms):
-    """Sum (key, coeff) pairs or a dict into {key: exact nonzero coeff}."""
-    pairs = terms.items() if isinstance(terms, dict) else terms
-    acc = {}
-    for k, c in pairs:
-        c = _exact(c)
-        if c:
-            acc[k] = acc.get(k, 0) + c
-    return {k: _exact(c) for k, c in acc.items() if c}
+class Combination:
+    """Finitely supported exact combination of hashable keys: `terms` maps a
+    key to its nonzero coefficient, an int when integral, else a Fraction.
 
-
-class UElem:
-    """Finitely supported rational combination of canonical PBW words.
-
-    Words are run-compressed letter sequences: tuples of ((sym, aelt), exp)
-    with exponents positive and odd letters never repeated.  Coefficients are
-    ints when integral, else Fractions.
+    `+` and `-` want two elements of one type, and elements of different
+    types are never equal.  `sum` is the one way to add many elements: it
+    makes each output coefficient exact once, however many summands.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        self.terms = _collect(terms)
+        """Sum (key, coeff) pairs, or take a dict, of any exact coefficients."""
+        acc = {}
+        for k, c in (terms.items() if isinstance(terms, dict) else terms):
+            acc[k] = acc.get(k, 0) + _exact(c)
+        self.terms = {k: _exact(c) for k, c in acc.items() if c}
+
+    @classmethod
+    def _wrap(cls, terms):
+        """An element over a dict of exact nonzero coefficients, as it is."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     def _copy(self):
         """The same element with its own terms dict, for handing out a
         memoized value (keys and coefficients are immutable)."""
-        out = UElem.__new__(UElem)
-        out.terms = dict(self.terms)
-        return out
+        return self._wrap(dict(self.terms))
+
+    @classmethod
+    def sum(cls, elems, scalars=None):
+        """sum_k scalars[k] * elems[k], with every scalar 1 when scalars is
+        None; an empty sum is zero."""
+        acc = {}
+        if scalars is None:
+            for x in elems:
+                for k, c in x.terms.items():
+                    acc[k] = acc.get(k, 0) + c
+        else:
+            for x, s in zip(elems, scalars):
+                for k, c in x.terms.items():
+                    acc[k] = acc.get(k, 0) + s * c
+        return cls._wrap({k: _exact(c) for k, c in acc.items() if c})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return UElem(out)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.sum((self, other))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return UElem(out)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.sum((self, other), (1, -1))
 
     def __neg__(self):
-        return UElem({w: -c for w, c in self.terms.items()})
+        return self._wrap({k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
-        scalar = _exact(scalar)
-        if not scalar:
-            return UElem()
-        return UElem({w: scalar * c for w, c in self.terms.items()})
+        return self.sum((self,), (_exact(scalar),))
 
     def __eq__(self, other):
-        return isinstance(other, UElem) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
+
+
+class UElem(Combination):
+    """Finitely supported rational combination of canonical PBW words.
+
+    Words are run-compressed letter sequences: tuples of ((sym, aelt), exp)
+    with exponents positive and odd letters never repeated.
+    """
+
+    __slots__ = ()
+
+    # bound here as well, so a profiler can wrap UElem's constructor alone
+    # (bench/tracing.py does)
+    __init__ = Combination.__init__
 
     @property
     def degree(self):
@@ -162,24 +186,14 @@ class UElem:
         return "UElem(%d terms, degree %s)" % (len(self.terms), self.degree)
 
 
-class DividedForm:
+class DividedForm(Combination):
     """Element in the divided-power integral basis: keys are ordered tuples of
-    (sym, multiset-over-B) pairs, one per generator appearing.  Coefficients
-    are ints when integral, else Fractions."""
+    (sym, multiset-over-B) pairs, one per generator appearing."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        self.terms = _collect(terms)
+    __slots__ = ()
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
-
-    def __eq__(self, other):
-        return isinstance(other, DividedForm) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         return "DividedForm(%d terms)" % len(self.terms)
@@ -356,10 +370,8 @@ class Engine:
     def adopt(self, x):
         """Re-normalize a UElem produced by another engine over the same
         algebra and monoid (possibly a different order)."""
-        out = UElem()
-        for w, c in x.terms.items():
-            out = out + self.normalize([L for L in self._flatten(w)], c)
-        return out
+        return UElem.sum((self.normalize(self._flatten(w)) for w in x.terms),
+                         x.terms.values())
 
     def parity_of(self, x):
         """0 or 1 when x is parity homogeneous, None for 0 or mixed."""
@@ -401,16 +413,14 @@ class Engine:
         if not chi:
             out = self.one()
         else:
-            acc = UElem()
+            terms, scalars = [], []
             for psi in enumerate_sub(chi):
-                if not psi:
-                    continue
-                a = pi_product(psi, self.monoid)
-                if a is None:
-                    continue
-                term = self.mul(self.hvec_elem(hvec, a), self.p_vector(hvec, chi - psi))
-                acc = acc + multinomial(psi) * term
-            out = Fraction(-1, chi.size) * acc
+                a = pi_product(psi, self.monoid) if psi else None
+                if a is not None:
+                    terms.append(self.mul(self.hvec_elem(hvec, a),
+                                          self.p_vector(hvec, chi - psi)))
+                    scalars.append(Fraction(-multinomial(psi), chi.size))
+            out = UElem.sum(terms, scalars)
         self._p_memo[key] = out
         return out._copy()
 
@@ -473,10 +483,7 @@ class Engine:
                 conv = self._h_mono_to_p(sym[1], ms)
                 parts.append([((sym, phi) if phi else None, c) for phi, c in conv])
             elif self._parity[sym] == 0:
-                fact = 1
-                for _, e in ms.items():
-                    fact *= math.factorial(e)
-                parts.append([((sym, ms), fact)])
+                parts.append([((sym, ms), factorial_product(ms))])
             else:
                 if any(e > 1 for _, e in ms.items()):
                     raise AlgebraError("odd letter with exponent > 1 in a canonical word")
@@ -486,55 +493,32 @@ class Engine:
     def to_divided(self, x):
         """Exact change of basis into the divided-power integral basis."""
         out = {}
-
-        def rec(parts, idx, keyacc, coeff, sink):
-            if idx == len(parts):
-                k = tuple(keyacc)
-                sink[k] = sink.get(k, 0) + coeff
-                return
-            for part, c in parts[idx]:
-                rec(parts, idx + 1, keyacc + ([part] if part else []), coeff * c, sink)
-
         for w, c in x.terms.items():
-            parts = self._expand_blocks(self._word_blocks(w))
-            rec(parts, 0, [], c, out)
+            for choice in itertools.product(*self._expand_blocks(self._word_blocks(w))):
+                key = tuple(part for part, _ in choice if part)
+                out[key] = out.get(key, 0) + math.prod((c2 for _, c2 in choice), start=c)
         return DividedForm(out)
 
     def from_divided(self, df):
         """Inverse of to_divided."""
-        acc = UElem()
-        for key, c in df.terms.items():
-            term = self.scalar(c)
+        terms = []
+        for key in df.terms:
+            term = self.one()
             for sym, ms in key:
                 if sym[0] == 'h':
                     factor = self.p(sym[1], ms)
                 else:
-                    fact = 1
-                    for _, e in ms.items():
-                        fact *= math.factorial(e)
                     word = tuple(((sym, a), e) for a, e in ms.items())
-                    factor = UElem({word: Fraction(1, fact)})
+                    factor = UElem({word: Fraction(1, factorial_product(ms))})
                 term = self.mul(term, factor)
-            acc = acc + term
-        return acc
+            terms.append(term)
+        return UElem.sum(terms, df.terms.values())
 
     def is_integral(self, x):
         """Integral-form membership test; accepts UElem or DividedForm."""
         if isinstance(x, UElem):
             x = self.to_divided(x)
         return x.is_integral()
-
-    def p_basis_convert(self, x):
-        """Re-express a Cartan-supported UElem over products prod_i p_i(phi_i).
-
-        Returns a dict keyed like divided-form keys (only 'h' symbols).
-        """
-        for w in x.terms:
-            for (sym, _), _ in w:
-                if sym[0] != 'h':
-                    raise AlgebraError("p_basis_convert wants Cartan letters only, got %r" % (sym,))
-        df = self.to_divided(x)
-        return dict(df.terms)
 
     # -- basis enumeration and triangular splitting -------------------------
 

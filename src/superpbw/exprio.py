@@ -1,13 +1,15 @@
 """Expression grammar for the CLI and golden files, plus the canonical
 printers.  Letters are x[<label>]{<elt>} and h[<i>]{<elt>} with ^r plain and
 ^(r) divided powers; p[<i>]{elt:mult,...} builds Cartan elements; products by
-juxtaposition; rational scalars; + - and parentheses."""
+juxtaposition; rational scalars; + - and parentheses.  A multiset lists
+elt:mult entries, a bare elt counting once; empty or 0 is the empty one."""
 
 import math
 import re
 from fractions import Fraction
 
 from .combinatorics import Multiset
+from .engine import UElem
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _INT_RE = re.compile(r"-?\d+")
@@ -67,25 +69,17 @@ class _Parser:
         return out
 
     def expr(self):
-        neg = False
-        if self.peek() == "-":
-            self.pos += 1
-            neg = True
-        elif self.peek() == "+":
-            self.pos += 1
-        acc = self.term()
-        if neg:
-            acc = -acc
+        """Terms joined by + and -, with an optional sign in front."""
+        terms, signs = [], []
+        ch = self.peek()
         while True:
+            if ch in ("+", "-"):
+                self.pos += 1
+            signs.append(-1 if ch == "-" else 1)
+            terms.append(self.term())
             ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                acc = acc + self.term()
-            elif ch == "-":
-                self.pos += 1
-                acc = acc - self.term()
-            else:
-                return acc
+            if ch not in ("+", "-"):
+                return UElem.sum(terms, signs)
 
     def term(self):
         factors = [self.factor()]
@@ -174,23 +168,32 @@ class _Parser:
             self.error("p wants a Cartan index")
         self.expect("{")
         body = self.until("}")
-        items = []
-        if body:
-            for piece in body.split(","):
-                if ":" not in piece:
-                    self.error("multiset entries look like elt:mult")
-                elt_text, mult = piece.rsplit(":", 1)
-                try:
-                    aelt = self.engine.monoid.parse_elt(elt_text)
-                    items.append((aelt, int(mult)))
-                except ValueError as e:
-                    self.error(str(e))
-        return self.engine.p(int(idx), Multiset(items))
+        try:
+            chi = parse_mset(self.engine.monoid, body)
+        except ValueError as e:
+            self.error(str(e))
+        return self.engine.p(int(idx), chi)
 
 
 def parse_expr(engine, text):
     """Parse an expression into its canonical PBW expansion."""
     return _Parser(text, engine).parse()
+
+
+def parse_mset(monoid, text):
+    """A multiset over the coefficient basis, e.g. 't:2,t^2' = 2chi_t + chi_{t^2}."""
+    text = text.strip()
+    if text in ("", "0"):
+        return Multiset()
+    items = []
+    for piece in text.split(","):
+        elt, colon, mult = piece.rpartition(":")
+        if not colon:
+            elt, mult = piece, "1"
+        if not mult.strip().isdigit():
+            raise ValueError("multiset entry %r wants elt or elt:mult" % piece.strip())
+        items.append((monoid.parse_elt(elt), int(mult)))
+    return Multiset(items)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ partition-indexed divided sums D) and for the exact right-hand side of every
 closed-form straightening identity, so the verifier can compare them against
 the baseline normalizer."""
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, enumerate_sub, \
-    multinomial, pi_product
+    factorial_product, multinomial, pi_product
 from .engine import AlgebraError, UElem
 from .algebra import root_string
 
@@ -21,21 +21,17 @@ def divided_D(engine, alpha, j, k, d, c):
     if k == 0:
         return engine.one() if j == 0 else UElem()
     mon = engine.monoid
-    acc = UElem()
+    terms = []
     for lam in enumerate_CP(j, k):
         letters = []
-        coeff = Fraction(1)
-        dead = False
         for m, mult in lam.items():
             elt = mon.mul(mon.power(d, m), c)
             if elt is None:
-                dead = True
                 break
             letters.extend([(('x', alpha), elt)] * mult)
-            coeff /= math.factorial(mult)
-        if not dead:
-            acc = acc + engine.normalize(letters, coeff)
-    return acc
+        else:
+            terms.append(engine.normalize(letters, Fraction(1, factorial_product(lam))))
+    return UElem.sum(terms)
 
 
 def scaled_divided(engine, sym, aelt, scalar, n):
@@ -115,7 +111,7 @@ def rhs_4_3(engine, ps):
     alpha, a, b, r, s = ps["alpha"], ps["a"], ps["b"], ps["r"], ps["s"]
     nalpha = engine.spec.negative_of(alpha)
     ab = engine.monoid.mul(a, b)
-    acc = UElem()
+    terms, signs = [], []
     for j in range(min(r, s) + 1):
         for k in range(min(r, s) - j + 1):
             for m in range(min(r, s) - j - k + 1):
@@ -129,8 +125,9 @@ def rhs_4_3(engine, ps):
                 dp = divided_D(engine, alpha, m, r - j - k - m, ab, a)
                 if not dp:
                     continue
-                acc = acc + sign * engine.mul(engine.mul(dm, pk), dp)
-    return acc
+                terms.append(engine.mul(engine.mul(dm, pk), dp))
+                signs.append(sign)
+    return UElem.sum(terms, signs)
 
 
 def _cs_x_product(engine, root_label, base_elt, hi, psi, negate_eval):
@@ -167,13 +164,10 @@ def lhs_4_4(engine, ps):
 
 def rhs_4_4(engine, ps):
     alpha, i, b, r, chi = ps["alpha"], ps["i"], ps["b"], ps["r"], ps["chi"]
-    acc = UElem()
-    for psi in enumerate_CS(chi, r):
-        xpart = _cs_x_product(engine, alpha, b, i, psi, negate_eval=False)
-        if not xpart:
-            continue
-        acc = acc + engine.mul(engine.p(i, chi - _consumed(psi)), xpart)
-    return acc
+    xparts = ((psi, _cs_x_product(engine, alpha, b, i, psi, negate_eval=False))
+              for psi in enumerate_CS(chi, r))
+    return UElem.sum(engine.mul(engine.p(i, chi - _consumed(psi)), xpart)
+                     for psi, xpart in xparts if xpart)
 
 
 def lhs_4_5(engine, ps):
@@ -185,14 +179,11 @@ def lhs_4_5(engine, ps):
 def rhs_4_5(engine, ps):
     alpha, i, b, r, chi = ps["alpha"], ps["i"], ps["b"], ps["r"], ps["chi"]
     nalpha = engine.spec.negative_of(alpha)
-    acc = UElem()
-    for psi in enumerate_CS(chi, r):
-        # the letter carries -alpha, the binomial still uses alpha(h_i)
-        xpart = _cs_x_product(engine, nalpha, b, i, psi, negate_eval=True)
-        if not xpart:
-            continue
-        acc = acc + engine.mul(xpart, engine.p(i, chi - _consumed(psi)))
-    return acc
+    # the letter carries -alpha, the binomial still uses alpha(h_i)
+    xparts = ((psi, _cs_x_product(engine, nalpha, b, i, psi, negate_eval=True))
+              for psi in enumerate_CS(chi, r))
+    return UElem.sum(engine.mul(xpart, engine.p(i, chi - _consumed(psi)))
+                     for psi, xpart in xparts if xpart)
 
 
 def _even_pair_type(spec, alpha, beta):
@@ -215,114 +206,87 @@ def lhs_4_6(engine, ps):
                       engine.divided_power(('x', ps["beta"]), ps["b"], ps["s"]))
 
 
-def _pair_powers(engine, alpha, beta, a, b, jk_counts, r, s):
+def _pair_powers(engine, ps, jk_counts):
     """One summand of the general even-even law: the beta block, the mixed
     block prod (x_{j alpha + k beta} (x) a^j b^k)^(n), then the alpha block.
-    Returns None when some needed root is absent or truncation kills a part."""
+    Zero when some needed root is absent or truncation kills a part."""
     spec, mon = engine.spec, engine.monoid
-    jtot = sum(j * n for (j, _), n in jk_counts)
-    ktot = sum(k * n for (_, k), n in jk_counts)
-    if jtot > r or ktot > s:
-        return None
-    term = engine.divided_power(('x', beta), b, s - ktot)
+    alpha, beta, a, b, r, s = ps["alpha"], ps["beta"], ps["a"], ps["b"], ps["r"], ps["s"]
+    term = engine.divided_power(('x', beta), b, s - sum(k * n for (_, k), n in jk_counts))
     for (j, k), n in jk_counts:
         lab = spec.root_sum(alpha, beta, j, k)
-        if lab is None:
-            return None
         elt = mon.mul(mon.power(a, j), mon.power(b, k))
-        if elt is None:
-            return None
+        if lab is None or elt is None:
+            return UElem()
         term = engine.mul(term, engine.divided_power(('x', lab), elt, n))
-    term = engine.mul(term, engine.divided_power(('x', alpha), a, r - jtot))
-    return term if term else None
+    return engine.mul(term, engine.divided_power(
+        ('x', alpha), a, r - sum(j * n for (j, _), n in jk_counts)))
+
+
+def pair_slots(shapes, r, s, label):
+    """(label(shapes, n), counts) for each nonzero count vector n over the
+    (j, k) shapes with sum n_i j_i <= r and sum n_i k_i <= s, in lexicographic
+    order of n; counts pairs each shape with its nonzero n_i."""
+    for ns in itertools.product(*(range(min(r // j, s // k) + 1) for j, k in shapes)):
+        counts = tuple((jk, n) for jk, n in zip(shapes, ns) if n)
+        if counts and sum(j * n for (j, _), n in counts) <= r \
+                and sum(k * n for (_, k), n in counts) <= s:
+            yield label(shapes, ns), counts
+
+
+def _multiples_label(shapes, ns):
+    return ",".join("%d*(%d,%d)" % (n, j, k) for (j, k), n in zip(shapes, ns) if n)
+
+
+def _k_label(shapes, ns):
+    return ",".join("k%d=%d" % (idx, n) for idx, n in enumerate(ns, 1))
+
+
+def _sign_template(engine, ps, shapes, label):
+    """The commuted term plus one +-1 slot per count vector over the shapes
+    whose summand survives."""
+    base = _pair_powers(engine, ps, ())
+    slots = []
+    for lab, counts in pair_slots(shapes, ps["r"], ps["s"], label):
+        term = _pair_powers(engine, ps, counts)
+        if term:
+            slots.append((lab, term))
+    return SignTemplate(base, tuple(slots))
 
 
 def rhs_4_6(engine, ps):
     """General even-even straightening with one +-1 slot per nonzero multiset
     of (j,k) pairs; the empty multiset is the fixed commuted term."""
-    spec = engine.spec
-    alpha, beta, a, b, r, s = ps["alpha"], ps["beta"], ps["a"], ps["b"], ps["r"], ps["s"]
-    pairs = []
-    for j in range(1, r + 1):
-        for k in range(1, s + 1):
-            if spec.root_sum(alpha, beta, j, k) is not None:
-                pairs.append((j, k))
-    base = _pair_powers(engine, alpha, beta, a, b, (), r, s) or UElem()
-    slots = []
-
-    def rec(idx, counts):
-        if idx == len(pairs):
-            if counts:
-                term = _pair_powers(engine, alpha, beta, a, b, tuple(counts), r, s)
-                if term:
-                    label = ",".join("%d*(%d,%d)" % (n, j, k) for (j, k), n in counts)
-                    slots.append((label, term))
-            return
-        (j, k) = pairs[idx]
-        n = 0
-        while n * j <= r and n * k <= s:
-            rec(idx + 1, counts + ([( (j, k), n)] if n else []))
-            n += 1
-
-    rec(0, [])
-    return SignTemplate(base, tuple(slots))
+    shapes = [(j, k) for j in range(1, ps["r"] + 1) for k in range(1, ps["s"] + 1)
+              if engine.spec.root_sum(ps["alpha"], ps["beta"], j, k) is not None]
+    return _sign_template(engine, ps, shapes, _multiples_label)
 
 
 def rhs_L44a(engine, ps):
     """A2 case: signs are determined by [x_alpha, x_beta] = eps x_{alpha+beta}."""
     spec = engine.spec
-    alpha, beta, a, b, r, s = ps["alpha"], ps["beta"], ps["a"], ps["b"], ps["r"], ps["s"]
+    alpha, beta = ps["alpha"], ps["beta"]
     absum = spec.root_sum(alpha, beta)
     if absum is None:
         # the factors commute; only the k = 0 term survives
-        return _pair_powers(engine, alpha, beta, a, b, (), r, s) or UElem()
+        return _pair_powers(engine, ps, ())
     eps = dict(spec.bracket(('x', alpha), ('x', beta))).get(('x', absum), 0)
     if eps not in (1, -1):
         raise AlgebraError("A2 case wants [x_%s, x_%s] = +- x_{%s}" % (alpha, beta, absum))
-    acc = UElem()
-    for k in range(min(r, s) + 1):
-        term = _pair_powers(engine, alpha, beta, a, b, (((1, 1), k),) if k else (), r, s)
-        if term:
-            acc = acc + (eps ** k) * term
-    return acc
+    ks = range(min(ps["r"], ps["s"]) + 1)
+    return UElem.sum((_pair_powers(engine, ps, (((1, 1), k),) if k else ()) for k in ks),
+                     (eps ** k for k in ks))
 
 
 def rhs_L44b(engine, ps):
     """B2 case: one sign slot per (k1, k2) != (0, 0)."""
-    alpha, beta, a, b, r, s = ps["alpha"], ps["beta"], ps["a"], ps["b"], ps["r"], ps["s"]
-    base = _pair_powers(engine, alpha, beta, a, b, (), r, s) or UElem()
-    slots = []
-    for k1 in range(s + 1):
-        for k2 in range(s + 1):
-            if k1 + k2 == 0 or k1 + k2 > s or k1 + 2 * k2 > r:
-                continue
-            counts = tuple(((j, 1), kj) for j, kj in ((1, k1), (2, k2)) if kj)
-            term = _pair_powers(engine, alpha, beta, a, b, counts, r, s)
-            if term:
-                slots.append(("k1=%d,k2=%d" % (k1, k2), term))
-    return SignTemplate(base, tuple(slots))
+    return _sign_template(engine, ps, ((1, 1), (2, 1)), _k_label)
 
 
 def rhs_L44c(engine, ps):
     """G2 case: one sign slot per (k1, k2, k3, k4) != 0; the k4 slot carries
     x_{3 alpha + 2 beta}."""
-    alpha, beta, a, b, r, s = ps["alpha"], ps["beta"], ps["a"], ps["b"], ps["r"], ps["s"]
-    base = _pair_powers(engine, alpha, beta, a, b, (), r, s) or UElem()
-    slots = []
-    for k1 in range(s + 1):
-        for k2 in range(s + 1):
-            for k3 in range(s + 1):
-                for k4 in range(s + 1):
-                    if k1 + k2 + k3 + k4 == 0:
-                        continue
-                    if k1 + k2 + k3 + 2 * k4 > s or k1 + 2 * k2 + 3 * k3 + 3 * k4 > r:
-                        continue
-                    counts = tuple(((j, kk), n) for (j, kk), n in
-                                   (((1, 1), k1), ((2, 1), k2), ((3, 1), k3), ((3, 2), k4)) if n)
-                    term = _pair_powers(engine, alpha, beta, a, b, counts, r, s)
-                    if term:
-                        slots.append(("k1=%d,k2=%d,k3=%d,k4=%d" % (k1, k2, k3, k4), term))
-    return SignTemplate(base, tuple(slots))
+    return _sign_template(engine, ps, ((1, 1), (2, 1), (3, 1), (3, 2)), _k_label)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +306,7 @@ def rhs_xdelta_p(engine, ps):
     i, chi = ps["i"], ps["chi"]
     b = ps["b"] if "b" in ps else ps["a"]
     ev = spec.root(delta).ev[i - 1]
-    acc = UElem()
+    terms, scalars = [], []
     for psi in enumerate_sub(chi):
         c0 = binomial(psi.size - 1 + ev, psi.size) * multinomial(psi)
         if not c0:
@@ -351,8 +315,9 @@ def rhs_xdelta_p(engine, ps):
         belt = mon.mul(b, ppsi) if ppsi is not None else None
         if belt is None:
             continue
-        acc = acc + c0 * engine.mul(engine.p(i, chi - psi), engine.gen_elem(('x', delta), belt))
-    return acc
+        terms.append(engine.mul(engine.p(i, chi - psi), engine.gen_elem(('x', delta), belt)))
+        scalars.append(c0)
+    return UElem.sum(terms, scalars)
 
 
 def lhs_4_8(engine, ps):
@@ -456,7 +421,8 @@ def lhs_4_12(engine, ps):
 def rhs_4_12(engine, ps):
     alpha, gamma, m, a, b = ps["alpha"], ps["gamma"], ps["m"], ps["a"], ps["b"]
     spec, mon = engine.spec, engine.monoid
-    acc = engine.mul(engine.gen_elem(('x', gamma), b), engine.divided_power(('x', alpha), a, m))
+    terms = [engine.mul(engine.gen_elem(('x', gamma), b), engine.divided_power(('x', alpha), a, m))]
+    scalars = [1]
     r, eps = eps_chain(spec, alpha, gamma, m)
     sign = 1
     for k in range(1, len(eps) + 1):
@@ -467,7 +433,7 @@ def rhs_4_12(engine, ps):
         elt = mon.mul(mon.power(a, k), b)
         if elt is None:
             continue
-        term = engine.mul(engine.gen_elem(('x', lab), elt),
-                          engine.divided_power(('x', alpha), a, m - k))
-        acc = acc + sign * binomial(r + k, k) * term
-    return acc
+        terms.append(engine.mul(engine.gen_elem(('x', lab), elt),
+                                engine.divided_power(('x', alpha), a, m - k)))
+        scalars.append(sign * binomial(r + k, k))
+    return UElem.sum(terms, scalars)

@@ -17,7 +17,7 @@ from .algebra import SpecError, read_algebra, root_string, spec_from_source, PRE
 from .coeffalg import monoid_preset
 from .combinatorics import Multiset, binomial, multisets_upto, verify_comb_identity
 from .engine import Engine, Order, UElem, key_degree
-from .exprio import mset_str, word_str
+from .exprio import mset_str, parse_mset, word_str
 
 
 @dataclass
@@ -108,6 +108,15 @@ def expand(engine, bounds, axes, where=None):
         ps = dict(zip(names, values))
         if where is None or where(engine, ps):
             yield ps
+
+
+def parse_value(engine, kind, text):
+    """The value a parameter of this axis kind has when written as text."""
+    if kind == "elem":
+        return engine.monoid.parse_elt(text)
+    if kind == "mset":
+        return parse_mset(engine.monoid, text)
+    return int(text) if kind in ("cartan", "r", "s", "m") else text.strip()
 
 
 def fmt_value(engine, v):
@@ -271,10 +280,7 @@ def _solve_signs(lhs, template, known):
     for bits in itertools.product((1, -1), repeat=len(terms)):
         if any(known.get(lab, bit) != bit for lab, bit in zip(labels, bits)):
             continue
-        acc = UElem()
-        for t, bit in zip(terms, bits):
-            acc = acc + (t if bit == 1 else -1 * t)
-        if acc == target:
+        if UElem.sum(terms, bits) == target:
             solutions.append(dict(zip(labels, bits)))
     return solutions, labels
 
@@ -288,16 +294,19 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
     t0 = time.perf_counter()
     name = engine.spec.name
     params = fmt_params(engine, ps)
+
+    def report(verdict, detail="", diffs=()):
+        return CheckReport(ident_id, name, params, verdict, detail, diffs,
+                           time.perf_counter() - t0)
+
     ok, why = check.applicable(engine, ps)
     if not ok:
-        return CheckReport(ident_id, name, params, "inapplicable", why,
-                           seconds=time.perf_counter() - t0)
+        return report("inapplicable", why)
     try:
         lhs = check.lhs(engine, ps)
         rhs = check.rhs(engine, ps)
     except ident.Inapplicable as e:
-        return CheckReport(ident_id, name, params, "inapplicable", str(e),
-                           seconds=time.perf_counter() - t0)
+        return report("inapplicable", str(e))
     if isinstance(rhs, ident.SignTemplate):
         known = {}
         if sign_cache is not None and check.sign_key is not None:
@@ -305,34 +314,27 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
         sols, labels = _solve_signs(lhs, rhs, known)
         if not sols:
             unconstrained, _ = _solve_signs(lhs, rhs, {})
-            detail = ("cached signs fail: not reusable" if unconstrained
-                      else "no sign assignment zeroes the difference")
-            return CheckReport(ident_id, name, params, "fail", detail,
-                               _diff_terms(engine, lhs, rhs.base),
-                               time.perf_counter() - t0)
+            return report("fail", "cached signs fail: not reusable" if unconstrained
+                          else "no sign assignment zeroes the difference",
+                          _diff_terms(engine, lhs, rhs.base))
         if len(sols) > 1:
-            return CheckReport(ident_id, name, params, "fail",
-                               "ambiguous sign assignment (%d solutions)" % len(sols),
-                               seconds=time.perf_counter() - t0)
+            return report("fail", "ambiguous sign assignment (%d solutions)" % len(sols))
         known.update(sols[0])
-        detail = " ".join("eps[%s]=%+d" % (lab, sols[0][lab]) for lab in labels) or "no slots"
-        return CheckReport(ident_id, name, params, "pass", detail,
-                           seconds=time.perf_counter() - t0)
+        return report("pass", " ".join("eps[%s]=%+d" % (lab, sols[0][lab]) for lab in labels)
+                      or "no slots")
     if lhs == rhs:
-        return CheckReport(ident_id, name, params, "pass",
-                           seconds=time.perf_counter() - t0)
-    return CheckReport(ident_id, name, params, "fail", "LHS != RHS",
-                       _diff_terms(engine, lhs, rhs), time.perf_counter() - t0)
+        return report("pass")
+    return report("fail", "LHS != RHS", _diff_terms(engine, lhs, rhs))
 
 
 def sweep_identity(engine, ident_id, bounds=None, fixed=None):
     """All CheckReports for a registered check over its declared axes,
-    optionally restricted by fixing some parameters (printed values)."""
+    optionally restricted by fixing some parameters to values."""
     check = IDENTITIES[ident_id]
     sign_cache = {}
     out = []
     for ps in expand(engine, bounds or SweepBounds(), check.axes, check.where):
-        if all(k not in ps or fmt_value(engine, ps[k]) == v for k, v in (fixed or {}).items()):
+        if all(k not in ps or ps[k] == v for k, v in (fixed or {}).items()):
             out.append(check.run(engine, ps) if check.run else
                        verify_identity(engine, ident_id, ps, sign_cache))
     return out
@@ -433,10 +435,9 @@ def verify_lemma_5_2(engine, i, chi, phi):
     for a, m in total.items():
         lead *= binomial(m, chi(a))
     u = engine.mul(engine.p(i, chi), engine.p(i, phi)) - lead * engine.p(i, total)
-    conv = engine.p_basis_convert(u)
     bad = []
     limit = chi.size + phi.size
-    for key, c in conv.items():
+    for key, c in engine.to_divided(u).terms.items():
         if len(key) > 1 or (key and key[0][0] != ('h', i)):
             bad.append("mixed Cartan support %r" % (key,))
         if key_degree(key) >= limit:

@@ -68,6 +68,38 @@ def test_osp12_frozen_facts():
     assert spec.coroot('2g') == (1,)
 
 
+def test_osp12_brackets_match_the_literal_table():
+    # the table osp12 was built from before it went through load_spec's
+    # antisymmetry completion, both directions written out
+    h, x = ('h', 1), (lambda lab: ('x', lab))
+    table = {
+        (h, x('2g')): ((x('2g'), 2),),
+        (h, x('-2g')): ((x('-2g'), -2),),
+        (h, x('g')): ((x('g'), 1),),
+        (h, x('-g')): ((x('-g'), -1),),
+        (x('2g'), x('-2g')): ((h, 1),),
+        (x('g'), x('g')): ((x('2g'), 4),),
+        (x('-g'), x('-g')): ((x('-2g'), -4),),
+        (x('g'), x('-g')): ((h, 2),),
+        (x('g'), x('-2g')): ((x('-g'), 1),),
+        (x('-g'), x('2g')): ((x('g'), 1),),
+        (x('2g'), h): ((x('2g'), -2),),
+        (x('-2g'), h): ((x('-2g'), 2),),
+        (x('g'), h): ((x('g'), -1),),
+        (x('-g'), h): ((x('-g'), 1),),
+        (x('-2g'), x('2g')): ((h, -1),),
+        (x('-g'), x('g')): ((h, 2),),
+        (x('-2g'), x('g')): ((x('-g'), -1),),
+        (x('2g'), x('-g')): ((x('g'), -1),),
+    }
+    spec = preset("osp12")
+    assert spec.brackets == table
+    assert [(r.label, r.parity, r.ev, r.neg, r.positive) for r in spec.roots] == [
+        ("2g", 0, (2,), "-2g", True), ("-2g", 0, (-2,), "2g", False),
+        ("g", 1, (1,), "-g", True), ("-g", 1, (-1,), "g", False)]
+    assert spec.coroots == {"2g": (1,), "-2g": (-1,), "g": (2,), "-g": (2,)}
+
+
 def test_even_alpha_h_alpha_is_two():
     for name in PRESET_NAMES:
         spec = preset(name)

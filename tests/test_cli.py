@@ -247,6 +247,51 @@ def test_verify_param_flags_must_be_declared_by_the_id(capsys):
     assert all(" r=2 " in l for l in lines if l.startswith("CHECK id=4.2 "))
 
 
+def test_verify_config_refuses_the_flags_it_would_ignore(tmp_path, capsys):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"algebras": ["sl2"], "identities": ["4.2"]}))
+    code, out, err = run(capsys, "verify", "--config", str(path), "--algebra", "sp4",
+                         "--id", "4.9", "--r", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --config runs the suite the file declares")
+    assert err.rstrip().endswith("--algebra, --id, --r")
+    code, out, err = run(capsys, "verify", "--config", str(path), "--monoid", "trunc:2",
+                         "--order", "lex", "--chi", "t")
+    assert code == 2 and out == ""
+    assert err.rstrip().endswith("--monoid, --order, --chi")
+
+
+@pytest.mark.parametrize("chi", ["1:1,t:1", "t:1,1:1", "t,1", "1,t:1"])
+def test_verify_multiset_flags_match_by_value(chi, capsys):
+    code, out, _ = run(capsys, "verify", "--algebra", "sl2", "--monoid", "trunc:2",
+                       "--id", "L5.2", "--chi", chi, "--phi", "0")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith("CHECK")]
+    assert len(lines) == 1 and " chi=1:1,t:1 " in lines[0] and " phi=0 " in lines[0]
+
+
+def test_verify_flags_parse_by_axis_kind(capsys):
+    code, out, _ = run(capsys, "verify", "--algebra", "sl2", "--id", "4.2",
+                       "--b", " t ", "--r", "2", "--s", "1")
+    assert code == 0
+    assert out.count("CHECK id=4.2 ") == 2
+    for flag, text in (("--r", "two"), ("--b", "q"), ("--chi", "t:x"), ("--i", "1.5")):
+        ident_id = "L5.2" if flag in ("--chi", "--i") else "4.2"
+        code, out, err = run(capsys, "verify", "--algebra", "sl2", "--id", ident_id,
+                             flag, text)
+        assert code == 2 and out == ""
+        assert err.startswith("error: %s: " % flag)
+
+
+def test_multiset_spellings_agree(capsys):
+    want = ["1/2 h[1]{t}^2", "- 1/2 h[1]{t^2}"]
+    for chi in ("t:2", "t,t", "t:1,t"):
+        code, out, _ = run(capsys, "pelem", "--algebra", "sl2", "--i", "1", "--chi", chi)
+        assert code == 0 and out.splitlines() == want
+    code, out, _ = run(capsys, "normalize", "--algebra", "sl2", "p[1]{t}")
+    assert code == 0 and out.splitlines() == ["-1 h[1]{t}"]
+
+
 def test_sweep_script_bad_config_exit_2(tmp_path):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     bad = tmp_path / "bad.json"

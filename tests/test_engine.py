@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
-from superpbw.engine import AlgebraError, Engine, NEG_INF, Order, UElem, key_degree
+from superpbw.engine import AlgebraError, Combination, DividedForm, Engine, NEG_INF, Order, \
+    UElem, key_degree
 from superpbw.identities import divided_D
 
 ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
@@ -113,24 +114,19 @@ def test_p_basis_convert_examples():
     eng = make("sl21", "poly")
     # (h_i (x) a)(h_i (x) b) = p_i(chi_a + chi_b) - p_i(chi_ab)
     x = eng.normalize([(('h', 1), T), (('h', 1), T2)])
-    conv = eng.p_basis_convert(x)
+    conv = eng.to_divided(x).terms
     assert conv == {
         ((('h', 1), Multiset.of(T, T2)),): Fraction(1),
         ((('h', 1), Multiset.of((3,))),): Fraction(-1),
     }
     # distinct Cartan directions factor with coefficient +1
     x = eng.normalize([(('h', 1), T), (('h', 2), T2)])
-    conv = eng.p_basis_convert(x)
+    conv = eng.to_divided(x).terms
     assert conv == {((('h', 1), Multiset.of(T)), (('h', 2), Multiset.of(T2))): Fraction(1)}
     # p_i(chi) itself converts to the unit coefficient
     chi = Multiset.of(T, T)
-    conv = eng.p_basis_convert(eng.p(1, chi))
+    conv = eng.to_divided(eng.p(1, chi)).terms
     assert conv == {((('h', 1), chi),): Fraction(1)}
-
-
-def test_p_basis_convert_rejects_roots(sl2):
-    with pytest.raises(AlgebraError):
-        sl2.p_basis_convert(sl2.gen_elem(('x', 'a'), T))
 
 
 def test_is_integral(sl2):
@@ -421,3 +417,56 @@ def test_divided_power_memo_hands_out_copies():
     x3 = eng.normalize([(sym, T)] * 3)
     assert eng.mul(eng.divided_power(sym, T, 2), eng.gen_elem(sym, T)) == \
         Fraction(1, 2) * x3
+
+
+W1 = (((('x', 'a'), T), 1),)   # the word x[a]{t}
+W2 = (((('h', 1), T), 2),)     # the word h[1]{t}^2
+
+
+def test_uelem_and_divided_form_are_never_equal():
+    terms = {W1: 1, W2: Fraction(-1, 2)}
+    assert UElem(terms) != DividedForm(terms)
+    assert UElem() != DividedForm()
+    assert UElem(terms) == UElem(dict(terms)) and DividedForm(terms) == DividedForm(terms)
+    with pytest.raises(TypeError):
+        UElem(terms) + DividedForm(terms)
+    with pytest.raises(TypeError):
+        DividedForm(terms) - UElem(terms)
+
+
+def test_divided_form_arithmetic():
+    x = DividedForm({W1: 1, W2: Fraction(1, 2)})
+    y = DividedForm({W2: Fraction(1, 2)})
+    assert x + y == DividedForm({W1: 1, W2: 1})
+    assert type(x + y) is DividedForm and type((x + y).terms[W2]) is int
+    assert x - y == DividedForm({W1: 1})
+    assert -x == DividedForm({W1: -1, W2: Fraction(-1, 2)})
+    assert 2 * x == DividedForm({W1: 2, W2: 1}) and type((2 * x).terms[W2]) is int
+    assert Fraction(2, 3) * x == DividedForm({W1: Fraction(2, 3), W2: Fraction(1, 3)})
+    assert not 0 * x and type(0 * x) is DividedForm
+    assert (2 * x).is_integral() and not x.is_integral()
+    with pytest.raises(TypeError):
+        0.5 * x
+    assert hash(x) == hash(DividedForm({W2: Fraction(1, 2), W1: 1}))
+
+
+def test_sum_makes_each_coefficient_exact_once():
+    halves = [UElem({W1: Fraction(1, 2), W2: Fraction(1, 3)}),
+              UElem({W1: Fraction(1, 2), W2: Fraction(-1, 3)})]
+    got = UElem.sum(halves)
+    assert got.terms == {W1: 1} and type(got.terms[W1]) is int
+    got = UElem.sum(halves, (Fraction(3, 2), Fraction(1, 2)))
+    assert got.terms == {W1: 1, W2: Fraction(1, 3)} and type(got.terms[W1]) is int
+    assert UElem.sum(halves, (1, -1)).terms == {W2: Fraction(2, 3)}
+    assert type(UElem.sum(halves)) is UElem
+    assert type(DividedForm.sum([DividedForm({W1: 1})])) is DividedForm
+    with pytest.raises(TypeError):
+        UElem.sum(halves, (0.5, 1))
+
+
+def test_empty_sum_is_zero():
+    for cls in (UElem, DividedForm):
+        assert cls.sum([]) == cls() and not cls.sum([])
+        assert cls.sum(iter(()), iter(())) == cls()
+        assert cls.sum([cls({W1: 3})], [0]) == cls()
+    assert issubclass(UElem, Combination) and issubclass(DividedForm, Combination)

@@ -6,7 +6,9 @@ import pytest
 from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.engine import Engine
-from superpbw.exprio import ParseError, divided_str, parse_expr, uelem_str, word_str
+from superpbw.combinatorics import Multiset
+from superpbw.exprio import ParseError, divided_str, parse_expr, parse_mset, uelem_str, \
+    word_str
 
 ONE, T, T2 = (0,), (1,), (2,)
 
@@ -45,6 +47,23 @@ def test_parse_pelem(sl2):
     assert parse_expr(sl2, "p[1]{t:2}") == sl2.p(1, Multiset.of(T, T))
     assert parse_expr(sl2, "p[1]{}") == sl2.one()
     assert parse_expr(sl2, "p[1]{t:1,t^2:1}") == sl2.p(1, Multiset.of(T, T2))
+
+
+def test_parse_mset_spellings(sl2):
+    mon = sl2.monoid
+    want = Multiset.of(ONE, T, T)
+    for text in ("1:1,t:2", "t:2,1:1", "t,1,t", " t:1 , 1, t "):
+        assert parse_mset(mon, text) == want
+    for text in ("", "0", " 0 "):
+        assert parse_mset(mon, text) == Multiset()
+    for text in ("t:", "t:-1", "t:x", "q", "t,,1"):
+        with pytest.raises(ValueError):
+            parse_mset(mon, text)
+    assert parse_expr(sl2, "p[1]{t}") == sl2.p(1, Multiset.of(T))
+    assert parse_expr(sl2, "p[1]{t^2,t}") == parse_expr(sl2, "p[1]{t:1,t^2:1}")
+    assert parse_expr(sl2, "p[1]{0} x[a]{t}") == parse_expr(sl2, "x[a]{t}")
+    with pytest.raises(ParseError):
+        parse_expr(sl2, "p[1]{t:x}")
 
 
 def test_parse_labels_with_sums(sl21):

@@ -6,9 +6,10 @@ import pytest
 
 from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
-from superpbw.combinatorics import Multiset, multisets_upto
+from superpbw.combinatorics import Multiset, enumerate_CS, multisets_upto
 from superpbw.engine import Engine, Order, UElem
-from superpbw.identities import Inapplicable, divided_D, eps_chain, scaled_divided, z_of
+from superpbw.identities import Inapplicable, _consumed, _cs_x_product, _k_label, \
+    divided_D, eps_chain, pair_slots, rhs_4_4, scaled_divided, z_of
 
 ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
 
@@ -171,3 +172,47 @@ def test_scaled_divided_matches_normalized_power(algebra):
                     assert scaled_divided(eng, sym, a, 0, 2) == UElem()
                     assert scaled_divided(eng, sym, None, scalar, 2) == UElem()
                     assert scaled_divided(eng, sym, None, scalar, 0) == eng.one()
+
+
+def test_sum_agrees_with_the_addition_fold_on_rhs_4_4():
+    # the summands of 4.4 folded one `+` at a time, as the builder did before
+    # it summed them in one pass: same terms, same coefficient types
+    eng = Engine(preset("sl3"), monoid_preset("trunc:3"))
+    elems = eng.monoid.elements()
+    checked = 0
+    for alpha, i, b, r, chi in itertools.product(
+            eng.spec.even_roots(), (1, 2), elems, range(3), multisets_upto(elems, 2)):
+        acc = UElem()
+        for psi in enumerate_CS(chi, r):
+            xpart = _cs_x_product(eng, alpha, b, i, psi, negate_eval=False)
+            if xpart:
+                acc = acc + eng.mul(eng.p(i, chi - _consumed(psi)), xpart)
+        got = rhs_4_4(eng, {"alpha": alpha, "i": i, "b": b, "r": r, "chi": chi})
+        assert got.terms == acc.terms
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in acc.terms.values()]
+        checked += bool(got)
+    assert checked > 100
+
+
+def _g2_slots_four_deep(r, s):
+    """The G2 slot listing as the four-deep loop nest wrote it."""
+    out = []
+    for k1 in range(s + 1):
+        for k2 in range(s + 1):
+            for k3 in range(s + 1):
+                for k4 in range(s + 1):
+                    if k1 + k2 + k3 + k4 == 0:
+                        continue
+                    if k1 + k2 + k3 + 2 * k4 > s or k1 + 2 * k2 + 3 * k3 + 3 * k4 > r:
+                        continue
+                    counts = tuple(((j, kk), n) for (j, kk), n in
+                                   (((1, 1), k1), ((2, 1), k2), ((3, 1), k3), ((3, 2), k4)) if n)
+                    out.append(("k1=%d,k2=%d,k3=%d,k4=%d" % (k1, k2, k3, k4), counts))
+    return out
+
+
+@pytest.mark.parametrize("r", range(5))
+@pytest.mark.parametrize("s", range(5))
+def test_pair_slots_match_the_g2_loop_nest(r, s):
+    shapes = ((1, 1), (2, 1), (3, 1), (3, 2))
+    assert list(pair_slots(shapes, r, s, _k_label)) == _g2_slots_four_deep(r, s)

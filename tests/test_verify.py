@@ -146,7 +146,7 @@ def test_suite_config_json():
 
 def test_sweep_identity_fixed_filter():
     eng = get_engine("sl2")
-    reps = sweep_identity(eng, "4.2", fixed={"r": "2", "s": "1", "b": "t"})
+    reps = sweep_identity(eng, "4.2", fixed={"r": 2, "s": 1, "b": (1,)})
     assert len(reps) == 2   # beta in {a, -a}
     assert all(r.verdict == "pass" for r in reps)
 
