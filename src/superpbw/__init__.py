@@ -10,7 +10,7 @@ from .engine import AlgebraError, DividedForm, Engine, NEG_INF, Order, UElem, ke
 from .identities import SignTemplate, divided_D
 from .exprio import ParseError, divided_str, parse_expr, uelem_str, word_str
 from .verify import CheckReport, SuiteConfig, SuiteResult, SweepBounds, \
-    get_engine, run_suite, sweep_identity, verify_basis_counts, verify_degree_bounds, \
-    verify_identity, verify_integrality, verify_lemma_5_2, verify_triangular
+    get_engine, run_suite, sweep_identity, verify_basis_counts, verify_identity, \
+    verify_integrality, verify_triangular
 
 __version__ = "0.1.0"

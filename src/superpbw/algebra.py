@@ -262,37 +262,51 @@ def _supercomm(a, b, pa, pb):
     return _madd(ab, ba, -sign)
 
 
-def _expand(target, basis_mats):
-    """Exact expansion of a matrix over a basis of matrices (Gaussian
-    elimination over Q); raises if the target is outside the span."""
-    n = len(target)
-    cols = len(basis_mats)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append([Fraction(m[i][j]) for m in basis_mats] + [Fraction(target[i][j])])
-    piv = []
-    rank = 0
-    for col in range(cols):
-        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+def _coordinate_map(basis_mats):
+    """The coordinates of a matrix over a basis of matrices, as a function.
+
+    One Gauss-Jordan elimination over Q, run once per basis, picks an entry
+    position (a pivot) for each basis matrix and inverts the square block
+    the basis cuts out at those positions; a matrix's coordinates are then
+    its pivot entries times that inverse.  A matrix outside the span is
+    refused by rebuilding it from its coordinates."""
+    dim = len(basis_mats)
+    flat = [[x for row in m for x in row] for m in basis_mats]
+    cells = len(flat[0])
+    rows = [[Fraction(x) for x in f] + [Fraction(int(k == j)) for j in range(dim)]
+            for k, f in enumerate(flat)]
+    pivots = []
+    for col in range(cells):
+        rank = len(pivots)
+        sel = next((r for r in range(rank, dim) if rows[r][col]), None)
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
         pr = rows[rank]
         pr[:] = [v / pr[col] for v in pr]
-        for r in range(len(rows)):
+        for r in range(dim):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [v - f * w for v, w in zip(rows[r], pr)]
-        piv.append(col)
-        rank += 1
-    coeffs = [Fraction(0)] * cols
-    for k, col in enumerate(piv):
-        coeffs[col] = rows[k][-1]
-    for r in range(rank, len(rows)):
-        if rows[r][-1]:
+        pivots.append(col)
+    if len(pivots) < dim:
+        raise SpecError("the basis matrices are linearly dependent")
+    inverse = [[(k, v) for k, v in enumerate(row[cells:]) if v] for row in rows]
+
+    def coords(target):
+        t = [x for row in target for x in row]
+        coeffs = [0] * dim
+        for col, inv in zip(pivots, inverse):
+            if t[col]:
+                for k, v in inv:
+                    coeffs[k] += t[col] * v
+        # integral coefficients rebuild the target in int arithmetic
+        coeffs = [c.numerator if c.denominator == 1 else c for c in coeffs]
+        used = [(c, f) for c, f in zip(coeffs, flat) if c]
+        if any(sum(c * f[cell] for c, f in used) != x for cell, x in enumerate(t)):
             raise SpecError("matrix is not in the span of the basis")
-    return coeffs
+        return coeffs
+    return coords
 
 
 def _spec_from_matrices(name, idx_par, cartans, root_list):
@@ -310,10 +324,11 @@ def _spec_from_matrices(name, idx_par, cartans, root_list):
         mats[('x', lab)] = m
     parities = {s: _mat_parity(m, idx_par) for s, m in mats.items()}
     basis_syms = [('h', i) for i in range(1, rank + 1)] + [('x', lab) for lab in labels]
-    basis_mats = [mats[s] for s in basis_syms]
+
+    coords = _coordinate_map([mats[s] for s in basis_syms])
 
     def expand(m):
-        coeffs = _expand(m, basis_mats)
+        coeffs = coords(m)
         out = []
         for sym, c in zip(basis_syms, coeffs):
             if c:

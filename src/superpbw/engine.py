@@ -330,7 +330,8 @@ class Engine:
         letters = [self.letter(sym, aelt) for sym, aelt in letters]
         coeff = _exact(coeff)
         flat = self._fold({(): 1}, letters)
-        return UElem({self._compress(w): coeff * c for w, c in flat.items()})
+        terms = ((self._compress(w), coeff * c) for w, c in flat.items())
+        return UElem._wrap({k: _exact(c) for k, c in terms if c})
 
     def mul(self, x, y):
         out = {}
@@ -341,7 +342,7 @@ class Engine:
                 for w, c in self._fold({self._flatten(wx): 1}, lets).items():
                     k = self._compress(w)
                     out[k] = out.get(k, 0) + cxy * c
-        return UElem(out)
+        return UElem._wrap({k: _exact(c) for k, c in out.items() if c})
 
     def scalar(self, c):
         return UElem({(): c})

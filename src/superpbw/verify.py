@@ -17,7 +17,7 @@ from .algebra import SpecError, read_algebra, root_string, spec_from_source, PRE
 from .coeffalg import monoid_preset
 from .combinatorics import Multiset, binomial, multisets_upto, verify_comb_identity
 from .engine import Engine, Order, UElem, key_degree
-from .exprio import mset_str, parse_mset, word_str
+from .exprio import divided_key_str, mset_str, parse_mset, word_str
 
 
 @dataclass
@@ -207,8 +207,10 @@ class IdentityCheck:
     where: object = None        # (engine, params) -> False drops the instance
     applicable: object = _applicable_true
     sign_key: object = None     # params -> cache key for solved sign reuse
-    run: object = None          # (engine, params) -> CheckReport, for checks
-                                # that are not an LHS = RHS comparison
+    run: object = None          # (engine, params) -> (verdict, detail), for an
+                                # algebra check that is not an LHS = RHS comparison
+    standalone: object = None   # () -> CheckReport, for a check that reads no
+                                # algebra: a suite runs it once, after the algebras
 
 
 def _pair_sign_key(ps):
@@ -221,6 +223,64 @@ def _pair_check(rhs, applicable, sign_key=None):
         (("alpha", "even"), ("beta", "even"), ("a", "elem"), ("b", "elem"), ("r", "r"),
          ("s", "s")), ident.lhs_4_6, rhs, applicable=applicable, sign_key=sign_key,
         where=lambda e, ps: ps["beta"] not in (ps["alpha"], e.spec.negative_of(ps["alpha"])))
+
+
+def _dp(root, elt, exp):
+    """(x_root (x) elt)^(exp); root is a parameter name or (engine, params) -> label."""
+    label = root if callable(root) else lambda e, ps: ps[root]
+    return lambda e, ps: e.divided_power(('x', label(e, ps)), ps[elt], ps[exp])
+
+
+def _x(root, elt):
+    return lambda e, ps: e.gen_elem(('x', ps[root]), ps[elt])
+
+
+def _p(e, ps):
+    return e.p(ps["i"], ps["chi"])
+
+
+def _minus_alpha(e, ps):
+    return e.spec.negative_of(ps["alpha"])
+
+
+def _minus_two_gamma(e, ps):
+    return e.spec.negative_of(e.spec.root_sum(ps["gamma"], ps["gamma"]))
+
+
+def _degree_bound(axes, u, v, limit, integral=False, where=None):
+    """One of the seven super-bracket estimates: deg [u, v] < limit(params)
+    over the axes; `integral` also asks for membership in the integral span."""
+    def run(engine, ps):
+        value = engine.super_comm(u(engine, ps), v(engine, ps))
+        deg, lim = value.degree, limit(ps)
+        ok = deg < lim
+        detail = "degree %s < %d" % (deg, lim)
+        if ok and integral:
+            ok = engine.is_integral(value)
+            detail += ", integral" if ok else ", NOT integral"
+        return "pass" if ok else "fail", detail
+    return IdentityCheck(axes, where=where, run=run)
+
+
+def _lemma_5_2(engine, ps):
+    """p_i(chi) p_i(phi) = prod_a binom((chi+phi)(a), chi(a)) p_i(chi+phi) + u
+    with u an integer combination of p_i(psi) of degree < |chi|+|phi|."""
+    i, chi, phi = ps["i"], ps["chi"], ps["phi"]
+    lead = 1
+    total = chi + phi
+    for a, m in total.items():
+        lead *= binomial(m, chi(a))
+    u = engine.mul(engine.p(i, chi), engine.p(i, phi)) - lead * engine.p(i, total)
+    bad = []
+    limit = chi.size + phi.size
+    for key, c in engine.to_divided(u).terms.items():
+        if len(key) > 1 or (key and key[0][0] != ('h', i)):
+            bad.append("mixed Cartan support %r" % (key,))
+        if key_degree(key) >= limit:
+            bad.append("degree %d !< %d" % (key_degree(key), limit))
+        if c.denominator != 1:
+            bad.append("non-integer coefficient %s" % c)
+    return "fail" if bad else "pass", "; ".join(bad)
 
 
 _X_P = (("alpha", "even"), ("i", "cartan"), ("b", "elem"), ("r", "r"), ("chi", "mset"))
@@ -254,14 +314,32 @@ IDENTITIES = {
                           ident.lhs_4_11, ident.rhs_4_11, applicable=_gate_nonisotropic),
     "4.12": IdentityCheck((("alpha", "even"), ("gamma", "odd"), ("m", "m")) + _AB,
                           ident.lhs_4_12, ident.rhs_4_12, applicable=_gate_isotropic_partner),
-    "L5.2": IdentityCheck((("i", "cartan"), ("chi", "mset"), ("phi", "mset")),
-                          run=lambda e, ps: verify_lemma_5_2(e, ps["i"], ps["chi"], ps["phi"])),
-    "comb": IdentityCheck((), run=lambda e, ps: sweep_comb_identity()),
+    "deg1": _degree_bound((("alpha", "even"),) + _AB + (("r", "r"), ("s", "r")),
+                          _dp("alpha", "a", "r"), _dp(_minus_alpha, "b", "s"),
+                          lambda ps: ps["r"] + ps["s"], integral=True),
+    "deg2": _degree_bound((("beta", "even"), ("i", "cartan"), ("a", "elem"), ("r", "r"),
+                           ("chi", "mset")),
+                          _dp("beta", "a", "r"), _p, lambda ps: ps["r"] + ps["chi"].size,
+                          integral=True),
+    "deg3": _degree_bound((("beta", "even"), ("gamma", "even")) + _AB + (("r", "r"), ("s", "r")),
+                          _dp("beta", "a", "r"), _dp("gamma", "b", "s"),
+                          lambda ps: ps["r"] + ps["s"], where=_not_neg("beta", "gamma")),
+    "deg4": _degree_bound((("delta", "odd"), ("i", "cartan"), ("a", "elem"), ("chi", "mset")),
+                          _x("delta", "a"), _p, lambda ps: ps["chi"].size + 1),
+    "deg5": _degree_bound((("beta", "even"), ("delta", "odd")) + _AB + (("r", "r"),),
+                          _dp("beta", "a", "r"), _x("delta", "b"), lambda ps: ps["r"] + 1),
+    "deg6": _degree_bound((("delta", "odd"), ("zeta", "odd")) + _AB,
+                          _x("delta", "a"), _x("zeta", "b"), lambda ps: 2),
+    "deg7": _degree_bound((("gamma", "odd"),) + _AB + (("m", "m"),),
+                          _x("gamma", "a"), _dp(_minus_two_gamma, "b", "m"),
+                          lambda ps: ps["m"] + 1,
+                          where=lambda e, ps: _gate_nonisotropic(e, ps)[0]),
+    "L5.2": IdentityCheck((("i", "cartan"), ("chi", "mset"), ("phi", "mset")), run=_lemma_5_2),
+    "comb": IdentityCheck((), standalone=lambda: sweep_comb_identity()),
 }
 
-# What a sweep runs when no id is named; L5.2 and comb have their own
-# SuiteConfig switches.
-SWEEP_IDS = tuple(k for k, check in IDENTITIES.items() if check.run is None)
+# What `verify --algebra` runs when no id is named: the LHS = RHS rows.
+SWEEP_IDS = tuple(k for k, check in IDENTITIES.items() if check.lhs is not None)
 
 
 def _diff_terms(engine, lhs, rhs, limit=5):
@@ -286,22 +364,27 @@ def _solve_signs(lhs, template, known):
 
 
 def verify_identity(engine, ident_id, ps, sign_cache=None):
-    """Run one identity instance; returns a CheckReport.  For sign-template
-    identities the +-1 slots are solved exhaustively and must be unique; a
-    sign_cache (keyed per root pair) makes later instances reuse and confirm
-    the solved assignment."""
+    """Run one instance of a registered algebra check; returns a CheckReport
+    timed from the start.  For sign-template identities the +-1 slots are
+    solved exhaustively and must be unique; a sign_cache (keyed per root
+    pair) makes later instances reuse and confirm the solved assignment.  A
+    failing comparison names its first differing word."""
     check = IDENTITIES[ident_id]
     t0 = time.perf_counter()
     name = engine.spec.name
     params = fmt_params(engine, ps)
 
     def report(verdict, detail="", diffs=()):
+        if diffs:
+            detail += "; first difference %s: LHS %s, RHS %s" % diffs[0]
         return CheckReport(ident_id, name, params, verdict, detail, diffs,
                            time.perf_counter() - t0)
 
     ok, why = check.applicable(engine, ps)
     if not ok:
         return report("inapplicable", why)
+    if check.run:
+        return report(*check.run(engine, ps))
     try:
         lhs = check.lhs(engine, ps)
         rhs = check.rhs(engine, ps)
@@ -331,123 +414,12 @@ def sweep_identity(engine, ident_id, bounds=None, fixed=None):
     """All CheckReports for a registered check over its declared axes,
     optionally restricted by fixing some parameters to values."""
     check = IDENTITIES[ident_id]
+    if check.standalone:
+        return [check.standalone()]
     sign_cache = {}
-    out = []
-    for ps in expand(engine, bounds or SweepBounds(), check.axes, check.where):
-        if all(k not in ps or ps[k] == v for k, v in (fixed or {}).items()):
-            out.append(check.run(engine, ps) if check.run else
-                       verify_identity(engine, ident_id, ps, sign_cache))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# degree bounds (the seven super-bracket estimates)
-
-@dataclass(frozen=True)
-class DegreeBound:
-    """deg [u, v] < limit over the axes; `integral` also asks for membership
-    in the integral span."""
-    item: int
-    axes: tuple
-    u: object                   # (engine, params) -> UElem
-    v: object
-    limit: object               # params -> int
-    integral: bool = False
-    where: object = None
-
-
-def _dp(root, elt, exp):
-    """(x_root (x) elt)^(exp); root is a parameter name or (engine, params) -> label."""
-    label = root if callable(root) else lambda e, ps: ps[root]
-    return lambda e, ps: e.divided_power(('x', label(e, ps)), ps[elt], ps[exp])
-
-
-def _x(root, elt):
-    return lambda e, ps: e.gen_elem(('x', ps[root]), ps[elt])
-
-
-def _p(e, ps):
-    return e.p(ps["i"], ps["chi"])
-
-
-def _minus_alpha(e, ps):
-    return e.spec.negative_of(ps["alpha"])
-
-
-def _minus_two_gamma(e, ps):
-    return e.spec.negative_of(e.spec.root_sum(ps["gamma"], ps["gamma"]))
-
-
-DEGREE_BOUNDS = (
-    DegreeBound(1, (("alpha", "even"),) + _AB + (("r", "r"), ("s", "r")),
-                _dp("alpha", "a", "r"), _dp(_minus_alpha, "b", "s"),
-                lambda ps: ps["r"] + ps["s"], integral=True),
-    DegreeBound(2, (("beta", "even"), ("i", "cartan"), ("a", "elem"), ("r", "r"),
-                    ("chi", "mset")),
-                _dp("beta", "a", "r"), _p, lambda ps: ps["r"] + ps["chi"].size, integral=True),
-    DegreeBound(3, (("beta", "even"), ("gamma", "even")) + _AB + (("r", "r"), ("s", "r")),
-                _dp("beta", "a", "r"), _dp("gamma", "b", "s"), lambda ps: ps["r"] + ps["s"],
-                where=_not_neg("beta", "gamma")),
-    DegreeBound(4, (("delta", "odd"), ("i", "cartan"), ("a", "elem"), ("chi", "mset")),
-                _x("delta", "a"), _p, lambda ps: ps["chi"].size + 1),
-    DegreeBound(5, (("beta", "even"), ("delta", "odd")) + _AB + (("r", "r"),),
-                _dp("beta", "a", "r"), _x("delta", "b"), lambda ps: ps["r"] + 1),
-    DegreeBound(6, (("delta", "odd"), ("zeta", "odd")) + _AB,
-                _x("delta", "a"), _x("zeta", "b"), lambda ps: 2),
-    DegreeBound(7, (("gamma", "odd"),) + _AB + (("m", "m"),),
-                _x("gamma", "a"), _dp(_minus_two_gamma, "b", "m"), lambda ps: ps["m"] + 1,
-                where=lambda e, ps: _gate_nonisotropic(e, ps)[0]),
-)
-
-
-def _bound_report(engine, bound, ps):
-    value = engine.super_comm(bound.u(engine, ps), bound.v(engine, ps))
-    t0 = time.perf_counter()
-    deg = value.degree
-    limit = bound.limit(ps)
-    ok = deg < limit
-    detail = "degree %s < %d" % (deg, limit)
-    if ok and bound.integral:
-        ok = engine.is_integral(value)
-        detail += ", integral" if ok else ", NOT integral"
-    return CheckReport("deg%d" % bound.item, engine.spec.name, fmt_params(engine, ps),
-                       "pass" if ok else "fail", detail,
-                       seconds=time.perf_counter() - t0)
-
-
-def verify_degree_bounds(engine, bounds=None):
-    """Bracket-degree estimates for the seven generator pairings; items (1)
-    and (2) also assert membership in the integral span."""
-    b = bounds or SweepBounds()
-    return [_bound_report(engine, bound, ps) for bound in DEGREE_BOUNDS
-            for ps in expand(engine, b, bound.axes, bound.where)]
-
-
-# ---------------------------------------------------------------------------
-# the Cartan product law
-
-def verify_lemma_5_2(engine, i, chi, phi):
-    """p_i(chi) p_i(phi) = prod_a binom((chi+phi)(a), chi(a)) p_i(chi+phi) + u
-    with u an integer combination of p_i(psi) of degree < |chi|+|phi|."""
-    t0 = time.perf_counter()
-    lead = 1
-    total = chi + phi
-    for a, m in total.items():
-        lead *= binomial(m, chi(a))
-    u = engine.mul(engine.p(i, chi), engine.p(i, phi)) - lead * engine.p(i, total)
-    bad = []
-    limit = chi.size + phi.size
-    for key, c in engine.to_divided(u).terms.items():
-        if len(key) > 1 or (key and key[0][0] != ('h', i)):
-            bad.append("mixed Cartan support %r" % (key,))
-        if key_degree(key) >= limit:
-            bad.append("degree %d !< %d" % (key_degree(key), limit))
-        if c.denominator != 1:
-            bad.append("non-integer coefficient %s" % c)
-    ps = fmt_params(engine, {"i": i, "chi": chi, "phi": phi})
-    return CheckReport("L5.2", engine.spec.name, ps,
-                       "fail" if bad else "pass", "; ".join(bad),
-                       seconds=time.perf_counter() - t0)
+    return [verify_identity(engine, ident_id, ps, sign_cache)
+            for ps in expand(engine, bounds or SweepBounds(), check.axes, check.where)
+            if all(k not in ps or ps[k] == v for k, v in (fixed or {}).items())]
 
 
 def sweep_comb_identity(maxsize=6, support=3, drange=(-5, 5)):
@@ -526,9 +498,14 @@ def _sampled_check(engine, identity, detail, failure, gens, trials, seed, bounds
 def verify_integrality(engine, gens=6, trials=100, seed=0, bounds=None):
     """Random products of integral-form generators must have integer
     coordinates in the divided-power basis."""
+    def failure(prod):
+        for key, c in engine.to_divided(prod).terms.items():
+            if c.denominator != 1:
+                return " -> non-integer %s at %s" % (c, divided_key_str(engine, key))
+        return None
     return _sampled_check(
         engine, "integrality", "%d products of <= %d generators, seed %d" % (trials, gens, seed),
-        lambda prod: None if engine.is_integral(prod) else "", gens, trials, seed, bounds)
+        failure, gens, trials, seed, bounds)
 
 
 def verify_triangular(engine, gens=6, trials=100, seed=0, bounds=None):
@@ -623,20 +600,15 @@ _CONFIG_KEYS = {
     "identities": (lambda v: _is_strings(v) and all(x in IDENTITIES for x in v),
                    "a list of identity ids (%s)" % ", ".join(IDENTITIES)),
     "monoid": (_is_monoid, "a monoid preset (poly, laurent, poly2, trunc:n)"),
-    **{k: (lambda v: isinstance(v, bool), "true or false")
-       for k in ("degree_bounds", "lemma_5_2", "comb")},
 }
 
 
 @dataclass
 class SuiteConfig:
     algebras: tuple = PRESET_NAMES
-    identities: tuple = SWEEP_IDS
+    identities: tuple = tuple(IDENTITIES)
     monoid: str = "trunc:4"
     bounds: SweepBounds = field(default_factory=SweepBounds)
-    degree_bounds: bool = True
-    lemma_5_2: bool = True
-    comb: bool = True
     integrality_trials: int = 50
     integrality_gens: int = 4
     basis_degree: int = 4
@@ -710,21 +682,17 @@ def run_suite(config, emit=None):
             if emit:
                 emit(r.line())
 
+    per_algebra = [i for i in config.identities if not IDENTITIES[i].standalone]
     for algebra in config.algebras:
         engine = get_engine(algebra, config.monoid)
-        for ident_id in config.identities:
+        for ident_id in per_algebra:
             add(sweep_identity(engine, ident_id, config.bounds))
-        if config.degree_bounds:
-            add(verify_degree_bounds(engine, config.bounds))
-        if config.lemma_5_2:
-            add(sweep_identity(engine, "L5.2", config.bounds))
         add([verify_integrality(engine, config.integrality_gens,
                                 config.integrality_trials, config.seed, config.bounds),
              verify_triangular(engine, config.integrality_gens,
                                config.integrality_trials, config.seed, config.bounds),
              verify_basis_counts(engine, config.basis_degree)])
-    if config.comb:
-        add([sweep_comb_identity()])
+    add(IDENTITIES[i].standalone() for i in config.identities if i not in per_algebra)
     result = SuiteResult(reports)
     if emit:
         emit(result.summary())

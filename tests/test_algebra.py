@@ -198,3 +198,60 @@ def test_load_spec_rejects_invalid_table():
 def test_unknown_preset():
     with pytest.raises(SpecError):
         preset("e8")
+
+
+def _expand_by_elimination(target, basis_mats):
+    """Reference for `_coordinate_map`: a fresh Gaussian elimination over Q
+    for each matrix (how the presets were built before the coordinate map)."""
+    from fractions import Fraction
+    n = len(target)
+    cols = len(basis_mats)
+    rows = [[Fraction(m[i][j]) for m in basis_mats] + [Fraction(target[i][j])]
+            for i in range(n) for j in range(n)]
+    piv = []
+    rank = 0
+    for col in range(cols):
+        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pr = rows[rank]
+        pr[:] = [v / pr[col] for v in pr]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], pr)]
+        piv.append(col)
+        rank += 1
+    coeffs = [Fraction(0)] * cols
+    for k, col in enumerate(piv):
+        coeffs[col] = rows[k][-1]
+    if any(rows[r][-1] for r in range(rank, len(rows))):
+        raise SpecError("matrix is not in the span of the basis")
+    return coeffs
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sp4", "sl21"])
+def test_matrix_presets_match_the_per_bracket_elimination(monkeypatch, name):
+    from superpbw import algebra
+    spec = algebra._PRESETS[name]()
+    monkeypatch.setattr(algebra, "_coordinate_map",
+                        lambda mats: lambda m: _expand_by_elimination(m, mats))
+    ref = algebra._PRESETS[name]()
+    assert spec.brackets == ref.brackets
+    assert spec.roots == ref.roots
+    assert spec.coroots == ref.coroots
+
+
+def test_matrices_not_closed_under_the_bracket_are_refused():
+    from superpbw.algebra import _spec_from_matrices
+    # sl2 without h: [x_a, x_-a] = diag(1, -1) is outside the span
+    with pytest.raises(SpecError, match="not in the span"):
+        _spec_from_matrices("sl2", (0, 0), [],
+                            [("a", [[0, 1], [0, 0]], "-a", True),
+                             ("-a", [[0, 0], [1, 0]], "a", False)])
+    # with h = diag(2, -2) the same bracket is h / 2
+    with pytest.raises(SpecError, match="non-integer structure constant"):
+        _spec_from_matrices("sl2", (0, 0), [[[2, 0], [0, -2]]],
+                            [("a", [[0, 1], [0, 0]], "-a", True),
+                             ("-a", [[0, 0], [1, 0]], "a", False)])

@@ -6,9 +6,13 @@ import sys
 import pytest
 
 from superpbw import cli
+from superpbw import verify as ver
 from superpbw.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# a child process imports the package from this checkout, installed or not
+ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 
 
 def run(capsys, *argv):
@@ -171,14 +175,14 @@ def test_load_algebra_file_for_normalize(capsys):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "superpbw", "normalize", "--algebra", "sl2", "x[a]{t}"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 x[a]{t}"
 
 
 def test_usage_error_exit_2():
     proc = subprocess.run([sys.executable, "-m", "superpbw", "normalize"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     assert proc.returncode == 2
 
 
@@ -293,13 +297,30 @@ def test_multiset_spellings_agree(capsys):
 
 
 def test_sweep_script_bad_config_exit_2(tmp_path):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     bad = tmp_path / "bad.json"
     bad.write_text('{"rmax": [1]}')
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     for config in (str(tmp_path / "missing.json"), str(bad)):
         proc = subprocess.run(
-            [sys.executable, os.path.join(root, "scripts", "run_identity_sweep.py"),
-             "--config", config], capture_output=True, text=True, env=env)
+            [sys.executable, os.path.join(ROOT, "scripts", "run_identity_sweep.py"),
+             "--config", config], capture_output=True, text=True, env=ENV)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_verify_id_runs_a_degree_bound_as_the_suite_does(capsys):
+    code, out, _ = run(capsys, "verify", "--algebra", "osp12", "--id", "deg7")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith("CHECK")]
+    suite = []
+    ver.run_suite(ver.SuiteConfig(algebras=("osp12",), identities=("deg7",),
+                                  integrality_trials=1, basis_degree=1), emit=suite.append)
+    assert lines and lines == [l for l in suite if l.startswith("CHECK id=deg7 ")]
+
+
+@pytest.mark.parametrize("key", ["degree_bounds", "lemma_5_2", "comb"])
+def test_verify_config_switches_are_unknown_keys(tmp_path, capsys, key):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"algebras": ["sl2"], key: False}))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown suite config key %r" % key)

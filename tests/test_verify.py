@@ -1,16 +1,20 @@
 import json
 import os
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from superpbw.algebra import SpecError
 from superpbw.combinatorics import Multiset
-from superpbw.verify import SuiteConfig, SweepBounds, genfun_counts, get_engine, \
-    run_suite, sweep_comb_identity, sweep_identity, verify_basis_counts, \
-    verify_degree_bounds, verify_identity, verify_integrality, verify_lemma_5_2, \
-    verify_triangular
+from superpbw import identities as ident
+from superpbw.engine import Engine
+from superpbw.verify import IDENTITIES, SuiteConfig, SweepBounds, genfun_counts, \
+    get_engine, load_engine, run_suite, sweep_comb_identity, sweep_identity, \
+    verify_basis_counts, verify_identity, verify_integrality, verify_triangular
 
 ONE, T, T2 = (0,), (1,), (2,)
+DEG_IDS = tuple("deg%d" % n for n in range(1, 8))
 
 
 def test_4_2_coefficient():
@@ -60,26 +64,28 @@ def test_sign_reuse_across_coefficients():
 
 def test_degree_bounds_items():
     eng = get_engine("sl2")
-    reps = verify_degree_bounds(eng, SweepBounds(rmax=2, smax=2, chimax=2))
+    reps = [r for i in DEG_IDS
+            for r in sweep_identity(eng, i, SweepBounds(rmax=2, smax=2, chimax=2))]
     assert reps and all(r.verdict == "pass" for r in reps)
     eng = get_engine("osp12")
-    reps = verify_degree_bounds(eng, SweepBounds(rmax=2, smax=2, mmax=2, chimax=2))
+    reps = [r for i in DEG_IDS
+            for r in sweep_identity(eng, i, SweepBounds(rmax=2, smax=2, mmax=2, chimax=2))]
     assert any(r.identity == "deg7" for r in reps)
     assert all(r.verdict == "pass" for r in reps)
 
 
 def test_lemma_5_2_examples():
     eng = get_engine("sl2")
-    rep = verify_lemma_5_2(eng, 1, Multiset.of(T), Multiset.of(T))
-    assert rep.verdict == "pass"
+
+    def lemma(chi, phi):
+        return verify_identity(eng, "L5.2", {"i": 1, "chi": chi, "phi": phi})
+    assert lemma(Multiset.of(T), Multiset.of(T)).verdict == "pass"
     # remainder is -p(chi_{t^2}): check through the raw difference
     u = eng.mul(eng.p(1, Multiset.of(T)), eng.p(1, Multiset.of(T))) \
         - 2 * eng.p(1, Multiset.of(T, T))
     assert u == -1 * eng.p(1, Multiset.of(T2))
-    rep = verify_lemma_5_2(eng, 1, Multiset(), Multiset())
-    assert rep.verdict == "pass"
-    rep = verify_lemma_5_2(eng, 1, Multiset.of(T), Multiset.of(T2))
-    assert rep.verdict == "pass"
+    assert lemma(Multiset(), Multiset()).verdict == "pass"
+    assert lemma(Multiset.of(T), Multiset.of(T2)).verdict == "pass"
 
 
 def test_integrality_and_triangular():
@@ -165,15 +171,49 @@ def test_suite_config_rejects_bad_values(raw, key):
         SuiteConfig.from_json(json.dumps(raw))
 
 
+def _suite_ids(algebras, identities):
+    return [r.identity for r in run_suite(SuiteConfig(
+        algebras=algebras, identities=identities, monoid="trunc:2",
+        bounds=SweepBounds(1, 1, 1, 1), integrality_trials=1, basis_degree=1)).reports]
+
+
 def test_suite_config_accepts_every_registered_id():
-    config = SuiteConfig.from_json(json.dumps({"identities": ["4.12", "L5.2", "comb"]}))
-    assert config.identities == ("4.12", "L5.2", "comb")
-    reps = run_suite(SuiteConfig(algebras=("sl2",), identities=("L5.2", "comb"),
-                                 monoid="trunc:2", bounds=SweepBounds(1, 1, 1, 1),
-                                 degree_bounds=False, lemma_5_2=False, comb=False,
-                                 integrality_trials=1, basis_degree=1)).reports
-    assert [r.identity for r in reps] == ["L5.2"] * 9 + ["comb", "integrality",
-                                                        "triangular", "basis"]
+    config = SuiteConfig.from_json(json.dumps({"identities": ["4.12", "deg3", "L5.2", "comb"]}))
+    assert config.identities == ("4.12", "deg3", "L5.2", "comb")
+    assert SuiteConfig().identities == tuple(IDENTITIES)
+    # comb reads no algebra: it runs once, after the algebras
+    assert _suite_ids(("sl2",), ("comb", "L5.2")) == ["L5.2"] * 9 + [
+        "integrality", "triangular", "basis", "comb"]
+
+
+def test_suite_runs_each_chosen_check_once():
+    assert _suite_ids(("sl2",), ("L5.2",)) == ["L5.2"] * 9 + [
+        "integrality", "triangular", "basis"]
+    per_algebra = ["integrality", "triangular", "basis"]
+    assert _suite_ids(("sl2", "sl21"), ("comb",)) == per_algebra * 2 + ["comb"]
+    assert _suite_ids(("sl2",), ("deg1",)).count("deg1") == len(
+        sweep_identity(get_engine("sl2", "trunc:2"), "deg1", SweepBounds(1, 1, 1, 1)))
+
+
+def test_failing_integrality_names_the_key_and_coefficient(monkeypatch):
+    real = Engine.divided_power
+    monkeypatch.setattr(Engine, "divided_power",
+                        lambda self, sym, aelt, r: Fraction(1, 2) * real(self, sym, aelt, r))
+    rep = verify_integrality(load_engine("sl2"), gens=2, trials=20, seed=1)
+    assert rep.verdict == "fail"
+    assert rep.detail.endswith(
+        "; first failure: (x[-a]{t^3})^(1) -> non-integer 1/2 at x[-a]{t^3}")
+
+
+def test_failing_comparison_names_the_first_differing_word(monkeypatch):
+    check = IDENTITIES["4.2"]
+    monkeypatch.setitem(IDENTITIES, "4.2", replace(
+        check, rhs=lambda e, ps: 2 * ident.rhs_4_2(e, ps)))
+    rep = verify_identity(load_engine("sl2"), "4.2", {"beta": "a", "b": T, "r": 1, "s": 1})
+    assert rep.verdict == "fail"
+    # x^(1) x^(1) = 2 x^(2) = x^2, against the doubled 2 x^2
+    assert rep.detail == "LHS != RHS; first difference x[a]{t}^2: LHS 1, RHS 2"
+    assert rep.diffs[0] == ("x[a]{t}^2", "1", "2")
 
 
 def test_get_engine_keys_files_by_content(tmp_path):
