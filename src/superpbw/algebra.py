@@ -237,8 +237,16 @@ def _madd(a, b, s=1):
 
 
 def _mmul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    """a b for square matrices, skipping zero entries: a defining
+    representation's basis matrices are mostly zero."""
+    out = [[0] * len(a) for _ in a]
+    for row, out_row in zip(a, out):
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        out_row[j] += x * y
+    return out
 
 
 def _mat_parity(m, idx_par):

@@ -246,64 +246,97 @@ class Engine:
 
     # -- normalization core ----------------------------------------------
 
-    def _insert(self, word, letter):
-        """word * letter as a tuple of (sorted flat word, coeff) pairs.
-
-        Rewrites: adjacent swap  u v -> (-1)^{|u||v|} v u + [u,v] (x) ab,
-        and the odd square  u u -> (1/2)[u,u] (x) a^2.  Terminates because a
-        swap lowers the inversion count and every bracket shortens the word.
-        The bracket constants are integers, so the coefficients stay ints
-        unless an odd square has an odd constant.  Each work item carries
-        the index where the scan for the first violation resumes: a rewrite
-        at i leaves w[:i] sorted, so only the pair at i - 1 can be new.  The
-        first item is scanned from 0, so word need not be sorted.
-        """
+    def _insert(self, word, letter, scratch):
+        """word * letter, for a sorted flat word, as a tuple of (sorted flat
+        word, coeff) pairs; memoized in the engine for the pairs that
+        normalize and mul fold in.  A memo hit, the common case on a warm
+        engine, sets up none of _straighten's closures."""
         memo_key = (word, letter)
-        hit = self._insert_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        key, parity = self._key, self._parity
-        amul, bracket = self.monoid.mul, self.spec.bracket
-        out = {}
-        work = [(1, word + (letter,), 0)]
-        while work:
-            c, w, i = work.pop()
-            last = len(w) - 1
-            while i < last:
-                u, v = w[i], w[i + 1]
-                if u == v:
-                    if parity[u[0]]:
-                        break
-                elif key(u) > key(v):
-                    break
-                i += 1
-            else:
-                out[w] = out.get(w, 0) + c
-                continue
-            pre, post = w[:i], w[i + 2:]
-            back = i - 1 if i else 0
-            if u == v:
-                aa = amul(u[1], u[1])
-                if aa is not None:
-                    for sym, k in bracket(u[0], u[0]):
-                        half = k // 2 if k % 2 == 0 else Fraction(k, 2)
-                        work.append((c * half, pre + ((sym, aa),) + post, back))
-                continue
-            sign = -1 if (parity[u[0]] and parity[v[0]]) else 1
-            work.append((sign * c, pre + (v, u) + post, back))
-            ab = amul(u[1], v[1])
-            if ab is not None:
-                for sym, k in bracket(u[0], v[0]):
-                    work.append((c * k, pre + ((sym, ab),) + post, back))
-        out = tuple((w, c) for w, c in out.items() if c)
-        self._insert_memo[memo_key] = out
+        out = self._insert_memo.get(memo_key)
+        if out is None:
+            out = self._insert_memo[memo_key] = self._straighten(word, letter, scratch)
         return out
 
-    def _fold(self, flat_terms, letters):
+    def _straighten(self, word, letter, scratch):
+        """word * letter by recursion on the last letter u of word = pre u,
+        when u sorts after L or is odd and equal to it:
+          pre u L = (-1)^{|u||L|} (pre L) u + sum_k k pre ([u,L]_k (x) ab),
+          pre u u = sum_k (k/2) pre ([u,u]_k (x) a^2)            (u odd).
+        The base case is a trivial append: w L where L sorts after w's last
+        letter, or equals it and is even.  Every sub-product has fewer
+        letters than word L, except top(pre L) u, which is a trivial append,
+        so the recursion ends.  It runs on an explicit stack of generator
+        frames, each of which yields the sub-products it needs and is sent
+        their values, so its depth is not the interpreter's.  `scratch`,
+        owned by one normalize or mul call, holds every sub-product solved
+        so far.  The bracket constants are integers, so the coefficients stay
+        ints unless an odd square has an odd constant.
+        """
+        kget, key, parity = self._key_memo.get, self._key, self._parity
+        amul, bracket = self.monoid.mul, self.spec.bracket
+
+        def known(w, x):
+            """w x when it needs no frame: a trivial append, or a product
+            solved before in this call; else None."""
+            if w:
+                u = w[-1]
+                if parity[x[0]] if u == x else (kget(u) or key(u)) > (kget(x) or key(x)):
+                    return scratch.get((w, x))      # x moves left past u
+            return ((w + (x,), 1),)
+
+        def frame(w, x):
+            """Yields each unsolved sub-product (word, letter), is sent its
+            value, and returns the value of w x."""
+            pre, u = w[:-1], w[-1]
+            acc = {}
+            if u != x:              # else u = x is odd, and only the bracket stays
+                odd = parity[u[0]]
+                sign = -1 if (odd and parity[x[0]]) else 1
+                ku = kget(u) or key(u)
+                sub = known(pre, x)
+                for w1, c1 in (yield pre, x) if sub is None else sub:
+                    c1 *= sign
+                    v = w1[-1]
+                    if (not odd) if v == u else (kget(v) or key(v)) < ku:
+                        w2 = w1 + (u,)      # a trivial append, as for top(pre x)
+                        acc[w2] = acc.get(w2, 0) + c1
+                        continue
+                    sub = known(w1, u)
+                    for w2, c2 in (yield w1, u) if sub is None else sub:
+                        acc[w2] = acc.get(w2, 0) + c1 * c2
+            terms = bracket(u[0], x[0])
+            ab = amul(u[1], x[1]) if terms else None
+            if ab is not None:
+                for sym, k in terms:
+                    if u == x:
+                        k = k // 2 if k % 2 == 0 else Fraction(k, 2)
+                    sub = known(pre, (sym, ab))
+                    for w2, c2 in (yield pre, (sym, ab)) if sub is None else sub:
+                        acc[w2] = acc.get(w2, 0) + k * c2
+            out = scratch[w, x] = tuple([item for item in acc.items() if item[1]])
+            return out
+
+        out = known(word, letter)
+        if out is None:
+            stack = [frame(word, letter)]
+            while stack:
+                try:
+                    req = stack[-1].send(out)
+                except StopIteration as done:
+                    out = done.value
+                    stack.pop()
+                else:
+                    stack.append(frame(*req))
+                    out = None
+        return out
+
+    def _fold(self, flat_terms, letters, scratch):
+        """flat_terms times the letters, one at a time; scratch is the
+        sub-product table of the calling normalize or mul."""
         for L in letters:
             nxt = {}
             for w, c in flat_terms.items():
-                for w2, c2 in self._insert(w, L):
+                for w2, c2 in self._insert(w, L, scratch):
                     nxt[w2] = nxt.get(w2, 0) + c * c2
             flat_terms = {w: c for w, c in nxt.items() if c}
         return flat_terms
@@ -329,17 +362,18 @@ class Engine:
         """Expand a product of letters in the canonical PBW basis."""
         letters = [self.letter(sym, aelt) for sym, aelt in letters]
         coeff = _exact(coeff)
-        flat = self._fold({(): 1}, letters)
+        flat = self._fold({(): 1}, letters, {})
         terms = ((self._compress(w), coeff * c) for w, c in flat.items())
         return UElem._wrap({k: _exact(c) for k, c in terms if c})
 
     def mul(self, x, y):
-        out = {}
+        """x * y; the words of x must be canonical for this engine."""
+        out, scratch = {}, {}
         for wy, cy in y.terms.items():
             lets = self._flatten(wy)
             for wx, cx in x.terms.items():
                 cxy = cx * cy
-                for w, c in self._fold({self._flatten(wx): 1}, lets).items():
+                for w, c in self._fold({self._flatten(wx): 1}, lets, scratch).items():
                     k = self._compress(w)
                     out[k] = out.get(k, 0) + cxy * c
         return UElem._wrap({k: _exact(c) for k, c in out.items() if c})
@@ -460,7 +494,9 @@ class Engine:
         if not chi:
             return ((EMPTY, 1),)
         P = self.p(i, chi)
-        word = tuple(((('h', i), a), e) for a, e in chi.items())
+        # in the engine's letter order, which on poly2 is not chi's order
+        runs = [((('h', i), a), e) for a, e in chi.items()]
+        word = tuple(sorted(runs, key=lambda run: self._key(run[0])))
         lead = P.terms.get(word)
         if not lead:
             raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, chi))

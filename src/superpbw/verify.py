@@ -614,6 +614,13 @@ class SuiteConfig:
     basis_degree: int = 4
     seed: int = 0
 
+    def __post_init__(self):
+        seen = set()
+        for ident_id in self.identities:
+            if ident_id in seen:
+                raise SpecError("suite config lists identity %r more than once" % ident_id)
+            seen.add(ident_id)
+
     @classmethod
     def from_json(cls, text):
         """Parse a JSON suite config; an unknown key or a bad value raises

@@ -129,6 +129,19 @@ def test_pelem(capsys):
     assert out.splitlines() == ["-1 h[1]{t}", "- 1 h[2]{t}"]
 
 
+def test_poly2_cartan_monomials_convert(capsys):
+    # p_1(chi) leads with the monomial of chi; on poly2 the engine's letter
+    # order (degree first) is not chi's own order, and the lookup must follow
+    # the engine's
+    code, out, _ = run(capsys, "pelem", "--algebra", "sl2", "--monoid", "poly2", "--i", "1",
+                       "--chi", "u,v^2", "--divided")
+    assert code == 0 and out.splitlines() == ["1 p[1]{v^2:1,u:1}", "INTEGRAL: yes"]
+    code, out, _ = run(capsys, "normalize", "--algebra", "sl2", "--monoid", "poly2",
+                       "--divided", "h[1]{u} h[1]{v^2}")
+    assert code == 0
+    assert "1 p[1]{v^2:1,u:1}" in out.splitlines() and out.endswith("INTEGRAL: yes\n")
+
+
 def test_delem(capsys):
     code, out, _ = run(capsys, "delem", "--algebra", "sl2", "--alpha", "a",
                        "--j", "2", "--k", "2", "--d", "t", "--c", "1")
@@ -305,6 +318,19 @@ def test_sweep_script_bad_config_exit_2(tmp_path):
              "--config", config], capture_output=True, text=True, env=ENV)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_repeated_config_id_exits_2(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"algebras": ["sl2"], "identities": ["L5.2", "L5.2"]}))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: suite config lists identity 'L5.2' more than once")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "run_identity_sweep.py"),
+         "--config", str(path)], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 2 and "more than once" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_id_runs_a_degree_bound_as_the_suite_does(capsys):

@@ -203,6 +203,20 @@ def test_round_trip_divided_randomized():
         assert eng.from_divided(eng.to_divided(x)) == x
 
 
+@pytest.mark.parametrize("chi", [
+    Multiset.of((1, 0), (0, 2)),                  # u + v^2
+    Multiset.of((1, 0), (1, 0), (1, 1)),          # 2u + uv
+    Multiset.of((0, 0), (0, 1), (2, 1)),          # 1 + v + u^2 v
+    Multiset.of((0, 1), (2, 0), (0, 3)),          # v + u^2 + v^3
+])
+def test_round_trip_p_on_poly2(chi):
+    # on poly2 the engine orders letters by degree first, chi by exponent tuple
+    eng = make("sl3", "poly2")
+    for i in (1, 2):
+        p = eng.p(i, chi)
+        assert eng.from_divided(eng.to_divided(p)) == p
+
+
 def test_integrality_order_independent():
     spec = preset("sl21")
     mon = monoid_preset("trunc:3")
@@ -370,12 +384,12 @@ def test_memo_values_cannot_be_mutated():
     eng = make("sl2")
     word = ((('x', 'a'), T),)
     letter = (('x', '-a'), ONE)
-    got = eng._insert(word, letter)
+    got = eng._insert(word, letter, {})
     with pytest.raises(TypeError):
         got[0] = (word, 5)
     with pytest.raises(AttributeError):
         got.clear()
-    assert eng._insert(word, letter) == got
+    assert eng._insert(word, letter, {}) == got
     assert eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]) == \
         make("sl2").normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
     conv = eng._h_mono_to_p(1, Multiset.of(T, T))

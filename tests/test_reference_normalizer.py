@@ -83,11 +83,12 @@ def engines():
     return {}
 
 
-def _engine(engines, name, order):
-    if (name, order) not in engines:
+def _engine(engines, name, order, monoid="trunc:3"):
+    if (name, order, monoid) not in engines:
         spec = preset(name)
-        engines[(name, order)] = (Engine(spec, monoid_preset("trunc:3"), ORDERS[order](spec)), {})
-    return engines[(name, order)]
+        engines[(name, order, monoid)] = (Engine(spec, monoid_preset(monoid),
+                                                 ORDERS[order](spec)), {})
+    return engines[(name, order, monoid)]
 
 
 scalars = st.one_of(st.integers(-6, 6),
@@ -119,3 +120,54 @@ def test_reference_sees_odd_squares_and_isotropic_zeros(engines):
     sl21, memo = _engine(engines, "sl21", "lex")
     sq = [(('x', 'a2'), (0,))] * 2
     assert reference_normalize(sl21, sq, 1, memo) == sl21.normalize(sq).terms == {}
+
+
+# Run-shaped words x[alpha]{a}^r x[-alpha]{b}^s, the shape of the paper's
+# identity 4.3 and of the CLI's large-exponent requests, where the rewrite
+# core moves one letter past a long run.  The roots include odd ones on sl21
+# (isotropic: odd squares vanish) and osp12 (odd squares do not).
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(ALGEBRAS), order=st.sampled_from(sorted(ORDERS)),
+       monoid=st.sampled_from(("poly", "trunc:4")), root=st.integers(0, 99),
+       rs=st.tuples(st.integers(0, 10), st.integers(0, 10)).filter(lambda rs: sum(rs) <= 10),
+       elts=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+       cartan=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 2))))
+def test_runs_match_reference(engines, name, order, monoid, root, rs, elts, cartan):
+    engine, memo = _engine(engines, name, order, monoid)
+    spec = engine.spec
+    alpha = spec.roots[root % len(spec.roots)].label
+    (r, s), (a, b, c) = rs, elts
+    letters = [(('x', alpha), (a,))] * r + [(('x', spec.negative_of(alpha)), (b,))] * s
+    if cartan is not None:
+        slot, i = cartan[0] * len(letters) // 2, cartan[1] % spec.rank + 1
+        letters.insert(slot, (('h', i), (c,)))
+    assert engine.normalize(letters).terms == reference_normalize(engine, letters, 1, memo)
+
+
+def _sl2_poly():
+    return Engine(preset("sl2"), monoid_preset("poly"))
+
+
+def test_one_letter_past_a_run_matches_reference():
+    engine = _sl2_poly()
+    letters = [(('x', 'a'), (0,))] * 60 + [(('x', '-a'), (0,))]
+    assert engine.normalize(letters).terms == reference_normalize(engine, letters, 1, {})
+
+
+def test_one_letter_past_a_thousand_letter_run():
+    # x[a]^n x[-a] = x[-a] x[a]^n + n h x[a]^(n-1) - n(n-1) x[a]^(n-1): the
+    # recursion runs n deep, which must not be the interpreter's stack.
+    engine = _sl2_poly()
+    n = 1000
+    xa, xm, h = (('x', 'a'), (0,)), (('x', '-a'), (0,)), (('h', 1), (0,))
+    got = engine.normalize([xa] * n + [xm]).terms
+    assert got == {((xm, 1), (xa, n)): 1, ((h, 1), (xa, n - 1)): n,
+                   ((xa, n - 1),): -n * (n - 1)}
+
+
+def test_engine_memo_keeps_only_the_folded_pairs():
+    # The sub-products of one normalize call live in its own scratch table;
+    # the engine memo holds the (word, letter) pairs the fold asks for.
+    engine = Engine(preset("sl3"), monoid_preset("poly"))
+    engine.normalize([(('x', 'a1'), (1,))] * 6 + [(('x', '-a1'), (0,))] * 6)
+    assert len(engine._insert_memo) == 176

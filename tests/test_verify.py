@@ -195,6 +195,13 @@ def test_suite_runs_each_chosen_check_once():
         sweep_identity(get_engine("sl2", "trunc:2"), "deg1", SweepBounds(1, 1, 1, 1)))
 
 
+def test_suite_config_refuses_a_repeated_id():
+    with pytest.raises(SpecError, match="identity 'L5.2' more than once"):
+        SuiteConfig.from_json(json.dumps({"identities": ["L5.2", "4.1", "L5.2"]}))
+    with pytest.raises(SpecError, match="identity 'deg3' more than once"):
+        SuiteConfig(algebras=("sl2",), identities=("deg3", "deg3"))
+
+
 def test_failing_integrality_names_the_key_and_coefficient(monkeypatch):
     real = Engine.divided_power
     monkeypatch.setattr(Engine, "divided_power",
