@@ -110,6 +110,8 @@ def cmd_basis(args):
 
 
 def cmd_pelem(args):
+    if args.i is not None and args.alpha is not None:
+        raise UsageError("pelem takes one of --i and --alpha, not both")
     engine = make_engine(args)
     chi = parse_mset(engine.monoid, args.chi)
     which = args.i if args.i is not None else args.alpha

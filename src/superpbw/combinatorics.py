@@ -49,10 +49,6 @@ class Multiset:
         return self._items
 
     @property
-    def support(self):
-        return tuple(e for e, _ in self._items)
-
-    @property
     def size(self):
         return sum(m for _, m in self._items)
 
@@ -83,15 +79,6 @@ class Multiset:
         if not isinstance(other, Multiset):
             return NotImplemented
         return all(m <= other(e) for e, m in self._items)
-
-    def __lt__(self, other):
-        return self <= other and self != other
-
-    def __ge__(self, other):
-        return other <= self
-
-    def __gt__(self, other):
-        return other < self
 
     def __eq__(self, other):
         return isinstance(other, Multiset) and self._items == other._items
@@ -172,32 +159,24 @@ def _memoized(memo, enumerate_, *args):
     return list(hit)
 
 
-def enumerate_sub(chi, k=None):
-    """All psi <= chi, each exactly once; restricted to |psi| = k when k is given.
-
-    Without k the count is prod_s (chi(s)+1).
-    """
-    return _memoized(_sub_memo, _enumerate_sub, chi, k)
+def enumerate_sub(chi):
+    """All psi <= chi, each exactly once: prod_s (chi(s)+1) of them."""
+    return _memoized(_sub_memo, _enumerate_sub, chi)
 
 
-def _enumerate_sub(chi, k):
-    if k is not None and k < 0:
-        raise ValueError("k must be >= 0")
+def _enumerate_sub(chi):
     support = chi.items()
     out = []
 
-    def rec(idx, acc, total):
-        if k is not None and total > k:
-            return
+    def rec(idx, acc):
         if idx == len(support):
-            if k is None or total == k:
-                out.append(Multiset(acc))
+            out.append(Multiset(acc))
             return
         e, m = support[idx]
         for c in range(m + 1):
-            rec(idx + 1, acc + [(e, c)], total + c)
+            rec(idx + 1, acc + [(e, c)])
 
-    rec(0, [], 0)
+    rec(0, [])
     return out
 
 

@@ -163,8 +163,10 @@ class Combination:
 class UElem(Combination):
     """Finitely supported rational combination of canonical PBW words.
 
-    Words are run-compressed letter sequences: tuples of ((sym, aelt), exp)
-    with exponents positive and odd letters never repeated.
+    A word is the tuple of its letters (sym, aelt), sorted by the engine's
+    letter order, a power x^e spelled as e equal letters, and odd letters
+    never repeated.  This is the word the straightening core builds; runs
+    are formed only where a word is printed, ordered or split into blocks.
     """
 
     __slots__ = ()
@@ -178,7 +180,7 @@ class UElem(Combination):
         """Filtration degree: max total exponent sum; -inf for 0."""
         if not self.terms:
             return NEG_INF
-        return max(sum(e for _, e in w) for w in self.terms)
+        return max(map(len, self.terms))
 
     def __repr__(self):
         if not self.terms:
@@ -197,6 +199,11 @@ class DividedForm(Combination):
 
     def __repr__(self):
         return "DividedForm(%d terms)" % len(self.terms)
+
+
+def word_runs(word):
+    """The runs of a canonical word as (letter, exponent) pairs."""
+    return [(L, len(list(g))) for L, g in itertools.groupby(word)]
 
 
 def key_degree(key):
@@ -221,10 +228,13 @@ class Engine:
 
     # -- letters ---------------------------------------------------------
 
+    def _cartan(self, i):
+        if not 1 <= i <= self.spec.rank:
+            raise AlgebraError("no Cartan generator h%d in %s" % (i, self.spec.name))
+
     def letter(self, sym, aelt):
         if sym[0] == 'h':
-            if not 1 <= sym[1] <= self.spec.rank:
-                raise AlgebraError("no Cartan generator h%d in %s" % (sym[1], self.spec.name))
+            self._cartan(sym[1])
         elif sym[0] == 'x':
             self.spec.root(sym[1])
         else:
@@ -241,8 +251,9 @@ class Engine:
         return k
 
     def word_key(self, word):
-        """Deterministic sort key for canonical words."""
-        return tuple((self._key(L), e) for L, e in word)
+        """Deterministic sort key for canonical words: their runs compared
+        as (letter key, exponent) pairs, so x^2 sorts after x y."""
+        return tuple((self._key(L), e) for L, e in word_runs(word))
 
     # -- normalization core ----------------------------------------------
 
@@ -330,52 +341,33 @@ class Engine:
                     out = None
         return out
 
-    def _fold(self, flat_terms, letters, scratch):
-        """flat_terms times the letters, one at a time; scratch is the
-        sub-product table of the calling normalize or mul."""
+    def _fold(self, terms, letters, scratch):
+        """terms (canonical words) times the letters, one at a time; scratch
+        is the sub-product table of the calling mul."""
         for L in letters:
             nxt = {}
-            for w, c in flat_terms.items():
+            for w, c in terms.items():
                 for w2, c2 in self._insert(w, L, scratch):
                     nxt[w2] = nxt.get(w2, 0) + c * c2
-            flat_terms = {w: c for w, c in nxt.items() if c}
-        return flat_terms
-
-    @staticmethod
-    def _compress(flat):
-        runs = []
-        for L in flat:
-            if runs and runs[-1][0] == L:
-                runs[-1][1] += 1
-            else:
-                runs.append([L, 1])
-        return tuple((L, e) for L, e in runs)
-
-    @staticmethod
-    def _flatten(word):
-        out = []
-        for L, e in word:
-            out.extend([L] * e)
-        return tuple(out)
+            terms = {w: c for w, c in nxt.items() if c}
+        return terms
 
     def normalize(self, letters, coeff=1):
         """Expand a product of letters in the canonical PBW basis."""
-        letters = [self.letter(sym, aelt) for sym, aelt in letters]
-        coeff = _exact(coeff)
-        flat = self._fold({(): 1}, letters, {})
-        terms = ((self._compress(w), coeff * c) for w, c in flat.items())
-        return UElem._wrap({k: _exact(c) for k, c in terms if c})
+        word = tuple(self.letter(sym, aelt) for sym, aelt in letters)
+        return self.mul(self.scalar(coeff), UElem({word: 1}))
 
     def mul(self, x, y):
-        """x * y; the words of x must be canonical for this engine."""
+        """x * y.  The words of x must be canonical for this engine, as every
+        UElem it returns is; the words of y need not be, since their letters
+        are folded in one at a time.  Each pair of words is folded on its
+        own and scaled afterwards, so straightening stays in ints."""
         out, scratch = {}, {}
         for wy, cy in y.terms.items():
-            lets = self._flatten(wy)
             for wx, cx in x.terms.items():
                 cxy = cx * cy
-                for w, c in self._fold({self._flatten(wx): 1}, lets, scratch).items():
-                    k = self._compress(w)
-                    out[k] = out.get(k, 0) + cxy * c
+                for w, c in self._fold({wx: 1}, wy, scratch).items():
+                    out[w] = out.get(w, 0) + cxy * c
         return UElem._wrap({k: _exact(c) for k, c in out.items() if c})
 
     def scalar(self, c):
@@ -386,7 +378,7 @@ class Engine:
 
     def gen_elem(self, sym, aelt, coeff=1):
         """The single letter sym (x) aelt as a UElem."""
-        return UElem({((self.letter(sym, aelt), 1),): coeff})
+        return UElem({(self.letter(sym, aelt),): coeff})
 
     def divided_power(self, sym, aelt, r):
         """(x (x) a)^(r) = (x (x) a)^r / r!, expanded to plain powers."""
@@ -405,14 +397,13 @@ class Engine:
     def adopt(self, x):
         """Re-normalize a UElem produced by another engine over the same
         algebra and monoid (possibly a different order)."""
-        return UElem.sum((self.normalize(self._flatten(w)) for w in x.terms),
-                         x.terms.values())
+        return self.mul(self.one(), x)
 
     def parity_of(self, x):
         """0 or 1 when x is parity homogeneous, None for 0 or mixed."""
         seen = None
         for w in x.terms:
-            p = sum(self._parity[sym] * e for (sym, _), e in w) % 2
+            p = sum(self._parity[sym] for sym, _ in w) % 2
             if seen is None:
                 seen = p
             elif seen != p:
@@ -433,7 +424,7 @@ class Engine:
         out = {}
         for i, c in enumerate(hvec, start=1):
             if c:
-                out[((self.letter(('h', i), aelt), 1),)] = c
+                out[(self.letter(('h', i), aelt),)] = c
         return UElem(out)
 
     def p_vector(self, hvec, chi):
@@ -463,6 +454,7 @@ class Engine:
         """p_i(chi) for a Cartan index, or p_alpha(chi) for a root label
         (the coroot map sends h to h_alpha)."""
         if isinstance(which, int):
+            self._cartan(which)
             hvec = tuple(1 if j == which else 0 for j in range(1, self.spec.rank + 1))
         else:
             hvec = self.spec.coroot(which)
@@ -473,7 +465,7 @@ class Engine:
     def _word_blocks(self, word):
         """Split a canonical word into per-generator blocks (sym, multiset)."""
         blocks = []
-        for (sym, aelt), e in word:
+        for (sym, aelt), e in word_runs(word):
             if blocks and blocks[-1][0] == sym:
                 blocks[-1][1].append((aelt, e))
             else:
@@ -495,15 +487,15 @@ class Engine:
             return ((EMPTY, 1),)
         P = self.p(i, chi)
         # in the engine's letter order, which on poly2 is not chi's order
-        runs = [((('h', i), a), e) for a, e in chi.items()]
-        word = tuple(sorted(runs, key=lambda run: self._key(run[0])))
+        word = tuple(sorted(((('h', i), a) for a, e in chi.items() for _ in range(e)),
+                            key=self._key))
         lead = P.terms.get(word)
         if not lead:
             raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, chi))
         rest = P - UElem({word: lead})
         out = {chi: Fraction(1, lead)}
         for w, c in rest.terms.items():
-            sub_chi = Multiset((a, e) for ((_, a), e) in w)
+            sub_chi = Multiset.of(*(a for _, a in w))
             if sub_chi.size >= chi.size:
                 raise AlgebraError("p remainder failed to drop in degree")
             for phi, c2 in self._h_mono_to_p(i, sub_chi):
@@ -545,7 +537,7 @@ class Engine:
                 if sym[0] == 'h':
                     factor = self.p(sym[1], ms)
                 else:
-                    word = tuple(((sym, a), e) for a, e in ms.items())
+                    word = tuple((sym, a) for a, e in ms.items() for _ in range(e))
                     factor = UElem({word: Fraction(1, factorial_product(ms))})
                 term = self.mul(term, factor)
             terms.append(term)

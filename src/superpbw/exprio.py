@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 
 from .combinatorics import Multiset
-from .engine import UElem
+from .engine import UElem, word_runs
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _INT_RE = re.compile(r"-?\d+")
@@ -211,7 +211,7 @@ def letter_str(engine, letter, e=1, divided=False):
 def word_str(engine, word):
     if not word:
         return "1"
-    return " ".join(letter_str(engine, L, e) for L, e in word)
+    return " ".join(letter_str(engine, L, e) for L, e in word_runs(word))
 
 
 def _join_terms(pairs, multiline):

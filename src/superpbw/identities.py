@@ -18,6 +18,7 @@ def divided_D(engine, alpha, j, k, d, c):
     expanded to plain powers; D_{j,0} = delta_{j,0}."""
     if j < 0 or k < 0:
         raise AlgebraError("D wants j, k >= 0")
+    engine.spec.root(alpha)  # refuses an unknown label, also at k = 0
     if k == 0:
         return engine.one() if j == 0 else UElem()
     mon = engine.monoid
@@ -72,10 +73,6 @@ class SignTemplate:
     eps_k in {+1, -1}.  Slot labels are printable."""
     base: UElem
     slots: tuple
-
-
-class Inapplicable(Exception):
-    """Raised by a builder when the identity does not cover the parameters."""
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +327,7 @@ def z_of(spec, gamma):
     lie in {+-2}."""
     two = spec.root_sum(gamma, gamma)
     if two is None:
-        raise Inapplicable("2*%s is not a root" % gamma)
+        raise AlgebraError("2*%s is not a root" % gamma)
     c = dict(spec.bracket(('x', gamma), ('x', gamma))).get(('x', two), 0)
     if c % 2:
         raise AlgebraError("c_{%s,%s} = %d is odd" % (gamma, gamma, c))

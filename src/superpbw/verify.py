@@ -385,11 +385,8 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
         return report("inapplicable", why)
     if check.run:
         return report(*check.run(engine, ps))
-    try:
-        lhs = check.lhs(engine, ps)
-        rhs = check.rhs(engine, ps)
-    except ident.Inapplicable as e:
-        return report("inapplicable", str(e))
+    lhs = check.lhs(engine, ps)
+    rhs = check.rhs(engine, ps)
     if isinstance(rhs, ident.SignTemplate):
         known = {}
         if sign_cache is not None and check.sign_key is not None:

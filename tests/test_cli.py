@@ -149,6 +149,32 @@ def test_delem(capsys):
     assert out.splitlines() == ["1 x[a]{1} x[a]{t^2}", "+ 1/2 x[a]{t}^2"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("pelem", "--algebra", "sl2", "--i", "5", "--chi", "t"),
+    ("pelem", "--algebra", "sl2", "--i", "0", "--chi", "t"),
+    ("pelem", "--algebra", "sl2", "--i", "3"),
+    ("normalize", "--algebra", "sl2", "p[2]{t}"),
+])
+def test_p_refuses_a_cartan_index_outside_the_rank(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    index = 2 if argv[0] == "normalize" else argv[4]
+    assert code == 2 and not out
+    assert "no Cartan generator h%s in sl2" % index in err
+
+
+@pytest.mark.parametrize("j", ["0", "1"])
+def test_delem_refuses_an_unknown_root_at_k_0(capsys, j):
+    code, out, err = run(capsys, "delem", "--algebra", "sl2", "--alpha", "nope",
+                         "--j", j, "--k", "0", "--d", "t", "--c", "1")
+    assert code == 2 and not out and "unknown root label 'nope'" in err
+
+
+def test_pelem_refuses_both_i_and_alpha(capsys):
+    code, out, err = run(capsys, "pelem", "--algebra", "sl2", "--i", "1", "--alpha", "a",
+                         "--chi", "t")
+    assert code == 2 and not out and "--i" in err and "--alpha" in err
+
+
 def test_validate_spec_preset(capsys):
     code, out, _ = run(capsys, "validate-spec", "--algebra", "sl21")
     assert code == 0

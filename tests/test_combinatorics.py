@@ -36,7 +36,6 @@ def test_multiset_basics():
     chi = Multiset.of("a", "a", "b")
     assert chi.size == 3
     assert chi("a") == 2 and chi("b") == 1 and chi("c") == 0
-    assert chi.support == ("a", "b")
     psi = Multiset.of("a")
     assert psi <= chi and not chi <= psi
     assert (chi - psi)("a") == 1
@@ -74,7 +73,6 @@ def test_enumerate_sub_counts():
     subs = enumerate_sub(chi)
     assert len(subs) == 6  # (2+1)(1+1)
     assert len(set(subs)) == 6
-    assert set(enumerate_sub(chi, 2)) == {Multiset.of("a", "a"), Multiset.of("a", "b")}
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=3))
@@ -84,8 +82,6 @@ def test_enumerate_sub_product_formula(items):
     subs = enumerate_sub(chi)
     want = math.prod(m + 1 for _, m in chi.items())
     assert len(subs) == want == len(set(subs))
-    by_size = sum(len(enumerate_sub(chi, k)) for k in range(chi.size + 1))
-    assert by_size == want
 
 
 def naive_CS(chi, r):
@@ -171,10 +167,11 @@ def test_vandermonde_convolution():
     """
     for size in range(0, 7):
         for chi in all_multisets(("a", "b", "c"), size):
+            subs = enumerate_sub(chi)
             for k in range(size + 1):
                 msum = 0
                 bsum = 0
-                for psi in enumerate_sub(chi, k):
+                for psi in [psi for psi in subs if psi.size == k]:
                     msum += multinomial(psi) * multinomial(chi - psi)
                     prod = 1
                     for s, m in chi.items():
@@ -210,9 +207,8 @@ def test_memoized_enumerators_match_uncached(monkeypatch):
     cases = []
     for size in range(5):
         for chi in all_multisets(("a", "b", "c"), size):
-            cases.append((enumerate_sub, combinatorics._enumerate_sub, (chi, None)))
+            cases.append((enumerate_sub, combinatorics._enumerate_sub, (chi,)))
             for k in range(5):
-                cases.append((enumerate_sub, combinatorics._enumerate_sub, (chi, k)))
                 cases.append((enumerate_CS, combinatorics._enumerate_CS, (chi, k)))
     for j in range(7):
         for k in range(5):
@@ -228,8 +224,6 @@ def test_memoized_enumerators_match_uncached(monkeypatch):
 
 
 def test_enumerators_still_refuse_negative_arguments():
-    with pytest.raises(ValueError):
-        enumerate_sub(Multiset.of("a"), -1)
     with pytest.raises(ValueError):
         enumerate_CS(Multiset.of("a"), -1)
     with pytest.raises(ValueError):

@@ -9,12 +9,12 @@ shows up here."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
-from superpbw.engine import Engine, Order
+from superpbw.engine import Engine, Order, UElem
 
 ALGEBRAS = ("sl2", "sl3", "sp4", "sl21", "osp12")
 ORDERS = {"triangular": Order.triangular, "lex": Order.lexicographic}
@@ -74,7 +74,7 @@ def reference_normalize(engine, letters, coeff, memo):
             for w2, c2 in _reference_insert(engine, w, L, memo).items():
                 nxt[w2] = nxt.get(w2, 0) + c * c2
         flat = {w: c for w, c in nxt.items() if c}
-    return {engine._compress(w): c for w, c in flat.items() if c}
+    return {w: c for w, c in flat.items() if c}
 
 
 @pytest.fixture(scope="module")
@@ -93,22 +93,60 @@ def _engine(engines, name, order, monoid="trunc:3"):
 
 scalars = st.one_of(st.integers(-6, 6),
                     st.fractions(min_value=-4, max_value=4, max_denominator=6))
+letter_pick = st.tuples(st.integers(0, 99), st.integers(0, len(ELTS) - 1))
+
+
+def _letters(engine, picks):
+    syms = engine.spec.all_syms()
+    return [(syms[s % len(syms)], ELTS[e]) for s, e in picks]
 
 
 @settings(max_examples=250, deadline=None)
 @given(name=st.sampled_from(ALGEBRAS), order=st.sampled_from(sorted(ORDERS)),
-       picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, len(ELTS) - 1)),
-                      max_size=7),
-       coeff=scalars)
+       picks=st.lists(letter_pick, max_size=7), coeff=scalars)
 def test_normalize_matches_reference(engines, name, order, picks, coeff):
     engine, memo = _engine(engines, name, order)
-    syms = engine.spec.all_syms()
-    letters = [(syms[s % len(syms)], ELTS[e]) for s, e in picks]
+    letters = _letters(engine, picks)
     got = engine.normalize(letters, coeff).terms
     want = reference_normalize(engine, letters, coeff, memo)
     assert got == want
     for c in got.values():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+# mul folds y's letters into each canonical word of x and scales afterwards;
+# x is built from divided powers, so its coefficients include Fractions.
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(ALGEBRAS), order=st.sampled_from(sorted(ORDERS)),
+       powers=st.lists(st.tuples(letter_pick, st.integers(2, 3)), min_size=3, max_size=3),
+       picks=st.lists(letter_pick, max_size=4), cy=scalars)
+def test_mul_matches_reference(engines, name, order, powers, picks, cy):
+    engine, memo = _engine(engines, name, order)
+    bases = _letters(engine, [pick for pick, _ in powers])
+    d1, d2, d3 = [engine.divided_power(sym, a, r) for (sym, a), (_, r) in zip(bases, powers)]
+    x = engine.mul(d1, d2) + d3
+    assume(len(x.terms) > 1 and any(type(c) is Fraction for c in x.terms.values()))
+    letters = _letters(engine, picks)
+    y = UElem({tuple(letters): cy})
+    want = {}
+    for wx, cx in x.terms.items():
+        for w, c in reference_normalize(engine, list(wx) + letters, cx * cy, memo).items():
+            want[w] = want.get(w, 0) + c
+    assert engine.mul(x, y).terms == {w: c for w, c in want.items() if c}
+
+
+# adopt re-normalizes the words of another engine's element in this one.
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(ALGEBRAS), picks=st.lists(letter_pick, max_size=5),
+       extra=st.lists(letter_pick, max_size=5), coeff=scalars)
+def test_adopt_matches_reference(engines, name, picks, extra, coeff):
+    lex, _ = _engine(engines, name, "lex")
+    tri, memo = _engine(engines, name, "triangular")
+    x = lex.normalize(_letters(lex, picks), coeff) + lex.normalize(_letters(lex, extra))
+    want = reference_normalize(tri, _letters(tri, picks), coeff, memo)
+    for w, c in reference_normalize(tri, _letters(tri, extra), 1, memo).items():
+        want[w] = want.get(w, 0) + c
+    assert tri.adopt(x).terms == {w: c for w, c in want.items() if c}
 
 
 def test_reference_sees_odd_squares_and_isotropic_zeros(engines):
@@ -161,8 +199,8 @@ def test_one_letter_past_a_thousand_letter_run():
     n = 1000
     xa, xm, h = (('x', 'a'), (0,)), (('x', '-a'), (0,)), (('h', 1), (0,))
     got = engine.normalize([xa] * n + [xm]).terms
-    assert got == {((xm, 1), (xa, n)): 1, ((h, 1), (xa, n - 1)): n,
-                   ((xa, n - 1),): -n * (n - 1)}
+    assert got == {(xm,) + (xa,) * n: 1, (h,) + (xa,) * (n - 1): n,
+                   (xa,) * (n - 1): -n * (n - 1)}
 
 
 def test_engine_memo_keeps_only_the_folded_pairs():
