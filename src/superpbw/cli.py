@@ -45,8 +45,9 @@ def cmd_normalize(args):
     return 0
 
 
-_PARAM_FLAGS = ("alpha", "beta", "gamma", "delta", "a", "b", "chi", "phi",
-                "i", "j", "r", "s", "m")
+# verify's parameter flags: every parameter name a registered check declares
+_PARAM_FLAGS = tuple(sorted({name for check in ver.IDENTITIES.values()
+                             for name, _ in check.axes}))
 
 
 def cmd_verify(args):

@@ -104,8 +104,8 @@ def monoid_preset(name):
     if name == "poly2":
         return MonoidBasis("poly2", ("u", "v"))
     if name.startswith("trunc:"):
-        n = int(name.split(":", 1)[1])
-        if n < 1:
-            raise MonoidError("truncation bound must be >= 1")
-        return MonoidBasis(name, ("t",), trunc=n)
+        bound = name.split(":", 1)[1]
+        if not bound.isdecimal() or int(bound) < 1:
+            raise MonoidError("truncation bound %r is not an integer >= 1" % bound)
+        return MonoidBasis(name, ("t",), trunc=int(bound))
     raise MonoidError("unknown monoid preset %r" % name)

@@ -250,10 +250,10 @@ class Engine:
             self._key_memo[letter] = k
         return k
 
-    def word_key(self, word):
-        """Deterministic sort key for canonical words: their runs compared
+    def runs_key(self, runs):
+        """Sort key for a canonical word from its runs (`word_runs`), compared
         as (letter key, exponent) pairs, so x^2 sorts after x y."""
-        return tuple((self._key(L), e) for L, e in word_runs(word))
+        return tuple((self._key(L), e) for L, e in runs)
 
     # -- normalization core ----------------------------------------------
 

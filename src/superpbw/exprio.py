@@ -98,7 +98,11 @@ class _Parser:
     def factor(self):
         ch = self.peek()
         if ch.isdigit():
-            return Fraction(self.match_re(_NUM_RE, "a number"))
+            start = self.pos
+            try:
+                return Fraction(self.match_re(_NUM_RE, "a number"))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", start) from None
         if ch == "(":
             self.pos += 1
             inner = self.expr()
@@ -208,10 +212,13 @@ def letter_str(engine, letter, e=1, divided=False):
     return base + ("^(%d)" % e if divided else "^%d" % e)
 
 
+def runs_str(engine, runs):
+    """A word, given by its runs (`word_runs`), as text."""
+    return " ".join(letter_str(engine, L, e) for L, e in runs) or "1"
+
+
 def word_str(engine, word):
-    if not word:
-        return "1"
-    return " ".join(letter_str(engine, L, e) for L, e in word_runs(word))
+    return runs_str(engine, word_runs(word))
 
 
 def _join_terms(pairs, multiline):
@@ -230,8 +237,10 @@ def _join_terms(pairs, multiline):
 
 
 def uelem_str(engine, x, multiline=False):
-    words = sorted(x.terms, key=engine.word_key)
-    return _join_terms([(x.terms[w], word_str(engine, w)) for w in words], multiline)
+    """x term by term in word order, each word's runs formed once."""
+    terms = sorted(((word_runs(w), c) for w, c in x.terms.items()),
+                   key=lambda t: engine.runs_key(t[0]))
+    return _join_terms([(c, runs_str(engine, runs)) for runs, c in terms], multiline)
 
 
 def mset_str(engine, ms):

@@ -1,7 +1,8 @@
 """Builders for the special elements (the Cartan p-elements and the
-partition-indexed divided sums D) and for the exact right-hand side of every
-closed-form straightening identity, so the verifier can compare them against
-the baseline normalizer."""
+partition-indexed divided sums D), the factor vocabulary in which every
+algebra check declares its product u*v, and the exact right-hand side of
+every closed-form straightening identity, so the verifier can compare the
+baseline normalizer's u*v against it."""
 
 import itertools
 from dataclasses import dataclass
@@ -76,32 +77,71 @@ class SignTemplate:
 
 
 # ---------------------------------------------------------------------------
+# factors: the generators u, v of the product u*v a check is about.  A root is
+# a parameter name or a label helper (engine, params) -> label; the other
+# fields name parameters.
+
+def minus(root):
+    """-root, for a root parameter."""
+    return lambda engine, ps: engine.spec.negative_of(ps[root])
+
+
+def minus_two(root):
+    """-2*root, for an odd root parameter whose double is a root."""
+    return lambda engine, ps: engine.spec.negative_of(engine.spec.root_sum(ps[root], ps[root]))
+
+
+def _x(engine, ps, root):
+    return ('x', ps[root] if isinstance(root, str) else root(engine, ps))
+
+
+@dataclass(frozen=True)
+class DividedPower:
+    """(x_root (x) elt)^(exp)."""
+    root: object
+    elt: str
+    exp: str
+
+    def value(self, engine, ps):
+        return engine.divided_power(_x(engine, ps, self.root), ps[self.elt], ps[self.exp])
+
+
+@dataclass(frozen=True)
+class Letter:
+    """x_root (x) elt."""
+    root: object
+    elt: str
+
+    def value(self, engine, ps):
+        return engine.gen_elem(_x(engine, ps, self.root), ps[self.elt])
+
+
+@dataclass(frozen=True)
+class PElement:
+    """p_i(chi)."""
+    i: str
+    chi: str
+
+    def value(self, engine, ps):
+        return engine.p(ps[self.i], ps[self.chi])
+
+
+def lhs_product(engine, factors, ps):
+    """u*v by the baseline normalizer: the left-hand side of every identity."""
+    u, v = (f.value(engine, ps) for f in factors)
+    return engine.mul(u, v)
+
+
+# ---------------------------------------------------------------------------
 # even-generator identities
-
-def lhs_4_1(engine, ps):
-    return engine.mul(engine.p(ps["i"], ps["chi"]), engine.p(ps["j"], ps["phi"]))
-
 
 def rhs_4_1(engine, ps):
     return engine.mul(engine.p(ps["j"], ps["phi"]), engine.p(ps["i"], ps["chi"]))
 
 
-def lhs_4_2(engine, ps):
-    beta, b, r, s = ps["beta"], ps["b"], ps["r"], ps["s"]
-    return engine.mul(engine.divided_power(('x', beta), b, r),
-                      engine.divided_power(('x', beta), b, s))
-
-
 def rhs_4_2(engine, ps):
     beta, b, r, s = ps["beta"], ps["b"], ps["r"], ps["s"]
     return binomial(r + s, s) * engine.divided_power(('x', beta), b, r + s)
-
-
-def lhs_4_3(engine, ps):
-    alpha, a, b, r, s = ps["alpha"], ps["a"], ps["b"], ps["r"], ps["s"]
-    nalpha = engine.spec.negative_of(alpha)
-    return engine.mul(engine.divided_power(('x', alpha), a, r),
-                      engine.divided_power(('x', nalpha), b, s))
 
 
 def rhs_4_3(engine, ps):
@@ -154,23 +194,12 @@ def _consumed(psi):
     return total
 
 
-def lhs_4_4(engine, ps):
-    return engine.mul(engine.divided_power(('x', ps["alpha"]), ps["b"], ps["r"]),
-                      engine.p(ps["i"], ps["chi"]))
-
-
 def rhs_4_4(engine, ps):
     alpha, i, b, r, chi = ps["alpha"], ps["i"], ps["b"], ps["r"], ps["chi"]
     xparts = ((psi, _cs_x_product(engine, alpha, b, i, psi, negate_eval=False))
               for psi in enumerate_CS(chi, r))
     return UElem.sum(engine.mul(engine.p(i, chi - _consumed(psi)), xpart)
                      for psi, xpart in xparts if xpart)
-
-
-def lhs_4_5(engine, ps):
-    nalpha = engine.spec.negative_of(ps["alpha"])
-    return engine.mul(engine.p(ps["i"], ps["chi"]),
-                      engine.divided_power(('x', nalpha), ps["b"], ps["r"]))
 
 
 def rhs_4_5(engine, ps):
@@ -196,11 +225,6 @@ def _even_pair_type(spec, alpha, beta):
             if lab is not None and spec.root(lab).parity == 0:
                 count += 1
     return {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}.get(count)
-
-
-def lhs_4_6(engine, ps):
-    return engine.mul(engine.divided_power(('x', ps["alpha"]), ps["a"], ps["r"]),
-                      engine.divided_power(('x', ps["beta"]), ps["b"], ps["s"]))
 
 
 def _pair_powers(engine, ps, jk_counts):
@@ -289,19 +313,10 @@ def rhs_L44c(engine, ps):
 # ---------------------------------------------------------------------------
 # identities with odd generators
 
-def lhs_xdelta_p(engine, ps):
-    delta = ps.get("delta") or ps["gamma"]
-    belt = ps["b"] if "b" in ps else ps["a"]
-    return engine.mul(engine.gen_elem(('x', delta), belt), engine.p(ps["i"], ps["chi"]))
-
-
-def rhs_xdelta_p(engine, ps):
+def _x_past_p(engine, delta, b, i, chi):
     """(x_delta (x) b) p_i(chi) = sum_{psi <= chi} binom(|psi|-1+delta(h_i), |psi|)
     m(psi) p_i(chi - psi) (x_delta (x) b pi(psi))."""
     spec, mon = engine.spec, engine.monoid
-    delta = ps.get("delta") or ps["gamma"]
-    i, chi = ps["i"], ps["chi"]
-    b = ps["b"] if "b" in ps else ps["a"]
     ev = spec.root(delta).ev[i - 1]
     terms, scalars = [], []
     for psi in enumerate_sub(chi):
@@ -317,9 +332,12 @@ def rhs_xdelta_p(engine, ps):
     return UElem.sum(terms, scalars)
 
 
-def lhs_4_8(engine, ps):
-    gamma, a = ps["gamma"], ps["a"]
-    return engine.normalize([(('x', gamma), a)] * 2)
+def rhs_L43(engine, ps):
+    return _x_past_p(engine, ps["delta"], ps["b"], ps["i"], ps["chi"])
+
+
+def rhs_4_7(engine, ps):
+    return _x_past_p(engine, ps["gamma"], ps["a"], ps["i"], ps["chi"])
 
 
 def z_of(spec, gamma):
@@ -348,12 +366,6 @@ def rhs_4_8(engine, ps):
     return z * engine.gen_elem(('x', two), a2)
 
 
-def lhs_4_9(engine, ps):
-    gamma, a, b = ps["gamma"], ps["a"], ps["b"]
-    ngamma = engine.spec.negative_of(gamma)
-    return engine.normalize([(('x', gamma), a), (('x', ngamma), b)])
-
-
 def rhs_4_9(engine, ps):
     gamma, a, b = ps["gamma"], ps["a"], ps["b"]
     spec, mon = engine.spec, engine.monoid
@@ -363,10 +375,6 @@ def rhs_4_9(engine, ps):
     if ab is not None:
         acc = acc + engine.hvec_elem(spec.coroot(gamma), ab)
     return acc
-
-
-def lhs_4_10(engine, ps):
-    return engine.normalize([(('x', ps["gamma"]), ps["a"]), (('x', ps["delta"]), ps["b"])])
 
 
 def rhs_4_10(engine, ps):
@@ -380,13 +388,6 @@ def rhs_4_10(engine, ps):
         if c:
             acc = acc + c * engine.gen_elem(('x', target), ab)
     return acc
-
-
-def lhs_4_11(engine, ps):
-    gamma, m, a, b = ps["gamma"], ps["m"], ps["a"], ps["b"]
-    partner = engine.spec.negative_of(engine.spec.root_sum(gamma, gamma))
-    return engine.mul(engine.gen_elem(('x', gamma), a),
-                      engine.divided_power(('x', partner), b, m))
 
 
 def rhs_4_11(engine, ps):
@@ -407,12 +408,6 @@ def rhs_4_11(engine, ps):
             acc = acc + c * engine.mul(engine.divided_power(('x', partner), b, m - 1),
                                        engine.gen_elem(('x', ngamma), ab))
     return acc
-
-
-def lhs_4_12(engine, ps):
-    alpha, gamma, m, a, b = ps["alpha"], ps["gamma"], ps["m"], ps["a"], ps["b"]
-    return engine.mul(engine.divided_power(('x', alpha), a, m),
-                      engine.gen_elem(('x', gamma), b))
 
 
 def rhs_4_12(engine, ps):

@@ -4,7 +4,8 @@ random integrality sampling, basis counting, and the suite runner.
 
 Every sweep is declared as data: a check names its parameters as ordered
 (param, axis kind) pairs, and `expand` takes the product of the axes in that
-nesting order, dropping the instances an optional `where` predicate rejects."""
+nesting order, dropping the instances an optional `where` predicate rejects.
+An algebra check also declares the product u*v it is about as its factors."""
 
 import itertools
 import json
@@ -13,10 +14,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import identities as ident
+from .identities import DividedPower, Letter, PElement, minus, minus_two
 from .algebra import SpecError, read_algebra, root_string, spec_from_source, PRESET_NAMES
 from .coeffalg import monoid_preset
 from .combinatorics import Multiset, binomial, multisets_upto, verify_comb_identity
-from .engine import Engine, Order, UElem, key_degree
+from .engine import Engine, Order, UElem, key_degree, word_runs
 from .exprio import divided_key_str, mset_str, parse_mset, word_str
 
 
@@ -202,13 +204,14 @@ def _not_neg(first, second):
 @dataclass(frozen=True)
 class IdentityCheck:
     axes: tuple                 # ((param, axis kind), ...), outermost first
-    lhs: object = None
-    rhs: object = None
+    factors: tuple = ()         # (u, v) in identities' factor vocabulary: the
+                                # product u*v an algebra check is about
+    rhs: object = None          # (engine, params) -> u*v in closed form
     where: object = None        # (engine, params) -> False drops the instance
     applicable: object = _applicable_true
     sign_key: object = None     # params -> cache key for solved sign reuse
-    run: object = None          # (engine, params) -> (verdict, detail), for an
-                                # algebra check that is not an LHS = RHS comparison
+    run: object = None          # (engine, params, u, v) -> (verdict, detail), for
+                                # an algebra check that is not an LHS = RHS comparison
     standalone: object = None   # () -> CheckReport, for a check that reads no
                                 # algebra: a suite runs it once, after the algebras
 
@@ -221,37 +224,16 @@ def _pair_check(rhs, applicable, sign_key=None):
     """4.6 and its case formulas: two even roots with beta != +-alpha."""
     return IdentityCheck(
         (("alpha", "even"), ("beta", "even"), ("a", "elem"), ("b", "elem"), ("r", "r"),
-         ("s", "s")), ident.lhs_4_6, rhs, applicable=applicable, sign_key=sign_key,
+         ("s", "s")), (DividedPower("alpha", "a", "r"), DividedPower("beta", "b", "s")),
+        rhs, applicable=applicable, sign_key=sign_key,
         where=lambda e, ps: ps["beta"] not in (ps["alpha"], e.spec.negative_of(ps["alpha"])))
 
 
-def _dp(root, elt, exp):
-    """(x_root (x) elt)^(exp); root is a parameter name or (engine, params) -> label."""
-    label = root if callable(root) else lambda e, ps: ps[root]
-    return lambda e, ps: e.divided_power(('x', label(e, ps)), ps[elt], ps[exp])
-
-
-def _x(root, elt):
-    return lambda e, ps: e.gen_elem(('x', ps[root]), ps[elt])
-
-
-def _p(e, ps):
-    return e.p(ps["i"], ps["chi"])
-
-
-def _minus_alpha(e, ps):
-    return e.spec.negative_of(ps["alpha"])
-
-
-def _minus_two_gamma(e, ps):
-    return e.spec.negative_of(e.spec.root_sum(ps["gamma"], ps["gamma"]))
-
-
-def _degree_bound(axes, u, v, limit, integral=False, where=None):
+def _degree_bound(axes, factors, limit, integral=False, where=None):
     """One of the seven super-bracket estimates: deg [u, v] < limit(params)
     over the axes; `integral` also asks for membership in the integral span."""
-    def run(engine, ps):
-        value = engine.super_comm(u(engine, ps), v(engine, ps))
+    def run(engine, ps, u, v):
+        value = engine.super_comm(u, v)
         deg, lim = value.degree, limit(ps)
         ok = deg < lim
         detail = "degree %s < %d" % (deg, lim)
@@ -259,21 +241,21 @@ def _degree_bound(axes, u, v, limit, integral=False, where=None):
             ok = engine.is_integral(value)
             detail += ", integral" if ok else ", NOT integral"
         return "pass" if ok else "fail", detail
-    return IdentityCheck(axes, where=where, run=run)
+    return IdentityCheck(axes, factors, where=where, run=run)
 
 
-def _lemma_5_2(engine, ps):
-    """p_i(chi) p_i(phi) = prod_a binom((chi+phi)(a), chi(a)) p_i(chi+phi) + u
-    with u an integer combination of p_i(psi) of degree < |chi|+|phi|."""
+def _lemma_5_2(engine, ps, u, v):
+    """p_i(chi) p_i(phi) = prod_a binom((chi+phi)(a), chi(a)) p_i(chi+phi) + rest
+    with rest an integer combination of p_i(psi) of degree < |chi|+|phi|."""
     i, chi, phi = ps["i"], ps["chi"], ps["phi"]
     lead = 1
     total = chi + phi
     for a, m in total.items():
         lead *= binomial(m, chi(a))
-    u = engine.mul(engine.p(i, chi), engine.p(i, phi)) - lead * engine.p(i, total)
+    rest = engine.mul(u, v) - lead * engine.p(i, total)
     bad = []
     limit = chi.size + phi.size
-    for key, c in engine.to_divided(u).terms.items():
+    for key, c in engine.to_divided(rest).terms.items():
         if len(key) > 1 or (key and key[0][0] != ('h', i)):
             bad.append("mixed Cartan support %r" % (key,))
         if key_degree(key) >= limit:
@@ -285,16 +267,21 @@ def _lemma_5_2(engine, ps):
 
 _X_P = (("alpha", "even"), ("i", "cartan"), ("b", "elem"), ("r", "r"), ("chi", "mset"))
 _AB = (("a", "elem"), ("b", "elem"))
+_P = PElement("i", "chi")
+_X_ALPHA_X_MINUS = (DividedPower("alpha", "a", "r"), DividedPower(minus("alpha"), "b", "s"))
+_X_GAMMA_X_MINUS_TWO = (Letter("gamma", "a"), DividedPower(minus_two("gamma"), "b", "m"))
 
 IDENTITIES = {
     "4.1": IdentityCheck((("i", "cartan"), ("j", "cartan"), ("chi", "mset"), ("phi", "mset")),
-                         ident.lhs_4_1, ident.rhs_4_1, where=lambda e, ps: ps["j"] >= ps["i"]),
+                         (_P, PElement("j", "phi")), ident.rhs_4_1,
+                         where=lambda e, ps: ps["j"] >= ps["i"]),
     "4.2": IdentityCheck((("beta", "even"), ("b", "elem"), ("r", "r"), ("s", "s")),
-                         ident.lhs_4_2, ident.rhs_4_2),
+                         (DividedPower("beta", "b", "r"), DividedPower("beta", "b", "s")),
+                         ident.rhs_4_2),
     "4.3": IdentityCheck((("alpha", "even"),) + _AB + (("r", "r"), ("s", "s")),
-                         ident.lhs_4_3, ident.rhs_4_3),
-    "4.4": IdentityCheck(_X_P, ident.lhs_4_4, ident.rhs_4_4),
-    "4.5": IdentityCheck(_X_P, ident.lhs_4_5, ident.rhs_4_5),
+                         _X_ALPHA_X_MINUS, ident.rhs_4_3),
+    "4.4": IdentityCheck(_X_P, (DividedPower("alpha", "b", "r"), _P), ident.rhs_4_4),
+    "4.5": IdentityCheck(_X_P, (_P, DividedPower(minus("alpha"), "b", "r")), ident.rhs_4_5),
     "4.6": _pair_check(ident.rhs_4_6, _gate_chain_any, _pair_sign_key),
     "L4.4a": _pair_check(ident.rhs_L44a, _gate_pair_type("A2")),
     "L4.4b": _pair_check(ident.rhs_L44b, _gate_pair_type("B2", allowed={(1, 1), (2, 1)}),
@@ -302,48 +289,52 @@ IDENTITIES = {
     "L4.4c": _pair_check(ident.rhs_L44c, _gate_pair_type(
         "G2", allowed={(1, 1), (2, 1), (3, 1), (3, 2)}), _pair_sign_key),
     "L4.3": IdentityCheck((("delta", "root"), ("i", "cartan"), ("b", "elem"), ("chi", "mset")),
-                          ident.lhs_xdelta_p, ident.rhs_xdelta_p),
+                          (Letter("delta", "b"), _P), ident.rhs_L43),
     "4.7": IdentityCheck((("gamma", "odd"), ("i", "cartan"), ("a", "elem"), ("chi", "mset")),
-                         ident.lhs_xdelta_p, ident.rhs_xdelta_p),
-    "4.8": IdentityCheck((("gamma", "odd"), ("a", "elem")), ident.lhs_4_8, ident.rhs_4_8,
+                         (Letter("gamma", "a"), _P), ident.rhs_4_7),
+    "4.8": IdentityCheck((("gamma", "odd"), ("a", "elem")),
+                         (Letter("gamma", "a"), Letter("gamma", "a")), ident.rhs_4_8,
                          applicable=_gate_nonisotropic),
-    "4.9": IdentityCheck((("gamma", "odd"),) + _AB, ident.lhs_4_9, ident.rhs_4_9),
+    "4.9": IdentityCheck((("gamma", "odd"),) + _AB,
+                         (Letter("gamma", "a"), Letter(minus("gamma"), "b")), ident.rhs_4_9),
     "4.10": IdentityCheck((("gamma", "odd"), ("delta", "odd")) + _AB,
-                          ident.lhs_4_10, ident.rhs_4_10, where=_not_neg("gamma", "delta")),
-    "4.11": IdentityCheck((("gamma", "odd"), ("m", "m")) + _AB,
-                          ident.lhs_4_11, ident.rhs_4_11, applicable=_gate_nonisotropic),
+                          (Letter("gamma", "a"), Letter("delta", "b")), ident.rhs_4_10,
+                          where=_not_neg("gamma", "delta")),
+    "4.11": IdentityCheck((("gamma", "odd"), ("m", "m")) + _AB, _X_GAMMA_X_MINUS_TWO,
+                          ident.rhs_4_11, applicable=_gate_nonisotropic),
     "4.12": IdentityCheck((("alpha", "even"), ("gamma", "odd"), ("m", "m")) + _AB,
-                          ident.lhs_4_12, ident.rhs_4_12, applicable=_gate_isotropic_partner),
+                          (DividedPower("alpha", "a", "m"), Letter("gamma", "b")),
+                          ident.rhs_4_12, applicable=_gate_isotropic_partner),
     "deg1": _degree_bound((("alpha", "even"),) + _AB + (("r", "r"), ("s", "r")),
-                          _dp("alpha", "a", "r"), _dp(_minus_alpha, "b", "s"),
-                          lambda ps: ps["r"] + ps["s"], integral=True),
+                          _X_ALPHA_X_MINUS, lambda ps: ps["r"] + ps["s"], integral=True),
     "deg2": _degree_bound((("beta", "even"), ("i", "cartan"), ("a", "elem"), ("r", "r"),
                            ("chi", "mset")),
-                          _dp("beta", "a", "r"), _p, lambda ps: ps["r"] + ps["chi"].size,
-                          integral=True),
+                          (DividedPower("beta", "a", "r"), _P),
+                          lambda ps: ps["r"] + ps["chi"].size, integral=True),
     "deg3": _degree_bound((("beta", "even"), ("gamma", "even")) + _AB + (("r", "r"), ("s", "r")),
-                          _dp("beta", "a", "r"), _dp("gamma", "b", "s"),
+                          (DividedPower("beta", "a", "r"), DividedPower("gamma", "b", "s")),
                           lambda ps: ps["r"] + ps["s"], where=_not_neg("beta", "gamma")),
     "deg4": _degree_bound((("delta", "odd"), ("i", "cartan"), ("a", "elem"), ("chi", "mset")),
-                          _x("delta", "a"), _p, lambda ps: ps["chi"].size + 1),
+                          (Letter("delta", "a"), _P), lambda ps: ps["chi"].size + 1),
     "deg5": _degree_bound((("beta", "even"), ("delta", "odd")) + _AB + (("r", "r"),),
-                          _dp("beta", "a", "r"), _x("delta", "b"), lambda ps: ps["r"] + 1),
+                          (DividedPower("beta", "a", "r"), Letter("delta", "b")),
+                          lambda ps: ps["r"] + 1),
     "deg6": _degree_bound((("delta", "odd"), ("zeta", "odd")) + _AB,
-                          _x("delta", "a"), _x("zeta", "b"), lambda ps: 2),
-    "deg7": _degree_bound((("gamma", "odd"),) + _AB + (("m", "m"),),
-                          _x("gamma", "a"), _dp(_minus_two_gamma, "b", "m"),
+                          (Letter("delta", "a"), Letter("zeta", "b")), lambda ps: 2),
+    "deg7": _degree_bound((("gamma", "odd"),) + _AB + (("m", "m"),), _X_GAMMA_X_MINUS_TWO,
                           lambda ps: ps["m"] + 1,
                           where=lambda e, ps: _gate_nonisotropic(e, ps)[0]),
-    "L5.2": IdentityCheck((("i", "cartan"), ("chi", "mset"), ("phi", "mset")), run=_lemma_5_2),
+    "L5.2": IdentityCheck((("i", "cartan"), ("chi", "mset"), ("phi", "mset")),
+                          (_P, PElement("i", "phi")), run=_lemma_5_2),
     "comb": IdentityCheck((), standalone=lambda: sweep_comb_identity()),
 }
 
 # What `verify --algebra` runs when no id is named: the LHS = RHS rows.
-SWEEP_IDS = tuple(k for k, check in IDENTITIES.items() if check.lhs is not None)
+SWEEP_IDS = tuple(k for k, check in IDENTITIES.items() if check.rhs is not None)
 
 
 def _diff_terms(engine, lhs, rhs, limit=5):
-    words = sorted((lhs - rhs).terms, key=engine.word_key)[:limit]
+    words = sorted((lhs - rhs).terms, key=lambda w: engine.runs_key(word_runs(w)))[:limit]
     return tuple((word_str(engine, w), str(lhs.terms.get(w, 0)), str(rhs.terms.get(w, 0)))
                  for w in words)
 
@@ -365,10 +356,11 @@ def _solve_signs(lhs, template, known):
 
 def verify_identity(engine, ident_id, ps, sign_cache=None):
     """Run one instance of a registered algebra check; returns a CheckReport
-    timed from the start.  For sign-template identities the +-1 slots are
-    solved exhaustively and must be unique; a sign_cache (keyed per root
-    pair) makes later instances reuse and confirm the solved assignment.  A
-    failing comparison names its first differing word."""
+    timed from the start.  Its factors are evaluated once the check applies.
+    For sign-template identities the +-1 slots are solved exhaustively and
+    must be unique; a sign_cache (keyed per root pair) makes later instances
+    reuse and confirm the solved assignment.  A failing comparison names its
+    first differing word."""
     check = IDENTITIES[ident_id]
     t0 = time.perf_counter()
     name = engine.spec.name
@@ -384,8 +376,9 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
     if not ok:
         return report("inapplicable", why)
     if check.run:
-        return report(*check.run(engine, ps))
-    lhs = check.lhs(engine, ps)
+        u, v = (f.value(engine, ps) for f in check.factors)
+        return report(*check.run(engine, ps, u, v))
+    lhs = ident.lhs_product(engine, check.factors, ps)
     rhs = check.rhs(engine, ps)
     if isinstance(rhs, ident.SignTemplate):
         known = {}

@@ -50,6 +50,13 @@ def test_normalize_parse_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["1/0", "2/0 x[a]{t}", "x[a]{t} + 3/00"])
+def test_normalize_zero_denominator_exit_2(capsys, expr):
+    code, out, err = run(capsys, "normalize", "--algebra", "sl2", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("error: zero denominator (at position ")
+
+
 def test_normalize_deterministic(capsys):
     args = ("normalize", "--algebra", "sl21", "--monoid", "trunc:3",
             "x[a1]{t}^(2) x[-a1]{t}^(2) x[a2]{1}")
@@ -290,6 +297,20 @@ def test_verify_param_flags_must_be_declared_by_the_id(capsys):
     assert all(" r=2 " in l for l in lines if l.startswith("CHECK id=4.2 "))
 
 
+def test_verify_takes_every_registered_parameter_as_a_flag(capsys):
+    names = {name for check in ver.IDENTITIES.values() for name, _ in check.axes}
+    for name in names:
+        args = cli._parser().parse_args(["verify", "--%s" % name, "x"])
+        assert getattr(args, name) == "x"
+    # deg6's second odd root is zeta: it filters like any other parameter
+    code, out, _ = run(capsys, "verify", "--algebra", "sl21", "--id", "deg6", "--zeta", "a2")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith("CHECK")]
+    assert lines and all(l.startswith("CHECK id=deg6 ") and " zeta=a2 " in l for l in lines)
+    assert out.splitlines()[-1] == "SUMMARY checks=%d pass=%d fail=0 inapplicable=0" \
+        % (len(lines), len(lines))
+
+
 def test_verify_config_refuses_the_flags_it_would_ignore(tmp_path, capsys):
     path = tmp_path / "small.json"
     path.write_text(json.dumps({"algebras": ["sl2"], "identities": ["4.2"]}))
@@ -344,6 +365,16 @@ def test_sweep_script_bad_config_exit_2(tmp_path):
              "--config", config], capture_output=True, text=True, env=ENV)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_sweep_script_bad_truncation_bound_exit_2():
+    for monoid in ("trunc:x", "trunc:"):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "run_identity_sweep.py"),
+             "--algebras", "sl2", "--monoid", monoid], capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: truncation bound ")
+        assert "Traceback" not in proc.stderr
 
 
 def test_repeated_config_id_exits_2(tmp_path, capsys):

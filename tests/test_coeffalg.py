@@ -60,3 +60,11 @@ def test_format_parse_round_trip():
             [mon.one, (1,) * len(mon.varnames), (3,) + (0,) * (len(mon.varnames) - 1)]
         for a in probe:
             assert mon.parse_elt(mon.format_elt(a)) == a
+
+
+@pytest.mark.parametrize("name, bound", [("trunc:x", "'x'"), ("trunc:", "''"),
+                                         ("trunc:2.5", "'2.5'"), ("trunc:0", "'0'"),
+                                         ("trunc:-3", "'-3'")])
+def test_malformed_truncation_bound(name, bound):
+    with pytest.raises(MonoidError, match="truncation bound %s is not an integer >= 1" % bound):
+        monoid_preset(name)

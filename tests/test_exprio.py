@@ -88,6 +88,13 @@ def test_parse_errors(sl2):
     assert e.value.pos >= 8
 
 
+def test_parse_zero_denominator(sl2):
+    for text, pos in (("1/0", 0), ("2/0 x[a]{t}", 0), ("x[a]{t} +  3/00", 11)):
+        with pytest.raises(ParseError, match="zero denominator") as e:
+            parse_expr(sl2, text)
+        assert e.value.pos == pos
+
+
 def test_print_zero(sl2):
     assert uelem_str(sl2, parse_expr(sl2, "x[a]{t} - x[a]{t}")) == "0"
 

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from superpbw.algebra import preset
+from superpbw.algebra import PRESET_NAMES, preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset, enumerate_CS, multisets_upto
 from superpbw.engine import AlgebraError, Engine, Order, UElem
 from superpbw.identities import _consumed, _cs_x_product, _k_label, \
-    divided_D, eps_chain, pair_slots, rhs_4_4, scaled_divided, z_of
+    divided_D, eps_chain, lhs_product, pair_slots, rhs_4_4, scaled_divided, z_of
+from superpbw.verify import IDENTITIES, SWEEP_IDS, SweepBounds, expand, fmt_params, \
+    get_engine
 
 ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
 
@@ -216,3 +218,103 @@ def _g2_slots_four_deep(r, s):
 def test_pair_slots_match_the_g2_loop_nest(r, s):
     shapes = ((1, 1), (2, 1), (3, 1), (3, 2))
     assert list(pair_slots(shapes, r, s, _k_label)) == _g2_slots_four_deep(r, s)
+
+
+# ---------------------------------------------------------------------------
+# The left-hand sides as the identities once wrote them, one hand-written
+# product per identity: a test-only reference for the declared factors.
+
+def _ref_4_1(engine, ps):
+    return engine.mul(engine.p(ps["i"], ps["chi"]), engine.p(ps["j"], ps["phi"]))
+
+
+def _ref_4_2(engine, ps):
+    beta, b, r, s = ps["beta"], ps["b"], ps["r"], ps["s"]
+    return engine.mul(engine.divided_power(('x', beta), b, r),
+                      engine.divided_power(('x', beta), b, s))
+
+
+def _ref_4_3(engine, ps):
+    alpha, a, b, r, s = ps["alpha"], ps["a"], ps["b"], ps["r"], ps["s"]
+    nalpha = engine.spec.negative_of(alpha)
+    return engine.mul(engine.divided_power(('x', alpha), a, r),
+                      engine.divided_power(('x', nalpha), b, s))
+
+
+def _ref_4_4(engine, ps):
+    return engine.mul(engine.divided_power(('x', ps["alpha"]), ps["b"], ps["r"]),
+                      engine.p(ps["i"], ps["chi"]))
+
+
+def _ref_4_5(engine, ps):
+    nalpha = engine.spec.negative_of(ps["alpha"])
+    return engine.mul(engine.p(ps["i"], ps["chi"]),
+                      engine.divided_power(('x', nalpha), ps["b"], ps["r"]))
+
+
+def _ref_4_6(engine, ps):
+    return engine.mul(engine.divided_power(('x', ps["alpha"]), ps["a"], ps["r"]),
+                      engine.divided_power(('x', ps["beta"]), ps["b"], ps["s"]))
+
+
+def _ref_xdelta_p(engine, ps):
+    delta = ps.get("delta") or ps["gamma"]
+    belt = ps["b"] if "b" in ps else ps["a"]
+    return engine.mul(engine.gen_elem(('x', delta), belt), engine.p(ps["i"], ps["chi"]))
+
+
+def _ref_4_8(engine, ps):
+    gamma, a = ps["gamma"], ps["a"]
+    return engine.normalize([(('x', gamma), a)] * 2)
+
+
+def _ref_4_9(engine, ps):
+    gamma, a, b = ps["gamma"], ps["a"], ps["b"]
+    ngamma = engine.spec.negative_of(gamma)
+    return engine.normalize([(('x', gamma), a), (('x', ngamma), b)])
+
+
+def _ref_4_10(engine, ps):
+    return engine.normalize([(('x', ps["gamma"]), ps["a"]), (('x', ps["delta"]), ps["b"])])
+
+
+def _ref_4_11(engine, ps):
+    gamma, m, a, b = ps["gamma"], ps["m"], ps["a"], ps["b"]
+    partner = engine.spec.negative_of(engine.spec.root_sum(gamma, gamma))
+    return engine.mul(engine.gen_elem(('x', gamma), a),
+                      engine.divided_power(('x', partner), b, m))
+
+
+def _ref_4_12(engine, ps):
+    alpha, gamma, m, a, b = ps["alpha"], ps["gamma"], ps["m"], ps["a"], ps["b"]
+    return engine.mul(engine.divided_power(('x', alpha), a, m),
+                      engine.gen_elem(('x', gamma), b))
+
+
+REFERENCE_LHS = {
+    "4.1": _ref_4_1, "4.2": _ref_4_2, "4.3": _ref_4_3, "4.4": _ref_4_4, "4.5": _ref_4_5,
+    "4.6": _ref_4_6, "L4.4a": _ref_4_6, "L4.4b": _ref_4_6, "L4.4c": _ref_4_6,
+    "L4.3": _ref_xdelta_p, "4.7": _ref_xdelta_p, "4.8": _ref_4_8, "4.9": _ref_4_9,
+    "4.10": _ref_4_10, "4.11": _ref_4_11, "4.12": _ref_4_12,
+}
+
+
+def test_every_algebra_row_declares_two_factors():
+    assert set(REFERENCE_LHS) == set(SWEEP_IDS)
+    for ident_id, check in IDENTITIES.items():
+        assert check.standalone or len(check.factors) == 2, ident_id
+
+
+@pytest.mark.parametrize("algebra", PRESET_NAMES)
+@pytest.mark.parametrize("ident_id", sorted(REFERENCE_LHS))
+def test_lhs_product_matches_the_hand_written_lhs(ident_id, algebra):
+    """lhs_product over a row's declared factors is the product the
+    identity's hand-written LHS built, on every applicable instance."""
+    check = IDENTITIES[ident_id]
+    eng = get_engine(algebra, "trunc:3")
+    for ps in expand(eng, SweepBounds(1, 1, 1, 1), check.axes, check.where):
+        if not check.applicable(eng, ps)[0]:
+            continue
+        got = lhs_product(eng, check.factors, ps)
+        assert got == REFERENCE_LHS[ident_id](eng, ps), \
+            "row %s on %s at %s" % (ident_id, algebra, fmt_params(eng, ps))
