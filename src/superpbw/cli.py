@@ -84,8 +84,12 @@ def cmd_verify(args):
             raise UsageError("--%s: %s" % (k, e))
     reports = [r for ident_id in ids
                for r in ver.sweep_identity(engine, ident_id, ver.SweepBounds(), fixed)]
-    if not reports:
+    if not reports and texts:
         raise UsageError("no parameter combination matches the given flags")
+    if not reports:
+        raise UsageError("%s on algebra %s"
+                         % ("check %s has no instance" % args.id if args.id
+                            else "no check has an instance", args.algebra))
     for r in reports:
         print(r.line())
     result = ver.SuiteResult(reports)

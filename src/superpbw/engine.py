@@ -2,9 +2,11 @@
 degree, conversion to the divided-power integral basis, integrality testing,
 basis enumeration, and the triangular factorization."""
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .combinatorics import EMPTY, Multiset, enumerate_sub, factorial_product, multinomial, \
     multisets_upto, pi_product
@@ -166,7 +168,7 @@ class UElem(Combination):
     A word is the tuple of its letters (sym, aelt), sorted by the engine's
     letter order, a power x^e spelled as e equal letters, and odd letters
     never repeated.  This is the word the straightening core builds; runs
-    are formed only where a word is printed, ordered or split into blocks.
+    are formed only where a word is printed or ordered.
     """
 
     __slots__ = ()
@@ -210,6 +212,85 @@ def key_degree(key):
     return sum(ms.size for _, ms in key)
 
 
+# The Cartan block U(h (x) A) is commutative, so p(chi) and the p-basis
+# expansion of a Cartan monomial depend on no order and no root data: one
+# table per process serves every engine, triangular or lexicographic, and
+# every algebra.  The keys hold the monoid's defining fields rather than the
+# object or its name, so two monoids that multiply alike share entries and two
+# that do not (say one name with another truncation bound) never do.  Values
+# are tuples of (monomial or multiset, coeff) pairs, immutable.
+_cartan_p_table = {}
+_h_mono_table = {}
+
+
+def _monoid_fields(monoid):
+    return (monoid.varnames, monoid.laurent, monoid.trunc)
+
+
+def cartan_p(hvec, chi, monoid):
+    """The Cartan element for h = sum hvec_i h_i, as a tuple of (monomial,
+    coeff) pairs, a monomial being a sorted tuple of letters (('h', i), a):
+    p(0) = 1,  p(chi) = -(1/|chi|) sum_{0 != psi <= chi} m(psi)
+    (h (x) pi(psi)) p(chi - psi).
+    Multiplying by h_i (x) b inserts a letter into a sorted monomial."""
+    hvec = tuple(hvec)
+    while hvec and not hvec[-1]:        # (1, 0) and (1,) name one h
+        hvec = hvec[:-1]
+    key = (hvec, chi, _monoid_fields(monoid))
+    hit = _cartan_p_table.get(key)
+    if hit is not None:
+        return hit
+    if not chi:
+        out = (((), 1),)
+    else:
+        acc = {}
+        for psi in enumerate_sub(chi):
+            a = pi_product(psi, monoid) if psi else None
+            if a is None:
+                continue
+            m = multinomial(psi)
+            for mono, c in cartan_p(hvec, chi - psi, monoid):
+                for i, hi in enumerate(hvec, start=1):
+                    if hi:
+                        letter = (('h', i), a)
+                        k = bisect.bisect(mono, letter)
+                        w = mono[:k] + (letter,) + mono[k:]
+                        acc[w] = acc.get(w, 0) + m * hi * c
+        n = chi.size
+        out = tuple((w, _exact(Fraction(-c, n))) for w, c in acc.items() if c)
+    _cartan_p_table[key] = out
+    return out
+
+
+def h_mono_to_p(i, chi, monoid):
+    """Expand the monomial prod_a (h_i (x) a)^{chi(a)} over the p_i basis,
+    as a tuple of (phi, coeff) pairs.
+
+    Triangular elimination: p_i(chi) matches the monomial in top degree,
+    the remainder has lower degree and recurses.
+    """
+    key = (i, chi, _monoid_fields(monoid))
+    hit = _h_mono_table.get(key)
+    if hit is not None:
+        return hit
+    if not chi:
+        return ((EMPTY, 1),)
+    P = dict(cartan_p((0,) * (i - 1) + (1,), chi, monoid))
+    # chi lists its elements in tuple order, so this monomial is sorted
+    lead = P.pop(tuple((('h', i), a) for a, e in chi.items() for _ in range(e)), 0)
+    if not lead:
+        raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, chi))
+    out = {chi: Fraction(1, lead)}
+    for w, c in P.items():
+        if len(w) >= chi.size:
+            raise AlgebraError("p remainder failed to drop in degree")
+        for phi, c2 in h_mono_to_p(i, Multiset.of(*(a for _, a in w)), monoid):
+            out[phi] = out.get(phi, 0) - Fraction(c, lead) * c2
+    out = tuple((phi, _exact(c)) for phi, c in out.items() if c)
+    _h_mono_table[key] = out
+    return out
+
+
 class Engine:
     """Straightening engine for one (algebra, coefficient monoid, order)
     triple.  All operations are pure; the memo tables are transparent caches,
@@ -223,7 +304,7 @@ class Engine:
         self._key_memo = {}
         self._insert_memo = {}
         self._p_memo = {}
-        self._hmono_memo = {}
+        self._block_memo = {}
         self._divpow_memo = {}
 
     # -- letters ---------------------------------------------------------
@@ -428,27 +509,14 @@ class Engine:
         return UElem(out)
 
     def p_vector(self, hvec, chi):
-        """The recursively defined Cartan element for h = sum hvec_i h_i:
-        p(0) = 1,  p(chi) = -(1/|chi|) sum_{0 != psi <= chi} m(psi)
-        (h (x) pi(psi)) p(chi - psi)."""
-        hvec = tuple(hvec)
-        key = (hvec, chi)
+        """p(chi) for h = sum hvec_i h_i (see `cartan_p`) as a UElem, its
+        monomials sorted into this engine's words."""
+        key = (tuple(hvec), chi)
         hit = self._p_memo.get(key)
-        if hit is not None:
-            return hit._copy()
-        if not chi:
-            out = self.one()
-        else:
-            terms, scalars = [], []
-            for psi in enumerate_sub(chi):
-                a = pi_product(psi, self.monoid) if psi else None
-                if a is not None:
-                    terms.append(self.mul(self.hvec_elem(hvec, a),
-                                          self.p_vector(hvec, chi - psi)))
-                    scalars.append(Fraction(-multinomial(psi), chi.size))
-            out = UElem.sum(terms, scalars)
-        self._p_memo[key] = out
-        return out._copy()
+        if hit is None:
+            hit = self._p_memo[key] = UElem._wrap({tuple(sorted(mono, key=self._key)): c
+                                                   for mono, c in cartan_p(*key, self.monoid)})
+        return hit._copy()
 
     def p(self, which, chi):
         """p_i(chi) for a Cartan index, or p_alpha(chi) for a root label
@@ -462,71 +530,35 @@ class Engine:
 
     # -- divided / p-basis conversion --------------------------------------
 
-    def _word_blocks(self, word):
-        """Split a canonical word into per-generator blocks (sym, multiset)."""
-        blocks = []
-        for (sym, aelt), e in word_runs(word):
-            if blocks and blocks[-1][0] == sym:
-                blocks[-1][1].append((aelt, e))
-            else:
-                blocks.append([sym, [(aelt, e)]])
-        return [(sym, Multiset(items)) for sym, items in blocks]
-
-    def _h_mono_to_p(self, i, chi):
-        """Expand the monomial prod_a (h_i (x) a)^{chi(a)} over the p_i basis,
-        as a tuple of (phi, coeff) pairs.
-
-        Triangular elimination: p_i(chi) matches the monomial in top degree,
-        the remainder has lower degree and recurses.
-        """
-        key = (i, chi)
-        hit = self._hmono_memo.get(key)
-        if hit is not None:
-            return hit
-        if not chi:
-            return ((EMPTY, 1),)
-        P = self.p(i, chi)
-        # in the engine's letter order, which on poly2 is not chi's order
-        word = tuple(sorted(((('h', i), a) for a, e in chi.items() for _ in range(e)),
-                            key=self._key))
-        lead = P.terms.get(word)
-        if not lead:
-            raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, chi))
-        rest = P - UElem({word: lead})
-        out = {chi: Fraction(1, lead)}
-        for w, c in rest.terms.items():
-            sub_chi = Multiset.of(*(a for _, a in w))
-            if sub_chi.size >= chi.size:
-                raise AlgebraError("p remainder failed to drop in degree")
-            for phi, c2 in self._h_mono_to_p(i, sub_chi):
-                out[phi] = out.get(phi, 0) - Fraction(c, lead) * c2
-        out = tuple((phi, _exact(c)) for phi, c in out.items() if c)
-        self._hmono_memo[key] = out
-        return out
-
-    def _expand_blocks(self, blocks):
-        """Alternatives for each block as (key-part or None, coeff) lists."""
-        parts = []
-        for sym, ms in blocks:
-            if sym[0] == 'h':
-                conv = self._h_mono_to_p(sym[1], ms)
-                parts.append([((sym, phi) if phi else None, c) for phi, c in conv])
-            elif self._parity[sym] == 0:
-                parts.append([((sym, ms), factorial_product(ms))])
-            else:
-                if any(e > 1 for _, e in ms.items()):
-                    raise AlgebraError("odd letter with exponent > 1 in a canonical word")
-                parts.append([((sym, ms), 1)])
-        return parts
+    def _block(self, sym, block):
+        """The divided-basis alternatives of one block, the letters of a
+        canonical word on one symbol, as a tuple of (key part or None, coeff)
+        pairs."""
+        ms = Multiset.of(*(a for _, a in block))
+        if sym[0] == 'h':
+            return tuple(((sym, phi) if phi else None, c)
+                         for phi, c in h_mono_to_p(sym[1], ms, self.monoid))
+        if self._parity[sym] == 0:
+            return (((sym, ms), factorial_product(ms)),)
+        if len(ms.items()) < len(block):
+            raise AlgebraError("odd letter with exponent > 1 in a canonical word")
+        return (((sym, ms), 1),)
 
     def to_divided(self, x):
         """Exact change of basis into the divided-power integral basis."""
-        out = {}
+        memo, out = self._block_memo, {}
         for w, c in x.terms.items():
-            for choice in itertools.product(*self._expand_blocks(self._word_blocks(w))):
-                key = tuple(part for part, _ in choice if part)
-                out[key] = out.get(key, 0) + math.prod((c2 for _, c2 in choice), start=c)
-        return DividedForm(out)
+            parts = []
+            for sym, letters in itertools.groupby(w, itemgetter(0)):
+                block = tuple(letters)
+                alts = memo.get(block)
+                if alts is None:
+                    alts = memo[block] = self._block(sym, block)
+                parts.append(alts)
+            for choice in itertools.product(*parts):
+                key = tuple([part for part, _ in choice if part])
+                out[key] = out.get(key, 0) + c * math.prod([c2 for _, c2 in choice])
+        return DividedForm._wrap({k: _exact(c) for k, c in out.items() if c})
 
     def from_divided(self, df):
         """Inverse of to_divided."""

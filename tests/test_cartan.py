@@ -1,0 +1,235 @@
+"""The Cartan block: `cartan_p`/`p_vector` and `h_mono_to_p` in the
+commutative ring, against a reference that builds p(chi) through the
+non-commutative straightening core (`Engine.mul`) and inverts it the same
+way; the process-wide tables; and the per-engine block memo of
+`to_divided`."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superpbw.algebra import preset
+from superpbw.coeffalg import MonoidBasis, monoid_preset
+from superpbw.combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
+from superpbw.engine import AlgebraError, DividedForm, Engine, Order, UElem, _exact, \
+    cartan_p, h_mono_to_p
+
+PRESETS = ["sl2", "sl3", "sp4", "sl21", "osp12"]
+ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
+POLY2 = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+
+
+def make(algebra, monoid="trunc:4", order="triangular"):
+    spec = preset(algebra)
+    return Engine(spec, monoid_preset(monoid),
+                  Order.lexicographic(spec) if order == "lex" else Order.triangular(spec))
+
+
+def unit(engine, i):
+    return tuple(1 if j == i else 0 for j in range(1, engine.spec.rank + 1))
+
+
+class StraighteningCartan:
+    """Test-only reference: p(chi) by its recursion, each product formed by
+    `Engine.mul`, and the p_i-basis expansion of a Cartan monomial by
+    triangular elimination on those elements.  Its tables live on the
+    instance, one per engine."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self._p = {}
+        self._hmono = {}
+
+    def p_vector(self, hvec, chi):
+        eng = self.engine
+        key = (tuple(hvec), chi)
+        if key not in self._p:
+            if not chi:
+                out = eng.one()
+            else:
+                terms, scalars = [], []
+                for psi in enumerate_sub(chi):
+                    a = pi_product(psi, eng.monoid) if psi else None
+                    if a is not None:
+                        terms.append(eng.mul(eng.hvec_elem(hvec, a),
+                                             self.p_vector(hvec, chi - psi)))
+                        scalars.append(Fraction(-multinomial(psi), chi.size))
+                out = UElem.sum(terms, scalars)
+            self._p[key] = out
+        return self._p[key]
+
+    def h_mono_to_p(self, i, chi):
+        eng = self.engine
+        key = (i, chi)
+        if key in self._hmono:
+            return self._hmono[key]
+        if not chi:
+            return ((EMPTY, 1),)
+        P = self.p_vector(unit(eng, i), chi)
+        word = tuple(sorted(((('h', i), a) for a, e in chi.items() for _ in range(e)),
+                            key=eng._key))
+        lead = P.terms.get(word)
+        if not lead:
+            raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, chi))
+        rest = P - UElem({word: lead})
+        out = {chi: Fraction(1, lead)}
+        for w, c in rest.terms.items():
+            sub_chi = Multiset.of(*(a for _, a in w))
+            assert sub_chi.size < chi.size
+            for phi, c2 in self.h_mono_to_p(i, sub_chi):
+                out[phi] = out.get(phi, 0) - Fraction(c, lead) * c2
+        out = tuple((phi, _exact(c)) for phi, c in out.items() if c)
+        self._hmono[key] = out
+        return out
+
+    def to_divided_h_mono(self, i, chi):
+        """The divided form of the monomial prod_a (h_i (x) a)^chi(a)."""
+        return DividedForm({(((('h', i), phi),) if phi else ()): c
+                            for phi, c in self.h_mono_to_p(i, chi)})
+
+
+def chis(elems, cap):
+    """Every multiset over elems of size 1..cap."""
+    return [Multiset.of(*c) for n in range(1, cap + 1)
+            for c in itertools.combinations_with_replacement(elems, n)]
+
+
+def _assert_exact(coeffs):
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def _check_against_reference(eng, elems, cap):
+    ref = StraighteningCartan(eng)
+    spec = eng.spec
+    hvecs = {unit(eng, i) for i in range(1, spec.rank + 1)}
+    hvecs |= {tuple(spec.coroot(r.label)) for r in spec.roots}
+    for chi in chis(elems, cap):
+        for hvec in sorted(hvecs):
+            want = ref.p_vector(hvec, chi)
+            got = eng.p_vector(hvec, chi)
+            assert got == want, (spec.name, hvec, chi)
+            _assert_exact(got.terms.values())
+            assert UElem({tuple(sorted(m, key=eng._key)): c
+                          for m, c in cartan_p(hvec, chi, eng.monoid)}) == want
+        for i in range(1, spec.rank + 1):
+            got = h_mono_to_p(i, chi, eng.monoid)
+            assert dict(got) == dict(ref.h_mono_to_p(i, chi)), (spec.name, i, chi)
+            _assert_exact(c for _, c in got)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_cartan_ring_matches_straightening_reference(name):
+    """Every Cartan index and every coroot, |chi| <= 4 over trunc:4."""
+    _check_against_reference(make(name), [ONE, T, T2, T3], 4)
+
+
+@pytest.mark.parametrize("order", ["triangular", "lex"])
+def test_cartan_ring_matches_straightening_reference_poly2(order):
+    # on poly2 the engine orders letters by degree first, a monomial by
+    # exponent tuple, so the conversion to words must re-sort
+    _check_against_reference(make("sl2", "poly2", order), POLY2, 4)
+
+
+def test_process_tables_are_keyed_by_monoid_fields():
+    for monoid in ("trunc:2", "trunc:4", "poly"):
+        eng = make("sl2", monoid)
+        ref = StraighteningCartan(eng)
+        small = Multiset.of(*(a for a in (T, T, T2) if eng.monoid.mul(a, ONE) is not None))
+        assert eng.p(1, small) == ref.p_vector((1,), small), monoid
+        h = eng.normalize([(('h', 1), a) for a, e in small.items() for _ in range(e)])
+        assert eng.to_divided(h) == ref.to_divided_h_mono(1, small), monoid
+    # one name, two truncation bounds: neither may see the other's entries
+    m2 = MonoidBasis("m", ("t",), trunc=2)
+    m4 = MonoidBasis("m", ("t",), trunc=4)
+    chi = Multiset.of(T, T)
+    got2, got4 = cartan_p((1,), chi, m2), cartan_p((1,), chi, m4)
+    assert got2 != got4
+    for m, got in ((m2, got2), (m4, got4)):
+        eng = Engine(preset("sl2"), m)
+        ref = StraighteningCartan(eng)
+        assert eng.p(1, chi) == ref.p_vector((1,), chi)
+        assert dict(h_mono_to_p(1, chi, m)) == dict(ref.h_mono_to_p(1, chi))
+        h = eng.normalize([(('h', 1), T)] * 2)
+        assert eng.to_divided(h) == ref.to_divided_h_mono(1, chi)
+
+
+def test_shared_values_cannot_be_corrupted():
+    eng, fresh = make("sl3"), make("sl3")
+    ref = StraighteningCartan(fresh)
+    chi = Multiset.of(T, T, T2)
+    h = eng.normalize([(('h', 1), T), (('h', 1), T), (('h', 1), T2), (('h', 2), T)])
+    want_df = fresh.to_divided(h)
+    # returned elements are copies
+    eng.p(1, chi).terms.clear()
+    got = eng.p_vector((1, 0), chi)
+    got.terms[()] = 7
+    eng.to_divided(h).terms.clear()
+    eng.to_divided(h).terms[()] = 3
+    # returned conversion tuples are immutable
+    for conv in (cartan_p((1, 0), chi, eng.monoid), h_mono_to_p(1, chi, eng.monoid),
+                 eng._block_memo[next(iter(eng._block_memo))]):
+        with pytest.raises(TypeError):
+            conv[0] = conv[0]
+        with pytest.raises(AttributeError):
+            conv.clear()
+    assert eng.p(1, chi) == ref.p_vector((1, 0), chi)
+    assert eng.p_vector((1, 0), chi) == ref.p_vector((1, 0), chi)
+    assert dict(h_mono_to_p(1, chi, eng.monoid)) == dict(ref.h_mono_to_p(1, chi))
+    assert eng.to_divided(h) == want_df
+    assert eng.from_divided(eng.to_divided(h)) == h
+
+
+# -- the block memo of to_divided: a warm engine gives what a fresh one does --
+
+CONFIGS = [("sl3", "trunc:4", "triangular"), ("sl21", "trunc:4", "triangular"),
+           ("osp12", "trunc:4", "triangular"), ("sl2", "poly2", "triangular"),
+           ("sl2", "poly2", "lex")]
+_warm = {}
+
+
+def _elems(monoid):
+    return POLY2 if monoid == "poly2" else [ONE, T, T2, T3]
+
+
+@st.composite
+def canonical_elements(draw):
+    """(config, words): a config and 1-3 scaled words of up to 5 letters,
+    about half of them Cartan letters on any h_i."""
+    config = draw(st.sampled_from(CONFIGS))
+    spec, elems = preset(config[0]), _elems(config[1])
+    cartan = [(('h', i), a) for i in range(1, spec.rank + 1) for a in elems]
+    roots = [(('x', r.label), a) for r in spec.roots for a in elems]
+    letter = st.one_of(st.sampled_from(cartan), st.sampled_from(roots))
+    coeff = st.sampled_from([1, -2, 3, Fraction(1, 2), Fraction(-3, 4)])
+    words = draw(st.lists(st.tuples(st.lists(letter, min_size=1, max_size=5), coeff),
+                          min_size=1, max_size=3))
+    return config, words
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_elements())
+def test_warm_block_memo_matches_fresh_engine(case):
+    config, words = case
+    warm = _warm.get(config)
+    if warm is None:
+        warm = _warm[config] = make(*config)
+    x = UElem.sum([warm.normalize(w, c) for w, c in words])
+    df = warm.to_divided(x)
+    assert df == make(*config).to_divided(x)
+    _assert_exact(df.terms.values())
+    assert warm.from_divided(df) == x
+
+
+def test_block_memo_covers_odd_and_cartan_blocks():
+    eng = make("sl21")
+    x = eng.normalize([(('x', 'a2'), T), (('h', 1), T), (('h', 1), T2), (('h', 2), ONE),
+                       (('x', 'a1'), T), (('x', 'a1'), T)])
+    df = eng.to_divided(x)
+    assert eng.from_divided(df) == x
+    syms = {block[0][0] for block in eng._block_memo}
+    assert {('h', 1), ('h', 2), ('x', 'a2'), ('x', 'a1')} <= syms
+    assert df == make("sl21").to_divided(x)

@@ -92,6 +92,20 @@ def test_verify_unknown_id(capsys):
     assert "unknown identity id" in err
 
 
+@pytest.mark.parametrize("ident", ["4.11", "deg6"])
+def test_verify_id_without_instance_names_id_and_algebra(capsys, ident):
+    # an odd-root id on sl2, which has no odd roots; no flag was given
+    code, out, err = run(capsys, "verify", "--algebra", "sl2", "--id", ident)
+    assert code == 2 and not out
+    assert err == "error: check %s has no instance on algebra sl2\n" % ident
+
+
+def test_verify_flags_without_match_blame_the_flags(capsys):
+    code, _, err = run(capsys, "verify", "--algebra", "sl21", "--id", "4.11", "--gamma", "a1")
+    assert code == 2
+    assert err == "error: no parameter combination matches the given flags\n"
+
+
 def test_verify_has_no_seed_flag(capsys):
     # --seed was parsed and then ignored; it is gone, so argparse refuses it
     with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
 from superpbw.engine import AlgebraError, Combination, DividedForm, Engine, NEG_INF, Order, \
-    UElem, key_degree
+    UElem, h_mono_to_p, key_degree
 from superpbw.identities import divided_D
 
 ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
@@ -362,7 +362,7 @@ def test_coefficients_are_int_or_proper_fraction(name):
         assert back == x
     for i in range(1, eng.spec.rank + 1):
         for chi in (Multiset.of(T), Multiset.of(T, T2), Multiset.of(T, T)):
-            _assert_exact(c for _, c in eng._h_mono_to_p(i, chi))
+            _assert_exact(c for _, c in h_mono_to_p(i, chi, eng.monoid))
 
 
 def test_divided_round_trip_with_integer_p_lead():
@@ -374,7 +374,7 @@ def test_divided_round_trip_with_integer_p_lead():
     x = eng.normalize([(('h', 1), T), (('h', 1), T2)], Fraction(1, 3))
     df = eng.to_divided(x)
     _assert_exact(df.terms.values())
-    _assert_exact(c for _, c in eng._h_mono_to_p(1, chi))
+    _assert_exact(c for _, c in h_mono_to_p(1, chi, eng.monoid))
     assert eng.from_divided(df) == x
     with pytest.raises(TypeError):
         eng.normalize([(('h', 1), T)], 0.5)
@@ -392,10 +392,10 @@ def test_memo_values_cannot_be_mutated():
     assert eng._insert(word, letter, {}) == got
     assert eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]) == \
         make("sl2").normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
-    conv = eng._h_mono_to_p(1, Multiset.of(T, T))
+    conv = h_mono_to_p(1, Multiset.of(T, T), eng.monoid)
     with pytest.raises(AttributeError):
         conv.clear()
-    assert eng._h_mono_to_p(1, Multiset.of(T, T)) == conv
+    assert h_mono_to_p(1, Multiset.of(T, T), eng.monoid) == conv
 
 
 def test_p_hands_out_copies():
