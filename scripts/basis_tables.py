@@ -11,8 +11,7 @@ import sys
 from collections import Counter
 
 from superpbw.algebra import SpecError
-from superpbw.engine import key_degree
-from superpbw.exprio import divided_key_str, divided_sort_key
+from superpbw.exprio import blocks_str, divided_blocks
 from superpbw.verify import genfun_counts, load_engine
 
 
@@ -33,7 +32,7 @@ def main():
 
     oracle = genfun_counts(spec, engine.monoid, args.degree)
     keys = engine.enumerate_basis(args.degree)
-    counts = Counter(key_degree(k) for k in keys)
+    counts = Counter(map(len, keys))
     print("algebra %s, coefficients %s, degree <= %d"
           % (spec.name, engine.monoid.name, args.degree))
     print("degree | enumerated | generating function")
@@ -45,11 +44,11 @@ def main():
 
     for title, seg in (("B-", -1), ("B0", 0), ("B+", 1)):
         syms = [s for s in engine.order.syms if engine.segment_of(s) == seg]
-        part = engine.enumerate_basis(args.degree, syms)
-        part.sort(key=lambda k: (key_degree(k), divided_sort_key(engine, k)))
+        part = sorted((len(k), divided_blocks(engine, k))
+                      for k in engine.enumerate_basis(args.degree, syms))
         print("\n%s (%d elements)" % (title, len(part)))
-        for k in part:
-            print("  %s" % divided_key_str(engine, k))
+        for _, blocks in part:
+            print("  %s" % blocks_str(engine, blocks))
     return 0
 
 

@@ -6,7 +6,7 @@ from .combinatorics import Multiset, binomial, multinomial, pi_product, \
 from .coeffalg import MonoidBasis, MonoidError, monoid_preset
 from .algebra import Root, RootStringData, SpecError, SuperAlgebraSpec, \
     dump_spec, load_spec, preset, root_string, validate, PRESET_NAMES
-from .engine import AlgebraError, DividedForm, Engine, NEG_INF, Order, UElem, key_degree
+from .engine import AlgebraError, DividedForm, Engine, NEG_INF, Order, UElem
 from .identities import SignTemplate, divided_D
 from .exprio import ParseError, divided_str, parse_expr, uelem_str, word_str
 from .verify import CheckReport, SuiteConfig, SuiteResult, SweepBounds, \

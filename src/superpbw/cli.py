@@ -10,9 +10,9 @@ import sys
 
 from .algebra import SpecError, read_algebra, spec_from_source, validate, PRESET_NAMES
 from .coeffalg import MonoidError
-from .engine import AlgebraError, key_degree
-from .exprio import ParseError, divided_key_str, divided_sort_key, divided_str, \
-    parse_expr, parse_mset, uelem_str
+from .engine import AlgebraError
+from .exprio import ParseError, blocks_str, divided_blocks, divided_str, parse_expr, \
+    parse_mset, uelem_str
 from . import identities as ident
 from . import verify as ver
 
@@ -106,11 +106,10 @@ def cmd_basis(args):
     print("ALGEBRA %s MONOID %s DEGREE %d" % (engine.spec.name, engine.monoid.name, d))
     for title, seg in (("B-", -1), ("B0", 0), ("B+", 1), ("B", None)):
         syms = [s for s in engine.order.syms if seg is None or engine.segment_of(s) == seg]
-        keys = engine.enumerate_basis(d, syms)
-        keys.sort(key=lambda k: (key_degree(k), divided_sort_key(engine, k)))
+        keys = sorted((len(k), divided_blocks(engine, k)) for k in engine.enumerate_basis(d, syms))
         print("%s (%d)" % (title, len(keys)))
-        for k in keys:
-            print(divided_key_str(engine, k))
+        for _, blocks in keys:
+            print(blocks_str(engine, blocks))
     return 0
 
 

@@ -101,14 +101,8 @@ class Multiset:
 EMPTY = Multiset()
 
 
-def multisets_upto(elems, cap, odd=False):
-    """All multisets over elems with size <= cap; 0/1 multiplicities when
-    odd is set."""
-    if odd:
-        picks = [[]]
-        for e in elems:
-            picks += [p + [e] for p in picks if len(p) < cap]
-        return [Multiset.of(*p) for p in picks]
+def multisets_upto(elems, cap):
+    """All multisets over elems with size <= cap."""
     out = []
 
     def rec(idx, budget, acc):

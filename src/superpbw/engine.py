@@ -8,8 +8,7 @@ import math
 from fractions import Fraction
 from operator import itemgetter
 
-from .combinatorics import EMPTY, Multiset, enumerate_sub, factorial_product, multinomial, \
-    multisets_upto, pi_product
+from .combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
 
 NEG_INF = float("-inf")
 
@@ -191,8 +190,10 @@ class UElem(Combination):
 
 
 class DividedForm(Combination):
-    """Element in the divided-power integral basis: keys are ordered tuples of
-    (sym, multiset-over-B) pairs, one per generator appearing."""
+    """Element in the divided-power integral basis.  A key is a canonical word,
+    as for UElem, read block by block: the letters of an even root x_alpha
+    carrying a, a, b name (x_alpha (x) a)^(2) (x_alpha (x) b), those of h_i
+    name p_i({a, a, b}), and odd letters name themselves."""
 
     __slots__ = ()
 
@@ -206,10 +207,6 @@ class DividedForm(Combination):
 def word_runs(word):
     """The runs of a canonical word as (letter, exponent) pairs."""
     return [(L, len(list(g))) for L, g in itertools.groupby(word)]
-
-
-def key_degree(key):
-    return sum(ms.size for _, ms in key)
 
 
 # The Cartan block U(h (x) A) is commutative, so p(chi) and the p-basis
@@ -305,6 +302,7 @@ class Engine:
         self._insert_memo = {}
         self._p_memo = {}
         self._block_memo = {}
+        self._from_block_memo = {}
         self._divpow_memo = {}
 
     # -- letters ---------------------------------------------------------
@@ -530,50 +528,54 @@ class Engine:
 
     # -- divided / p-basis conversion --------------------------------------
 
-    def _block(self, sym, block):
+    def _to_block(self, sym, block):
         """The divided-basis alternatives of one block, the letters of a
-        canonical word on one symbol, as a tuple of (key part or None, coeff)
-        pairs."""
-        ms = Multiset.of(*(a for _, a in block))
+        canonical word on one symbol, as a tuple of (word, coeff) pairs: the
+        p_i-basis expansion on h_i, the block times prod e! over its runs on
+        a root."""
         if sym[0] == 'h':
-            return tuple(((sym, phi) if phi else None, c)
-                         for phi, c in h_mono_to_p(sym[1], ms, self.monoid))
-        if self._parity[sym] == 0:
-            return (((sym, ms), factorial_product(ms)),)
-        if len(ms.items()) < len(block):
+            chi = Multiset.of(*(a for _, a in block))
+            return tuple((tuple(sorted([(sym, a) for a, e in phi.items() for _ in range(e)],
+                                       key=self._key)), c)
+                         for phi, c in h_mono_to_p(sym[1], chi, self.monoid))
+        runs = [len(list(g)) for _, g in itertools.groupby(block)]
+        if self._parity[sym] and max(runs) > 1:
             raise AlgebraError("odd letter with exponent > 1 in a canonical word")
-        return (((sym, ms), 1),)
+        return ((block, math.prod(map(math.factorial, runs))),)
 
-    def to_divided(self, x):
-        """Exact change of basis into the divided-power integral basis."""
-        memo, out = self._block_memo, {}
+    def _from_block(self, sym, block):
+        """The inverse of `_to_block`: p_i(chi) on h_i, its coefficient inverted on a root."""
+        if sym[0] == 'h':
+            return tuple(self.p(sym[1], Multiset.of(*(a for _, a in block))).terms.items())
+        (word, c), = self._to_block(sym, block)
+        return ((word, _exact(Fraction(1, c))),)
+
+    def _convert(self, x, memo, block_of, cls):
+        """x in the other basis: each word split into its blocks on one symbol,
+        each block replaced by its alternatives (`block_of`, kept in `memo`),
+        and each choice of alternatives concatenated.  Blocks come in symbol
+        order, so the concatenation is their product."""
+        out = {}
         for w, c in x.terms.items():
             parts = []
             for sym, letters in itertools.groupby(w, itemgetter(0)):
                 block = tuple(letters)
                 alts = memo.get(block)
                 if alts is None:
-                    alts = memo[block] = self._block(sym, block)
+                    alts = memo[block] = block_of(sym, block)
                 parts.append(alts)
             for choice in itertools.product(*parts):
-                key = tuple([part for part, _ in choice if part])
+                key = tuple(itertools.chain.from_iterable([part for part, _ in choice]))
                 out[key] = out.get(key, 0) + c * math.prod([c2 for _, c2 in choice])
-        return DividedForm._wrap({k: _exact(c) for k, c in out.items() if c})
+        return cls._wrap({k: _exact(c) for k, c in out.items() if c})
+
+    def to_divided(self, x):
+        """Exact change of basis into the divided-power integral basis."""
+        return self._convert(x, self._block_memo, self._to_block, DividedForm)
 
     def from_divided(self, df):
-        """Inverse of to_divided."""
-        terms = []
-        for key in df.terms:
-            term = self.one()
-            for sym, ms in key:
-                if sym[0] == 'h':
-                    factor = self.p(sym[1], ms)
-                else:
-                    word = tuple((sym, a) for a, e in ms.items() for _ in range(e))
-                    factor = UElem({word: Fraction(1, factorial_product(ms))})
-                term = self.mul(term, factor)
-            terms.append(term)
-        return UElem.sum(terms, df.terms.values())
+        """Inverse of to_divided, for keys that are canonical words."""
+        return self._convert(df, self._from_block_memo, self._from_block, UElem)
 
     def is_integral(self, x):
         """Integral-form membership test; accepts UElem or DividedForm."""
@@ -584,26 +586,18 @@ class Engine:
     # -- basis enumeration and triangular splitting -------------------------
 
     def enumerate_basis(self, degree_cap, syms=None):
-        """All divided-basis keys of filtration degree <= degree_cap, ordered
-        deterministically.  Needs a finite coefficient basis."""
+        """All divided-basis keys of filtration degree <= degree_cap, by degree
+        and then in word order.  Needs a finite coefficient basis."""
         if degree_cap < 0:
             raise AlgebraError("degree cap must be >= 0")
-        elems = self.monoid.elements()
         if syms is None:
             syms = self.order.syms
-        keys = []
-
-        def rec(pos, remaining, acc):
-            if pos == len(syms):
-                keys.append(tuple(acc))
-                return
-            sym = syms[pos]
-            odd = self._parity[sym] == 1
-            for ms in multisets_upto(elems, remaining, odd):
-                rec(pos + 1, remaining - ms.size, acc + ([(sym, ms)] if ms else []))
-
-        rec(0, degree_cap, [])
-        return keys
+        letters = sorted((self.letter(sym, a) for sym in syms for a in self.monoid.elements()),
+                         key=self._key)
+        # in a sorted word a repeated letter is adjacent to its copy
+        return [w for n in range(degree_cap + 1)
+                for w in itertools.combinations_with_replacement(letters, n)
+                if not any(u == v and self._parity[u[0]] for u, v in zip(w, w[1:]))]
 
     def segment_of(self, sym):
         """-1 / 0 / +1 for negative-root / Cartan / positive-root symbols."""
@@ -620,13 +614,12 @@ class Engine:
         else:
             eng = Engine(self.spec, self.monoid, Order.triangular(self.spec))
             y = eng.adopt(x)
-        df = eng.to_divided(y)
+        segment = {sym: eng.segment_of(sym) for sym in eng.order.syms}
         out = []
-        for key, c in df.terms.items():
-            neg = tuple(kp for kp in key if eng.segment_of(kp[0]) < 0)
-            zero = tuple(kp for kp in key if eng.segment_of(kp[0]) == 0)
-            pos = tuple(kp for kp in key if eng.segment_of(kp[0]) > 0)
-            if neg + zero + pos != key:
+        for key, c in eng.to_divided(y).terms.items():
+            segs = [segment[sym] for sym, _ in key]
+            if segs != sorted(segs):
                 raise AlgebraError("triangular order failed to segment %r" % (key,))
-            out.append((c, neg, zero, pos))
+            n0, n1 = segs.count(-1), len(segs) - segs.count(1)
+            out.append((c, key[:n0], key[n0:n1], key[n1:]))
         return eng, out

@@ -4,9 +4,11 @@ printers.  Letters are x[<label>]{<elt>} and h[<i>]{<elt>} with ^r plain and
 juxtaposition; rational scalars; + - and parentheses.  A multiset lists
 elt:mult entries, a bare elt counting once; empty or 0 is the empty one."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from .combinatorics import Multiset
 from .engine import UElem, word_runs
@@ -243,27 +245,39 @@ def uelem_str(engine, x, multiline=False):
     return _join_terms([(c, runs_str(engine, runs)) for runs, c in terms], multiline)
 
 
-def mset_str(engine, ms):
-    return ",".join("%s:%d" % (engine.monoid.format_elt(e), m) for e, m in ms.items())
+def mset_str(engine, pairs):
+    """A multiset, given by its (element, multiplicity) pairs, as text."""
+    return ",".join("%s:%d" % (engine.monoid.format_elt(e), m) for e, m in pairs)
+
+
+def divided_blocks(engine, key):
+    """A divided-basis key as its blocks on one symbol: (order rank, sym,
+    runs) triples, runs being (element, exponent) pairs sorted by element
+    tuple.  That is Multiset order, not the word's, which puts degree first
+    (they differ on poly2); the printed divided basis keeps it on purpose."""
+    return tuple((engine.order.rank(sym), sym,
+                  tuple(sorted((a, len(list(g)))
+                               for a, g in itertools.groupby(a for _, a in letters))))
+                 for sym, letters in itertools.groupby(key, itemgetter(0)))
+
+
+def blocks_str(engine, blocks):
+    """A divided-basis key, given by its blocks (`divided_blocks`), as text."""
+    parts = []
+    for _, sym, runs in blocks:
+        if sym[0] == 'h':
+            parts.append("p[%d]{%s}" % (sym[1], mset_str(engine, runs)))
+        else:
+            parts += [letter_str(engine, (sym, a), e, divided=True) for a, e in runs]
+    return " ".join(parts) or "1"
 
 
 def divided_key_str(engine, key):
-    if not key:
-        return "1"
-    parts = []
-    for sym, ms in key:
-        if sym[0] == 'h':
-            parts.append("p[%d]{%s}" % (sym[1], mset_str(engine, ms)))
-        else:
-            for aelt, m in ms.items():
-                parts.append(letter_str(engine, (sym, aelt), m, divided=True))
-    return " ".join(parts)
-
-
-def divided_sort_key(engine, key):
-    return tuple((engine.order.rank(sym), ms.sort_key()) for sym, ms in key)
+    return blocks_str(engine, divided_blocks(engine, key))
 
 
 def divided_str(engine, df, multiline=False):
-    keys = sorted(df.terms, key=lambda k: divided_sort_key(engine, k))
-    return _join_terms([(df.terms[k], divided_key_str(engine, k)) for k in keys], multiline)
+    """df term by term in block order, each key's blocks formed once."""
+    terms = sorted(((divided_blocks(engine, k), c) for k, c in df.terms.items()),
+                   key=itemgetter(0))
+    return _join_terms([(c, blocks_str(engine, b)) for b, c in terms], multiline)

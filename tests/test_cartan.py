@@ -1,8 +1,8 @@
 """The Cartan block: `cartan_p`/`p_vector` and `h_mono_to_p` in the
 commutative ring, against a reference that builds p(chi) through the
 non-commutative straightening core (`Engine.mul`) and inverts it the same
-way; the process-wide tables; and the per-engine block memo of
-`to_divided`."""
+way, and `cartan_p` against its closed form as an exponential; the
+process-wide tables; and the per-engine block memo of `to_divided`."""
 
 import itertools
 from fractions import Fraction
@@ -87,7 +87,9 @@ class StraighteningCartan:
 
     def to_divided_h_mono(self, i, chi):
         """The divided form of the monomial prod_a (h_i (x) a)^chi(a)."""
-        return DividedForm({(((('h', i), phi),) if phi else ()): c
+        eng = self.engine
+        return DividedForm({tuple(sorted(((('h', i), a) for a, e in phi.items() for _ in range(e)),
+                                         key=eng._key)): c
                             for phi, c in self.h_mono_to_p(i, chi)})
 
 
@@ -132,6 +134,48 @@ def test_cartan_ring_matches_straightening_reference_poly2(order):
     # on poly2 the engine orders letters by degree first, a monomial by
     # exponent tuple, so the conversion to words must re-sort
     _check_against_reference(make("sl2", "poly2", order), POLY2, 4)
+
+
+def closed_form_p(chi, monoid):
+    """p(chi) for h = h_1 without the recursion of `cartan_p`:
+
+        p(chi) = [z^chi] exp(-sum_{0 != psi <= chi} (m(psi)/|psi|) (h (x) pi(psi)) z^psi),
+
+    the exponential summed as a power series in z truncated to the
+    sub-multisets of chi, over the commutative ring of the letters h (x) a (a
+    monomial is a sorted tuple of letters).  As a dict monomial -> coeff."""
+    subs = [Multiset(zip((a for a, _ in chi.items()), ms))
+            for ms in itertools.product(*(range(m + 1) for _, m in chi.items()))]
+    log = {psi: ((('h', 1), pi_product(psi, monoid)), Fraction(-multinomial(psi), psi.size))
+           for psi in subs if psi and pi_product(psi, monoid) is not None}
+    power = {EMPTY: {(): Fraction(1)}}          # log^n / n!, by power of z
+    out = {}
+    for n in range(1, chi.size + 1):
+        nxt = {}
+        for psi1, f in power.items():
+            for psi2, (letter, c2) in log.items():
+                if not psi1 + psi2 <= chi:
+                    continue
+                acc = nxt.setdefault(psi1 + psi2, {})
+                for mono, c1 in f.items():
+                    mono = tuple(sorted(mono + (letter,)))
+                    acc[mono] = acc.get(mono, 0) + c1 * c2 / n
+        power = nxt
+        for mono, c in power.get(chi, {}).items():
+            out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+@pytest.mark.parametrize("monoid, elems, cap, count", [
+    ("trunc:4", [ONE, T, T2, T3], 4, 69),
+    ("poly2", [(0, 0), (1, 0), (0, 1), (1, 1)], 3, 34),
+])
+def test_cartan_p_matches_closed_form(monoid, elems, cap, count):
+    mon = monoid_preset(monoid)
+    cases = chis(elems, cap)
+    assert len(cases) == count
+    for chi in cases:
+        assert dict(cartan_p((1,), chi, mon)) == closed_form_p(chi, mon), (monoid, chi)
 
 
 def test_process_tables_are_keyed_by_monoid_fields():
