@@ -30,6 +30,14 @@ class RootStringData:
     c: int                   # structure constant of [x_alpha, x_beta] on x_{alpha+beta}
 
 
+@dataclass(frozen=True)
+class PairPlane:
+    """The plane two even roots alpha, beta span, as Lemma 4.4 reads it."""
+    kind: object             # "A1xA1", "A2", "B2", "G2", or None for another count
+    bottom: bool             # beta - alpha is no root, or alpha + beta is none
+    quadrant: tuple          # the (i, j), 1 <= i, j <= 4, with i*alpha + j*beta a root
+
+
 class SuperAlgebraSpec:
     """Immutable bracket table for a superalgebra with one-dimensional root
     spaces.  Symbols are ('h', i) for Cartan generators and ('x', label) for
@@ -50,6 +58,7 @@ class SuperAlgebraSpec:
                                 % (self._by_ev[r.ev], r.label, r.ev))
             self._by_ev[r.ev] = r.label
         self.brackets = {}
+        self._planes = {}        # (alpha, beta) -> PairPlane, filled by pair_plane
         for (s1, s2), terms in brackets.items():
             terms = tuple((sym, int(c)) for sym, c in terms if c)
             if terms:
@@ -221,6 +230,26 @@ def root_string(spec, alpha, beta):
         raise SpecError("|c_{%s,%s}| = %d but the root string gives r+1 = %d"
                         % (alpha, beta, abs(c), r + 1))
     return RootStringData(alpha, beta, r, q, c)
+
+
+def pair_plane(spec, alpha, beta):
+    """The PairPlane of two even roots, classified once per spec.  Its type
+    comes from the count of even roots i*alpha + j*beta, (i, j) != 0,
+    |i|, |j| <= 4.  When alpha + beta is a root the bottom comes from
+    `root_string`, so a table that breaks the Chevalley magnitude rule raises
+    SpecError here."""
+    plane = spec._planes.get((alpha, beta))
+    if plane is None:
+        ra, rb = spec.root(alpha), spec.root(beta)
+        span = {(i, j): spec.find_root(tuple(i * x + j * y for x, y in zip(ra.ev, rb.ev)))
+                for i in range(-4, 5) for j in range(-4, 5) if i or j}
+        span = {ij: lab for ij, lab in span.items() if lab is not None}
+        count = sum(spec.root(lab).parity == 0 for lab in span.values())
+        plane = spec._planes[alpha, beta] = PairPlane(
+            {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}.get(count),
+            (1, 1) not in span or root_string(spec, alpha, beta).r == 0,
+            tuple(ij for ij in span if min(ij) >= 1))
+    return plane
 
 
 # ---------------------------------------------------------------------------

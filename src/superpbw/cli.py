@@ -2,10 +2,12 @@
 enumerate integral bases, build p/D elements, and validate algebra tables.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-parse error."""
+parse error, 141 (as for SIGPIPE) when stdout is closed before the output is
+written."""
 
 import argparse
 import functools
+import os
 import sys
 
 from .algebra import SpecError, read_algebra, spec_from_source, validate, PRESET_NAMES
@@ -219,7 +221,13 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`| head`): write the rest to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ParseError, SpecError, MonoidError, AlgebraError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

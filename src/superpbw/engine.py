@@ -574,7 +574,17 @@ class Engine:
         return self._convert(x, self._block_memo, self._to_block, DividedForm)
 
     def from_divided(self, df):
-        """Inverse of to_divided, for keys that are canonical words."""
+        """Inverse of to_divided.  A key that is not a canonical word of this
+        engine raises AlgebraError naming it."""
+        for w in df.terms:
+            try:
+                keys = [self._key(self.letter(*L)) for L in w]
+            except (TypeError, ValueError):     # not (symbol, element) letters
+                keys = None
+            if keys is None or any(k2 < k1 or (k1 == k2 and self._parity[L[0]])
+                                   for k1, k2, L in zip(keys, keys[1:], w)):
+                raise AlgebraError("divided-basis key %r is not a canonical word of %s"
+                                   % (w, self.spec.name))
         return self._convert(df, self._from_block_memo, self._from_block, UElem)
 
     def is_integral(self, x):

@@ -4,7 +4,6 @@ printers.  Letters are x[<label>]{<elt>} and h[<i>]{<elt>} with ^r plain and
 juxtaposition; rational scalars; + - and parentheses.  A multiset lists
 elt:mult entries, a bare elt counting once; empty or 0 is the empty one."""
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -255,10 +254,13 @@ def divided_blocks(engine, key):
     runs) triples, runs being (element, exponent) pairs sorted by element
     tuple.  That is Multiset order, not the word's, which puts degree first
     (they differ on poly2); the printed divided basis keeps it on purpose."""
-    return tuple((engine.order.rank(sym), sym,
-                  tuple(sorted((a, len(list(g)))
-                               for a, g in itertools.groupby(a for _, a in letters))))
-                 for sym, letters in itertools.groupby(key, itemgetter(0)))
+    blocks = []
+    for (sym, a), e in word_runs(key):
+        if blocks and blocks[-1][1] == sym:
+            blocks[-1][2].append((a, e))
+        else:
+            blocks.append((engine.order.rank(sym), sym, [(a, e)]))
+    return tuple((rank, sym, tuple(sorted(runs))) for rank, sym, runs in blocks)
 
 
 def blocks_str(engine, blocks):

@@ -8,8 +8,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, enumerate_sub, \
-    factorial_product, multinomial, pi_product
+from .combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, factorial_product, \
+    multinomial, pi_product
 from .engine import AlgebraError, UElem
 from .algebra import root_string
 
@@ -167,14 +167,11 @@ def rhs_4_3(engine, ps):
     return UElem.sum(terms, signs)
 
 
-def _cs_x_product(engine, root_label, base_elt, hi, psi, negate_eval):
-    """prod_phi (binom(alpha(h_i)+|phi|-1, |phi|) m(phi) (x (x) b pi(phi)))^(psi(phi)),
-    with alpha(h_i) read from the moving letter's root (negated for the
-    p-then-x side)."""
-    spec, mon = engine.spec, engine.monoid
-    ev = spec.root(root_label).ev[hi - 1]
-    if negate_eval:
-        ev = -ev
+def _cs_x_product(engine, root_label, base_elt, ev, psi):
+    """(prod_phi (binom(ev+|phi|-1, |phi|) m(phi) (x_root (x) b pi(phi)))^(psi(phi)),
+    sum_phi psi(phi) phi), ev being alpha(h_i) of the law's alpha; the product
+    is 0, and the sum not formed, once a factor vanishes."""
+    mon = engine.monoid
     out = engine.one()
     for phi, n in psi.items():
         c0 = binomial(ev + phi.size - 1, phi.size) * multinomial(phi)
@@ -182,49 +179,44 @@ def _cs_x_product(engine, root_label, base_elt, hi, psi, negate_eval):
         belt = mon.mul(base_elt, pphi) if pphi is not None else None
         factor = scaled_divided(engine, ('x', root_label), belt, c0, n)
         if not factor:
-            return UElem()
+            return UElem(), None
         out = engine.mul(out, factor)
-    return out
+    return out, Multiset([(a, n * m) for phi, n in psi.items() for a, m in phi.items()])
 
 
-def _consumed(psi):
-    total = Multiset()
-    for phi, n in psi.items():
-        total = total + n * phi
-    return total
+def _cartan_past_root(engine, ps, root, alpha, b, r, x_first=False):
+    """The Cartan-past-root law: the sum over psi in CS(chi, r) of
+    p_i(chi - sum psi) times the x-part `_cs_x_product` of x_root (x) b at
+    ev = alpha(h_i), the x-part first when x_first.  4.4 and 4.5 are it at
+    any r; L4.3 and 4.7 at r = 1, where CS(chi, 1) = {phi <= chi}."""
+    i, chi = ps["i"], ps["chi"]
+    ev = engine.spec.root(alpha).ev[i - 1]
+    terms = []
+    for psi in enumerate_CS(chi, r):
+        xpart, consumed = _cs_x_product(engine, root, b, ev, psi)
+        if xpart:
+            p = engine.p(i, chi - consumed)
+            terms.append(engine.mul(xpart, p) if x_first else engine.mul(p, xpart))
+    return UElem.sum(terms)
 
 
 def rhs_4_4(engine, ps):
-    alpha, i, b, r, chi = ps["alpha"], ps["i"], ps["b"], ps["r"], ps["chi"]
-    xparts = ((psi, _cs_x_product(engine, alpha, b, i, psi, negate_eval=False))
-              for psi in enumerate_CS(chi, r))
-    return UElem.sum(engine.mul(engine.p(i, chi - _consumed(psi)), xpart)
-                     for psi, xpart in xparts if xpart)
+    return _cartan_past_root(engine, ps, ps["alpha"], ps["alpha"], ps["b"], ps["r"])
 
 
 def rhs_4_5(engine, ps):
-    alpha, i, b, r, chi = ps["alpha"], ps["i"], ps["b"], ps["r"], ps["chi"]
-    nalpha = engine.spec.negative_of(alpha)
     # the letter carries -alpha, the binomial still uses alpha(h_i)
-    xparts = ((psi, _cs_x_product(engine, nalpha, b, i, psi, negate_eval=True))
-              for psi in enumerate_CS(chi, r))
-    return UElem.sum(engine.mul(xpart, engine.p(i, chi - _consumed(psi)))
-                     for psi, xpart in xparts if xpart)
+    return _cartan_past_root(engine, ps, engine.spec.negative_of(ps["alpha"]), ps["alpha"],
+                             ps["b"], ps["r"], x_first=True)
 
 
-def _even_pair_type(spec, alpha, beta):
-    """A2/B2/G2 type of the plane spanned by two even roots, by counting the
-    even roots it contains."""
-    ra, rb = spec.root(alpha), spec.root(beta)
-    count = 0
-    for i in range(-4, 5):
-        for j in range(-4, 5):
-            if i == j == 0:
-                continue
-            lab = spec.find_root(tuple(i * x + j * y for x, y in zip(ra.ev, rb.ev)))
-            if lab is not None and spec.root(lab).parity == 0:
-                count += 1
-    return {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}.get(count)
+# The shapes (j, k) of the roots j*alpha + k*beta that each case of Lemma 4.4
+# displays: the mixed divided powers of its right-hand side.
+CASE_SHAPES = {
+    "A2": ((1, 1),),
+    "B2": ((1, 1), (2, 1)),
+    "G2": ((1, 1), (2, 1), (3, 1), (3, 2)),
+}
 
 
 def _pair_powers(engine, ps, jk_counts):
@@ -294,50 +286,32 @@ def rhs_L44a(engine, ps):
     eps = dict(spec.bracket(('x', alpha), ('x', beta))).get(('x', absum), 0)
     if eps not in (1, -1):
         raise AlgebraError("A2 case wants [x_%s, x_%s] = +- x_{%s}" % (alpha, beta, absum))
+    shape, = CASE_SHAPES["A2"]
     ks = range(min(ps["r"], ps["s"]) + 1)
-    return UElem.sum((_pair_powers(engine, ps, (((1, 1), k),) if k else ()) for k in ks),
+    return UElem.sum((_pair_powers(engine, ps, ((shape, k),) if k else ()) for k in ks),
                      (eps ** k for k in ks))
 
 
 def rhs_L44b(engine, ps):
     """B2 case: one sign slot per (k1, k2) != (0, 0)."""
-    return _sign_template(engine, ps, ((1, 1), (2, 1)), _k_label)
+    return _sign_template(engine, ps, CASE_SHAPES["B2"], _k_label)
 
 
 def rhs_L44c(engine, ps):
     """G2 case: one sign slot per (k1, k2, k3, k4) != 0; the k4 slot carries
     x_{3 alpha + 2 beta}."""
-    return _sign_template(engine, ps, ((1, 1), (2, 1), (3, 1), (3, 2)), _k_label)
+    return _sign_template(engine, ps, CASE_SHAPES["G2"], _k_label)
 
 
 # ---------------------------------------------------------------------------
 # identities with odd generators
 
-def _x_past_p(engine, delta, b, i, chi):
-    """(x_delta (x) b) p_i(chi) = sum_{psi <= chi} binom(|psi|-1+delta(h_i), |psi|)
-    m(psi) p_i(chi - psi) (x_delta (x) b pi(psi))."""
-    spec, mon = engine.spec, engine.monoid
-    ev = spec.root(delta).ev[i - 1]
-    terms, scalars = [], []
-    for psi in enumerate_sub(chi):
-        c0 = binomial(psi.size - 1 + ev, psi.size) * multinomial(psi)
-        if not c0:
-            continue
-        ppsi = pi_product(psi, mon)
-        belt = mon.mul(b, ppsi) if ppsi is not None else None
-        if belt is None:
-            continue
-        terms.append(engine.mul(engine.p(i, chi - psi), engine.gen_elem(('x', delta), belt)))
-        scalars.append(c0)
-    return UElem.sum(terms, scalars)
-
-
 def rhs_L43(engine, ps):
-    return _x_past_p(engine, ps["delta"], ps["b"], ps["i"], ps["chi"])
+    return _cartan_past_root(engine, ps, ps["delta"], ps["delta"], ps["b"], 1)
 
 
 def rhs_4_7(engine, ps):
-    return _x_past_p(engine, ps["gamma"], ps["a"], ps["i"], ps["chi"])
+    return _cartan_past_root(engine, ps, ps["gamma"], ps["gamma"], ps["a"], 1)
 
 
 def z_of(spec, gamma):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import identities as ident
 from .identities import DividedPower, Letter, PElement, minus, minus_two
-from .algebra import SpecError, read_algebra, root_string, spec_from_source, PRESET_NAMES
+from .algebra import SpecError, pair_plane, read_algebra, spec_from_source, PRESET_NAMES
 from .coeffalg import monoid_preset
 from .combinatorics import Multiset, binomial, multisets_upto, verify_comb_identity
 from .engine import Engine, Order, UElem, word_runs
@@ -155,45 +155,24 @@ def _gate_isotropic_partner(engine, ps):
     return True, ""
 
 
-def _chain_position_ok(engine, ps):
-    """The +-1-sign closed forms cover beta at the bottom of its alpha-string
-    (r_{alpha,beta} = 0); for a middle-of-string beta the bracket constant is
-    +-(r+1) and no unit-sign assignment can match."""
-    if engine.spec.root_sum(ps["alpha"], ps["beta"]) is None:
-        return True
-    return root_string(engine.spec, ps["alpha"], ps["beta"]).r == 0
+def _gate_plane(kind=None):
+    """beta at the bottom of its alpha-string: the +-1-sign closed forms cover
+    no other beta, for in the middle of the string the bracket constant is
+    +-(r+1) and no unit-sign assignment can match.  For Lemma 4.4's case
+    `kind` the plane of alpha and beta must first have that type, and then
+    every root i*alpha + j*beta (i, j >= 1) be a shape the case displays."""
+    shapes = set(ident.CASE_SHAPES.get(kind, ()))
 
-
-def _quadrant_within(engine, ps, allowed):
-    """True when every root i*alpha + j*beta (i, j >= 1) is one of the shapes
-    the case formula displays."""
-    spec = engine.spec
-    for i in range(1, 5):
-        for j in range(1, 5):
-            if spec.root_sum(ps["alpha"], ps["beta"], i, j) is not None \
-                    and (i, j) not in allowed:
-                return False
-    return True
-
-
-def _gate_pair_type(kind, allowed=None):
     def gate(engine, ps):
-        t = ident._even_pair_type(engine.spec, ps["alpha"], ps["beta"])
-        if t != kind:
-            return False, "pair type is %s, not %s" % (t, kind)
-        if allowed is not None:
-            if not _chain_position_ok(engine, ps):
-                return False, "beta is not at the bottom of its alpha-string"
-            if not _quadrant_within(engine, ps, allowed):
-                return False, "pair produces roots outside the displayed shapes"
+        plane = pair_plane(engine.spec, ps["alpha"], ps["beta"])
+        if kind and plane.kind != kind:
+            return False, "pair type is %s, not %s" % (plane.kind, kind)
+        if not plane.bottom:
+            return False, "beta is not at the bottom of its alpha-string"
+        if kind and not shapes.issuperset(plane.quadrant):
+            return False, "pair produces roots outside the displayed shapes"
         return True, ""
     return gate
-
-
-def _gate_chain_any(engine, ps):
-    if not _chain_position_ok(engine, ps):
-        return False, "beta is not at the bottom of its alpha-string"
-    return True, ""
 
 
 def _not_neg(first, second):
@@ -209,23 +188,18 @@ class IdentityCheck:
     rhs: object = None          # (engine, params) -> u*v in closed form
     where: object = None        # (engine, params) -> False drops the instance
     applicable: object = _applicable_true
-    sign_key: object = None     # params -> cache key for solved sign reuse
     run: object = None          # (engine, params, u, v) -> (verdict, detail), for
                                 # an algebra check that is not an LHS = RHS comparison
     standalone: object = None   # () -> CheckReport, for a check that reads no
                                 # algebra: a suite runs it once, after the algebras
 
 
-def _pair_sign_key(ps):
-    return (ps["alpha"], ps["beta"])
-
-
-def _pair_check(rhs, applicable, sign_key=None):
+def _pair_check(rhs, applicable):
     """4.6 and its case formulas: two even roots with beta != +-alpha."""
     return IdentityCheck(
         (("alpha", "even"), ("beta", "even"), ("a", "elem"), ("b", "elem"), ("r", "r"),
          ("s", "s")), (DividedPower("alpha", "a", "r"), DividedPower("beta", "b", "s")),
-        rhs, applicable=applicable, sign_key=sign_key,
+        rhs, applicable=applicable,
         where=lambda e, ps: ps["beta"] not in (ps["alpha"], e.spec.negative_of(ps["alpha"])))
 
 
@@ -282,12 +256,10 @@ IDENTITIES = {
                          _X_ALPHA_X_MINUS, ident.rhs_4_3),
     "4.4": IdentityCheck(_X_P, (DividedPower("alpha", "b", "r"), _P), ident.rhs_4_4),
     "4.5": IdentityCheck(_X_P, (_P, DividedPower(minus("alpha"), "b", "r")), ident.rhs_4_5),
-    "4.6": _pair_check(ident.rhs_4_6, _gate_chain_any, _pair_sign_key),
-    "L4.4a": _pair_check(ident.rhs_L44a, _gate_pair_type("A2")),
-    "L4.4b": _pair_check(ident.rhs_L44b, _gate_pair_type("B2", allowed={(1, 1), (2, 1)}),
-                         _pair_sign_key),
-    "L4.4c": _pair_check(ident.rhs_L44c, _gate_pair_type(
-        "G2", allowed={(1, 1), (2, 1), (3, 1), (3, 2)}), _pair_sign_key),
+    "4.6": _pair_check(ident.rhs_4_6, _gate_plane()),
+    "L4.4a": _pair_check(ident.rhs_L44a, _gate_plane("A2")),
+    "L4.4b": _pair_check(ident.rhs_L44b, _gate_plane("B2")),
+    "L4.4c": _pair_check(ident.rhs_L44c, _gate_plane("G2")),
     "L4.3": IdentityCheck((("delta", "root"), ("i", "cartan"), ("b", "elem"), ("chi", "mset")),
                           (Letter("delta", "b"), _P), ident.rhs_L43),
     "4.7": IdentityCheck((("gamma", "odd"), ("i", "cartan"), ("a", "elem"), ("chi", "mset")),
@@ -382,8 +354,8 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
     rhs = check.rhs(engine, ps)
     if isinstance(rhs, ident.SignTemplate):
         known = {}
-        if sign_cache is not None and check.sign_key is not None:
-            known = sign_cache.setdefault((ident_id, name, check.sign_key(ps)), {})
+        if sign_cache is not None:
+            known = sign_cache.setdefault((ident_id, name, ps["alpha"], ps["beta"]), {})
         sols, labels = _solve_signs(lhs, rhs, known)
         if not sols:
             unconstrained, _ = _solve_signs(lhs, rhs, {})

@@ -1,7 +1,12 @@
+import dataclasses
+import os
+
 import pytest
 
 from superpbw.algebra import Root, SpecError, SuperAlgebraSpec, dump_spec, load_spec, \
-    preset, root_string, validate, PRESET_NAMES
+    pair_plane, preset, read_algebra, root_string, spec_from_source, validate, PRESET_NAMES
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_presets_validate_clean():
@@ -132,6 +137,64 @@ def test_root_string_examples():
     # string through itself: even alpha has q = 0, non-isotropic odd has q = 1
     assert root_string(sl3, "a1", "a1").q == 0
     assert root_string(preset("osp12"), "g", "g").q == 1
+
+
+def even_pair_type_scan(spec, alpha, beta):
+    """The plane type by counting the even roots i*alpha + j*beta,
+    |i|, |j| <= 4, one 9x9 scan per call: what the gates ran per instance."""
+    ra, rb = spec.root(alpha), spec.root(beta)
+    count = 0
+    for i in range(-4, 5):
+        for j in range(-4, 5):
+            if i == j == 0:
+                continue
+            lab = spec.find_root(tuple(i * x + j * y for x, y in zip(ra.ev, rb.ev)))
+            if lab is not None and spec.root(lab).parity == 0:
+                count += 1
+    return {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}.get(count)
+
+
+def quadrant_scan(spec, alpha, beta):
+    """The shapes (i, j), 1 <= i, j <= 4, with i*alpha + j*beta a root."""
+    return [(i, j) for i in range(1, 5) for j in range(1, 5)
+            if spec.root_sum(alpha, beta, i, j) is not None]
+
+
+def bottom_scan(spec, alpha, beta):
+    return spec.root_sum(alpha, beta) is None or root_string(spec, alpha, beta).r == 0
+
+
+@pytest.mark.parametrize("algebra", PRESET_NAMES + (os.path.join(DATA, "sl2.alg"),))
+def test_pair_plane_matches_the_scans(algebra):
+    spec = spec_from_source(read_algebra(algebra))
+    kinds = []
+    for alpha in spec.even_roots():
+        for beta in spec.even_roots():
+            if beta in (alpha, spec.negative_of(alpha)):
+                continue
+            plane = pair_plane(spec, alpha, beta)
+            assert plane.kind == even_pair_type_scan(spec, alpha, beta)
+            assert plane.bottom == bottom_scan(spec, alpha, beta)
+            assert list(plane.quadrant) == quadrant_scan(spec, alpha, beta)
+            assert pair_plane(spec, alpha, beta) is plane
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                plane.bottom = not plane.bottom
+            kinds.append(plane.kind)
+    # only sl3 and sp4 have two even roots that are neither equal nor opposite;
+    # two long roots of sp4, +-a2 and +-(2a1+a2), span an A1xA1 plane over Z
+    want = {"sl3": {"A2": 24}, "sp4": {"A1xA1": 8, "B2": 40}}.get(spec.name, {})
+    assert {k: kinds.count(k) for k in kinds} == want
+
+
+def test_pair_plane_keeps_the_magnitude_check():
+    spec = preset("sp4")
+    brackets = dict(spec.brackets)
+    for pair in ((('x', 'a1'), ('x', 'a1+a2')), (('x', 'a1+a2'), ('x', 'a1'))):
+        brackets[pair] = tuple((sym, c // 2) for sym, c in brackets[pair])
+    bad = SuperAlgebraSpec("bad", spec.rank, spec.roots, spec.coroots, brackets)
+    assert pair_plane(bad, "a2", "a1").kind == "B2"
+    with pytest.raises(SpecError, match="root string gives r\\+1 = 2"):
+        pair_plane(bad, "a1", "a1+a2")
 
 
 def test_validate_reports_mutations():

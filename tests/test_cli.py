@@ -240,6 +240,26 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "1 x[a]{t}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--algebra", "sp4", "--id", "L4.4b", "--alpha=a2", "--beta=a1"],
+    ["normalize", "--algebra", "sl2", "x[a]{t} x[-a]{1}"],
+])
+def test_closed_stdout_exits_without_a_traceback(argv):
+    # the reader is gone before the first write.  With stdout block-buffered,
+    # as a pipe is by default, verify meets it in a print and normalize in the
+    # flush after its command
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "superpbw"] + argv, stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_usage_error_exit_2():
     proc = subprocess.run([sys.executable, "-m", "superpbw", "normalize"],
                           capture_output=True, text=True, env=ENV)

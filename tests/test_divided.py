@@ -4,16 +4,18 @@ did when divided-basis keys were tuples of (sym, Multiset) pairs; and the
 words of `enumerate_basis`."""
 
 import itertools
+import re
 from fractions import Fraction
 from operator import itemgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset, factorial_product
-from superpbw.engine import DividedForm, Engine, Order, UElem
+from superpbw.engine import AlgebraError, DividedForm, Engine, Order, UElem
 
 ONE, T, T2 = (0,), (1,), (2,)
 POLY2 = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
@@ -104,3 +106,15 @@ def test_enumerate_basis_words_are_canonical_and_round_trip():
         x = eng.from_divided(b)
         assert x == reference_from_divided(eng, b)
         assert eng.to_divided(x) == b
+
+
+@pytest.mark.parametrize("algebra, key", [
+    ("sl2", ((('x', 'a'), T), (('x', '-a'), ONE))),         # letters out of order
+    ("sl2", ((('x', 'a'), Multiset.of(T)),)),                # an old (sym, Multiset) key
+    ("sl21", ((('x', 'a2'), T), (('x', 'a2'), T))),         # a repeated odd letter
+])
+def test_from_divided_refuses_a_key_that_is_not_a_canonical_word(algebra, key):
+    eng = Engine(preset(algebra), monoid_preset("poly"))
+    with pytest.raises(AlgebraError, match="key %s is not a canonical word of %s"
+                       % (re.escape(repr(key)), algebra)):
+        eng.from_divided(DividedForm({key: 1}))

@@ -8,7 +8,7 @@ from superpbw.algebra import PRESET_NAMES, preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset, enumerate_CS, multisets_upto
 from superpbw.engine import AlgebraError, Engine, Order, UElem
-from superpbw.identities import _consumed, _cs_x_product, _k_label, \
+from superpbw.identities import _cs_x_product, _k_label, \
     divided_D, eps_chain, lhs_product, pair_slots, rhs_4_4, scaled_divided, z_of
 from superpbw.verify import IDENTITIES, SWEEP_IDS, SweepBounds, expand, fmt_params, \
     get_engine
@@ -186,9 +186,9 @@ def test_sum_agrees_with_the_addition_fold_on_rhs_4_4():
             eng.spec.even_roots(), (1, 2), elems, range(3), multisets_upto(elems, 2)):
         acc = UElem()
         for psi in enumerate_CS(chi, r):
-            xpart = _cs_x_product(eng, alpha, b, i, psi, negate_eval=False)
+            xpart, consumed = _cs_x_product(eng, alpha, b, eng.spec.root(alpha).ev[i - 1], psi)
             if xpart:
-                acc = acc + eng.mul(eng.p(i, chi - _consumed(psi)), xpart)
+                acc = acc + eng.mul(eng.p(i, chi - consumed), xpart)
         got = rhs_4_4(eng, {"alpha": alpha, "i": i, "b": b, "r": r, "chi": chi})
         assert got.terms == acc.terms
         assert [type(c) for c in got.terms.values()] == [type(c) for c in acc.terms.values()]

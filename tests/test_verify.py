@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from superpbw.algebra import SpecError
+from superpbw import algebra
+from superpbw.algebra import SpecError, dump_spec, load_spec, preset
+from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
 from superpbw import identities as ident
 from superpbw.engine import Engine
@@ -60,6 +62,22 @@ def test_sign_reuse_across_coefficients():
             reports.append(verify_identity(eng, "L4.4b", ps, cache))
     assert all(r.verdict == "pass" for r in reports)
     assert len(cache) == 1   # one root pair, one shared assignment
+
+
+def test_each_plane_is_classified_once_per_spec(monkeypatch):
+    built = []
+    plane_type = algebra.PairPlane
+    monkeypatch.setattr(algebra, "PairPlane", lambda *f: built.append(f) or plane_type(*f))
+    spec = load_spec(dump_spec(preset("sp4")), name="sp4")    # a fresh, empty memo
+    eng = Engine(spec, monoid_preset("trunc:2"))
+    gated = 0
+    for ident_id in ("L4.4b", "4.6", "L4.4a", "L4.4b"):
+        reports = sweep_identity(eng, ident_id, SweepBounds(1, 1, 1, 1))
+        assert {r.verdict for r in reports} <= {"pass", "inapplicable"}
+        gated += len(reports)
+    # 48 ordered pairs of distinct, non-opposite even roots, 16 instances each
+    assert gated == 4 * 48 * 16
+    assert len(built) == len(spec._planes) == 48
 
 
 def test_degree_bounds_items():
