@@ -105,6 +105,8 @@ def cmd_basis(args):
         raise UsageError("basis enumeration needs a truncated coefficient algebra "
                          "(use --monoid trunc:<n>)")
     d = args.degree
+    if d < 0:
+        raise UsageError("degree cap must be >= 0")
     print("ALGEBRA %s MONOID %s DEGREE %d" % (engine.spec.name, engine.monoid.name, d))
     for title, seg in (("B-", -1), ("B0", 0), ("B+", 1), ("B", None)):
         syms = [s for s in engine.order.syms if seg is None or engine.segment_of(s) == seg]

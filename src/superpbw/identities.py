@@ -5,18 +5,33 @@ every closed-form straightening identity, so the verifier can compare the
 baseline normalizer's u*v against it."""
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, factorial_product, \
+from .combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, enumerate_sub, \
     multinomial, pi_product
-from .engine import AlgebraError, UElem
+from .engine import AlgebraError, UElem, _exact
 from .algebra import root_string
+
+
+def _divided_word(engine, powers, scale=1):
+    """scale * prod (x_root (x) a)^(n) over the (letter, n) pairs of powers,
+    letters of one root and scale nonzero, as one term: the letters sorted
+    by the engine's order, over prod n!.  An even root's letters commute, so
+    this is their normal form; an odd root's do not, so it takes one letter."""
+    word = [L for L, n in powers for _ in range(n)]
+    if len(word) > 1 and engine.spec.parity(word[0][0]):
+        raise AlgebraError("the letters of the odd root %s do not commute" % word[0][0][1])
+    word.sort(key=engine._key)
+    denom = math.prod([math.factorial(n) for _, n in powers])
+    return UElem._wrap({tuple(word): _exact(Fraction(scale, denom))})
 
 
 def divided_D(engine, alpha, j, k, d, c):
     """Sum over lam in CP_k(j) of prod_m (x_alpha (x) d^m c)^(lam(m)),
-    expanded to plain powers; D_{j,0} = delta_{j,0}."""
+    expanded to plain powers; D_{j,0} = delta_{j,0}.  For an even alpha: at
+    k >= 2 an odd alpha raises (`_divided_word`)."""
     if j < 0 or k < 0:
         raise AlgebraError("D wants j, k >= 0")
     engine.spec.root(alpha)  # refuses an unknown label, also at k = 0
@@ -25,24 +40,15 @@ def divided_D(engine, alpha, j, k, d, c):
     mon = engine.monoid
     terms = []
     for lam in enumerate_CP(j, k):
-        letters = []
+        powers = []
         for m, mult in lam.items():
             elt = mon.mul(mon.power(d, m), c)
             if elt is None:
                 break
-            letters.extend([(('x', alpha), elt)] * mult)
+            powers.append((engine.letter(('x', alpha), elt), mult))
         else:
-            terms.append(engine.normalize(letters, Fraction(1, factorial_product(lam))))
+            terms.append(_divided_word(engine, powers))
     return UElem.sum(terms)
-
-
-def scaled_divided(engine, sym, aelt, scalar, n):
-    """(scalar * (x (x) a))^(n) = scalar^n x^n / n!; zero element -> 0."""
-    if n == 0:
-        return engine.one()
-    if aelt is None or scalar == 0:
-        return UElem()
-    return Fraction(scalar) ** n * engine.divided_power(sym, aelt, n)
 
 
 def eps_chain(spec, alpha, gamma, kmax):
@@ -167,35 +173,34 @@ def rhs_4_3(engine, ps):
     return UElem.sum(terms, signs)
 
 
-def _cs_x_product(engine, root_label, base_elt, ev, psi):
-    """(prod_phi (binom(ev+|phi|-1, |phi|) m(phi) (x_root (x) b pi(phi)))^(psi(phi)),
-    sum_phi psi(phi) phi), ev being alpha(h_i) of the law's alpha; the product
-    is 0, and the sum not formed, once a factor vanishes."""
-    mon = engine.monoid
-    out = engine.one()
-    for phi, n in psi.items():
-        c0 = binomial(ev + phi.size - 1, phi.size) * multinomial(phi)
-        pphi = pi_product(phi, mon)
-        belt = mon.mul(base_elt, pphi) if pphi is not None else None
-        factor = scaled_divided(engine, ('x', root_label), belt, c0, n)
-        if not factor:
-            return UElem(), None
-        out = engine.mul(out, factor)
-    return out, Multiset([(a, n * m) for phi, n in psi.items() for a, m in phi.items()])
-
-
 def _cartan_past_root(engine, ps, root, alpha, b, r, x_first=False):
     """The Cartan-past-root law: the sum over psi in CS(chi, r) of
-    p_i(chi - sum psi) times the x-part `_cs_x_product` of x_root (x) b at
-    ev = alpha(h_i), the x-part first when x_first.  4.4 and 4.5 are it at
-    any r; L4.3 and 4.7 at r = 1, where CS(chi, 1) = {phi <= chi}."""
+    p_i(chi - sum_phi psi(phi) phi) times the x-part
+    prod_phi (binom(ev+|phi|-1, |phi|) m(phi) (x_root (x) b pi(phi)))^(psi(phi)),
+    ev = alpha(h_i), the x-part first when x_first; the x-part is 0 once a
+    factor vanishes.  4.4 and 4.5 are it at any r; L4.3 and 4.7 at r = 1,
+    where CS(chi, 1) = {phi <= chi}."""
     i, chi = ps["i"], ps["chi"]
     ev = engine.spec.root(alpha).ev[i - 1]
+    mon = engine.monoid
+    factors = {}        # phi -> (letter, scalar) of its factor, None if it vanishes
+    for phi in enumerate_sub(chi):
+        c0 = binomial(ev + phi.size - 1, phi.size) * multinomial(phi)
+        belt = mon.mul(b, pi_product(phi, mon))
+        factors[phi] = (engine.letter(('x', root), belt), c0) if c0 and belt is not None else None
     terms = []
     for psi in enumerate_CS(chi, r):
-        xpart, consumed = _cs_x_product(engine, root, b, ev, psi)
-        if xpart:
-            p = engine.p(i, chi - consumed)
+        powers, scale = [], 1
+        for phi, n in psi.items():
+            f = factors[phi]
+            if f is None:
+                break
+            powers.append((f[0], n))
+            scale *= f[1] ** n
+        else:
+            xpart = _divided_word(engine, powers, scale)
+            p = engine.p(i, chi - Multiset([(a, n * m) for phi, n in psi.items()
+                                            for a, m in phi.items()]))
             terms.append(engine.mul(xpart, p) if x_first else engine.mul(p, xpart))
     return UElem.sum(terms)
 

@@ -140,6 +140,12 @@ def test_basis_needs_finite_monoid(capsys):
     assert "truncated" in err
 
 
+def test_basis_refuses_a_negative_degree_before_printing(capsys):
+    code, out, err = run(capsys, "basis", "--algebra", "sl2", "--degree", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: degree cap must be >= 0\n"
+
+
 def test_pelem(capsys):
     code, out, _ = run(capsys, "pelem", "--algebra", "sl2", "--i", "1", "--chi", "t:2")
     assert code == 0

@@ -6,10 +6,11 @@ import pytest
 
 from superpbw.algebra import PRESET_NAMES, preset
 from superpbw.coeffalg import monoid_preset
-from superpbw.combinatorics import Multiset, enumerate_CS, multisets_upto
+from superpbw.combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, \
+    multinomial, multisets_upto, pi_product
 from superpbw.engine import AlgebraError, Engine, Order, UElem
-from superpbw.identities import _cs_x_product, _k_label, \
-    divided_D, eps_chain, lhs_product, pair_slots, rhs_4_4, scaled_divided, z_of
+from superpbw.identities import _cartan_past_root, _divided_word, _k_label, \
+    divided_D, eps_chain, lhs_product, pair_slots, rhs_4_4, z_of
 from superpbw.verify import IDENTITIES, SWEEP_IDS, SweepBounds, expand, fmt_params, \
     get_engine
 
@@ -152,28 +153,146 @@ def _X_neg(eng, psi):
     return out
 
 
+# ---------------------------------------------------------------------------
+# The x-parts of the Cartan-past-root law as they were once built, one
+# `Engine.mul` per divided power: a test-only reference for the one-word
+# builder `_divided_word`.
+
+def _ref_scaled_divided(engine, sym, aelt, scalar, n):
+    """(scalar * (x (x) a))^(n) = scalar^n x^n / n!; zero element -> 0."""
+    if n == 0:
+        return engine.one()
+    if aelt is None or scalar == 0:
+        return UElem()
+    return Fraction(scalar) ** n * engine.divided_power(sym, aelt, n)
+
+
+def _ref_cs_x_product(engine, root_label, base_elt, ev, psi):
+    """(prod_phi (binom(ev+|phi|-1, |phi|) m(phi) (x_root (x) b pi(phi)))^(psi(phi)),
+    sum_phi psi(phi) phi); the product is 0, and the sum not formed, once a
+    factor vanishes."""
+    mon = engine.monoid
+    out = engine.one()
+    for phi, n in psi.items():
+        c0 = binomial(ev + phi.size - 1, phi.size) * multinomial(phi)
+        pphi = pi_product(phi, mon)
+        belt = mon.mul(base_elt, pphi) if pphi is not None else None
+        factor = _ref_scaled_divided(engine, ('x', root_label), belt, c0, n)
+        if not factor:
+            return UElem(), None
+        out = engine.mul(out, factor)
+    return out, Multiset([(a, n * m) for phi, n in psi.items() for a, m in phi.items()])
+
+
+def _ref_cartan_past_root(engine, ps, root, alpha, b, r, x_first=False):
+    i, chi = ps["i"], ps["chi"]
+    ev = engine.spec.root(alpha).ev[i - 1]
+    terms = []
+    for psi in enumerate_CS(chi, r):
+        xpart, consumed = _ref_cs_x_product(engine, root, b, ev, psi)
+        if xpart:
+            p = engine.p(i, chi - consumed)
+            terms.append(engine.mul(xpart, p) if x_first else engine.mul(p, xpart))
+    return UElem.sum(terms)
+
+
+def _same_terms(got, want):
+    """The same terms in the same order, with the same coefficient types."""
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
 @pytest.mark.parametrize("algebra", ["sl2", "sl3", "sp4", "sl21", "osp12"])
-def test_scaled_divided_matches_normalized_power(algebra):
-    """scaled_divided reads x^(n) from the divided-power memo and scales it;
-    the result equals normalizing x^n with scalar^n / n! term by term, in
-    the same order and with the same coefficient types, cold and warm."""
+def test_divided_word_matches_normalized_power(algebra):
+    """A scaled power of a root letter is the normalized power and the
+    reference's value, over trunc:4 and three scalars: n <= 4 on an even
+    root, n = 1 on an odd one, where n = 2 raises."""
     eng = Engine(preset(algebra), monoid_preset("trunc:4"))
-    syms = eng.order.syms
-    for _ in range(2):
-        for sym in syms:
-            for a in eng.monoid.elements():
-                for scalar in (1, -3, Fraction(2, 3)):
-                    assert scaled_divided(eng, sym, a, scalar, 0) == eng.one()
-                    for n in range(1, 5):
-                        got = scaled_divided(eng, sym, a, scalar, n)
-                        want = eng.normalize([(sym, a)] * n,
-                                             Fraction(scalar) ** n / math.factorial(n))
-                        assert list(got.terms.items()) == list(want.terms.items())
-                        assert [type(c) for c in got.terms.values()] == \
-                            [type(c) for c in want.terms.values()]
-                    assert scaled_divided(eng, sym, a, 0, 2) == UElem()
-                    assert scaled_divided(eng, sym, None, scalar, 2) == UElem()
-                    assert scaled_divided(eng, sym, None, scalar, 0) == eng.one()
+    _same_terms(_divided_word(eng, []), eng.one())
+    for alpha in (r.label for r in eng.spec.roots):
+        sym = ('x', alpha)
+        nmax = 1 if eng.spec.parity(sym) else 4
+        for a in eng.monoid.elements():
+            L = eng.letter(sym, a)
+            for scalar in (1, -3, Fraction(2, 3)):
+                for n in range(1, nmax + 1):
+                    got = _divided_word(eng, [(L, n)], Fraction(scalar) ** n)
+                    _same_terms(got, eng.normalize([L] * n,
+                                                   Fraction(scalar) ** n / math.factorial(n)))
+                    _same_terms(got, _ref_scaled_divided(eng, sym, a, scalar, n))
+            if nmax == 1:
+                with pytest.raises(AlgebraError, match="do not commute"):
+                    _divided_word(eng, [(L, 2)])
+
+
+@pytest.mark.parametrize("algebra", ["sl2", "sp4", "osp12"])
+def test_divided_word_sorts_powers_given_in_any_order(algebra):
+    """A product of powers of one even root over several elements, listed in
+    either order, is the product of the powers by the normalizer."""
+    eng = Engine(preset(algebra), monoid_preset("trunc:4"))
+    elems = eng.monoid.elements()
+    for alpha in eng.spec.even_roots():
+        sym = ('x', alpha)
+        for a, b, n, m in itertools.product(elems, elems, (1, 2), (1, 3)):
+            want = eng.mul(_ref_scaled_divided(eng, sym, a, -2, n),
+                           _ref_scaled_divided(eng, sym, b, 1, m))
+            got = _divided_word(eng, [(eng.letter(sym, a), n), (eng.letter(sym, b), m)],
+                                (-2) ** n)
+            _same_terms(got, want)
+
+
+@pytest.mark.parametrize("algebra", ["sl2", "sl3", "sp4", "sl21", "osp12"])
+def test_cartan_past_root_matches_the_mul_reference(algebra):
+    """The law built with one-word x-parts equals the law built with one
+    `Engine.mul` per divided power, on both sides, over trunc:4: even roots
+    at r <= 3, odd roots at r <= 1, |chi| <= 2."""
+    eng = Engine(preset(algebra), monoid_preset("trunc:4"))
+    elems = eng.monoid.elements()
+    checked = 0
+    for root in eng.spec.roots:
+        alpha = root.label
+        rmax = 1 if eng.spec.parity(('x', alpha)) else 3
+        for x_first, (i, b, r, chi) in itertools.product(
+                (False, True),
+                itertools.product(range(1, eng.spec.rank + 1), elems, range(rmax + 1),
+                                  multisets_upto(elems, 2))):
+            ps = {"i": i, "chi": chi}
+            got = _cartan_past_root(eng, ps, alpha, alpha, b, r, x_first)
+            _same_terms(got, _ref_cartan_past_root(eng, ps, alpha, alpha, b, r, x_first))
+            checked += bool(got)
+    assert checked > 200
+
+
+@pytest.mark.parametrize("algebra", ["sl3", "sp4"])
+def test_divided_D_matches_the_normalized_sum(algebra):
+    """D^alpha_{j,k}(d, c) is sum_lam normalize(letters) / prod lam!, for
+    j <= 4 and 1 <= k <= 4 over trunc:4 (k = 0 is a base case)."""
+    eng = Engine(preset(algebra), monoid_preset("trunc:4"))
+    mon = eng.monoid
+    for alpha, d, c in itertools.product(eng.spec.even_roots(), mon.elements(),
+                                         mon.elements()):
+        for j, k in itertools.product(range(5), range(1, 5)):
+            want = []
+            for lam in enumerate_CP(j, k):
+                elts = [mon.mul(mon.power(d, m), c) for m, mult in lam.items()
+                        for _ in range(mult)]
+                if None not in elts:
+                    den = math.prod(math.factorial(mult) for _, mult in lam.items())
+                    want.append(eng.normalize([(('x', alpha), e) for e in elts],
+                                              Fraction(1, den)))
+            _same_terms(divided_D(eng, alpha, j, k, d, c), UElem.sum(want))
+
+
+def test_the_law_refuses_an_odd_root_past_r_1():
+    """Two letters of an odd root do not commute, so neither the law at
+    r = 2 nor D at k = 2 has a one-word x-part; both refuse."""
+    eng = Engine(preset("osp12"), monoid_preset("trunc:3"))
+    for chi in (Multiset(), Multiset.of(T)):
+        with pytest.raises(AlgebraError, match="odd root g"):
+            _cartan_past_root(eng, {"i": 1, "chi": chi}, "g", "g", ONE, 2)
+    sl21 = Engine(preset("sl21"), monoid_preset("trunc:3"))
+    with pytest.raises(AlgebraError, match="odd root a2"):
+        divided_D(sl21, "a2", 1, 2, T, ONE)
 
 
 def test_sum_agrees_with_the_addition_fold_on_rhs_4_4():
@@ -186,7 +305,8 @@ def test_sum_agrees_with_the_addition_fold_on_rhs_4_4():
             eng.spec.even_roots(), (1, 2), elems, range(3), multisets_upto(elems, 2)):
         acc = UElem()
         for psi in enumerate_CS(chi, r):
-            xpart, consumed = _cs_x_product(eng, alpha, b, eng.spec.root(alpha).ev[i - 1], psi)
+            xpart, consumed = _ref_cs_x_product(eng, alpha, b, eng.spec.root(alpha).ev[i - 1],
+                                                psi)
             if xpart:
                 acc = acc + eng.mul(eng.p(i, chi - consumed), xpart)
         got = rhs_4_4(eng, {"alpha": alpha, "i": i, "b": b, "r": r, "chi": chi})
