@@ -2,6 +2,7 @@
 parities, integer structure constants, coroots, validation, presets, and a
 line-oriented file format for user-supplied tables."""
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -483,19 +484,21 @@ _PRESETS = {
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
-_cache = {}
 
 
 def preset(name):
     if name not in _PRESETS:
         raise SpecError("unknown preset %r (have %s)" % (name, ", ".join(PRESET_NAMES)))
-    if name not in _cache:
-        spec = _PRESETS[name]()
-        bad = validate(spec)
-        if bad:
-            raise SpecError("preset %s is invalid: %s" % (name, "; ".join(bad)))
-        _cache[name] = spec
-    return _cache[name]
+    return _build_preset(name)
+
+
+@functools.cache
+def _build_preset(name):
+    spec = _PRESETS[name]()
+    bad = validate(spec)
+    if bad:
+        raise SpecError("preset %s is invalid: %s" % (name, "; ".join(bad)))
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ class MonoidBasis:
         self.laurent = laurent
         self.trunc = trunc
         self.one = (0,) * len(self.varnames)
+        self._fields = (self.varnames, laurent, trunc)
 
     def check(self, a):
         if len(a) != len(self.varnames):
@@ -90,6 +91,13 @@ class MonoidBasis:
                 raise MonoidError("cannot parse %r as an element of %s" % (text, self.name))
             exps[m.group(1)] += int(m.group(2)) if m.group(2) else 1
         return self.check(tuple(exps[v] for v in self.varnames))
+
+    def __eq__(self, other):
+        """Monoids that multiply alike are equal, whatever their names."""
+        return isinstance(other, MonoidBasis) and self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
 
     def __repr__(self):
         return "MonoidBasis(%s)" % self.name

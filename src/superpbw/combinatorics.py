@@ -1,6 +1,8 @@
 """Multisets with multinomials, submultiset enumeration, and the partition-style
 index sets that drive the straightening sums."""
 
+import functools
+import itertools
 import math
 
 
@@ -103,17 +105,9 @@ EMPTY = Multiset()
 
 def multisets_upto(elems, cap):
     """All multisets over elems with size <= cap."""
-    out = []
-
-    def rec(idx, budget, acc):
-        if idx == len(elems):
-            out.append(Multiset(acc))
-            return
-        for c in range(budget + 1):
-            rec(idx + 1, budget - c, acc + [(elems[idx], c)])
-
-    rec(0, cap, [])
-    return out
+    return [Multiset(zip(elems, counts))
+            for counts in itertools.product(range(cap + 1), repeat=len(elems))
+            if sum(counts) <= cap]
 
 
 def factorial_product(psi):
@@ -138,51 +132,31 @@ def pi_product(psi, monoid):
     return out
 
 
-# Memos of the three enumerators, keyed by their arguments.  The index sets
-# are pure functions of the arguments (no monoid enters), so one table per
-# process serves every engine.  Values are tuples; callers get a fresh list.
-_sub_memo = {}
-_cs_memo = {}
-_cp_memo = {}
-
-
-def _memoized(memo, enumerate_, *args):
-    hit = memo.get(args)
-    if hit is None:
-        hit = memo[args] = tuple(enumerate_(*args))
-    return list(hit)
-
+# The index sets depend on the arguments alone, so one cache per process
+# serves every engine; callers get the cached tuples, which are immutable.
 
 def enumerate_sub(chi):
-    """All psi <= chi, each exactly once: prod_s (chi(s)+1) of them."""
-    return _memoized(_sub_memo, _enumerate_sub, chi)
+    """All psi <= chi, each exactly once: prod_s (chi(s)+1) of them, as a tuple."""
+    return _enumerate_sub(chi)
 
 
+@functools.cache
 def _enumerate_sub(chi):
-    support = chi.items()
-    out = []
-
-    def rec(idx, acc):
-        if idx == len(support):
-            out.append(Multiset(acc))
-            return
-        e, m = support[idx]
-        for c in range(m + 1):
-            rec(idx + 1, acc + [(e, c)])
-
-    rec(0, [])
-    return out
+    elems = [e for e, _ in chi.items()]
+    return tuple(Multiset(zip(elems, counts))
+                 for counts in itertools.product(*(range(m + 1) for _, m in chi.items())))
 
 
 def enumerate_CS(chi, r):
-    """All psi: F -> Z>=0 with |psi| = r and sum_phi psi(phi)*phi <= chi.
+    """All psi: F -> Z>=0 with |psi| = r and sum_phi psi(phi)*phi <= chi (a tuple).
 
     Elements are multisets of multisets; mass on the empty multiset phi = 0 is
     allowed and absorbs any leftover budget.
     """
-    return _memoized(_cs_memo, _enumerate_CS, chi, r)
+    return _enumerate_CS(chi, r)
 
 
+@functools.cache
 def _enumerate_CS(chi, r):
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -209,18 +183,19 @@ def _enumerate_CS(chi, r):
             c += 1
 
     rec(0, r, EMPTY, [])
-    return out
+    return tuple(out)
 
 
 def enumerate_CP(j, k):
-    """All lam: Z>=0 -> Z>=0 with |lam| = k and sum_m lam(m)*m = j.
+    """All lam: Z>=0 -> Z>=0 with |lam| = k and sum_m lam(m)*m = j, as a tuple.
 
     Parts equal to 0 count toward k but not j, so these are partitions of j
     into at most k parts, padded with zeros.
     """
-    return _memoized(_cp_memo, _enumerate_CP, j, k)
+    return _enumerate_CP(j, k)
 
 
+@functools.cache
 def _enumerate_CP(j, k):
     if j < 0 or k < 0:
         raise ValueError("j, k must be >= 0")
@@ -241,7 +216,7 @@ def _enumerate_CP(j, k):
                 c += 1
 
     parts(j, j, 0, [])
-    return out
+    return tuple(out)
 
 
 def verify_comb_identity(psi1, d):

@@ -3,12 +3,13 @@ degree, conversion to the divided-power integral basis, integrality testing,
 basis enumeration, and the triangular factorization."""
 
 import bisect
+import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from .combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
+from .combinatorics import Multiset, enumerate_sub, multinomial, pi_product
 
 NEG_INF = float("-inf")
 
@@ -211,18 +212,10 @@ def word_runs(word):
 
 # The Cartan block U(h (x) A) is commutative, so p(chi) and the p-basis
 # expansion of a Cartan monomial depend on no order and no root data: one
-# table per process serves every engine, triangular or lexicographic, and
-# every algebra.  The keys hold the monoid's defining fields rather than the
-# object or its name, so two monoids that multiply alike share entries and two
-# that do not (say one name with another truncation bound) never do.  Values
-# are tuples of (monomial or multiset, coeff) pairs, immutable.
-_cartan_p_table = {}
-_h_mono_table = {}
-
-
-def _monoid_fields(monoid):
-    return (monoid.varnames, monoid.laurent, monoid.trunc)
-
+# cache per process serves every engine, triangular or lexicographic, and
+# every algebra.  A monoid compares by its defining fields, so two monoids that
+# multiply alike share entries and two that do not never do.  Values are tuples
+# of (monomial or multiset, coeff) pairs, immutable.
 
 def cartan_p(hvec, chi, monoid):
     """The Cartan element for h = sum hvec_i h_i, as a tuple of (monomial,
@@ -233,59 +226,62 @@ def cartan_p(hvec, chi, monoid):
     hvec = tuple(hvec)
     while hvec and not hvec[-1]:        # (1, 0) and (1,) name one h
         hvec = hvec[:-1]
-    key = (hvec, chi, _monoid_fields(monoid))
-    hit = _cartan_p_table.get(key)
-    if hit is not None:
-        return hit
+    return _cartan_p(hvec, chi, monoid)
+
+
+@functools.cache
+def _cartan_p(hvec, chi, monoid):
     if not chi:
-        out = (((), 1),)
-    else:
-        acc = {}
-        for psi in enumerate_sub(chi):
-            a = pi_product(psi, monoid) if psi else None
-            if a is None:
-                continue
-            m = multinomial(psi)
-            for mono, c in cartan_p(hvec, chi - psi, monoid):
-                for i, hi in enumerate(hvec, start=1):
-                    if hi:
-                        letter = (('h', i), a)
-                        k = bisect.bisect(mono, letter)
-                        w = mono[:k] + (letter,) + mono[k:]
-                        acc[w] = acc.get(w, 0) + m * hi * c
-        n = chi.size
-        out = tuple((w, _exact(Fraction(-c, n))) for w, c in acc.items() if c)
-    _cartan_p_table[key] = out
-    return out
+        return (((), 1),)
+    subs = enumerate_sub(chi)
+    # every p(chi - psi) read below is cached first, smallest first, so each
+    # of these calls finds its own sub-multisets cached and nests no further
+    for phi in sorted(subs, key=attrgetter("size"))[:-1]:
+        _cartan_p(hvec, phi, monoid)
+    acc = {}
+    for psi in subs:
+        a = pi_product(psi, monoid) if psi else None
+        if a is None:
+            continue
+        m = multinomial(psi)
+        for mono, c in _cartan_p(hvec, chi - psi, monoid):
+            for i, hi in enumerate(hvec, start=1):
+                if hi:
+                    letter = (('h', i), a)
+                    k = bisect.bisect(mono, letter)
+                    w = mono[:k] + (letter,) + mono[k:]
+                    acc[w] = acc.get(w, 0) + m * hi * c
+    n = chi.size
+    return tuple((w, _exact(Fraction(-c, n))) for w, c in acc.items() if c)
 
 
+@functools.cache
 def h_mono_to_p(i, chi, monoid):
     """Expand the monomial prod_a (h_i (x) a)^{chi(a)} over the p_i basis,
     as a tuple of (phi, coeff) pairs.
 
-    Triangular elimination: p_i(chi) matches the monomial in top degree,
-    the remainder has lower degree and recurses.
+    Triangular elimination: p_i(mu) matches the monomial mu in top degree and
+    the rest of it has lower degree, so the monomials of a work table, kept by
+    degree, are eliminated highest degree first.
     """
-    key = (i, chi, _monoid_fields(monoid))
-    hit = _h_mono_table.get(key)
-    if hit is not None:
-        return hit
-    if not chi:
-        return ((EMPTY, 1),)
-    P = dict(cartan_p((0,) * (i - 1) + (1,), chi, monoid))
-    # chi lists its elements in tuple order, so this monomial is sorted
-    lead = P.pop(tuple((('h', i), a) for a, e in chi.items() for _ in range(e)), 0)
-    if not lead:
-        raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, chi))
-    out = {chi: Fraction(1, lead)}
-    for w, c in P.items():
-        if len(w) >= chi.size:
-            raise AlgebraError("p remainder failed to drop in degree")
-        for phi, c2 in h_mono_to_p(i, Multiset.of(*(a for _, a in w)), monoid):
-            out[phi] = out.get(phi, 0) - Fraction(c, lead) * c2
-    out = tuple((phi, _exact(c)) for phi, c in out.items() if c)
-    _h_mono_table[key] = out
-    return out
+    hvec = (0,) * (i - 1) + (1,)
+    work = [{} for _ in range(chi.size + 1)]
+    work[-1][chi] = 1
+    out = {}
+    for level in reversed(work):
+        for mu, c in level.items():
+            P = dict(cartan_p(hvec, mu, monoid))
+            # mu lists its elements in tuple order, so this monomial is sorted
+            lead = P.pop(tuple((('h', i), a) for a, e in mu.items() for _ in range(e)), 0)
+            if not lead:
+                raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, mu))
+            out[mu] = c = Fraction(c, lead)
+            for w, c2 in P.items():
+                if len(w) >= mu.size:
+                    raise AlgebraError("p remainder failed to drop in degree")
+                nu = Multiset.of(*(a for _, a in w))
+                work[len(w)][nu] = work[len(w)].get(nu, 0) - c * c2
+    return tuple((phi, _exact(c)) for phi, c in out.items() if c)
 
 
 class Engine:

@@ -7,6 +7,7 @@ Every sweep is declared as data: a check names its parameters as ordered
 nesting order, dropping the instances an optional `where` predicate rejects.
 An algebra check also declares the product u*v it is about as its factors."""
 
+import functools
 import itertools
 import json
 import random
@@ -74,16 +75,13 @@ def load_engine(algebra, monoid="trunc:4", order="triangular"):
     return _build_engine(read_algebra(algebra), monoid, order)
 
 
-_engines = {}
+_shared_engine = functools.cache(_build_engine)
 
 
 def get_engine(algebra, monoid="trunc:4", order="triangular"):
     """Shared engines so p/normalizer memo tables persist across checks.  A
     file is keyed by its content, so rewriting it yields a new engine."""
-    key = (read_algebra(algebra), monoid, order)
-    if key not in _engines:
-        _engines[key] = _build_engine(key[0], monoid, order)
-    return _engines[key]
+    return _shared_engine(read_algebra(algebra), monoid, order)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """The benchmark's smoke mode still runs: every workload, traced and untraced,
-checks its outputs and finds every metric it declares.  A renamed entry point
-that the tracer wraps would leave a per-layer metric absent and fail here.
-Timings are never asserted."""
+checks its outputs.  The smoke mode does not notice a layer the tracer failed
+to wrap, so a second test installs the tracer and asserts that it found every
+entry point it names: a renamed one, or one that is no longer a plain
+function, fails there.  Timings are never asserted."""
 
 import os
 import subprocess
 import sys
+
+import superpbw.cli  # noqa: F401  (the tracer patches the modules loaded)
+import superpbw.verify  # noqa: F401
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -17,3 +21,17 @@ def test_bench_smoke_passes():
     lines = [l for l in proc.stdout.splitlines() if l.startswith("SMOKE")]
     assert len(lines) == 6, proc.stdout
     assert all(l.endswith(" PASS") for l in lines), proc.stdout
+
+
+def test_tracer_finds_every_layer_it_names():
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(os.path.join(ROOT, "bench"))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()

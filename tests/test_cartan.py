@@ -5,6 +5,7 @@ way, and `cartan_p` against its closed form as an exponential; the
 process-wide tables; and the per-engine block memo of `to_divided`."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from superpbw.algebra import preset
 from superpbw.coeffalg import MonoidBasis, monoid_preset
 from superpbw.combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
+from superpbw import engine as engine_mod
 from superpbw.engine import AlgebraError, DividedForm, Engine, Order, UElem, _exact, \
     cartan_p, h_mono_to_p
 
@@ -199,6 +201,53 @@ def test_process_tables_are_keyed_by_monoid_fields():
         assert dict(h_mono_to_p(1, chi, m)) == dict(ref.h_mono_to_p(1, chi))
         h = eng.normalize([(('h', 1), T)] * 2)
         assert eng.to_divided(h) == ref.to_divided_h_mono(1, chi)
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_the_cartan_ring_does_not_recurse_on_large_chi():
+    """200 copies of t over trunc:2 on a cold cache, with 100 frames to spare:
+    one Python call per element of chi would overflow."""
+    mon, chi = monoid_preset("trunc:2"), 200 * Multiset.of(T)
+    engine_mod._cartan_p.cache_clear()
+    h_mono_to_p.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        p = cartan_p((1,), chi, mon)
+        engine_mod._cartan_p.cache_clear()      # h_mono_to_p fills it again
+        conv = h_mono_to_p(1, chi, mon)
+    finally:
+        sys.setrecursionlimit(limit)
+    # p(n t) = -(1/n) (h (x) t) p((n - 1) t), as t^2 = 0
+    c = Fraction(1)
+    for k in range(1, 201):
+        c = -c / k
+    letter = (('h', 1), T)
+    assert p == (((letter,) * 200, c),)
+    assert conv == ((chi, 1 / c),)
+
+
+def test_cartan_caches_are_shared_across_orders():
+    """A lexicographic engine, with a monoid object of its own, converts what
+    a triangular one has converted from cache hits alone."""
+    tri, lex = make("sl3"), make("sl3", order="lex")
+    h = tri.normalize([(('h', 1), T), (('h', 1), T2), (('h', 2), T), (('h', 2), T)])
+    df = tri.to_divided(h)
+    assert tri.from_divided(df) == h
+    caches = (engine_mod._cartan_p, h_mono_to_p)
+    before = [fn.cache_info() for fn in caches]
+    # both orders put h_1 before h_2, so the words agree
+    assert lex.to_divided(lex.adopt(h)) == df
+    assert lex.from_divided(df) == h
+    for fn, old in zip(caches, before):
+        new = fn.cache_info()
+        assert new.hits > old.hits and new.misses == old.misses, fn
 
 
 def test_shared_values_cannot_be_corrupted():

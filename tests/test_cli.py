@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,33 @@ def test_delem(capsys):
                        "--j", "2", "--k", "2", "--d", "t", "--c", "1")
     assert code == 0
     assert out.splitlines() == ["1 x[a]{1} x[a]{t^2}", "+ 1/2 x[a]{t}^2"]
+
+
+def test_exact_coefficients_print_at_any_length(capsys):
+    """1/1700! has 4700 digits, past Python's int-to-str limit of 4300: the
+    output lifts the limit and puts it back."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "normalize", "--algebra", "sl2", "x[a]{t}^(1700)")
+    assert code == 0 and not err
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = "1/%d x[a]{t}^1700" % math.factorial(1700)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.splitlines() == [want]
+
+
+def test_input_keeps_the_digit_limit(capsys):
+    code, out, err = run(capsys, "normalize", "--algebra", "sl2", "9" * 5000 + " x[a]{t}")
+    assert code == 2 and not out and "limit" in err
+
+
+@pytest.mark.parametrize("j, k", [("41", "2"), ("2", "1000000000")])
+def test_delem_refuses_j_or_k_past_the_bound(capsys, j, k):
+    code, out, err = run(capsys, "delem", "--algebra", "sl2", "--alpha", "a",
+                         "--j", j, "--k", k, "--d", "t", "--c", "1")
+    assert code == 2 and not out and "j, k <= 40" in err
 
 
 @pytest.mark.parametrize("argv", [

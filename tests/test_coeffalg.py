@@ -1,6 +1,6 @@
 import pytest
 
-from superpbw.coeffalg import MonoidError, monoid_preset
+from superpbw.coeffalg import MonoidBasis, MonoidError, monoid_preset
 
 
 def test_poly_mul():
@@ -68,3 +68,12 @@ def test_format_parse_round_trip():
 def test_malformed_truncation_bound(name, bound):
     with pytest.raises(MonoidError, match="truncation bound %s is not an integer >= 1" % bound):
         monoid_preset(name)
+
+
+def test_monoids_compare_by_their_fields_not_their_names():
+    mine = MonoidBasis("m", ("t",), trunc=4)
+    assert mine == monoid_preset("trunc:4") and hash(mine) == hash(monoid_preset("trunc:4"))
+    assert MonoidBasis("m", ("t",), trunc=2) != mine
+    assert monoid_preset("poly") != monoid_preset("laurent")
+    assert monoid_preset("poly") != monoid_preset("poly2")
+    assert len({monoid_preset("poly2"), MonoidBasis("uv", ("u", "v"))}) == 1

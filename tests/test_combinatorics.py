@@ -104,7 +104,7 @@ def naive_CS(chi, r):
 def test_enumerate_CS_examples():
     empty = Multiset()
     # nothing to consume: all mass sits on phi = 0
-    assert enumerate_CS(empty, 2) == [Multiset([(empty, 2)])]
+    assert enumerate_CS(empty, 2) == (Multiset([(empty, 2)]),)
     chi = Multiset.of("a")
     assert len(enumerate_CS(chi, 1)) == 2
     # the r = 2 count is pinned by the brute-force enumerator
@@ -137,11 +137,11 @@ def naive_CP(j, k):
 
 
 def test_enumerate_CP_examples():
-    assert enumerate_CP(0, 3) == [Multiset.of(0, 0, 0)]
+    assert enumerate_CP(0, 3) == (Multiset.of(0, 0, 0),)
     assert set(enumerate_CP(2, 2)) == {Multiset.of(0, 2), Multiset.of(1, 1)}
-    assert enumerate_CP(3, 1) == [Multiset.of(3)]
-    assert enumerate_CP(3, 0) == []
-    assert enumerate_CP(0, 0) == [Multiset()]
+    assert enumerate_CP(3, 1) == (Multiset.of(3),)
+    assert enumerate_CP(3, 0) == ()
+    assert enumerate_CP(0, 0) == (Multiset(),)
 
 
 def test_enumerate_CP_against_naive():
@@ -198,12 +198,14 @@ def test_comb_identity_sweep_small():
                 assert verify_comb_identity(psi1, d), (psi1, d)
 
 
-def test_memoized_enumerators_match_uncached(monkeypatch):
+def test_memoized_enumerators_match_uncached():
     """The public enumerators return what the uncached bodies return, in the
-    same order, on a cold memo and on a warm one; mutating a returned list
-    leaves the next result alone."""
-    for name in ("_sub_memo", "_cs_memo", "_cp_memo"):
-        monkeypatch.setattr(combinatorics, name, {})
+    same order, on a cold cache and on a warm one; the result is a tuple, and
+    a warm call hands out the very tuple the cache holds."""
+    cached = (combinatorics._enumerate_sub, combinatorics._enumerate_CS,
+              combinatorics._enumerate_CP)
+    for fn in cached:
+        fn.cache_clear()
     cases = []
     for size in range(5):
         for chi in all_multisets(("a", "b", "c"), size):
@@ -213,14 +215,14 @@ def test_memoized_enumerators_match_uncached(monkeypatch):
     for j in range(7):
         for k in range(5):
             cases.append((enumerate_CP, combinatorics._enumerate_CP, (j, k)))
-    for _ in range(2):
-        for public, uncached, args in cases:
-            want = uncached(*args)
+    for warm in (False, True):
+        for public, body, args in cases:
+            want = body.__wrapped__(*args)
             got = public(*args)
-            assert got == want, (public.__name__, args)
-            got.append("junk")
-            got.reverse()
-            assert public(*args) == want, (public.__name__, args)
+            assert type(got) is tuple and got == want, (public.__name__, args)
+            if warm:
+                assert got is public(*args), (public.__name__, args)
+    assert all(fn.cache_info().hits >= fn.cache_info().misses > 0 for fn in cached)
 
 
 def test_enumerators_still_refuse_negative_arguments():
