@@ -34,9 +34,10 @@ def make_engine(args, default_monoid="poly"):
 
 def _print_elem(engine, x, divided):
     """Print x with its exact coefficients in full: Python's int-to-str digit
-    limit is lifted for the output only, and input parsing keeps it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    limit (3.10.7 on) is lifted for the output only, and parsing keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if divided:
             df = engine.to_divided(x)
@@ -45,7 +46,8 @@ def _print_elem(engine, x, divided):
         else:
             print(uelem_str(engine, x, multiline=True))
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def cmd_normalize(args):

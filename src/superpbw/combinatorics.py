@@ -104,10 +104,12 @@ EMPTY = Multiset()
 
 
 def multisets_upto(elems, cap):
-    """All multisets over elems with size <= cap."""
-    return [Multiset(zip(elems, counts))
-            for counts in itertools.product(range(cap + 1), repeat=len(elems))
-            if sum(counts) <= cap]
+    """All multisets over elems with size <= cap; each count is drawn within
+    what the earlier ones leave, so only the C(len + cap, cap) kept are built."""
+    counts = [()]
+    for _ in elems:
+        counts = [c + (k,) for c in counts for k in range(cap - sum(c) + 1)]
+    return [Multiset(zip(elems, c)) for c in counts]
 
 
 def factorial_product(psi):

@@ -5,6 +5,7 @@ way, and `cartan_p` against its closed form as an exponential; the
 process-wide tables; and the per-engine block memo of `to_divided`."""
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -231,6 +232,27 @@ def test_the_cartan_ring_does_not_recurse_on_large_chi():
     letter = (('h', 1), T)
     assert p == (((letter,) * 200, c),)
     assert conv == ((chi, 1 / c),)
+
+
+def test_the_cartan_inverse_does_not_recurse_down_its_remainders():
+    """h^60 over trunc:2: p(n{1}) = (-1)^n binomial(h, n) leaves every lower
+    degree in the remainder, a chain of 60 monomials, and
+    h^m = sum_k (-1)^k k! S(m, k) p(k{1}) with S the Stirling numbers of the
+    second kind.  Recursing on each remainder would overflow."""
+    mon, m = monoid_preset("trunc:2"), 60
+    engine_mod._cartan_p.cache_clear()
+    h_mono_to_p.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        conv = h_mono_to_p(1, m * Multiset.of(ONE), mon)
+    finally:
+        sys.setrecursionlimit(limit)
+    stirling = [1] + [0] * m            # S(n, k) for the current n, k = 0..m
+    for n in range(1, m + 1):
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, m + 1)]
+    assert dict(conv) == {k * Multiset.of(ONE): (-1) ** k * math.factorial(k) * stirling[k]
+                          for k in range(1, m + 1)}
 
 
 def test_cartan_caches_are_shared_across_orders():

@@ -192,6 +192,16 @@ def test_exact_coefficients_print_at_any_length(capsys):
     assert out.splitlines() == [want]
 
 
+def test_printing_needs_no_digit_limit(capsys, monkeypatch):
+    """An interpreter without the int-to-str limit (before 3.10.7) prints
+    as before."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    code, out, err = run(capsys, "normalize", "--algebra", "sl2", "x[a]{t} x[-a]{1}")
+    assert code == 0 and not err
+    assert out.splitlines() == ["1 x[-a]{1} x[a]{t}", "+ 1 h[1]{t}"]
+
+
 def test_input_keeps_the_digit_limit(capsys):
     code, out, err = run(capsys, "normalize", "--algebra", "sl2", "9" * 5000 + " x[a]{t}")
     assert code == 2 and not out and "limit" in err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from superpbw import combinatorics
 from superpbw.combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, \
-    enumerate_sub, multinomial, pi_product, verify_comb_identity
+    enumerate_sub, multinomial, multisets_upto, pi_product, verify_comb_identity
 from superpbw.coeffalg import monoid_preset
 
 
@@ -64,6 +64,21 @@ def test_pi_product():
     assert pi_product(Multiset.of(t, t, t2), mon) == (4,)
     tr = monoid_preset("trunc:4")
     assert pi_product(Multiset.of((3,), (3,)), tr) is None
+
+
+def test_multisets_upto_builds_only_what_it_keeps():
+    """Counts read as digits, the first element's slowest; twenty elements
+    under a cap of 3 give C(23, 3) = 1771 multisets, and a search over all
+    4^20 count tuples would not end."""
+    a, b = (0,), (1,)
+    assert multisets_upto([a, b], 2) == [
+        Multiset(), Multiset.of(b), Multiset.of(b, b),
+        Multiset.of(a), Multiset.of(a, b), Multiset.of(a, a)]
+    assert multisets_upto([a, b], 0) == [Multiset()]
+    assert multisets_upto([], 3) == [Multiset()]
+    got = multisets_upto(range(20), 3)
+    assert len(got) == len(set(got)) == math.comb(23, 3) == 1771
+    assert max(m.size for m in got) == 3
 
 
 def test_enumerate_sub_counts():
