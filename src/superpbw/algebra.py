@@ -552,9 +552,9 @@ def load_spec(text, name="user", check=True):
         if toks[0] in ("roots", "coroots", "brackets"):
             section = toks[0]
             continue
+        if section in ("roots", "coroots") and rank is None:
+            raise SpecError("line %d: cartan rank must come before %s" % (line_no, section))
         if section == "roots":
-            if rank is None:
-                raise SpecError("line %d: cartan rank must come before roots" % line_no)
             if len(toks) < 2 + rank + 2 or toks[1] not in ("even", "odd"):
                 raise SpecError("line %d: want '<label> even|odd <%d ints> neg <label> [positive]'"
                                 % (line_no, rank))

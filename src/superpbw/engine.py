@@ -210,12 +210,14 @@ def word_runs(word):
     return [(L, len(list(g))) for L, g in itertools.groupby(word)]
 
 
-# The Cartan block U(h (x) A) is commutative, so p(chi) and the p-basis
-# expansion of a Cartan monomial depend on no order and no root data: one
-# cache per process serves every engine, triangular or lexicographic, and
+# The Cartan block U(h (x) A) is commutative, so p(chi) depends on no order and
+# no root data, and inside a block of a canonical word (its letters on one
+# symbol) the engine's letter order is the monoid's `sort_key`.  So p(chi), and
+# a block's conversion to the divided basis given the parity of its symbol, are
+# cached once per process for every engine, triangular or lexicographic, and
 # every algebra.  A monoid compares by its defining fields, so two monoids that
-# multiply alike share entries and two that do not never do.  Values are tuples
-# of (monomial or multiset, coeff) pairs, immutable.
+# multiply alike share entries and two that do not never do.  Values are
+# tuples of (monomial or word, coeff) pairs, immutable.
 
 def cartan_p(hvec, chi, monoid):
     """The Cartan element for h = sum hvec_i h_i, as a tuple of (monomial,
@@ -255,33 +257,45 @@ def _cartan_p(hvec, chi, monoid):
     return tuple((w, _exact(Fraction(-c, n))) for w, c in acc.items() if c)
 
 
-@functools.cache
-def h_mono_to_p(i, chi, monoid):
-    """Expand the monomial prod_a (h_i (x) a)^{chi(a)} over the p_i basis,
-    as a tuple of (phi, coeff) pairs.
+def block_from_divided(block, odd, monoid):
+    """The PBW expansion of the divided-basis element that a block names, as a
+    tuple of (word, coeff) pairs: p_i(chi) on h_i, the block over prod e! of
+    its runs on a root (`odd` when the root is)."""
+    sym = block[0][0]
+    if sym[0] == 'h':
+        chi = Multiset.of(*(a for _, a in block))
+        key = lambda L: monoid.sort_key(L[1])
+        return tuple((tuple(sorted(mono, key=key)), c)
+                     for mono, c in cartan_p((0,) * (sym[1] - 1) + (1,), chi, monoid))
+    runs = [len(list(g)) for _, g in itertools.groupby(block)]
+    if odd and max(runs) > 1:
+        raise AlgebraError("odd letter with exponent > 1 in a canonical word")
+    return ((block, _exact(Fraction(1, math.prod(map(math.factorial, runs))))),)
 
-    Triangular elimination: p_i(mu) matches the monomial mu in top degree and
-    the rest of it has lower degree, so the monomials of a work table, kept by
-    degree, are eliminated highest degree first.
+
+@functools.cache
+def block_to_divided(block, odd, monoid):
+    """The block over the divided basis, as a tuple of (word, coeff) pairs.
+
+    Triangular elimination: the expansion of a word matches the word in top
+    degree and the rest of it has lower degree, so the words of a work table,
+    kept by degree, are eliminated highest degree first.
     """
-    hvec = (0,) * (i - 1) + (1,)
-    work = [{} for _ in range(chi.size + 1)]
-    work[-1][chi] = 1
+    work = [{} for _ in range(len(block) + 1)]
+    work[-1][block] = 1
     out = {}
     for level in reversed(work):
-        for mu, c in level.items():
-            P = dict(cartan_p(hvec, mu, monoid))
-            # mu lists its elements in tuple order, so this monomial is sorted
-            lead = P.pop(tuple((('h', i), a) for a, e in mu.items() for _ in range(e)), 0)
+        for w, c in level.items():
+            terms = dict(block_from_divided(w, odd, monoid))
+            lead = terms.pop(w, 0)
             if not lead:
-                raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, mu))
-            out[mu] = c = Fraction(c, lead)
-            for w, c2 in P.items():
-                if len(w) >= mu.size:
-                    raise AlgebraError("p remainder failed to drop in degree")
-                nu = Multiset.of(*(a for _, a in w))
-                work[len(w)][nu] = work[len(w)].get(nu, 0) - c * c2
-    return tuple((phi, _exact(c)) for phi, c in out.items() if c)
+                raise AlgebraError("the expansion of %r lost its leading word" % (w,))
+            out[w] = c = Fraction(c, lead)
+            for w2, c2 in terms.items():
+                if len(w2) >= len(w):
+                    raise AlgebraError("an expansion remainder failed to drop in degree")
+                work[len(w2)][w2] = work[len(w2)].get(w2, 0) - c * c2
+    return tuple((w, _exact(c)) for w, c in out.items() if c)
 
 
 class Engine:
@@ -297,8 +311,6 @@ class Engine:
         self._key_memo = {}
         self._insert_memo = {}
         self._p_memo = {}
-        self._block_memo = {}
-        self._from_block_memo = {}
         self._divpow_memo = {}
 
     # -- letters ---------------------------------------------------------
@@ -524,42 +536,15 @@ class Engine:
 
     # -- divided / p-basis conversion --------------------------------------
 
-    def _to_block(self, sym, block):
-        """The divided-basis alternatives of one block, the letters of a
-        canonical word on one symbol, as a tuple of (word, coeff) pairs: the
-        p_i-basis expansion on h_i, the block times prod e! over its runs on
-        a root."""
-        if sym[0] == 'h':
-            chi = Multiset.of(*(a for _, a in block))
-            return tuple((tuple(sorted([(sym, a) for a, e in phi.items() for _ in range(e)],
-                                       key=self._key)), c)
-                         for phi, c in h_mono_to_p(sym[1], chi, self.monoid))
-        runs = [len(list(g)) for _, g in itertools.groupby(block)]
-        if self._parity[sym] and max(runs) > 1:
-            raise AlgebraError("odd letter with exponent > 1 in a canonical word")
-        return ((block, math.prod(map(math.factorial, runs))),)
-
-    def _from_block(self, sym, block):
-        """The inverse of `_to_block`: p_i(chi) on h_i, its coefficient inverted on a root."""
-        if sym[0] == 'h':
-            return tuple(self.p(sym[1], Multiset.of(*(a for _, a in block))).terms.items())
-        (word, c), = self._to_block(sym, block)
-        return ((word, _exact(Fraction(1, c))),)
-
-    def _convert(self, x, memo, block_of, cls):
+    def _convert(self, x, block_of, cls):
         """x in the other basis: each word split into its blocks on one symbol,
-        each block replaced by its alternatives (`block_of`, kept in `memo`),
-        and each choice of alternatives concatenated.  Blocks come in symbol
-        order, so the concatenation is their product."""
+        each block replaced by its alternatives (`block_of`), and each choice
+        of alternatives concatenated.  Blocks come in symbol order, so the
+        concatenation is their product."""
         out = {}
         for w, c in x.terms.items():
-            parts = []
-            for sym, letters in itertools.groupby(w, itemgetter(0)):
-                block = tuple(letters)
-                alts = memo.get(block)
-                if alts is None:
-                    alts = memo[block] = block_of(sym, block)
-                parts.append(alts)
+            parts = [block_of(tuple(letters), self._parity[sym], self.monoid)
+                     for sym, letters in itertools.groupby(w, itemgetter(0))]
             for choice in itertools.product(*parts):
                 key = tuple(itertools.chain.from_iterable([part for part, _ in choice]))
                 out[key] = out.get(key, 0) + c * math.prod([c2 for _, c2 in choice])
@@ -567,7 +552,7 @@ class Engine:
 
     def to_divided(self, x):
         """Exact change of basis into the divided-power integral basis."""
-        return self._convert(x, self._block_memo, self._to_block, DividedForm)
+        return self._convert(x, block_to_divided, DividedForm)
 
     def from_divided(self, df):
         """Inverse of to_divided.  A key that is not a canonical word of this
@@ -581,7 +566,7 @@ class Engine:
                                    for k1, k2, L in zip(keys, keys[1:], w)):
                 raise AlgebraError("divided-basis key %r is not a canonical word of %s"
                                    % (w, self.spec.name))
-        return self._convert(df, self._from_block_memo, self._from_block, UElem)
+        return self._convert(df, block_from_divided, UElem)
 
     def is_integral(self, x):
         """Integral-form membership test; accepts UElem or DividedForm."""

@@ -2,6 +2,8 @@ import dataclasses
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpbw.algebra import Root, SpecError, SuperAlgebraSpec, dump_spec, load_spec, \
     pair_plane, preset, read_algebra, root_string, spec_from_source, validate, PRESET_NAMES
@@ -234,6 +236,8 @@ def test_dump_load_round_trip():
 def test_load_spec_errors():
     with pytest.raises(SpecError, match="cartan"):
         load_spec("roots\n  a even 2 neg -a positive\n")
+    with pytest.raises(SpecError, match="line 2: cartan rank must come before coroots"):
+        load_spec("coroots\n  a 1\ncartan 1\n")
     with pytest.raises(SpecError, match="line 3"):
         load_spec("algebra x\ncartan 1\n  junk before any section\n")
     with pytest.raises(SpecError, match="antisymmetry"):
@@ -244,6 +248,49 @@ def test_load_spec_errors():
             "brackets\n"
             "  h1 x[a] = x[a] 2\n  h1 x[-a] = x[-a] -2\n"
             "  x[a] x[-a] = h1 1\n  x[-a] x[a] = h1 1\n")
+
+
+def _sections(text):
+    """The lines of a table file, grouped as a header line and the indented
+    lines under it."""
+    out = []
+    for line in text.splitlines():
+        if line.startswith(" ") and out:
+            out[-1].append(line)
+        else:
+            out.append([line])
+    return out
+
+
+SL2_SECTIONS = _sections(open(os.path.join(DATA, "sl2.alg")).read())
+EDIT_TOKENS = ["", "0", "1", "-1", "2", "h1", "h2", "x[a]", "x[b]", "=", "neg", "odd",
+               "positive", "cartan", "roots", "coroots", "brackets", "#"]
+
+
+@st.composite
+def edited_tables(draw):
+    """tests/data/sl2.alg with its sections reordered, dropped or repeated, two
+    of its lines swapped, and a few tokens replaced, removed or appended."""
+    lines = [line for section in draw(st.lists(st.sampled_from(SL2_SECTIONS), max_size=8))
+             for line in section]
+    if len(lines) > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        k = draw(st.integers(0, len(toks)))
+        lines[i] = " ".join(toks[:k] + [draw(st.sampled_from(EDIT_TOKENS))] + toks[k + 1:])
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_tables())
+def test_load_spec_refuses_edited_tables_with_spec_error(text):
+    try:
+        load_spec(text)
+    except SpecError:
+        pass
 
 
 def test_load_spec_rejects_invalid_table():

@@ -1,13 +1,15 @@
-"""The Cartan block: `cartan_p`/`p_vector` and `h_mono_to_p` in the
-commutative ring, against a reference that builds p(chi) through the
-non-commutative straightening core (`Engine.mul`) and inverts it the same
-way, and `cartan_p` against its closed form as an exponential; the
-process-wide tables; and the per-engine block memo of `to_divided`."""
+"""The Cartan block: `cartan_p`/`p_vector` and the block conversion
+`block_to_divided` in the commutative ring, against a reference that builds
+p(chi) through the non-commutative straightening core (`Engine.mul`) and
+inverts it the same way, and `cartan_p` against its closed form as an
+exponential; the process-wide tables, the block cache of `to_divided`
+among them."""
 
 import itertools
 import math
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from superpbw.coeffalg import MonoidBasis, monoid_preset
 from superpbw.combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
 from superpbw import engine as engine_mod
 from superpbw.engine import AlgebraError, DividedForm, Engine, Order, UElem, _exact, \
-    cartan_p, h_mono_to_p
+    block_to_divided, cartan_p
 
 PRESETS = ["sl2", "sl3", "sp4", "sl21", "osp12"]
 ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
@@ -33,6 +35,17 @@ def make(algebra, monoid="trunc:4", order="triangular"):
 
 def unit(engine, i):
     return tuple(1 if j == i else 0 for j in range(1, engine.spec.rank + 1))
+
+
+def h_block(engine, i, chi):
+    """The word of the monomial prod_a (h_i (x) a)^chi(a), one block."""
+    return tuple(sorted(((('h', i), a) for a, e in chi.items() for _ in range(e)),
+                        key=engine._key))
+
+
+def h_to_divided(engine, i, chi):
+    """That monomial over the divided basis, by the cached block conversion."""
+    return DividedForm(dict(block_to_divided(h_block(engine, i, chi), 0, engine.monoid)))
 
 
 class StraighteningCartan:
@@ -72,8 +85,7 @@ class StraighteningCartan:
         if not chi:
             return ((EMPTY, 1),)
         P = self.p_vector(unit(eng, i), chi)
-        word = tuple(sorted(((('h', i), a) for a, e in chi.items() for _ in range(e)),
-                            key=eng._key))
+        word = h_block(eng, i, chi)
         lead = P.terms.get(word)
         if not lead:
             raise AlgebraError("p_%d(%r) lost its leading monomial" % (i, chi))
@@ -90,10 +102,7 @@ class StraighteningCartan:
 
     def to_divided_h_mono(self, i, chi):
         """The divided form of the monomial prod_a (h_i (x) a)^chi(a)."""
-        eng = self.engine
-        return DividedForm({tuple(sorted(((('h', i), a) for a, e in phi.items() for _ in range(e)),
-                                         key=eng._key)): c
-                            for phi, c in self.h_mono_to_p(i, chi)})
+        return DividedForm({h_block(self.engine, i, phi): c for phi, c in self.h_mono_to_p(i, chi)})
 
 
 def chis(elems, cap):
@@ -121,9 +130,9 @@ def _check_against_reference(eng, elems, cap):
             assert UElem({tuple(sorted(m, key=eng._key)): c
                           for m, c in cartan_p(hvec, chi, eng.monoid)}) == want
         for i in range(1, spec.rank + 1):
-            got = h_mono_to_p(i, chi, eng.monoid)
-            assert dict(got) == dict(ref.h_mono_to_p(i, chi)), (spec.name, i, chi)
-            _assert_exact(c for _, c in got)
+            got = h_to_divided(eng, i, chi)
+            assert got == ref.to_divided_h_mono(i, chi), (spec.name, i, chi)
+            _assert_exact(got.terms.values())
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -199,7 +208,7 @@ def test_process_tables_are_keyed_by_monoid_fields():
         eng = Engine(preset("sl2"), m)
         ref = StraighteningCartan(eng)
         assert eng.p(1, chi) == ref.p_vector((1,), chi)
-        assert dict(h_mono_to_p(1, chi, m)) == dict(ref.h_mono_to_p(1, chi))
+        assert h_to_divided(eng, 1, chi) == ref.to_divided_h_mono(1, chi)
         h = eng.normalize([(('h', 1), T)] * 2)
         assert eng.to_divided(h) == ref.to_divided_h_mono(1, chi)
 
@@ -215,23 +224,23 @@ def test_the_cartan_ring_does_not_recurse_on_large_chi():
     """200 copies of t over trunc:2 on a cold cache, with 100 frames to spare:
     one Python call per element of chi would overflow."""
     mon, chi = monoid_preset("trunc:2"), 200 * Multiset.of(T)
+    letter = (('h', 1), T)
     engine_mod._cartan_p.cache_clear()
-    h_mono_to_p.cache_clear()
+    block_to_divided.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:
         p = cartan_p((1,), chi, mon)
-        engine_mod._cartan_p.cache_clear()      # h_mono_to_p fills it again
-        conv = h_mono_to_p(1, chi, mon)
+        engine_mod._cartan_p.cache_clear()      # block_to_divided fills it again
+        conv = block_to_divided((letter,) * 200, 0, mon)
     finally:
         sys.setrecursionlimit(limit)
     # p(n t) = -(1/n) (h (x) t) p((n - 1) t), as t^2 = 0
     c = Fraction(1)
     for k in range(1, 201):
         c = -c / k
-    letter = (('h', 1), T)
     assert p == (((letter,) * 200, c),)
-    assert conv == ((chi, 1 / c),)
+    assert conv == (((letter,) * 200, 1 / c),)
 
 
 def test_the_cartan_inverse_does_not_recurse_down_its_remainders():
@@ -240,18 +249,19 @@ def test_the_cartan_inverse_does_not_recurse_down_its_remainders():
     h^m = sum_k (-1)^k k! S(m, k) p(k{1}) with S the Stirling numbers of the
     second kind.  Recursing on each remainder would overflow."""
     mon, m = monoid_preset("trunc:2"), 60
+    letter = (('h', 1), ONE)
     engine_mod._cartan_p.cache_clear()
-    h_mono_to_p.cache_clear()
+    block_to_divided.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:
-        conv = h_mono_to_p(1, m * Multiset.of(ONE), mon)
+        conv = block_to_divided((letter,) * m, 0, mon)
     finally:
         sys.setrecursionlimit(limit)
     stirling = [1] + [0] * m            # S(n, k) for the current n, k = 0..m
     for n in range(1, m + 1):
         stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, m + 1)]
-    assert dict(conv) == {k * Multiset.of(ONE): (-1) ** k * math.factorial(k) * stirling[k]
+    assert dict(conv) == {(letter,) * k: (-1) ** k * math.factorial(k) * stirling[k]
                           for k in range(1, m + 1)}
 
 
@@ -262,7 +272,7 @@ def test_cartan_caches_are_shared_across_orders():
     h = tri.normalize([(('h', 1), T), (('h', 1), T2), (('h', 2), T), (('h', 2), T)])
     df = tri.to_divided(h)
     assert tri.from_divided(df) == h
-    caches = (engine_mod._cartan_p, h_mono_to_p)
+    caches = (engine_mod._cartan_p, block_to_divided)
     before = [fn.cache_info() for fn in caches]
     # both orders put h_1 before h_2, so the words agree
     assert lex.to_divided(lex.adopt(h)) == df
@@ -285,20 +295,21 @@ def test_shared_values_cannot_be_corrupted():
     eng.to_divided(h).terms.clear()
     eng.to_divided(h).terms[()] = 3
     # returned conversion tuples are immutable
-    for conv in (cartan_p((1, 0), chi, eng.monoid), h_mono_to_p(1, chi, eng.monoid),
-                 eng._block_memo[next(iter(eng._block_memo))]):
+    for conv in (cartan_p((1, 0), chi, eng.monoid),
+                 block_to_divided(h_block(eng, 1, chi), 0, eng.monoid),
+                 block_to_divided(((('x', 'a1'), T),) * 2, 0, eng.monoid)):
         with pytest.raises(TypeError):
             conv[0] = conv[0]
         with pytest.raises(AttributeError):
             conv.clear()
     assert eng.p(1, chi) == ref.p_vector((1, 0), chi)
     assert eng.p_vector((1, 0), chi) == ref.p_vector((1, 0), chi)
-    assert dict(h_mono_to_p(1, chi, eng.monoid)) == dict(ref.h_mono_to_p(1, chi))
+    assert h_to_divided(eng, 1, chi) == ref.to_divided_h_mono(1, chi)
     assert eng.to_divided(h) == want_df
     assert eng.from_divided(eng.to_divided(h)) == h
 
 
-# -- the block memo of to_divided: a warm engine gives what a fresh one does --
+# -- the block cache of to_divided: a warm cache gives what a cold one does --
 
 CONFIGS = [("sl3", "trunc:4", "triangular"), ("sl21", "trunc:4", "triangular"),
            ("osp12", "trunc:4", "triangular"), ("sl2", "poly2", "triangular"),
@@ -334,6 +345,8 @@ def test_warm_block_memo_matches_fresh_engine(case):
         warm = _warm[config] = make(*config)
     x = UElem.sum([warm.normalize(w, c) for w, c in words])
     df = warm.to_divided(x)
+    block_to_divided.cache_clear()
+    engine_mod._cartan_p.cache_clear()
     assert df == make(*config).to_divided(x)
     _assert_exact(df.terms.values())
     assert warm.from_divided(df) == x
@@ -343,8 +356,33 @@ def test_block_memo_covers_odd_and_cartan_blocks():
     eng = make("sl21")
     x = eng.normalize([(('x', 'a2'), T), (('h', 1), T), (('h', 1), T2), (('h', 2), ONE),
                        (('x', 'a1'), T), (('x', 'a1'), T)])
+    block_to_divided.cache_clear()
     df = eng.to_divided(x)
     assert eng.from_divided(df) == x
-    syms = {block[0][0] for block in eng._block_memo}
-    assert {('h', 1), ('h', 2), ('x', 'a2'), ('x', 'a1')} <= syms
+    blocks = {(tuple(letters), eng._parity[sym]) for w in x.terms
+              for sym, letters in itertools.groupby(w, itemgetter(0))}
+    assert {('h', 1), ('h', 2), ('x', 'a2'), ('x', 'a1')} <= {block[0][0] for block, _ in blocks}
+    # to_divided asked the cache for each of these blocks, and for nothing else
+    before = block_to_divided.cache_info()
+    assert before.currsize == len(blocks)
+    for block, odd in blocks:
+        block_to_divided(block, odd, eng.monoid)
+    after = block_to_divided.cache_info()
+    assert (after.hits, after.misses) == (before.hits + len(blocks), before.misses)
     assert df == make("sl21").to_divided(x)
+
+
+@pytest.mark.parametrize("names", [("sl3", "sl21"), ("sl21", "sl3")],
+                         ids=["sl3-first", "sl21-first"])
+def test_block_cache_keys_by_parity(names):
+    """The label a2 is even on sl3 and odd on sl21: the square of x[a2] (x) 1
+    converts on the one and is refused on the other, whichever comes first."""
+    word = ((('x', 'a2'), ONE),) * 2
+    block_to_divided.cache_clear()
+    for name in names:
+        eng = make(name)
+        if name == "sl3":
+            assert eng.to_divided(UElem({word: 1})) == DividedForm({word: 2})
+        else:
+            with pytest.raises(AlgebraError, match="odd letter with exponent > 1"):
+                eng.to_divided(UElem({word: 1}))

@@ -304,6 +304,15 @@ def test_closed_stdout_exits_without_a_traceback(argv):
     assert proc.stderr == ""
 
 
+def test_coroots_before_cartan_exit_2(tmp_path):
+    path = tmp_path / "early.alg"
+    path.write_text("coroots\n  a 1\ncartan 1\n")
+    proc = subprocess.run([sys.executable, "-m", "superpbw", "validate-spec", "--algebra",
+                           str(path)], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: line 2: cartan rank must come before coroots\n"
+
+
 def test_usage_error_exit_2():
     proc = subprocess.run([sys.executable, "-m", "superpbw", "normalize"],
                           capture_output=True, text=True, env=ENV)

@@ -9,7 +9,7 @@ from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
 from superpbw.engine import AlgebraError, Combination, DividedForm, Engine, NEG_INF, Order, \
-    UElem, h_mono_to_p
+    UElem, block_to_divided
 from superpbw.identities import divided_D
 
 ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
@@ -21,6 +21,14 @@ def make(algebra, monoid="poly", order=None):
     if order == "lex":
         o = Order.lexicographic(spec)
     return Engine(spec, monoid_preset(monoid), o)
+
+
+def h_to_divided(engine, i, chi):
+    """The monomial prod_a (h_i (x) a)^chi(a) over the divided basis, by the
+    cached block conversion, as a tuple of (word, coeff) pairs."""
+    block = tuple(sorted(((('h', i), a) for a, e in chi.items() for _ in range(e)),
+                         key=engine._key))
+    return block_to_divided(block, 0, engine.monoid)
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +369,7 @@ def test_coefficients_are_int_or_proper_fraction(name):
         assert back == x
     for i in range(1, eng.spec.rank + 1):
         for chi in (Multiset.of(T), Multiset.of(T, T2), Multiset.of(T, T)):
-            _assert_exact(c for _, c in h_mono_to_p(i, chi, eng.monoid))
+            _assert_exact(c for _, c in h_to_divided(eng, i, chi))
 
 
 def test_divided_round_trip_with_integer_p_lead():
@@ -373,7 +381,7 @@ def test_divided_round_trip_with_integer_p_lead():
     x = eng.normalize([(('h', 1), T), (('h', 1), T2)], Fraction(1, 3))
     df = eng.to_divided(x)
     _assert_exact(df.terms.values())
-    _assert_exact(c for _, c in h_mono_to_p(1, chi, eng.monoid))
+    _assert_exact(c for _, c in h_to_divided(eng, 1, chi))
     assert eng.from_divided(df) == x
     with pytest.raises(TypeError):
         eng.normalize([(('h', 1), T)], 0.5)
@@ -391,10 +399,10 @@ def test_memo_values_cannot_be_mutated():
     assert eng._insert(word, letter, {}) == got
     assert eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]) == \
         make("sl2").normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
-    conv = h_mono_to_p(1, Multiset.of(T, T), eng.monoid)
+    conv = h_to_divided(eng, 1, Multiset.of(T, T))
     with pytest.raises(AttributeError):
         conv.clear()
-    assert h_mono_to_p(1, Multiset.of(T, T), eng.monoid) == conv
+    assert h_to_divided(eng, 1, Multiset.of(T, T)) == conv
 
 
 def test_p_hands_out_copies():
