@@ -43,7 +43,7 @@ def main():
         return 0
 
     for title, seg in (("B-", -1), ("B0", 0), ("B+", 1)):
-        syms = [s for s in engine.order.syms if engine.segment_of(s) == seg]
+        syms = [s for s in engine.order.syms if engine.order.segment[s] == seg]
         part = sorted((len(k), divided_blocks(engine, k))
                       for k in engine.enumerate_basis(args.degree, syms))
         print("\n%s (%d elements)" % (title, len(part)))

@@ -59,7 +59,6 @@ class SuperAlgebraSpec:
                                 % (self._by_ev[r.ev], r.label, r.ev))
             self._by_ev[r.ev] = r.label
         self.brackets = {}
-        self._planes = {}        # (alpha, beta) -> PairPlane, filled by pair_plane
         for (s1, s2), terms in brackets.items():
             terms = tuple((sym, int(c)) for sym, c in terms if c)
             if terms:
@@ -122,12 +121,16 @@ class SuperAlgebraSpec:
 
 def validate(spec):
     """Check the Chevalley-table invariants; returns a list of violations
-    (empty = valid).  Covers super antisymmetry, super Jacobi, grading,
-    negation involution, and coroot consistency."""
+    (empty = valid), in symbol order.  Covers super antisymmetry, super Jacobi,
+    grading, negation involution and coroot consistency, on what the table
+    holds: its nonzero brackets, each (alpha, -alpha) and each (h_i, root)."""
     bad = []
     syms = spec.all_syms()
-    par = {s: spec.parity(s) for s in syms}
-
+    idx = {s: n for n, s in enumerate(syms)}
+    par = [spec.parity(s) for s in syms]
+    rank = spec.rank
+    known = {(idx[s1], idx[s2]): terms for (s1, s2), terms in spec.brackets.items()
+             if s1 in idx and s2 in idx}
     for r in spec.roots:
         n = spec.root(r.neg) if spec.has_root(r.neg) else None
         if n is None:
@@ -143,71 +146,67 @@ def validate(spec):
             bad.append("exactly one of %s, %s must be positive" % (r.label, n.label))
 
     # antisymmetry: [z, w] = -(-1)^{|z||w|} [w, z]
-    for s1 in syms:
-        for s2 in syms:
-            sign = -1 if (par[s1] and par[s2]) else 1
-            lhs = dict(spec.bracket(s1, s2))
-            rhs = {k: -sign * v for k, v in spec.bracket(s2, s1)}
-            if lhs != rhs:
-                bad.append("antisymmetry fails for (%s, %s)" % (s1, s2))
+    for i, j in sorted({p for i, j in known for p in ((i, j), (j, i))}):
+        s1, s2 = syms[i], syms[j]
+        sign = -1 if (par[i] and par[j]) else 1
+        if dict(spec.bracket(s1, s2)) != {k: -sign * v for k, v in spec.bracket(s2, s1)}:
+            bad.append("antisymmetry fails for (%s, %s)" % (s1, s2))
 
-    # grading
-    for i in range(1, spec.rank + 1):
-        for j in range(1, spec.rank + 1):
-            if spec.bracket(('h', i), ('h', j)):
-                bad.append("Cartan generators h%d, h%d do not commute" % (i, j))
-        for r in spec.roots:
+    # grading: for each h_i, its brackets with the h_j, then with the roots
+    grading = [((i, j), "Cartan generators h%d, h%d do not commute" % (i + 1, j + 1))
+               for i, j in known if max(i, j) < rank]
+    for i in range(1, rank + 1):
+        for k, r in enumerate(spec.roots):
             want = {('x', r.label): r.ev[i - 1]} if r.ev[i - 1] else {}
             if dict(spec.bracket(('h', i), ('x', r.label))) != want:
-                bad.append("[h%d, x_%s] disagrees with the stored evaluation" % (i, r.label))
-    for r1 in spec.roots:
-        for r2 in spec.roots:
-            got = dict(spec.bracket(('x', r1.label), ('x', r2.label)))
-            ssum = tuple(a + b for a, b in zip(r1.ev, r2.ev))
-            if r2.label == r1.neg:
-                if any(s[0] != 'h' for s in got):
-                    bad.append("[x_%s, x_%s] leaves the Cartan" % (r1.label, r2.label))
-                cor = spec.coroots.get(r1.label)
-                have = tuple(got.get(('h', i), 0) for i in range(1, spec.rank + 1))
-                if cor is None or tuple(cor) != have:
-                    bad.append("coroot of %s disagrees with [x_%s, x_%s]"
-                               % (r1.label, r1.label, r2.label))
-            else:
-                target = spec.find_root(ssum)
-                if target is None:
-                    if got:
-                        bad.append("[x_%s, x_%s] should vanish (%r is not a root)"
-                                   % (r1.label, r2.label, ssum))
-                elif any(s != ('x', target) for s in got):
-                    bad.append("[x_%s, x_%s] is not a multiple of x_%s"
-                               % (r1.label, r2.label, target))
-
+                grading.append(((i - 1, rank + k), "[h%d, x_%s] disagrees with the "
+                                "stored evaluation" % (i, r.label)))
+    bad += [v for _, v in sorted(grading)]
+    pairs = {(i, j) for i, j in known if min(i, j) >= rank}
+    pairs |= {(idx['x', r.label], idx['x', r.neg]) for r in spec.roots if spec.has_root(r.neg)}
+    for i, j in sorted(pairs):
+        r1, r2 = spec.roots[i - rank], spec.roots[j - rank]
+        got = dict(spec.bracket(syms[i], syms[j]))
+        if r2.label == r1.neg:
+            if any(s[0] != 'h' for s in got):
+                bad.append("[x_%s, x_%s] leaves the Cartan" % (r1.label, r2.label))
+            cor = spec.coroots.get(r1.label)
+            if cor is None or tuple(cor) != tuple(got.get(('h', n), 0) for n in range(1, rank + 1)):
+                bad.append("coroot of %s disagrees with [x_%s, x_%s]"
+                           % (r1.label, r1.label, r2.label))
+            continue
+        ssum = tuple(a + b for a, b in zip(r1.ev, r2.ev))
+        target = spec.find_root(ssum)
+        if target is None and got:
+            bad.append("[x_%s, x_%s] should vanish (%r is not a root)" % (r1.label, r2.label, ssum))
+        elif target is not None and any(s != ('x', target) for s in got):
+            bad.append("[x_%s, x_%s] is not a multiple of x_%s" % (r1.label, r2.label, target))
     for r in spec.roots:
-        if r.parity == 0:
-            cor = spec.coroots.get(r.label)
-            if cor is not None and sum(e * c for e, c in zip(r.ev, cor)) != 2:
-                bad.append("alpha(h_alpha) != 2 for even root %s" % r.label)
+        cor = spec.coroots.get(r.label)
+        if r.parity == 0 and cor is not None and sum(e * c for e, c in zip(r.ev, cor)) != 2:
+            bad.append("alpha(h_alpha) != 2 for even root %s" % r.label)
 
-    # super Jacobi: [a,[b,c]] = [[a,b],c] + (-1)^{|a||b|} [b,[a,c]]
-    for a in syms:
-        for b in syms:
-            sgn = -1 if (par[a] and par[b]) else 1
-            for c in syms:
-                left = {}
-                for sym, k in spec.bracket(b, c):
-                    for sym2, k2 in spec.bracket(a, sym):
-                        left[sym2] = left.get(sym2, 0) + k * k2
-                right = {}
-                for sym, k in spec.bracket(a, b):
-                    for sym2, k2 in spec.bracket(sym, c):
-                        right[sym2] = right.get(sym2, 0) + k * k2
-                for sym, k in spec.bracket(a, c):
-                    for sym2, k2 in spec.bracket(b, sym):
-                        right[sym2] = right.get(sym2, 0) + sgn * k * k2
-                left = {k: v for k, v in left.items() if v}
-                right = {k: v for k, v in right.items() if v}
-                if left != right:
-                    bad.append("super Jacobi fails on (%s, %s, %s)" % (a, b, c))
+    # super Jacobi: [a,[b,c]] - [[a,b],c] - (-1)^{|a||b|} [b,[a,c]] vanishes.  Each
+    # term is summed from the nonzero brackets: for each s in a nonzero [x, y],
+    # [t, s] enters the triples (t, x, y) and (x, t, y), and [s, t] enters (x, y, t).
+    into, out = {}, {}      # s -> (t, [t, s]) and (t, [s, t]), for t of the table
+    for (s1, s2), terms in spec.brackets.items():
+        if s1 in idx:
+            into.setdefault(s2, []).append((idx[s1], terms))
+        if s2 in idx:
+            out.setdefault(s1, []).append((idx[s2], terms))
+    jacobi = {}             # triple -> symbol -> its coefficient in the sum
+    for (x, y), terms in known.items():
+        for s, k in terms:
+            parts = [((t, x, y), ts, k) for t, ts in into.get(s, ())]
+            parts += [((x, t, y), ts, k if par[x] and par[t] else -k) for t, ts in into.get(s, ())]
+            parts += [((x, y, t), st, -k) for t, st in out.get(s, ())]
+            for triple, ts, c in parts:
+                acc = jacobi.setdefault(triple, {})
+                for w, m in ts:
+                    acc[w] = acc.get(w, 0) + c * m
+    bad += ["super Jacobi fails on (%s, %s, %s)" % tuple(syms[n] for n in t)
+            for t in sorted(jacobi) if any(jacobi[t].values())]
     return bad
 
 
@@ -233,24 +232,21 @@ def root_string(spec, alpha, beta):
     return RootStringData(alpha, beta, r, q, c)
 
 
+@functools.cache
 def pair_plane(spec, alpha, beta):
     """The PairPlane of two even roots, classified once per spec.  Its type
     comes from the count of even roots i*alpha + j*beta, (i, j) != 0,
     |i|, |j| <= 4.  When alpha + beta is a root the bottom comes from
     `root_string`, so a table that breaks the Chevalley magnitude rule raises
     SpecError here."""
-    plane = spec._planes.get((alpha, beta))
-    if plane is None:
-        ra, rb = spec.root(alpha), spec.root(beta)
-        span = {(i, j): spec.find_root(tuple(i * x + j * y for x, y in zip(ra.ev, rb.ev)))
-                for i in range(-4, 5) for j in range(-4, 5) if i or j}
-        span = {ij: lab for ij, lab in span.items() if lab is not None}
-        count = sum(spec.root(lab).parity == 0 for lab in span.values())
-        plane = spec._planes[alpha, beta] = PairPlane(
-            {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}.get(count),
-            (1, 1) not in span or root_string(spec, alpha, beta).r == 0,
-            tuple(ij for ij in span if min(ij) >= 1))
-    return plane
+    ra, rb = spec.root(alpha), spec.root(beta)
+    span = {(i, j): spec.find_root(tuple(i * x + j * y for x, y in zip(ra.ev, rb.ev)))
+            for i in range(-4, 5) for j in range(-4, 5) if i or j}
+    span = {ij: lab for ij, lab in span.items() if lab is not None}
+    count = sum(spec.root(lab).parity == 0 for lab in span.values())
+    return PairPlane({4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}.get(count),
+                     (1, 1) not in span or root_string(spec, alpha, beta).r == 0,
+                     tuple(ij for ij in span if min(ij) >= 1))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ class Order:
             raise AlgebraError("order must list every root and Cartan symbol exactly once")
         self.syms = syms
         self._rank = {s: n for n, s in enumerate(syms)}
+        # -1 / 0 / +1 for negative-root / Cartan / positive-root symbols
+        self.segment = {s: 0 if s[0] == 'h' else 1 if spec.root(s[1]).positive else -1
+                        for s in syms}
 
     def rank(self, sym):
         try:
@@ -65,14 +68,10 @@ class Order:
                 syms.append(('x', it))
         return cls(spec, syms)
 
-    def is_triangular(self, spec):
-        kinds = []
-        for s in self.syms:
-            if s[0] == 'h':
-                kinds.append(1)
-            else:
-                kinds.append(0 if not spec.root(s[1]).positive else 2)
-        return kinds == sorted(kinds)
+    def is_triangular(self):
+        """Negative roots, then Cartan, then positive roots (B- . B0 . B+)."""
+        segs = [self.segment[s] for s in self.syms]
+        return segs == sorted(segs)
 
 
 def re_int(tok):
@@ -590,25 +589,18 @@ class Engine:
                 for w in itertools.combinations_with_replacement(letters, n)
                 if not any(u == v and self._parity[u[0]] for u, v in zip(w, w[1:]))]
 
-    def segment_of(self, sym):
-        """-1 / 0 / +1 for negative-root / Cartan / positive-root symbols."""
-        if sym[0] == 'h':
-            return 0
-        return 1 if self.spec.root(sym[1]).positive else -1
-
     def triangular_factor(self, x):
         """Factor an integral element through B- . B0 . B+ (Corollary-style
         triangular decomposition).  Returns (engine, [(coeff, k-, k0, k+)])
         where the keys concatenate to the divided-basis key of each term."""
-        if self.order.is_triangular(self.spec):
+        if self.order.is_triangular():
             eng, y = self, x
         else:
             eng = Engine(self.spec, self.monoid, Order.triangular(self.spec))
             y = eng.adopt(x)
-        segment = {sym: eng.segment_of(sym) for sym in eng.order.syms}
         out = []
         for key, c in eng.to_divided(y).terms.items():
-            segs = [segment[sym] for sym, _ in key]
+            segs = [eng.order.segment[sym] for sym, _ in key]
             if segs != sorted(segs):
                 raise AlgebraError("triangular order failed to segment %r" % (key,))
             n0, n1 = segs.count(-1), len(segs) - segs.count(1)

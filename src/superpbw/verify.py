@@ -33,10 +33,6 @@ class CheckReport:
     diffs: tuple = ()        # ((word string, lhs coeff, rhs coeff), ...)
     seconds: float = 0.0
 
-    @property
-    def ok(self):
-        return self.verdict != "fail"
-
     def line(self):
         bits = ["CHECK id=%s algebra=%s" % (self.identity, self.algebra)]
         bits += ["%s=%s" % (k, v) for k, v in self.params]
@@ -518,7 +514,7 @@ def verify_basis_counts(engine, degree_cap):
 
     seg_counts = {}
     for seg in (-1, 0, 1):
-        syms = [s for s in engine.order.syms if engine.segment_of(s) == seg]
+        syms = [s for s in engine.order.syms if engine.order.segment[s] == seg]
         cs = [0] * (degree_cap + 1)
         for k in engine.enumerate_basis(degree_cap, syms):
             cs[len(k)] += 1

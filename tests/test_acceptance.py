@@ -183,7 +183,7 @@ def test_criterion_09_example_listing(capsys):
     # odd letter repeats in it
     engine = get_engine("sl21", "trunc:2")
     for key in engine.enumerate_basis(2):
-        segs = [engine.segment_of(sym) for sym, _ in key]
+        segs = [engine.order.segment[sym] for sym, _ in key]
         ok = ok and segs == sorted(segs)
         odd = [L for L in key if engine.spec.parity(L[0]) == 1]
         ok = ok and len(set(odd)) == len(odd)

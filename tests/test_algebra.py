@@ -293,6 +293,17 @@ def test_load_spec_refuses_edited_tables_with_spec_error(text):
         pass
 
 
+def test_load_spec_reads_a_zero_bracket_line():
+    # "sym sym = 0" states a vanishing bracket: the table holds no entry for it
+    text = open(os.path.join(DATA, "sl2.alg")).read()
+    spec = load_spec(text + "  x[a] x[a] = 0\n  h1 h1 = 0\n")
+    assert spec.brackets == load_spec(text).brackets
+    assert spec.bracket(('x', 'a'), ('x', 'a')) == ()
+    # it overrides an earlier line on the same pair, which validation then sees
+    with pytest.raises(SpecError, match="disagrees with the stored evaluation"):
+        load_spec(text + "  h1 x[a] = 0\n")
+
+
 def test_load_spec_rejects_invalid_table():
     text = ("cartan 1\nroots\n"
             "  a even 2 neg -a positive\n  -a even -2 neg a\n"

@@ -306,7 +306,7 @@ def test_triangular_factor_from_other_order():
     lex = Engine(spec, mon, Order.lexicographic(spec))
     x = lex.normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
     eng, factored = lex.triangular_factor(x)
-    assert eng.order.is_triangular(spec)
+    assert eng.order.is_triangular()
     for c, kneg, kzero, kpos in factored:
         for sym, _ in kneg:
             assert not spec.root(sym[1]).positive
@@ -334,7 +334,7 @@ def test_two_variable_coefficients():
 def test_order_from_items():
     spec = preset("sl2")
     o = Order.from_items(spec, ["-a", "1", "a"])
-    assert o.is_triangular(spec)
+    assert o.is_triangular()
     with pytest.raises(AlgebraError):
         Order.from_items(spec, ["a", "1"])   # missing -a
 

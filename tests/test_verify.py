@@ -68,7 +68,8 @@ def test_each_plane_is_classified_once_per_spec(monkeypatch):
     built = []
     plane_type = algebra.PairPlane
     monkeypatch.setattr(algebra, "PairPlane", lambda *f: built.append(f) or plane_type(*f))
-    spec = load_spec(dump_spec(preset("sp4")), name="sp4")    # a fresh, empty memo
+    spec = load_spec(dump_spec(preset("sp4")), name="sp4")    # a fresh spec, so no entry
+    misses = algebra.pair_plane.cache_info().misses
     eng = Engine(spec, monoid_preset("trunc:2"))
     gated = 0
     for ident_id in ("L4.4b", "4.6", "L4.4a", "L4.4b"):
@@ -77,7 +78,7 @@ def test_each_plane_is_classified_once_per_spec(monkeypatch):
         gated += len(reports)
     # 48 ordered pairs of distinct, non-opposite even roots, 16 instances each
     assert gated == 4 * 48 * 16
-    assert len(built) == len(spec._planes) == 48
+    assert len(built) == algebra.pair_plane.cache_info().misses - misses == 48
 
 
 def test_degree_bounds_items():
@@ -239,6 +240,32 @@ def test_failing_comparison_names_the_first_differing_word(monkeypatch):
     # x^(1) x^(1) = 2 x^(2) = x^2, against the doubled 2 x^2
     assert rep.detail == "LHS != RHS; first difference x[a]{t}^2: LHS 1, RHS 2"
     assert rep.diffs[0] == ("x[a]{t}^2", "1", "2")
+
+
+@pytest.mark.parametrize("slots, cached, detail", [
+    # base + eps X = lhs forces eps = +1, which the cache has as -1
+    ((1,), {"k": -1}, "cached signs fail: not reusable"),
+    # base + eps X = lhs with base = lhs and X != 0: no eps works
+    ((0,), {}, "no sign assignment zeroes the difference"),
+    # base + eps X + eps' X = lhs with base = lhs: eps' = -eps, two ways
+    ((0, 0), {}, "ambiguous sign assignment (2 solutions)"),
+])
+def test_sign_template_failures_say_why(monkeypatch, slots, cached, detail):
+    """A crafted template on L4.4b's row: base = lhs - sum(slots) X, one slot
+    X per entry, X = h[1]{1}."""
+    eng = get_engine("sp4")
+    ps = {"alpha": "a1", "beta": "a2", "a": ONE, "b": ONE, "r": 1, "s": 1}
+    check = IDENTITIES["L4.4b"]
+    x = eng.gen_elem(('h', 1), ONE)
+
+    def template(e, ps):
+        lhs = ident.lhs_product(e, check.factors, ps)
+        return ident.SignTemplate(lhs - sum(slots) * x,
+                                  tuple(("k" + "'" * n, x) for n in range(len(slots))))
+    monkeypatch.setitem(IDENTITIES, "L4.4b", replace(check, rhs=template))
+    rep = verify_identity(eng, "L4.4b", ps, {("L4.4b", "sp4", "a1", "a2"): dict(cached)})
+    assert rep.verdict == "fail"
+    assert rep.detail.split(";")[0] == detail
 
 
 def test_get_engine_keys_files_by_content(tmp_path):
