@@ -605,7 +605,7 @@ def load_spec(text, name="user", check=True):
         parities[('x', r.label)] = r.parity
     brackets = {}
     for (s1, s2), terms in given.items():
-        for s in (s1, s2):
+        for s in (s1, s2) + tuple(sym for sym, _ in terms):
             if s not in parities:
                 raise SpecError("bracket mentions unknown symbol %s" % format_sym(s))
         brackets[(s1, s2)] = terms

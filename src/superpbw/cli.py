@@ -24,7 +24,8 @@ class UsageError(Exception):
 
 
 def make_engine(args, default_monoid="poly"):
-    """A fresh engine per command, so each request starts on cold memos."""
+    """A fresh engine per command, so its own memos start empty; the Cartan
+    and block caches are process-wide and stay warm across commands."""
     return ver.load_engine(args.algebra, args.monoid or default_monoid,
                            args.order or "triangular")
 

@@ -16,7 +16,7 @@ class MonoidBasis:
 
     Elements are exponent tuples over `varnames`; the absorbing zero of a
     truncated monoid is represented by None and is never itself a basis
-    element.  The element order is degree-lexicographic.
+    element.  Elements are ordered as tuples, exponent by exponent.
     """
 
     def __init__(self, name, varnames, laurent=False, trunc=None):
@@ -56,9 +56,6 @@ class MonoidBasis:
         if self.trunc is not None and sum(c) >= self.trunc:
             return None
         return c
-
-    def sort_key(self, a):
-        return (sum(a), a)
 
     @property
     def finite(self):

@@ -211,7 +211,7 @@ def word_runs(word):
 
 # The Cartan block U(h (x) A) is commutative, so p(chi) depends on no order and
 # no root data, and inside a block of a canonical word (its letters on one
-# symbol) the engine's letter order is the monoid's `sort_key`.  So p(chi), and
+# symbol) the engine's letter order is the exponent tuple's.  So p(chi), and
 # a block's conversion to the divided basis given the parity of its symbol, are
 # cached once per process for every engine, triangular or lexicographic, and
 # every algebra.  A monoid compares by its defining fields, so two monoids that
@@ -263,9 +263,7 @@ def block_from_divided(block, odd, monoid):
     sym = block[0][0]
     if sym[0] == 'h':
         chi = Multiset.of(*(a for _, a in block))
-        key = lambda L: monoid.sort_key(L[1])
-        return tuple((tuple(sorted(mono, key=key)), c)
-                     for mono, c in cartan_p((0,) * (sym[1] - 1) + (1,), chi, monoid))
+        return cartan_p((0,) * (sym[1] - 1) + (1,), chi, monoid)
     runs = [len(list(g)) for _, g in itertools.groupby(block)]
     if odd and max(runs) > 1:
         raise AlgebraError("odd letter with exponent > 1 in a canonical word")
@@ -307,7 +305,6 @@ class Engine:
         self.monoid = monoid
         self.order = order or Order.triangular(spec)
         self._parity = {s: spec.parity(s) for s in spec.all_syms()}
-        self._key_memo = {}
         self._insert_memo = {}
         self._p_memo = {}
         self._divpow_memo = {}
@@ -330,11 +327,8 @@ class Engine:
         return (sym, self.monoid.check(aelt))
 
     def _key(self, letter):
-        k = self._key_memo.get(letter)
-        if k is None:
-            k = (self.order.rank(letter[0]), self.monoid.sort_key(letter[1]))
-            self._key_memo[letter] = k
-        return k
+        """A letter's place in word order: its symbol's rank, then its exponent tuple."""
+        return (self.order.rank(letter[0]), letter[1])
 
     def runs_key(self, runs):
         """Sort key for a canonical word from its runs (`word_runs`), compared
@@ -369,7 +363,7 @@ class Engine:
         so far.  The bracket constants are integers, so the coefficients stay
         ints unless an odd square has an odd constant.
         """
-        kget, key, parity = self._key_memo.get, self._key, self._parity
+        rank, parity = self.order._rank, self._parity
         amul, bracket = self.monoid.mul, self.spec.bracket
 
         def known(w, x):
@@ -377,7 +371,9 @@ class Engine:
             solved before in this call; else None."""
             if w:
                 u = w[-1]
-                if parity[x[0]] if u == x else (kget(u) or key(u)) > (kget(x) or key(x)):
+                # letter order: the symbol's rank, then the exponent tuple
+                if parity[x[0]] if u == x else (rank[u[0]] > rank[x[0]]
+                                                or u[0] == x[0] and u[1] > x[1]):
                     return scratch.get((w, x))      # x moves left past u
             return ((w + (x,), 1),)
 
@@ -389,12 +385,13 @@ class Engine:
             if u != x:              # else u = x is odd, and only the bracket stays
                 odd = parity[u[0]]
                 sign = -1 if (odd and parity[x[0]]) else 1
-                ku = kget(u) or key(u)
+                ru = rank[u[0]]
                 sub = known(pre, x)
                 for w1, c1 in (yield pre, x) if sub is None else sub:
                     c1 *= sign
                     v = w1[-1]
-                    if (not odd) if v == u else (kget(v) or key(v)) < ku:
+                    if (not odd) if v == u else (rank[v[0]] < ru
+                                                 or v[0] == u[0] and v[1] < u[1]):
                         w2 = w1 + (u,)      # a trivial append, as for top(pre x)
                         acc[w2] = acc.get(w2, 0) + c1
                         continue
@@ -413,18 +410,21 @@ class Engine:
             out = scratch[w, x] = tuple([item for item in acc.items() if item[1]])
             return out
 
-        out = known(word, letter)
-        if out is None:
-            stack = [frame(word, letter)]
-            while stack:
-                try:
-                    req = stack[-1].send(out)
-                except StopIteration as done:
-                    out = done.value
-                    stack.pop()
-                else:
-                    stack.append(frame(*req))
-                    out = None
+        try:
+            out = known(word, letter)
+            if out is None:
+                stack = [frame(word, letter)]
+                while stack:
+                    try:
+                        req = stack[-1].send(out)
+                    except StopIteration as done:
+                        out = done.value
+                        stack.pop()
+                    else:
+                        stack.append(frame(*req))
+                        out = None
+        except KeyError as e:   # only rank and parity, keyed by the order's symbols, raise it
+            raise AlgebraError("symbol %r is not in the order" % (e.args[0],)) from None
         return out
 
     def _fold(self, terms, letters, scratch):

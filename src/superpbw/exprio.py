@@ -251,16 +251,15 @@ def mset_str(engine, pairs):
 
 def divided_blocks(engine, key):
     """A divided-basis key as its blocks on one symbol: (order rank, sym,
-    runs) triples, runs being (element, exponent) pairs sorted by element
-    tuple.  That is Multiset order, not the word's, which puts degree first
-    (they differ on poly2); the printed divided basis keeps it on purpose."""
+    runs) triples, runs being (element, exponent) pairs in word order, which
+    inside a block is the elements' exponent-tuple order."""
     blocks = []
     for (sym, a), e in word_runs(key):
         if blocks and blocks[-1][1] == sym:
             blocks[-1][2].append((a, e))
         else:
             blocks.append((engine.order.rank(sym), sym, [(a, e)]))
-    return tuple((rank, sym, tuple(sorted(runs))) for rank, sym, runs in blocks)
+    return tuple((rank, sym, tuple(runs)) for rank, sym, runs in blocks)
 
 
 def blocks_str(engine, blocks):

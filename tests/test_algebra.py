@@ -248,6 +248,13 @@ def test_load_spec_errors():
             "brackets\n"
             "  h1 x[a] = x[a] 2\n  h1 x[-a] = x[-a] -2\n"
             "  x[a] x[-a] = h1 1\n  x[-a] x[a] = h1 1\n")
+    # a bracket's result is held to the symbols of the table, as its key is
+    sl2 = open(os.path.join(DATA, "sl2.alg")).read()
+    for result, sym in (("h1 -1 h7 -5", "h7"), ("x[zz] 1", "x[zz]")):
+        with pytest.raises(SpecError, match=r"bracket mentions unknown symbol %s$"
+                           % sym.replace("[", r"\[").replace("]", r"\]")):
+            load_spec(sl2.replace("x[-a] x[a] = h1 -1", "x[-a] x[a] = " + result),
+                      check=False)
 
 
 def _sections(text):

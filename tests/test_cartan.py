@@ -20,7 +20,7 @@ from superpbw.coeffalg import MonoidBasis, monoid_preset
 from superpbw.combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
 from superpbw import engine as engine_mod
 from superpbw.engine import AlgebraError, DividedForm, Engine, Order, UElem, _exact, \
-    block_to_divided, cartan_p
+    block_from_divided, block_to_divided, cartan_p
 
 PRESETS = ["sl2", "sl3", "sp4", "sl21", "osp12"]
 ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
@@ -143,9 +143,26 @@ def test_cartan_ring_matches_straightening_reference(name):
 
 @pytest.mark.parametrize("order", ["triangular", "lex"])
 def test_cartan_ring_matches_straightening_reference_poly2(order):
-    # on poly2 the engine orders letters by degree first, a monomial by
-    # exponent tuple, so the conversion to words must re-sort
+    # poly2 is where degree order and exponent-tuple order part, and the
+    # engine's letter order must stay the tuple order of cartan_p's monomials
     _check_against_reference(make("sl2", "poly2", order), POLY2, 4)
+
+
+@pytest.mark.parametrize("chi", [
+    Multiset.of((1, 0), (0, 2)),                  # u + v^2
+    Multiset.of((0, 1), (2, 0), (0, 3)),          # v + u^2 + v^3
+    Multiset.of((1, 0), (1, 0), (1, 1)),          # 2u + uv
+])
+def test_h_blocks_are_cartan_p_monomials_as_built(chi):
+    """Inside a block a canonical word orders letters by exponent tuple, as
+    cartan_p builds its monomials, so an h-block converts with no re-sort."""
+    eng = make("sl3", "poly2")
+    for i in (1, 2):
+        hvec = unit(eng, i)[:i]
+        block = tuple(sorted((('h', i), a) for a, e in chi.items() for _ in range(e)))
+        assert block_from_divided(block, 0, eng.monoid) == cartan_p(hvec, chi, eng.monoid)
+        for mono, _ in cartan_p(hvec, chi, eng.monoid):
+            assert mono == tuple(sorted(mono, key=eng._key))
 
 
 def closed_form_p(chi, monoid):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -158,9 +159,9 @@ def test_pelem(capsys):
 
 
 def test_poly2_cartan_monomials_convert(capsys):
-    # p_1(chi) leads with the monomial of chi; on poly2 the engine's letter
-    # order (degree first) is not chi's own order, and the lookup must follow
-    # the engine's
+    # p_1(chi) leads with the monomial of chi; on poly2, where degree order
+    # and exponent-tuple order part, the word order inside a block is the
+    # tuple order, and the printed block follows it
     code, out, _ = run(capsys, "pelem", "--algebra", "sl2", "--monoid", "poly2", "--i", "1",
                        "--chi", "u,v^2", "--divided")
     assert code == 0 and out.splitlines() == ["1 p[1]{v^2:1,u:1}", "INTEGRAL: yes"]
@@ -168,6 +169,22 @@ def test_poly2_cartan_monomials_convert(capsys):
                        "--divided", "h[1]{u} h[1]{v^2}")
     assert code == 0
     assert "1 p[1]{v^2:1,u:1}" in out.splitlines() and out.endswith("INTEGRAL: yes\n")
+
+
+def test_poly2_words_order_a_symbol_by_exponent_tuple(capsys):
+    # v^2 = (0, 2) before u = (1, 0): the PBW print follows the divided one
+    code, out, _ = run(capsys, "normalize", "--algebra", "sl2", "--monoid", "poly2",
+                       "h[1]{u} h[1]{v^2}")
+    assert code == 0 and out == "1 h[1]{v^2} h[1]{u}\n"
+    # odd letters of one root reordered pick up a sign and a bracket; the
+    # divided print names the word it prints
+    want = ["4 x[2g]{u*v^2}", "- 1 x[g]{v^2} x[g]{u}"]
+    code, out, _ = run(capsys, "normalize", "--algebra", "osp12", "--monoid", "poly2",
+                       "x[g]{u} x[g]{v^2}")
+    assert code == 0 and out.splitlines() == want
+    code, out, _ = run(capsys, "normalize", "--algebra", "osp12", "--monoid", "poly2",
+                       "--divided", "x[g]{u} x[g]{v^2}")
+    assert code == 0 and out.splitlines() == want + ["INTEGRAL: yes"]
 
 
 def test_delem(capsys):
@@ -311,6 +328,18 @@ def test_coroots_before_cartan_exit_2(tmp_path):
                            str(path)], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: line 2: cartan rank must come before coroots\n"
+
+
+def test_unknown_bracket_result_exit_2(tmp_path):
+    path = tmp_path / "h7.alg"
+    path.write_text(open(os.path.join(DATA, "sl2.alg")).read()
+                    .replace("x[-a] x[a] = h1 -1", "x[-a] x[a] = h1 -1 h7 -5"))
+    for argv in (["validate-spec", "--algebra", str(path)],
+                 ["normalize", "--algebra", str(path), "x[a]{1} x[-a]{1} x[-a]{1}"]):
+        proc = subprocess.run([sys.executable, "-m", "superpbw"] + argv,
+                              capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: bracket mentions unknown symbol h7\n"
 
 
 def test_usage_error_exit_2():
@@ -462,6 +491,42 @@ def test_sweep_script_bad_truncation_bound_exit_2():
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: truncation bound ")
         assert "Traceback" not in proc.stderr
+
+
+def _segments(text):
+    """The listing under each B-, B0, B+ and B header of `superpbw basis` or
+    scripts/basis_tables.py, by header."""
+    out, name = {}, None
+    for line in text.splitlines():
+        m = re.match(r"(B[-0+]?) \(\d+( elements)?\)$", line)
+        if m:
+            name = m.group(1)
+            out[name] = []
+        elif name and line.strip():
+            out[name].append(line.strip())
+    return out
+
+
+def test_basis_tables_script_matches_basis(capsys):
+    argv = ["--algebra", "sl21", "--monoid", "trunc:2", "--degree", "2"]
+    script = os.path.join(ROOT, "scripts", "basis_tables.py")
+    outs = []
+    for extra in ([], ["--counts-only"]):
+        proc = subprocess.run([sys.executable, script] + argv + extra,
+                              capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "MISMATCH" not in proc.stdout
+        assert proc.stdout.splitlines()[2:5] == ["     0 |          1 | 1",
+                                                 "     1 |         16 | 16",
+                                                 "     2 |        128 | 128"]
+        outs.append(proc.stdout)
+    assert outs[0].startswith(outs[1]) and not _segments(outs[1])
+    tables = _segments(outs[0])
+    code, out, _ = run(capsys, "basis", *argv)
+    assert code == 0
+    basis = _segments(out)
+    assert list(tables) == ["B-", "B0", "B+"]
+    assert all(tables[k] == basis[k] and tables[k] for k in tables)
 
 
 def test_repeated_config_id_exits_2(tmp_path, capsys):

@@ -1,10 +1,10 @@
 """The printed divided basis stays byte for byte what it was when divided-basis
 keys were tuples of (sym, Multiset) pairs.
 
-Inside a block the printer lists elements in Multiset order, by exponent
-tuple; a canonical word orders them by degree first.  The two differ on
-poly2, where v^2 = (0, 2) sorts before u = (1, 0) in one and after it in the
-other.  So the requests below run on poly2, plus osp12 over laurent for the
+Inside a block the printer lists elements in word order, which is their
+exponent-tuple order, as Multiset's is.  Degree order would differ on poly2,
+where v^2 = (0, 2) sorts before u = (1, 0) by tuple and after it by degree.
+So the requests below run on poly2, plus osp12 over laurent for the
 negative exponents, with divided powers and Cartan letters, and two basis
 listings.
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpbw.algebra import preset
+from superpbw.algebra import SuperAlgebraSpec, preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
 from superpbw.engine import AlgebraError, Combination, DividedForm, Engine, NEG_INF, Order, \
@@ -89,6 +89,22 @@ def test_unknown_generator_rejected(sl2):
         sl2.normalize([(('x', 'zz'), T)])
     with pytest.raises(AlgebraError):
         sl2.normalize([(('h', 3), T)])
+
+
+def test_symbols_outside_the_order_raise_algebra_error():
+    # a spec built by hand skips load_spec's check of bracket results
+    spec = preset("sl2")
+    brackets = dict(spec.brackets)
+    brackets[('x', 'a'), ('x', '-a')] = ((('h', 1), 1), (('h', 7), 5))
+    brackets[('x', '-a'), ('x', 'a')] = ((('h', 1), -1), (('h', 7), -5))
+    eng = Engine(SuperAlgebraSpec("h7", spec.rank, spec.roots, spec.coroots, brackets),
+                 monoid_preset("poly"))
+    with pytest.raises(AlgebraError, match=r"symbol \('h', 7\) is not in the order"):
+        eng.normalize([(('x', 'a'), ONE), (('x', '-a'), ONE), (('x', '-a'), ONE)])
+    # so does a hand-built element whose letter names no symbol of the algebra
+    sl2 = make("sl2")
+    with pytest.raises(AlgebraError, match=r"symbol \('h', 3\) is not in the order"):
+        sl2.mul(sl2.gen_elem(('x', 'a'), T), UElem({((('h', 3), T),): 1}))
 
 
 def test_degree_of_p(sl2):
@@ -218,7 +234,8 @@ def test_round_trip_divided_randomized():
     Multiset.of((0, 1), (2, 0), (0, 3)),          # v + u^2 + v^3
 ])
 def test_round_trip_p_on_poly2(chi):
-    # on poly2 the engine orders letters by degree first, chi by exponent tuple
+    # poly2 is where degree order and exponent-tuple order part; chi and the
+    # blocks of p's words are both in tuple order
     eng = make("sl3", "poly2")
     for i in (1, 2):
         p = eng.p(i, chi)

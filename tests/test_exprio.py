@@ -123,6 +123,20 @@ def test_divided_round_trip(sl21):
         assert parse_expr(sl21, printed) == x, printed
 
 
+@pytest.mark.parametrize("algebra", ["sl21", "osp12", "sl3"])
+def test_divided_round_trip_on_poly2(algebra):
+    # poly2 is where degree order and exponent-tuple order part: the printed
+    # blocks must name the words they print, odd ones included
+    eng = Engine(preset(algebra), monoid_preset("poly2"))
+    elts = [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1)]
+    letters = [(s, e) for s in eng.spec.all_syms() for e in elts]
+    rng = random.Random(17)
+    for _ in range(25):
+        x = eng.normalize([rng.choice(letters) for _ in range(rng.randint(2, 4))])
+        printed = divided_str(eng, eng.to_divided(x))
+        assert parse_expr(eng, printed) == x, printed
+
+
 def test_word_str(sl2):
     x = sl2.normalize([(('x', '-a'), ONE), (('x', '-a'), ONE), (('h', 1), T)])
     w = max(x.terms)
