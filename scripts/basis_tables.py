@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 
 from superpbw.algebra import SpecError
+from superpbw.cli import run_piped
 from superpbw.exprio import blocks_str, divided_blocks
 from superpbw.verify import genfun_counts, load_engine
 
@@ -53,4 +54,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_piped(main))

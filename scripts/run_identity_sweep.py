@@ -14,6 +14,7 @@ import time
 
 from superpbw.verify import SuiteConfig, SweepBounds, run_suite
 from superpbw.algebra import PRESET_NAMES, SpecError
+from superpbw.cli import run_piped
 from superpbw.coeffalg import MonoidError
 
 
@@ -61,4 +62,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_piped(main))

@@ -121,9 +121,10 @@ class SuperAlgebraSpec:
 
 def validate(spec):
     """Check the Chevalley-table invariants; returns a list of violations
-    (empty = valid), in symbol order.  Covers super antisymmetry, super Jacobi,
-    grading, negation involution and coroot consistency, on what the table
-    holds: its nonzero brackets, each (alpha, -alpha) and each (h_i, root)."""
+    (empty = valid), in symbol order.  Covers unknown symbols, super
+    antisymmetry, super Jacobi, grading, negation involution and coroot
+    consistency, on what the table holds: its nonzero brackets, each
+    (alpha, -alpha) and each (h_i, root)."""
     bad = []
     syms = spec.all_syms()
     idx = {s: n for n, s in enumerate(syms)}
@@ -131,6 +132,17 @@ def validate(spec):
     rank = spec.rank
     known = {(idx[s1], idx[s2]): terms for (s1, s2), terms in spec.brackets.items()
              if s1 in idx and s2 in idx}
+
+    # symbols the table lacks: in the results of its pairs, in symbol order,
+    # then in the other brackets, keys included, in the table's order
+    keys = [(syms[i], syms[j]) for i, j in sorted(known)]
+    keys += [key for key in spec.brackets if not (key[0] in idx and key[1] in idx)]
+    for key in keys:
+        for s in dict.fromkeys(key + tuple(sym for sym, _ in spec.brackets[key])):
+            if s not in idx:
+                bad.append("bracket [%s, %s] mentions unknown symbol %s"
+                           % (format_sym(key[0]), format_sym(key[1]), format_sym(s)))
+
     for r in spec.roots:
         n = spec.root(r.neg) if spec.has_root(r.neg) else None
         if n is None:

@@ -90,13 +90,40 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def over_common(terms):
+    """(d, numerators) for a dict of exact coefficients: d is the lcm of their
+    denominators, and numerators the (key, coeff * d) pairs, whose
+    coefficients are ints."""
+    dens = [c.denominator for c in terms.values() if type(c) is not int]
+    if not dens:
+        return 1, terms.items()
+    d = math.lcm(*dens)
+    return d, [(k, c * d if type(c) is int else c.numerator * (d // c.denominator))
+               for k, c in terms.items()]
+
+
+def divide(numerators, d):
+    """{key: n / d} for (key, n) pairs, zeros dropped, each coefficient an int
+    when integral and a reduced Fraction otherwise.  An n is an int, or a
+    Fraction where a factor of it was one: an odd square that the
+    straightening core halved, or a block of `from_divided`."""
+    if d == 1:
+        return {k: n if type(n) is int else _exact(n) for k, n in numerators if n}
+    out = {}
+    for k, n in numerators:
+        if n:
+            out[k] = n // d if type(n) is int and not n % d else _exact(Fraction(n, d))
+    return out
+
+
 class Combination:
     """Finitely supported exact combination of hashable keys: `terms` maps a
     key to its nonzero coefficient, an int when integral, else a Fraction.
 
     `+` and `-` want two elements of one type, and elements of different
     types are never equal.  `sum` is the one way to add many elements: it
-    makes each output coefficient exact once, however many summands.
+    adds integer numerators over one common denominator, and builds a
+    Fraction only for an output coefficient that is not integral.
     """
 
     __slots__ = ("terms",)
@@ -123,17 +150,22 @@ class Combination:
     @classmethod
     def sum(cls, elems, scalars=None):
         """sum_k scalars[k] * elems[k], with every scalar 1 when scalars is
-        None; an empty sum is zero."""
-        acc = {}
+        None; an empty sum is zero.  The common denominator is the lcm of
+        the elements' denominators times that of the scalars'."""
+        elems = list(elems)
         if scalars is None:
-            for x in elems:
-                for k, c in x.terms.items():
-                    acc[k] = acc.get(k, 0) + c
+            ds, ss = 1, [1] * len(elems)
         else:
-            for x, s in zip(elems, scalars):
-                for k, c in x.terms.items():
-                    acc[k] = acc.get(k, 0) + s * c
-        return cls._wrap({k: _exact(c) for k, c in acc.items() if c})
+            ds, ss = over_common(dict(enumerate(map(_exact, scalars))))
+            ss = [s for _, s in ss]
+        d = math.lcm(*[c.denominator for x in elems for c in x.terms.values()
+                       if type(c) is not int])
+        acc = {}
+        for x, s in zip(elems, ss):
+            for k, c in x.terms.items():
+                n = c * d if type(c) is int else c.numerator * (d // c.denominator)
+                acc[k] = acc.get(k, 0) + s * n
+        return cls._wrap(divide(acc.items(), d * ds))
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -149,7 +181,7 @@ class Combination:
         return self._wrap({k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
-        return self.sum((self,), (_exact(scalar),))
+        return self.sum((self,), (scalar,))
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
@@ -447,14 +479,18 @@ class Engine:
         """x * y.  The words of x must be canonical for this engine, as every
         UElem it returns is; the words of y need not be, since their letters
         are folded in one at a time.  Each pair of words is folded on its
-        own and scaled afterwards, so straightening stays in ints."""
+        own and scaled afterwards, so straightening stays in ints, and so
+        does the scaling: x and y are put over their common denominators
+        dx and dy once, and each output coefficient divided by dx dy."""
+        dx, xs = over_common(x.terms)
+        dy, ys = over_common(y.terms)
         out, scratch = {}, {}
-        for wy, cy in y.terms.items():
-            for wx, cx in x.terms.items():
+        for wy, cy in ys:
+            for wx, cx in xs:
                 cxy = cx * cy
                 for w, c in self._fold({wx: 1}, wy, scratch).items():
                     out[w] = out.get(w, 0) + cxy * c
-        return UElem._wrap({k: _exact(c) for k, c in out.items() if c})
+        return UElem._wrap(divide(out.items(), dx * dy))
 
     def scalar(self, c):
         return UElem({(): c})
@@ -539,15 +575,19 @@ class Engine:
         """x in the other basis: each word split into its blocks on one symbol,
         each block replaced by its alternatives (`block_of`), and each choice
         of alternatives concatenated.  Blocks come in symbol order, so the
-        concatenation is their product."""
+        concatenation is their product.  x is put over its common
+        denominator once; to_divided's blocks have int coefficients, so its
+        sums run in ints."""
+        d, xs = over_common(x.terms)
         out = {}
-        for w, c in x.terms.items():
-            parts = [block_of(tuple(letters), self._parity[sym], self.monoid)
-                     for sym, letters in itertools.groupby(w, itemgetter(0))]
-            for choice in itertools.product(*parts):
-                key = tuple(itertools.chain.from_iterable([part for part, _ in choice]))
-                out[key] = out.get(key, 0) + c * math.prod([c2 for _, c2 in choice])
-        return cls._wrap({k: _exact(c) for k, c in out.items() if c})
+        for w, c in xs:
+            acc = [((), c)]
+            for sym, letters in itertools.groupby(w, itemgetter(0)):
+                part = block_of(tuple(letters), self._parity[sym], self.monoid)
+                acc = [(k + w2, c1 * c2) for k, c1 in acc for w2, c2 in part]
+            for k, c1 in acc:
+                out[k] = out.get(k, 0) + c1
+        return cls._wrap(divide(out.items(), d))
 
     def to_divided(self, x):
         """Exact change of basis into the divided-power integral basis."""

@@ -309,14 +309,32 @@ def test_closed_stdout_exits_without_a_traceback(argv):
     # the reader is gone before the first write.  With stdout block-buffered,
     # as a pipe is by default, verify meets it in a print and normalize in the
     # flush after its command
+    proc = _run_into_closed_pipe(["-m", "superpbw"] + argv)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+def _run_into_closed_pipe(argv):
+    """Python on argv, its stdout a pipe whose read end is closed, and
+    PYTHONUNBUFFERED unset so that stdout is block-buffered as in a shell pipe."""
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run([sys.executable, "-m", "superpbw"] + argv, stdout=write,
+        return subprocess.run([sys.executable] + argv, stdout=write,
                               stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write)
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis_tables.py", "--algebra", "sl21", "--monoid", "trunc:2", "--degree", "3"],
+    ["run_identity_sweep.py", "--algebras", "sl2", "--rmax", "1", "--smax", "1",
+     "--mmax", "1", "--chimax", "1", "--trials", "1"],
+], ids=["basis_tables", "run_identity_sweep"])
+def test_scripts_exit_141_on_a_closed_pipe(argv):
+    # `script | head -1`: the scripts share main's exit, not a traceback
+    proc = _run_into_closed_pipe([os.path.join(ROOT, "scripts", argv[0])] + argv[1:])
     assert proc.returncode == 141
     assert proc.stderr == ""
 

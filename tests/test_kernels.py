@@ -1,0 +1,146 @@
+"""The coefficient kernels `Engine.mul`, `to_divided`, `from_divided` and
+`Combination.sum` add integer numerators over one common denominator.  Here
+they are held to the per-term `Fraction` loops they replaced, kept below as
+references, on random elements whose coefficients mix denominators and
+sizes: the same terms in the same order, each coefficient an int or a
+Fraction that is not integral."""
+
+import itertools
+import math
+from fractions import Fraction
+from operator import itemgetter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superpbw.algebra import SuperAlgebraSpec, preset
+from superpbw.coeffalg import monoid_preset
+from superpbw.engine import DividedForm, Engine, UElem, _exact, block_from_divided, \
+    block_to_divided
+
+COEFFS = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(-3, 4),
+          10 ** 29 + 7, 1, -2]
+
+
+def odd_square_spec():
+    """osp12 with the odd square [x_g, x_g] = 3 x_2g: the presets' odd squares
+    have even constants, so only a table like this makes the straightening
+    core halve an odd one and hand mul a Fraction numerator."""
+    spec = preset("osp12")
+    brackets = dict(spec.brackets)
+    brackets[('x', 'g'), ('x', 'g')] = ((('x', '2g'), 3),)
+    brackets[('x', '-g'), ('x', '-g')] = ((('x', '-2g'), -3),)
+    return SuperAlgebraSpec("osp12-odd3", spec.rank, spec.roots, spec.coroots, brackets)
+
+
+ENGINES = [Engine(spec, monoid_preset("trunc:3"))
+           for spec in (preset("sl2"), preset("sl21"), preset("osp12"), odd_square_spec())]
+
+
+# -- the per-term Fraction loops the kernels replaced --------------------------
+
+def ref_mul(eng, x, y):
+    out, scratch = {}, {}
+    for wy, cy in y.terms.items():
+        for wx, cx in x.terms.items():
+            cxy = cx * cy
+            for w, c in eng._fold({wx: 1}, wy, scratch).items():
+                out[w] = out.get(w, 0) + cxy * c
+    return {k: _exact(c) for k, c in out.items() if c}
+
+
+def ref_convert(eng, x, block_of):
+    out = {}
+    for w, c in x.terms.items():
+        parts = [block_of(tuple(letters), eng._parity[sym], eng.monoid)
+                 for sym, letters in itertools.groupby(w, itemgetter(0))]
+        for choice in itertools.product(*parts):
+            key = tuple(itertools.chain.from_iterable([part for part, _ in choice]))
+            out[key] = out.get(key, 0) + c * math.prod([c2 for _, c2 in choice])
+    return {k: _exact(c) for k, c in out.items() if c}
+
+
+def ref_sum(elems, scalars=None):
+    acc = {}
+    if scalars is None:
+        for x in elems:
+            for k, c in x.terms.items():
+                acc[k] = acc.get(k, 0) + c
+    else:
+        for x, s in zip(elems, scalars):
+            for k, c in x.terms.items():
+                acc[k] = acc.get(k, 0) + s * c
+    return {k: _exact(c) for k, c in acc.items() if c}
+
+
+# -- random elements ---------------------------------------------------------
+
+def canonical_word(eng, letters):
+    """The letters sorted into a canonical word, repeated odd letters dropped."""
+    word = sorted(letters, key=eng._key)
+    return tuple(L for n, L in enumerate(word)
+                 if not (n and L == word[n - 1] and eng._parity[L[0]]))
+
+
+@st.composite
+def elements(draw, eng, cls=UElem):
+    """Up to four canonical words of up to four letters, each with a
+    coefficient from COEFFS, built without the kernels under test."""
+    letters = [eng.letter(sym, a) for sym in eng.order.syms for a in eng.monoid.elements()]
+    terms = draw(st.lists(st.tuples(st.lists(st.sampled_from(letters), max_size=4),
+                                    st.sampled_from(COEFFS)), max_size=4))
+    return cls([(canonical_word(eng, word), c) for word, c in terms])
+
+
+def assert_same(got, want):
+    assert list(got.terms.items()) == list(want.items())
+    for c in got.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+@st.composite
+def engine_and_data(draw):
+    eng = draw(st.sampled_from(ENGINES))
+    return eng, draw(elements(eng)), draw(elements(eng)), draw(elements(eng, DividedForm))
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_and_data())
+def test_mul_and_conversions_match_the_fraction_loops(data):
+    eng, x, y, df = data
+    assert_same(eng.mul(x, y), ref_mul(eng, x, y))
+    assert_same(eng.to_divided(x), ref_convert(eng, x, block_to_divided))
+    assert_same(eng.from_divided(df), ref_convert(eng, df, block_from_divided))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sum_matches_the_fraction_loop(data):
+    eng = data.draw(st.sampled_from(ENGINES))
+    elems = data.draw(st.lists(elements(eng), max_size=4))
+    scalars = data.draw(st.none() | st.lists(st.sampled_from(COEFFS + [0]),
+                                             min_size=len(elems), max_size=len(elems) + 1))
+    assert_same(UElem.sum(elems, scalars), ref_sum(elems, scalars))
+    assert_same(UElem.sum(iter(elems)), ref_sum(elems))
+
+
+def test_an_odd_square_hands_mul_a_fraction_numerator():
+    eng = ENGINES[-1]
+    xg = eng.letter(('x', 'g'), (0,))
+    assert eng._fold({(xg,): 1}, (xg,), {}) == {(eng.letter(('x', '2g'), (0,)),): Fraction(3, 2)}
+    x = UElem({(xg,): Fraction(1, 3)})
+    assert_same(eng.mul(x, x), ref_mul(eng, x, x))
+    assert eng.mul(x, x).terms == {(eng.letter(('x', '2g'), (0,)),): Fraction(1, 6)}
+
+
+def test_blocks_with_several_alternatives_keep_their_order():
+    # two Cartan blocks of two letters each, on sl21 (rank 2): both the block
+    # over the divided basis and its expansion have two terms
+    eng = ENGINES[1]
+    word = canonical_word(eng, [eng.letter(('h', i), (1,)) for i in (1, 1, 2, 2)])
+    x = UElem({word: Fraction(1, 2)})
+    assert len(eng.to_divided(x).terms) == 4
+    assert_same(eng.to_divided(x), ref_convert(eng, x, block_to_divided))
+    df = DividedForm({word: Fraction(-3, 4)})
+    assert len(eng.from_divided(df).terms) == 4
+    assert_same(eng.from_divided(df), ref_convert(eng, df, block_from_divided))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpbw.algebra import SuperAlgebraSpec, load_spec, preset, validate, PRESET_NAMES
+from superpbw.algebra import SuperAlgebraSpec, format_sym, load_spec, preset, validate, \
+    PRESET_NAMES
 from superpbw.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -23,6 +24,16 @@ def dense_validate(spec):
     bad = []
     syms = spec.all_syms()
     par = {s: spec.parity(s) for s in syms}
+
+    # unknown symbols: in the result of each pair of symbols, then in every
+    # bracket whose key is not such a pair
+    outside = [(s1, s2) for s1 in syms for s2 in syms if spec.bracket(s1, s2)]
+    outside += [key for key in spec.brackets if not set(key) <= set(syms)]
+    for s1, s2 in outside:
+        named = [s1, s2] + [sym for sym, _ in spec.bracket(s1, s2)]
+        for sym in sorted(set(named) - set(syms), key=named.index):
+            bad.append("bracket [%s, %s] mentions unknown symbol %s"
+                       % (format_sym(s1), format_sym(s2), format_sym(sym)))
 
     for r in spec.roots:
         n = spec.root(r.neg) if spec.has_root(r.neg) else None
@@ -164,6 +175,9 @@ HAND_MADE = {
     "is not a multiple of x_a1+a2": lambda: sl3_table(((H1, 1),)),
     "alpha(h_alpha) != 2": lambda: sl2_table(coroots={"a": (2,), "-a": (-1,)}),
     "super Jacobi fails": lambda: sl3_table(((('x', 'a1+a2'), 2),)),
+    "bracket [x[a], x[-a]] mentions unknown symbol h7": lambda: sl2_table(
+        brackets=sl2_brackets(**{"a,-a": ((H1, 1), (('h', 7), 5)),
+                                 "-a,a": ((H1, -1), (('h', 7), -5))})),
 }
 
 
@@ -265,3 +279,17 @@ def test_validate_spec_on_a_rank_2000_cartan(tmp_path, capsys):
     path.write_text("cartan 2000\nroots\ncoroots\nbrackets\n")
     assert main(["validate-spec", "--algebra", str(path)]) == 0
     assert capsys.readouterr().out == "VALID big (rank 2000, 0 roots, 0 odd)\n"
+
+
+def test_symbols_outside_the_table_are_reported():
+    # a table built by hand skips load_spec's check: [x_a, x_-a] names h7, as in
+    # test_engine's straightening test, and one bracket is keyed on a root the
+    # table lacks
+    brackets = dict(HAND_MADE["bracket [x[a], x[-a]] mentions unknown symbol h7"]().brackets)
+    brackets[XA, ('x', 'zz')] = ((('h', 3), 1), (('x', 'zz'), 2))
+    spec = sl2_table(brackets=brackets)
+    assert validate(spec) == dense_validate(spec) == [
+        "bracket [x[a], x[-a]] mentions unknown symbol h7",
+        "bracket [x[-a], x[a]] mentions unknown symbol h7",
+        "bracket [x[a], x[zz]] mentions unknown symbol x[zz]",
+        "bracket [x[a], x[zz]] mentions unknown symbol h3"]
