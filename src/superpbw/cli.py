@@ -238,23 +238,16 @@ def _parser():
     return build_parser()
 
 
-def run_piped(func, *args):
-    """func(*args) with stdout flushed before it returns; 141, quietly, when
-    the reader of stdout has gone (`| head`).  Scripts share it with main."""
-    try:
-        code = func(*args)
-        sys.stdout.flush()      # a closed pipe shows here, not at exit
-        return code
-    except BrokenPipeError:
-        # write the rest to devnull, so the flush at exit raises nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-
-
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return run_piped(args.func, args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:     # the reader of stdout has gone (`| head`)
+        # write the rest to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ParseError, SpecError, MonoidError, AlgebraError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

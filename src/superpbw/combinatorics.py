@@ -19,13 +19,6 @@ def binomial(n, r):
     return num // math.factorial(r)
 
 
-def _elem_key(e):
-    """Sort key usable for monoid exponent tuples, ints, and nested Multisets."""
-    if isinstance(e, Multiset):
-        return e.sort_key()
-    return e
-
-
 class Multiset:
     """Finitely supported multiplicity function chi: S -> Z>=0 over an ordered
     element type.  Immutable; iteration follows the element order."""
@@ -40,7 +33,7 @@ class Multiset:
                 raise ValueError("negative multiplicity %r for %r" % (m, e))
             if m:
                 acc[e] = acc.get(e, 0) + m
-        self._items = tuple(sorted(acc.items(), key=lambda p: _elem_key(p[0])))
+        self._items = tuple(sorted(acc.items()))
 
     @classmethod
     def of(cls, *elems):
@@ -82,6 +75,13 @@ class Multiset:
             return NotImplemented
         return all(m <= other(e) for e, m in self._items)
 
+    def __lt__(self, other):
+        """The order sorting uses, by (element, multiplicity) pairs; it orders
+        multisets of multisets too.  `<=` is the submultiset relation."""
+        if not isinstance(other, Multiset):
+            return NotImplemented
+        return self._items < other._items
+
     def __eq__(self, other):
         return isinstance(other, Multiset) and self._items == other._items
 
@@ -95,9 +95,6 @@ class Multiset:
         if not self._items:
             return "Multiset()"
         return "Multiset(%s)" % ", ".join("%r:%d" % (e, m) for e, m in self._items)
-
-    def sort_key(self):
-        return tuple((_elem_key(e), m) for e, m in self._items)
 
 
 EMPTY = Multiset()

@@ -478,18 +478,16 @@ class Engine:
     def mul(self, x, y):
         """x * y.  The words of x must be canonical for this engine, as every
         UElem it returns is; the words of y need not be, since their letters
-        are folded in one at a time.  Each pair of words is folded on its
-        own and scaled afterwards, so straightening stays in ints, and so
-        does the scaling: x and y are put over their common denominators
-        dx and dy once, and each output coefficient divided by dx dy."""
+        are folded in one at a time.  x and y are put over their common
+        denominators dx and dy once, so straightening stays in ints: all of
+        x is folded through each word of y and scaled by its numerator, and
+        each output coefficient is divided by dx dy."""
         dx, xs = over_common(x.terms)
         dy, ys = over_common(y.terms)
-        out, scratch = {}, {}
+        xs, out, scratch = dict(xs), {}, {}
         for wy, cy in ys:
-            for wx, cx in xs:
-                cxy = cx * cy
-                for w, c in self._fold({wx: 1}, wy, scratch).items():
-                    out[w] = out.get(w, 0) + cxy * c
+            for w, c in self._fold(xs, wy, scratch).items():
+                out[w] = out.get(w, 0) + cy * c
         return UElem._wrap(divide(out.items(), dx * dy))
 
     def scalar(self, c):

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -124,7 +123,10 @@ def test_verify_config(tmp_path, capsys):
     path.write_text(json.dumps(config))
     code, out, _ = run(capsys, "verify", "--config", str(path))
     assert code == 0
-    assert out.strip().splitlines()[-1].startswith("SUMMARY")
+    lines = []
+    ver.run_suite(ver.SuiteConfig.from_path(path), emit=lines.append)
+    assert out.splitlines() == lines
+    assert lines[-1].startswith("SUMMARY checks=")
 
 
 def test_basis_golden(capsys):
@@ -301,14 +303,23 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "1 x[a]{t}"
 
 
+# a suite of 751 lines (58 kB), well past a pipe buffer
+SMALL_SUITE = {"algebras": ["sl2"], "rmax": 1, "smax": 1, "mmax": 1, "chimax": 1,
+               "integrality_trials": 1}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--algebra", "sp4", "--id", "L4.4b", "--alpha=a2", "--beta=a1"],
     ["normalize", "--algebra", "sl2", "x[a]{t} x[-a]{1}"],
+    ["basis", "--algebra", "sl21", "--monoid", "trunc:2", "--degree", "3"],
+    ["verify", "--config", "suite.json"],
 ])
-def test_closed_stdout_exits_without_a_traceback(argv):
+def test_closed_stdout_exits_without_a_traceback(argv, tmp_path):
     # the reader is gone before the first write.  With stdout block-buffered,
     # as a pipe is by default, verify meets it in a print and normalize in the
     # flush after its command
+    (tmp_path / "suite.json").write_text(json.dumps(SMALL_SUITE))
+    argv = [str(tmp_path / a) if a == "suite.json" else a for a in argv]
     proc = _run_into_closed_pipe(["-m", "superpbw"] + argv)
     assert proc.returncode == 141
     assert proc.stderr == ""
@@ -325,18 +336,6 @@ def _run_into_closed_pipe(argv):
                               stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write)
-
-
-@pytest.mark.parametrize("argv", [
-    ["basis_tables.py", "--algebra", "sl21", "--monoid", "trunc:2", "--degree", "3"],
-    ["run_identity_sweep.py", "--algebras", "sl2", "--rmax", "1", "--smax", "1",
-     "--mmax", "1", "--chimax", "1", "--trials", "1"],
-], ids=["basis_tables", "run_identity_sweep"])
-def test_scripts_exit_141_on_a_closed_pipe(argv):
-    # `script | head -1`: the scripts share main's exit, not a traceback
-    proc = _run_into_closed_pipe([os.path.join(ROOT, "scripts", argv[0])] + argv[1:])
-    assert proc.returncode == 141
-    assert proc.stderr == ""
 
 
 def test_coroots_before_cartan_exit_2(tmp_path):
@@ -397,6 +396,8 @@ def test_verify_missing_files_exit_2(tmp_path, capsys):
     ({"rmax": [1]}, "rmax"),
     ({"algebras": 3}, "algebras"),
     ({"algebras": ["sl2"], "identities": ["nope"]}, "identities"),
+    ({"monoid": "trunc:x"}, "monoid"),
+    ({"rmax": -1}, "rmax"),
 ])
 def test_verify_bad_config_values_exit_2(tmp_path, capsys, config, key):
     path = tmp_path / "suite.json"
@@ -490,74 +491,12 @@ def test_multiset_spellings_agree(capsys):
     assert code == 0 and out.splitlines() == ["-1 h[1]{t}"]
 
 
-def test_sweep_script_bad_config_exit_2(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"rmax": [1]}')
-    for config in (str(tmp_path / "missing.json"), str(bad)):
-        proc = subprocess.run(
-            [sys.executable, os.path.join(ROOT, "scripts", "run_identity_sweep.py"),
-             "--config", config], capture_output=True, text=True, env=ENV)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-
-
-def test_sweep_script_bad_truncation_bound_exit_2():
-    for monoid in ("trunc:x", "trunc:"):
-        proc = subprocess.run(
-            [sys.executable, os.path.join(ROOT, "scripts", "run_identity_sweep.py"),
-             "--algebras", "sl2", "--monoid", monoid], capture_output=True, text=True, env=ENV)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: truncation bound ")
-        assert "Traceback" not in proc.stderr
-
-
-def _segments(text):
-    """The listing under each B-, B0, B+ and B header of `superpbw basis` or
-    scripts/basis_tables.py, by header."""
-    out, name = {}, None
-    for line in text.splitlines():
-        m = re.match(r"(B[-0+]?) \(\d+( elements)?\)$", line)
-        if m:
-            name = m.group(1)
-            out[name] = []
-        elif name and line.strip():
-            out[name].append(line.strip())
-    return out
-
-
-def test_basis_tables_script_matches_basis(capsys):
-    argv = ["--algebra", "sl21", "--monoid", "trunc:2", "--degree", "2"]
-    script = os.path.join(ROOT, "scripts", "basis_tables.py")
-    outs = []
-    for extra in ([], ["--counts-only"]):
-        proc = subprocess.run([sys.executable, script] + argv + extra,
-                              capture_output=True, text=True, env=ENV)
-        assert proc.returncode == 0 and proc.stderr == ""
-        assert "MISMATCH" not in proc.stdout
-        assert proc.stdout.splitlines()[2:5] == ["     0 |          1 | 1",
-                                                 "     1 |         16 | 16",
-                                                 "     2 |        128 | 128"]
-        outs.append(proc.stdout)
-    assert outs[0].startswith(outs[1]) and not _segments(outs[1])
-    tables = _segments(outs[0])
-    code, out, _ = run(capsys, "basis", *argv)
-    assert code == 0
-    basis = _segments(out)
-    assert list(tables) == ["B-", "B0", "B+"]
-    assert all(tables[k] == basis[k] and tables[k] for k in tables)
-
-
 def test_repeated_config_id_exits_2(tmp_path, capsys):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({"algebras": ["sl2"], "identities": ["L5.2", "L5.2"]}))
     code, out, err = run(capsys, "verify", "--config", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: suite config lists identity 'L5.2' more than once")
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "run_identity_sweep.py"),
-         "--config", str(path)], capture_output=True, text=True, env=ENV)
-    assert proc.returncode == 2 and "more than once" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 def test_verify_id_runs_a_degree_bound_as_the_suite_does(capsys):

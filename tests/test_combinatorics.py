@@ -50,6 +50,17 @@ def test_multiset_partial_order_is_not_total():
     assert not a <= b and not b <= a
 
 
+def test_multisets_of_multisets_sort_by_their_pairs():
+    # `<` is the sorting order, by (element, multiplicity) pairs, so a CS set
+    # (a multiset of multisets) lists its parts in that order
+    t, t2 = (1,), (2,)
+    want = [Multiset({t: 1}), Multiset({t: 1, t2: 1}), Multiset({t: 2}), Multiset({t2: 1})]
+    assert sorted(want[::-1]) == want
+    assert [part for part, _ in Multiset.of(*want[::-1]).items()] == want
+    a, b = Multiset.of("a"), Multiset.of("b")
+    assert a < b and not b < a and not a <= b
+
+
 def test_multinomial_examples():
     assert multinomial(Multiset.of("a")) == 1
     assert multinomial(Multiset.of("a", "a", "b")) == 3
