@@ -23,15 +23,6 @@ class Root:
 
 
 @dataclass(frozen=True)
-class RootStringData:
-    alpha: str
-    beta: str
-    r: int                   # max r with beta - r*alpha still a root (consecutive walk)
-    q: int                   # max q with beta + q*alpha still a root
-    c: int                   # structure constant of [x_alpha, x_beta] on x_{alpha+beta}
-
-
-@dataclass(frozen=True)
 class PairPlane:
     """The plane two even roots alpha, beta span, as Lemma 4.4 reads it."""
     kind: object             # "A1xA1", "A2", "B2", "G2", or None for another count
@@ -223,25 +214,21 @@ def validate(spec):
 
 
 def root_string(spec, alpha, beta):
-    """Walk the stored root set to get the alpha-string through beta, plus the
-    structure constant of [x_alpha, x_beta].  For even-even pairs with
-    alpha+beta a root, |c| = r+1 is also asserted (the Chevalley magnitude
-    rule); other parities are reported without that check."""
+    """The largest r with beta - alpha, ..., beta - r*alpha all roots, by a
+    walk of the stored root set.  For even-even pairs with alpha+beta a
+    root, the structure constant c of [x_alpha, x_beta] must have |c| = r+1
+    (the Chevalley magnitude rule), else SpecError."""
     ra, rb = spec.root(alpha), spec.root(beta)
     r = 0
     while spec.find_root(tuple(b - (r + 1) * a for a, b in zip(ra.ev, rb.ev))):
         r += 1
-    q = 0
-    while spec.find_root(tuple(b + (q + 1) * a for a, b in zip(ra.ev, rb.ev))):
-        q += 1
     target = spec.root_sum(alpha, beta)
-    c = 0
-    if target is not None:
+    if target is not None and ra.parity == 0 and rb.parity == 0:
         c = dict(spec.bracket(('x', alpha), ('x', beta))).get(('x', target), 0)
-    if target is not None and ra.parity == 0 and rb.parity == 0 and abs(c) != r + 1:
-        raise SpecError("|c_{%s,%s}| = %d but the root string gives r+1 = %d"
-                        % (alpha, beta, abs(c), r + 1))
-    return RootStringData(alpha, beta, r, q, c)
+        if abs(c) != r + 1:
+            raise SpecError("|c_{%s,%s}| = %d but the root string gives r+1 = %d"
+                            % (alpha, beta, abs(c), r + 1))
+    return r
 
 
 @functools.cache
@@ -257,7 +244,7 @@ def pair_plane(spec, alpha, beta):
     span = {ij: lab for ij, lab in span.items() if lab is not None}
     count = sum(spec.root(lab).parity == 0 for lab in span.values())
     return PairPlane({4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}.get(count),
-                     (1, 1) not in span or root_string(spec, alpha, beta).r == 0,
+                     (1, 1) not in span or root_string(spec, alpha, beta) == 0,
                      tuple(ij for ij in span if min(ij) >= 1))
 
 
@@ -636,27 +623,6 @@ def load_spec(text, name="user", check=True):
         if bad:
             raise SpecError("invalid algebra table:\n  " + "\n  ".join(bad))
     return spec
-
-
-def dump_spec(spec):
-    """Serialize a spec in the load_spec format (one-directional brackets)."""
-    lines = ["algebra %s" % spec.name, "cartan %d" % spec.rank, "roots"]
-    for r in spec.roots:
-        lines.append("  %s %s %s neg %s%s" % (
-            r.label, "even" if r.parity == 0 else "odd",
-            " ".join(str(e) for e in r.ev), r.neg, " positive" if r.positive else ""))
-    lines.append("coroots")
-    for r in spec.roots:
-        lines.append("  %s %s" % (r.label, " ".join(str(c) for c in spec.coroots[r.label])))
-    lines.append("brackets")
-    seen = set()
-    for (s1, s2), terms in sorted(spec.brackets.items(), key=lambda p: (str(p[0][0]), str(p[0][1]))):
-        if (s2, s1) in seen and s1 != s2:
-            continue
-        seen.add((s1, s2))
-        rhs = " ".join("%s %d" % (format_sym(sym), c) for sym, c in terms)
-        lines.append("  %s %s = %s" % (format_sym(s1), format_sym(s2), rhs))
-    return "\n".join(lines) + "\n"
 
 
 def read_algebra(algebra):

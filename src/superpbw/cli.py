@@ -23,11 +23,17 @@ class UsageError(Exception):
     pass
 
 
+def _given(value, default):
+    """A flag's value, or the default when the flag is absent.  An empty
+    value is given, so it reaches its reader and is refused there."""
+    return default if value is None else value
+
+
 def make_engine(args, default_monoid="poly"):
     """A fresh engine per command, so its own memos start empty; the Cartan
     and block caches are process-wide and stay warm across commands."""
-    return ver.load_engine(args.algebra, args.monoid or default_monoid,
-                           args.order or "triangular")
+    return ver.load_engine(args.algebra, _given(args.monoid, default_monoid),
+                           _given(args.order, "triangular"))
 
 
 # ---------------------------------------------------------------------------
@@ -64,18 +70,19 @@ _PARAM_FLAGS = tuple(sorted({name for check in ver.IDENTITIES.values()
 
 def cmd_verify(args):
     texts = {k: getattr(args, k) for k in _PARAM_FLAGS if getattr(args, k) is not None}
-    if args.config:
-        ignored = [k for k in ("algebra", "monoid", "order", "id") if getattr(args, k)]
+    if args.config is not None:
+        ignored = [k for k in ("algebra", "monoid", "order", "id")
+                   if getattr(args, k) is not None]
         if ignored or texts:
             raise UsageError("--config runs the suite the file declares; it would ignore %s"
                              % ", ".join("--" + k for k in ignored + list(texts)))
         result = ver.run_suite(ver.SuiteConfig.from_path(args.config), emit=print)
         return 0 if result.ok else 1
 
-    if not args.algebra:
+    if args.algebra is None:
         raise UsageError("verify wants --algebra or --config")
     ids = ver.SWEEP_IDS
-    if args.id:
+    if args.id is not None:
         if args.id not in ver.IDENTITIES:
             raise UsageError("unknown identity id %r (have %s)"
                              % (args.id, ", ".join(ver.IDENTITIES)))
@@ -86,8 +93,8 @@ def cmd_verify(args):
         raise UsageError("%s: not a parameter of %s (it has %s)"
                          % (", ".join("--" + k for k in stray), args.id or "any identity",
                             ", ".join("--" + k for k in kinds) or "none"))
-    engine = ver.get_engine(args.algebra, args.monoid or "trunc:4",
-                            args.order or "triangular")
+    engine = ver.get_engine(args.algebra, _given(args.monoid, "trunc:4"),
+                            _given(args.order, "triangular"))
     fixed = {}
     for k, text in texts.items():
         try:

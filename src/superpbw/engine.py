@@ -56,26 +56,21 @@ class Order:
         return cls(spec, syms)
 
     @classmethod
-    def from_items(cls, spec, items):
-        """Order from user tokens: integers name Cartan slots, anything else
-        is a root label."""
-        syms = []
-        for it in items:
-            it = it.strip()
-            if re_int(it):
-                syms.append(('h', int(it)))
-            else:
-                syms.append(('x', it))
-        return cls(spec, syms)
+    def named(cls, spec, text):
+        """The order a name gives: 'triangular', 'lex'/'lexicographic', or a
+        comma list of tokens, an integer naming a Cartan slot and anything
+        else a root label."""
+        if text == "triangular":
+            return cls.triangular(spec)
+        if text in ("lex", "lexicographic"):
+            return cls.lexicographic(spec)
+        return cls(spec, [('h', int(tok)) if tok.lstrip("+-").isdigit() else ('x', tok)
+                          for tok in map(str.strip, text.split(","))])
 
     def is_triangular(self):
         """Negative roots, then Cartan, then positive roots (B- . B0 . B+)."""
         segs = [self.segment[s] for s in self.syms]
         return segs == sorted(segs)
-
-
-def re_int(tok):
-    return tok.lstrip("+-").isdigit()
 
 
 def _exact(c):
@@ -496,9 +491,9 @@ class Engine:
     def one(self):
         return self.scalar(1)
 
-    def gen_elem(self, sym, aelt, coeff=1):
+    def gen_elem(self, sym, aelt):
         """The single letter sym (x) aelt as a UElem."""
-        return UElem({(self.letter(sym, aelt),): coeff})
+        return UElem({(self.letter(sym, aelt),): 1})
 
     def divided_power(self, sym, aelt, r):
         """(x (x) a)^(r) = (x (x) a)^r / r!, expanded to plain powers."""
@@ -564,6 +559,7 @@ class Engine:
             self._cartan(which)
             hvec = tuple(1 if j == which else 0 for j in range(1, self.spec.rank + 1))
         else:
+            self.spec.root(which)       # an unknown label is named as such
             hvec = self.spec.coroot(which)
         return self.p_vector(hvec, chi)
 
@@ -606,10 +602,8 @@ class Engine:
         return self._convert(df, block_from_divided, UElem)
 
     def is_integral(self, x):
-        """Integral-form membership test; accepts UElem or DividedForm."""
-        if isinstance(x, UElem):
-            x = self.to_divided(x)
-        return x.is_integral()
+        """Integral-form membership test for a UElem."""
+        return self.to_divided(x).is_integral()
 
     # -- basis enumeration and triangular splitting -------------------------
 

@@ -57,7 +57,7 @@ def eps_chain(spec, alpha, gamma, kmax):
 
     Stops early once gamma + s*alpha leaves the root set; raises if a stored
     constant is not +-(r+s)."""
-    r = root_string(spec, alpha, gamma).r
+    r = root_string(spec, alpha, gamma)
     out = []
     prev = gamma
     for s in range(1, kmax + 1):

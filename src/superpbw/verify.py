@@ -19,7 +19,7 @@ from .identities import DividedPower, Letter, PElement, minus, minus_two
 from .algebra import SpecError, pair_plane, read_algebra, spec_from_source, PRESET_NAMES
 from .coeffalg import monoid_preset
 from .combinatorics import Multiset, binomial, multisets_upto, verify_comb_identity
-from .engine import Engine, Order, UElem, word_runs
+from .engine import AlgebraError, Engine, Order, UElem, word_runs
 from .exprio import divided_key_str, mset_str, parse_mset, word_str
 
 
@@ -55,19 +55,12 @@ class SweepBounds:
 
 def _build_engine(source, monoid, order):
     spec = spec_from_source(source)
-    if order == "triangular":
-        o = Order.triangular(spec)
-    elif order in ("lex", "lexicographic"):
-        o = Order.lexicographic(spec)
-    else:
-        o = Order.from_items(spec, order.split(","))
-    return Engine(spec, monoid_preset(monoid), o)
+    return Engine(spec, monoid_preset(monoid), Order.named(spec, order))
 
 
 def load_engine(algebra, monoid="trunc:4", order="triangular"):
     """A fresh engine for a preset name or an algebra file path, a monoid
-    preset, and an order: 'triangular', 'lex'/'lexicographic' or a comma list
-    of root labels and Cartan indices."""
+    preset, and an order name (`Order.named`)."""
     return _build_engine(read_algebra(algebra), monoid, order)
 
 
@@ -130,10 +123,6 @@ def fmt_params(engine, ps):
 # ---------------------------------------------------------------------------
 # identity registry
 
-def _applicable_true(engine, ps):
-    return True, ""
-
-
 def _gate_nonisotropic(engine, ps):
     if engine.spec.root_sum(ps["gamma"], ps["gamma"]) is None:
         return False, "2*gamma is not a root"
@@ -181,7 +170,7 @@ class IdentityCheck:
                                 # product u*v an algebra check is about
     rhs: object = None          # (engine, params) -> u*v in closed form
     where: object = None        # (engine, params) -> False drops the instance
-    applicable: object = _applicable_true
+    applicable: object = None   # (engine, params) -> (ok, why not); None: always
     run: object = None          # (engine, params, u, v) -> (verdict, detail), for
                                 # an algebra check that is not an LHS = RHS comparison
     standalone: object = None   # () -> CheckReport, for a check that reads no
@@ -299,8 +288,9 @@ IDENTITIES = {
 SWEEP_IDS = tuple(k for k, check in IDENTITIES.items() if check.rhs is not None)
 
 
-def _diff_terms(engine, lhs, rhs, limit=5):
-    words = sorted((lhs - rhs).terms, key=lambda w: engine.runs_key(word_runs(w)))[:limit]
+def _diff_terms(engine, lhs, rhs):
+    """The first five differing words, with their coefficients on each side."""
+    words = sorted((lhs - rhs).terms, key=lambda w: engine.runs_key(word_runs(w)))[:5]
     return tuple((word_str(engine, w), str(lhs.terms.get(w, 0)), str(rhs.terms.get(w, 0)))
                  for w in words)
 
@@ -338,9 +328,10 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
         return CheckReport(ident_id, name, params, verdict, detail, diffs,
                            time.perf_counter() - t0)
 
-    ok, why = check.applicable(engine, ps)
-    if not ok:
-        return report("inapplicable", why)
+    if check.applicable:
+        ok, why = check.applicable(engine, ps)
+        if not ok:
+            return report("inapplicable", why)
     if check.run:
         u, v = (f.value(engine, ps) for f in check.factors)
         return report(*check.run(engine, ps, u, v))
@@ -378,18 +369,17 @@ def sweep_identity(engine, ident_id, bounds=None, fixed=None):
             if all(k not in ps or ps[k] == v for k, v in (fixed or {}).items())]
 
 
-def sweep_comb_identity(maxsize=6, support=3, drange=(-5, 5)):
-    """The integer identity behind the Cartan straightening, checked for all
-    nonzero multisets up to the stated size over abstract supports."""
+def sweep_comb_identity():
+    """The integer identity behind the Cartan straightening, checked for every
+    nonzero multiset of size <= 6 over a support of 3 and each d in -5..5."""
     t0 = time.perf_counter()
-    msets = sorted((ms for ms in multisets_upto(range(support), maxsize) if ms),
-                   key=lambda ms: ms.size)
-    cases = list(itertools.product(msets, range(drange[0], drange[1] + 1)))
+    msets = sorted((ms for ms in multisets_upto(range(3), 6) if ms), key=lambda ms: ms.size)
+    cases = list(itertools.product(msets, range(-5, 6)))
     fails = [case for case in cases if not verify_comb_identity(*case)]
     detail = "%d instances" % len(cases)
     if fails:
         detail += "; first failure %r" % (fails[0],)
-    return CheckReport("comb", "-", (("maxsize", str(maxsize)), ("support", str(support))),
+    return CheckReport("comb", "-", (("maxsize", "6"), ("support", "3")),
                        "fail" if fails else "pass", detail, seconds=time.perf_counter() - t0)
 
 
@@ -465,14 +455,23 @@ def verify_integrality(engine, gens=6, trials=100, seed=0, bounds=None):
 
 
 def verify_triangular(engine, gens=6, trials=100, seed=0, bounds=None):
-    """The same random products must factor through B- . B0 . B+ with integer
-    coefficients (triangular decomposition of the integral form)."""
+    """Random products drawn in the lexicographic order must factor through
+    B- . B0 . B+ with integer coefficients (triangular decomposition of the
+    integral form): each is adopted into the triangular order, so the check
+    does not re-read the words integrality reads.  A key that fails to
+    segment, or a non-integer coefficient, is named."""
+    lex = Engine(engine.spec, engine.monoid, Order.lexicographic(engine.spec))
+
     def failure(prod):
-        for c, _, _, _ in engine.triangular_factor(prod)[1]:
+        try:
+            tri, factors = lex.triangular_factor(prod)
+        except AlgebraError as e:
+            return " -> %s" % e
+        for c, *parts in factors:
             if c.denominator != 1:
-                return " -> non-integer %s" % c
+                return " -> non-integer %s at %s" % (c, divided_key_str(tri, sum(parts, ())))
         return None
-    return _sampled_check(engine, "triangular", "%d products, seed %d" % (trials, seed),
+    return _sampled_check(lex, "triangular", "%d products, seed %d" % (trials, seed),
                           failure, gens, trials, seed, bounds)
 
 

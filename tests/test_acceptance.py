@@ -109,7 +109,7 @@ def test_criterion_04_cartan_straightening():
             total += 1
             if rep.verdict == "fail":
                 fails.append(rep.line())
-    comb = sweep_comb_identity(maxsize=6, support=3, drange=(-5, 5))
+    comb = sweep_comb_identity()
     total += 1
     if comb.verdict == "fail":
         fails.append(comb.line())

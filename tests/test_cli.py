@@ -253,6 +253,11 @@ def test_delem_refuses_an_unknown_root_at_k_0(capsys, j):
     assert code == 2 and not out and "unknown root label 'nope'" in err
 
 
+def test_pelem_names_an_unknown_root(capsys):
+    code, out, err = run(capsys, "pelem", "--algebra", "sl2", "--alpha", "nope", "--chi", "t")
+    assert (code, out, err) == (2, "", "error: unknown root label 'nope' in algebra sl2\n")
+
+
 def test_pelem_refuses_both_i_and_alpha(capsys):
     code, out, err = run(capsys, "pelem", "--algebra", "sl2", "--i", "1", "--alpha", "a",
                          "--chi", "t")
@@ -406,6 +411,27 @@ def test_verify_bad_config_values_exit_2(tmp_path, capsys, config, key):
     assert code == 2
     assert err.startswith("error: suite config key %r" % key)
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["normalize", "--algebra", "sl2", "--monoid=", "x[a]{t}"], "unknown monoid preset ''"),
+    (["basis", "--algebra", "sl2", "--monoid=", "--degree", "1"], "unknown monoid preset ''"),
+    (["normalize", "--algebra", "sl2", "--order=", "x[a]{t}"], "order must list every root"),
+    (["verify", "--algebra", "sl2", "--order=", "--id", "4.2"], "order must list every root"),
+    (["verify", "--algebra", "sl2", "--id="], "unknown identity id ''"),
+    (["verify", "--algebra=", "--id", "4.2"], "unknown algebra ''"),
+    (["verify", "--config="], "cannot read suite config ''"),
+    (["verify", "--config", "suite.json", "--order="], "it would ignore --order"),
+    (["verify", "--config", "suite.json", "--monoid="], "it would ignore --monoid"),
+    (["verify", "--config", "suite.json", "--algebra="], "it would ignore --algebra"),
+])
+def test_an_empty_flag_value_is_refused(tmp_path, capsys, argv, err):
+    """An empty value is a value: its reader refuses it, not the default."""
+    (tmp_path / "suite.json").write_text(json.dumps({"algebras": ["sl2"]}))
+    argv = [str(tmp_path / a) if a == "suite.json" else a for a in argv]
+    code, out, got = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert got.startswith("error: ") and err in got
 
 
 def test_verify_param_flags_must_be_declared_by_the_id(capsys):

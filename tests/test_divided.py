@@ -42,7 +42,7 @@ def reference_from_divided(engine, df):
 
 def _sl3_h2_first(spec):
     """The triangular order of sl3 with h2 listed before h1."""
-    return Order.from_items(spec, ["-a1", "-a2", "-a1-a2", "2", "1", "a1", "a2", "a1+a2"])
+    return Order.named(spec, "-a1,-a2,-a1-a2,2,1,a1,a2,a1+a2")
 
 
 CONFIGS = [("sl3", "trunc:3", Order.triangular), ("sl21", "trunc:3", Order.triangular),

@@ -348,12 +348,16 @@ def test_two_variable_coefficients():
     assert got == want
 
 
-def test_order_from_items():
+def test_order_named():
     spec = preset("sl2")
-    o = Order.from_items(spec, ["-a", "1", "a"])
-    assert o.is_triangular()
-    with pytest.raises(AlgebraError):
-        Order.from_items(spec, ["a", "1"])   # missing -a
+    o = Order.named(spec, " -a, 1 ,a")          # whitespace is stripped per token
+    assert o.syms == (('x', '-a'), ('h', 1), ('x', 'a')) and o.is_triangular()
+    assert Order.named(spec, "triangular").syms == Order.triangular(spec).syms
+    for name in ("lex", "lexicographic"):
+        assert Order.named(spec, name).syms == Order.lexicographic(spec).syms
+    for bad in ("a,1", "", "Triangular"):     # -a missing; no symbol; not a name
+        with pytest.raises(AlgebraError):
+            Order.named(spec, bad)
 
 
 def _assert_exact(coeffs):

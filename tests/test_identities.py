@@ -131,7 +131,7 @@ def test_left_ideal_congruence():
     last letter sits at the alpha slot."""
     spec = preset("sl2")
     mon = monoid_preset("trunc:4")
-    order = Order.from_items(spec, ["-a", "1", "a"])   # alpha last
+    order = Order.named(spec, "-a,1,a")     # alpha last
     eng = Engine(spec, mon, order)
     alpha_sym = ('x', 'a')
     for size in range(0, 4):
@@ -433,7 +433,7 @@ def test_lhs_product_matches_the_hand_written_lhs(ident_id, algebra):
     check = IDENTITIES[ident_id]
     eng = get_engine(algebra, "trunc:3")
     for ps in expand(eng, SweepBounds(1, 1, 1, 1), check.axes, check.where):
-        if not check.applicable(eng, ps)[0]:
+        if check.applicable and not check.applicable(eng, ps)[0]:
             continue
         got = lhs_product(eng, check.factors, ps)
         assert got == REFERENCE_LHS[ident_id](eng, ps), \

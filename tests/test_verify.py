@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from superpbw import algebra
-from superpbw.algebra import SpecError, dump_spec, load_spec, preset
+from superpbw.algebra import SpecError
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
 from superpbw import identities as ident
+from superpbw import verify as ver
 from superpbw.engine import Engine
 from superpbw.verify import IDENTITIES, SuiteConfig, SweepBounds, genfun_counts, \
     get_engine, load_engine, run_suite, sweep_comb_identity, sweep_identity, \
@@ -68,7 +69,7 @@ def test_each_plane_is_classified_once_per_spec(monkeypatch):
     built = []
     plane_type = algebra.PairPlane
     monkeypatch.setattr(algebra, "PairPlane", lambda *f: built.append(f) or plane_type(*f))
-    spec = load_spec(dump_spec(preset("sp4")), name="sp4")    # a fresh spec, so no entry
+    spec = algebra._preset_sp4()        # a fresh spec, so no entry
     misses = algebra.pair_plane.cache_info().misses
     eng = Engine(spec, monoid_preset("trunc:2"))
     gated = 0
@@ -139,7 +140,9 @@ def test_genfun_oracle_shape():
 
 
 def test_comb_sweep():
-    assert sweep_comb_identity(maxsize=4, support=2).verdict == "pass"
+    rep = sweep_comb_identity()
+    assert rep.verdict == "pass"
+    assert rep.line().startswith("CHECK id=comb algebra=- maxsize=6 support=3 verdict=PASS")
 
 
 def test_suite_runner_smoke():
@@ -229,6 +232,69 @@ def test_failing_integrality_names_the_key_and_coefficient(monkeypatch):
     assert rep.verdict == "fail"
     assert rep.detail.endswith(
         "; first failure: (x[-a]{t^3})^(1) -> non-integer 1/2 at x[-a]{t^3}")
+
+
+def test_failing_triangular_names_the_key_and_coefficient(monkeypatch):
+    real = Engine.to_divided
+    monkeypatch.setattr(Engine, "to_divided", lambda self, x: Fraction(1, 2) * real(self, x))
+    rep = verify_triangular(load_engine("sl2"), gens=2, trials=20, seed=1)
+    assert rep.verdict == "fail"
+    assert rep.detail.endswith(
+        "; first failure: (x[-a]{t^3})^(1) -> non-integer 1/2 at x[-a]{t^3}")
+
+
+def test_triangular_factors_products_drawn_in_another_order(monkeypatch):
+    """Products are drawn in the lexicographic order and adopted into the
+    triangular one, so an adopt that changes nothing leaves a key that does
+    not segment: a FAIL naming the key, not an exception."""
+    monkeypatch.setattr(Engine, "adopt", lambda self, x: x)
+    rep = verify_triangular(load_engine("sl2"), gens=6, trials=500, seed=2026,
+                            bounds=SweepBounds(3, 3, 3, 3))
+    assert rep.verdict == "fail"
+    assert rep.detail.startswith("500 products, seed 2026; first failure: ")
+    assert " -> triangular order failed to segment ((('h', 1), (2,)), " in rep.detail
+
+
+@pytest.mark.parametrize("extra, detail", [
+    (lambda e: e.gen_elem(('x', 'a'), T), "mixed Cartan support ((('x', 'a'), (1,)),)"),
+    (lambda e: e.p(1, Multiset.of(T, T, T)), "degree 3 !< 2"),
+    (lambda e: Fraction(1, 2) * e.p(1, Multiset.of(T2)), "non-integer coefficient -1/2"),
+])
+def test_failing_lemma_5_2_says_what_the_remainder_breaks(monkeypatch, extra, detail):
+    """p_1(t) p_1(t) with an extra term that breaks one claim on the rest."""
+    real = Engine.mul
+    monkeypatch.setattr(Engine, "mul", lambda self, x, y: real(self, x, y) + extra(self))
+    rep = verify_identity(load_engine("sl2"), "L5.2",
+                          {"i": 1, "chi": Multiset.of(T), "phi": Multiset.of(T)})
+    assert (rep.verdict, rep.detail) == ("fail", detail)
+
+
+def test_failing_comb_names_the_first_case(monkeypatch):
+    monkeypatch.setattr(ver, "verify_comb_identity", lambda psi, d: d != 3)
+    reps = sweep_identity(get_engine("sl2"), "comb")     # reads no algebra: one report
+    assert [r.line() for r in reps] == [
+        "CHECK id=comb algebra=- maxsize=6 support=3 verdict=FAIL "
+        "[913 instances; first failure (Multiset(2:1), 3)]"]
+
+
+@pytest.mark.parametrize("mutate, oracle, detail", [
+    # the last key of the full basis replaced by the one before it
+    (lambda ks, syms: ks if syms else ks[:-1] + ks[-2:-1], None, "repeated canonical words"),
+    (lambda ks, syms: ks, [1, 8, 37], "counts [1, 6, 21] != oracle [1, 8, 37]"),
+    # the Cartan segment loses its last key
+    (lambda ks, syms: ks[:-1] if syms and syms[0][0] == 'h' else ks, None,
+     "segment counts fail to convolve at degree 2"),
+])
+def test_failing_basis_counts_say_what_is_wrong(monkeypatch, mutate, oracle, detail):
+    """sl2/trunc:2 at degree 2, the keys of each enumerate_basis call passed
+    through mutate(keys, syms), and the oracle's counts replaced if given."""
+    real = Engine.enumerate_basis
+    monkeypatch.setattr(Engine, "enumerate_basis",
+                        lambda self, d, syms=None: mutate(real(self, d, syms), syms))
+    if oracle:
+        monkeypatch.setattr(ver, "genfun_counts", lambda *args: oracle)
+    rep = verify_basis_counts(load_engine("sl2", "trunc:2"), 2)
+    assert (rep.verdict, rep.detail) == ("fail", detail)
 
 
 def test_failing_comparison_names_the_first_differing_word(monkeypatch):
