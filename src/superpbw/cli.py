@@ -36,6 +36,12 @@ def make_engine(args, default_monoid="poly"):
                            _given(args.order, "triangular"))
 
 
+def _need_finite(engine, what):
+    if not engine.monoid.finite:
+        raise UsageError("%s needs a truncated coefficient algebra (use --monoid trunc:<n>)"
+                         % what)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -95,6 +101,7 @@ def cmd_verify(args):
                             ", ".join("--" + k for k in kinds) or "none"))
     engine = ver.get_engine(args.algebra, _given(args.monoid, "trunc:4"),
                             _given(args.order, "triangular"))
+    _need_finite(engine, "verify")
     fixed = {}
     for k, text in texts.items():
         try:
@@ -118,9 +125,7 @@ def cmd_verify(args):
 
 def cmd_basis(args):
     engine = make_engine(args, default_monoid="trunc:2")
-    if not engine.monoid.finite:
-        raise UsageError("basis enumeration needs a truncated coefficient algebra "
-                         "(use --monoid trunc:<n>)")
+    _need_finite(engine, "basis enumeration")
     d = args.degree
     if d < 0:
         raise UsageError("degree cap must be >= 0")

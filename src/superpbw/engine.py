@@ -603,6 +603,8 @@ class Engine:
 
     def is_integral(self, x):
         """Integral-form membership test for a UElem."""
+        if not isinstance(x, UElem):
+            raise AlgebraError("is_integral takes a UElem, not %s" % type(x).__name__)
         return self.to_divided(x).is_integral()
 
     # -- basis enumeration and triangular splitting -------------------------
@@ -634,7 +636,9 @@ class Engine:
         for key, c in eng.to_divided(y).terms.items():
             segs = [eng.order.segment[sym] for sym, _ in key]
             if segs != sorted(segs):
-                raise AlgebraError("triangular order failed to segment %r" % (key,))
+                from .exprio import divided_key_str     # exprio imports this module
+                raise AlgebraError("triangular order failed to segment %s"
+                                   % divided_key_str(eng, key))
             n0, n1 = segs.count(-1), len(segs) - segs.count(1)
             out.append((c, key[:n0], key[n0:n1], key[n1:]))
         return eng, out

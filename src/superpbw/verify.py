@@ -2,17 +2,18 @@
 baseline normalizer vs the built RHS), degree bounds, the Cartan product law,
 random integrality sampling, basis counting, and the suite runner.
 
-Every sweep is declared as data: a check names its parameters as ordered
-(param, axis kind) pairs, and `expand` takes the product of the axes in that
-nesting order, dropping the instances an optional `where` predicate rejects.
-An algebra check also declares the product u*v it is about as its factors."""
+Every check is a row of `IDENTITIES`, declared as data.  A sweep names its
+parameters as ordered (param, axis kind) pairs, and `expand` takes the product
+of the axes in that nesting order, dropping the instances an optional `where`
+predicate rejects; an algebra sweep also declares the product u*v it is about
+as its factors.  A check with no axes runs once, at the bounds."""
 
 import functools
 import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import identities as ident
 from .identities import DividedPower, Letter, PElement, minus, minus_two
@@ -48,6 +49,10 @@ class SweepBounds:
     smax: int = 3
     mmax: int = 3
     chimax: int = 3
+    integrality_gens: int = 4       # integrality and triangular draw trials
+    integrality_trials: int = 50    # products of <= gens generators from seed
+    basis_degree: int = 4           # basis counts the keys up to this degree
+    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +126,7 @@ def fmt_params(engine, ps):
 
 
 # ---------------------------------------------------------------------------
-# identity registry
+# sweep rows: gates and bodies
 
 def _gate_nonisotropic(engine, ps):
     if engine.spec.root_sum(ps["gamma"], ps["gamma"]) is None:
@@ -173,8 +178,10 @@ class IdentityCheck:
     applicable: object = None   # (engine, params) -> (ok, why not); None: always
     run: object = None          # (engine, params, u, v) -> (verdict, detail), for
                                 # an algebra check that is not an LHS = RHS comparison
-    standalone: object = None   # () -> CheckReport, for a check that reads no
-                                # algebra: a suite runs it once, after the algebras
+    once: object = None         # (engine, bounds) -> (params, verdict, detail), for
+                                # a check with no axes: one report per sweep
+    algebra_free: bool = False  # a once check that reads no algebra: a suite
+                                # runs it once, after the algebras
 
 
 def _pair_check(rhs, applicable):
@@ -221,6 +228,160 @@ def _lemma_5_2(engine, ps, u, v):
             bad.append("non-integer coefficient %s" % c)
     return "fail" if bad else "pass", "; ".join(bad)
 
+
+# ---------------------------------------------------------------------------
+# checks with no axes: integrality sampling, triangular factorization, basis
+# counts and the integer identity
+
+def sample_generator(engine, rng, bounds):
+    """One random generator of the integral form: an even divided power, an
+    odd letter, or a Cartan p-element."""
+    spec = engine.spec
+    elems = engine.monoid.elements()
+    kind = rng.choice(["even", "odd", "p"] if spec.odd_roots() else ["even", "p"])
+    if kind == "even":
+        alpha = rng.choice(spec.even_roots())
+        s = rng.randint(1, bounds.smax)
+        belt = rng.choice(elems)
+        return ("(x[%s]{%s})^(%d)" % (alpha, engine.monoid.format_elt(belt), s),
+                engine.divided_power(('x', alpha), belt, s))
+    if kind == "odd":
+        gamma = rng.choice(spec.odd_roots())
+        celt = rng.choice(elems)
+        return ("x[%s]{%s}" % (gamma, engine.monoid.format_elt(celt)),
+                engine.gen_elem(('x', gamma), celt))
+    i = rng.randint(1, spec.rank)
+    size = rng.randint(0, bounds.chimax)
+    chi = Multiset.of(*(rng.choice(elems) for _ in range(size)))
+    return ("p[%d]{%s}" % (i, fmt_value(engine, chi)), engine.p(i, chi))
+
+
+def sample_products(engine, gens, trials, seed, bounds=None):
+    """Deterministic stream of (description, UElem) products of <= gens
+    generators from the integral form's generating set."""
+    bounds = bounds or SweepBounds()
+    rng = random.Random(seed)
+    for _ in range(trials):
+        k = rng.randint(1, gens)
+        label = []
+        acc = engine.one()
+        for _ in range(k):
+            desc, g = sample_generator(engine, rng, bounds)
+            label.append(desc)
+            acc = engine.mul(acc, g)
+        yield " ".join(label), acc
+
+
+def _sampled(engine, bounds, detail, failure):
+    """Run `failure` (product -> None, or a note on what is wrong) over the
+    products the bounds sample; the first failure goes into the detail."""
+    gens, trials, seed = bounds.integrality_gens, bounds.integrality_trials, bounds.seed
+    verdict = "pass"
+    for desc, prod in sample_products(engine, gens, trials, seed, bounds):
+        note = failure(prod)
+        if note is not None:
+            verdict = "fail"
+            detail += "; first failure: %s%s" % (desc, note)
+            break
+    return (("gens", str(gens)), ("trials", str(trials)), ("seed", str(seed))), verdict, detail
+
+
+def _integrality(engine, bounds):
+    """Random products of integral-form generators must have integer
+    coordinates in the divided-power basis."""
+    def failure(prod):
+        for key, c in engine.to_divided(prod).terms.items():
+            if c.denominator != 1:
+                return " -> non-integer %s at %s" % (c, divided_key_str(engine, key))
+        return None
+    return _sampled(engine, bounds, "%d products of <= %d generators, seed %d" % (
+        bounds.integrality_trials, bounds.integrality_gens, bounds.seed), failure)
+
+
+def _triangular(engine, bounds):
+    """Random products drawn in the lexicographic order must factor through
+    B- . B0 . B+ with integer coefficients (triangular decomposition of the
+    integral form): each is adopted into the triangular order, so the check
+    does not re-read the words integrality reads.  A key that fails to
+    segment, or a non-integer coefficient, is named."""
+    lex = Engine(engine.spec, engine.monoid, Order.lexicographic(engine.spec))
+
+    def failure(prod):
+        try:
+            tri, factors = lex.triangular_factor(prod)
+        except AlgebraError as e:
+            return " -> %s" % e
+        for c, *parts in factors:
+            if c.denominator != 1:
+                return " -> non-integer %s at %s" % (c, divided_key_str(tri, sum(parts, ())))
+        return None
+    return _sampled(lex, bounds, "%d products, seed %d" % (bounds.integrality_trials,
+                                                             bounds.seed), failure)
+
+
+def genfun_counts(spec, monoid, degree_cap):
+    """Independent count oracle: coefficients of
+    prod_{even slots} (1-q)^-1 * prod_{odd slots} (1+q), slots =
+    (roots + Cartan) x basis(A), truncated at q^degree_cap."""
+    nb = len(monoid.elements())
+    n_even = (len(spec.even_roots()) + spec.rank) * nb
+    n_odd = len(spec.odd_roots()) * nb
+    poly = [1] + [0] * degree_cap
+    for _ in range(n_even):
+        for d in range(1, degree_cap + 1):   # multiply by 1/(1-q): prefix sums
+            poly[d] += poly[d - 1]
+    for _ in range(n_odd):
+        for d in range(degree_cap, 0, -1):   # multiply by (1+q)
+            poly[d] += poly[d - 1]
+    return poly
+
+
+def _basis_counts(engine, bounds):
+    """enumerate_basis counts per degree match the generating-function oracle;
+    keys are pairwise distinct; with the triangular order the segment counts
+    convolve to the full counts."""
+    degree_cap = bounds.basis_degree
+    bad = []
+    keys = engine.enumerate_basis(degree_cap)
+    if len(set(keys)) != len(keys):
+        bad.append("repeated canonical words")
+    counts = [0] * (degree_cap + 1)
+    for k in keys:
+        counts[len(k)] += 1
+    oracle = genfun_counts(engine.spec, engine.monoid, degree_cap)
+    if counts != oracle:
+        bad.append("counts %r != oracle %r" % (counts, oracle))
+
+    seg_counts = {}
+    for seg in (-1, 0, 1):
+        syms = [s for s in engine.order.syms if engine.order.segment[s] == seg]
+        cs = [0] * (degree_cap + 1)
+        for k in engine.enumerate_basis(degree_cap, syms):
+            cs[len(k)] += 1
+        seg_counts[seg] = cs
+    for d in range(degree_cap + 1):
+        conv = sum(seg_counts[-1][d1] * seg_counts[0][d2] * seg_counts[1][d - d1 - d2]
+                   for d1 in range(d + 1) for d2 in range(d + 1 - d1))
+        if conv != counts[d]:
+            bad.append("segment counts fail to convolve at degree %d" % d)
+    return ((("degree", str(degree_cap)), ("monoid", engine.monoid.name)),
+            "fail" if bad else "pass", "; ".join(bad) if bad else "counts %r" % counts)
+
+
+def _comb(engine, bounds):
+    """The integer identity behind the Cartan straightening, checked for every
+    nonzero multiset of size <= 6 over a support of 3 and each d in -5..5."""
+    msets = sorted((ms for ms in multisets_upto(range(3), 6) if ms), key=lambda ms: ms.size)
+    cases = list(itertools.product(msets, range(-5, 6)))
+    fails = [case for case in cases if not verify_comb_identity(*case)]
+    detail = "%d instances" % len(cases)
+    if fails:
+        detail += "; first failure %r" % (fails[0],)
+    return (("maxsize", "6"), ("support", "3")), "fail" if fails else "pass", detail
+
+
+# ---------------------------------------------------------------------------
+# the registry
 
 _X_P = (("alpha", "even"), ("i", "cartan"), ("b", "elem"), ("r", "r"), ("chi", "mset"))
 _AB = (("a", "elem"), ("b", "elem"))
@@ -281,7 +442,10 @@ IDENTITIES = {
                           where=lambda e, ps: _gate_nonisotropic(e, ps)[0]),
     "L5.2": IdentityCheck((("i", "cartan"), ("chi", "mset"), ("phi", "mset")),
                           (_P, PElement("i", "phi")), run=_lemma_5_2),
-    "comb": IdentityCheck((), standalone=lambda: sweep_comb_identity()),
+    "integrality": IdentityCheck((), once=_integrality),
+    "triangular": IdentityCheck((), once=_triangular),
+    "basis": IdentityCheck((), once=_basis_counts),
+    "comb": IdentityCheck((), once=_comb, algebra_free=True),
 }
 
 # What `verify --algebra` runs when no id is named: the LHS = RHS rows.
@@ -310,224 +474,81 @@ def _solve_signs(lhs, template, known):
     return solutions, labels
 
 
-def verify_identity(engine, ident_id, ps, sign_cache=None):
-    """Run one instance of a registered algebra check; returns a CheckReport
-    timed from the start.  Its factors are evaluated once the check applies.
-    For sign-template identities the +-1 slots are solved exhaustively and
-    must be unique; a sign_cache (keyed per root pair) makes later instances
-    reuse and confirm the solved assignment.  A failing comparison names its
-    first differing word."""
-    check = IDENTITIES[ident_id]
+def _report(ident_id, algebra, params, body):
+    """The one builder of a CheckReport, timed around body() -> (params,
+    verdict, detail, diffs); a detail with diffs names the first.  An
+    exception inside body is a FAIL that names it and the params given."""
     t0 = time.perf_counter()
-    name = engine.spec.name
-    params = fmt_params(engine, ps)
+    try:
+        params, verdict, detail, diffs = body()
+    except Exception as e:
+        verdict, diffs = "fail", ()
+        detail = "%s: %s" % (type(e).__name__, e)
+        if params:
+            detail += " at " + " ".join("%s=%s" % kv for kv in params)
+    if diffs:
+        detail += "; first difference %s: LHS %s, RHS %s" % diffs[0]
+    return CheckReport(ident_id, algebra, params, verdict, detail, diffs,
+                       time.perf_counter() - t0)
 
-    def report(verdict, detail="", diffs=()):
-        if diffs:
-            detail += "; first difference %s: LHS %s, RHS %s" % diffs[0]
-        return CheckReport(ident_id, name, params, verdict, detail, diffs,
-                           time.perf_counter() - t0)
 
+def _compare(engine, ident_id, ps, sign_cache):
+    """(verdict, detail, diffs) of one instance of an algebra sweep."""
+    check = IDENTITIES[ident_id]
     if check.applicable:
         ok, why = check.applicable(engine, ps)
         if not ok:
-            return report("inapplicable", why)
+            return "inapplicable", why, ()
     if check.run:
         u, v = (f.value(engine, ps) for f in check.factors)
-        return report(*check.run(engine, ps, u, v))
+        return check.run(engine, ps, u, v) + ((),)
     lhs = ident.lhs_product(engine, check.factors, ps)
     rhs = check.rhs(engine, ps)
     if isinstance(rhs, ident.SignTemplate):
-        known = {}
-        if sign_cache is not None:
-            known = sign_cache.setdefault((ident_id, name, ps["alpha"], ps["beta"]), {})
+        key = (ident_id, engine.spec.name, ps["alpha"], ps["beta"])
+        known = {} if sign_cache is None else sign_cache.setdefault(key, {})
         sols, labels = _solve_signs(lhs, rhs, known)
         if not sols:
             unconstrained, _ = _solve_signs(lhs, rhs, {})
-            return report("fail", "cached signs fail: not reusable" if unconstrained
-                          else "no sign assignment zeroes the difference",
-                          _diff_terms(engine, lhs, rhs.base))
+            return ("fail", "cached signs fail: not reusable" if unconstrained
+                    else "no sign assignment zeroes the difference",
+                    _diff_terms(engine, lhs, rhs.base))
         if len(sols) > 1:
-            return report("fail", "ambiguous sign assignment (%d solutions)" % len(sols))
+            return "fail", "ambiguous sign assignment (%d solutions)" % len(sols), ()
         known.update(sols[0])
-        return report("pass", " ".join("eps[%s]=%+d" % (lab, sols[0][lab]) for lab in labels)
-                      or "no slots")
+        eps = " ".join("eps[%s]=%+d" % (lab, sols[0][lab]) for lab in labels)
+        return "pass", eps or "no slots", ()
     if lhs == rhs:
-        return report("pass")
-    return report("fail", "LHS != RHS", _diff_terms(engine, lhs, rhs))
+        return "pass", "", ()
+    return "fail", "LHS != RHS", _diff_terms(engine, lhs, rhs)
+
+
+def verify_identity(engine, ident_id, ps, sign_cache=None):
+    """Run one instance of a registered algebra sweep; returns a CheckReport.
+    Its factors are evaluated once the check applies.  For sign-template
+    identities the +-1 slots are solved exhaustively and must be unique; a
+    sign_cache (keyed per root pair) makes later instances reuse and confirm
+    the solved assignment.  A failing comparison names its first differing
+    word."""
+    params = fmt_params(engine, ps)
+    return _report(ident_id, engine.spec.name, params,
+                   lambda: (params,) + _compare(engine, ident_id, ps, sign_cache))
 
 
 def sweep_identity(engine, ident_id, bounds=None, fixed=None):
     """All CheckReports for a registered check over its declared axes,
-    optionally restricted by fixing some parameters to values."""
+    optionally restricted by fixing some parameters to values.  A check with
+    no axes gives one report at the bounds; one that reads no algebra
+    ignores the engine, which may be None."""
     check = IDENTITIES[ident_id]
-    if check.standalone:
-        return [check.standalone()]
+    bounds = bounds or SweepBounds()
+    if check.once:
+        return [_report(ident_id, "-" if check.algebra_free else engine.spec.name, (),
+                        lambda: check.once(engine, bounds) + ((),))]
     sign_cache = {}
     return [verify_identity(engine, ident_id, ps, sign_cache)
-            for ps in expand(engine, bounds or SweepBounds(), check.axes, check.where)
+            for ps in expand(engine, bounds, check.axes, check.where)
             if all(k not in ps or ps[k] == v for k, v in (fixed or {}).items())]
-
-
-def sweep_comb_identity():
-    """The integer identity behind the Cartan straightening, checked for every
-    nonzero multiset of size <= 6 over a support of 3 and each d in -5..5."""
-    t0 = time.perf_counter()
-    msets = sorted((ms for ms in multisets_upto(range(3), 6) if ms), key=lambda ms: ms.size)
-    cases = list(itertools.product(msets, range(-5, 6)))
-    fails = [case for case in cases if not verify_comb_identity(*case)]
-    detail = "%d instances" % len(cases)
-    if fails:
-        detail += "; first failure %r" % (fails[0],)
-    return CheckReport("comb", "-", (("maxsize", "6"), ("support", "3")),
-                       "fail" if fails else "pass", detail, seconds=time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# integrality sampling and triangular factorization
-
-def sample_generator(engine, rng, bounds):
-    """One random generator of the integral form: an even divided power, an
-    odd letter, or a Cartan p-element."""
-    spec = engine.spec
-    elems = engine.monoid.elements()
-    kind = rng.choice(["even", "odd", "p"] if spec.odd_roots() else ["even", "p"])
-    if kind == "even":
-        alpha = rng.choice(spec.even_roots())
-        s = rng.randint(1, bounds.smax)
-        belt = rng.choice(elems)
-        return ("(x[%s]{%s})^(%d)" % (alpha, engine.monoid.format_elt(belt), s),
-                engine.divided_power(('x', alpha), belt, s))
-    if kind == "odd":
-        gamma = rng.choice(spec.odd_roots())
-        celt = rng.choice(elems)
-        return ("x[%s]{%s}" % (gamma, engine.monoid.format_elt(celt)),
-                engine.gen_elem(('x', gamma), celt))
-    i = rng.randint(1, spec.rank)
-    size = rng.randint(0, bounds.chimax)
-    chi = Multiset.of(*(rng.choice(elems) for _ in range(size)))
-    return ("p[%d]{%s}" % (i, fmt_value(engine, chi)), engine.p(i, chi))
-
-
-def sample_products(engine, gens, trials, seed, bounds=None):
-    """Deterministic stream of (description, UElem) products of <= gens
-    generators from the integral form's generating set."""
-    bounds = bounds or SweepBounds()
-    rng = random.Random(seed)
-    for _ in range(trials):
-        k = rng.randint(1, gens)
-        label = []
-        acc = engine.one()
-        for _ in range(k):
-            desc, g = sample_generator(engine, rng, bounds)
-            label.append(desc)
-            acc = engine.mul(acc, g)
-        yield " ".join(label), acc
-
-
-def _sampled_check(engine, identity, detail, failure, gens, trials, seed, bounds):
-    """Run `failure` (product -> None, or a note on what is wrong) over the
-    sampled products; the first failure goes into the detail."""
-    t0 = time.perf_counter()
-    verdict = "pass"
-    for desc, prod in sample_products(engine, gens, trials, seed, bounds):
-        note = failure(prod)
-        if note is not None:
-            verdict = "fail"
-            detail += "; first failure: %s%s" % (desc, note)
-            break
-    return CheckReport(identity, engine.spec.name,
-                       (("gens", str(gens)), ("trials", str(trials)), ("seed", str(seed))),
-                       verdict, detail, seconds=time.perf_counter() - t0)
-
-
-def verify_integrality(engine, gens=6, trials=100, seed=0, bounds=None):
-    """Random products of integral-form generators must have integer
-    coordinates in the divided-power basis."""
-    def failure(prod):
-        for key, c in engine.to_divided(prod).terms.items():
-            if c.denominator != 1:
-                return " -> non-integer %s at %s" % (c, divided_key_str(engine, key))
-        return None
-    return _sampled_check(
-        engine, "integrality", "%d products of <= %d generators, seed %d" % (trials, gens, seed),
-        failure, gens, trials, seed, bounds)
-
-
-def verify_triangular(engine, gens=6, trials=100, seed=0, bounds=None):
-    """Random products drawn in the lexicographic order must factor through
-    B- . B0 . B+ with integer coefficients (triangular decomposition of the
-    integral form): each is adopted into the triangular order, so the check
-    does not re-read the words integrality reads.  A key that fails to
-    segment, or a non-integer coefficient, is named."""
-    lex = Engine(engine.spec, engine.monoid, Order.lexicographic(engine.spec))
-
-    def failure(prod):
-        try:
-            tri, factors = lex.triangular_factor(prod)
-        except AlgebraError as e:
-            return " -> %s" % e
-        for c, *parts in factors:
-            if c.denominator != 1:
-                return " -> non-integer %s at %s" % (c, divided_key_str(tri, sum(parts, ())))
-        return None
-    return _sampled_check(lex, "triangular", "%d products, seed %d" % (trials, seed),
-                          failure, gens, trials, seed, bounds)
-
-
-# ---------------------------------------------------------------------------
-# basis counts
-
-def genfun_counts(spec, monoid, degree_cap):
-    """Independent count oracle: coefficients of
-    prod_{even slots} (1-q)^-1 * prod_{odd slots} (1+q), slots =
-    (roots + Cartan) x basis(A), truncated at q^degree_cap."""
-    nb = len(monoid.elements())
-    n_even = (len(spec.even_roots()) + spec.rank) * nb
-    n_odd = len(spec.odd_roots()) * nb
-    poly = [1] + [0] * degree_cap
-    for _ in range(n_even):
-        for d in range(1, degree_cap + 1):   # multiply by 1/(1-q): prefix sums
-            poly[d] += poly[d - 1]
-    for _ in range(n_odd):
-        for d in range(degree_cap, 0, -1):   # multiply by (1+q)
-            poly[d] += poly[d - 1]
-    return poly
-
-
-def verify_basis_counts(engine, degree_cap):
-    """enumerate_basis counts per degree match the generating-function oracle;
-    keys are pairwise distinct; with the triangular order the segment counts
-    convolve to the full counts."""
-    t0 = time.perf_counter()
-    bad = []
-    keys = engine.enumerate_basis(degree_cap)
-    if len(set(keys)) != len(keys):
-        bad.append("repeated canonical words")
-    counts = [0] * (degree_cap + 1)
-    for k in keys:
-        counts[len(k)] += 1
-    oracle = genfun_counts(engine.spec, engine.monoid, degree_cap)
-    if counts != oracle:
-        bad.append("counts %r != oracle %r" % (counts, oracle))
-
-    seg_counts = {}
-    for seg in (-1, 0, 1):
-        syms = [s for s in engine.order.syms if engine.order.segment[s] == seg]
-        cs = [0] * (degree_cap + 1)
-        for k in engine.enumerate_basis(degree_cap, syms):
-            cs[len(k)] += 1
-        seg_counts[seg] = cs
-    for d in range(degree_cap + 1):
-        conv = sum(seg_counts[-1][d1] * seg_counts[0][d2] * seg_counts[1][d - d1 - d2]
-                   for d1 in range(d + 1) for d2 in range(d + 1 - d1))
-        if conv != counts[d]:
-            bad.append("segment counts fail to convolve at degree %d" % d)
-    return CheckReport("basis", engine.spec.name,
-                       (("degree", str(degree_cap)), ("monoid", engine.monoid.name)),
-                       "fail" if bad else "pass",
-                       "; ".join(bad) if bad else "counts %r" % counts,
-                       seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -537,24 +558,24 @@ def _is_strings(v):
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
-def _is_monoid(v):
+def _is_finite_monoid(v):
+    """Every check of an algebra reads the monoid's basis, so it must be finite."""
     try:
-        return isinstance(v, str) and monoid_preset(v) is not None
+        return isinstance(v, str) and monoid_preset(v).finite
     except ValueError:
         return False
 
 
-_BOUND_KEYS = ("rmax", "smax", "mmax", "chimax")
+_BOUND_KEYS = tuple(f.name for f in fields(SweepBounds))
 
 # suite config key -> (test of its JSON value, what the key wants)
 _CONFIG_KEYS = {
-    **{k: (lambda v: type(v) is int and v >= 0, "a non-negative integer")
-       for k in _BOUND_KEYS + ("integrality_trials", "integrality_gens", "basis_degree")},
+    **{k: (lambda v: type(v) is int and v >= 0, "a non-negative integer") for k in _BOUND_KEYS},
     "seed": (lambda v: type(v) is int, "an integer"),
     "algebras": (_is_strings, "a list of presets or algebra file paths"),
     "identities": (lambda v: _is_strings(v) and all(x in IDENTITIES for x in v),
                    "a list of identity ids (%s)" % ", ".join(IDENTITIES)),
-    "monoid": (_is_monoid, "a monoid preset (poly, laurent, poly2, trunc:n)"),
+    "monoid": (_is_finite_monoid, "a monoid preset with a finite basis (trunc:n)"),
 }
 
 
@@ -564,10 +585,6 @@ class SuiteConfig:
     identities: tuple = tuple(IDENTITIES)
     monoid: str = "trunc:4"
     bounds: SweepBounds = field(default_factory=SweepBounds)
-    integrality_trials: int = 50
-    integrality_gens: int = 4
-    basis_degree: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         seen = set()
@@ -586,21 +603,15 @@ class SuiteConfig:
             raise SpecError("bad suite config: %s" % e)
         if not isinstance(raw, dict):
             raise SpecError("suite config must be a JSON object")
-        kwargs = {}
-        bounds = {}
         for k, v in raw.items():
             if k not in _CONFIG_KEYS:
                 raise SpecError("unknown suite config key %r" % k)
             ok, wants = _CONFIG_KEYS[k]
             if not ok(v):
                 raise SpecError("suite config key %r wants %s, got %r" % (k, wants, v))
-            if k in _BOUND_KEYS:
-                bounds[k] = v
-            else:
-                kwargs[k] = tuple(v) if isinstance(v, list) else v
-        if bounds:
-            kwargs["bounds"] = SweepBounds(**bounds)
-        return cls(**kwargs)
+        bounds = SweepBounds(**{k: raw.pop(k) for k in _BOUND_KEYS if k in raw})
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()},
+                   bounds=bounds)
 
     @classmethod
     def from_path(cls, path):
@@ -634,27 +645,17 @@ class SuiteResult:
 
 
 def run_suite(config, emit=None):
-    """Run everything the config asks for; `emit` (if given) receives each
-    report line as it is produced."""
+    """Run the chosen checks on each algebra, then the algebra-free ones once
+    (as the engine None); `emit` (if given) receives each report line as it
+    is produced.  Every algebra is loaded before the first check runs."""
     reports = []
-
-    def add(reps):
-        for r in reps:
-            reports.append(r)
-            if emit:
-                emit(r.line())
-
-    per_algebra = [i for i in config.identities if not IDENTITIES[i].standalone]
-    for algebra in config.algebras:
-        engine = get_engine(algebra, config.monoid)
-        for ident_id in per_algebra:
-            add(sweep_identity(engine, ident_id, config.bounds))
-        add([verify_integrality(engine, config.integrality_gens,
-                                config.integrality_trials, config.seed, config.bounds),
-             verify_triangular(engine, config.integrality_gens,
-                               config.integrality_trials, config.seed, config.bounds),
-             verify_basis_counts(engine, config.basis_degree)])
-    add(IDENTITIES[i].standalone() for i in config.identities if i not in per_algebra)
+    for engine in [get_engine(a, config.monoid) for a in config.algebras] + [None]:
+        for ident_id in config.identities:
+            if IDENTITIES[ident_id].algebra_free == (engine is None):
+                for r in sweep_identity(engine, ident_id, config.bounds):
+                    reports.append(r)
+                    if emit:
+                        emit(r.line())
     result = SuiteResult(reports)
     if emit:
         emit(result.summary())

@@ -12,10 +12,11 @@ import os
 import time
 
 from superpbw.algebra import preset, validate, PRESET_NAMES
-from superpbw.verify import SweepBounds, get_engine, sweep_comb_identity, \
-    sweep_identity, verify_basis_counts, verify_integrality, verify_triangular
+from superpbw.verify import SweepBounds, get_engine, sweep_identity
 
 BOUNDS = SweepBounds(rmax=3, smax=3, mmax=3, chimax=3)
+# crit 7 and crit 10: 500 products of at most 6 generators each
+SAMPLED = SweepBounds(3, 3, 3, 3, integrality_gens=6, integrality_trials=500, seed=2026)
 ALGEBRAS_EVEN = ("sl2", "sl3", "sp4", "sl21")
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -109,7 +110,7 @@ def test_criterion_04_cartan_straightening():
             total += 1
             if rep.verdict == "fail":
                 fails.append(rep.line())
-    comb = sweep_comb_identity()
+    comb, = sweep_identity(None, "comb")
     total += 1
     if comb.verdict == "fail":
         fails.append(comb.line())
@@ -151,7 +152,7 @@ def test_criterion_07_integrality():
     for algebra in PRESET_NAMES:
         for order in ("triangular", "lexicographic"):
             engine = get_engine(algebra, order=order)
-            rep = verify_integrality(engine, gens=6, trials=500, seed=2026, bounds=BOUNDS)
+            rep, = sweep_identity(engine, "integrality", SAMPLED)
             if rep.verdict == "fail":
                 fails.append("%s/%s: %s" % (algebra, order, rep.detail))
     _report(7, "500 random products integral, 2 orders", not fails,
@@ -164,7 +165,7 @@ def test_criterion_08_basis_counts():
     for algebra in ("sl2", "sl21"):
         for monoid in ("trunc:2", "trunc:3"):
             engine = get_engine(algebra, monoid)
-            rep = verify_basis_counts(engine, 5)
+            rep, = sweep_identity(engine, "basis", SweepBounds(basis_degree=5))
             if rep.verdict == "fail":
                 fails.append("%s/%s: %s" % (algebra, monoid, rep.detail))
     _report(8, "basis counts vs oracle, degree <= 5", not fails,
@@ -196,7 +197,7 @@ def test_criterion_10_triangular_decomposition():
     fails = []
     for algebra in PRESET_NAMES:
         engine = get_engine(algebra)
-        rep = verify_triangular(engine, gens=6, trials=500, seed=2026, bounds=BOUNDS)
+        rep, = sweep_identity(engine, "triangular", SAMPLED)
         if rep.verdict == "fail":
             fails.append("%s: %s" % (algebra, rep.detail))
     _report(10, "triangular factorization integral", not fails,

@@ -9,6 +9,8 @@ import pytest
 from superpbw import cli
 from superpbw import verify as ver
 from superpbw.cli import main
+from superpbw.coeffalg import MonoidError
+from superpbw.engine import Engine
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -403,6 +405,7 @@ def test_verify_missing_files_exit_2(tmp_path, capsys):
     ({"algebras": ["sl2"], "identities": ["nope"]}, "identities"),
     ({"monoid": "trunc:x"}, "monoid"),
     ({"rmax": -1}, "rmax"),
+    ({"monoid": "laurent"}, "monoid"),
 ])
 def test_verify_bad_config_values_exit_2(tmp_path, capsys, config, key):
     path = tmp_path / "suite.json"
@@ -525,14 +528,52 @@ def test_repeated_config_id_exits_2(tmp_path, capsys):
     assert err.startswith("error: suite config lists identity 'L5.2' more than once")
 
 
-def test_verify_id_runs_a_degree_bound_as_the_suite_does(capsys):
-    code, out, _ = run(capsys, "verify", "--algebra", "osp12", "--id", "deg7")
+@pytest.mark.parametrize("ident", ["deg7", "integrality", "triangular", "basis"])
+def test_verify_id_runs_a_degree_bound_as_the_suite_does(capsys, ident):
+    """--id runs a check at the bounds a suite config has by default."""
+    code, out, _ = run(capsys, "verify", "--algebra", "osp12", "--id", ident)
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("CHECK")]
     suite = []
-    ver.run_suite(ver.SuiteConfig(algebras=("osp12",), identities=("deg7",),
-                                  integrality_trials=1, basis_degree=1), emit=suite.append)
-    assert lines and lines == [l for l in suite if l.startswith("CHECK id=deg7 ")]
+    ver.run_suite(ver.SuiteConfig(algebras=("osp12",), identities=(ident,)), emit=suite.append)
+    assert out.splitlines() == suite
+    assert suite[0].startswith("CHECK id=%s " % ident)
+
+
+def test_verify_needs_a_finite_monoid(capsys):
+    # every check of an algebra reads the monoid's basis: refused before the first
+    for ident in ("4.2", "integrality", "comb"):
+        code, out, err = run(capsys, "verify", "--algebra", "sl2", "--monoid", "poly",
+                             "--id", ident)
+        assert code == 2 and out == ""
+        assert err == ("error: verify needs a truncated coefficient algebra "
+                       "(use --monoid trunc:<n>)\n")
+
+
+def test_verify_config_loads_every_algebra_before_the_first_check(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"algebras": ["sl2", str(tmp_path / "missing.alg")]}))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown algebra")
+
+
+def test_an_exception_inside_a_check_is_a_fail_of_that_check(tmp_path, capsys, monkeypatch):
+    """The suite goes on past it, prints its SUMMARY and exits 1."""
+    def to_divided(self, x):
+        raise MonoidError("no divided basis today")
+    monkeypatch.setattr(Engine, "to_divided", to_divided)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"algebras": ["sl2"], "identities": ["deg1", "4.2", "integrality"],
+                                "monoid": "trunc:1", "rmax": 1, "smax": 1}))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == ("CHECK id=deg1 algebra=sl2 a=1 alpha=a b=1 r=0 s=0 verdict=FAIL "
+                        "[MonoidError: no divided basis today at a=1 alpha=a b=1 r=0 s=0]")
+    assert lines[-2] == ("CHECK id=integrality algebra=sl2 verdict=FAIL "
+                         "[MonoidError: no divided basis today]")
+    assert all("verdict=PASS" in l for l in lines if l.startswith("CHECK id=4.2 "))
+    assert lines[-1] == "SUMMARY checks=17 pass=8 fail=9 inapplicable=0"
 
 
 @pytest.mark.parametrize("key", ["degree_bounds", "lemma_5_2", "comb"])

@@ -161,6 +161,16 @@ def test_is_integral(sl2):
     assert sl2.is_integral(cube)
 
 
+def test_is_integral_takes_only_a_uelem(sl2):
+    """1/2 (x_a (x) t)^(2) is not integral, but its key read as the PBW word
+    x x gives x^2 / 2 = x^(2), which is: a DividedForm is refused, not misread."""
+    letter = (('x', 'a'), T)
+    df = DividedForm({(letter, letter): Fraction(1, 2)})
+    assert not df.is_integral()
+    with pytest.raises(AlgebraError, match="is_integral takes a UElem, not DividedForm"):
+        sl2.is_integral(df)
+
+
 def _word_letters(engine, size, rng_elems, syms):
     import random
     r = random.Random(size)

@@ -21,10 +21,9 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 GOLDENS = {
     "golden_sweep_sl2_sl21.json": SuiteConfig(
-        algebras=("sl2", "sl21"), bounds=SweepBounds(2, 2, 2, 2), integrality_trials=10),
+        algebras=("sl2", "sl21"), bounds=SweepBounds(2, 2, 2, 2, integrality_trials=10)),
     "golden_sweep_sl3_sp4_osp12.json": SuiteConfig(
-        algebras=("sl3", "sp4", "osp12"), bounds=SweepBounds(1, 1, 1, 1),
-        integrality_trials=10),
+        algebras=("sl3", "sp4", "osp12"), bounds=SweepBounds(1, 1, 1, 1, integrality_trials=10)),
 }
 
 

@@ -13,11 +13,16 @@ from superpbw import identities as ident
 from superpbw import verify as ver
 from superpbw.engine import Engine
 from superpbw.verify import IDENTITIES, SuiteConfig, SweepBounds, genfun_counts, \
-    get_engine, load_engine, run_suite, sweep_comb_identity, sweep_identity, \
-    verify_basis_counts, verify_identity, verify_integrality, verify_triangular
+    get_engine, load_engine, run_suite, sweep_identity, verify_identity
 
 ONE, T, T2 = (0,), (1,), (2,)
 DEG_IDS = tuple("deg%d" % n for n in range(1, 8))
+
+
+def run_once(engine, ident_id, **bounds):
+    """The one report of a check with no axes, at SweepBounds(**bounds)."""
+    rep, = sweep_identity(engine, ident_id, SweepBounds(**bounds))
+    return rep
 
 
 def test_4_2_coefficient():
@@ -111,21 +116,22 @@ def test_lemma_5_2_examples():
 def test_integrality_and_triangular():
     for name in ("sl2", "sl21", "osp12"):
         eng = get_engine(name)
-        assert verify_integrality(eng, gens=4, trials=40, seed=3).verdict == "pass"
-        assert verify_triangular(eng, gens=4, trials=40, seed=3).verdict == "pass"
+        for ident_id in ("integrality", "triangular"):
+            rep = run_once(eng, ident_id, integrality_gens=4, integrality_trials=40, seed=3)
+            assert rep.verdict == "pass", rep.line()
 
 
 def test_integrality_deterministic():
     eng = get_engine("sl21")
-    a = verify_integrality(eng, gens=3, trials=20, seed=9)
-    b = verify_integrality(eng, gens=3, trials=20, seed=9)
+    a = run_once(eng, "integrality", integrality_gens=3, integrality_trials=20, seed=9)
+    b = run_once(eng, "integrality", integrality_gens=3, integrality_trials=20, seed=9)
     assert a.detail == b.detail and a.verdict == b.verdict
 
 
 def test_basis_counts():
     for name, monoid in (("sl2", "trunc:2"), ("sl21", "trunc:2"), ("osp12", "trunc:3")):
         eng = get_engine(name, monoid)
-        rep = verify_basis_counts(eng, 3)
+        rep = run_once(eng, "basis", basis_degree=3)
         assert rep.verdict == "pass", rep.line()
 
 
@@ -140,16 +146,17 @@ def test_genfun_oracle_shape():
 
 
 def test_comb_sweep():
-    rep = sweep_comb_identity()
+    rep = run_once(None, "comb")        # reads no algebra, so needs no engine
     assert rep.verdict == "pass"
     assert rep.line().startswith("CHECK id=comb algebra=- maxsize=6 support=3 verdict=PASS")
 
 
 def test_suite_runner_smoke():
     config = SuiteConfig(
-        algebras=("sl2",), identities=("4.2", "4.9"), monoid="trunc:2",
-        bounds=SweepBounds(rmax=1, smax=1, mmax=1, chimax=1),
-        integrality_trials=5, integrality_gens=2, basis_degree=2)
+        algebras=("sl2",), identities=("4.2", "4.9", "integrality", "triangular", "basis"),
+        monoid="trunc:2", bounds=SweepBounds(rmax=1, smax=1, mmax=1, chimax=1,
+                                             integrality_trials=5, integrality_gens=2,
+                                             basis_degree=2))
     lines = []
     result = run_suite(config, emit=lines.append)
     assert result.ok
@@ -164,7 +171,7 @@ def test_suite_config_json():
     config = SuiteConfig.from_json(json.dumps(
         {"algebras": ["sl2"], "identities": ["4.2"], "rmax": 1, "smax": 1,
          "integrality_trials": 2, "basis_degree": 1}))
-    assert config.bounds.rmax == 1
+    assert config.bounds == SweepBounds(rmax=1, smax=1, integrality_trials=2, basis_degree=1)
     assert config.algebras == ("sl2",)
     with pytest.raises(Exception):
         SuiteConfig.from_json("{bad json")
@@ -187,6 +194,8 @@ def test_sweep_identity_fixed_filter():
     ({"monoid": "trunc:x"}, "monoid"),
     ({"comb": 1}, "comb"),
     ({"integrality_trials": -1}, "integrality_trials"),
+    ({"monoid": "poly"}, "monoid"),     # the checks of an algebra read a finite basis
+    ({"seed": 1.5}, "seed"),
 ])
 def test_suite_config_rejects_bad_values(raw, key):
     with pytest.raises(SpecError, match="suite config key %r" % key):
@@ -196,23 +205,27 @@ def test_suite_config_rejects_bad_values(raw, key):
 def _suite_ids(algebras, identities):
     return [r.identity for r in run_suite(SuiteConfig(
         algebras=algebras, identities=identities, monoid="trunc:2",
-        bounds=SweepBounds(1, 1, 1, 1), integrality_trials=1, basis_degree=1)).reports]
+        bounds=SweepBounds(1, 1, 1, 1, integrality_trials=1, basis_degree=1))).reports]
 
 
 def test_suite_config_accepts_every_registered_id():
     config = SuiteConfig.from_json(json.dumps({"identities": ["4.12", "deg3", "L5.2", "comb"]}))
     assert config.identities == ("4.12", "deg3", "L5.2", "comb")
-    assert SuiteConfig().identities == tuple(IDENTITIES)
-    # comb reads no algebra: it runs once, after the algebras
-    assert _suite_ids(("sl2",), ("comb", "L5.2")) == ["L5.2"] * 9 + [
-        "integrality", "triangular", "basis", "comb"]
+    config = SuiteConfig.from_json(json.dumps({"identities": list(IDENTITIES)}))
+    assert config.identities == SuiteConfig().identities == tuple(IDENTITIES)
+    # by default the three checks of the main theorem run after L5.2, and
+    # comb, which reads no algebra, once after the algebras
+    assert tuple(IDENTITIES)[-5:] == ("L5.2", "integrality", "triangular", "basis", "comb")
+    assert _suite_ids(("sl2",), ("comb", "L5.2")) == ["L5.2"] * 9 + ["comb"]
 
 
 def test_suite_runs_each_chosen_check_once():
-    assert _suite_ids(("sl2",), ("L5.2",)) == ["L5.2"] * 9 + [
-        "integrality", "triangular", "basis"]
-    per_algebra = ["integrality", "triangular", "basis"]
-    assert _suite_ids(("sl2", "sl21"), ("comb",)) == per_algebra * 2 + ["comb"]
+    # a listed `identities` runs exactly what it lists, in its order
+    assert _suite_ids(("sl2",), ("L5.2",)) == ["L5.2"] * 9
+    assert _suite_ids(("sl2", "sl21"), ("comb",)) == ["comb"]
+    assert _suite_ids(("sl2", "sl21"), ("basis", "comb", "integrality")) == [
+        "basis", "integrality"] * 2 + ["comb"]
+    assert _suite_ids((), ("triangular", "comb")) == ["comb"]
     assert _suite_ids(("sl2",), ("deg1",)).count("deg1") == len(
         sweep_identity(get_engine("sl2", "trunc:2"), "deg1", SweepBounds(1, 1, 1, 1)))
 
@@ -228,7 +241,8 @@ def test_failing_integrality_names_the_key_and_coefficient(monkeypatch):
     real = Engine.divided_power
     monkeypatch.setattr(Engine, "divided_power",
                         lambda self, sym, aelt, r: Fraction(1, 2) * real(self, sym, aelt, r))
-    rep = verify_integrality(load_engine("sl2"), gens=2, trials=20, seed=1)
+    rep = run_once(load_engine("sl2"), "integrality", integrality_gens=2,
+                   integrality_trials=20, seed=1)
     assert rep.verdict == "fail"
     assert rep.detail.endswith(
         "; first failure: (x[-a]{t^3})^(1) -> non-integer 1/2 at x[-a]{t^3}")
@@ -237,7 +251,8 @@ def test_failing_integrality_names_the_key_and_coefficient(monkeypatch):
 def test_failing_triangular_names_the_key_and_coefficient(monkeypatch):
     real = Engine.to_divided
     monkeypatch.setattr(Engine, "to_divided", lambda self, x: Fraction(1, 2) * real(self, x))
-    rep = verify_triangular(load_engine("sl2"), gens=2, trials=20, seed=1)
+    rep = run_once(load_engine("sl2"), "triangular", integrality_gens=2,
+                   integrality_trials=20, seed=1)
     assert rep.verdict == "fail"
     assert rep.detail.endswith(
         "; first failure: (x[-a]{t^3})^(1) -> non-integer 1/2 at x[-a]{t^3}")
@@ -248,11 +263,13 @@ def test_triangular_factors_products_drawn_in_another_order(monkeypatch):
     triangular one, so an adopt that changes nothing leaves a key that does
     not segment: a FAIL naming the key, not an exception."""
     monkeypatch.setattr(Engine, "adopt", lambda self, x: x)
-    rep = verify_triangular(load_engine("sl2"), gens=6, trials=500, seed=2026,
-                            bounds=SweepBounds(3, 3, 3, 3))
+    rep = run_once(load_engine("sl2"), "triangular", integrality_gens=6,
+                   integrality_trials=500, seed=2026)
     assert rep.verdict == "fail"
     assert rep.detail.startswith("500 products, seed 2026; first failure: ")
-    assert " -> triangular order failed to segment ((('h', 1), (2,)), " in rep.detail
+    # the key printed as integrality prints one, not as a Python tuple
+    assert rep.detail.endswith(" -> triangular order failed to segment "
+                               "p[1]{t^2:1,t^3:3} x[-a]{t}^(2) x[a]{1}")
 
 
 @pytest.mark.parametrize("extra, detail", [
@@ -293,7 +310,7 @@ def test_failing_basis_counts_say_what_is_wrong(monkeypatch, mutate, oracle, det
                         lambda self, d, syms=None: mutate(real(self, d, syms), syms))
     if oracle:
         monkeypatch.setattr(ver, "genfun_counts", lambda *args: oracle)
-    rep = verify_basis_counts(load_engine("sl2", "trunc:2"), 2)
+    rep = run_once(load_engine("sl2", "trunc:2"), "basis", basis_degree=2)
     assert (rep.verdict, rep.detail) == ("fail", detail)
 
 
