@@ -376,8 +376,16 @@ class Engine:
         return out
 
     def _straighten(self, word, letter, scratch):
-        """word * letter by recursion on the last letter u of word = pre u,
-        when u sorts after L or is odd and equal to it:
+        """word * letter.  L passes the letters that sort after it, or equal
+        it when it is odd; in a canonical word they form a suffix S of
+        word = P S.  Every product, the requested one and each sub-product
+        alike, is first split so: S L is straightened alone, and when no
+        word v of it begins with a letter that passes P's last letter, the
+        product is sum c_v (P v), each P v a canonical word.  So one suffix
+        product serves every prefix.  Otherwise a bracket letter must move
+        into P, and the product is straightened whole, by recursion on the
+        last letter u of word = pre u, when u sorts after L or is odd and
+        equal to it:
           pre u L = (-1)^{|u||L|} (pre L) u + sum_k k pre ([u,L]_k (x) ab),
           pre u u = sum_k (k/2) pre ([u,u]_k (x) a^2)            (u odd).
         The base case is a trivial append: w L where L sorts after w's last
@@ -386,27 +394,44 @@ class Engine:
         so the recursion ends.  It runs on an explicit stack of generator
         frames, each of which yields the sub-products it needs and is sent
         their values, so its depth is not the interpreter's.  `scratch`,
-        owned by one normalize or mul call, holds every sub-product solved
-        so far.  The bracket constants are integers, so the coefficients stay
-        ints unless an odd square has an odd constant.
+        owned by one normalize or mul call, holds every product solved so
+        far, suffix products included.  The bracket constants are integers,
+        so the coefficients stay ints unless an odd square has an odd
+        constant.
         """
         rank, parity = self.order._rank, self._parity
         amul, bracket = self.monoid.mul, self.spec.bracket
 
+        def letter_key(u):
+            return rank[u[0]], u[1]
+
+        def passes(u, x):
+            """Whether x moves left past u: u sorts after x (by the symbol's
+            rank, then the exponent tuple), or equals it and is odd."""
+            return parity[x[0]] if u == x else (rank[u[0]] > rank[x[0]]
+                                                or u[0] == x[0] and u[1] > x[1])
+
         def known(w, x):
             """w x when it needs no frame: a trivial append, or a product
             solved before in this call; else None."""
-            if w:
-                u = w[-1]
-                # letter order: the symbol's rank, then the exponent tuple
-                if parity[x[0]] if u == x else (rank[u[0]] > rank[x[0]]
-                                                or u[0] == x[0] and u[1] > x[1]):
-                    return scratch.get((w, x))      # x moves left past u
+            if w and passes(w[-1], x):
+                return scratch.get((w, x))
             return ((w + (x,), 1),)
 
         def frame(w, x):
             """Yields each unsolved sub-product (word, letter), is sent its
             value, and returns the value of w x."""
+            # S starts at the first letter x passes; w[-1] is one
+            n = (bisect.bisect_left if parity[x[0]] else bisect.bisect_right)(
+                w, (rank[x[0]], x[1]), 0, len(w) - 1, key=letter_key)
+            if n:
+                p, s = w[:n], w[n:]
+                sub = known(s, x)
+                sx = (yield s, x) if sub is None else sub
+                u = p[-1]
+                if not any(passes(u, v[0]) for v, _ in sx):
+                    out = scratch[w, x] = tuple([(p + v, c) for v, c in sx])
+                    return out
             pre, u = w[:-1], w[-1]
             acc = {}
             if u != x:              # else u = x is odd, and only the bracket stays
@@ -417,6 +442,7 @@ class Engine:
                 for w1, c1 in (yield pre, x) if sub is None else sub:
                     c1 *= sign
                     v = w1[-1]
+                    # not passes(v, u), inlined in the hottest loop
                     if (not odd) if v == u else (rank[v[0]] < ru
                                                  or v[0] == u[0] and v[1] < u[1]):
                         w2 = w1 + (u,)      # a trivial append, as for top(pre x)

@@ -178,8 +178,10 @@ class IdentityCheck:
     applicable: object = None   # (engine, params) -> (ok, why not); None: always
     run: object = None          # (engine, params, u, v) -> (verdict, detail), for
                                 # an algebra check that is not an LHS = RHS comparison
-    once: object = None         # (engine, bounds) -> (params, verdict, detail), for
-                                # a check with no axes: one report per sweep
+    once: object = None         # (engine, bounds) -> (verdict, detail), for a
+                                # check with no axes: one report per sweep
+    params: object = None       # (engine, bounds) -> the params a once check
+                                # reports, read before it runs
     algebra_free: bool = False  # a once check that reads no algebra: a suite
                                 # runs it once, after the algebras
 
@@ -272,18 +274,20 @@ def sample_products(engine, gens, trials, seed, bounds=None):
         yield " ".join(label), acc
 
 
+def _sampled_params(engine, bounds):
+    return (("gens", str(bounds.integrality_gens)), ("trials", str(bounds.integrality_trials)),
+            ("seed", str(bounds.seed)))
+
+
 def _sampled(engine, bounds, detail, failure):
     """Run `failure` (product -> None, or a note on what is wrong) over the
     products the bounds sample; the first failure goes into the detail."""
-    gens, trials, seed = bounds.integrality_gens, bounds.integrality_trials, bounds.seed
-    verdict = "pass"
-    for desc, prod in sample_products(engine, gens, trials, seed, bounds):
+    for desc, prod in sample_products(engine, bounds.integrality_gens,
+                                      bounds.integrality_trials, bounds.seed, bounds):
         note = failure(prod)
         if note is not None:
-            verdict = "fail"
-            detail += "; first failure: %s%s" % (desc, note)
-            break
-    return (("gens", str(gens)), ("trials", str(trials)), ("seed", str(seed))), verdict, detail
+            return "fail", detail + "; first failure: %s%s" % (desc, note)
+    return "pass", detail
 
 
 def _integrality(engine, bounds):
@@ -364,20 +368,24 @@ def _basis_counts(engine, bounds):
                    for d1 in range(d + 1) for d2 in range(d + 1 - d1))
         if conv != counts[d]:
             bad.append("segment counts fail to convolve at degree %d" % d)
-    return ((("degree", str(degree_cap)), ("monoid", engine.monoid.name)),
-            "fail" if bad else "pass", "; ".join(bad) if bad else "counts %r" % counts)
+    return "fail" if bad else "pass", "; ".join(bad) if bad else "counts %r" % counts
+
+
+_COMB_MAXSIZE, _COMB_SUPPORT = 6, 3
 
 
 def _comb(engine, bounds):
     """The integer identity behind the Cartan straightening, checked for every
-    nonzero multiset of size <= 6 over a support of 3 and each d in -5..5."""
-    msets = sorted((ms for ms in multisets_upto(range(3), 6) if ms), key=lambda ms: ms.size)
+    nonzero multiset of size <= _COMB_MAXSIZE over a support of _COMB_SUPPORT
+    and each d in -5..5."""
+    msets = sorted((ms for ms in multisets_upto(range(_COMB_SUPPORT), _COMB_MAXSIZE) if ms),
+                   key=lambda ms: ms.size)
     cases = list(itertools.product(msets, range(-5, 6)))
     fails = [case for case in cases if not verify_comb_identity(*case)]
     detail = "%d instances" % len(cases)
     if fails:
         detail += "; first failure %r" % (fails[0],)
-    return (("maxsize", "6"), ("support", "3")), "fail" if fails else "pass", detail
+    return "fail" if fails else "pass", detail
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +450,14 @@ IDENTITIES = {
                           where=lambda e, ps: _gate_nonisotropic(e, ps)[0]),
     "L5.2": IdentityCheck((("i", "cartan"), ("chi", "mset"), ("phi", "mset")),
                           (_P, PElement("i", "phi")), run=_lemma_5_2),
-    "integrality": IdentityCheck((), once=_integrality),
-    "triangular": IdentityCheck((), once=_triangular),
-    "basis": IdentityCheck((), once=_basis_counts),
-    "comb": IdentityCheck((), once=_comb, algebra_free=True),
+    "integrality": IdentityCheck((), once=_integrality, params=_sampled_params),
+    "triangular": IdentityCheck((), once=_triangular, params=_sampled_params),
+    "basis": IdentityCheck((), once=_basis_counts,
+                           params=lambda e, b: (("degree", str(b.basis_degree)),
+                                                ("monoid", e.monoid.name))),
+    "comb": IdentityCheck((), once=_comb, algebra_free=True,
+                          params=lambda e, b: (("maxsize", str(_COMB_MAXSIZE)),
+                                               ("support", str(_COMB_SUPPORT)))),
 }
 
 # What `verify --algebra` runs when no id is named: the LHS = RHS rows.
@@ -475,12 +487,12 @@ def _solve_signs(lhs, template, known):
 
 
 def _report(ident_id, algebra, params, body):
-    """The one builder of a CheckReport, timed around body() -> (params,
-    verdict, detail, diffs); a detail with diffs names the first.  An
-    exception inside body is a FAIL that names it and the params given."""
+    """The one builder of a CheckReport, timed around body() -> (verdict,
+    detail, diffs); a detail with diffs names the first.  An exception
+    inside body is a FAIL that names it and the params."""
     t0 = time.perf_counter()
     try:
-        params, verdict, detail, diffs = body()
+        verdict, detail, diffs = body()
     except Exception as e:
         verdict, diffs = "fail", ()
         detail = "%s: %s" % (type(e).__name__, e)
@@ -532,7 +544,7 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
     word."""
     params = fmt_params(engine, ps)
     return _report(ident_id, engine.spec.name, params,
-                   lambda: (params,) + _compare(engine, ident_id, ps, sign_cache))
+                   lambda: _compare(engine, ident_id, ps, sign_cache))
 
 
 def sweep_identity(engine, ident_id, bounds=None, fixed=None):
@@ -543,7 +555,8 @@ def sweep_identity(engine, ident_id, bounds=None, fixed=None):
     check = IDENTITIES[ident_id]
     bounds = bounds or SweepBounds()
     if check.once:
-        return [_report(ident_id, "-" if check.algebra_free else engine.spec.name, (),
+        return [_report(ident_id, "-" if check.algebra_free else engine.spec.name,
+                        check.params(engine, bounds),
                         lambda: check.once(engine, bounds) + ((),))]
     sign_cache = {}
     return [verify_identity(engine, ident_id, ps, sign_cache)

@@ -570,8 +570,8 @@ def test_an_exception_inside_a_check_is_a_fail_of_that_check(tmp_path, capsys, m
     lines = out.splitlines()
     assert lines[0] == ("CHECK id=deg1 algebra=sl2 a=1 alpha=a b=1 r=0 s=0 verdict=FAIL "
                         "[MonoidError: no divided basis today at a=1 alpha=a b=1 r=0 s=0]")
-    assert lines[-2] == ("CHECK id=integrality algebra=sl2 verdict=FAIL "
-                         "[MonoidError: no divided basis today]")
+    assert lines[-2] == ("CHECK id=integrality algebra=sl2 gens=4 trials=50 seed=0 verdict=FAIL "
+                         "[MonoidError: no divided basis today at gens=4 trials=50 seed=0]")
     assert all("verdict=PASS" in l for l in lines if l.startswith("CHECK id=4.2 "))
     assert lines[-1] == "SUMMARY checks=17 pass=8 fail=9 inapplicable=0"
 

@@ -160,6 +160,35 @@ def test_reference_sees_odd_squares_and_isotropic_zeros(engines):
     assert reference_normalize(sl21, sq, 1, memo) == sl21.normalize(sq).terms == {}
 
 
+# The core first straightens S L alone, for the suffix S of the word that the
+# letter L passes, and prefixes the rest P to each word v of it.  That is
+# refused when P's last letter passes v's first, and the word is straightened
+# whole.  Each case below must take that refusal: a wrong prefixing would
+# leave a word that is not canonical, which the reference never returns.
+def test_a_bracket_letter_moving_into_the_prefix_matches_reference():
+    # sl3, triangular: P = x[-a1-a2]{1}, S = x[a1]{1}, L = x[-a1-a2]{t}, and
+    # [x[a1], x[-a1-a2]] = -x[-a2], which sorts before P's last letter
+    engine = Engine(preset("sl3"), monoid_preset("trunc:3"))
+    one, t = (0,), (1,)
+    letters = [(('x', '-a1-a2'), one), (('x', 'a1'), one), (('x', '-a1-a2'), t)]
+    got = engine.normalize(letters).terms
+    assert got == reference_normalize(engine, letters, 1, {})
+    assert got[(('x', '-a2'), t), (('x', '-a1-a2'), one)] == -1
+
+
+def test_an_odd_prefix_letter_met_again_matches_reference():
+    # osp12, order h1, -2g, g, -g, 2g: P = x[g]{1}, S = x[2g]{1}, L = x[-g]{1},
+    # and [x[2g], x[-g]] = -x[g] repeats P's odd last letter, whose square
+    # is a bracket: x[g]{1}^2 = 2 x[2g]{1^2}
+    spec = preset("osp12")
+    engine = Engine(spec, monoid_preset("trunc:3"), Order.named(spec, "1,-2g,g,-g,2g"))
+    one = (0,)
+    letters = [(('x', 'g'), one), (('x', '2g'), one), (('x', '-g'), one)]
+    got = engine.normalize(letters).terms
+    assert got == reference_normalize(engine, letters, 1, {})
+    assert got[(('x', '2g'), one),] == -2
+
+
 # Run-shaped words x[alpha]{a}^r x[-alpha]{b}^s, the shape of the paper's
 # identity 4.3 and of the CLI's large-exponent requests, where the rewrite
 # core moves one letter past a long run.  The roots include odd ones on sl21
