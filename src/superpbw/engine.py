@@ -332,6 +332,14 @@ class Engine:
         self.monoid = monoid
         self.order = order or Order.triangular(spec)
         self._parity = {s: spec.parity(s) for s in spec.all_syms()}
+        # the letter table: a code per letter, in first-seen order, and by
+        # code the letter, its order key and its parity; and the bracket
+        # table, by pair of codes (see `_bracket`)
+        self._codes = {}
+        self._letters = []
+        self._keys = []
+        self._odd = []
+        self._brackets = {}
         self._insert_memo = {}
         self._p_memo = {}
         self._divpow_memo = {}
@@ -364,10 +372,50 @@ class Engine:
 
     # -- normalization core ----------------------------------------------
 
+    def _code(self, letter):
+        """The letter's code, assigned on first sight."""
+        code = self._codes.get(letter)
+        if code is None:
+            try:
+                key, odd = (self.order._rank[letter[0]], letter[1]), self._parity[letter[0]]
+            except KeyError:
+                raise AlgebraError("symbol %r is not in the order" % (letter[0],)) from None
+            code = self._codes[letter] = len(self._letters)
+            self._letters.append(letter)
+            self._keys.append(key)
+            self._odd.append(odd)
+        return code
+
+    def _encode(self, word):
+        try:
+            return tuple(map(self._codes.__getitem__, word))
+        except KeyError:        # a letter seen for the first time
+            return tuple(map(self._code, word))
+
+    def _decode(self, word):
+        return tuple(map(self._letters.__getitem__, word))
+
+    def _bracket(self, u, x):
+        """[u, x] for letter codes, as (code, k) pairs, the monoid product of
+        their elements applied; () when it vanishes.  For u = x, an odd
+        letter, k is halved: u u = [u, u] / 2."""
+        out = self._brackets.get((u, x))
+        if out is None:
+            (su, a), (sx, b) = self._letters[u], self._letters[x]
+            terms = self.spec.bracket(su, sx)
+            ab = self.monoid.mul(a, b) if terms else None
+            if ab is None:
+                out = ()
+            else:
+                out = tuple((self._code((sym, ab)), _exact(Fraction(k, 2)) if u == x else k)
+                            for sym, k in terms)
+            self._brackets[u, x] = out
+        return out
+
     def _insert(self, word, letter, scratch):
-        """word * letter, for a sorted flat word, as a tuple of (sorted flat
-        word, coeff) pairs; memoized in the engine for the pairs that
-        normalize and mul fold in.  A memo hit, the common case on a warm
+        """word * letter, for a sorted code word and a letter code, as a tuple
+        of (sorted code word, coeff) pairs; memoized in the engine for the
+        pairs that mul folds in.  A memo hit, the common case on a warm
         engine, sets up none of _straighten's closures."""
         memo_key = (word, letter)
         out = self._insert_memo.get(memo_key)
@@ -376,16 +424,21 @@ class Engine:
         return out
 
     def _straighten(self, word, letter, scratch):
-        """word * letter.  L passes the letters that sort after it, or equal
-        it when it is odd; in a canonical word they form a suffix S of
-        word = P S.  Every product, the requested one and each sub-product
-        alike, is first split so: S L is straightened alone, and when no
-        word v of it begins with a letter that passes P's last letter, the
-        product is sum c_v (P v), each P v a canonical word.  So one suffix
-        product serves every prefix.  Otherwise a bracket letter must move
-        into P, and the product is straightened whole, by recursion on the
-        last letter u of word = pre u, when u sorts after L or is odd and
-        equal to it:
+        """word * letter on code words: a word is the tuple of the codes of
+        its letters (`_code`), so every hash and equality test of the core
+        reads small ints.  Codes follow first sight, not letter order; order
+        is read from the key table, and brackets from the bracket table.
+
+        L passes the letters that sort after it, or equal it when it is odd;
+        in a canonical word they form a suffix S of word = P S.  Every
+        product, the requested one and each sub-product alike, is first
+        split so: S L is straightened alone, and when no word v of it begins
+        with a letter that passes P's last letter, the product is
+        sum c_v (P v), each P v a canonical word.  So one suffix product
+        serves every prefix.  Otherwise a bracket letter must move into P,
+        and the product is straightened whole, by recursion on the last
+        letter u of word = pre u, when u sorts after L or is odd and equal
+        to it:
           pre u L = (-1)^{|u||L|} (pre L) u + sum_k k pre ([u,L]_k (x) ab),
           pre u u = sum_k (k/2) pre ([u,u]_k (x) a^2)            (u odd).
         The base case is a trivial append: w L where L sorts after w's last
@@ -394,22 +447,18 @@ class Engine:
         so the recursion ends.  It runs on an explicit stack of generator
         frames, each of which yields the sub-products it needs and is sent
         their values, so its depth is not the interpreter's.  `scratch`,
-        owned by one normalize or mul call, holds every product solved so
-        far, suffix products included.  The bracket constants are integers,
-        so the coefficients stay ints unless an odd square has an odd
-        constant.
+        owned by one mul call, holds every product solved so far, suffix
+        products included.  The bracket constants are integers, so the
+        coefficients stay ints unless an odd square has an odd constant.
         """
-        rank, parity = self.order._rank, self._parity
-        amul, bracket = self.monoid.mul, self.spec.bracket
-
-        def letter_key(u):
-            return rank[u[0]], u[1]
+        keys, odd_of = self._keys, self._odd
+        brackets, bracket = self._brackets, self._bracket
+        key_of = keys.__getitem__
 
         def passes(u, x):
-            """Whether x moves left past u: u sorts after x (by the symbol's
-            rank, then the exponent tuple), or equals it and is odd."""
-            return parity[x[0]] if u == x else (rank[u[0]] > rank[x[0]]
-                                                or u[0] == x[0] and u[1] > x[1])
+            """Whether x moves left past u: u sorts after x, or equals it
+            and is odd."""
+            return odd_of[x] if u == x else keys[u] > keys[x]
 
         def known(w, x):
             """w x when it needs no frame: a trivial append, or a product
@@ -422,8 +471,8 @@ class Engine:
             """Yields each unsolved sub-product (word, letter), is sent its
             value, and returns the value of w x."""
             # S starts at the first letter x passes; w[-1] is one
-            n = (bisect.bisect_left if parity[x[0]] else bisect.bisect_right)(
-                w, (rank[x[0]], x[1]), 0, len(w) - 1, key=letter_key)
+            n = (bisect.bisect_left if odd_of[x] else bisect.bisect_right)(
+                w, keys[x], 0, len(w) - 1, key=key_of)
             if n:
                 p, s = w[:n], w[n:]
                 sub = known(s, x)
@@ -435,54 +484,46 @@ class Engine:
             pre, u = w[:-1], w[-1]
             acc = {}
             if u != x:              # else u = x is odd, and only the bracket stays
-                odd = parity[u[0]]
-                sign = -1 if (odd and parity[x[0]]) else 1
-                ru = rank[u[0]]
+                odd = odd_of[u]
+                sign = -1 if (odd and odd_of[x]) else 1
+                ku = keys[u]
                 sub = known(pre, x)
                 for w1, c1 in (yield pre, x) if sub is None else sub:
                     c1 *= sign
                     v = w1[-1]
                     # not passes(v, u), inlined in the hottest loop
-                    if (not odd) if v == u else (rank[v[0]] < ru
-                                                 or v[0] == u[0] and v[1] < u[1]):
+                    if (not odd) if v == u else keys[v] < ku:
                         w2 = w1 + (u,)      # a trivial append, as for top(pre x)
                         acc[w2] = acc.get(w2, 0) + c1
                         continue
                     sub = known(w1, u)
                     for w2, c2 in (yield w1, u) if sub is None else sub:
                         acc[w2] = acc.get(w2, 0) + c1 * c2
-            terms = bracket(u[0], x[0])
-            ab = amul(u[1], x[1]) if terms else None
-            if ab is not None:
-                for sym, k in terms:
-                    if u == x:
-                        k = k // 2 if k % 2 == 0 else Fraction(k, 2)
-                    sub = known(pre, (sym, ab))
-                    for w2, c2 in (yield pre, (sym, ab)) if sub is None else sub:
-                        acc[w2] = acc.get(w2, 0) + k * c2
+            terms = brackets.get((u, x))
+            for b, k in bracket(u, x) if terms is None else terms:
+                sub = known(pre, b)
+                for w2, c2 in (yield pre, b) if sub is None else sub:
+                    acc[w2] = acc.get(w2, 0) + k * c2
             out = scratch[w, x] = tuple([item for item in acc.items() if item[1]])
             return out
 
-        try:
-            out = known(word, letter)
-            if out is None:
-                stack = [frame(word, letter)]
-                while stack:
-                    try:
-                        req = stack[-1].send(out)
-                    except StopIteration as done:
-                        out = done.value
-                        stack.pop()
-                    else:
-                        stack.append(frame(*req))
-                        out = None
-        except KeyError as e:   # only rank and parity, keyed by the order's symbols, raise it
-            raise AlgebraError("symbol %r is not in the order" % (e.args[0],)) from None
+        out = known(word, letter)
+        if out is None:
+            stack = [frame(word, letter)]
+            while stack:
+                try:
+                    req = stack[-1].send(out)
+                except StopIteration as done:
+                    out = done.value
+                    stack.pop()
+                else:
+                    stack.append(frame(*req))
+                    out = None
         return out
 
     def _fold(self, terms, letters, scratch):
-        """terms (canonical words) times the letters, one at a time; scratch
-        is the sub-product table of the calling mul."""
+        """terms (canonical code words) times the letter codes, one at a
+        time; scratch is the sub-product table of the calling mul."""
         for L in letters:
             nxt = {}
             for w, c in terms.items():
@@ -502,14 +543,16 @@ class Engine:
         are folded in one at a time.  x and y are put over their common
         denominators dx and dy once, so straightening stays in ints: all of
         x is folded through each word of y and scaled by its numerator, and
-        each output coefficient is divided by dx dy."""
+        each output coefficient is divided by dx dy.  The core runs on code
+        words: the words of x and y are encoded once, and those of the
+        output decoded once."""
         dx, xs = over_common(x.terms)
         dy, ys = over_common(y.terms)
-        xs, out, scratch = dict(xs), {}, {}
+        xs, out, scratch = {self._encode(w): c for w, c in xs}, {}, {}
         for wy, cy in ys:
-            for w, c in self._fold(xs, wy, scratch).items():
+            for w, c in self._fold(xs, self._encode(wy), scratch).items():
                 out[w] = out.get(w, 0) + cy * c
-        return UElem._wrap(divide(out.items(), dx * dy))
+        return UElem._wrap(divide([(self._decode(w), n) for w, n in out.items() if n], dx * dy))
 
     def scalar(self, c):
         return UElem({(): c})

@@ -420,14 +420,17 @@ def test_divided_round_trip_with_integer_p_lead():
 
 def test_memo_values_cannot_be_mutated():
     eng = make("sl2")
-    word = ((('x', 'a'), T),)
-    letter = (('x', '-a'), ONE)
+    # the core runs on the engine's letter codes
+    word = eng._encode(((('x', 'a'), T),))
+    letter = eng._code((('x', '-a'), ONE))
     got = eng._insert(word, letter, {})
     with pytest.raises(TypeError):
         got[0] = (word, 5)
     with pytest.raises(AttributeError):
         got.clear()
     assert eng._insert(word, letter, {}) == got
+    assert {eng._decode(w): c for w, c in got} == \
+        eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]).terms
     assert eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]) == \
         make("sl2").normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
     conv = h_to_divided(eng, 1, Multiset.of(T, T))

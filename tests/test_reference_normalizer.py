@@ -238,3 +238,43 @@ def test_engine_memo_keeps_only_the_folded_pairs():
     engine = Engine(preset("sl3"), monoid_preset("poly"))
     engine.normalize([(('x', 'a1'), (1,))] * 6 + [(('x', '-a1'), (0,))] * 6)
     assert len(engine._insert_memo) == 176
+
+
+# The core runs on per-engine letter codes, given in first-seen order, so
+# the codes of one symbol's letters need not follow their exponent order.
+def test_letters_first_seen_out_of_order_match_reference():
+    # sl3/poly: x[a1]{t^5} is coded first; x[a1]{t^2}, a bracket result of
+    # h[1]{t} past x[a1]{t}, and x[a1]{t^3} come later and sort before it
+    a1 = ('x', 'a1')
+    first = [(a1, (5,)), (('x', '-a1'), (1,))]
+    second = [(a1, (1,)), (('h', 1), (1,)), (a1, (3,)), (a1, (5,)), (('x', '-a1'), (0,))]
+    engine = Engine(preset("sl3"), monoid_preset("poly"))
+    assert engine.normalize(first).terms == reference_normalize(engine, first, 1, {})
+    got = engine.normalize(second).terms
+    assert engine._code((a1, (2,))) > engine._code((a1, (5,)))
+    assert engine._code((a1, (3,))) > engine._code((a1, (5,)))
+    assert got == Engine(preset("sl3"), monoid_preset("poly")).normalize(second).terms
+    assert got == reference_normalize(engine, second, 1, {})
+    assert any((a1, (2,)) in w for w in got)
+
+
+def test_a_bracket_that_truncation_kills_is_stored_empty():
+    # sl2/trunc:2: [x[a], x[-a]] = h, but t * t = 0, so the bracket vanishes
+    engine = Engine(preset("sl2"), monoid_preset("trunc:2"))
+    xa, xm = (('x', 'a'), (1,)), (('x', '-a'), (1,))
+    got = engine.normalize([xa, xm]).terms
+    assert engine._brackets[engine._code(xa), engine._code(xm)] == ()
+    assert got == reference_normalize(engine, [xa, xm], 1, {}) == {(xm, xa): 1}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_mul_hands_out_public_letters_only(name):
+    engine = Engine(preset(name), monoid_preset("trunc:3"))
+    syms = engine.spec.all_syms()
+    x = UElem.sum(engine.divided_power(sym, (0,), 2) for sym in syms)
+    y = engine.normalize([(sym, (1,)) for sym in reversed(syms)])
+    for z in (engine.mul(x, y), engine.mul(y, x), engine.adopt(y)):
+        assert z.terms
+        for w in z.terms:
+            assert all(type(L) is tuple and len(L) == 2 and L[0] in syms
+                       and type(L[1]) is tuple for L in w), w
