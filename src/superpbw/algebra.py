@@ -521,13 +521,16 @@ def load_spec(text, name="user", check=True):
     Sections: `cartan <rank>`, `roots` (label parity ev... neg <label>
     [positive]), `coroots` (label ints...), `brackets` (sym sym = 0 | sym int
     [sym int ...]).  '#' starts a comment.  Brackets may be given in one
-    direction; the other is completed by super antisymmetry.  The resulting
-    table is validated and rejected with a report if inconsistent (check=False
-    skips validation so callers can report violations themselves).
+    direction; the other is completed by super antisymmetry.  The rank is not
+    negative, a coroot names a root, and no line restates the rank, a coroot
+    or a bracket pair.  The resulting table is validated and rejected with a
+    report if inconsistent (check=False skips validation so callers can
+    report violations themselves).
     """
     rank = None
     roots = []
     coroots = {}
+    coroot_lines = {}
     given = {}
     section = None
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -539,10 +542,14 @@ def load_spec(text, name="user", check=True):
             name = toks[1] if len(toks) > 1 else name
             continue
         if toks[0] == "cartan":
+            if rank is not None:
+                raise SpecError("line %d: cartan is stated twice" % line_no)
             try:
                 rank = int(toks[1])
             except (IndexError, ValueError):
                 raise SpecError("line %d: cartan wants a rank" % line_no)
+            if rank < 0:
+                raise SpecError("line %d: cartan rank %d is negative" % (line_no, rank))
             continue
         if toks[0] in ("roots", "coroots", "brackets"):
             section = toks[0]
@@ -565,6 +572,9 @@ def load_spec(text, name="user", check=True):
             positive = len(toks) > 4 + rank and toks[4 + rank] == "positive"
             roots.append(Root(label, parity, ev, neg, positive))
         elif section == "coroots":
+            if toks[0] in coroots:
+                raise SpecError("line %d: coroot %s is stated twice" % (line_no, toks[0]))
+            coroot_lines[toks[0]] = line_no
             try:
                 coroots[toks[0]] = tuple(int(t) for t in toks[1:1 + rank])
             except ValueError:
@@ -579,6 +589,9 @@ def load_spec(text, name="user", check=True):
                 raise SpecError("line %d: want '<sym> <sym> = ...'" % line_no)
             s1 = _parse_sym(toks[0], line_no)
             s2 = _parse_sym(toks[1], line_no)
+            if (s1, s2) in given:
+                raise SpecError("line %d: bracket %s %s is stated twice"
+                                % (line_no, format_sym(s1), format_sym(s2)))
             rhs = toks[3:]
             if rhs == ["0"]:
                 given[(s1, s2)] = ()
@@ -598,6 +611,10 @@ def load_spec(text, name="user", check=True):
             raise SpecError("line %d: content outside any section" % line_no)
     if rank is None:
         raise SpecError("missing 'cartan <rank>' line")
+    labels = {r.label for r in roots}
+    for label, line_no in coroot_lines.items():
+        if label not in labels:
+            raise SpecError("line %d: coroot %s names no root" % (line_no, label))
 
     parities = {('h', i): 0 for i in range(1, rank + 1)}
     for r in roots:

@@ -541,17 +541,21 @@ class Engine:
         """x * y.  The words of x must be canonical for this engine, as every
         UElem it returns is; the words of y need not be, since their letters
         are folded in one at a time.  x and y are put over their common
-        denominators dx and dy once, so straightening stays in ints: all of
-        x is folded through each word of y and scaled by its numerator, and
-        each output coefficient is divided by dx dy.  The core runs on code
+        denominators dx and dy once, so straightening stays in ints: each
+        word of x, scaled by the numerators, is folded through each word of
+        y on its own, and each output coefficient is divided by dx dy.
+        Folding all of x at once would merge intermediate words of different
+        terms, and a cancellation there reorders the output terms.  The core runs on code
         words: the words of x and y are encoded once, and those of the
         output decoded once."""
         dx, xs = over_common(x.terms)
         dy, ys = over_common(y.terms)
-        xs, out, scratch = {self._encode(w): c for w, c in xs}, {}, {}
+        xs, out, scratch = [(self._encode(w), c) for w, c in xs], {}, {}
         for wy, cy in ys:
-            for w, c in self._fold(xs, self._encode(wy), scratch).items():
-                out[w] = out.get(w, 0) + cy * c
+            wy = self._encode(wy)
+            for wx, cx in xs:
+                for w, c in self._fold({wx: cx * cy}, wy, scratch).items():
+                    out[w] = out.get(w, 0) + c
         return UElem._wrap(divide([(self._decode(w), n) for w, n in out.items() if n], dx * dy))
 
     def scalar(self, c):

@@ -77,7 +77,8 @@ def eps_chain(spec, alpha, gamma, kmax):
 @dataclass
 class SignTemplate:
     """RHS with undetermined signs: base + sum_k eps_k * slots[k][1],
-    eps_k in {+1, -1}.  Slot labels are printable."""
+    eps_k in {+1, -1}.  Slot labels are printable and distinct, and slot
+    terms nonzero: a sign is read off a slot's longest word."""
     base: UElem
     slots: tuple
 

@@ -471,19 +471,22 @@ def _diff_terms(engine, lhs, rhs):
                  for w in words)
 
 
-def _solve_signs(lhs, template, known):
-    """Find eps in {+-1}^slots with base + sum eps_k T_k = lhs; returns
-    (solutions, labels)."""
-    target = lhs - template.base
-    labels = [lab for lab, _ in template.slots]
-    terms = [t for _, t in template.slots]
-    solutions = []
-    for bits in itertools.product((1, -1), repeat=len(terms)):
-        if any(known.get(lab, bit) != bit for lab, bit in zip(labels, bits)):
-            continue
-        if UElem.sum(terms, bits) == target:
-            solutions.append(dict(zip(labels, bits)))
-    return solutions, labels
+def _solve_signs(lhs, template):
+    """Read the +-1 slots off from the top degree down: a slot's longest word
+    lies in no other slot of its degree, so its coefficient in what is left
+    fixes eps.  Returns ({label: eps}, None) or (None, why)."""
+    rest, eps, why = lhs - template.base, {}, "no sign assignment zeroes the difference"
+    tops = sorted(((max(t.terms, key=len), lab, t) for lab, t in template.slots),
+                  key=lambda top: -len(top[0]))
+    for w, lab, t in tops:
+        shared = [m for v, m, u in tops if m != lab and len(v) == len(w) and w in u.terms]
+        c, d = rest.terms.get(w, 0), t.terms[w]
+        if shared or c not in (d, -d):
+            return None, ("slots %s and %s share their read-off word" % (lab, shared[0])
+                          if shared else why)
+        eps[lab] = e = 1 if c == d else -1
+        rest = UElem.sum((rest, t), (1, -e))
+    return (None, why) if rest else (eps, None)
 
 
 def _report(ident_id, algebra, params, body):
@@ -517,19 +520,16 @@ def _compare(engine, ident_id, ps, sign_cache):
     lhs = ident.lhs_product(engine, check.factors, ps)
     rhs = check.rhs(engine, ps)
     if isinstance(rhs, ident.SignTemplate):
-        key = (ident_id, engine.spec.name, ps["alpha"], ps["beta"])
-        known = {} if sign_cache is None else sign_cache.setdefault(key, {})
-        sols, labels = _solve_signs(lhs, rhs, known)
-        if not sols:
-            unconstrained, _ = _solve_signs(lhs, rhs, {})
-            return ("fail", "cached signs fail: not reusable" if unconstrained
-                    else "no sign assignment zeroes the difference",
-                    _diff_terms(engine, lhs, rhs.base))
-        if len(sols) > 1:
-            return "fail", "ambiguous sign assignment (%d solutions)" % len(sols), ()
-        known.update(sols[0])
-        eps = " ".join("eps[%s]=%+d" % (lab, sols[0][lab]) for lab in labels)
-        return "pass", eps or "no slots", ()
+        eps, why = _solve_signs(lhs, rhs)
+        known = {} if sign_cache is None else sign_cache.setdefault(
+            (ident_id, engine.spec.name, ps["alpha"], ps["beta"]), {})
+        if eps and any(known.get(lab, e) != e for lab, e in eps.items()):
+            why = "cached signs fail: not reusable"
+        if why:
+            return "fail", why, _diff_terms(engine, lhs, rhs.base)
+        known.update(eps)
+        signs = " ".join("eps[%s]=%+d" % (lab, eps[lab]) for lab, _ in rhs.slots)
+        return "pass", signs or "no slots", ()
     if lhs == rhs:
         return "pass", "", ()
     return "fail", "LHS != RHS", _diff_terms(engine, lhs, rhs)
@@ -538,10 +538,10 @@ def _compare(engine, ident_id, ps, sign_cache):
 def verify_identity(engine, ident_id, ps, sign_cache=None):
     """Run one instance of a registered algebra sweep; returns a CheckReport.
     Its factors are evaluated once the check applies.  For sign-template
-    identities the +-1 slots are solved exhaustively and must be unique; a
-    sign_cache (keyed per root pair) makes later instances reuse and confirm
-    the solved assignment.  A failing comparison names its first differing
-    word."""
+    identities the +-1 slots are read off from the top degree down, which
+    leaves one solution; a sign_cache (keyed per root pair) then confirms
+    that later instances read the same signs.  A failing comparison names
+    its first differing word."""
     params = fmt_params(engine, ps)
     return _report(ident_id, engine.spec.name, params,
                    lambda: _compare(engine, ident_id, ps, sign_cache))

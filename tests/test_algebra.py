@@ -295,9 +295,25 @@ def test_load_spec_reads_a_zero_bracket_line():
     spec = load_spec(text + "  x[a] x[a] = 0\n  h1 h1 = 0\n")
     assert spec.brackets == load_spec(text).brackets
     assert spec.bracket(('x', 'a'), ('x', 'a')) == ()
-    # it overrides an earlier line on the same pair, which validation then sees
-    with pytest.raises(SpecError, match="disagrees with the stored evaluation"):
+    # but it may not restate a pair an earlier line gave
+    with pytest.raises(SpecError, match=r"^line 13: bracket h1 x\[a\] is stated twice$"):
         load_spec(text + "  h1 x[a] = 0\n")
+
+
+@pytest.mark.parametrize("edit, error", [
+    # a bracket pair given twice in one direction: the later line would win
+    (("  x[-a] x[a] = h1 -1", "  x[-a] x[a] = h1 -5\n  x[-a] x[a] = h1 -1"),
+     r"line 13: bracket x\[-a\] x\[a\] is stated twice"),
+    (("  a 1", "  a 7\n  a 1"), "line 8: coroot a is stated twice"),
+    (("  -a -1", "  -a -1\n  zz 5"), "line 9: coroot zz names no root"),
+    (("cartan 1", "cartan -1"), "line 2: cartan rank -1 is negative"),
+    (("roots", "cartan 2\nroots"), "line 3: cartan is stated twice"),
+])
+def test_load_spec_refuses_a_line_it_would_drop_or_misread(edit, error):
+    text = open(os.path.join(DATA, "sl2.alg")).read()
+    assert edit[0] in text
+    with pytest.raises(SpecError, match="^%s$" % error):
+        load_spec(text.replace(*edit, 1), check=False)
 
 
 def test_load_spec_rejects_invalid_table():

@@ -354,6 +354,17 @@ def test_coroots_before_cartan_exit_2(tmp_path):
     assert proc.stderr == "error: line 2: cartan rank must come before coroots\n"
 
 
+def test_negative_cartan_rank_exit_2(tmp_path):
+    path = tmp_path / "neg.alg"
+    path.write_text("cartan -1\n")
+    for argv in (["validate-spec", "--algebra", str(path)],
+                 ["normalize", "--algebra", str(path), "1"]):
+        proc = subprocess.run([sys.executable, "-m", "superpbw"] + argv,
+                              capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: line 1: cartan rank -1 is negative\n"
+
+
 def test_unknown_bracket_result_exit_2(tmp_path):
     path = tmp_path / "h7.alg"
     path.write_text(open(os.path.join(DATA, "sl2.alg")).read()

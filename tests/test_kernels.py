@@ -135,6 +135,20 @@ def test_an_odd_square_hands_mul_a_fraction_numerator():
     assert eng.mul(x, x).terms == {(eng.letter(('x', '2g'), (0,)),): Fraction(1, 6)}
 
 
+def test_mul_keeps_the_order_of_the_per_pair_products():
+    # h1 x[-a2] x[-a1-a2] gives x[-a2] x[-a1-a2] only through brackets that
+    # cancel, so the word first comes from the unit term; had all of x been
+    # folded at once, the h1 term's intermediate x[-a2] would have merged with
+    # the unit's and put the word second
+    eng = ENGINES[1]
+    h1, xa1, xa2, xa12 = (eng.letter(s, (0,)) for s in
+                          (('h', 1), ('x', '-a1'), ('x', '-a2'), ('x', '-a1-a2')))
+    x = UElem({(h1,): Fraction(1, 2), (xa1,): Fraction(1, 2), (): Fraction(1, 2)})
+    y = UElem({(xa2, xa12): Fraction(1, 2)})
+    assert_same(eng.mul(x, y), ref_mul(eng, x, y))
+    assert list(eng.mul(x, y).terms) == [(xa2, xa12, h1), (xa1, xa2, xa12), (xa2, xa12)]
+
+
 def test_blocks_with_several_alternatives_keep_their_order():
     # two Cartan blocks of two letters each, on sl21 (rank 2): both the block
     # over the divided basis and its expansion have two terms

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 from dataclasses import replace
@@ -11,7 +12,7 @@ from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
 from superpbw import identities as ident
 from superpbw import verify as ver
-from superpbw.engine import Engine
+from superpbw.engine import Engine, UElem
 from superpbw.verify import IDENTITIES, SuiteConfig, SweepBounds, genfun_counts, \
     get_engine, load_engine, run_suite, sweep_identity, verify_identity
 
@@ -330,8 +331,9 @@ def test_failing_comparison_names_the_first_differing_word(monkeypatch):
     ((1,), {"k": -1}, "cached signs fail: not reusable"),
     # base + eps X = lhs with base = lhs and X != 0: no eps works
     ((0,), {}, "no sign assignment zeroes the difference"),
-    # base + eps X + eps' X = lhs with base = lhs: eps' = -eps, two ways
-    ((0, 0), {}, "ambiguous sign assignment (2 solutions)"),
+    # base + eps X + eps' X = lhs with base = lhs: eps' = -eps, two ways; the
+    # read-off refuses the two slots of one degree that share their word X
+    ((0, 0), {}, "slots k and k' share their read-off word"),
 ])
 def test_sign_template_failures_say_why(monkeypatch, slots, cached, detail):
     """A crafted template on L4.4b's row: base = lhs - sum(slots) X, one slot
@@ -349,6 +351,72 @@ def test_sign_template_failures_say_why(monkeypatch, slots, cached, detail):
     rep = verify_identity(eng, "L4.4b", ps, {("L4.4b", "sp4", "a1", "a2"): dict(cached)})
     assert rep.verdict == "fail"
     assert rep.detail.split(";")[0] == detail
+
+
+def test_sign_read_off_checks_what_is_left(monkeypatch):
+    """One slot h1 h2 + h1 whose top word reads +1 against a difference of
+    h1 h2 alone, so the lower word h1 is left over."""
+    eng = get_engine("sp4")
+    ps = {"alpha": "a1", "beta": "a2", "a": ONE, "b": ONE, "r": 1, "s": 1}
+    check = IDENTITIES["L4.4b"]
+    h1, h2 = eng.gen_elem(('h', 1), ONE), eng.gen_elem(('h', 2), ONE)
+
+    def template(e, ps):
+        lhs = ident.lhs_product(e, check.factors, ps)
+        return ident.SignTemplate(lhs - e.mul(h1, h2), (("k", e.mul(h1, h2) + h1),))
+    monkeypatch.setitem(IDENTITIES, "L4.4b", replace(check, rhs=template))
+    rep = verify_identity(eng, "L4.4b", ps)
+    assert rep.verdict == "fail"
+    assert rep.detail.split(";")[0] == "no sign assignment zeroes the difference"
+
+
+def enumerate_signs(lhs, template):
+    """The reference: every eps in {+-1}^slots with base + sum eps_k T_k =
+    lhs, found by trying all 2^slots assignments."""
+    target = lhs - template.base
+    labels = [lab for lab, _ in template.slots]
+    terms = [t for _, t in template.slots]
+    return [dict(zip(labels, bits)) for bits in itertools.product((1, -1), repeat=len(terms))
+            if UElem.sum(terms, bits) == target]
+
+
+@pytest.mark.parametrize("algebra, ident_id", [("sl3", "4.6"), ("sp4", "4.6"), ("sp4", "L4.4b")])
+def test_read_off_signs_match_the_enumeration(algebra, ident_id):
+    """On every applicable bound-2 instance the read-off gives the one
+    assignment the enumeration finds, or fails where it finds none."""
+    eng = get_engine(algebra)
+    check = IDENTITIES[ident_id]
+    solved = 0
+    for ps in ver.expand(eng, SweepBounds(rmax=2, smax=2), check.axes, check.where):
+        if not check.applicable(eng, ps)[0]:
+            continue
+        lhs = ident.lhs_product(eng, check.factors, ps)
+        template = check.rhs(eng, ps)
+        ref = enumerate_signs(lhs, template)
+        assert len(ref) <= 1
+        eps, why = ver._solve_signs(lhs, template)
+        assert eps == (ref[0] if ref else None)
+        assert (why is None) == bool(ref)
+        solved += bool(ref)
+    assert solved
+
+
+def test_read_off_solves_twenty_one_letter_slots(monkeypatch):
+    """Twenty slots x[a]{t^n} of one degree with mixed signs, where the
+    enumeration would sum 2^20 assignments."""
+    eng = get_engine("sl2", "poly")
+    ps = {"alpha": "a", "beta": "a", "a": T, "b": T, "r": 1, "s": 1}
+    check = IDENTITIES["4.6"]
+    signs = [1 if n % 3 else -1 for n in range(1, 21)]
+    slots = tuple(("n%d" % n, eng.gen_elem(('x', 'a'), (n,))) for n in range(1, 21))
+
+    def template(e, ps):
+        lhs = ident.lhs_product(e, check.factors, ps)
+        return ident.SignTemplate(lhs - UElem.sum([x for _, x in slots], signs), slots)
+    monkeypatch.setitem(IDENTITIES, "4.6", replace(check, rhs=template, applicable=None))
+    rep = verify_identity(eng, "4.6", ps)
+    assert rep.verdict == "pass"
+    assert rep.detail == " ".join("eps[n%d]=%+d" % (n, e) for n, e in enumerate(signs, 1))
 
 
 def test_get_engine_keys_files_by_content(tmp_path):
