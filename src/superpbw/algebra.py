@@ -218,12 +218,11 @@ def root_string(spec, alpha, beta):
     walk of the stored root set.  For even-even pairs with alpha+beta a
     root, the structure constant c of [x_alpha, x_beta] must have |c| = r+1
     (the Chevalley magnitude rule), else SpecError."""
-    ra, rb = spec.root(alpha), spec.root(beta)
     r = 0
-    while spec.find_root(tuple(b - (r + 1) * a for a, b in zip(ra.ev, rb.ev))):
+    while spec.root_sum(alpha, beta, -(r + 1)):
         r += 1
     target = spec.root_sum(alpha, beta)
-    if target is not None and ra.parity == 0 and rb.parity == 0:
+    if target is not None and spec.root(alpha).parity == spec.root(beta).parity == 0:
         c = dict(spec.bracket(('x', alpha), ('x', beta))).get(('x', target), 0)
         if abs(c) != r + 1:
             raise SpecError("|c_{%s,%s}| = %d but the root string gives r+1 = %d"
@@ -238,8 +237,7 @@ def pair_plane(spec, alpha, beta):
     |i|, |j| <= 4.  When alpha + beta is a root the bottom comes from
     `root_string`, so a table that breaks the Chevalley magnitude rule raises
     SpecError here."""
-    ra, rb = spec.root(alpha), spec.root(beta)
-    span = {(i, j): spec.find_root(tuple(i * x + j * y for x, y in zip(ra.ev, rb.ev)))
+    span = {(i, j): spec.root_sum(alpha, beta, i, j)
             for i in range(-4, 5) for j in range(-4, 5) if i or j}
     span = {ij: lab for ij, lab in span.items() if lab is not None}
     count = sum(spec.root(lab).parity == 0 for lab in span.values())
@@ -400,14 +398,16 @@ def _preset_sl2():
          ("-a", _e(2, 2, 1), "a", False)])
 
 
+# the six root vectors of sl3, and of sl(2,1) on the same 3x3 matrices
+_A2_ROOTS = (("a1", _e(3, 1, 2), "-a1", True), ("-a1", _e(3, 2, 1), "a1", False),
+             ("a2", _e(3, 2, 3), "-a2", True), ("-a2", _e(3, 3, 2), "a2", False),
+             ("a1+a2", _e(3, 1, 3), "-a1-a2", True), ("-a1-a2", _e(3, 3, 1), "a1+a2", False))
+
+
 def _preset_sl3():
     h1 = _madd(_e(3, 1, 1), _e(3, 2, 2), -1)
     h2 = _madd(_e(3, 2, 2), _e(3, 3, 3), -1)
-    return _spec_from_matrices(
-        "sl3", (0, 0, 0), [h1, h2],
-        [("a1", _e(3, 1, 2), "-a1", True), ("-a1", _e(3, 2, 1), "a1", False),
-         ("a2", _e(3, 2, 3), "-a2", True), ("-a2", _e(3, 3, 2), "a2", False),
-         ("a1+a2", _e(3, 1, 3), "-a1-a2", True), ("-a1-a2", _e(3, 3, 1), "a1+a2", False)])
+    return _spec_from_matrices("sl3", (0, 0, 0), [h1, h2], _A2_ROOTS)
 
 
 def _preset_sp4():
@@ -430,11 +430,7 @@ def _preset_sl21():
     # sl(2,1) block matrices; indices 1,2 even, 3 odd
     h1 = _madd(_e(3, 1, 1), _e(3, 2, 2), -1)
     h2 = _madd(_e(3, 2, 2), _e(3, 3, 3), 1)
-    return _spec_from_matrices(
-        "sl21", (0, 0, 1), [h1, h2],
-        [("a1", _e(3, 1, 2), "-a1", True), ("-a1", _e(3, 2, 1), "a1", False),
-         ("a2", _e(3, 2, 3), "-a2", True), ("-a2", _e(3, 3, 2), "a2", False),
-         ("a1+a2", _e(3, 1, 3), "-a1-a2", True), ("-a1-a2", _e(3, 3, 1), "a1+a2", False)])
+    return _spec_from_matrices("sl21", (0, 0, 1), [h1, h2], _A2_ROOTS)
 
 
 # osp(1,2): even part sl2 on the long root 2g, odd root vectors scaled so that

@@ -10,10 +10,8 @@ import functools
 import os
 import sys
 
-from .algebra import SpecError, read_algebra, spec_from_source, validate, PRESET_NAMES
-from .coeffalg import MonoidError
-from .engine import AlgebraError
-from .exprio import ParseError, blocks_str, divided_blocks, divided_str, parse_expr, \
+from .algebra import read_algebra, spec_from_source, validate, PRESET_NAMES
+from .exprio import blocks_str, divided_blocks, divided_str, parse_expr, \
     parse_mset, uelem_str
 from . import identities as ident
 from . import verify as ver
@@ -260,7 +258,7 @@ def main(argv=None):
         # write the rest to devnull, so the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (UsageError, ParseError, SpecError, MonoidError, AlgebraError, ValueError) as e:
+    except (UsageError, ValueError) as e:   # every error of the package is a ValueError
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -282,7 +282,8 @@ def rhs_4_6(engine, ps):
 
 
 def rhs_L44a(engine, ps):
-    """A2 case: signs are determined by [x_alpha, x_beta] = eps x_{alpha+beta}."""
+    """A2 case: the slots of the template, each signed eps^k by
+    [x_alpha, x_beta] = eps x_{alpha+beta}."""
     spec = engine.spec
     alpha, beta = ps["alpha"], ps["beta"]
     absum = spec.root_sum(alpha, beta)
@@ -292,21 +293,15 @@ def rhs_L44a(engine, ps):
     eps = dict(spec.bracket(('x', alpha), ('x', beta))).get(('x', absum), 0)
     if eps not in (1, -1):
         raise AlgebraError("A2 case wants [x_%s, x_%s] = +- x_{%s}" % (alpha, beta, absum))
-    shape, = CASE_SHAPES["A2"]
-    ks = range(min(ps["r"], ps["s"]) + 1)
-    return UElem.sum((_pair_powers(engine, ps, ((shape, k),) if k else ()) for k in ks),
-                     (eps ** k for k in ks))
+    t = _sign_template(engine, ps, CASE_SHAPES["A2"], lambda shapes, ns: ns[0])
+    return UElem.sum([t.base] + [term for _, term in t.slots],
+                     [1] + [eps ** k for k, _ in t.slots])
 
 
-def rhs_L44b(engine, ps):
-    """B2 case: one sign slot per (k1, k2) != (0, 0)."""
-    return _sign_template(engine, ps, CASE_SHAPES["B2"], _k_label)
-
-
-def rhs_L44c(engine, ps):
-    """G2 case: one sign slot per (k1, k2, k3, k4) != 0; the k4 slot carries
-    x_{3 alpha + 2 beta}."""
-    return _sign_template(engine, ps, CASE_SHAPES["G2"], _k_label)
+def rhs_L44(engine, ps, kind):
+    """The B2 and G2 cases: one sign slot per nonzero count vector over the
+    case's shapes; G2's k4 slot carries x_{3 alpha + 2 beta}."""
+    return _sign_template(engine, ps, CASE_SHAPES[kind], _k_label)
 
 
 # ---------------------------------------------------------------------------

@@ -186,12 +186,13 @@ class IdentityCheck:
                                 # runs it once, after the algebras
 
 
-def _pair_check(rhs, applicable):
-    """4.6 and its case formulas: two even roots with beta != +-alpha."""
+def _pair_check(rhs, kind=None):
+    """4.6 and its case formulas: two even roots with beta != +-alpha, gated
+    by `_gate_plane(kind)`."""
     return IdentityCheck(
         (("alpha", "even"), ("beta", "even"), ("a", "elem"), ("b", "elem"), ("r", "r"),
          ("s", "s")), (DividedPower("alpha", "a", "r"), DividedPower("beta", "b", "s")),
-        rhs, applicable=applicable,
+        rhs, applicable=_gate_plane(kind),
         where=lambda e, ps: ps["beta"] not in (ps["alpha"], e.spec.negative_of(ps["alpha"])))
 
 
@@ -204,10 +205,20 @@ def _degree_bound(axes, factors, limit, integral=False, where=None):
         ok = deg < lim
         detail = "degree %s < %d" % (deg, lim)
         if ok and integral:
-            ok = engine.is_integral(value)
-            detail += ", integral" if ok else ", NOT integral"
+            note = _non_integer(engine, value)
+            ok = note is None
+            detail += ", " + (note or "integral")
         return "pass" if ok else "fail", detail
     return IdentityCheck(axes, factors, where=where, run=run)
+
+
+def _non_integer(engine, x):
+    """'non-integer c at key' for the first non-integer coordinate of x in
+    the divided-power basis, or None when x is integral."""
+    for key, c in engine.to_divided(x).terms.items():
+        if c.denominator != 1:
+            return "non-integer %s at %s" % (c, divided_key_str(engine, key))
+    return None
 
 
 def _lemma_5_2(engine, ps, u, v):
@@ -223,11 +234,11 @@ def _lemma_5_2(engine, ps, u, v):
     limit = chi.size + phi.size
     for key, c in engine.to_divided(rest).terms.items():
         if any(sym != ('h', i) for sym, _ in key):
-            bad.append("mixed Cartan support %r" % (key,))
+            bad.append("mixed Cartan support at %s" % divided_key_str(engine, key))
         if len(key) >= limit:
             bad.append("degree %d !< %d" % (len(key), limit))
         if c.denominator != 1:
-            bad.append("non-integer coefficient %s" % c)
+            bad.append("non-integer %s at %s" % (c, divided_key_str(engine, key)))
     return "fail" if bad else "pass", "; ".join(bad)
 
 
@@ -235,12 +246,21 @@ def _lemma_5_2(engine, ps, u, v):
 # checks with no axes: integrality sampling, triangular factorization, basis
 # counts and the integer identity
 
-def sample_generator(engine, rng, bounds):
-    """One random generator of the integral form: an even divided power, an
-    odd letter, or a Cartan p-element."""
+def _generator_kinds(engine, bounds):
+    """The generator families that have members, in drawing order: even
+    divided powers (of exponent 1..smax), odd letters, Cartan p-elements."""
+    spec = engine.spec
+    return [kind for kind, has in (("even", spec.even_roots() and bounds.smax >= 1),
+                                   ("odd", spec.odd_roots()), ("p", spec.rank >= 1)) if has]
+
+
+def sample_generator(engine, rng, bounds, kinds):
+    """One random generator of the integral form, from one of the families
+    `kinds` (`_generator_kinds`): an even divided power, an odd letter, or a
+    Cartan p-element."""
     spec = engine.spec
     elems = engine.monoid.elements()
-    kind = rng.choice(["even", "odd", "p"] if spec.odd_roots() else ["even", "p"])
+    kind = rng.choice(kinds)
     if kind == "even":
         alpha = rng.choice(spec.even_roots())
         s = rng.randint(1, bounds.smax)
@@ -258,17 +278,17 @@ def sample_generator(engine, rng, bounds):
     return ("p[%d]{%s}" % (i, fmt_value(engine, chi)), engine.p(i, chi))
 
 
-def sample_products(engine, gens, trials, seed, bounds=None):
+def sample_products(engine, gens, trials, seed, bounds):
     """Deterministic stream of (description, UElem) products of <= gens
     generators from the integral form's generating set."""
-    bounds = bounds or SweepBounds()
     rng = random.Random(seed)
+    kinds = _generator_kinds(engine, bounds)
     for _ in range(trials):
         k = rng.randint(1, gens)
         label = []
         acc = engine.one()
         for _ in range(k):
-            desc, g = sample_generator(engine, rng, bounds)
+            desc, g = sample_generator(engine, rng, bounds, kinds)
             label.append(desc)
             acc = engine.mul(acc, g)
         yield " ".join(label), acc
@@ -281,7 +301,10 @@ def _sampled_params(engine, bounds):
 
 def _sampled(engine, bounds, detail, failure):
     """Run `failure` (product -> None, or a note on what is wrong) over the
-    products the bounds sample; the first failure goes into the detail."""
+    products the bounds sample; the first failure goes into the detail.
+    With no generator to draw the check is inapplicable."""
+    if not _generator_kinds(engine, bounds):
+        return "inapplicable", "no generators"
     for desc, prod in sample_products(engine, bounds.integrality_gens,
                                       bounds.integrality_trials, bounds.seed, bounds):
         note = failure(prod)
@@ -294,10 +317,8 @@ def _integrality(engine, bounds):
     """Random products of integral-form generators must have integer
     coordinates in the divided-power basis."""
     def failure(prod):
-        for key, c in engine.to_divided(prod).terms.items():
-            if c.denominator != 1:
-                return " -> non-integer %s at %s" % (c, divided_key_str(engine, key))
-        return None
+        note = _non_integer(engine, prod)
+        return note and " -> " + note
     return _sampled(engine, bounds, "%d products of <= %d generators, seed %d" % (
         bounds.integrality_trials, bounds.integrality_gens, bounds.seed), failure)
 
@@ -408,10 +429,10 @@ IDENTITIES = {
                          _X_ALPHA_X_MINUS, ident.rhs_4_3),
     "4.4": IdentityCheck(_X_P, (DividedPower("alpha", "b", "r"), _P), ident.rhs_4_4),
     "4.5": IdentityCheck(_X_P, (_P, DividedPower(minus("alpha"), "b", "r")), ident.rhs_4_5),
-    "4.6": _pair_check(ident.rhs_4_6, _gate_plane()),
-    "L4.4a": _pair_check(ident.rhs_L44a, _gate_plane("A2")),
-    "L4.4b": _pair_check(ident.rhs_L44b, _gate_plane("B2")),
-    "L4.4c": _pair_check(ident.rhs_L44c, _gate_plane("G2")),
+    "4.6": _pair_check(ident.rhs_4_6),
+    "L4.4a": _pair_check(ident.rhs_L44a, "A2"),
+    "L4.4b": _pair_check(functools.partial(ident.rhs_L44, kind="B2"), "B2"),
+    "L4.4c": _pair_check(functools.partial(ident.rhs_L44, kind="G2"), "G2"),
     "L4.3": IdentityCheck((("delta", "root"), ("i", "cartan"), ("b", "elem"), ("chi", "mset")),
                           (Letter("delta", "b"), _P), ident.rhs_L43),
     "4.7": IdentityCheck((("gamma", "odd"), ("i", "cartan"), ("a", "elem"), ("chi", "mset")),
@@ -584,6 +605,7 @@ _BOUND_KEYS = tuple(f.name for f in fields(SweepBounds))
 # suite config key -> (test of its JSON value, what the key wants)
 _CONFIG_KEYS = {
     **{k: (lambda v: type(v) is int and v >= 0, "a non-negative integer") for k in _BOUND_KEYS},
+    "integrality_gens": (lambda v: type(v) is int and v >= 1, "a positive integer"),
     "seed": (lambda v: type(v) is int, "an integer"),
     "algebras": (_is_strings, "a list of presets or algebra file paths"),
     "identities": (lambda v: _is_strings(v) and all(x in IDENTITIES for x in v),
@@ -600,11 +622,10 @@ class SuiteConfig:
     bounds: SweepBounds = field(default_factory=SweepBounds)
 
     def __post_init__(self):
-        seen = set()
-        for ident_id in self.identities:
-            if ident_id in seen:
-                raise SpecError("suite config lists identity %r more than once" % ident_id)
-            seen.add(ident_id)
+        for what, names in (("algebra", self.algebras), ("identity", self.identities)):
+            dup = next((n for k, n in enumerate(names) if n in names[:k]), None)
+            if dup is not None:
+                raise SpecError("suite config lists %s %r more than once" % (what, dup))
 
     @classmethod
     def from_json(cls, text):

@@ -417,6 +417,7 @@ def test_verify_missing_files_exit_2(tmp_path, capsys):
     ({"monoid": "trunc:x"}, "monoid"),
     ({"rmax": -1}, "rmax"),
     ({"monoid": "laurent"}, "monoid"),
+    ({"integrality_gens": 0}, "integrality_gens"),    # a product of no generator
 ])
 def test_verify_bad_config_values_exit_2(tmp_path, capsys, config, key):
     path = tmp_path / "suite.json"
@@ -537,6 +538,15 @@ def test_repeated_config_id_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--config", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: suite config lists identity 'L5.2' more than once")
+
+
+def test_repeated_config_algebra_exits_2(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"algebras": ["sl2", "sl2"], "identities": ["4.2"], "rmax": 1,
+                                "smax": 1, "monoid": "trunc:2"}))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: suite config lists algebra 'sl2' more than once")
 
 
 @pytest.mark.parametrize("ident", ["deg7", "integrality", "triangular", "basis"])

@@ -1,0 +1,101 @@
+"""A mutation catalogue: small faults planted by monkeypatch, each declared
+with the checks that must catch it.  Applying a mutant and running only its
+ids at small bounds on sl2, sl21 and osp12 must FAIL at least one instance,
+so a check that stops catching its mutant shows here.
+
+The process-wide caches (the shared engines and their memos, p(chi), the
+block conversions) are cleared before and after each mutant: a mutant
+poisons every value computed while it is applied."""
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import pytest
+
+from superpbw import algebra, combinatorics, engine, identities, verify
+from superpbw.verify import SuiteConfig, SweepBounds, run_suite
+
+ALGEBRAS = ("sl2", "sl21", "osp12")
+BOUNDS = SweepBounds(rmax=2, smax=2, mmax=2, chimax=2, integrality_gens=4,
+                     integrality_trials=40, seed=0)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    target: object      # the module or class whose attribute is replaced
+    attr: str
+    mutate: object      # the original attribute -> its replacement
+    ids: tuple          # the checks that must catch it
+
+
+def _odd_square_not_halved(real):
+    """u u = [u, u] for an odd letter u, not [u, u] / 2."""
+    def bracket(self, u, x):
+        out = real(self, u, x)
+        return tuple((c, 2 * k) for c, k in out) if u == x else out
+    return bracket
+
+
+def _cartan_bracket_doubled(real):
+    """Twice every bracket term that lands on a Cartan letter."""
+    def bracket(self, u, x):
+        return tuple((c, 2 * k if self._letters[c][0][0] == 'h' else k)
+                     for c, k in real(self, u, x))
+    return bracket
+
+
+def _divided_word_no_denominator(real):
+    """A product of divided powers built without its prod n!."""
+    def divided_word(eng, powers, scale=1):
+        return real(eng, powers, scale * math.prod(math.factorial(n) for _, n in powers))
+    return divided_word
+
+
+def _block_prod_not_factorial(real):
+    """A root block over prod e of its runs, not prod e!."""
+    def block(blk, odd, monoid):
+        if blk[0][0][0] == 'h':
+            return real(blk, odd, monoid)
+        runs = [len(list(g)) for _, g in itertools.groupby(blk)]
+        return ((blk, Fraction(1, math.prod(runs))),)
+    return block
+
+
+MUTANTS = (
+    Mutant("odd_square_not_halved", engine.Engine, "_bracket", _odd_square_not_halved,
+           ("4.8", "4.10")),
+    Mutant("cartan_bracket_doubled", engine.Engine, "_bracket", _cartan_bracket_doubled,
+           ("4.3", "4.9")),
+    Mutant("divided_word_no_denominator", identities, "_divided_word",
+           _divided_word_no_denominator, ("4.3", "4.4", "4.5")),
+    Mutant("block_prod_not_factorial", engine, "block_from_divided", _block_prod_not_factorial,
+           ("integrality", "triangular")),
+)
+
+
+def _clear_caches():
+    for module in (algebra, combinatorics, engine, verify):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def clean_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_each_mutant_is_caught_by_its_checks(monkeypatch, clean_caches, mutant):
+    config = SuiteConfig(ALGEBRAS, mutant.ids, "trunc:3", BOUNDS)
+    assert run_suite(config).ok        # the checks pass on the code as it is
+    _clear_caches()
+    real = getattr(mutant.target, mutant.attr)
+    monkeypatch.setattr(mutant.target, mutant.attr, mutant.mutate(real))
+    result = run_suite(config)
+    assert result.counts["fail"] >= 1, mutant.name

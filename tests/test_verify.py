@@ -238,6 +238,25 @@ def test_suite_config_refuses_a_repeated_id():
         SuiteConfig(algebras=("sl2",), identities=("deg3", "deg3"))
 
 
+@pytest.mark.parametrize("ident_id", ["integrality", "triangular"])
+def test_sampling_draws_only_the_families_with_members(ident_id):
+    """smax = 0 leaves no even divided power to draw: on sl2 the products
+    are made of p-elements alone."""
+    eng = load_engine("sl2", "trunc:2")
+    assert run_once(eng, ident_id, smax=0).verdict == "pass"
+    products = ver.sample_products(eng, 4, 50, 0, SweepBounds(smax=0))
+    assert all(g.startswith("p[1]") for desc, _ in products for g in desc.split())
+
+
+@pytest.mark.parametrize("ident_id", ["integrality", "triangular"])
+def test_sampling_with_no_generators_is_inapplicable(ident_id):
+    """A table with no Cartan element and no root has nothing to draw."""
+    eng = Engine(algebra.load_spec("cartan 0\nroots\ncoroots\nbrackets\n", name="empty"),
+                 monoid_preset("trunc:2"))
+    rep = run_once(eng, ident_id)
+    assert (rep.verdict, rep.detail) == ("inapplicable", "no generators")
+
+
 def test_failing_integrality_names_the_key_and_coefficient(monkeypatch):
     real = Engine.divided_power
     monkeypatch.setattr(Engine, "divided_power",
@@ -274,9 +293,9 @@ def test_triangular_factors_products_drawn_in_another_order(monkeypatch):
 
 
 @pytest.mark.parametrize("extra, detail", [
-    (lambda e: e.gen_elem(('x', 'a'), T), "mixed Cartan support ((('x', 'a'), (1,)),)"),
+    (lambda e: e.gen_elem(('x', 'a'), T), "mixed Cartan support at x[a]{t}"),
     (lambda e: e.p(1, Multiset.of(T, T, T)), "degree 3 !< 2"),
-    (lambda e: Fraction(1, 2) * e.p(1, Multiset.of(T2)), "non-integer coefficient -1/2"),
+    (lambda e: Fraction(1, 2) * e.p(1, Multiset.of(T2)), "non-integer -1/2 at p[1]{t^2:1}"),
 ])
 def test_failing_lemma_5_2_says_what_the_remainder_breaks(monkeypatch, extra, detail):
     """p_1(t) p_1(t) with an extra term that breaks one claim on the rest."""
@@ -284,6 +303,22 @@ def test_failing_lemma_5_2_says_what_the_remainder_breaks(monkeypatch, extra, de
     monkeypatch.setattr(Engine, "mul", lambda self, x, y: real(self, x, y) + extra(self))
     rep = verify_identity(load_engine("sl2"), "L5.2",
                           {"i": 1, "chi": Multiset.of(T), "phi": Multiset.of(T)})
+    assert (rep.verdict, rep.detail) == ("fail", detail)
+
+
+@pytest.mark.parametrize("ident_id, ps, detail", [
+    ("deg1", {"alpha": "a", "a": T, "b": ONE, "r": 1, "s": 1},
+     "degree 1 < 2, non-integer -1/3 at p[1]{t:1}"),
+    ("deg2", {"beta": "a", "i": 1, "a": T, "r": 1, "chi": Multiset.of(T)},
+     "degree 1 < 2, non-integer 2/3 at x[a]{t^2}"),
+])
+def test_failing_degree_bound_names_the_key_and_coefficient(monkeypatch, ident_id, ps, detail):
+    """deg1 and deg2 also ask for integrality: a third of each commutator
+    leaves the degree bound holding, and the first non-integer coordinate
+    is named as integrality names one."""
+    real = Engine.super_comm
+    monkeypatch.setattr(Engine, "super_comm", lambda self, x, y: Fraction(1, 3) * real(self, x, y))
+    rep = verify_identity(load_engine("sl2"), ident_id, ps)
     assert (rep.verdict, rep.detail) == ("fail", detail)
 
 
