@@ -97,6 +97,15 @@ def over_common(terms):
                for k, c in terms.items()]
 
 
+def scalars_over_common(scalars, n):
+    """(d, numerators) for n exact scalars: d the lcm of their denominators
+    and numerators the list of s * d, ints; (1, [1] * n) for None."""
+    if scalars is None:
+        return 1, [1] * n
+    d, ss = over_common(dict(enumerate(map(_exact, scalars))))
+    return d, [s for _, s in ss]
+
+
 def divide(numerators, d):
     """{key: n / d} for (key, n) pairs, zeros dropped, each coefficient an int
     when integral and a reduced Fraction otherwise.  An n is an int, or a
@@ -148,11 +157,7 @@ class Combination:
         None; an empty sum is zero.  The common denominator is the lcm of
         the elements' denominators times that of the scalars'."""
         elems = list(elems)
-        if scalars is None:
-            ds, ss = 1, [1] * len(elems)
-        else:
-            ds, ss = over_common(dict(enumerate(map(_exact, scalars))))
-            ss = [s for _, s in ss]
+        ds, ss = scalars_over_common(scalars, len(elems))
         d = math.lcm(*[c.denominator for x in elems for c in x.terms.values()
                        if type(c) is not int])
         acc = {}
@@ -538,25 +543,48 @@ class Engine:
         return self.mul(self.scalar(coeff), UElem({word: 1}))
 
     def mul(self, x, y):
-        """x * y.  The words of x must be canonical for this engine, as every
-        UElem it returns is; the words of y need not be, since their letters
-        are folded in one at a time.  x and y are put over their common
-        denominators dx and dy once, so straightening stays in ints: each
-        word of x, scaled by the numerators, is folded through each word of
-        y on its own, and each output coefficient is divided by dx dy.
-        Folding all of x at once would merge intermediate words of different
-        terms, and a cancellation there reorders the output terms.  The core runs on code
-        words: the words of x and y are encoded once, and those of the
-        output decoded once."""
-        dx, xs = over_common(x.terms)
-        dy, ys = over_common(y.terms)
-        xs, out, scratch = [(self._encode(w), c) for w, c in xs], {}, {}
-        for wy, cy in ys:
-            wy = self._encode(wy)
-            for wx, cx in xs:
-                for w, c in self._fold({wx: cx * cy}, wy, scratch).items():
-                    out[w] = out.get(w, 0) + c
-        return UElem._wrap(divide([(self._decode(w), n) for w, n in out.items() if n], dx * dy))
+        """x * y: the one-pair case of `mul_sum`."""
+        return self.mul_sum(((x, y),))
+
+    def mul_sum(self, pairs, scalars=None):
+        """sum_k scalars[k] * x_k * y_k over the (x_k, y_k) pairs, every scalar
+        1 when scalars is None; an empty sum is zero.  The words of each x_k
+        must be canonical for this engine, as every UElem it returns is; the
+        words of y_k need not be, since their letters are folded in one at a
+        time.  Each pair is put over its own common denominator dx dy once,
+        so straightening stays in ints: each word of x, scaled by the
+        numerators, is folded through each word of y on its own, and the
+        products of every pair add into one output, over the lcm d of the
+        pairs' denominators.  Folding all of x at once would merge
+        intermediate words of different terms, and a cancellation there
+        reorders the output terms.  The core runs on code words: the words
+        of every x and y are encoded once, the pairs share one sub-product
+        table, and the output is decoded and divided by d once."""
+        parts = []
+        for x, y in pairs:
+            dx, xs = over_common(x.terms)
+            dy, ys = over_common(y.terms)
+            parts.append((dx * dy, xs, ys))
+        if scalars is None and len(parts) == 1:     # mul: no lcm, no rescaling
+            d, ds, ss = parts[0][0], 1, (1,)
+        else:
+            ds, ss = scalars_over_common(scalars, len(parts))
+            d = math.lcm(*[p[0] for p in parts])
+        encode, fold, out, scratch = self._encode, self._fold, {}, {}
+        for (dk, xs, ys), s in zip(parts, ss):
+            scale = d // dk * s
+            if scale == 1:
+                xs = [(encode(w), c) for w, c in xs]
+            elif scale:
+                xs = [(encode(w), c * scale) for w, c in xs]
+            else:
+                continue
+            for wy, cy in ys:
+                wy = encode(wy)
+                for wx, cx in xs:
+                    for w, c in fold({wx: cx * cy}, wy, scratch).items():
+                        out[w] = out.get(w, 0) + c
+        return UElem._wrap(divide([(self._decode(w), n) for w, n in out.items() if n], d * ds))
 
     def scalar(self, c):
         return UElem({(): c})

@@ -4,6 +4,7 @@ algebra check declares its product u*v, and the exact right-hand side of
 every closed-form straightening identity, so the verifier can compare the
 baseline normalizer's u*v against it."""
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,7 +156,7 @@ def rhs_4_3(engine, ps):
     alpha, a, b, r, s = ps["alpha"], ps["a"], ps["b"], ps["r"], ps["s"]
     nalpha = engine.spec.negative_of(alpha)
     ab = engine.monoid.mul(a, b)
-    terms, signs = [], []
+    pairs, signs = [], []
     for j in range(min(r, s) + 1):
         for k in range(min(r, s) - j + 1):
             for m in range(min(r, s) - j - k + 1):
@@ -169,9 +170,26 @@ def rhs_4_3(engine, ps):
                 dp = divided_D(engine, alpha, m, r - j - k - m, ab, a)
                 if not dp:
                     continue
-                terms.append(engine.mul(engine.mul(dm, pk), dp))
+                pairs.append((engine.mul(dm, pk) if k else dm, dp))
                 signs.append(sign)
-    return UElem.sum(terms, signs)
+    return engine.mul_sum(pairs, signs)
+
+
+@functools.cache
+def _cartan_plan(chi, r, monoid):
+    """What the Cartan-past-root law needs of (chi, r) and the monoid alone,
+    as tuples: (phis, terms).  phis lists (|phi|, m(phi), pi(phi)) for each
+    phi <= chi in `enumerate_sub` order, pi(phi) None when truncation kills
+    it; terms lists, for each psi in CS(chi, r) in `enumerate_CS` order, the
+    (index into phis, psi(phi)) pairs of psi and the remainder
+    chi - sum_phi psi(phi) phi.  Cached once per process for every engine."""
+    subs = enumerate_sub(chi)
+    index = {phi: k for k, phi in enumerate(subs)}
+    phis = tuple((phi.size, multinomial(phi), pi_product(phi, monoid)) for phi in subs)
+    terms = tuple((tuple((index[phi], n) for phi, n in psi.items()),
+                   chi - Multiset([(a, n * m) for phi, n in psi.items() for a, m in phi.items()]))
+                  for psi in enumerate_CS(chi, r))
+    return phis, terms
 
 
 def _cartan_past_root(engine, ps, root, alpha, b, r, x_first=False):
@@ -180,30 +198,32 @@ def _cartan_past_root(engine, ps, root, alpha, b, r, x_first=False):
     prod_phi (binom(ev+|phi|-1, |phi|) m(phi) (x_root (x) b pi(phi)))^(psi(phi)),
     ev = alpha(h_i), the x-part first when x_first; the x-part is 0 once a
     factor vanishes.  4.4 and 4.5 are it at any r; L4.3 and 4.7 at r = 1,
-    where CS(chi, 1) = {phi <= chi}."""
+    where CS(chi, 1) = {phi <= chi}.  The combinatorics come from the cached
+    `_cartan_plan`; the products are summed by one `mul_sum`."""
     i, chi = ps["i"], ps["chi"]
     ev = engine.spec.root(alpha).ev[i - 1]
     mon = engine.monoid
-    factors = {}        # phi -> (letter, scalar) of its factor, None if it vanishes
-    for phi in enumerate_sub(chi):
-        c0 = binomial(ev + phi.size - 1, phi.size) * multinomial(phi)
-        belt = mon.mul(b, pi_product(phi, mon))
-        factors[phi] = (engine.letter(('x', root), belt), c0) if c0 and belt is not None else None
-    terms = []
-    for psi in enumerate_CS(chi, r):
+    phis, terms = _cartan_plan(chi, r, mon)
+    factors = []        # by phi: (letter, scalar) of its factor, None if it vanishes
+    for size, m, pi in phis:
+        c0 = binomial(ev + size - 1, size) * m
+        belt = mon.mul(b, pi)
+        factors.append((engine.letter(('x', root), belt), c0) if c0 and belt is not None
+                       else None)
+    pairs = []
+    for counts, rest in terms:
         powers, scale = [], 1
-        for phi, n in psi.items():
-            f = factors[phi]
+        for k, n in counts:
+            f = factors[k]
             if f is None:
                 break
             powers.append((f[0], n))
             scale *= f[1] ** n
         else:
             xpart = _divided_word(engine, powers, scale)
-            p = engine.p(i, chi - Multiset([(a, n * m) for phi, n in psi.items()
-                                            for a, m in phi.items()]))
-            terms.append(engine.mul(xpart, p) if x_first else engine.mul(p, xpart))
-    return UElem.sum(terms)
+            p = engine.p(i, rest)
+            pairs.append((xpart, p) if x_first else (p, xpart))
+    return engine.mul_sum(pairs)
 
 
 def rhs_4_4(engine, ps):
@@ -388,7 +408,7 @@ def rhs_4_11(engine, ps):
 def rhs_4_12(engine, ps):
     alpha, gamma, m, a, b = ps["alpha"], ps["gamma"], ps["m"], ps["a"], ps["b"]
     spec, mon = engine.spec, engine.monoid
-    terms = [engine.mul(engine.gen_elem(('x', gamma), b), engine.divided_power(('x', alpha), a, m))]
+    pairs = [(engine.gen_elem(('x', gamma), b), engine.divided_power(('x', alpha), a, m))]
     scalars = [1]
     r, eps = eps_chain(spec, alpha, gamma, m)
     sign = 1
@@ -400,7 +420,7 @@ def rhs_4_12(engine, ps):
         elt = mon.mul(mon.power(a, k), b)
         if elt is None:
             continue
-        terms.append(engine.mul(engine.gen_elem(('x', lab), elt),
-                                engine.divided_power(('x', alpha), a, m - k)))
+        pairs.append((engine.gen_elem(('x', lab), elt),
+                      engine.divided_power(('x', alpha), a, m - k)))
         scalars.append(sign * binomial(r + k, k))
-    return UElem.sum(terms, scalars)
+    return engine.mul_sum(pairs, scalars)

@@ -572,17 +572,26 @@ def sweep_identity(engine, ident_id, bounds=None, fixed=None):
     """All CheckReports for a registered check over its declared axes,
     optionally restricted by fixing some parameters to values.  A check with
     no axes gives one report at the bounds; one that reads no algebra
-    ignores the engine, which may be None."""
+    ignores the engine, which may be None.  An exception while expanding
+    the axes gives one FAIL report that names it."""
     check = IDENTITIES[ident_id]
     bounds = bounds or SweepBounds()
     if check.once:
         return [_report(ident_id, "-" if check.algebra_free else engine.spec.name,
                         check.params(engine, bounds),
                         lambda: check.once(engine, bounds) + ((),))]
+    try:
+        instances = [ps for ps in expand(engine, bounds, check.axes, check.where)
+                     if all(k not in ps or ps[k] == v for k, v in (fixed or {}).items())]
+    except Exception as e:
+        # an axis or a `where` predicate raised: one FAIL names it
+        return [_report(ident_id, engine.spec.name, (), lambda: _raise(e))]
     sign_cache = {}
-    return [verify_identity(engine, ident_id, ps, sign_cache)
-            for ps in expand(engine, bounds, check.axes, check.where)
-            if all(k not in ps or ps[k] == v for k, v in (fixed or {}).items())]
+    return [verify_identity(engine, ident_id, ps, sign_cache) for ps in instances]
+
+
+def _raise(e):
+    raise e
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +690,16 @@ class SuiteResult:
 def run_suite(config, emit=None):
     """Run the chosen checks on each algebra, then the algebra-free ones once
     (as the engine None); `emit` (if given) receives each report line as it
-    is produced.  Every algebra is loaded before the first check runs."""
+    is produced.  Every algebra is loaded before the first check runs, and
+    two entries that read the same source (`read_algebra`), as a file named
+    two ways does, raise SpecError naming both."""
+    sources = [read_algebra(a) for a in config.algebras]
+    for k, src in enumerate(sources):
+        if src in sources[:k]:
+            raise SpecError("suite config entries %r and %r are the same algebra"
+                            % (config.algebras[sources.index(src)], config.algebras[k]))
     reports = []
-    for engine in [get_engine(a, config.monoid) for a in config.algebras] + [None]:
+    for engine in [_shared_engine(src, config.monoid, "triangular") for src in sources] + [None]:
         for ident_id in config.identities:
             if IDENTITIES[ident_id].algebra_free == (engine is None):
                 for r in sweep_identity(engine, ident_id, config.bounds):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from superpbw.algebra import preset
 from superpbw.coeffalg import MonoidBasis, monoid_preset
 from superpbw.combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
+from superpbw import combinatorics, identities
 from superpbw import engine as engine_mod
 from superpbw.engine import AlgebraError, DividedForm, Engine, Order, UElem, _exact, \
     block_from_divided, block_to_divided, cartan_p
@@ -324,6 +325,44 @@ def test_shared_values_cannot_be_corrupted():
     assert h_to_divided(eng, 1, chi) == ref.to_divided_h_mono(1, chi)
     assert eng.to_divided(h) == want_df
     assert eng.from_divided(eng.to_divided(h)) == h
+
+
+
+def _frozen(value):
+    """Whether value is built of tuples of immutable leaves all the way down."""
+    if isinstance(value, tuple):
+        return all(map(_frozen, value))
+    if isinstance(value, Multiset):
+        return _frozen(value.items())
+    return value is None or type(value) in (int, Fraction, str)
+
+
+def test_every_process_wide_table_holds_tuples():
+    """Each functools table of engine, combinatorics and identities, the
+    Cartan-past-root plan among them, hands out tuples of immutable values,
+    so a caller that tries to change one gets an error, not a poisoned
+    cache.  A table added without a sample here fails the first assert."""
+    mon = monoid_preset("trunc:4")
+    chi = Multiset.of(T, T, T2)
+    samples = {
+        engine_mod._cartan_p: ((1, 0), chi, mon),
+        engine_mod.block_to_divided: (((('h', 1), T), (('h', 1), T2)), 0, mon),
+        combinatorics._enumerate_sub: (chi,),
+        combinatorics._enumerate_CS: (chi, 2),
+        combinatorics._enumerate_CP: (4, 3),
+        identities._cartan_plan: (chi, 2, mon),
+    }
+    tables = {v for m in (engine_mod, combinatorics, identities) for v in vars(m).values()
+              if hasattr(v, "cache_info") and v.__module__ == m.__name__}
+    assert tables == set(samples)
+    for table, args in samples.items():
+        value = table(*args)
+        assert value and _frozen(value), table
+        with pytest.raises(TypeError):
+            value[0] = value[0]
+        with pytest.raises(AttributeError):
+            value.clear()
+        assert table(*args) is value
 
 
 # -- the block cache of to_divided: a warm cache gives what a cold one does --

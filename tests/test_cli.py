@@ -549,6 +549,24 @@ def test_repeated_config_algebra_exits_2(tmp_path, capsys):
     assert err.startswith("error: suite config lists algebra 'sl2' more than once")
 
 
+def test_one_table_named_two_ways_exits_2(tmp_path, monkeypatch, capsys):
+    """Two entries that read the same table are refused before any check;
+    a preset and a copy of its table are different sources and both run."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c0.alg").write_text("cartan 0\nroots\ncoroots\nbrackets\n")
+    (tmp_path / "sl2.alg").write_text(open(os.path.join(DATA, "sl2.alg")).read())
+    (tmp_path / "twice.json").write_text(json.dumps(
+        {"algebras": ["c0.alg", "./c0.alg"], "identities": ["integrality"]}))
+    code, out, err = run(capsys, "verify", "--config", "twice.json")
+    assert code == 2 and out == ""
+    assert err == "error: suite config entries 'c0.alg' and './c0.alg' are the same algebra\n"
+    (tmp_path / "copy.json").write_text(json.dumps(
+        {"algebras": ["sl2", "sl2.alg"], "identities": ["4.2"], "rmax": 1, "smax": 1,
+         "monoid": "trunc:2"}))
+    code, out, _ = run(capsys, "verify", "--config", "copy.json")
+    assert code == 0 and out.splitlines()[-1] == "SUMMARY checks=32 pass=32 fail=0 inapplicable=0"
+
+
 @pytest.mark.parametrize("ident", ["deg7", "integrality", "triangular", "basis"])
 def test_verify_id_runs_a_degree_bound_as_the_suite_does(capsys, ident):
     """--id runs a check at the bounds a suite config has by default."""

@@ -7,9 +7,9 @@ import pytest
 from superpbw.algebra import PRESET_NAMES, preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, \
-    multinomial, multisets_upto, pi_product
+    enumerate_sub, multinomial, multisets_upto, pi_product
 from superpbw.engine import AlgebraError, Engine, Order, UElem
-from superpbw.identities import _cartan_past_root, _divided_word, _k_label, \
+from superpbw.identities import _cartan_past_root, _cartan_plan, _divided_word, _k_label, \
     divided_D, eps_chain, lhs_product, pair_slots, rhs_4_4, z_of
 from superpbw.verify import IDENTITIES, SWEEP_IDS, SweepBounds, expand, fmt_params, \
     get_engine
@@ -261,6 +261,27 @@ def test_cartan_past_root_matches_the_mul_reference(algebra):
             _same_terms(got, _ref_cartan_past_root(eng, ps, alpha, alpha, b, r, x_first))
             checked += bool(got)
     assert checked > 200
+
+
+def test_the_plan_is_a_walk_of_the_index_sets():
+    """Every chi over trunc:4 with |chi| <= 3 and every r <= 3: the plan lists
+    each phi <= chi with |phi|, m(phi) and pi(phi), and each psi in CS(chi, r)
+    with its (phi, n) pairs and chi - sum psi(phi) phi, in the enumerators'
+    orders."""
+    mon = monoid_preset("trunc:4")
+    for chi, r in itertools.product(multisets_upto(mon.elements(), 3), range(4)):
+        subs = enumerate_sub(chi)
+        phis, terms = _cartan_plan(chi, r, mon)
+        assert phis == tuple((phi.size, multinomial(phi), pi_product(phi, mon))
+                             for phi in subs)
+        want = []
+        for psi in enumerate_CS(chi, r):
+            rest = chi
+            for phi, n in psi.items():
+                rest = rest - n * phi
+            want.append((tuple(psi.items()), rest))
+        assert [(tuple((subs[k], n) for k, n in counts), rest)
+                for counts, rest in terms] == want
 
 
 @pytest.mark.parametrize("algebra", ["sl3", "sp4"])

@@ -1,4 +1,4 @@
-"""The coefficient kernels `Engine.mul`, `to_divided`, `from_divided` and
+"""The coefficient kernels `Engine.mul` (and `mul_sum`), `to_divided`, `from_divided` and
 `Combination.sum` add integer numerators over one common denominator.  Here
 they are held to the per-term `Fraction` loops they replaced, kept below as
 references, on random elements whose coefficients mix denominators and
@@ -125,6 +125,39 @@ def test_sum_matches_the_fraction_loop(data):
     assert_same(UElem.sum(iter(elems)), ref_sum(elems))
 
 
+SUM_ENGINES = ENGINES + [Engine(preset(a), monoid_preset("trunc:3")) for a in ("sl3", "sp4")]
+
+
+def assert_same_element(got, want):
+    assert got == want
+    assert [type(got.terms[k]) for k in want.terms] == [type(c) for c in want.terms.values()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mul_sum_is_the_sum_of_the_per_pair_products(data):
+    """On sl2, sl21, osp12, osp12 with an odd square constant, sl3 and sp4:
+    random pairs, zero elements among them, and no scalars or int, Fraction
+    and zero ones.  One pair keeps the term order of the Fraction loop."""
+    eng = data.draw(st.sampled_from(SUM_ENGINES))
+    pairs = data.draw(st.lists(st.tuples(elements(eng), elements(eng)), max_size=4))
+    scalars = data.draw(st.none() | st.lists(st.sampled_from(COEFFS + [0]),
+                                             min_size=len(pairs), max_size=len(pairs)))
+    assert_same_element(eng.mul_sum(pairs, scalars),
+                        UElem.sum([eng.mul(x, y) for x, y in pairs], scalars))
+    if len(pairs) == 1:
+        assert_same(eng.mul_sum(pairs), ref_mul(eng, *pairs[0]))
+
+
+def test_mul_sum_of_nothing_or_of_zeros_is_zero():
+    for eng in SUM_ENGINES:
+        x = UElem({(eng.letter(eng.order.syms[0], (0,)),): Fraction(1, 2)})
+        assert eng.mul_sum([]) == UElem() and eng.mul_sum((), ()) == UElem()
+        assert eng.mul_sum([(UElem(), x), (x, UElem())]) == UElem()
+        assert eng.mul_sum([(x, x), (x, x)], [Fraction(1, 3), 0]) == Fraction(1, 3) * eng.mul(x, x)
+        assert eng.mul_sum([(x, x), (x, x)], [1, -1]) == UElem()
+
+
 def test_an_odd_square_hands_mul_a_fraction_numerator():
     eng = ENGINES[-1]
     xg = eng.letter(('x', 'g'), (0,))
@@ -147,6 +180,7 @@ def test_mul_keeps_the_order_of_the_per_pair_products():
     y = UElem({(xa2, xa12): Fraction(1, 2)})
     assert_same(eng.mul(x, y), ref_mul(eng, x, y))
     assert list(eng.mul(x, y).terms) == [(xa2, xa12, h1), (xa1, xa2, xa12), (xa2, xa12)]
+    assert list(eng.mul_sum([(x, y)]).terms) == list(eng.mul(x, y).terms)
 
 
 def test_blocks_with_several_alternatives_keep_their_order():

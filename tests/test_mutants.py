@@ -4,7 +4,7 @@ ids at small bounds on sl2, sl21 and osp12 must FAIL at least one instance,
 so a check that stops catching its mutant shows here.
 
 The process-wide caches (the shared engines and their memos, p(chi), the
-block conversions) are cleared before and after each mutant: a mutant
+block conversions, the Cartan-past-root plans) are cleared before and after each mutant: a mutant
 poisons every value computed while it is applied."""
 
 import itertools
@@ -77,7 +77,7 @@ MUTANTS = (
 
 
 def _clear_caches():
-    for module in (algebra, combinatorics, engine, verify):
+    for module in (algebra, combinatorics, engine, identities, verify):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

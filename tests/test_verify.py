@@ -180,6 +180,15 @@ def test_suite_config_json():
         SuiteConfig.from_json(json.dumps({"nope": 1}))
 
 
+def test_an_exception_while_expanding_the_axes_is_one_fail():
+    """The elem axis of 4.4 lists the monoid's basis, which poly lacks: the
+    sweep returns one FAIL that names the id and the exception."""
+    rep, = sweep_identity(load_engine("sl2", "poly"), "4.4")
+    assert (rep.identity, rep.verdict, rep.params) == ("4.4", "fail", ())
+    assert rep.line() == ("CHECK id=4.4 algebra=sl2 verdict=FAIL "
+                          "[MonoidError: monoid poly has an infinite basis]")
+
+
 def test_sweep_identity_fixed_filter():
     eng = get_engine("sl2")
     reps = sweep_identity(eng, "4.2", fixed={"r": 2, "s": 1, "b": (1,)})
