@@ -79,6 +79,10 @@ class SuperAlgebraSpec:
     def bracket(self, s1, s2):
         return self.brackets.get((s1, s2), ())
 
+    def root_constant(self, a, b, c):
+        """The coefficient of x_c in [x_a, x_b], or 0."""
+        return dict(self.bracket(('x', a), ('x', b))).get(('x', c), 0)
+
     def even_roots(self):
         return tuple(r.label for r in self.roots if r.parity == 0)
 
@@ -223,7 +227,7 @@ def root_string(spec, alpha, beta):
         r += 1
     target = spec.root_sum(alpha, beta)
     if target is not None and spec.root(alpha).parity == spec.root(beta).parity == 0:
-        c = dict(spec.bracket(('x', alpha), ('x', beta))).get(('x', target), 0)
+        c = spec.root_constant(alpha, beta, target)
         if abs(c) != r + 1:
             raise SpecError("|c_{%s,%s}| = %d but the root string gives r+1 = %d"
                             % (alpha, beta, abs(c), r + 1))

@@ -33,7 +33,14 @@ class Multiset:
                 raise ValueError("negative multiplicity %r for %r" % (m, e))
             if m:
                 acc[e] = acc.get(e, 0) + m
-        self._items = tuple(sorted(acc.items()))
+        object.__setattr__(self, "_items", tuple(sorted(acc.items())))
+
+    # the process-wide tables hand out shared Multisets: no one may change one
+    def __setattr__(self, name, value):
+        raise AttributeError("Multiset is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Multiset is immutable")
 
     @classmethod
     def of(cls, *elems):

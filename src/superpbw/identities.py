@@ -65,7 +65,7 @@ def eps_chain(spec, alpha, gamma, kmax):
         nxt = spec.root_sum(alpha, prev)
         if nxt is None:
             break
-        c = dict(spec.bracket(('x', alpha), ('x', prev))).get(('x', nxt), 0)
+        c = spec.root_constant(alpha, prev, nxt)
         if abs(c) != r + s:
             raise AlgebraError(
                 "[x_%s, x_%s] has constant %d, not +-(r_{alpha,gamma}+%d) = +-%d"
@@ -310,7 +310,7 @@ def rhs_L44a(engine, ps):
     if absum is None:
         # the factors commute; only the k = 0 term survives
         return _pair_powers(engine, ps, ())
-    eps = dict(spec.bracket(('x', alpha), ('x', beta))).get(('x', absum), 0)
+    eps = spec.root_constant(alpha, beta, absum)
     if eps not in (1, -1):
         raise AlgebraError("A2 case wants [x_%s, x_%s] = +- x_{%s}" % (alpha, beta, absum))
     t = _sign_template(engine, ps, CASE_SHAPES["A2"], lambda shapes, ns: ns[0])
@@ -341,7 +341,7 @@ def z_of(spec, gamma):
     two = spec.root_sum(gamma, gamma)
     if two is None:
         raise AlgebraError("2*%s is not a root" % gamma)
-    c = dict(spec.bracket(('x', gamma), ('x', gamma))).get(('x', two), 0)
+    c = spec.root_constant(gamma, gamma, two)
     if c % 2:
         raise AlgebraError("c_{%s,%s} = %d is odd" % (gamma, gamma, c))
     z = c // 2
@@ -379,7 +379,7 @@ def rhs_4_10(engine, ps):
     target = spec.root_sum(gamma, delta)
     ab = mon.mul(a, b)
     if target is not None and ab is not None:
-        c = dict(spec.bracket(('x', gamma), ('x', delta))).get(('x', target), 0)
+        c = spec.root_constant(gamma, delta, target)
         if c:
             acc = acc + c * engine.gen_elem(('x', target), ab)
     return acc
@@ -397,7 +397,7 @@ def rhs_4_11(engine, ps):
     ngamma = spec.negative_of(gamma)
     acc = engine.mul(engine.divided_power(('x', partner), b, m), engine.gen_elem(('x', gamma), a))
     if m >= 1:
-        c = dict(spec.bracket(('x', gamma), ('x', partner))).get(('x', ngamma), 0)
+        c = spec.root_constant(gamma, partner, ngamma)
         ab = mon.mul(a, b)
         if c and ab is not None:
             acc = acc + c * engine.mul(engine.divided_power(('x', partner), b, m - 1),

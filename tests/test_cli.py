@@ -131,6 +131,18 @@ def test_verify_config(tmp_path, capsys):
     assert lines[-1].startswith("SUMMARY checks=")
 
 
+def test_an_acceptance_criterion_runs_from_its_config(tmp_path, capsys):
+    """Criterion 4's config, copied out of the acceptance data, is a file
+    `verify --config` runs: L4.3 on sl21 and osp12, then the integer identity."""
+    with open(os.path.join(DATA, "acceptance.json")) as fh:
+        config, = json.load(fh)["4"]["configs"]
+    path = tmp_path / "crit4.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, "verify", "--config", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "SUMMARY checks=2241 pass=2241 fail=0 inapplicable=0"
+
+
 def test_basis_golden(capsys):
     code, out, _ = run(capsys, "basis", "--algebra", "sl21", "--monoid", "trunc:2",
                        "--degree", "2", "--order=-a1,-a2,-a1-a2,1,2,a1,a2,a1+a2")

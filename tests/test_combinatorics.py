@@ -251,6 +251,17 @@ def test_memoized_enumerators_match_uncached():
     assert all(fn.cache_info().hits >= fn.cache_info().misses > 0 for fn in cached)
 
 
+def test_a_cached_multiset_cannot_be_changed():
+    """A Multiset the process-wide tables hand out refuses a changed or a
+    deleted attribute, so no caller can poison what the next call returns."""
+    chi = Multiset.of((1,), (1,))
+    with pytest.raises(AttributeError):
+        enumerate_sub(chi)[1]._items = (((2,), 5),)
+    with pytest.raises(AttributeError):
+        del enumerate_sub(chi)[1]._items
+    assert [s.items() for s in enumerate_sub(chi)] == [(), (((1,), 1),), (((1,), 2),)]
+
+
 def test_enumerators_still_refuse_negative_arguments():
     with pytest.raises(ValueError):
         enumerate_CS(Multiset.of("a"), -1)
