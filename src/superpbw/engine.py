@@ -420,7 +420,7 @@ class Engine:
     def _insert(self, word, letter, scratch):
         """word * letter, for a sorted code word and a letter code, as a tuple
         of (sorted code word, coeff) pairs; memoized in the engine for the
-        pairs that mul folds in.  A memo hit, the common case on a warm
+        pairs that a product folds in.  A memo hit, the common case on a warm
         engine, sets up none of _straighten's closures."""
         memo_key = (word, letter)
         out = self._insert_memo.get(memo_key)
@@ -452,8 +452,8 @@ class Engine:
         so the recursion ends.  It runs on an explicit stack of generator
         frames, each of which yields the sub-products it needs and is sent
         their values, so its depth is not the interpreter's.  `scratch`,
-        owned by one mul call, holds every product solved so far, suffix
-        products included.  The bracket constants are integers, so the
+        owned by one product or mul_sum call, holds every product solved
+        so far, suffix products included.  The bracket constants are integers, so the
         coefficients stay ints unless an odd square has an odd constant.
         """
         keys, odd_of = self._keys, self._odd
@@ -528,7 +528,7 @@ class Engine:
 
     def _fold(self, terms, letters, scratch):
         """terms (canonical code words) times the letter codes, one at a
-        time; scratch is the sub-product table of the calling mul."""
+        time; scratch is the sub-product table of the calling product."""
         for L in letters:
             nxt = {}
             for w, c in terms.items():
@@ -537,53 +537,79 @@ class Engine:
             terms = {w: c for w, c in nxt.items() if c}
         return terms
 
+    def _fold_into(self, out, xs, ys, scratch):
+        """Add x y into out, for x and y as (code word, numerator) pairs, the
+        words of x canonical: each word of x, times the numerator of a word
+        of y, is folded through that word on its own.  Folding all of x at
+        once would merge intermediate words of different terms, and a
+        cancellation there reorders the output terms."""
+        fold = self._fold
+        for wy, cy in ys:
+            for wx, cx in xs:
+                for w, c in fold({wx: cx * cy}, wy, scratch).items():
+                    out[w] = out.get(w, 0) + c
+        return out
+
+    def _numerators(self, x):
+        """(d, pairs) for x: its common denominator d (`over_common`) and its
+        (code word, numerator) pairs."""
+        d, xs = over_common(x.terms)
+        encode = self._encode
+        return d, [(encode(w), c) for w, c in xs]
+
     def normalize(self, letters, coeff=1):
         """Expand a product of letters in the canonical PBW basis."""
         word = tuple(self.letter(sym, aelt) for sym, aelt in letters)
         return self.mul(self.scalar(coeff), UElem({word: 1}))
 
     def mul(self, x, y):
-        """x * y: the one-pair case of `mul_sum`."""
-        return self.mul_sum(((x, y),))
+        """x * y: the two-factor case of `product`."""
+        return self.product((x, y))
+
+    def product(self, factors):
+        """The left-to-right product of the factors in one pass; product(())
+        is one().  The words of the first factor must be canonical for this
+        engine, as every UElem it returns is; a later factor's letters are
+        folded in one at a time (`_fold_into`).  Each factor's words are
+        encoded once, and one sub-product table serves the chain.  The
+        partial product stays code words over a running denominator d, the
+        product of the factors' denominators, its zero terms dropped after
+        each factor; only the last is decoded and divided by d.  Scaling by
+        d changes no zero test, so the terms come in the nested `mul`s' order."""
+        factors = iter(factors)
+        first = next(factors, None)
+        if first is None:
+            return self.one()
+        d, xs = self._numerators(first)
+        scratch = {}
+        for y in factors:
+            dy, ys = self._numerators(y)
+            d *= dy
+            xs = [item for item in self._fold_into({}, xs, ys, scratch).items() if item[1]]
+        return UElem._wrap(divide([(self._decode(w), n) for w, n in xs], d))
 
     def mul_sum(self, pairs, scalars=None):
         """sum_k scalars[k] * x_k * y_k over the (x_k, y_k) pairs, every scalar
         1 when scalars is None; an empty sum is zero.  The words of each x_k
-        must be canonical for this engine, as every UElem it returns is; the
-        words of y_k need not be, since their letters are folded in one at a
-        time.  Each pair is put over its own common denominator dx dy once,
-        so straightening stays in ints: each word of x, scaled by the
-        numerators, is folded through each word of y on its own, and the
-        products of every pair add into one output, over the lcm d of the
-        pairs' denominators.  Folding all of x at once would merge
-        intermediate words of different terms, and a cancellation there
-        reorders the output terms.  The core runs on code words: the words
-        of every x and y are encoded once, the pairs share one sub-product
-        table, and the output is decoded and divided by d once."""
+        must be canonical for this engine; those of y_k need not be (see
+        `product`).  Each pair is put over its own common denominator dx dy
+        once and its x scaled to the lcm d of the pairs' denominators; the
+        products of every pair add into one output with one sub-product
+        table (`_fold_into`), decoded and divided by d once."""
         parts = []
         for x, y in pairs:
-            dx, xs = over_common(x.terms)
-            dy, ys = over_common(y.terms)
+            dx, xs = self._numerators(x)
+            dy, ys = self._numerators(y)
             parts.append((dx * dy, xs, ys))
-        if scalars is None and len(parts) == 1:     # mul: no lcm, no rescaling
-            d, ds, ss = parts[0][0], 1, (1,)
-        else:
-            ds, ss = scalars_over_common(scalars, len(parts))
-            d = math.lcm(*[p[0] for p in parts])
-        encode, fold, out, scratch = self._encode, self._fold, {}, {}
+        ds, ss = scalars_over_common(scalars, len(parts))
+        d = math.lcm(*[p[0] for p in parts])
+        out, scratch = {}, {}
         for (dk, xs, ys), s in zip(parts, ss):
             scale = d // dk * s
-            if scale == 1:
-                xs = [(encode(w), c) for w, c in xs]
-            elif scale:
-                xs = [(encode(w), c * scale) for w, c in xs]
-            else:
-                continue
-            for wy, cy in ys:
-                wy = encode(wy)
-                for wx, cx in xs:
-                    for w, c in fold({wx: cx * cy}, wy, scratch).items():
-                        out[w] = out.get(w, 0) + c
+            if scale:
+                if scale != 1:
+                    xs = [(w, c * scale) for w, c in xs]
+                self._fold_into(out, xs, ys, scratch)
         return UElem._wrap(divide([(self._decode(w), n) for w, n in out.items() if n], d * ds))
 
     def scalar(self, c):
@@ -632,7 +658,7 @@ class Engine:
         if px is None or py is None:
             raise AlgebraError("super commutator needs parity-homogeneous arguments")
         sign = -1 if (px and py) else 1
-        return self.mul(x, y) - sign * self.mul(y, x)
+        return self.mul_sum(((x, y), (y, x)), (1, -sign))
 
     # -- Cartan elements p ------------------------------------------------
 

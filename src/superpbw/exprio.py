@@ -6,6 +6,7 @@ elt:mult entries, a bare elt counting once; empty or 0 is the empty one."""
 
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import itemgetter
 
@@ -86,15 +87,9 @@ class _Parser:
         factors = [self.factor()]
         while self.peek() and self.peek() in "0123456789xhp(":
             factors.append(self.factor())
-        acc = factors[0]
-        if isinstance(acc, Fraction):
-            acc = self.engine.scalar(acc)
-        for f in factors[1:]:
-            if isinstance(f, Fraction):
-                acc = f * acc
-            else:
-                acc = self.engine.mul(acc, f)
-        return acc
+        scalars = [f for f in factors if isinstance(f, Fraction)]
+        acc = self.engine.product([f for f in factors if not isinstance(f, Fraction)])
+        return math.prod(scalars) * acc if scalars else acc
 
     def factor(self):
         ch = self.peek()
@@ -115,6 +110,16 @@ class _Parser:
             return self.pelem()
         self.error("expected a scalar, letter, p-element, or parenthesis")
 
+    def exponent(self):
+        """An integer exponent, refused when no index can hold it."""
+        self.skip_ws()
+        start = self.pos
+        text = self.match_re(_INT_RE, "an integer")
+        try:
+            return _index_int(text, "exponent")
+        except ValueError as e:
+            raise ParseError(str(e), start) from None
+
     def power_suffix(self):
         """Returns (exponent, divided?) or (1, False)."""
         self.skip_ws()
@@ -122,19 +127,17 @@ class _Parser:
             self.pos += 1
             if self.peek() == "(":
                 self.pos += 1
-                r = int(self.match_re(_INT_RE, "an integer"))
+                r = self.exponent()
                 self.expect(")")
                 return r, True
-            return int(self.match_re(_INT_RE, "an integer")), False
+            return self.exponent(), False
         return 1, False
 
     def power_suffix_group(self, inner):
         r, divided = self.power_suffix()
         if r < 0:
             self.error("negative power")
-        acc = self.engine.one()
-        for _ in range(r):
-            acc = self.engine.mul(acc, inner)
+        acc = self.engine.product((inner,) * r)
         if divided:
             acc = Fraction(1, math.factorial(r)) * acc
         return acc
@@ -185,6 +188,15 @@ def parse_expr(engine, text):
     return _Parser(text, engine).parse()
 
 
+def _index_int(text, what):
+    """The int that text spells, refused when it does not fit an index: a
+    power or a multiplicity past that could never be built."""
+    n = int(text)
+    if n > sys.maxsize:
+        raise ValueError("%s %s is too large" % (what, text.strip()))
+    return n
+
+
 def parse_mset(monoid, text):
     """A multiset over the coefficient basis, e.g. 't:2,t^2' = 2chi_t + chi_{t^2}."""
     text = text.strip()
@@ -197,7 +209,7 @@ def parse_mset(monoid, text):
             elt, mult = piece, "1"
         if not mult.strip().isdigit():
             raise ValueError("multiset entry %r wants elt or elt:mult" % piece.strip())
-        items.append((monoid.parse_elt(elt), int(mult)))
+        items.append((monoid.parse_elt(elt), _index_int(mult, "multiplicity")))
     return Multiset(items)
 
 

@@ -251,15 +251,16 @@ def _pair_powers(engine, ps, jk_counts):
     Zero when some needed root is absent or truncation kills a part."""
     spec, mon = engine.spec, engine.monoid
     alpha, beta, a, b, r, s = ps["alpha"], ps["beta"], ps["a"], ps["b"], ps["r"], ps["s"]
-    term = engine.divided_power(('x', beta), b, s - sum(k * n for (_, k), n in jk_counts))
+    factors = [engine.divided_power(('x', beta), b, s - sum(k * n for (_, k), n in jk_counts))]
     for (j, k), n in jk_counts:
         lab = spec.root_sum(alpha, beta, j, k)
         elt = mon.mul(mon.power(a, j), mon.power(b, k))
         if lab is None or elt is None:
             return UElem()
-        term = engine.mul(term, engine.divided_power(('x', lab), elt, n))
-    return engine.mul(term, engine.divided_power(
+        factors.append(engine.divided_power(('x', lab), elt, n))
+    factors.append(engine.divided_power(
         ('x', alpha), a, r - sum(j * n for (j, _), n in jk_counts)))
+    return engine.product(factors)
 
 
 def pair_slots(shapes, r, s, label):
@@ -395,14 +396,16 @@ def rhs_4_11(engine, ps):
     z_of(spec, gamma)  # applicability + normalization check
     partner = spec.negative_of(spec.root_sum(gamma, gamma))
     ngamma = spec.negative_of(gamma)
-    acc = engine.mul(engine.divided_power(('x', partner), b, m), engine.gen_elem(('x', gamma), a))
+    pairs = [(engine.divided_power(('x', partner), b, m), engine.gen_elem(('x', gamma), a))]
+    scalars = [1]
     if m >= 1:
         c = spec.root_constant(gamma, partner, ngamma)
         ab = mon.mul(a, b)
         if c and ab is not None:
-            acc = acc + c * engine.mul(engine.divided_power(('x', partner), b, m - 1),
-                                       engine.gen_elem(('x', ngamma), ab))
-    return acc
+            pairs.append((engine.divided_power(('x', partner), b, m - 1),
+                          engine.gen_elem(('x', ngamma), ab)))
+            scalars.append(c)
+    return engine.mul_sum(pairs, scalars)
 
 
 def rhs_4_12(engine, ps):

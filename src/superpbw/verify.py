@@ -285,13 +285,8 @@ def sample_products(engine, gens, trials, seed, bounds):
     kinds = _generator_kinds(engine, bounds)
     for _ in range(trials):
         k = rng.randint(1, gens)
-        label = []
-        acc = engine.one()
-        for _ in range(k):
-            desc, g = sample_generator(engine, rng, bounds, kinds)
-            label.append(desc)
-            acc = engine.mul(acc, g)
-        yield " ".join(label), acc
+        label, factors = zip(*[sample_generator(engine, rng, bounds, kinds) for _ in range(k)])
+        yield " ".join(label), engine.product(factors)
 
 
 def _sampled_params(engine, bounds):

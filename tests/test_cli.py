@@ -247,6 +247,28 @@ def test_delem_refuses_j_or_k_past_the_bound(capsys, j, k):
     assert code == 2 and not out and "j, k <= 40" in err
 
 
+BIG = "99999999999999999999"    # past sys.maxsize, so no index can hold it
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("normalize", "--algebra", "sl2", "x[a]{t}^" + BIG), "exponent"),
+    (("normalize", "--algebra", "sl2", "x[a]{t}^(%s)" % BIG), "exponent"),
+    (("normalize", "--algebra", "sl2", "(x[a]{t})^" + BIG), "exponent"),
+    (("normalize", "--algebra", "sl2", "p[1]{t:%s}" % BIG), "multiplicity"),
+    (("pelem", "--algebra", "sl2", "--i", "1", "--chi", "t:" + BIG), "multiplicity"),
+])
+def test_a_count_too_large_for_an_index_exits_2(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: %s %s is too large" % (what, BIG))
+
+
+@pytest.mark.parametrize("expr, pos", [("x[a]{t}^z", 8), ("x[a]{t}^(z)", 9)])
+def test_an_exponent_that_is_no_integer_is_named_once(capsys, expr, pos):
+    code, out, err = run(capsys, "normalize", "--algebra", "sl2", expr)
+    assert (code, out, err) == (2, "", "error: expected an integer (at position %d)\n" % pos)
+
+
 @pytest.mark.parametrize("argv", [
     ("pelem", "--algebra", "sl2", "--i", "5", "--chi", "t"),
     ("pelem", "--algebra", "sl2", "--i", "0", "--chi", "t"),

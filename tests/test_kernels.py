@@ -1,19 +1,21 @@
-"""The coefficient kernels `Engine.mul` (and `mul_sum`), `to_divided`, `from_divided` and
-`Combination.sum` add integer numerators over one common denominator.  Here
-they are held to the per-term `Fraction` loops they replaced, kept below as
-references, on random elements whose coefficients mix denominators and
-sizes: the same terms in the same order, each coefficient an int or a
-Fraction that is not integral."""
+"""The coefficient kernels `Engine.product` (with `mul` and `mul_sum`),
+`to_divided`, `from_divided` and `Combination.sum` add integer numerators
+over one common denominator.  Here they are held to the per-term
+`Fraction` loops they replaced, kept below as references, on random
+elements whose coefficients mix denominators and sizes: the same terms in
+the same order, each coefficient an int or a Fraction that is not
+integral."""
 
 import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpbw.algebra import SuperAlgebraSpec, preset
+from superpbw.algebra import PRESET_NAMES, SuperAlgebraSpec, preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.engine import DividedForm, Engine, UElem, _exact, block_from_divided, \
     block_to_divided
@@ -156,6 +158,41 @@ def test_mul_sum_of_nothing_or_of_zeros_is_zero():
         assert eng.mul_sum([(UElem(), x), (x, UElem())]) == UElem()
         assert eng.mul_sum([(x, x), (x, x)], [Fraction(1, 3), 0]) == Fraction(1, 3) * eng.mul(x, x)
         assert eng.mul_sum([(x, x), (x, x)], [1, -1]) == UElem()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_is_the_left_fold_of_the_fraction_loop(data):
+    """On the same six algebras: 0 to 4 random factors, zero elements and
+    Fraction coefficients among them.  The one-pass chain gives the terms,
+    term order and coefficient types of the nested products."""
+    eng = data.draw(st.sampled_from(SUM_ENGINES))
+    factors = data.draw(st.lists(elements(eng), max_size=4))
+    want = factors[0] if factors else eng.one()
+    for y in factors[1:]:
+        want = UElem._wrap(ref_mul(eng, want, y))
+    assert_same(eng.product(factors), want.terms)
+
+
+def test_product_of_nothing_is_one_and_of_one_factor_is_the_factor():
+    for eng in SUM_ENGINES:
+        x = UElem({(eng.letter(eng.order.syms[0], (0,)),): Fraction(1, 2), (): 3})
+        assert_same(eng.product(()), eng.one().terms)
+        assert_same(eng.product([]), {(): 1})
+        assert_same(eng.product((x,)), x.terms)
+        assert_same(eng.product(iter([x])), x.terms)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_letter_triples_multiply_associatively(name):
+    """(X Y) Z, X (Y Z) and the one-pass X Y Z agree for every triple of
+    letters over trunc:2."""
+    eng = Engine(preset(name), monoid_preset("trunc:2"))
+    gens = [eng.gen_elem(sym, a) for sym in eng.order.syms for a in eng.monoid.elements()]
+    for x, y, z in itertools.product(gens, repeat=3):
+        xyz = eng.product((x, y, z))
+        assert eng.mul(eng.mul(x, y), z) == xyz
+        assert eng.mul(x, eng.mul(y, z)) == xyz
 
 
 def test_an_odd_square_hands_mul_a_fraction_numerator():
