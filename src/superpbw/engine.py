@@ -452,8 +452,8 @@ class Engine:
         so the recursion ends.  It runs on an explicit stack of generator
         frames, each of which yields the sub-products it needs and is sent
         their values, so its depth is not the interpreter's.  `scratch`,
-        owned by one product or mul_sum call, holds every product solved
-        so far, suffix products included.  The bracket constants are integers, so the
+        owned by one mul_sum call, holds every product solved so far, suffix
+        products included.  The bracket constants are integers, so the
         coefficients stay ints unless an odd square has an odd constant.
         """
         keys, odd_of = self._keys, self._odd
@@ -563,52 +563,42 @@ class Engine:
         return self.mul(self.scalar(coeff), UElem({word: 1}))
 
     def mul(self, x, y):
-        """x * y: the two-factor case of `product`."""
-        return self.product((x, y))
+        """x * y: `mul_sum` of the one chain (x, y)."""
+        return self.mul_sum(((x, y),))
 
-    def product(self, factors):
-        """The left-to-right product of the factors in one pass; product(())
-        is one().  The words of the first factor must be canonical for this
-        engine, as every UElem it returns is; a later factor's letters are
-        folded in one at a time (`_fold_into`).  Each factor's words are
-        encoded once, and one sub-product table serves the chain.  The
-        partial product stays code words over a running denominator d, the
-        product of the factors' denominators, its zero terms dropped after
-        each factor; only the last is decoded and divided by d.  Scaling by
-        d changes no zero test, so the terms come in the nested `mul`s' order."""
-        factors = iter(factors)
-        first = next(factors, None)
-        if first is None:
-            return self.one()
-        d, xs = self._numerators(first)
-        scratch = {}
-        for y in factors:
-            dy, ys = self._numerators(y)
-            d *= dy
-            xs = [item for item in self._fold_into({}, xs, ys, scratch).items() if item[1]]
-        return UElem._wrap(divide([(self._decode(w), n) for w, n in xs], d))
-
-    def mul_sum(self, pairs, scalars=None):
-        """sum_k scalars[k] * x_k * y_k over the (x_k, y_k) pairs, every scalar
-        1 when scalars is None; an empty sum is zero.  The words of each x_k
-        must be canonical for this engine; those of y_k need not be (see
-        `product`).  Each pair is put over its own common denominator dx dy
-        once and its x scaled to the lcm d of the pairs' denominators; the
-        products of every pair add into one output with one sub-product
-        table (`_fold_into`), decoded and divided by d once."""
+    def mul_sum(self, chains, scalars=None):
+        """sum_k scalars[k] * (the factors of chain k multiplied left to
+        right), every scalar 1 when scalars is None; an empty chain is one()
+        and an empty sum zero.  The words of each chain's first factor must
+        be canonical for this engine, as every UElem it returns is; a later
+        factor's letters are folded in one at a time (`_fold_into`).  Each
+        factor's words are encoded once over its common denominator; chain
+        k's denominator d_k is the product of its factors', and its first
+        factor is scaled to the lcm d of the d_k.  A chain's partial product
+        stays code words, its zero terms dropped after each factor, and only
+        its last factor folds into the output that every chain shares, with
+        one sub-product table; that output is decoded and divided by d once.
+        Scaling changes no zero test, so one chain's terms come in the
+        nested `mul`s' order."""
+        unit = [((), 1)]
         parts = []
-        for x, y in pairs:
-            dx, xs = self._numerators(x)
-            dy, ys = self._numerators(y)
-            parts.append((dx * dy, xs, ys))
+        for chain in chains:
+            dk, factors = 1, []
+            for y in chain:
+                dy, ys = self._numerators(y)
+                dk *= dy
+                factors.append(ys)
+            parts.append((dk, factors + [unit] * (2 - len(factors))))
         ds, ss = scalars_over_common(scalars, len(parts))
         d = math.lcm(*[p[0] for p in parts])
         out, scratch = {}, {}
-        for (dk, xs, ys), s in zip(parts, ss):
+        for (dk, (xs, *mid, ys)), s in zip(parts, ss):
             scale = d // dk * s
             if scale:
                 if scale != 1:
                     xs = [(w, c * scale) for w, c in xs]
+                for ms in mid:
+                    xs = [item for item in self._fold_into({}, xs, ms, scratch).items() if item[1]]
                 self._fold_into(out, xs, ys, scratch)
         return UElem._wrap(divide([(self._decode(w), n) for w, n in out.items() if n], d * ds))
 

@@ -15,6 +15,9 @@ from .engine import UElem, word_runs
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _INT_RE = re.compile(r"-?\d+")
+# parentheses nest by recursion, so a deeper nesting is refused before it
+# reaches the interpreter's recursion limit
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -28,6 +31,7 @@ class _Parser:
         self.text = text
         self.engine = engine
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
         raise ParseError(msg, self.pos)
@@ -88,7 +92,7 @@ class _Parser:
         while self.peek() and self.peek() in "0123456789xhp(":
             factors.append(self.factor())
         scalars = [f for f in factors if isinstance(f, Fraction)]
-        acc = self.engine.product([f for f in factors if not isinstance(f, Fraction)])
+        acc = self.engine.mul_sum(([f for f in factors if not isinstance(f, Fraction)],))
         return math.prod(scalars) * acc if scalars else acc
 
     def factor(self):
@@ -100,9 +104,13 @@ class _Parser:
             except ZeroDivisionError:
                 raise ParseError("zero denominator", start) from None
         if ch == "(":
+            if self.depth == MAX_DEPTH:
+                self.error("parentheses nested deeper than %d" % MAX_DEPTH)
+            self.depth += 1
             self.pos += 1
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return self.power_suffix_group(inner)
         if ch == "x" or ch == "h":
             return self.letter(ch)
@@ -137,7 +145,7 @@ class _Parser:
         r, divided = self.power_suffix()
         if r < 0:
             self.error("negative power")
-        acc = self.engine.product((inner,) * r)
+        acc = self.engine.mul_sum(((inner,) * r,))
         if divided:
             acc = Fraction(1, math.factorial(r)) * acc
         return acc

@@ -156,7 +156,7 @@ def rhs_4_3(engine, ps):
     alpha, a, b, r, s = ps["alpha"], ps["a"], ps["b"], ps["r"], ps["s"]
     nalpha = engine.spec.negative_of(alpha)
     ab = engine.monoid.mul(a, b)
-    pairs, signs = [], []
+    chains, signs = [], []
     for j in range(min(r, s) + 1):
         for k in range(min(r, s) - j + 1):
             for m in range(min(r, s) - j - k + 1):
@@ -166,13 +166,12 @@ def rhs_4_3(engine, ps):
                 dm = divided_D(engine, nalpha, j, s - j - k - m, ab, b)
                 if not dm:
                     continue
-                pk = engine.p(alpha, k * Multiset.of(ab)) if k else engine.one()
                 dp = divided_D(engine, alpha, m, r - j - k - m, ab, a)
                 if not dp:
                     continue
-                pairs.append((engine.mul(dm, pk) if k else dm, dp))
+                chains.append((dm, engine.p(alpha, k * Multiset.of(ab)), dp) if k else (dm, dp))
                 signs.append(sign)
-    return engine.mul_sum(pairs, signs)
+    return engine.mul_sum(chains, signs)
 
 
 @functools.cache
@@ -260,7 +259,7 @@ def _pair_powers(engine, ps, jk_counts):
         factors.append(engine.divided_power(('x', lab), elt, n))
     factors.append(engine.divided_power(
         ('x', alpha), a, r - sum(j * n for (j, _), n in jk_counts)))
-    return engine.product(factors)
+    return engine.mul_sum((factors,))
 
 
 def pair_slots(shapes, r, s, label):

@@ -286,7 +286,7 @@ def sample_products(engine, gens, trials, seed, bounds):
     for _ in range(trials):
         k = rng.randint(1, gens)
         label, factors = zip(*[sample_generator(engine, rng, bounds, kinds) for _ in range(k)])
-        yield " ".join(label), engine.product(factors)
+        yield " ".join(label), engine.mul_sum((factors,))
 
 
 def _sampled_params(engine, bounds):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpbw import cli
 from superpbw import verify as ver
@@ -267,6 +269,37 @@ def test_a_count_too_large_for_an_index_exits_2(capsys, argv, what):
 def test_an_exponent_that_is_no_integer_is_named_once(capsys, expr, pos):
     code, out, err = run(capsys, "normalize", "--algebra", "sl2", expr)
     assert (code, out, err) == (2, "", "error: expected an integer (at position %d)\n" % pos)
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 400 + "x[a]{t}" + ")" * 400,
+    "x[a]{t}+(" * 400 + "x[a]{t}" + ")" * 400,
+    "(" * 1000,
+], ids=["group", "sum", "open"])
+def test_parentheses_nested_too_deep_exit_2(capsys, expr):
+    code, out, err = run(capsys, "normalize", "--algebra", "sl2", expr)
+    assert code == 2 and not out
+    assert err.startswith("error: parentheses nested deeper than 100 (at position ")
+    assert len(err.splitlines()) == 1
+
+
+def test_parentheses_nested_100_deep_parse(capsys):
+    code, out, err = run(capsys, "normalize", "--algebra", "sl2",
+                         "(" * 100 + "x[a]{t}" + ")" * 100)
+    assert (code, out, err) == (0, "1 x[a]{t}\n", "")
+
+
+TOKENS = ["x[a1]{t}", "x[-a1]{1}", "x[a2]{1}", "x[-a2]{t}", "x[a1+a2]{t^2}", "x[-a1-a2]{1}",
+          "h[1]{t}", "h[2]{1}", "p[1]{t:2}", "p[2]{}", "2", "1/2", "0", "1/0", BIG,
+          "+", "-", "(", ")", "^2", "^(3)", "^", "^-1", " ", "x[", "]", "{", "}", "x[zz]{t}",
+          "h[3]{t}", "p[1]{t:"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=12))
+def test_normalize_of_any_token_string_exits_0_or_2(tokens):
+    assert cli.main(["normalize", "--algebra", "sl21", "--monoid", "trunc:3", "--",
+                     "".join(tokens)]) in (0, 2)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,5 @@
-"""The coefficient kernels `Engine.product` (with `mul` and `mul_sum`),
-`to_divided`, `from_divided` and `Combination.sum` add integer numerators
+"""The coefficient kernels `Engine.mul_sum` (with `mul`), `to_divided`,
+`from_divided` and `Combination.sum` add integer numerators
 over one common denominator.  Here they are held to the per-term
 `Fraction` loops they replaced, kept below as references, on random
 elements whose coefficients mix denominators and sizes: the same terms in
@@ -8,6 +8,7 @@ integral."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from operator import itemgetter
 
@@ -164,35 +165,59 @@ def test_mul_sum_of_nothing_or_of_zeros_is_zero():
 @given(st.data())
 def test_product_is_the_left_fold_of_the_fraction_loop(data):
     """On the same six algebras: 0 to 4 random factors, zero elements and
-    Fraction coefficients among them.  The one-pass chain gives the terms,
-    term order and coefficient types of the nested products."""
+    Fraction coefficients among them.  mul_sum of the one chain gives the
+    terms, term order and coefficient types of the nested products, and of
+    several chains the sum of the per-chain products."""
     eng = data.draw(st.sampled_from(SUM_ENGINES))
     factors = data.draw(st.lists(elements(eng), max_size=4))
     want = factors[0] if factors else eng.one()
     for y in factors[1:]:
         want = UElem._wrap(ref_mul(eng, want, y))
-    assert_same(eng.product(factors), want.terms)
+    assert_same(eng.mul_sum((factors,)), want.terms)
+    chains = data.draw(st.lists(st.lists(elements(eng), max_size=3), max_size=3))
+    scalars = data.draw(st.none() | st.lists(st.sampled_from(COEFFS + [0]),
+                                             min_size=len(chains), max_size=len(chains)))
+    assert_same_element(eng.mul_sum(chains, scalars),
+                        UElem.sum([eng.mul_sum((chain,)) for chain in chains], scalars))
 
 
 def test_product_of_nothing_is_one_and_of_one_factor_is_the_factor():
     for eng in SUM_ENGINES:
         x = UElem({(eng.letter(eng.order.syms[0], (0,)),): Fraction(1, 2), (): 3})
-        assert_same(eng.product(()), eng.one().terms)
-        assert_same(eng.product([]), {(): 1})
-        assert_same(eng.product((x,)), x.terms)
-        assert_same(eng.product(iter([x])), x.terms)
+        assert_same(eng.mul_sum(((),)), eng.one().terms)
+        assert_same(eng.mul_sum([[]]), {(): 1})
+        assert_same(eng.mul_sum(((x,),)), x.terms)
+        assert_same(eng.mul_sum([iter([x])]), x.terms)
+
+
+def word_triples(eng, n, seed):
+    """n triples of canonical words of 1 to 3 letters, each a UElem."""
+    rng = random.Random(seed)
+    letters = [eng.letter(sym, a) for sym in eng.order.syms for a in eng.monoid.elements()]
+    def word():
+        return UElem({canonical_word(eng, rng.choices(letters, k=rng.randint(1, 3))): 1})
+    return [(word(), word(), word()) for _ in range(n)]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_letter_triples_multiply_associatively(name):
-    """(X Y) Z, X (Y Z) and the one-pass X Y Z agree for every triple of
-    letters over trunc:2."""
+    """(X Y) Z, X (Y Z) and mul_sum of the chain X Y Z agree for every
+    triple of letters over trunc:2, and for 300 random triples of canonical
+    words over trunc:3.  A two-chain mul_sum with scalars is the sum of its
+    per-chain products."""
     eng = Engine(preset(name), monoid_preset("trunc:2"))
     gens = [eng.gen_elem(sym, a) for sym in eng.order.syms for a in eng.monoid.elements()]
-    for x, y, z in itertools.product(gens, repeat=3):
-        xyz = eng.product((x, y, z))
-        assert eng.mul(eng.mul(x, y), z) == xyz
-        assert eng.mul(x, eng.mul(y, z)) == xyz
+    eng3 = Engine(preset(name), monoid_preset("trunc:3"))
+    words = word_triples(eng3, 300, seed=7)
+    for e, triples in ((eng, itertools.product(gens, repeat=3)), (eng3, words)):
+        for x, y, z in triples:
+            xyz = e.mul_sum(((x, y, z),))
+            assert e.mul(e.mul(x, y), z) == xyz
+            assert e.mul(x, e.mul(y, z)) == xyz
+    scalars = (Fraction(-3, 4), 2)
+    for x, y, z in words:
+        assert eng3.mul_sum(((x, y, z), (z, x)), scalars) == \
+            UElem.sum((eng3.mul_sum(((x, y, z),)), eng3.mul(z, x)), scalars)
 
 
 def test_an_odd_square_hands_mul_a_fraction_numerator():

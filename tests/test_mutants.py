@@ -5,16 +5,26 @@ so a check that stops catching its mutant shows here.
 
 The process-wide caches (the shared engines and their memos, p(chi), the
 block conversions, the Cartan-past-root plans) are cleared before and after each mutant: a mutant
-poisons every value computed while it is applied."""
+poisons every value computed while it is applied.
+
+Faults inside `Engine._straighten`'s closures are out of monkeypatch's reach.
+They are planted as source edits in a copy of the package, whose checks run
+in a child process; the tree itself is never edited."""
 
 import itertools
+import json
 import math
+import os
+import re
+import shutil
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from superpbw import algebra, combinatorics, engine, identities, verify
+from superpbw import algebra, cli, combinatorics, engine, identities, verify
 from superpbw.verify import SuiteConfig, SweepBounds, run_suite
 
 ALGEBRAS = ("sl2", "sl21", "osp12")
@@ -99,3 +109,44 @@ def test_each_mutant_is_caught_by_its_checks(monkeypatch, clean_caches, mutant):
     monkeypatch.setattr(mutant.target, mutant.attr, mutant.mutate(real))
     result = run_suite(config)
     assert result.counts["fail"] >= 1, mutant.name
+
+
+@dataclass(frozen=True)
+class SourceMutant:
+    name: str
+    module: str         # the file of the package that is edited
+    target: str         # text that occurs exactly once in it
+    replacement: str
+    config: dict        # the `verify --config` run that must catch it
+
+
+SOURCE_MUTANTS = (
+    SourceMutant("odd_swap_sign_dropped", "engine.py",
+                 "sign = -1 if (odd and odd_of[x]) else 1", "sign = 1",
+                 {"algebras": ["sl21", "osp12"], "identities": ["4.9", "4.10", "deg6"],
+                  "monoid": "trunc:3", "rmax": 2, "smax": 2, "mmax": 2, "chimax": 2}),
+    SourceMutant("split_guard_always_true", "engine.py",
+                 "if not any(passes(u, v[0]) for v, _ in sx):", "if True:",
+                 {"algebras": ["sl3"], "identities": ["L4.4a"], "monoid": "trunc:3",
+                  "rmax": 2, "smax": 2}),
+)
+
+
+@pytest.mark.parametrize("mutant", SOURCE_MUTANTS, ids=lambda m: m.name)
+def test_each_source_mutant_is_caught_by_its_checks(tmp_path, capsys, mutant):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(mutant.config))
+    assert cli.main(["verify", "--config", str(config)]) == 0     # the tree passes
+    shutil.copytree(os.path.dirname(engine.__file__), tmp_path / "superpbw",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "superpbw" / mutant.module
+    text = path.read_text()
+    assert text.count(mutant.target) == 1, mutant.target
+    path.write_text(text.replace(mutant.target, mutant.replacement))
+    child = subprocess.run([sys.executable, "-m", "superpbw", "verify", "--config", str(config)],
+                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                           capture_output=True, text=True)
+    assert child.returncode == 1, child.stderr
+    # a crash exits 1 too: the copy must have run every check to its summary
+    summary = child.stdout.splitlines()[-1]
+    assert re.fullmatch(r"SUMMARY checks=\d+ pass=\d+ fail=[1-9]\d* inapplicable=\d+", summary)
