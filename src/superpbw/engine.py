@@ -7,7 +7,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .combinatorics import Multiset, enumerate_sub, multinomial, pi_product
 
@@ -348,6 +348,9 @@ class Engine:
         self._insert_memo = {}
         self._p_memo = {}
         self._divpow_memo = {}
+        # by block function (block_to_divided, block_from_divided): block ->
+        # that function's tuple for it, on this engine's parities and monoid
+        self._blocks = {}
 
     # -- letters ---------------------------------------------------------
 
@@ -684,20 +687,44 @@ class Engine:
 
     def _convert(self, x, block_of, cls):
         """x in the other basis: each word split into its blocks on one symbol,
-        each block replaced by its alternatives (`block_of`), and each choice
-        of alternatives concatenated.  Blocks come in symbol order, so the
-        concatenation is their product.  x is put over its common
-        denominator once; to_divided's blocks have int coefficients, so its
-        sums run in ints."""
+        each block replaced by its alternatives (`block_of`, read through
+        this engine's table of it), and each choice of alternatives
+        concatenated.  Blocks come in symbol order, so the concatenation is
+        their product.  While every block so far has one alternative, the
+        word's one key and coefficient are extended in place; the first
+        block with several starts the list of partial products.  x is put
+        over its common denominator once; to_divided's blocks have int
+        coefficients, so its sums run in ints."""
         d, xs = over_common(x.terms)
+        table = self._blocks.setdefault(block_of, {})
+        parity, monoid = self._parity, self.monoid
         out = {}
         for w, c in xs:
-            acc = [((), c)]
-            for sym, letters in itertools.groupby(w, itemgetter(0)):
-                part = block_of(tuple(letters), self._parity[sym], self.monoid)
-                acc = [(k + w2, c1 * c2) for k, c1 in acc for w2, c2 in part]
-            for k, c1 in acc:
-                out[k] = out.get(k, 0) + c1
+            key, acc = (), None
+            i, n = 0, len(w)
+            while i < n:
+                sym = w[i][0]
+                j = i + 1
+                while j < n and w[j][0] == sym:
+                    j += 1
+                block = w[i:j]
+                part = table.get(block)
+                if part is None:
+                    part = table[block] = block_of(block, parity[sym], monoid)
+                if acc is None and len(part) == 1:
+                    (w2, c2), = part
+                    key += w2
+                    c *= c2
+                else:
+                    if acc is None:
+                        acc = [(key, c)]
+                    acc = [(k + w2, c1 * c2) for k, c1 in acc for w2, c2 in part]
+                i = j
+            if acc is None:
+                out[key] = out.get(key, 0) + c
+            else:
+                for k, c1 in acc:
+                    out[k] = out.get(k, 0) + c1
         return cls._wrap(divide(out.items(), d))
 
     def to_divided(self, x):

@@ -637,7 +637,8 @@ class SuiteConfig:
         SpecError naming the key."""
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # a syntax error, an int past the digit limit, or nesting too deep
             raise SpecError("bad suite config: %s" % e)
         if not isinstance(raw, dict):
             raise SpecError("suite config must be a JSON object")

@@ -425,6 +425,10 @@ def test_block_memo_covers_odd_and_cartan_blocks():
         block_to_divided(block, odd, eng.monoid)
     after = block_to_divided.cache_info()
     assert (after.hits, after.misses) == (before.hits + len(blocks), before.misses)
+    # a second conversion on the same engine reads the engine's own block
+    # table: it asks the process-wide cache for nothing
+    assert eng.to_divided(x) == df
+    assert block_to_divided.cache_info() == after
     assert df == make("sl21").to_divided(x)
 
 

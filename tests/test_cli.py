@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from superpbw import cli
 from superpbw import verify as ver
+from superpbw.algebra import SpecError
 from superpbw.cli import main
 from superpbw.coeffalg import MonoidError
 from superpbw.engine import Engine
@@ -493,6 +497,55 @@ def test_verify_bad_config_values_exit_2(tmp_path, capsys, config, key):
     assert code == 2
     assert err.startswith("error: suite config key %r" % key)
     assert out == ""
+
+
+# JSON values a suite config key may be given: wrong types, negative and
+# huge ints, empty and repeated lists, and nested lists and objects
+_LEAVES = (st.none() | st.booleans() | st.integers(-3, 5) | st.integers(min_value=10 ** 30)
+           | st.integers(max_value=-10 ** 30) | st.floats() | st.text(max_size=6)
+           | st.sampled_from(["sl2", "osp12", "trunc:2", "trunc:0", "poly", "4.2", "deg1"]))
+_VALUES = (st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+           | st.lists(st.sampled_from(["sl2", "osp12", "4.2", "deg1", "integrality"]), max_size=4))
+_CONFIGS = st.dictionaries(st.sampled_from(sorted(ver._CONFIG_KEYS) + ["nope"]), _VALUES,
+                           max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS)
+def test_any_suite_config_object_parses_or_is_refused_with_exit_2(raw):
+    """from_json returns a config or raises SpecError, never anything else;
+    `verify --config` exits 2 on each refused object with one error line.
+    An accepted config is not run: its sweep may be of any size."""
+    text = json.dumps(raw)
+    try:
+        ver.SuiteConfig.from_json(text)
+        return
+    except SpecError:
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "suite.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--config", path])
+    assert code == 2 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("text", ['{"seed": %s}' % ("7" * 5000),
+                                  '{"algebras": %s}' % ("[" * 100000 + "]" * 100000)],
+                         ids=["int-past-digit-limit", "nested-100000-deep"])
+def test_suite_config_past_the_json_parser_limits_exits_2(tmp_path, capsys, text):
+    with pytest.raises(SpecError, match="bad suite config"):
+        ver.SuiteConfig.from_json(text)
+    path = tmp_path / "suite.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad suite config: ")
 
 
 @pytest.mark.parametrize("argv, err", [

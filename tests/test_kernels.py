@@ -245,6 +245,56 @@ def test_mul_keeps_the_order_of_the_per_pair_products():
     assert list(eng.mul_sum([(x, y)]).terms) == list(eng.mul(x, y).terms)
 
 
+# warm engines, kept across the examples below: each example reads the block
+# tables that the earlier ones filled
+WARM = [Engine(preset(name), monoid_preset("trunc:4")) for name in PRESET_NAMES] + \
+    [Engine(preset("sl2"), monoid_preset("poly2"))]
+POLY2 = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+@st.composite
+def words_around_cartan(draw):
+    """(engine, element): 1-3 scaled words of 2-4 blocks each.  A Cartan
+    part of 2-4 letters on one or two h_i (h1 h1 h2 h2 and the like, whose
+    blocks have several alternatives) sits between an optional block on a
+    negative root and one on a positive root, of 1-2 letters on an even
+    root and one on an odd root (one alternative each)."""
+    eng = draw(st.sampled_from(WARM))
+    spec = eng.spec
+    elems = eng.monoid.elements() if eng.monoid.finite else POLY2
+    elem = st.sampled_from(elems)
+
+    def root_block(positive):
+        sym = ('x', draw(st.sampled_from([r.label for r in spec.roots if r.positive == positive])))
+        size = 1 if eng._parity[sym] else draw(st.integers(1, 2))
+        return [(sym, draw(elem)) for _ in range(size)]
+
+    def word():
+        cartan = draw(st.lists(st.tuples(st.integers(1, spec.rank).map(lambda i: ('h', i)), elem),
+                               min_size=2, max_size=4))
+        before = root_block(False) if draw(st.booleans()) else []
+        blocks = len({sym for sym, _ in cartan}) + bool(before)
+        after = root_block(True) if blocks < 2 or draw(st.booleans()) else []
+        return canonical_word(eng, before + cartan + after)
+
+    words = [(word(), draw(st.sampled_from(COEFFS))) for _ in range(draw(st.integers(1, 3)))]
+    return eng, UElem(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_around_cartan())
+def test_one_alternative_blocks_around_cartan_blocks_match_the_cross_product(case):
+    """On warm engines: the terms, their order and the coefficient types of
+    the cross product of every block's alternatives.  Clearing a returned
+    element changes no later conversion."""
+    eng, x = case
+    want = ref_convert(eng, x, block_to_divided)
+    df = eng.to_divided(x)
+    assert_same(df, want)
+    df.terms.clear()
+    assert_same(eng.to_divided(x), want)
+
+
 def test_blocks_with_several_alternatives_keep_their_order():
     # two Cartan blocks of two letters each, on sl21 (rank 2): both the block
     # over the divided basis and its expansion have two terms

@@ -7,9 +7,11 @@ The process-wide caches (the shared engines and their memos, p(chi), the
 block conversions, the Cartan-past-root plans) are cleared before and after each mutant: a mutant
 poisons every value computed while it is applied.
 
-Faults inside `Engine._straighten`'s closures are out of monkeypatch's reach.
-They are planted as source edits in a copy of the package, whose checks run
-in a child process; the tree itself is never edited."""
+Faults inside a function's body (`Engine._straighten`'s closures, the
+recursion of `_cartan_p`, the loop of `Engine._convert`) are out of
+monkeypatch's reach.  They are planted as source edits in a copy of the
+package, whose checks run in a child process; the tree itself is never
+edited."""
 
 import itertools
 import json
@@ -129,6 +131,17 @@ SOURCE_MUTANTS = (
                  "if not any(passes(u, v[0]) for v, _ in sx):", "if True:",
                  {"algebras": ["sl3"], "identities": ["L4.4a"], "monoid": "trunc:3",
                   "rmax": 2, "smax": 2}),
+    SourceMutant("cartan_p_sign", "engine.py", "Fraction(-c, n)", "Fraction(c, n)",
+                 {"algebras": ["sl2", "osp12"], "identities": ["4.3", "4.4", "4.5", "L4.3", "4.7"],
+                  "monoid": "trunc:3", "rmax": 2, "smax": 2, "mmax": 2, "chimax": 2}),
+    # deg2 catches it only once chi can hold three elements
+    SourceMutant("cartan_p_no_multinomial", "engine.py", "m = multinomial(psi)", "m = 1",
+                 {"algebras": ["sl2", "osp12"], "identities": ["4.4", "4.5", "L5.2", "deg2"],
+                  "monoid": "trunc:3", "rmax": 2, "smax": 2, "mmax": 2, "chimax": 3}),
+    # to_divided's one-alternative path keeps a word's key but not its factor
+    SourceMutant("one_alternative_coefficient_dropped", "engine.py", "c *= c2", "c *= 1",
+                 {"algebras": ["sl2", "sl21", "osp12"], "identities": ["integrality", "triangular"],
+                  "monoid": "trunc:3", "smax": 2, "chimax": 2, "integrality_trials": 20}),
 )
 
 
