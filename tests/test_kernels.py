@@ -38,6 +38,7 @@ def odd_square_spec():
 
 ENGINES = [Engine(spec, monoid_preset("trunc:3"))
            for spec in (preset("sl2"), preset("sl21"), preset("osp12"), odd_square_spec())]
+SUM_ENGINES = ENGINES + [Engine(preset(a), monoid_preset("trunc:3")) for a in ("sl3", "sp4")]
 
 
 # -- the per-term Fraction loops the kernels replaced --------------------------
@@ -103,17 +104,51 @@ def assert_same(got, want):
 
 
 @st.composite
+def words_around_cartan(draw, eng):
+    """1-3 scaled words of 2-4 blocks each.  A Cartan part of 2-4 letters on
+    one or two h_i (h1 h1 h2 h2 and the like, whose blocks have several
+    alternatives) sits between an optional block on a negative root and one
+    on a positive root, of 1-2 letters on an even root and one on an odd
+    root (one alternative each)."""
+    spec = eng.spec
+    elem = st.sampled_from(eng.monoid.elements())
+
+    def root_block(positive):
+        sym = ('x', draw(st.sampled_from([r.label for r in spec.roots if r.positive == positive])))
+        size = 1 if eng._parity[sym] else draw(st.integers(1, 2))
+        return [(sym, draw(elem)) for _ in range(size)]
+
+    def word():
+        cartan = draw(st.lists(st.tuples(st.integers(1, spec.rank).map(lambda i: ('h', i)), elem),
+                               min_size=2, max_size=4))
+        before = root_block(False) if draw(st.booleans()) else []
+        blocks = len({sym for sym, _ in cartan}) + bool(before)
+        after = root_block(True) if blocks < 2 or draw(st.booleans()) else []
+        return canonical_word(eng, before + cartan + after)
+
+    return UElem([(word(), draw(st.sampled_from(COEFFS))) for _ in range(draw(st.integers(1, 3)))])
+
+
+@st.composite
 def engine_and_data(draw):
-    eng = draw(st.sampled_from(ENGINES))
-    return eng, draw(elements(eng)), draw(elements(eng)), draw(elements(eng, DividedForm))
+    eng = draw(st.sampled_from(SUM_ENGINES))
+    x = draw(elements(eng) | words_around_cartan(eng))
+    return eng, x, draw(elements(eng)), draw(elements(eng, DividedForm))
 
 
 @settings(max_examples=300, deadline=None)
 @given(engine_and_data())
 def test_mul_and_conversions_match_the_fraction_loops(data):
+    """The engines stay warm across examples, so later ones read the block
+    tables that earlier ones filled; clearing a returned element changes no
+    later conversion."""
     eng, x, y, df = data
     assert_same(eng.mul(x, y), ref_mul(eng, x, y))
-    assert_same(eng.to_divided(x), ref_convert(eng, x, block_to_divided))
+    want = ref_convert(eng, x, block_to_divided)
+    got = eng.to_divided(x)
+    assert_same(got, want)
+    got.terms.clear()
+    assert_same(eng.to_divided(x), want)
     assert_same(eng.from_divided(df), ref_convert(eng, df, block_from_divided))
 
 
@@ -126,9 +161,6 @@ def test_sum_matches_the_fraction_loop(data):
                                              min_size=len(elems), max_size=len(elems) + 1))
     assert_same(UElem.sum(elems, scalars), ref_sum(elems, scalars))
     assert_same(UElem.sum(iter(elems)), ref_sum(elems))
-
-
-SUM_ENGINES = ENGINES + [Engine(preset(a), monoid_preset("trunc:3")) for a in ("sl3", "sp4")]
 
 
 def assert_same_element(got, want):
@@ -243,56 +275,6 @@ def test_mul_keeps_the_order_of_the_per_pair_products():
     assert_same(eng.mul(x, y), ref_mul(eng, x, y))
     assert list(eng.mul(x, y).terms) == [(xa2, xa12, h1), (xa1, xa2, xa12), (xa2, xa12)]
     assert list(eng.mul_sum([(x, y)]).terms) == list(eng.mul(x, y).terms)
-
-
-# warm engines, kept across the examples below: each example reads the block
-# tables that the earlier ones filled
-WARM = [Engine(preset(name), monoid_preset("trunc:4")) for name in PRESET_NAMES] + \
-    [Engine(preset("sl2"), monoid_preset("poly2"))]
-POLY2 = [(0, 0), (1, 0), (0, 1), (1, 1)]
-
-
-@st.composite
-def words_around_cartan(draw):
-    """(engine, element): 1-3 scaled words of 2-4 blocks each.  A Cartan
-    part of 2-4 letters on one or two h_i (h1 h1 h2 h2 and the like, whose
-    blocks have several alternatives) sits between an optional block on a
-    negative root and one on a positive root, of 1-2 letters on an even
-    root and one on an odd root (one alternative each)."""
-    eng = draw(st.sampled_from(WARM))
-    spec = eng.spec
-    elems = eng.monoid.elements() if eng.monoid.finite else POLY2
-    elem = st.sampled_from(elems)
-
-    def root_block(positive):
-        sym = ('x', draw(st.sampled_from([r.label for r in spec.roots if r.positive == positive])))
-        size = 1 if eng._parity[sym] else draw(st.integers(1, 2))
-        return [(sym, draw(elem)) for _ in range(size)]
-
-    def word():
-        cartan = draw(st.lists(st.tuples(st.integers(1, spec.rank).map(lambda i: ('h', i)), elem),
-                               min_size=2, max_size=4))
-        before = root_block(False) if draw(st.booleans()) else []
-        blocks = len({sym for sym, _ in cartan}) + bool(before)
-        after = root_block(True) if blocks < 2 or draw(st.booleans()) else []
-        return canonical_word(eng, before + cartan + after)
-
-    words = [(word(), draw(st.sampled_from(COEFFS))) for _ in range(draw(st.integers(1, 3)))]
-    return eng, UElem(words)
-
-
-@settings(max_examples=300, deadline=None)
-@given(words_around_cartan())
-def test_one_alternative_blocks_around_cartan_blocks_match_the_cross_product(case):
-    """On warm engines: the terms, their order and the coefficient types of
-    the cross product of every block's alternatives.  Clearing a returned
-    element changes no later conversion."""
-    eng, x = case
-    want = ref_convert(eng, x, block_to_divided)
-    df = eng.to_divided(x)
-    assert_same(df, want)
-    df.terms.clear()
-    assert_same(eng.to_divided(x), want)
 
 
 def test_blocks_with_several_alternatives_keep_their_order():
