@@ -529,36 +529,25 @@ class Engine:
                     out = None
         return out
 
-    def _fold(self, terms, letters, scratch):
-        """terms (canonical code words) times the letter codes, one at a
-        time; scratch is the sub-product table of the calling product."""
-        for L in letters:
-            nxt = {}
-            for w, c in terms.items():
-                for w2, c2 in self._insert(w, L, scratch):
-                    nxt[w2] = nxt.get(w2, 0) + c * c2
-            terms = {w: c for w, c in nxt.items() if c}
-        return terms
-
     def _fold_into(self, out, xs, ys, scratch):
         """Add x y into out, for x and y as (code word, numerator) pairs, the
         words of x canonical: each word of x, times the numerator of a word
-        of y, is folded through that word on its own.  Folding all of x at
-        once would merge intermediate words of different terms, and a
-        cancellation there reorders the output terms."""
-        fold = self._fold
+        of y, is multiplied by that word's letter codes one at a time on its
+        own, scratch being the sub-product table of the calling product.
+        Folding all of x at once would merge intermediate words of different
+        terms, and a cancellation there reorders the output terms."""
         for wy, cy in ys:
             for wx, cx in xs:
-                for w, c in fold({wx: cx * cy}, wy, scratch).items():
+                terms = {wx: cx * cy}
+                for L in wy:
+                    nxt = {}
+                    for w, c in terms.items():
+                        for w2, c2 in self._insert(w, L, scratch):
+                            nxt[w2] = nxt.get(w2, 0) + c * c2
+                    terms = {w: c for w, c in nxt.items() if c}
+                for w, c in terms.items():
                     out[w] = out.get(w, 0) + c
         return out
-
-    def _numerators(self, x):
-        """(d, pairs) for x: its common denominator d (`over_common`) and its
-        (code word, numerator) pairs."""
-        d, xs = over_common(x.terms)
-        encode = self._encode
-        return d, [(encode(w), c) for w, c in xs]
 
     def normalize(self, letters, coeff=1):
         """Expand a product of letters in the canonical PBW basis."""
@@ -584,13 +573,14 @@ class Engine:
         Scaling changes no zero test, so one chain's terms come in the
         nested `mul`s' order."""
         unit = [((), 1)]
+        encode = self._encode
         parts = []
         for chain in chains:
             dk, factors = 1, []
             for y in chain:
-                dy, ys = self._numerators(y)
+                dy, ys = over_common(y.terms)
                 dk *= dy
-                factors.append(ys)
+                factors.append([(encode(w), c) for w, c in ys])
             parts.append((dk, factors + [unit] * (2 - len(factors))))
         ds, ss = scalars_over_common(scalars, len(parts))
         d = math.lcm(*[p[0] for p in parts])
@@ -619,9 +609,9 @@ class Engine:
         """(x (x) a)^(r) = (x (x) a)^r / r!, expanded to plain powers."""
         if r < 0:
             raise AlgebraError("negative divided power")
+        sym, aelt = self.letter(sym, aelt)
         if r == 0:
             return self.one()
-        sym, aelt = self.letter(sym, aelt)
         key = (sym, aelt, r)
         hit = self._divpow_memo.get(key)
         if hit is None:
@@ -646,7 +636,10 @@ class Engine:
         return seen
 
     def super_comm(self, x, y):
-        """[x, y] = xy - (-1)^{|x||y|} yx for parity-homogeneous arguments."""
+        """[x, y] = xy - (-1)^{|x||y|} yx for parity-homogeneous arguments,
+        0 when either is 0."""
+        if not x or not y:
+            return UElem()
         px, py = self.parity_of(x), self.parity_of(y)
         if px is None or py is None:
             raise AlgebraError("super commutator needs parity-homogeneous arguments")

@@ -1,8 +1,10 @@
 """Expression grammar for the CLI and golden files, plus the canonical
-printers.  Letters are x[<label>]{<elt>} and h[<i>]{<elt>} with ^r plain and
-^(r) divided powers; p[<i>]{elt:mult,...} builds Cartan elements; products by
-juxtaposition; rational scalars; + - and parentheses.  A multiset lists
-elt:mult entries, a bare elt counting once; empty or 0 is the empty one."""
+printers.  Letters are x[<label>]{<elt>} and h[<i>]{<elt>};
+p[<i>]{elt:mult,...} builds Cartan elements; products by juxtaposition;
+rational scalars; + - and parentheses.  A letter or a parenthesised group
+takes ^r plain and ^(r) divided powers, a letter being checked whatever its
+exponent.  A multiset lists elt:mult entries, a bare elt counting once;
+empty or 0 is the empty one."""
 
 import math
 import re
@@ -111,7 +113,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             self.depth -= 1
-            return self.power_suffix_group(inner)
+            return self.power(inner)
         if ch == "x" or ch == "h":
             return self.letter(ch)
         if ch == "p":
@@ -128,27 +130,25 @@ class _Parser:
         except ValueError as e:
             raise ParseError(str(e), start) from None
 
-    def power_suffix(self):
-        """Returns (exponent, divided?) or (1, False)."""
+    def power(self, base):
+        """base^r (r >= 0) as the chain of r copies of base, or base^(r) as
+        that over r!; base itself when no power follows or r is 1."""
         self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "^":
+        if not self.text.startswith("^", self.pos):
+            return base
+        self.pos += 1
+        divided = self.peek() == "("
+        if divided:
             self.pos += 1
-            if self.peek() == "(":
-                self.pos += 1
-                r = self.exponent()
-                self.expect(")")
-                return r, True
-            return self.exponent(), False
-        return 1, False
-
-    def power_suffix_group(self, inner):
-        r, divided = self.power_suffix()
+        r = self.exponent()
+        if divided:
+            self.expect(")")
         if r < 0:
             self.error("negative power")
-        acc = self.engine.mul_sum(((inner,) * r,))
-        if divided:
-            acc = Fraction(1, math.factorial(r)) * acc
-        return acc
+        if r == 1:
+            return base
+        acc = self.engine.mul_sum(((base,) * r,))
+        return Fraction(1, math.factorial(r)) * acc if divided else acc
 
     def letter(self, kind):
         self.pos += 1
@@ -169,12 +169,7 @@ class _Parser:
                 self.error("unknown root label %r in algebra %s"
                            % (label, self.engine.spec.name))
             sym = ('x', label)
-        r, divided = self.power_suffix()
-        if r < 0:
-            self.error("negative power")
-        if divided:
-            return self.engine.divided_power(sym, aelt, r)
-        return self.engine.normalize([(sym, aelt)] * r)
+        return self.power(self.engine.normalize([(sym, aelt)]))
 
     def pelem(self):
         self.pos += 1

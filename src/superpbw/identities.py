@@ -417,8 +417,6 @@ def rhs_4_12(engine, ps):
     for k in range(1, len(eps) + 1):
         sign *= eps[k - 1]
         lab = spec.root_sum(alpha, gamma, k, 1)
-        if lab is None:
-            break
         elt = mon.mul(mon.power(a, k), b)
         if elt is None:
             continue

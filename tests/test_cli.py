@@ -337,6 +337,55 @@ def test_pelem_refuses_both_i_and_alpha(capsys):
     assert code == 2 and not out and "--i" in err and "--alpha" in err
 
 
+@pytest.mark.parametrize("expr, msg", [
+    ("h[x]{t}", "h wants a Cartan index (at position 7)"),
+    ("p[x]{t}", "p wants a Cartan index (at position 4)"),
+    ("x[a]{q}", "cannot parse 'q' as an element of poly (at position 7)"),
+    ("x[a]{t}^-1", "negative power (at position 10)"),
+    ("x[a]{t}^(-1)", "negative power (at position 12)"),
+    ("(x[a]{t})^-1", "negative power (at position 12)"),
+    ("h[9]{t}^0", "no Cartan generator h9 in sl2"),
+    ("h[9]{t}^(0)", "no Cartan generator h9 in sl2"),
+])
+def test_normalize_refusals_name_the_fault(capsys, expr, msg):
+    code, out, err = run(capsys, "normalize", "--algebra", "sl2", expr)
+    assert (code, out, err) == (2, "", "error: %s\n" % msg)
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (("verify",), "verify wants --algebra or --config"),
+    (("pelem", "--algebra", "sl2"), "pelem wants --i <cartan index> or --alpha <root label>"),
+])
+def test_a_command_missing_its_operand_exits_2(capsys, argv, msg):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % msg)
+
+
+def test_a_suite_config_that_is_no_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, out, err) == (2, "", "error: suite config must be a JSON object\n")
+
+
+@pytest.mark.parametrize("old, new, msg", [
+    ("cartan 1", "cartan x", "line 2: cartan wants a rank"),
+    ("  a even 2 neg", "  a even z neg", "line 4: bad evaluation vector"),
+    ("coroots\n  a 1\n", "coroots\n  a z\n", "line 7: bad coroot vector"),
+    ("coroots\n  a 1\n", "coroots\n  a 1 2\n", "line 7: coroot wants 1 integers"),
+    ("x[a] = h1 -1", "x[a] = h1 z", "line 12: bad integer 'z'"),
+    ("  -a even -2 neg", "  -a even 2 neg", "roots a and -a share the evaluation vector (2,)"),
+], ids=["rank", "evaluation", "coroot", "coroot-length", "bracket", "shared-evaluation"])
+def test_validate_spec_refuses_a_malformed_table(tmp_path, capsys, old, new, msg):
+    with open(os.path.join(DATA, "sl2.alg")) as f:
+        table = f.read()
+    assert old in table
+    path = tmp_path / "bad.alg"
+    path.write_text(table.replace(old, new))
+    code, out, err = run(capsys, "validate-spec", "--algebra", str(path))
+    assert (code, out, err) == (2, "", "error: %s\n" % msg)
+
+
 def test_validate_spec_preset(capsys):
     code, out, _ = run(capsys, "validate-spec", "--algebra", "sl21")
     assert code == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpbw.algebra import SuperAlgebraSpec, preset
+from superpbw.algebra import SpecError, SuperAlgebraSpec, preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset
 from superpbw.engine import AlgebraError, Combination, DividedForm, Engine, NEG_INF, Order, \
@@ -105,6 +105,25 @@ def test_symbols_outside_the_order_raise_algebra_error():
     sl2 = make("sl2")
     with pytest.raises(AlgebraError, match=r"symbol \('h', 3\) is not in the order"):
         sl2.mul(sl2.gen_elem(('x', 'a'), T), UElem({((('h', 3), T),): 1}))
+
+
+def test_divided_power_checks_its_letter_at_r_0(sl2):
+    with pytest.raises(AlgebraError, match="no Cartan generator h9 in sl2"):
+        sl2.divided_power(('h', 9), T, 0)
+    with pytest.raises(SpecError, match="unknown root label 'zz'"):
+        sl2.divided_power(('x', 'zz'), T, 0)
+    assert sl2.divided_power(('x', 'a'), T, 0) == sl2.one()
+
+
+def test_super_comm_of_zero_is_zero(sl21):
+    even, odd = sl21.gen_elem(('x', 'a1'), T), sl21.gen_elem(('x', 'a2'), ONE)
+    for x in (even, odd, even + odd, UElem()):
+        assert sl21.super_comm(UElem(), x) == UElem()
+        assert sl21.super_comm(x, UElem()) == UElem()
+    with pytest.raises(AlgebraError, match="needs parity-homogeneous arguments"):
+        sl21.super_comm(even + odd, odd)
+    with pytest.raises(AlgebraError, match="needs parity-homogeneous arguments"):
+        sl21.super_comm(even, even + odd)
 
 
 def test_degree_of_p(sl2):

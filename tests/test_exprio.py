@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
-from superpbw.engine import Engine
+from superpbw.engine import AlgebraError, Engine
 from superpbw.combinatorics import Multiset
 from superpbw.exprio import ParseError, divided_str, parse_expr, parse_mset, uelem_str, \
     word_str
@@ -86,6 +87,27 @@ def test_parse_errors(sl2):
     with pytest.raises(ParseError) as e:
         parse_expr(sl2, "x[a]{t} junk")
     assert e.value.pos >= 8
+
+
+@pytest.mark.parametrize("text", ["x[a]{t}", "x[a]{t} x[-a]{1}", "x[a]{t} + 2 h[1]{t^2}",
+                                  "1/2 x[-a]{t} - h[1]{1} + 3"])
+def test_a_group_takes_a_divided_power(sl2, text):
+    for r in range(5):
+        assert parse_expr(sl2, "(%s)^(%d)" % (text, r)) == \
+            Fraction(1, math.factorial(r)) * parse_expr(sl2, "(%s)^%d" % (text, r))
+
+
+def test_a_letter_and_its_group_take_the_same_powers(sl2):
+    for suffix in ("", "^0", "^1", "^3", "^(0)", "^(1)", "^(3)"):
+        assert parse_expr(sl2, "(x[a]{t})" + suffix) == parse_expr(sl2, "x[a]{t}" + suffix)
+    assert parse_expr(sl2, "x[a]{t}^(3)") == sl2.divided_power(('x', 'a'), T, 3)
+
+
+@pytest.mark.parametrize("suffix", ["", "^0", "^(0)", "^1", "^(1)", "^2", "^(2)"])
+def test_a_letter_is_checked_whatever_its_exponent(sl2, suffix):
+    for text in ("h[9]{t}", "(h[9]{t})"):
+        with pytest.raises(AlgebraError, match="no Cartan generator h9 in sl2"):
+            parse_expr(sl2, text + suffix)
 
 
 def test_parse_zero_denominator(sl2):

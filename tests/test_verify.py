@@ -16,6 +16,8 @@ from superpbw.engine import Engine, UElem
 from superpbw.verify import IDENTITIES, SuiteConfig, SweepBounds, genfun_counts, \
     get_engine, load_engine, run_suite, sweep_identity, verify_identity
 
+from test_kernels import odd_square_spec
+
 ONE, T, T2 = (0,), (1,), (2,)
 DEG_IDS = tuple("deg%d" % n for n in range(1, 8))
 
@@ -39,6 +41,16 @@ def test_4_9_on_sl21():
     eng = get_engine("sl21")
     rep = verify_identity(eng, "4.9", {"gamma": "a2", "a": T, "b": ONE})
     assert rep.verdict == "pass"
+
+
+def test_4_8_fails_on_an_odd_square():
+    # z_gamma is half of c_{gamma,gamma}: a table whose odd square is 3 fails
+    # every instance and names the constant
+    eng = Engine(odd_square_spec(), monoid_preset("trunc:3"))
+    reps = sweep_identity(eng, "4.8")
+    assert len(reps) == 6 and {r.verdict for r in reps} == {"fail"}
+    rep = verify_identity(eng, "4.8", {"gamma": "g", "a": ONE})
+    assert rep.verdict == "fail" and "c_{g,g} = 3 is odd" in rep.detail
 
 
 def test_4_11_gating():
