@@ -420,22 +420,24 @@ class Engine:
             self._brackets[u, x] = out
         return out
 
-    def _insert(self, word, letter, scratch):
+    def _insert(self, word, letter, call):
         """word * letter, for a sorted code word and a letter code, as a tuple
-        of (sorted code word, coeff) pairs; memoized in the engine for the
-        pairs that a product folds in.  A memo hit, the common case on a warm
-        engine, sets up none of _straighten's closures."""
-        memo_key = (word, letter)
-        out = self._insert_memo.get(memo_key)
-        if out is None:
-            out = self._insert_memo[memo_key] = self._straighten(word, letter, scratch)
+        of (sorted code word, coeff) pairs, on a miss of `_insert_memo`
+        (`_fold_into` reads the memo itself), stored there.  `call` holds
+        the solver of the calling mul_sum call (`_straighten`), built on that
+        call's first miss, so no other miss sets up closures."""
+        if not call:
+            call.append(self._straighten())
+        out = self._insert_memo[word, letter] = call[0](word, letter)
         return out
 
-    def _straighten(self, word, letter, scratch):
-        """word * letter on code words: a word is the tuple of the codes of
-        its letters (`_code`), so every hash and equality test of the core
-        reads small ints.  Codes follow first sight, not letter order; order
-        is read from the key table, and brackets from the bracket table.
+    def _straighten(self):
+        """The solver of one mul_sum call: a function of (word, letter) that
+        returns word * letter on code words.  A word is the tuple of the
+        codes of its letters (`_code`), so every hash and equality test of
+        the core reads small ints.  Codes follow first sight, not letter
+        order; order is read from the key table, and brackets from the
+        bracket table.
 
         L passes the letters that sort after it, or equal it when it is odd;
         in a canonical word they form a suffix S of word = P S.  Every
@@ -454,24 +456,23 @@ class Engine:
         letters than word L, except top(pre L) u, which is a trivial append,
         so the recursion ends.  It runs on an explicit stack of generator
         frames, each of which yields the sub-products it needs and is sent
-        their values, so its depth is not the interpreter's.  `scratch`,
-        owned by one mul_sum call, holds every product solved so far, suffix
-        products included.  The bracket constants are integers, so the
-        coefficients stay ints unless an odd square has an odd constant.
+        their values, so its depth is not the interpreter's.  The solver's
+        scratch table, which lives as long as the mul_sum call that built
+        it, holds every product solved so far, suffix products included.
+        The bracket constants are integers, so the coefficients stay ints
+        unless an odd square has an odd constant.
         """
         keys, odd_of = self._keys, self._odd
         brackets, bracket = self._brackets, self._bracket
         key_of = keys.__getitem__
-
-        def passes(u, x):
-            """Whether x moves left past u: u sorts after x, or equals it
-            and is odd."""
-            return odd_of[x] if u == x else keys[u] > keys[x]
+        scratch = {}
 
         def known(w, x):
             """w x when it needs no frame: a trivial append, or a product
-            solved before in this call; else None."""
-            if w and passes(w[-1], x):
+            solved before in this call; else None.  x passes (moves left
+            past) w's last letter when that sorts after x, or equals it and
+            is odd."""
+            if w and (odd_of[x] if w[-1] == x else keys[w[-1]] > keys[x]):
                 return scratch.get((w, x))
             return ((w + (x,), 1),)
 
@@ -483,10 +484,15 @@ class Engine:
                 w, keys[x], 0, len(w) - 1, key=key_of)
             if n:
                 p, s = w[:n], w[n:]
-                sub = known(s, x)
-                sx = (yield s, x) if sub is None else sub
+                sx = scratch.get((s, x))        # x passes s[-1] = w[-1]
+                if sx is None:
+                    sx = yield s, x
                 u = p[-1]
-                if not any(passes(u, v[0]) for v, _ in sx):
+                ou, ku = odd_of[u], keys[u]
+                for v, _ in sx:
+                    if ou if v[0] == u else ku > keys[v[0]]:     # v[0] passes u
+                        break
+                else:
                     out = scratch[w, x] = tuple([(p + v, c) for v, c in sx])
                     return out
             pre, u = w[:-1], w[-1]
@@ -504,7 +510,7 @@ class Engine:
                         w2 = w1 + (u,)      # a trivial append, as for top(pre x)
                         acc[w2] = acc.get(w2, 0) + c1
                         continue
-                    sub = known(w1, u)
+                    sub = scratch.get((w1, u))      # u passes w1[-1]
                     for w2, c2 in (yield w1, u) if sub is None else sub:
                         acc[w2] = acc.get(w2, 0) + c1 * c2
             terms = brackets.get((u, x))
@@ -515,37 +521,52 @@ class Engine:
             out = scratch[w, x] = tuple([item for item in acc.items() if item[1]])
             return out
 
-        out = known(word, letter)
-        if out is None:
-            stack = [frame(word, letter)]
-            while stack:
-                try:
-                    req = stack[-1].send(out)
-                except StopIteration as done:
-                    out = done.value
-                    stack.pop()
-                else:
-                    stack.append(frame(*req))
-                    out = None
-        return out
+        def solve(word, letter):
+            out = known(word, letter)
+            if out is None:
+                stack = [frame(word, letter)]
+                while stack:
+                    try:
+                        req = stack[-1].send(out)
+                    except StopIteration as done:
+                        out = done.value
+                        stack.pop()
+                    else:
+                        stack.append(frame(*req))
+                        out = None
+            return out
+        return solve
 
-    def _fold_into(self, out, xs, ys, scratch):
+    def _fold_into(self, out, xs, ys, call):
         """Add x y into out, for x and y as (code word, numerator) pairs, the
         words of x canonical: each word of x, times the numerator of a word
         of y, is multiplied by that word's letter codes one at a time on its
-        own, scratch being the sub-product table of the calling product.
-        Folding all of x at once would merge intermediate words of different
-        terms, and a cancellation there reorders the output terms."""
+        own, through `_insert_memo` and, on a miss, `_insert` with `call`,
+        the solver slot of the calling product.  A one-term partial product
+        stays a list: its words are distinct, and none of its coefficients
+        is zero.  Folding all of x at once would merge intermediate words of
+        different terms, and a cancellation there reorders the output terms."""
+        memo = self._insert_memo
         for wy, cy in ys:
             for wx, cx in xs:
-                terms = {wx: cx * cy}
+                terms = [(wx, cx * cy)]
                 for L in wy:
+                    if len(terms) == 1:
+                        (w, c), = terms
+                        got = memo.get((w, L))
+                        if got is None:
+                            got = self._insert(w, L, call)
+                        terms = [(w2, c * c2) for w2, c2 in got]
+                        continue
                     nxt = {}
-                    for w, c in terms.items():
-                        for w2, c2 in self._insert(w, L, scratch):
+                    for w, c in terms:
+                        got = memo.get((w, L))
+                        if got is None:
+                            got = self._insert(w, L, call)
+                        for w2, c2 in got:
                             nxt[w2] = nxt.get(w2, 0) + c * c2
-                    terms = {w: c for w, c in nxt.items() if c}
-                for w, c in terms.items():
+                    terms = [item for item in nxt.items() if item[1]]
+                for w, c in terms:
                     out[w] = out.get(w, 0) + c
         return out
 
@@ -569,7 +590,8 @@ class Engine:
         factor is scaled to the lcm d of the d_k.  A chain's partial product
         stays code words, its zero terms dropped after each factor, and only
         its last factor folds into the output that every chain shares, with
-        one sub-product table; that output is decoded and divided by d once.
+        one solver and its sub-product table, built on the call's first memo
+        miss (`_insert`); that output is decoded and divided by d once.
         Scaling changes no zero test, so one chain's terms come in the
         nested `mul`s' order."""
         unit = [((), 1)]
@@ -584,15 +606,15 @@ class Engine:
             parts.append((dk, factors + [unit] * (2 - len(factors))))
         ds, ss = scalars_over_common(scalars, len(parts))
         d = math.lcm(*[p[0] for p in parts])
-        out, scratch = {}, {}
+        out, call = {}, []
         for (dk, (xs, *mid, ys)), s in zip(parts, ss):
             scale = d // dk * s
             if scale:
                 if scale != 1:
                     xs = [(w, c * scale) for w, c in xs]
                 for ms in mid:
-                    xs = [item for item in self._fold_into({}, xs, ms, scratch).items() if item[1]]
-                self._fold_into(out, xs, ys, scratch)
+                    xs = [item for item in self._fold_into({}, xs, ms, call).items() if item[1]]
+                self._fold_into(out, xs, ys, call)
         return UElem._wrap(divide([(self._decode(w), n) for w, n in out.items() if n], d * ds))
 
     def scalar(self, c):

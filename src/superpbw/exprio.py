@@ -253,10 +253,19 @@ def _join_terms(pairs, multiline):
 
 
 def uelem_str(engine, x, multiline=False):
-    """x term by term in word order, each word's runs formed once."""
-    terms = sorted(((word_runs(w), c) for w, c in x.terms.items()),
-                   key=lambda t: engine.runs_key(t[0]))
-    return _join_terms([(c, runs_str(engine, runs)) for runs, c in terms], multiline)
+    """x term by term in word order, each word's runs formed once and the
+    sort key and text of each run (letter, exponent) built once per call."""
+    table, terms = {}, []
+    for w, c in x.terms.items():
+        parts = []
+        for run in word_runs(w):
+            part = table.get(run)
+            if part is None:
+                part = table[run] = (engine._key(run[0]), run[1]), letter_str(engine, *run)
+            parts.append(part)
+        terms.append((tuple([k for k, _ in parts]), c, " ".join([t for _, t in parts]) or "1"))
+    terms.sort(key=itemgetter(0))
+    return _join_terms([(c, text) for _, c, text in terms], multiline)
 
 
 def mset_str(engine, pairs):
@@ -277,15 +286,17 @@ def divided_blocks(engine, key):
     return tuple((rank, sym, tuple(runs)) for rank, sym, runs in blocks)
 
 
+def block_str(engine, block):
+    """One block of `divided_blocks` as text."""
+    _, sym, runs = block
+    if sym[0] == 'h':
+        return "p[%d]{%s}" % (sym[1], mset_str(engine, runs))
+    return " ".join([letter_str(engine, (sym, a), e, divided=True) for a, e in runs])
+
+
 def blocks_str(engine, blocks):
     """A divided-basis key, given by its blocks (`divided_blocks`), as text."""
-    parts = []
-    for _, sym, runs in blocks:
-        if sym[0] == 'h':
-            parts.append("p[%d]{%s}" % (sym[1], mset_str(engine, runs)))
-        else:
-            parts += [letter_str(engine, (sym, a), e, divided=True) for a, e in runs]
-    return " ".join(parts) or "1"
+    return " ".join([block_str(engine, b) for b in blocks]) or "1"
 
 
 def divided_key_str(engine, key):
@@ -293,7 +304,14 @@ def divided_key_str(engine, key):
 
 
 def divided_str(engine, df, multiline=False):
-    """df term by term in block order, each key's blocks formed once."""
+    """df term by term in block order, each key's blocks formed once and the
+    text of each block built once per call."""
     terms = sorted(((divided_blocks(engine, k), c) for k, c in df.terms.items()),
                    key=itemgetter(0))
-    return _join_terms([(c, blocks_str(engine, b)) for b, c in terms], multiline)
+    table, pairs = {}, []
+    for blocks, c in terms:
+        for b in blocks:
+            if b not in table:
+                table[b] = block_str(engine, b)
+        pairs.append((c, " ".join([table[b] for b in blocks]) or "1"))
+    return _join_terms(pairs, multiline)

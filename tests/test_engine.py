@@ -437,17 +437,23 @@ def test_divided_round_trip_with_integer_p_lead():
         eng.normalize([(('h', 1), T)], 0.5)
 
 
+def _folded(eng, word, letter):
+    """word * letter as the fold stores it in `_insert_memo`."""
+    eng._fold_into({}, [(word, 1)], [((letter,), 1)], [])
+    return eng._insert_memo[word, letter]
+
+
 def test_memo_values_cannot_be_mutated():
     eng = make("sl2")
     # the core runs on the engine's letter codes
     word = eng._encode(((('x', 'a'), T),))
     letter = eng._code((('x', '-a'), ONE))
-    got = eng._insert(word, letter, {})
+    got = _folded(eng, word, letter)
     with pytest.raises(TypeError):
         got[0] = (word, 5)
     with pytest.raises(AttributeError):
         got.clear()
-    assert eng._insert(word, letter, {}) == got
+    assert _folded(eng, word, letter) == got
     assert {eng._decode(w): c for w, c in got} == \
         eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]).terms
     assert eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]) == \

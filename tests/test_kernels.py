@@ -45,15 +45,16 @@ SUM_ENGINES = ENGINES + [Engine(preset(a), monoid_preset("trunc:3")) for a in ("
 
 def ref_mul(eng, x, y):
     """Each word of x times each word of y, its letters inserted one at a
-    time by the straightening core, the coefficients applied at the end."""
-    out, scratch = {}, {}
+    time by the straightening core (`_insert`, the memo not read), the
+    coefficients applied at the end."""
+    out, call = {}, []
     for wy, cy in y.terms.items():
         for wx, cx in x.terms.items():
             terms = {eng._encode(wx): 1}
             for L in eng._encode(wy):
                 nxt = {}
                 for w, c in terms.items():
-                    for w2, c2 in eng._insert(w, L, scratch):
+                    for w2, c2 in eng._insert(w, L, call):
                         nxt[w2] = nxt.get(w2, 0) + c * c2
                 terms = {w: c for w, c in nxt.items() if c}
             cxy = cx * cy
@@ -266,7 +267,7 @@ def test_an_odd_square_hands_mul_a_fraction_numerator():
     xg = eng.letter(('x', 'g'), (0,))
     x2g = eng._code(eng.letter(('x', '2g'), (0,)))
     xs = [(eng._encode((xg,)), 1)]
-    assert eng._fold_into({}, xs, xs, {}) == {(x2g,): Fraction(3, 2)}
+    assert eng._fold_into({}, xs, xs, []) == {(x2g,): Fraction(3, 2)}
     x = UElem({(xg,): Fraction(1, 3)})
     assert_same(eng.mul(x, x), ref_mul(eng, x, x))
     assert eng.mul(x, x).terms == {(eng.letter(('x', '2g'), (0,)),): Fraction(1, 6)}

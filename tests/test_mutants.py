@@ -127,10 +127,15 @@ SOURCE_MUTANTS = (
                  "sign = -1 if (odd and odd_of[x]) else 1", "sign = 1",
                  {"algebras": ["sl21", "osp12"], "identities": ["4.9", "4.10", "deg6"],
                   "monoid": "trunc:3", "rmax": 2, "smax": 2, "mmax": 2, "chimax": 2}),
+    # the split's guard never finds a word that must move into P: every split is accepted
     SourceMutant("split_guard_always_true", "engine.py",
-                 "if not any(passes(u, v[0]) for v, _ in sx):", "if True:",
+                 "if ou if v[0] == u else ku > keys[v[0]]:", "if False:",
                  {"algebras": ["sl3"], "identities": ["L4.4a"], "monoid": "trunc:3",
                   "rmax": 2, "smax": 2}),
+    # 4.2 does not see it: both of its sides pass through the same core
+    SourceMutant("bracket_constant_dropped", "engine.py", "k * c2", "c2",
+                 {"algebras": ["sl2"], "identities": ["L4.3"], "monoid": "trunc:2",
+                  "rmax": 1, "smax": 1}),
     SourceMutant("cartan_p_sign", "engine.py", "Fraction(-c, n)", "Fraction(c, n)",
                  {"algebras": ["sl2", "osp12"], "identities": ["4.3", "4.4", "4.5", "L4.3", "4.7"],
                   "monoid": "trunc:3", "rmax": 2, "smax": 2, "mmax": 2, "chimax": 2}),
