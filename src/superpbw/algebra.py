@@ -41,6 +41,8 @@ class SuperAlgebraSpec:
         self.roots = tuple(roots)
         self.coroots = dict(coroots)
         self._by_label = {r.label: r for r in self.roots}
+        self._even = tuple(r.label for r in self.roots if r.parity == 0)
+        self._odd = tuple(r.label for r in self.roots if r.parity == 1)
         if len(self._by_label) != len(self.roots):
             raise SpecError("duplicate root labels")
         self._by_ev = {}
@@ -84,10 +86,10 @@ class SuperAlgebraSpec:
         return dict(self.bracket(('x', a), ('x', b))).get(('x', c), 0)
 
     def even_roots(self):
-        return tuple(r.label for r in self.roots if r.parity == 0)
+        return self._even
 
     def odd_roots(self):
-        return tuple(r.label for r in self.roots if r.parity == 1)
+        return self._odd
 
     def negative_of(self, label):
         return self.root(label).neg

@@ -30,6 +30,8 @@ class Order:
         # -1 / 0 / +1 for negative-root / Cartan / positive-root symbols
         self.segment = {s: 0 if s[0] == 'h' else 1 if spec.root(s[1]).positive else -1
                         for s in syms}
+        segs = [self.segment[s] for s in syms]
+        self._triangular = segs == sorted(segs)
 
     def rank(self, sym):
         try:
@@ -69,8 +71,7 @@ class Order:
 
     def is_triangular(self):
         """Negative roots, then Cartan, then positive roots (B- . B0 . B+)."""
-        segs = [self.segment[s] for s in self.syms]
-        return segs == sorted(segs)
+        return self._triangular
 
 
 def _exact(c):
@@ -628,17 +629,18 @@ class Engine:
         return UElem({(self.letter(sym, aelt),): 1})
 
     def divided_power(self, sym, aelt, r):
-        """(x (x) a)^(r) = (x (x) a)^r / r!, expanded to plain powers."""
-        if r < 0:
-            raise AlgebraError("negative divided power")
-        sym, aelt = self.letter(sym, aelt)
-        if r == 0:
-            return self.one()
+        """(x (x) a)^(r) = (x (x) a)^r / r!, expanded to plain powers.  A
+        stored key's letter was checked when it was stored."""
         key = (sym, aelt, r)
         hit = self._divpow_memo.get(key)
         if hit is None:
-            hit = self.normalize([(sym, aelt)] * r, Fraction(1, math.factorial(r)))
-            self._divpow_memo[key] = hit
+            if r < 0:
+                raise AlgebraError("negative divided power")
+            self.letter(sym, aelt)
+            if r == 0:
+                return self.one()
+            hit = self._divpow_memo[key] = self.normalize([(sym, aelt)] * r,
+                                                          Fraction(1, math.factorial(r)))
         return hit._copy()
 
     def adopt(self, x):
@@ -791,9 +793,9 @@ class Engine:
         else:
             eng = Engine(self.spec, self.monoid, Order.triangular(self.spec))
             y = eng.adopt(x)
-        out = []
+        out, segment = [], eng.order.segment
         for key, c in eng.to_divided(y).terms.items():
-            segs = [eng.order.segment[sym] for sym, _ in key]
+            segs = [segment[sym] for sym, _ in key]
             if segs != sorted(segs):
                 from .exprio import divided_key_str     # exprio imports this module
                 raise AlgebraError("triangular order failed to segment %s"

@@ -13,6 +13,7 @@ import itertools
 import json
 import random
 import time
+import weakref
 from dataclasses import dataclass, field, fields
 
 from . import identities as ident
@@ -254,39 +255,60 @@ def _generator_kinds(engine, bounds):
                                    ("odd", spec.odd_roots()), ("p", spec.rank >= 1)) if has]
 
 
-def sample_generator(engine, rng, bounds, kinds):
-    """One random generator of the integral form, from one of the families
-    `kinds` (`_generator_kinds`): an even divided power, an odd letter, or a
-    Cartan p-element."""
-    spec = engine.spec
-    elems = engine.monoid.elements()
-    kind = rng.choice(kinds)
+# engine -> {draw key: (label, UElem)}: each generator a sample draws is built
+# on its engine's first draw of it, through `_generator`, and read again on
+# every later draw.  The values go only to `mul_sum`, which does not change
+# its factors; the table dies with its engine.
+_drawn = weakref.WeakKeyDictionary()
+
+
+def _generator(engine, key):
+    """The label and value of a drawn generator: ("even", alpha, s, a) is
+    the divided power (x_alpha (x) a)^(s), ("odd", gamma, c) the letter
+    x_gamma (x) c, and ("p", i, elements) the Cartan p_i of their multiset."""
+    kind, *vals = key
+    fmt = engine.monoid.format_elt
     if kind == "even":
-        alpha = rng.choice(spec.even_roots())
-        s = rng.randint(1, bounds.smax)
-        belt = rng.choice(elems)
-        return ("(x[%s]{%s})^(%d)" % (alpha, engine.monoid.format_elt(belt), s),
-                engine.divided_power(('x', alpha), belt, s))
+        alpha, s, a = vals
+        return ("(x[%s]{%s})^(%d)" % (alpha, fmt(a), s),
+                engine.divided_power(('x', alpha), a, s))
     if kind == "odd":
-        gamma = rng.choice(spec.odd_roots())
-        celt = rng.choice(elems)
-        return ("x[%s]{%s}" % (gamma, engine.monoid.format_elt(celt)),
-                engine.gen_elem(('x', gamma), celt))
-    i = rng.randint(1, spec.rank)
-    size = rng.randint(0, bounds.chimax)
-    chi = Multiset.of(*(rng.choice(elems) for _ in range(size)))
-    return ("p[%d]{%s}" % (i, fmt_value(engine, chi)), engine.p(i, chi))
+        gamma, c = vals
+        return "x[%s]{%s}" % (gamma, fmt(c)), engine.gen_elem(('x', gamma), c)
+    i, elems = vals
+    chi = Multiset.of(*elems)
+    return "p[%d]{%s}" % (i, fmt_value(engine, chi)), engine.p(i, chi)
 
 
 def sample_products(engine, gens, trials, seed, bounds):
     """Deterministic stream of (description, UElem) products of <= gens
-    generators from the integral form's generating set."""
+    generators from the integral form's generating set.  A generator is one
+    of the families `_generator_kinds` names, drawn as its key (`_generator`):
+    an even root, an exponent 1..smax and an element; an odd root and an
+    element; or a Cartan index and 0..chimax elements."""
     rng = random.Random(seed)
     kinds = _generator_kinds(engine, bounds)
+    spec, elems = engine.spec, engine.monoid.elements()
+    evens, odds = spec.even_roots(), spec.odd_roots()
+    choice, randint = rng.choice, rng.randint
+    table = _drawn.setdefault(engine, {})
     for _ in range(trials):
-        k = rng.randint(1, gens)
-        label, factors = zip(*[sample_generator(engine, rng, bounds, kinds) for _ in range(k)])
-        yield " ".join(label), engine.mul_sum((factors,))
+        drawn = []
+        for _ in range(randint(1, gens)):
+            kind = choice(kinds)
+            if kind == "even":
+                key = (kind, choice(evens), randint(1, bounds.smax), choice(elems))
+            elif kind == "odd":
+                key = (kind, choice(odds), choice(elems))
+            else:
+                i, size = randint(1, spec.rank), randint(0, bounds.chimax)
+                key = (kind, i, tuple(sorted([choice(elems) for _ in range(size)])))
+            hit = table.get(key)
+            if hit is None:
+                hit = table[key] = _generator(engine, key)
+            drawn.append(hit)
+        labels, factors = zip(*drawn)
+        yield " ".join(labels), engine.mul_sum((factors,))
 
 
 def _sampled_params(engine, bounds):
