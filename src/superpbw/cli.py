@@ -11,8 +11,7 @@ import os
 import sys
 
 from .algebra import read_algebra, spec_from_source, validate, PRESET_NAMES
-from .exprio import blocks_str, divided_blocks, divided_str, parse_expr, \
-    parse_mset, uelem_str
+from .exprio import divided_parts, divided_str, parse_expr, parse_mset, uelem_str
 from . import identities as ident
 from . import verify as ver
 
@@ -128,12 +127,14 @@ def cmd_basis(args):
     if d < 0:
         raise UsageError("degree cap must be >= 0")
     print("ALGEBRA %s MONOID %s DEGREE %d" % (engine.spec.name, engine.monoid.name, d))
+    table = {}
     for title, seg in (("B-", -1), ("B0", 0), ("B+", 1), ("B", None)):
         syms = [s for s in engine.order.syms if seg is None or engine.order.segment[s] == seg]
-        keys = sorted((len(k), divided_blocks(engine, k)) for k in engine.enumerate_basis(d, syms))
+        keys = sorted((len(k), *divided_parts(engine, k, table))
+                      for k in engine.enumerate_basis(d, syms))
         print("%s (%d)" % (title, len(keys)))
-        for _, blocks in keys:
-            print(blocks_str(engine, blocks))
+        for _, _, text in keys:
+            print(text)
     return 0
 
 

@@ -237,11 +237,6 @@ class DividedForm(Combination):
         return "DividedForm(%d terms)" % len(self.terms)
 
 
-def word_runs(word):
-    """The runs of a canonical word as (letter, exponent) pairs."""
-    return [(L, len(list(g))) for L, g in itertools.groupby(word)]
-
-
 # The Cartan block U(h (x) A) is commutative, so p(chi) depends on no order and
 # no root data, and inside a block of a canonical word (its letters on one
 # symbol) the engine's letter order is the exponent tuple's.  So p(chi), and
@@ -373,11 +368,6 @@ class Engine:
     def _key(self, letter):
         """A letter's place in word order: its symbol's rank, then its exponent tuple."""
         return (self.order.rank(letter[0]), letter[1])
-
-    def runs_key(self, runs):
-        """Sort key for a canonical word from its runs (`word_runs`), compared
-        as (letter key, exponent) pairs, so x^2 sorts after x y."""
-        return tuple((self._key(L), e) for L, e in runs)
 
     # -- normalization core ----------------------------------------------
 

@@ -6,6 +6,7 @@ takes ^r plain and ^(r) divided powers, a letter being checked whatever its
 exponent.  A multiset lists elt:mult entries, a bare elt counting once;
 empty or 0 is the empty one."""
 
+import itertools
 import math
 import re
 import sys
@@ -13,7 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .combinatorics import Multiset
-from .engine import UElem, word_runs
+from .engine import UElem
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _INT_RE = re.compile(r"-?\d+")
@@ -228,15 +229,6 @@ def letter_str(engine, letter, e=1, divided=False):
     return base + ("^(%d)" % e if divided else "^%d" % e)
 
 
-def runs_str(engine, runs):
-    """A word, given by its runs (`word_runs`), as text."""
-    return " ".join(letter_str(engine, L, e) for L, e in runs) or "1"
-
-
-def word_str(engine, word):
-    return runs_str(engine, word_runs(word))
-
-
 def _join_terms(pairs, multiline):
     if not pairs:
         return "0"
@@ -252,20 +244,22 @@ def _join_terms(pairs, multiline):
     return "".join(out)
 
 
-def uelem_str(engine, x, multiline=False):
-    """x term by term in word order, each word's runs formed once and the
-    sort key and text of each run (letter, exponent) built once per call."""
-    table, terms = {}, []
-    for w, c in x.terms.items():
-        parts = []
-        for run in word_runs(w):
-            part = table.get(run)
-            if part is None:
-                part = table[run] = (engine._key(run[0]), run[1]), letter_str(engine, *run)
-            parts.append(part)
-        terms.append((tuple([k for k, _ in parts]), c, " ".join([t for _, t in parts]) or "1"))
-    terms.sort(key=itemgetter(0))
-    return _join_terms([(c, text) for _, c, text in terms], multiline)
+def word_runs(word):
+    """The runs of a canonical word as (letter, exponent) pairs."""
+    return [(L, len(list(g))) for L, g in itertools.groupby(word)]
+
+
+def word_parts(engine, word, table):
+    """A canonical word's (sort key, text).  Each run (letter, exponent) is
+    keyed as (letter key, exponent), so x^2 sorts after x y; `table`, made by
+    the caller for one call, holds each run's key and text once."""
+    parts = []
+    for run in word_runs(word):
+        part = table.get(run)
+        if part is None:
+            part = table[run] = (engine._key(run[0]), run[1]), letter_str(engine, *run)
+        parts.append(part)
+    return tuple([k for k, _ in parts]), " ".join([t for _, t in parts]) or "1"
 
 
 def mset_str(engine, pairs):
@@ -273,45 +267,49 @@ def mset_str(engine, pairs):
     return ",".join("%s:%d" % (engine.monoid.format_elt(e), m) for e, m in pairs)
 
 
-def divided_blocks(engine, key):
-    """A divided-basis key as its blocks on one symbol: (order rank, sym,
-    runs) triples, runs being (element, exponent) pairs in word order, which
-    inside a block is the elements' exponent-tuple order."""
-    blocks = []
-    for (sym, a), e in word_runs(key):
-        if blocks and blocks[-1][1] == sym:
-            blocks[-1][2].append((a, e))
-        else:
-            blocks.append((engine.order.rank(sym), sym, [(a, e)]))
-    return tuple((rank, sym, tuple(runs)) for rank, sym, runs in blocks)
-
-
-def block_str(engine, block):
-    """One block of `divided_blocks` as text."""
-    _, sym, runs = block
-    if sym[0] == 'h':
-        return "p[%d]{%s}" % (sym[1], mset_str(engine, runs))
-    return " ".join([letter_str(engine, (sym, a), e, divided=True) for a, e in runs])
-
-
-def blocks_str(engine, blocks):
-    """A divided-basis key, given by its blocks (`divided_blocks`), as text."""
-    return " ".join([block_str(engine, b) for b in blocks]) or "1"
+def divided_parts(engine, key, table):
+    """A divided-basis key's (sort key, text), block by block, a block being
+    its letters on one symbol.  A block is keyed as (order rank, symbol, its
+    (element, exponent) runs in word order), which inside a block is the
+    elements' exponent-tuple order, and written as p[i]{e:m,...} or its
+    divided powers; `table`, made by the caller for one call, holds each
+    block's key and text once, under its letters."""
+    parts = []
+    i, n = 0, len(key)
+    while i < n:
+        sym = key[i][0]
+        j = i + 1
+        while j < n and key[j][0] == sym:
+            j += 1
+        block = key[i:j]
+        part = table.get(block)
+        if part is None:
+            runs = tuple([(a, e) for (_, a), e in word_runs(block)])
+            if sym[0] == 'h':
+                text = "p[%d]{%s}" % (sym[1], mset_str(engine, runs))
+            else:
+                text = " ".join([letter_str(engine, (sym, a), e, divided=True) for a, e in runs])
+            part = table[block] = (engine.order.rank(sym), sym, runs), text
+        parts.append(part)
+        i = j
+    return tuple([k for k, _ in parts]), " ".join([t for _, t in parts]) or "1"
 
 
 def divided_key_str(engine, key):
-    return blocks_str(engine, divided_blocks(engine, key))
+    return divided_parts(engine, key, {})[1]
+
+
+def _terms_str(parts, engine, x, multiline):
+    """x term by term in the order of its keys' `parts` (`word_parts` or
+    `divided_parts`), with one table for the call."""
+    table = {}
+    terms = sorted([(*parts(engine, k, table), c) for k, c in x.terms.items()], key=itemgetter(0))
+    return _join_terms([(c, text) for _, text, c in terms], multiline)
+
+
+def uelem_str(engine, x, multiline=False):
+    return _terms_str(word_parts, engine, x, multiline)
 
 
 def divided_str(engine, df, multiline=False):
-    """df term by term in block order, each key's blocks formed once and the
-    text of each block built once per call."""
-    terms = sorted(((divided_blocks(engine, k), c) for k, c in df.terms.items()),
-                   key=itemgetter(0))
-    table, pairs = {}, []
-    for blocks, c in terms:
-        for b in blocks:
-            if b not in table:
-                table[b] = block_str(engine, b)
-        pairs.append((c, " ".join([table[b] for b in blocks]) or "1"))
-    return _join_terms(pairs, multiline)
+    return _terms_str(divided_parts, engine, df, multiline)

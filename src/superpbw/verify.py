@@ -21,8 +21,8 @@ from .identities import DividedPower, Letter, PElement, minus, minus_two
 from .algebra import SpecError, pair_plane, read_algebra, spec_from_source, PRESET_NAMES
 from .coeffalg import monoid_preset
 from .combinatorics import Multiset, binomial, multisets_upto, verify_comb_identity
-from .engine import AlgebraError, Engine, Order, UElem, word_runs
-from .exprio import divided_key_str, mset_str, parse_mset, word_str
+from .engine import AlgebraError, Engine, Order, UElem
+from .exprio import divided_key_str, letter_str, mset_str, parse_mset, word_parts
 
 
 @dataclass
@@ -267,14 +267,13 @@ def _generator(engine, key):
     the divided power (x_alpha (x) a)^(s), ("odd", gamma, c) the letter
     x_gamma (x) c, and ("p", i, elements) the Cartan p_i of their multiset."""
     kind, *vals = key
-    fmt = engine.monoid.format_elt
     if kind == "even":
         alpha, s, a = vals
-        return ("(x[%s]{%s})^(%d)" % (alpha, fmt(a), s),
+        return ("(%s)^(%d)" % (letter_str(engine, (('x', alpha), a)), s),
                 engine.divided_power(('x', alpha), a, s))
     if kind == "odd":
         gamma, c = vals
-        return "x[%s]{%s}" % (gamma, fmt(c)), engine.gen_elem(('x', gamma), c)
+        return letter_str(engine, (('x', gamma), c)), engine.gen_elem(('x', gamma), c)
     i, elems = vals
     chi = Multiset.of(*elems)
     return "p[%d]{%s}" % (i, fmt_value(engine, chi)), engine.p(i, chi)
@@ -504,9 +503,10 @@ SWEEP_IDS = tuple(k for k, check in IDENTITIES.items() if check.rhs is not None)
 
 def _diff_terms(engine, lhs, rhs):
     """The first five differing words, with their coefficients on each side."""
-    words = sorted((lhs - rhs).terms, key=lambda w: engine.runs_key(word_runs(w)))[:5]
-    return tuple((word_str(engine, w), str(lhs.terms.get(w, 0)), str(rhs.terms.get(w, 0)))
-                 for w in words)
+    table = {}
+    terms = sorted((word_parts(engine, w, table), w) for w in (lhs - rhs).terms)[:5]
+    return tuple((text, str(lhs.terms.get(w, 0)), str(rhs.terms.get(w, 0)))
+                 for (_, text), w in terms)
 
 
 def _solve_signs(lhs, template):
@@ -631,7 +631,8 @@ _BOUND_KEYS = tuple(f.name for f in fields(SweepBounds))
 # suite config key -> (test of its JSON value, what the key wants)
 _CONFIG_KEYS = {
     **{k: (lambda v: type(v) is int and v >= 0, "a non-negative integer") for k in _BOUND_KEYS},
-    "integrality_gens": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+    **{k: (lambda v: type(v) is int and v >= 1, "a positive integer")
+       for k in ("integrality_gens", "integrality_trials")},
     "seed": (lambda v: type(v) is int, "an integer"),
     "algebras": (_is_strings, "a list of presets or algebra file paths"),
     "identities": (lambda v: _is_strings(v) and all(x in IDENTITIES for x in v),

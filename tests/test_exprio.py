@@ -9,7 +9,7 @@ from superpbw.coeffalg import monoid_preset
 from superpbw.engine import AlgebraError, Engine
 from superpbw.combinatorics import Multiset
 from superpbw.exprio import ParseError, divided_str, parse_expr, parse_mset, uelem_str, \
-    word_str
+    word_parts
 
 ONE, T, T2 = (0,), (1,), (2,)
 
@@ -162,5 +162,5 @@ def test_divided_round_trip_on_poly2(algebra):
 def test_word_str(sl2):
     x = sl2.normalize([(('x', '-a'), ONE), (('x', '-a'), ONE), (('h', 1), T)])
     w = max(x.terms)
-    assert word_str(sl2, w) == "x[-a]{1}^2 h[1]{t}"
-    assert word_str(sl2, ()) == "1"
+    assert word_parts(sl2, w, {})[1] == "x[-a]{1}^2 h[1]{t}"
+    assert word_parts(sl2, (), {})[1] == "1"

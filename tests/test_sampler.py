@@ -3,8 +3,9 @@ reads it from a per-engine table on every later draw.  The sampler it
 replaced, which built every drawn generator afresh, is kept here as the
 reference: both give the same descriptions and the same products, term for
 term and in the same order, on the five presets over trunc:2 to trunc:4 in
-both orders.  A golden pins the benchmark's integrality pool, and the table
-is shown to hand out no value and to die with its engine."""
+both orders.  A golden pins the benchmark's integrality pool, the table
+is shown to hand out no value and to die with its engine, and each
+description parses back to its product."""
 
 import functools
 import gc
@@ -12,12 +13,14 @@ import hashlib
 import random
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpbw import verify as ver
 from superpbw.algebra import PRESET_NAMES
 from superpbw.combinatorics import Multiset
+from superpbw.exprio import parse_expr
 from superpbw.verify import SweepBounds, load_engine
 
 MONOIDS = ("trunc:2", "trunc:3", "trunc:4")
@@ -81,6 +84,19 @@ def test_the_table_draws_what_the_per_draw_sampler_drew(algebra, monoid, order, 
     ref = ref_sample_products(engine_for(algebra, monoid, order, "ref"), gens, trials, seed,
                               bounds)
     assert listed(new) == listed(ref)
+
+
+# -- a description is its product in the expression grammar ----------------------
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("algebra", PRESET_NAMES)
+def test_a_description_parses_to_its_product(algebra, order):
+    """So a sampled FAIL detail can be pasted into `normalize --divided`."""
+    eng = load_engine(algebra, "trunc:3", order)
+    bounds = SweepBounds(smax=3, chimax=3)
+    for seed in range(60):
+        (desc, x), = ver.sample_products(eng, bounds.integrality_gens, 1, seed, bounds)
+        assert parse_expr(eng, desc) == x, desc
 
 
 # -- the benchmark's integrality pool ---------------------------------------------

@@ -218,6 +218,7 @@ def test_sweep_identity_fixed_filter():
     ({"integrality_trials": -1}, "integrality_trials"),
     ({"monoid": "poly"}, "monoid"),     # the checks of an algebra read a finite basis
     ({"seed": 1.5}, "seed"),
+    ({"integrality_trials": 0}, "integrality_trials"),     # no product would be checked
 ])
 def test_suite_config_rejects_bad_values(raw, key):
     with pytest.raises(SpecError, match="suite config key %r" % key):
