@@ -128,8 +128,7 @@ def cmd_basis(args):
         raise UsageError("degree cap must be >= 0")
     print("ALGEBRA %s MONOID %s DEGREE %d" % (engine.spec.name, engine.monoid.name, d))
     table = {}
-    for title, seg in (("B-", -1), ("B0", 0), ("B+", 1), ("B", None)):
-        syms = [s for s in engine.order.syms if seg is None or engine.order.segment[s] == seg]
+    for title, syms in zip(("B-", "B0", "B+", "B"), engine.order.parts + (None,)):
         keys = sorted((len(k), *divided_parts(engine, k, table))
                       for k in engine.enumerate_basis(d, syms))
         print("%s (%d)" % (title, len(keys)))

@@ -33,9 +33,10 @@ class MonoidBasis:
         if len(a) != len(self.varnames):
             raise MonoidError("element %r has wrong arity for %s" % (a, self.name))
         if not self.laurent and any(e < 0 for e in a):
-            raise MonoidError("negative exponent in %r" % (a,))
+            raise MonoidError("negative exponent in %s" % self.format_elt(a))
         if self.trunc is not None and sum(a) >= self.trunc:
-            raise MonoidError("%r is not a basis element below the truncation bound" % (a,))
+            raise MonoidError("%s is not a basis element below the truncation bound"
+                              % self.format_elt(a))
         return a
 
     def mul(self, a, b):

@@ -30,14 +30,14 @@ class Order:
         # -1 / 0 / +1 for negative-root / Cartan / positive-root symbols
         self.segment = {s: 0 if s[0] == 'h' else 1 if spec.root(s[1]).positive else -1
                         for s in syms}
-        segs = [self.segment[s] for s in syms]
-        self._triangular = segs == sorted(segs)
+        # the B-, B0 and B+ symbols, each in this order
+        self.parts = tuple(tuple(s for s in syms if self.segment[s] == seg) for seg in (-1, 0, 1))
 
     def rank(self, sym):
         try:
             return self._rank[sym]
         except KeyError:
-            raise AlgebraError("symbol %r is not in the order" % (sym,))
+            raise AlgebraError("symbol %r is not in the order" % (sym,)) from None
 
     @classmethod
     def triangular(cls, spec):
@@ -71,7 +71,7 @@ class Order:
 
     def is_triangular(self):
         """Negative roots, then Cartan, then positive roots (B- . B0 . B+)."""
-        return self._triangular
+        return sum(self.parts, ()) == self.syms
 
 
 def _exact(c):
@@ -284,6 +284,11 @@ def _cartan_p(hvec, chi, monoid):
     return tuple((w, _exact(Fraction(-c, n))) for w, c in acc.items() if c)
 
 
+def word_runs(word):
+    """The runs of a canonical word as (letter, exponent) pairs."""
+    return [(L, len(list(g))) for L, g in itertools.groupby(word)]
+
+
 def block_from_divided(block, odd, monoid):
     """The PBW expansion of the divided-basis element that a block names, as a
     tuple of (word, coeff) pairs: p_i(chi) on h_i, the block over prod e! of
@@ -292,7 +297,7 @@ def block_from_divided(block, odd, monoid):
     if sym[0] == 'h':
         chi = Multiset.of(*(a for _, a in block))
         return cartan_p((0,) * (sym[1] - 1) + (1,), chi, monoid)
-    runs = [len(list(g)) for _, g in itertools.groupby(block)]
+    runs = [e for _, e in word_runs(block)]
     if odd and max(runs) > 1:
         raise AlgebraError("odd letter with exponent > 1 in a canonical word")
     return ((block, _exact(Fraction(1, math.prod(map(math.factorial, runs))))),)
@@ -375,14 +380,11 @@ class Engine:
         """The letter's code, assigned on first sight."""
         code = self._codes.get(letter)
         if code is None:
-            try:
-                key, odd = (self.order._rank[letter[0]], letter[1]), self._parity[letter[0]]
-            except KeyError:
-                raise AlgebraError("symbol %r is not in the order" % (letter[0],)) from None
+            key = self._key(letter)
             code = self._codes[letter] = len(self._letters)
             self._letters.append(letter)
             self._keys.append(key)
-            self._odd.append(odd)
+            self._odd.append(self._parity[letter[0]])
         return code
 
     def _encode(self, word):

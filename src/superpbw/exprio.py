@@ -6,7 +6,6 @@ takes ^r plain and ^(r) divided powers, a letter being checked whatever its
 exponent.  A multiset lists elt:mult entries, a bare elt counting once;
 empty or 0 is the empty one."""
 
-import itertools
 import math
 import re
 import sys
@@ -14,7 +13,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .combinatorics import Multiset
-from .engine import UElem
+from .engine import UElem, word_runs
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _INT_RE = re.compile(r"-?\d+")
@@ -242,11 +241,6 @@ def _join_terms(pairs, multiline):
         else:
             out.append((sep_minus if coeff < 0 else sep_plus) + mag)
     return "".join(out)
-
-
-def word_runs(word):
-    """The runs of a canonical word as (letter, exponent) pairs."""
-    return [(L, len(list(g))) for L, g in itertools.groupby(word)]
 
 
 def word_parts(engine, word, table):

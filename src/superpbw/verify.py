@@ -379,29 +379,29 @@ def genfun_counts(spec, monoid, degree_cap):
 
 def _basis_counts(engine, bounds):
     """enumerate_basis counts per degree match the generating-function oracle;
-    keys are pairwise distinct; with the triangular order the segment counts
-    convolve to the full counts."""
+    keys are pairwise distinct; the counts of the B-, B0 and B+ parts
+    (`Order.parts`) convolve to the full counts, in any order."""
     degree_cap = bounds.basis_degree
     bad = []
+
+    def by_degree(keys):
+        counts = [0] * (degree_cap + 1)
+        for k in keys:
+            counts[len(k)] += 1
+        return counts
+
     keys = engine.enumerate_basis(degree_cap)
     if len(set(keys)) != len(keys):
         bad.append("repeated canonical words")
-    counts = [0] * (degree_cap + 1)
-    for k in keys:
-        counts[len(k)] += 1
+    counts = by_degree(keys)
     oracle = genfun_counts(engine.spec, engine.monoid, degree_cap)
     if counts != oracle:
         bad.append("counts %r != oracle %r" % (counts, oracle))
 
-    seg_counts = {}
-    for seg in (-1, 0, 1):
-        syms = [s for s in engine.order.syms if engine.order.segment[s] == seg]
-        cs = [0] * (degree_cap + 1)
-        for k in engine.enumerate_basis(degree_cap, syms):
-            cs[len(k)] += 1
-        seg_counts[seg] = cs
+    neg, zero, pos = [by_degree(engine.enumerate_basis(degree_cap, syms))
+                      for syms in engine.order.parts]
     for d in range(degree_cap + 1):
-        conv = sum(seg_counts[-1][d1] * seg_counts[0][d2] * seg_counts[1][d - d1 - d2]
+        conv = sum(neg[d1] * zero[d2] * pos[d - d1 - d2]
                    for d1 in range(d + 1) for d2 in range(d + 1 - d1))
         if conv != counts[d]:
             bad.append("segment counts fail to convolve at degree %d" % d)
@@ -710,15 +710,17 @@ def run_suite(config, emit=None):
     """Run the chosen checks on each algebra, then the algebra-free ones once
     (as the engine None); `emit` (if given) receives each report line as it
     is produced.  Every algebra is loaded before the first check runs, and
-    two entries that read the same source (`read_algebra`), as a file named
-    two ways does, raise SpecError naming both."""
-    sources = [read_algebra(a) for a in config.algebras]
-    for k, src in enumerate(sources):
-        if src in sources[:k]:
+    two entries that load the same table (rank, roots, coroots, brackets),
+    as a file named two ways or a preset and a copy of its table do, raise
+    SpecError naming both."""
+    engines = [get_engine(a, config.monoid) for a in config.algebras]
+    tables = [(e.spec.rank, e.spec.roots, e.spec.coroots, e.spec.brackets) for e in engines]
+    for k, table in enumerate(tables):
+        if table in tables[:k]:
             raise SpecError("suite config entries %r and %r are the same algebra"
-                            % (config.algebras[sources.index(src)], config.algebras[k]))
+                            % (config.algebras[tables.index(table)], config.algebras[k]))
     reports = []
-    for engine in [_shared_engine(src, config.monoid, "triangular") for src in sources] + [None]:
+    for engine in engines + [None]:
         for ident_id in config.identities:
             if IDENTITIES[ident_id].algebra_free == (engine is None):
                 for r in sweep_identity(engine, ident_id, config.bounds):

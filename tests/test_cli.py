@@ -157,6 +157,18 @@ def test_basis_golden(capsys):
     assert out == golden
 
 
+@pytest.mark.parametrize("algebra, counts", [("sp4", [1, 20, 210, 1540, 8855]),
+                                              ("sl21", [1, 16, 128, 688, 2816])])
+def test_basis_counts_pass_under_the_lex_order(capsys, algebra, counts):
+    """The B-, B0 and B+ counts convolve to the full counts in any order."""
+    code, out, _ = run(capsys, "verify", "--algebra", algebra, "--monoid", "trunc:2",
+                       "--order", "lex", "--id", "basis")
+    assert code == 0
+    assert out.splitlines() == [
+        "CHECK id=basis algebra=%s degree=4 monoid=trunc:2 verdict=PASS [counts %r]"
+        % (algebra, counts), "SUMMARY checks=1 pass=1 fail=0 inapplicable=0"]
+
+
 def test_basis_needs_finite_monoid(capsys):
     code, _, err = run(capsys, "basis", "--algebra", "sl2", "--monoid", "poly",
                        "--degree", "1")
@@ -346,9 +358,23 @@ def test_pelem_refuses_both_i_and_alpha(capsys):
     ("(x[a]{t})^-1", "negative power (at position 12)"),
     ("h[9]{t}^0", "no Cartan generator h9 in sl2"),
     ("h[9]{t}^(0)", "no Cartan generator h9 in sl2"),
+    # a refused element is named in the grammar, not as its exponent tuple
+    ("x[a]{t^-1}", "negative exponent in t^-1 (at position 10)"),
+    ("p[1]{t^-2:1}", "negative exponent in t^-2 (at position 12)"),
 ])
 def test_normalize_refusals_name_the_fault(capsys, expr, msg):
     code, out, err = run(capsys, "normalize", "--algebra", "sl2", expr)
+    assert (code, out, err) == (2, "", "error: %s\n" % msg)
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (("normalize", "--algebra", "sl2", "--monoid", "trunc:4", "x[a]{t^5}"),
+     "t^5 is not a basis element below the truncation bound (at position 9)"),
+    (("verify", "--algebra", "sl2", "--monoid", "trunc:3", "--id", "4.3", "--b", "t^3"),
+     "--b: t^3 is not a basis element below the truncation bound"),
+])
+def test_an_element_past_the_truncation_is_named_in_the_grammar(capsys, argv, msg):
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % msg)
 
 
@@ -722,8 +748,8 @@ def test_repeated_config_algebra_exits_2(tmp_path, capsys):
 
 
 def test_one_table_named_two_ways_exits_2(tmp_path, monkeypatch, capsys):
-    """Two entries that read the same table are refused before any check;
-    a preset and a copy of its table are different sources and both run."""
+    """Two entries that load the same table are refused before any check,
+    a preset and a copy of its table as well."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c0.alg").write_text("cartan 0\nroots\ncoroots\nbrackets\n")
     (tmp_path / "sl2.alg").write_text(open(os.path.join(DATA, "sl2.alg")).read())
@@ -735,8 +761,9 @@ def test_one_table_named_two_ways_exits_2(tmp_path, monkeypatch, capsys):
     (tmp_path / "copy.json").write_text(json.dumps(
         {"algebras": ["sl2", "sl2.alg"], "identities": ["4.2"], "rmax": 1, "smax": 1,
          "monoid": "trunc:2"}))
-    code, out, _ = run(capsys, "verify", "--config", "copy.json")
-    assert code == 0 and out.splitlines()[-1] == "SUMMARY checks=32 pass=32 fail=0 inapplicable=0"
+    code, out, err = run(capsys, "verify", "--config", "copy.json")
+    assert code == 2 and out == ""
+    assert err == "error: suite config entries 'sl2' and 'sl2.alg' are the same algebra\n"
 
 
 @pytest.mark.parametrize("ident", ["deg7", "integrality", "triangular", "basis"])

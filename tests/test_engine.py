@@ -389,6 +389,19 @@ def test_order_named():
             Order.named(spec, bad)
 
 
+@pytest.mark.parametrize("name, order", [(n, o) for n in ("sl2", "sl3", "sp4", "sl21", "osp12")
+                                         for o in ("triangular", "lex")]
+                         + [("sl21", "-a1,-a2,-a1-a2,1,2,a1,a2,a1+a2")])
+def test_order_parts_split_the_symbols_by_segment(name, order):
+    o = Order.named(preset(name), order)
+    assert len(o.parts) == 3
+    for seg, part in zip((-1, 0, 1), o.parts):
+        assert part == tuple(s for s in o.syms if s in part)        # in the order's order
+        assert set(part) == {s for s in o.syms if o.segment[s] == seg}
+    assert o.is_triangular() == (sum(o.parts, ()) == o.syms)
+    assert o.is_triangular() == (order != "lex")
+
+
 def _assert_exact(coeffs):
     for c in coeffs:
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)

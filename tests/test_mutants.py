@@ -147,6 +147,18 @@ SOURCE_MUTANTS = (
     SourceMutant("one_alternative_coefficient_dropped", "engine.py", "c *= c2", "c *= 1",
                  {"algebras": ["sl2", "sl21", "osp12"], "identities": ["integrality", "triangular"],
                   "monoid": "trunc:3", "smax": 2, "chimax": 2, "integrality_trials": 20}),
+    # a bracket's coefficient is the product of the left letter's element with itself
+    SourceMutant("bracket_coeff_swapped", "engine.py",
+                 "self.monoid.mul(a, b)", "self.monoid.mul(a, a)",
+                 {"algebras": ["sl2"], "identities": ["4.3", "L4.3"], "monoid": "trunc:2",
+                  "rmax": 1, "smax": 1, "chimax": 1}),
+    SourceMutant("cartan_p_wrong_size", "engine.py", "n = chi.size", "n = chi.size + 1",
+                 {"algebras": ["sl2"], "identities": ["4.4", "L5.2"], "monoid": "trunc:2",
+                  "rmax": 1, "chimax": 2}),
+    # the block elimination of to_divided forgets to divide by the leading coefficient
+    SourceMutant("cartan_block_lead_dropped", "engine.py", "Fraction(c, lead)", "Fraction(c, 1)",
+                 {"algebras": ["sl2"], "identities": ["deg1", "L5.2"], "monoid": "trunc:3",
+                  "rmax": 2, "chimax": 2}),
 )
 
 

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from superpbw import cli
 from superpbw.algebra import PRESET_NAMES, preset
 from superpbw.coeffalg import monoid_preset
-from superpbw.engine import Engine, Order, UElem
+from superpbw.engine import Engine, Order, UElem, word_runs
 from superpbw.exprio import _join_terms, divided_key_str, divided_str, letter_str, mset_str, \
-    uelem_str, word_parts, word_runs
+    uelem_str, word_parts
 from superpbw.verify import _diff_terms
 
 ELEMENTS = {
