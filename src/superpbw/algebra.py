@@ -524,10 +524,11 @@ def load_spec(text, name="user", check=True):
     [positive]), `coroots` (label ints...), `brackets` (sym sym = 0 | sym int
     [sym int ...]).  '#' starts a comment.  Brackets may be given in one
     direction; the other is completed by super antisymmetry.  The rank is not
-    negative, a coroot names a root, and no line restates the rank, a coroot
-    or a bracket pair.  The resulting table is validated and rejected with a
-    report if inconsistent (check=False skips validation so callers can
-    report violations themselves).
+    negative, a coroot names a root, no line restates the rank, a coroot or
+    a bracket pair, and no line holds a field past its form.  The resulting
+    table is validated and rejected with a report if inconsistent
+    (check=False skips validation so callers can report violations
+    themselves).
     """
     rank = None
     roots = []
@@ -541,25 +542,30 @@ def load_spec(text, name="user", check=True):
             continue
         toks = line.split()
         if toks[0] == "algebra":
-            name = toks[1] if len(toks) > 1 else name
+            if len(toks) != 2:
+                raise SpecError("line %d: algebra wants a name" % line_no)
+            name = toks[1]
             continue
         if toks[0] == "cartan":
             if rank is not None:
                 raise SpecError("line %d: cartan is stated twice" % line_no)
             try:
-                rank = int(toks[1])
-            except (IndexError, ValueError):
+                rank, = (int(t) for t in toks[1:])
+            except ValueError:
                 raise SpecError("line %d: cartan wants a rank" % line_no)
             if rank < 0:
                 raise SpecError("line %d: cartan rank %d is negative" % (line_no, rank))
             continue
         if toks[0] in ("roots", "coroots", "brackets"):
+            if len(toks) != 1:
+                raise SpecError("line %d: %s takes nothing after it" % (line_no, toks[0]))
             section = toks[0]
             continue
         if section in ("roots", "coroots") and rank is None:
             raise SpecError("line %d: cartan rank must come before %s" % (line_no, section))
         if section == "roots":
-            if len(toks) < 2 + rank + 2 or toks[1] not in ("even", "odd"):
+            if (len(toks) < 4 + rank or toks[1] not in ("even", "odd")
+                    or toks[4 + rank:] not in ([], ["positive"])):
                 raise SpecError("line %d: want '<label> even|odd <%d ints> neg <label> [positive]'"
                                 % (line_no, rank))
             label = toks[0]
@@ -571,7 +577,7 @@ def load_spec(text, name="user", check=True):
             if toks[2 + rank] != "neg":
                 raise SpecError("line %d: missing 'neg' link" % line_no)
             neg = toks[3 + rank]
-            positive = len(toks) > 4 + rank and toks[4 + rank] == "positive"
+            positive = len(toks) == 5 + rank
             roots.append(Root(label, parity, ev, neg, positive))
         elif section == "coroots":
             if toks[0] in coroots:

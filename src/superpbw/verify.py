@@ -712,7 +712,8 @@ def run_suite(config, emit=None):
     is produced.  Every algebra is loaded before the first check runs, and
     two entries that load the same table (rank, roots, coroots, brackets),
     as a file named two ways or a preset and a copy of its table do, raise
-    SpecError naming both."""
+    SpecError naming both.  So does a config that runs no check, before
+    any summary."""
     engines = [get_engine(a, config.monoid) for a in config.algebras]
     tables = [(e.spec.rank, e.spec.roots, e.spec.coroots, e.spec.brackets) for e in engines]
     for k, table in enumerate(tables):
@@ -727,6 +728,9 @@ def run_suite(config, emit=None):
                     reports.append(r)
                     if emit:
                         emit(r.line())
+    if not reports:
+        raise SpecError("suite config runs no check: identities [%s] on algebras [%s]"
+                        % (", ".join(config.identities), ", ".join(config.algebras)))
     result = SuiteResult(reports)
     if emit:
         emit(result.summary())

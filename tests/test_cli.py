@@ -401,7 +401,16 @@ def test_a_suite_config_that_is_no_object_exits_2(tmp_path, capsys):
     ("coroots\n  a 1\n", "coroots\n  a 1 2\n", "line 7: coroot wants 1 integers"),
     ("x[a] = h1 -1", "x[a] = h1 z", "line 12: bad integer 'z'"),
     ("  -a even -2 neg", "  -a even 2 neg", "roots a and -a share the evaluation vector (2,)"),
-], ids=["rank", "evaluation", "coroot", "coroot-length", "bracket", "shared-evaluation"])
+    # a field past a line's form is refused, not dropped
+    ("a even 2 neg -a positive", "a even 2 neg -a positive junk",
+     "line 4: want '<label> even|odd <1 ints> neg <label> [positive]'"),
+    ("-a even -2 neg a\n", "-a even -2 neg a junk\n",
+     "line 5: want '<label> even|odd <1 ints> neg <label> [positive]'"),
+    ("cartan 1", "cartan 1 2", "line 2: cartan wants a rank"),
+    ("algebra sl2", "algebra foo bar", "line 1: algebra wants a name"),
+    ("cartan 1\nroots\n", "cartan 1\nroots x\n", "line 3: roots takes nothing after it"),
+], ids=["rank", "evaluation", "coroot", "coroot-length", "bracket", "shared-evaluation",
+        "past-positive", "past-neg", "past-rank", "past-name", "past-section"])
 def test_validate_spec_refuses_a_malformed_table(tmp_path, capsys, old, new, msg):
     with open(os.path.join(DATA, "sl2.alg")) as f:
         table = f.read()
@@ -410,6 +419,19 @@ def test_validate_spec_refuses_a_malformed_table(tmp_path, capsys, old, new, msg
     path.write_text(table.replace(old, new))
     code, out, err = run(capsys, "validate-spec", "--algebra", str(path))
     assert (code, out, err) == (2, "", "error: %s\n" % msg)
+
+
+@pytest.mark.parametrize("config, names", [
+    ({"algebras": ["sl2"], "identities": ["4.8"]}, "identities [4.8] on algebras [sl2]"),
+    ({"algebras": ["sl2"], "identities": []}, "identities [] on algebras [sl2]"),
+    ({"algebras": [], "identities": ["4.2"]}, "identities [4.2] on algebras []"),
+])
+def test_a_suite_config_that_runs_no_check_exits_2(tmp_path, capsys, config, names):
+    """As `verify --id` does for an id with no instance: no SUMMARY of zero checks."""
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, out, err) == (2, "", "error: suite config runs no check: %s\n" % names)
 
 
 def test_validate_spec_preset(capsys):

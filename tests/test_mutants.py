@@ -159,6 +159,15 @@ SOURCE_MUTANTS = (
     SourceMutant("cartan_block_lead_dropped", "engine.py", "Fraction(c, lead)", "Fraction(c, 1)",
                  {"algebras": ["sl2"], "identities": ["deg1", "L5.2"], "monoid": "trunc:3",
                   "rmax": 2, "chimax": 2}),
+    # the Cartan-past-root law's binomial read one step up, on each of its paths
+    SourceMutant("cps_binomial_shift", "identities.py",
+                 "binomial(ev + size - 1, size)", "binomial(ev + size, size)",
+                 {"algebras": ["sl2", "osp12"], "identities": ["4.4", "4.5", "L4.3", "4.7"],
+                  "monoid": "trunc:2", "rmax": 1, "smax": 1, "mmax": 1, "chimax": 1}),
+    # pi(psi) takes each element once, whatever its multiplicity: seen once chi repeats one
+    SourceMutant("pi_product_skips_power", "combinatorics.py", "p = monoid.power(a, m)", "p = a",
+                 {"algebras": ["sl21"], "identities": ["4.3", "4.4", "4.5", "deg1", "deg2"],
+                  "monoid": "trunc:3", "rmax": 2, "smax": 2, "mmax": 2, "chimax": 2}),
 )
 
 

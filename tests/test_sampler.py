@@ -3,9 +3,9 @@ reads it from a per-engine table on every later draw.  The sampler it
 replaced, which built every drawn generator afresh, is kept here as the
 reference: both give the same descriptions and the same products, term for
 term and in the same order, on the five presets over trunc:2 to trunc:4 in
-both orders.  A golden pins the benchmark's integrality pool, the table
-is shown to hand out no value and to die with its engine, and each
-description parses back to its product."""
+both orders.  Goldens pin the benchmark's integrality pool and 40
+products drawn on sl21, the table is shown to hand out no value and to die
+with its engine, and each description parses back to its product."""
 
 import functools
 import gc
@@ -119,6 +119,12 @@ def test_every_third_pool_product_and_its_divided_image_are_unchanged():
             digest.update(repr((desc, list(x.terms.items()),
                                 list(eng.to_divided(x).terms.items()))).encode())
     assert digest.hexdigest()[:16] == "f2082c9573c50bd7"
+
+
+def test_the_sampled_products_on_sl21_are_unchanged():
+    products = ver.sample_products(load_engine("sl21", "trunc:3"), 6, 40, 5, SweepBounds())
+    digest = hashlib.sha256(repr([(desc, list(x.terms.items())) for desc, x in products]).encode())
+    assert digest.hexdigest() == "e8a6e7b2f056be327bf6d2841a93f79009810b2a173a90157c2ad6ba3cea3a8f"
 
 
 # -- the table hands out no value and dies with its engine ----------------------
