@@ -66,7 +66,7 @@ class Order:
             return cls.triangular(spec)
         if text in ("lex", "lexicographic"):
             return cls.lexicographic(spec)
-        return cls(spec, [('h', int(tok)) if tok.lstrip("+-").isdigit() else ('x', tok)
+        return cls(spec, [('h', int(tok)) if tok.lstrip("+-").isdecimal() else ('x', tok)
                           for tok in map(str.strip, text.split(","))])
 
     def is_triangular(self):

@@ -161,7 +161,7 @@ class _Parser:
         except ValueError as e:
             self.error(str(e))
         if kind == "h":
-            if not label.isdigit():
+            if not label.isdecimal():
                 self.error("h wants a Cartan index")
             sym = ('h', int(label))
         else:
@@ -175,7 +175,7 @@ class _Parser:
         self.pos += 1
         self.expect("[")
         idx = self.until("]")
-        if not idx.isdigit():
+        if not idx.isdecimal():
             self.error("p wants a Cartan index")
         self.expect("{")
         body = self.until("}")
@@ -210,7 +210,7 @@ def parse_mset(monoid, text):
         elt, colon, mult = piece.rpartition(":")
         if not colon:
             elt, mult = piece, "1"
-        if not mult.strip().isdigit():
+        if not mult.strip().isdecimal():
             raise ValueError("multiset entry %r wants elt or elt:mult" % piece.strip())
         items.append((monoid.parse_elt(elt), _index_int(mult, "multiplicity")))
     return Multiset(items)

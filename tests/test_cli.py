@@ -361,6 +361,10 @@ def test_pelem_refuses_both_i_and_alpha(capsys):
     # a refused element is named in the grammar, not as its exponent tuple
     ("x[a]{t^-1}", "negative exponent in t^-1 (at position 10)"),
     ("p[1]{t^-2:1}", "negative exponent in t^-2 (at position 12)"),
+    # a digit that is not a decimal digit is no index and no multiplicity
+    ("h[²]{1}", "h wants a Cartan index (at position 7)"),
+    ("p[²]{t}", "p wants a Cartan index (at position 4)"),
+    ("p[1]{t:²}", "multiset entry 't:²' wants elt or elt:mult (at position 9)"),
 ])
 def test_normalize_refusals_name_the_fault(capsys, expr, msg):
     code, out, err = run(capsys, "normalize", "--algebra", "sl2", expr)

@@ -384,7 +384,7 @@ def test_order_named():
     assert Order.named(spec, "triangular").syms == Order.triangular(spec).syms
     for name in ("lex", "lexicographic"):
         assert Order.named(spec, name).syms == Order.lexicographic(spec).syms
-    for bad in ("a,1", "", "Triangular"):     # -a missing; no symbol; not a name
+    for bad in ("a,1", "", "Triangular", "²,a,-a"):  # -a missing; no symbol; not a name; no index
         with pytest.raises(AlgebraError):
             Order.named(spec, bad)
 

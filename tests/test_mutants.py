@@ -1,116 +1,32 @@
-"""A mutation catalogue: small faults planted by monkeypatch, each declared
-with the checks that must catch it.  Applying a mutant and running only its
-ids at small bounds on sl2, sl21 and osp12 must FAIL at least one instance,
-so a check that stops catching its mutant shows here.
+"""A mutation catalogue: small faults planted in the source, each declared
+with the `verify --config` run that must catch it.  A row names a file of the
+package, a text that occurs exactly once in it, its replacement, and the
+config.  The test checks that the config passes on the tree, then edits a
+copy of the package and runs the config on the copy in a child process: it
+must FAIL at least one check.  The tree itself is never edited, and no
+mutant runs in this process, so none can leave a wrong value in a cache here.
+A new mutant is one more row.
 
-The process-wide caches (the shared engines and their memos, p(chi), the
-block conversions, the Cartan-past-root plans) are cleared before and after each mutant: a mutant
-poisons every value computed while it is applied.
+Run as a script, this module prints the kill matrix: every row's mutant run
+over one wide config (all ids on sl2, sl21 and osp12), with the number of
+checks each id fails:
 
-Faults inside a function's body (`Engine._straighten`'s closures, the
-recursion of `_cartan_p`, the loop of `Engine._convert`) are out of
-monkeypatch's reach.  They are planted as source edits in a copy of the
-package, whose checks run in a child process; the tree itself is never
-edited."""
+    PYTHONPATH=src python tests/test_mutants.py
+"""
 
-import itertools
 import json
-import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 
 import pytest
 
-from superpbw import algebra, cli, combinatorics, engine, identities, verify
-from superpbw.verify import SuiteConfig, SweepBounds, run_suite
-
-ALGEBRAS = ("sl2", "sl21", "osp12")
-BOUNDS = SweepBounds(rmax=2, smax=2, mmax=2, chimax=2, integrality_gens=4,
-                     integrality_trials=40, seed=0)
-
-
-@dataclass(frozen=True)
-class Mutant:
-    name: str
-    target: object      # the module or class whose attribute is replaced
-    attr: str
-    mutate: object      # the original attribute -> its replacement
-    ids: tuple          # the checks that must catch it
-
-
-def _odd_square_not_halved(real):
-    """u u = [u, u] for an odd letter u, not [u, u] / 2."""
-    def bracket(self, u, x):
-        out = real(self, u, x)
-        return tuple((c, 2 * k) for c, k in out) if u == x else out
-    return bracket
-
-
-def _cartan_bracket_doubled(real):
-    """Twice every bracket term that lands on a Cartan letter."""
-    def bracket(self, u, x):
-        return tuple((c, 2 * k if self._letters[c][0][0] == 'h' else k)
-                     for c, k in real(self, u, x))
-    return bracket
-
-
-def _divided_word_no_denominator(real):
-    """A product of divided powers built without its prod n!."""
-    def divided_word(eng, powers, scale=1):
-        return real(eng, powers, scale * math.prod(math.factorial(n) for _, n in powers))
-    return divided_word
-
-
-def _block_prod_not_factorial(real):
-    """A root block over prod e of its runs, not prod e!."""
-    def block(blk, odd, monoid):
-        if blk[0][0][0] == 'h':
-            return real(blk, odd, monoid)
-        runs = [len(list(g)) for _, g in itertools.groupby(blk)]
-        return ((blk, Fraction(1, math.prod(runs))),)
-    return block
-
-
-MUTANTS = (
-    Mutant("odd_square_not_halved", engine.Engine, "_bracket", _odd_square_not_halved,
-           ("4.8", "4.10")),
-    Mutant("cartan_bracket_doubled", engine.Engine, "_bracket", _cartan_bracket_doubled,
-           ("4.3", "4.9")),
-    Mutant("divided_word_no_denominator", identities, "_divided_word",
-           _divided_word_no_denominator, ("4.3", "4.4", "4.5")),
-    Mutant("block_prod_not_factorial", engine, "block_from_divided", _block_prod_not_factorial,
-           ("integrality", "triangular")),
-)
-
-
-def _clear_caches():
-    for module in (algebra, combinatorics, engine, identities, verify):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
-@pytest.fixture
-def clean_caches():
-    _clear_caches()
-    yield
-    _clear_caches()
-
-
-@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
-def test_each_mutant_is_caught_by_its_checks(monkeypatch, clean_caches, mutant):
-    config = SuiteConfig(ALGEBRAS, mutant.ids, "trunc:3", BOUNDS)
-    assert run_suite(config).ok        # the checks pass on the code as it is
-    _clear_caches()
-    real = getattr(mutant.target, mutant.attr)
-    monkeypatch.setattr(mutant.target, mutant.attr, mutant.mutate(real))
-    result = run_suite(config)
-    assert result.counts["fail"] >= 1, mutant.name
+from superpbw import cli, engine
+from superpbw.verify import IDENTITIES
 
 
 @dataclass(frozen=True)
@@ -122,7 +38,30 @@ class SourceMutant:
     config: dict        # the `verify --config` run that must catch it
 
 
+# every id on sl2, sl21 and osp12 at trunc:3, bounds 2: the kill matrix's config,
+# which the first four rows run on their own ids
+WIDE = {"algebras": ["sl2", "sl21", "osp12"], "monoid": "trunc:3", "rmax": 2, "smax": 2,
+        "mmax": 2, "chimax": 2, "integrality_trials": 40, "basis_degree": 3}
+
+
 SOURCE_MUTANTS = (
+    # u u = [u, u] for an odd letter u, not [u, u] / 2
+    SourceMutant("odd_square_not_halved", "engine.py",
+                 "_exact(Fraction(k, 2)) if u == x else k", "k",
+                 dict(WIDE, identities=["4.8", "4.10"])),
+    # twice every bracket term that lands on a Cartan letter
+    SourceMutant("cartan_bracket_doubled", "engine.py", "terms = self.spec.bracket(su, sx)",
+                 "terms = tuple((s, 2 * k if s[0] == 'h' else k)"
+                 " for s, k in self.spec.bracket(su, sx))",
+                 dict(WIDE, identities=["4.3", "4.9"])),
+    # a product of divided powers built without its prod n!
+    SourceMutant("divided_word_no_denominator", "identities.py",
+                 "denom = math.prod([math.factorial(n) for _, n in powers])", "denom = 1",
+                 dict(WIDE, identities=["4.3", "4.4", "4.5"])),
+    # a root block over prod e of its runs, not prod e!
+    SourceMutant("block_prod_not_factorial", "engine.py",
+                 "math.prod(map(math.factorial, runs))", "math.prod(runs)",
+                 dict(WIDE, identities=["integrality", "triangular"])),
     SourceMutant("odd_swap_sign_dropped", "engine.py",
                  "sign = -1 if (odd and odd_of[x]) else 1", "sign = 1",
                  {"algebras": ["sl21", "osp12"], "identities": ["4.9", "4.10", "deg6"],
@@ -168,7 +107,34 @@ SOURCE_MUTANTS = (
     SourceMutant("pi_product_skips_power", "combinatorics.py", "p = monoid.power(a, m)", "p = a",
                  {"algebras": ["sl21"], "identities": ["4.3", "4.4", "4.5", "deg1", "deg2"],
                   "monoid": "trunc:3", "rmax": 2, "smax": 2, "mmax": 2, "chimax": 2}),
+    # MonoidBasis.mul keeps a product of total degree trunc (power still drops it)
+    SourceMutant("trunc_mul_off_by_one", "coeffalg.py",
+                 "c = tuple(x + y for x, y in zip(a, b))\n"
+                 "        if self.trunc is not None and sum(c) >= self.trunc:",
+                 "c = tuple(x + y for x, y in zip(a, b))\n"
+                 "        if self.trunc is not None and sum(c) > self.trunc:",
+                 {"algebras": ["sl2"], "identities": ["4.3", "4.4"], "monoid": "trunc:2",
+                  "rmax": 1, "smax": 1, "chimax": 1}),
 )
+
+SUMMARY_RE = re.compile(r"SUMMARY checks=(\d+) pass=\d+ fail=(\d+) inapplicable=\d+")
+FAIL_RE = re.compile(r"CHECK id=(\S+) .* verdict=FAIL\b")
+
+
+def run_mutated(mutant, config_path, root):
+    """`verify --config` on a copy of the package under root that carries the
+    mutant's one edit, in a child process."""
+    shutil.copytree(os.path.dirname(engine.__file__), os.path.join(root, "superpbw"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = os.path.join(root, "superpbw", mutant.module)
+    with open(path) as fh:
+        text = fh.read()
+    assert text.count(mutant.target) == 1, mutant.target
+    with open(path, "w") as fh:
+        fh.write(text.replace(mutant.target, mutant.replacement))
+    return subprocess.run([sys.executable, "-m", "superpbw", "verify", "--config", config_path],
+                          cwd=root, env=dict(os.environ, PYTHONPATH=root),
+                          capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("mutant", SOURCE_MUTANTS, ids=lambda m: m.name)
@@ -176,16 +142,34 @@ def test_each_source_mutant_is_caught_by_its_checks(tmp_path, capsys, mutant):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(mutant.config))
     assert cli.main(["verify", "--config", str(config)]) == 0     # the tree passes
-    shutil.copytree(os.path.dirname(engine.__file__), tmp_path / "superpbw",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    path = tmp_path / "superpbw" / mutant.module
-    text = path.read_text()
-    assert text.count(mutant.target) == 1, mutant.target
-    path.write_text(text.replace(mutant.target, mutant.replacement))
-    child = subprocess.run([sys.executable, "-m", "superpbw", "verify", "--config", str(config)],
-                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
-                           capture_output=True, text=True)
+    child = run_mutated(mutant, str(config), str(tmp_path))
     assert child.returncode == 1, child.stderr
     # a crash exits 1 too: the copy must have run every check to its summary
-    summary = child.stdout.splitlines()[-1]
-    assert re.fullmatch(r"SUMMARY checks=\d+ pass=\d+ fail=[1-9]\d* inapplicable=\d+", summary)
+    summary = SUMMARY_RE.fullmatch(child.stdout.splitlines()[-1])
+    assert summary and int(summary[2]) >= 1, child.stdout.splitlines()[-1]
+
+
+def kill_matrix():
+    """Print each mutant's failing checks by id over WIDE; 1 if a copy did
+    not run to its summary, else 0."""
+    crashed = 0
+    for mutant in SOURCE_MUTANTS:
+        with tempfile.TemporaryDirectory() as root:
+            config = os.path.join(root, "config.json")
+            with open(config, "w") as fh:
+                json.dump(WIDE, fh)
+            child = run_mutated(mutant, config, root)
+        lines = child.stdout.splitlines() or [""]
+        summary = SUMMARY_RE.fullmatch(lines[-1])
+        if summary is None:
+            crashed += 1
+            print("%s CRASH %s" % (mutant.name, child.stderr.strip().rpartition("\n")[2]))
+            continue
+        fails = [m[1] for m in map(FAIL_RE.match, lines) if m]
+        print(" ".join(["%s fail=%s/%s" % (mutant.name, summary[2], summary[1])]
+                       + ["%s=%d" % (i, fails.count(i)) for i in IDENTITIES if i in fails]))
+    return 1 if crashed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(kill_matrix())
