@@ -8,6 +8,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .digits import DIGIT, is_int, to_int
+
 
 class SpecError(ValueError):
     pass
@@ -53,6 +55,10 @@ class SuperAlgebraSpec:
             self._by_ev[r.ev] = r.label
         self.brackets = {}
         for (s1, s2), terms in brackets.items():
+            for _, c in terms:
+                if c != int(c):
+                    raise SpecError("bracket %s %s: non-integer structure constant %s"
+                                    % (format_sym(s1), format_sym(s2), c))
             terms = tuple((sym, int(c)) for sym, c in terms if c)
             if terms:
                 self.brackets[(s1, s2)] = terms
@@ -501,7 +507,7 @@ def _build_preset(name):
 # ---------------------------------------------------------------------------
 # file format
 
-_SYM_RE = re.compile(r"^(?:h(\d+)|x\[([^\]]+)\])$")
+_SYM_RE = re.compile(r"^(?:h(%s+)|x\[([^\]]+)\])$" % DIGIT)
 
 
 def _parse_sym(tok, line_no):
@@ -550,7 +556,7 @@ def load_spec(text, name="user", check=True):
             if rank is not None:
                 raise SpecError("line %d: cartan is stated twice" % line_no)
             try:
-                rank, = (int(t) for t in toks[1:])
+                rank, = (to_int(t) for t in toks[1:])
             except ValueError:
                 raise SpecError("line %d: cartan wants a rank" % line_no)
             if rank < 0:
@@ -569,9 +575,12 @@ def load_spec(text, name="user", check=True):
                 raise SpecError("line %d: want '<label> even|odd <%d ints> neg <label> [positive]'"
                                 % (line_no, rank))
             label = toks[0]
+            if is_int(label) or "," in label:
+                raise SpecError("line %d: root label %r reads as a Cartan index or holds ',',"
+                                " so no order can name it" % (line_no, label))
             parity = 0 if toks[1] == "even" else 1
             try:
-                ev = tuple(int(t) for t in toks[2:2 + rank])
+                ev = tuple(to_int(t) for t in toks[2:2 + rank])
             except ValueError:
                 raise SpecError("line %d: bad evaluation vector" % line_no)
             if toks[2 + rank] != "neg":
@@ -584,7 +593,7 @@ def load_spec(text, name="user", check=True):
                 raise SpecError("line %d: coroot %s is stated twice" % (line_no, toks[0]))
             coroot_lines[toks[0]] = line_no
             try:
-                coroots[toks[0]] = tuple(int(t) for t in toks[1:1 + rank])
+                coroots[toks[0]] = tuple(to_int(t) for t in toks[1:1 + rank])
             except ValueError:
                 raise SpecError("line %d: bad coroot vector" % line_no)
             if len(toks) != 1 + rank:
@@ -610,7 +619,7 @@ def load_spec(text, name="user", check=True):
             for k in range(0, len(rhs), 2):
                 sym = _parse_sym(rhs[k], line_no)
                 try:
-                    c = int(rhs[k + 1])
+                    c = to_int(rhs[k + 1])
                 except ValueError:
                     raise SpecError("line %d: bad integer %r" % (line_no, rhs[k + 1]))
                 terms.append((sym, c))

@@ -11,6 +11,7 @@ import os
 import sys
 
 from .algebra import read_algebra, spec_from_source, validate, PRESET_NAMES
+from .digits import to_int
 from .exprio import divided_parts, divided_str, parse_expr, parse_mset, uelem_str
 from . import identities as ident
 from . import verify as ver
@@ -24,6 +25,14 @@ def _given(value, default):
     """A flag's value, or the default when the flag is absent.  An empty
     value is given, so it reaches its reader and is refused there."""
     return default if value is None else value
+
+
+def _int(text):
+    """An int flag's value, from ASCII digits; argparse's own refusal otherwise."""
+    try:
+        return to_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
 
 
 def make_engine(args, default_monoid="poly"):
@@ -214,12 +223,12 @@ def build_parser():
 
     sp = sub.add_parser("basis", help="enumerate the integral basis by degree")
     common(sp, "finite coefficient monoid")
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", type=_int, required=True)
     sp.set_defaults(func=cmd_basis)
 
     sp = sub.add_parser("pelem", help="build a Cartan p-element")
     common(sp)
-    sp.add_argument("--i", type=int, help="Cartan index")
+    sp.add_argument("--i", type=_int, help="Cartan index")
     sp.add_argument("--alpha", help="root label (uses the coroot map)")
     sp.add_argument("--chi", default="", help="multiset, e.g. 't:2,t^2:1'")
     sp.add_argument("--divided", action="store_true")
@@ -228,8 +237,8 @@ def build_parser():
     sp = sub.add_parser("delem", help="build a divided-power D sum")
     common(sp)
     sp.add_argument("--alpha", required=True)
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--j", type=_int, required=True)
+    sp.add_argument("--k", type=_int, required=True)
     sp.add_argument("--d", required=True)
     sp.add_argument("--c", required=True)
     sp.add_argument("--divided", action="store_true")

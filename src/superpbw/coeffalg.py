@@ -4,7 +4,9 @@ adds an absorbing zero)."""
 
 import re
 
-_ELT_RE = re.compile(r"^([a-z])(?:\^(-?\d+))?$")
+from .digits import DIGIT, is_digits
+
+_ELT_RE = re.compile(r"^([a-z])(?:\^(-?%s+))?$" % DIGIT)
 
 
 class MonoidError(ValueError):
@@ -111,7 +113,7 @@ def monoid_preset(name):
         return MonoidBasis("poly2", ("u", "v"))
     if name.startswith("trunc:"):
         bound = name.split(":", 1)[1]
-        if not bound.isdecimal() or int(bound) < 1:
+        if not is_digits(bound) or int(bound) < 1:
             raise MonoidError("truncation bound %r is not an integer >= 1" % bound)
         return MonoidBasis(name, ("t",), trunc=int(bound))
     raise MonoidError("unknown monoid preset %r" % name)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .combinatorics import Multiset, enumerate_sub, multinomial, pi_product
+from .digits import is_int
 
 NEG_INF = float("-inf")
 
@@ -66,7 +67,7 @@ class Order:
             return cls.triangular(spec)
         if text in ("lex", "lexicographic"):
             return cls.lexicographic(spec)
-        return cls(spec, [('h', int(tok)) if tok.lstrip("+-").isdecimal() else ('x', tok)
+        return cls(spec, [('h', int(tok)) if is_int(tok) else ('x', tok)
                           for tok in map(str.strip, text.split(","))])
 
     def is_triangular(self):

@@ -13,10 +13,11 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .combinatorics import Multiset
+from .digits import DIGIT, is_digits
 from .engine import UElem, word_runs
 
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
-_INT_RE = re.compile(r"-?\d+")
+_NUM_RE = re.compile("%s+(?:/%s+)?" % (DIGIT, DIGIT))
+_INT_RE = re.compile("-?%s+" % DIGIT)
 # parentheses nest by recursion, so a deeper nesting is refused before it
 # reaches the interpreter's recursion limit
 MAX_DEPTH = 100
@@ -91,7 +92,7 @@ class _Parser:
 
     def term(self):
         factors = [self.factor()]
-        while self.peek() and self.peek() in "0123456789xhp(":
+        while is_digits(self.peek()) or self.peek() in ("x", "h", "p", "("):
             factors.append(self.factor())
         scalars = [f for f in factors if isinstance(f, Fraction)]
         acc = self.engine.mul_sum(([f for f in factors if not isinstance(f, Fraction)],))
@@ -99,7 +100,7 @@ class _Parser:
 
     def factor(self):
         ch = self.peek()
-        if ch.isdigit():
+        if is_digits(ch):
             start = self.pos
             try:
                 return Fraction(self.match_re(_NUM_RE, "a number"))
@@ -161,7 +162,7 @@ class _Parser:
         except ValueError as e:
             self.error(str(e))
         if kind == "h":
-            if not label.isdecimal():
+            if not is_digits(label):
                 self.error("h wants a Cartan index")
             sym = ('h', int(label))
         else:
@@ -175,7 +176,7 @@ class _Parser:
         self.pos += 1
         self.expect("[")
         idx = self.until("]")
-        if not idx.isdecimal():
+        if not is_digits(idx):
             self.error("p wants a Cartan index")
         self.expect("{")
         body = self.until("}")
@@ -210,7 +211,7 @@ def parse_mset(monoid, text):
         elt, colon, mult = piece.rpartition(":")
         if not colon:
             elt, mult = piece, "1"
-        if not mult.strip().isdecimal():
+        if not is_digits(mult.strip()):
             raise ValueError("multiset entry %r wants elt or elt:mult" % piece.strip())
         items.append((monoid.parse_elt(elt), _index_int(mult, "multiplicity")))
     return Multiset(items)

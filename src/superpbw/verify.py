@@ -21,6 +21,7 @@ from .identities import DividedPower, Letter, PElement, minus, minus_two
 from .algebra import SpecError, pair_plane, read_algebra, spec_from_source, PRESET_NAMES
 from .coeffalg import monoid_preset
 from .combinatorics import Multiset, binomial, multisets_upto, verify_comb_identity
+from .digits import to_int
 from .engine import AlgebraError, Engine, Order, UElem
 from .exprio import divided_key_str, letter_str, mset_str, parse_mset, word_parts
 
@@ -111,7 +112,7 @@ def parse_value(engine, kind, text):
         return engine.monoid.parse_elt(text)
     if kind == "mset":
         return parse_mset(engine.monoid, text)
-    return int(text) if kind in ("cartan", "r", "s", "m") else text.strip()
+    return to_int(text) if kind in ("cartan", "r", "s", "m") else text.strip()
 
 
 def fmt_value(engine, v):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,20 @@ def test_validate_reports_mutations():
     wrong[(('x', 'a2'), ('x', 'a1'))] = ((('x', 'a1+a2'), -2),)
     bad = validate(SuperAlgebraSpec("sl3bad", 2, sl3.roots, sl3.coroots, wrong))
     assert any("Jacobi" in v for v in bad)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 0.5, Fraction(5, 2)], ids=str)
+def test_a_non_integer_structure_constant_is_refused(c):
+    """Not truncated to an int, which kept 1/2 as a zero entry, 5/2 as 2, and
+    left validate to blame the coroot."""
+    spec = preset("sl2")
+    brackets = dict(spec.brackets)
+    brackets[(('x', 'a'), ('x', '-a'))] = ((('h', 1), Fraction(2, 2)),)
+    assert SuperAlgebraSpec("sl2", 1, spec.roots, spec.coroots, brackets).brackets == spec.brackets
+    brackets[(('x', 'a'), ('x', '-a'))] = ((('h', 1), c),)
+    with pytest.raises(SpecError, match=r"^bracket x\[a\] x\[-a\]: non-integer structure "
+                                        r"constant %s$" % c):
+        SuperAlgebraSpec("sl2half", 1, spec.roots, spec.coroots, brackets)
 
 
 def test_validate_parity_and_grading():
