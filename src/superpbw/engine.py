@@ -23,9 +23,14 @@ class Order:
     """Total order on the generator symbols R cup I of a spec."""
 
     def __init__(self, spec, syms):
-        syms = tuple(syms)
-        if sorted(syms) != sorted(spec.all_syms()):
-            raise AlgebraError("order must list every root and Cartan symbol exactly once")
+        syms, known = tuple(syms), spec.all_syms()
+        faults = [("unknown", s) for s in syms if s not in known]
+        faults += [("repeated", s) for n, s in enumerate(syms) if s in syms[:n]]
+        faults += [("missing", s) for s in known if s not in syms]
+        if faults:      # the first is named, as the token `named` reads for it
+            kind, sym = faults[0]
+            raise AlgebraError("order must list every root and Cartan symbol exactly once:"
+                               " %s %r" % (kind, str(sym[1])))
         self.syms = syms
         self._rank = {s: n for n, s in enumerate(syms)}
         # -1 / 0 / +1 for negative-root / Cartan / positive-root symbols
@@ -343,9 +348,9 @@ class Engine:
         # code the letter, its order key and its parity; and the bracket
         # table, by pair of codes (see `_bracket`)
         self._codes = {}
-        self._letters = []
-        self._keys = []
-        self._odd = []
+        self._letters = {}
+        self._keys = {}
+        self._odd = {}
         self._brackets = {}
         self._insert_memo = {}
         self._p_memo = {}
@@ -378,21 +383,25 @@ class Engine:
     # -- normalization core ----------------------------------------------
 
     def _code(self, letter):
-        """The letter's code, assigned on first sight."""
+        """The letter's code, assigned on first sight: the one-character
+        string chr(n) for the n-th letter this engine codes, so a code word,
+        the string of its letters' codes, costs one byte a letter while
+        codes stay under 256.  The letter, its key and its parity are
+        looked up by code."""
         code = self._codes.get(letter)
         if code is None:
             key = self._key(letter)
-            code = self._codes[letter] = len(self._letters)
-            self._letters.append(letter)
-            self._keys.append(key)
-            self._odd.append(self._parity[letter[0]])
+            code = self._codes[letter] = chr(len(self._letters))
+            self._letters[code] = letter
+            self._keys[code] = key
+            self._odd[code] = self._parity[letter[0]]
         return code
 
     def _encode(self, word):
         try:
-            return tuple(map(self._codes.__getitem__, word))
+            return "".join(map(self._codes.__getitem__, word))
         except KeyError:        # a letter seen for the first time
-            return tuple(map(self._code, word))
+            return "".join(map(self._code, word))
 
     def _decode(self, word):
         return tuple(map(self._letters.__getitem__, word))
@@ -416,8 +425,9 @@ class Engine:
 
     def _insert(self, word, letter, call):
         """word * letter, for a sorted code word and a letter code, as a tuple
-        of (sorted code word, coeff) pairs, on a miss of `_insert_memo`
-        (`_fold_into` reads the memo itself), stored there.  `call` holds
+        of (sorted code word, coeff) pairs, on a miss of `_insert_memo` for a
+        product that needs straightening (`_fold_into` appends the others
+        and reads the memo itself), stored there.  `call` holds
         the solver of the calling mul_sum call (`_straighten`), built on that
         call's first miss, so no other miss sets up closures."""
         if not call:
@@ -427,11 +437,11 @@ class Engine:
 
     def _straighten(self):
         """The solver of one mul_sum call: a function of (word, letter) that
-        returns word * letter on code words.  A word is the tuple of the
-        codes of its letters (`_code`), so every hash and equality test of
-        the core reads small ints.  Codes follow first sight, not letter
-        order; order is read from the key table, and brackets from the
-        bracket table.
+        returns word * letter on code words.  A word is the string of the
+        codes of its letters (`_code`), so a word hashes once, however often
+        it is looked up, and equality tests compare bytes.  Codes follow
+        first sight, not letter order; order is read from the key table,
+        and brackets from the bracket table.
 
         L passes the letters that sort after it, or equal it when it is odd;
         in a canonical word they form a suffix S of word = P S.  Every
@@ -468,7 +478,7 @@ class Engine:
             is odd."""
             if w and (odd_of[x] if w[-1] == x else keys[w[-1]] > keys[x]):
                 return scratch.get((w, x))
-            return ((w + (x,), 1),)
+            return ((w + x, 1),)
 
         def frame(w, x):
             """Yields each unsolved sub-product (word, letter), is sent its
@@ -501,7 +511,7 @@ class Engine:
                     v = w1[-1]
                     # not passes(v, u), inlined in the hottest loop
                     if (not odd) if v == u else keys[v] < ku:
-                        w2 = w1 + (u,)      # a trivial append, as for top(pre x)
+                        w2 = w1 + u         # a trivial append, as for top(pre x)
                         acc[w2] = acc.get(w2, 0) + c1
                         continue
                     sub = scratch.get((w1, u))      # u passes w1[-1]
@@ -535,18 +545,26 @@ class Engine:
         """Add x y into out, for x and y as (code word, numerator) pairs, the
         words of x canonical: each word of x, times the numerator of a word
         of y, is multiplied by that word's letter codes one at a time on its
-        own, through `_insert_memo` and, on a miss, `_insert` with `call`,
-        the solver slot of the calling product.  A one-term partial product
+        own.  A letter that passes no letter of the word, because the word
+        is empty or the letter sorts after its last one or equals it and is
+        even, is appended in place: the solver's base case, which
+        `_insert_memo` does not store.  Any other product is read from the
+        memo and, on a miss, straightened by `_insert` with `call`, the
+        solver slot of the calling product.  A one-term partial product
         stays a list: its words are distinct, and none of its coefficients
         is zero.  Folding all of x at once would merge intermediate words of
         different terms, and a cancellation there reorders the output terms."""
-        memo = self._insert_memo
+        memo, keys, odd = self._insert_memo, self._keys, self._odd
         for wy, cy in ys:
             for wx, cx in xs:
                 terms = [(wx, cx * cy)]
                 for L in wy:
+                    kL, even = keys[L], not odd[L]
                     if len(terms) == 1:
                         (w, c), = terms
+                        if not w or (even if w[-1] == L else keys[w[-1]] < kL):
+                            terms = [(w + L, c)]
+                            continue
                         got = memo.get((w, L))
                         if got is None:
                             got = self._insert(w, L, call)
@@ -554,6 +572,10 @@ class Engine:
                         continue
                     nxt = {}
                     for w, c in terms:
+                        if not w or (even if w[-1] == L else keys[w[-1]] < kL):
+                            w2 = w + L
+                            nxt[w2] = nxt.get(w2, 0) + c
+                            continue
                         got = memo.get((w, L))
                         if got is None:
                             got = self._insert(w, L, call)
@@ -588,7 +610,7 @@ class Engine:
         miss (`_insert`); that output is decoded and divided by d once.
         Scaling changes no zero test, so one chain's terms come in the
         nested `mul`s' order."""
-        unit = [((), 1)]
+        unit = [("", 1)]
         encode = self._encode
         parts = []
         for chain in chains:

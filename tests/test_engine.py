@@ -387,6 +387,13 @@ def test_order_named():
     for bad in ("a,1", "", "Triangular", "²,a,-a"):  # -a missing; no symbol; not a name; no index
         with pytest.raises(AlgebraError):
             Order.named(spec, bad)
+    # the refusal names the first unknown, repeated or missing token
+    for bad, fault in [("1,a,zz", "unknown 'zz'"), ("٣,a,-a", "unknown '٣'"), ("", "unknown ''"),
+                       ("1,a,-a,a", "repeated 'a'"), ("1, 1,a,-a", "repeated '1'"),
+                       ("1,a", "missing '-a'"), ("a,-a", "missing '1'")]:
+        with pytest.raises(AlgebraError) as err:
+            Order.named(spec, bad)
+        assert str(err.value) == "order must list every root and Cartan symbol exactly once: " + fault
 
 
 @pytest.mark.parametrize("name, order", [(n, o) for n in ("sl2", "sl3", "sp4", "sl21", "osp12")

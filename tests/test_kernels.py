@@ -267,7 +267,7 @@ def test_an_odd_square_hands_mul_a_fraction_numerator():
     xg = eng.letter(('x', 'g'), (0,))
     x2g = eng._code(eng.letter(('x', '2g'), (0,)))
     xs = [(eng._encode((xg,)), 1)]
-    assert eng._fold_into({}, xs, xs, []) == {(x2g,): Fraction(3, 2)}
+    assert eng._fold_into({}, xs, xs, []) == {x2g: Fraction(3, 2)}
     x = UElem({(xg,): Fraction(1, 3)})
     assert_same(eng.mul(x, x), ref_mul(eng, x, x))
     assert eng.mul(x, x).terms == {(eng.letter(('x', '2g'), (0,)),): Fraction(1, 6)}

@@ -71,6 +71,10 @@ SOURCE_MUTANTS = (
                  "if ou if v[0] == u else ku > keys[v[0]]:", "if False:",
                  {"algebras": ["sl3"], "identities": ["L4.4a"], "monoid": "trunc:3",
                   "rmax": 2, "smax": 2}),
+    # the fold appends an odd letter to its own copy instead of taking the odd square
+    SourceMutant("odd_square_appended", "engine.py", "not odd[L]", "True",
+                 {"algebras": ["osp12"], "identities": ["4.8"], "monoid": "trunc:2",
+                  "rmax": 1, "smax": 1}),
     # 4.2 does not see it: both of its sides pass through the same core
     SourceMutant("bracket_constant_dropped", "engine.py", "k * c2", "c2",
                  {"algebras": ["sl2"], "identities": ["L4.3"], "monoid": "trunc:2",

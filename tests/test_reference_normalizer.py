@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from superpbw.algebra import preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.engine import Engine, Order, UElem
+from superpbw.exprio import parse_expr
 
 ALGEBRAS = ("sl2", "sl3", "sp4", "sl21", "osp12")
 ORDERS = {"triangular": Order.triangular, "lex": Order.lexicographic}
@@ -234,10 +235,12 @@ def test_one_letter_past_a_thousand_letter_run():
 
 def test_engine_memo_keeps_only_the_folded_pairs():
     # The sub-products of one normalize call live in its own scratch table;
-    # the engine memo holds the (word, letter) pairs the fold asks for.
+    # the engine memo holds the (word, letter) pairs the fold asks for that
+    # need straightening.  The fold appends the rest in place: here the 6
+    # letters of the run x[a1]{t}^6, each appended to the run before it.
     engine = Engine(preset("sl3"), monoid_preset("poly"))
     engine.normalize([(('x', 'a1'), (1,))] * 6 + [(('x', '-a1'), (0,))] * 6)
-    assert len(engine._insert_memo) == 176
+    assert len(engine._insert_memo) == 170
 
 
 # The core runs on per-engine letter codes, given in first-seen order, so
@@ -265,6 +268,44 @@ def test_a_bracket_that_truncation_kills_is_stored_empty():
     got = engine.normalize([xa, xm]).terms
     assert engine._brackets[engine._code(xa), engine._code(xm)] == ()
     assert got == reference_normalize(engine, [xa, xm], 1, {}) == {(xm, xa): 1}
+
+
+def test_codes_past_255_match_reference():
+    # A code is one character, so past 255 letters the code words hold
+    # two-byte characters; the core must not care.
+    engine = _sl2_poly()
+    for k in range(300):
+        engine._code((('h', 1), (k,)))
+    letters = [(('x', 'a'), (1,))] * 4 + [(('h', 1), (2,)), (('x', '-a'), (0,))] * 3
+    assert engine.normalize(letters).terms == reference_normalize(engine, letters, 1, {})
+    memo = engine._insert_memo
+    assert memo and all(max(map(ord, w + L)) > 255 for w, L in memo)
+
+
+@pytest.mark.parametrize("name, letters, entries", [
+    # an even letter equal to the word's last letter is appended
+    ("sl2", [(('x', 'a'), (1,))] * 2, 0),
+    # an odd one is the odd square
+    ("osp12", [(('x', 'g'), (1,))] * 2, 1),
+    ("osp12", [(('x', 'g'), (0,))] * 2, 1),
+    # one symbol, the second element smaller: the letter passes, and is not appended
+    ("sl2", [(('x', 'a'), (1,)), (('x', 'a'), (0,))], 1),
+    ("osp12", [(('x', 'g'), (1,)), (('x', 'g'), (0,))], 1),
+    # the second element larger: appended
+    ("osp12", [(('x', 'g'), (0,)), (('x', 'g'), (1,))], 0),
+])
+def test_fold_appends_only_what_passes_nothing(name, letters, entries):
+    engine = Engine(preset(name), monoid_preset("poly"))
+    assert engine.normalize(letters).terms == reference_normalize(engine, letters, 1, {})
+    assert len(engine._insert_memo) == entries
+
+
+def test_a_power_is_all_appends():
+    engine = _sl2_poly()
+    xa = (('x', 'a'), (1,))
+    assert parse_expr(engine, "x[a]{t}^50").terms == {(xa,) * 50: 1} \
+        == reference_normalize(engine, [xa] * 50, 1, {})
+    assert engine._insert_memo == {}
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
