@@ -42,12 +42,6 @@ def make_engine(args, default_monoid="poly"):
                            _given(args.order, "triangular"))
 
 
-def _need_finite(engine, what):
-    if not engine.monoid.finite:
-        raise UsageError("%s needs a truncated coefficient algebra (use --monoid trunc:<n>)"
-                         % what)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -93,45 +87,30 @@ def cmd_verify(args):
 
     if args.algebra is None:
         raise UsageError("verify wants --algebra or --config")
-    ids = ver.SWEEP_IDS
-    if args.id is not None:
-        if args.id not in ver.IDENTITIES:
-            raise UsageError("unknown identity id %r (have %s)"
-                             % (args.id, ", ".join(ver.IDENTITIES)))
-        ids = [args.id]
-    kinds = dict(axis for ident_id in ids for axis in ver.IDENTITIES[ident_id].axes)
+    config = ver.SuiteConfig((args.algebra,), ver.SWEEP_IDS if args.id is None else (args.id,),
+                             _given(args.monoid, "trunc:4"))
+    kinds = dict(axis for ident_id in config.identities for axis in ver.IDENTITIES[ident_id].axes)
     stray = [k for k in texts if k not in kinds]
     if stray:
         raise UsageError("%s: not a parameter of %s (it has %s)"
                          % (", ".join("--" + k for k in stray), args.id or "any identity",
                             ", ".join("--" + k for k in kinds) or "none"))
-    engine = ver.get_engine(args.algebra, _given(args.monoid, "trunc:4"),
-                            _given(args.order, "triangular"))
-    _need_finite(engine, "verify")
+    order = _given(args.order, "triangular")
+    engine = ver.get_engine(args.algebra, config.monoid, order)
     fixed = {}
     for k, text in texts.items():
         try:
             fixed[k] = ver.parse_value(engine, kinds[k], text)
         except ValueError as e:
             raise UsageError("--%s: %s" % (k, e))
-    reports = [r for ident_id in ids
-               for r in ver.sweep_identity(engine, ident_id, ver.SweepBounds(), fixed)]
-    if not reports and texts:
-        raise UsageError("no parameter combination matches the given flags")
-    if not reports:
-        raise UsageError("%s on algebra %s"
-                         % ("check %s has no instance" % args.id if args.id
-                            else "no check has an instance", args.algebra))
-    for r in reports:
-        print(r.line())
-    result = ver.SuiteResult(reports)
-    print(result.summary())
-    return 0 if result.ok else 1
+    return 0 if ver.run_suite(config, emit=print, order=order, fixed=fixed).ok else 1
 
 
 def cmd_basis(args):
     engine = make_engine(args, default_monoid="trunc:2")
-    _need_finite(engine, "basis enumeration")
+    if not engine.monoid.finite:
+        raise UsageError("basis enumeration needs a truncated coefficient algebra "
+                         "(use --monoid trunc:<n>)")
     d = args.degree
     if d < 0:
         raise UsageError("degree cap must be >= 0")

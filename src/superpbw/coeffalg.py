@@ -89,7 +89,10 @@ class MonoidBasis:
             m = _ELT_RE.match(piece.strip())
             if not m or m.group(1) not in exps:
                 raise MonoidError("cannot parse %r as an element of %s" % (text, self.name))
-            exps[m.group(1)] += int(m.group(2)) if m.group(2) else 1
+            e = int(m.group(2)) if m.group(2) else 1
+            if e < 0 and not self.laurent:     # refused even if a later factor cancels it
+                raise MonoidError("negative exponent in %s^%d" % (m.group(1), e))
+            exps[m.group(1)] += e
         return self.check(tuple(exps[v] for v in self.varnames))
 
     def __eq__(self, other):

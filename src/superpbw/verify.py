@@ -107,12 +107,18 @@ def expand(engine, bounds, axes, where=None):
 
 
 def parse_value(engine, kind, text):
-    """The value a parameter of this axis kind has when written as text."""
+    """The value a parameter of this axis kind has when written as text.  A
+    root label or Cartan index the engine's algebra lacks is refused."""
     if kind == "elem":
         return engine.monoid.parse_elt(text)
     if kind == "mset":
         return parse_mset(engine.monoid, text)
-    return to_int(text) if kind in ("cartan", "r", "s", "m") else text.strip()
+    if kind in ("cartan", "r", "s", "m"):
+        value = to_int(text)
+        if kind == "cartan":
+            engine._cartan(value)
+        return value
+    return engine.spec.root(text.strip()).label
 
 
 def fmt_value(engine, v):
@@ -616,7 +622,7 @@ def _raise(e):
 # suite runner
 
 def _is_strings(v):
-    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+    return isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v)
 
 
 def _is_finite_monoid(v):
@@ -629,15 +635,14 @@ def _is_finite_monoid(v):
 
 _BOUND_KEYS = tuple(f.name for f in fields(SweepBounds))
 
-# suite config key -> (test of its JSON value, what the key wants)
+# suite config key -> (test of its value, what the key wants)
 _CONFIG_KEYS = {
     **{k: (lambda v: type(v) is int and v >= 0, "a non-negative integer") for k in _BOUND_KEYS},
     **{k: (lambda v: type(v) is int and v >= 1, "a positive integer")
        for k in ("integrality_gens", "integrality_trials")},
     "seed": (lambda v: type(v) is int, "an integer"),
     "algebras": (_is_strings, "a list of presets or algebra file paths"),
-    "identities": (lambda v: _is_strings(v) and all(x in IDENTITIES for x in v),
-                   "a list of identity ids (%s)" % ", ".join(IDENTITIES)),
+    "identities": (_is_strings, "a list of identity ids"),
     "monoid": (_is_finite_monoid, "a monoid preset with a finite basis (trunc:n)"),
 }
 
@@ -650,6 +655,16 @@ class SuiteConfig:
     bounds: SweepBounds = field(default_factory=SweepBounds)
 
     def __post_init__(self):
+        """Every field is checked, however the config is built; a bad value
+        raises SpecError naming its key, or the unknown id."""
+        for k, (ok, wants) in _CONFIG_KEYS.items():
+            v = getattr(self.bounds if k in _BOUND_KEYS else self, k)
+            if not ok(v):
+                raise SpecError("suite config key %r wants %s, got %r" % (k, wants, v))
+        for n in self.identities:
+            if n not in IDENTITIES:
+                raise SpecError("unknown identity id %r (have %s)" % (n, ", ".join(IDENTITIES)))
+        self.algebras, self.identities = tuple(self.algebras), tuple(self.identities)
         for what, names in (("algebra", self.algebras), ("identity", self.identities)):
             dup = next((n for k, n in enumerate(names) if n in names[:k]), None)
             if dup is not None:
@@ -657,8 +672,8 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, text):
-        """Parse a JSON suite config; an unknown key or a bad value raises
-        SpecError naming the key."""
+        """Parse a JSON suite config; an unknown key raises SpecError naming
+        it, and the fields are checked as they are for any config."""
         try:
             raw = json.loads(text)
         except (ValueError, RecursionError) as e:
@@ -666,15 +681,11 @@ class SuiteConfig:
             raise SpecError("bad suite config: %s" % e)
         if not isinstance(raw, dict):
             raise SpecError("suite config must be a JSON object")
-        for k, v in raw.items():
+        for k in raw:
             if k not in _CONFIG_KEYS:
                 raise SpecError("unknown suite config key %r" % k)
-            ok, wants = _CONFIG_KEYS[k]
-            if not ok(v):
-                raise SpecError("suite config key %r wants %s, got %r" % (k, wants, v))
         bounds = SweepBounds(**{k: raw.pop(k) for k in _BOUND_KEYS if k in raw})
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()},
-                   bounds=bounds)
+        return cls(**raw, bounds=bounds)
 
     @classmethod
     def from_path(cls, path):
@@ -707,15 +718,16 @@ class SuiteResult:
             len(self.reports), c["pass"], c["fail"], c["inapplicable"])
 
 
-def run_suite(config, emit=None):
+def run_suite(config, emit=None, order="triangular", fixed=None):
     """Run the chosen checks on each algebra, then the algebra-free ones once
     (as the engine None); `emit` (if given) receives each report line as it
-    is produced.  Every algebra is loaded before the first check runs, and
-    two entries that load the same table (rank, roots, coroots, brackets),
-    as a file named two ways or a preset and a copy of its table do, raise
-    SpecError naming both.  So does a config that runs no check, before
-    any summary."""
-    engines = [get_engine(a, config.monoid) for a in config.algebras]
+    is produced.  The engines use the named `order`, and `fixed` restricts
+    every sweep as in `sweep_identity`.  Every algebra is loaded before the
+    first check runs, and two entries that load the same table (rank,
+    roots, coroots, brackets), as a file named two ways or a preset and a
+    copy of its table do, raise SpecError naming both.  So does a config
+    that runs no check, before any summary."""
+    engines = [get_engine(a, config.monoid, order) for a in config.algebras]
     tables = [(e.spec.rank, e.spec.roots, e.spec.coroots, e.spec.brackets) for e in engines]
     for k, table in enumerate(tables):
         if table in tables[:k]:
@@ -725,13 +737,16 @@ def run_suite(config, emit=None):
     for engine in engines + [None]:
         for ident_id in config.identities:
             if IDENTITIES[ident_id].algebra_free == (engine is None):
-                for r in sweep_identity(engine, ident_id, config.bounds):
+                for r in sweep_identity(engine, ident_id, config.bounds, fixed):
                     reports.append(r)
                     if emit:
                         emit(r.line())
     if not reports:
-        raise SpecError("suite config runs no check: identities [%s] on algebras [%s]"
-                        % (", ".join(config.identities), ", ".join(config.algebras)))
+        what = "identities [%s] on algebras [%s]" % (", ".join(config.identities),
+                                                     ", ".join(config.algebras))
+        if fixed and engines:
+            what += " with " + ", ".join("%s=%s" % kv for kv in fmt_params(engines[0], fixed))
+        raise SpecError("suite config runs no check: " + what)
     result = SuiteResult(reports)
     if emit:
         emit(result.summary())

@@ -106,13 +106,26 @@ def test_verify_id_without_instance_names_id_and_algebra(capsys, ident):
     # an odd-root id on sl2, which has no odd roots; no flag was given
     code, out, err = run(capsys, "verify", "--algebra", "sl2", "--id", ident)
     assert code == 2 and not out
-    assert err == "error: check %s has no instance on algebra sl2\n" % ident
+    assert err == "error: suite config runs no check: identities [%s] on algebras [sl2]\n" % ident
 
 
 def test_verify_flags_without_match_blame_the_flags(capsys):
+    # a1 is a root of sl21, but an even one, and 4.11's gamma is odd
     code, _, err = run(capsys, "verify", "--algebra", "sl21", "--id", "4.11", "--gamma", "a1")
     assert code == 2
-    assert err == "error: no parameter combination matches the given flags\n"
+    assert err == ("error: suite config runs no check: identities [4.11] on algebras [sl21] "
+                   "with gamma=a1\n")
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (("--id", "4.2", "--beta", "zz"), "--beta: unknown root label 'zz' in algebra sl2"),
+    (("--id", "L5.2", "--i", "9"), "--i: no Cartan generator h9 in sl2"),
+    (("--id", "L5.2", "--i", "0"), "--i: no Cartan generator h0 in sl2"),
+    (("--alpha", "a2"), "--alpha: unknown root label 'a2' in algebra sl2"),
+], ids=["beta-zz", "i-9", "i-0", "alpha-a2"])
+def test_verify_flag_naming_nothing_in_the_algebra_is_refused(capsys, argv, msg):
+    code, out, err = run(capsys, "verify", "--algebra", "sl2", *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % msg)
 
 
 def test_verify_has_no_seed_flag(capsys):
@@ -352,6 +365,7 @@ def test_pelem_refuses_both_i_and_alpha(capsys):
     ("h[9]{t}^(0)", "no Cartan generator h9 in sl2"),
     # a refused element is named in the grammar, not as its exponent tuple
     ("x[a]{t^-1}", "negative exponent in t^-1 (at position 10)"),
+    ("x[a]{t*t^-1}", "negative exponent in t^-1 (at position 12)"),     # cancelled or not
     ("p[1]{t^-2:1}", "negative exponent in t^-2 (at position 12)"),
     # a digit that is not a decimal digit is no index and no multiplicity
     ("h[²]{1}", "h wants a Cartan index (at position 7)"),
@@ -585,7 +599,7 @@ def test_verify_missing_files_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("config, key", [
     ({"rmax": [1]}, "rmax"),
     ({"algebras": 3}, "algebras"),
-    ({"algebras": ["sl2"], "identities": ["nope"]}, "identities"),
+    ({"algebras": ["sl2"], "identities": "4.2"}, "identities"),
     ({"monoid": "trunc:x"}, "monoid"),
     ({"rmax": -1}, "rmax"),
     ({"monoid": "laurent"}, "monoid"),
@@ -809,8 +823,8 @@ def test_verify_needs_a_finite_monoid(capsys):
         code, out, err = run(capsys, "verify", "--algebra", "sl2", "--monoid", "poly",
                              "--id", ident)
         assert code == 2 and out == ""
-        assert err == ("error: verify needs a truncated coefficient algebra "
-                       "(use --monoid trunc:<n>)\n")
+        assert err == ("error: suite config key 'monoid' wants a monoid preset with a finite "
+                       "basis (trunc:n), got 'poly'\n")
 
 
 def test_verify_config_loads_every_algebra_before_the_first_check(tmp_path, capsys):

@@ -26,6 +26,7 @@ def test_laurent_inverse():
     mon = monoid_preset("laurent")
     assert mon.mul((-1,), (1,)) == mon.one
     assert mon.parse_elt("t^-2") == (-2,)
+    assert mon.parse_elt("t^3*t^-2") == (1,)      # the exponents of a product add up
     with pytest.raises(MonoidError):
         mon.elements()
 
@@ -77,3 +78,15 @@ def test_monoids_compare_by_their_fields_not_their_names():
     assert monoid_preset("poly") != monoid_preset("laurent")
     assert monoid_preset("poly") != monoid_preset("poly2")
     assert len({monoid_preset("poly2"), MonoidBasis("uv", ("u", "v"))}) == 1
+
+
+@pytest.mark.parametrize("name, text, factor", [
+    ("poly", "t*t^-1", "t^-1"),           # cancels to 1, but t^-1 is no element of C[t]
+    ("poly", "t^-1*t^2", "t^-1"),
+    ("trunc:2", "t^3*t^-2", "t^-2"),      # would read as t, though t^3 is past the bound
+    ("poly2", "u*v^-1*v", "v^-1"),
+])
+def test_a_negative_exponent_is_refused_unless_laurent(name, text, factor):
+    with pytest.raises(MonoidError) as exc:
+        monoid_preset(name).parse_elt(text)
+    assert str(exc.value) == "negative exponent in %s" % factor

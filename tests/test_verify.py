@@ -212,7 +212,7 @@ def test_sweep_identity_fixed_filter():
     ({"rmax": [1]}, "rmax"),
     ({"algebras": 3}, "algebras"),
     ({"algebras": "sl2"}, "algebras"),
-    ({"algebras": ["sl2"], "identities": ["nope"]}, "identities"),
+    ({"algebras": ["sl2"], "identities": ["4.2", 3]}, "identities"),
     ({"monoid": "trunc:x"}, "monoid"),
     ({"comb": 1}, "comb"),
     ({"integrality_trials": -1}, "integrality_trials"),
@@ -223,6 +223,23 @@ def test_sweep_identity_fixed_filter():
 def test_suite_config_rejects_bad_values(raw, key):
     with pytest.raises(SpecError, match="suite config key %r" % key):
         SuiteConfig.from_json(json.dumps(raw))
+
+
+@pytest.mark.parametrize("kwargs, raw, msg", [
+    ({"identities": ("nope",)}, {"identities": ["nope"]}, "unknown identity id 'nope' (have 4.1, "),
+    ({"monoid": "poly"}, {"monoid": "poly"},
+     "suite config key 'monoid' wants a monoid preset with a finite basis (trunc:n), got 'poly'"),
+    ({"bounds": SweepBounds(integrality_trials=0)}, {"integrality_trials": 0},
+     "suite config key 'integrality_trials' wants a positive integer, got 0"),
+    ({"algebras": "sl2"}, {"algebras": "sl2"},
+     "suite config key 'algebras' wants a list of presets or algebra file paths, got 'sl2'"),
+], ids=["unknown-id", "infinite-monoid", "zero-trials", "algebras-a-string"])
+def test_a_config_built_in_python_is_refused_as_its_json_is(kwargs, raw, msg):
+    with pytest.raises(SpecError) as built:
+        run_suite(SuiteConfig(**kwargs))
+    with pytest.raises(SpecError) as parsed:
+        SuiteConfig.from_json(json.dumps(raw))
+    assert str(built.value).startswith(msg) and str(parsed.value) == str(built.value)
 
 
 def _suite_ids(algebras, identities):
