@@ -458,47 +458,58 @@ class Engine:
         The base case is a trivial append: w L where L sorts after w's last
         letter, or equals it and is even.  Every sub-product has fewer
         letters than word L, except top(pre L) u, which is a trivial append,
-        so the recursion ends.  It runs on an explicit stack of generator
-        frames, each of which yields the sub-products it needs and is sent
-        their values, so its depth is not the interpreter's.  The solver's
+        so the recursion ends.  A sub-product is read from the solver's
         scratch table, which lives as long as the mul_sum call that built
-        it, holds every product solved so far, suffix products included.
+        it and holds every product solved so far, suffix products included;
+        then from `_insert_memo`, which holds the same values for the
+        products earlier calls solved; and is solved only if both miss.
+        Solving runs on an explicit stack of generator frames, so its depth
+        is not the interpreter's.  A frame yields each (word, letter) it
+        needs solved and, when resumed, reads its value from scratch; it
+        stores its own product there and returns None, so the driver pops
+        it on `next(frame, None)` and no StopIteration is raised.
         The bracket constants are integers, so the coefficients stay ints
         unless an odd square has an odd constant.
         """
         keys, odd_of = self._keys, self._odd
         brackets, bracket = self._brackets, self._bracket
         key_of = keys.__getitem__
+        memo = self._insert_memo.get
         scratch = {}
 
         def known(w, x):
             """w x when it needs no frame: a trivial append, or a product
-            solved before in this call; else None.  x passes (moves left
-            past) w's last letter when that sorts after x, or equals it and
-            is odd."""
+            solved before, in this call or in the memo; else None.  x passes
+            (moves left past) w's last letter when that sorts after x, or
+            equals it and is odd."""
             if w and (odd_of[x] if w[-1] == x else keys[w[-1]] > keys[x]):
-                return scratch.get((w, x))
+                got = scratch.get((w, x))
+                return memo((w, x)) if got is None else got
             return ((w + x, 1),)
 
         def frame(w, x):
-            """Yields each unsolved sub-product (word, letter), is sent its
-            value, and returns the value of w x."""
+            """Yields each unsolved sub-product (word, letter), whose value
+            is in scratch when the frame resumes, and stores w x there."""
             # S starts at the first letter x passes; w[-1] is one
             n = (bisect.bisect_left if odd_of[x] else bisect.bisect_right)(
                 w, keys[x], 0, len(w) - 1, key=key_of)
             if n:
                 p, s = w[:n], w[n:]
-                sx = scratch.get((s, x))        # x passes s[-1] = w[-1]
+                req = s, x                  # x passes s[-1] = w[-1]
+                sx = scratch.get(req)
                 if sx is None:
-                    sx = yield s, x
+                    sx = memo(req)
+                    if sx is None:
+                        yield req
+                        sx = scratch[req]
                 u = p[-1]
                 ou, ku = odd_of[u], keys[u]
                 for v, _ in sx:
                     if ou if v[0] == u else ku > keys[v[0]]:     # v[0] passes u
                         break
                 else:
-                    out = scratch[w, x] = tuple([(p + v, c) for v, c in sx])
-                    return out
+                    scratch[w, x] = tuple([(p + v, c) for v, c in sx])
+                    return
             pre, u = w[:-1], w[-1]
             acc = {}
             if u != x:              # else u = x is odd, and only the bracket stays
@@ -506,7 +517,10 @@ class Engine:
                 sign = -1 if (odd and odd_of[x]) else 1
                 ku = keys[u]
                 sub = known(pre, x)
-                for w1, c1 in (yield pre, x) if sub is None else sub:
+                if sub is None:
+                    yield pre, x
+                    sub = scratch[pre, x]
+                for w1, c1 in sub:
                     c1 *= sign
                     v = w1[-1]
                     # not passes(v, u), inlined in the hottest loop
@@ -514,30 +528,36 @@ class Engine:
                         w2 = w1 + u         # a trivial append, as for top(pre x)
                         acc[w2] = acc.get(w2, 0) + c1
                         continue
-                    sub = scratch.get((w1, u))      # u passes w1[-1]
-                    for w2, c2 in (yield w1, u) if sub is None else sub:
+                    req = w1, u             # u passes w1[-1]
+                    sub = scratch.get(req)
+                    if sub is None:
+                        sub = memo(req)
+                        if sub is None:
+                            yield req
+                            sub = scratch[req]
+                    for w2, c2 in sub:
                         acc[w2] = acc.get(w2, 0) + c1 * c2
             terms = brackets.get((u, x))
             for b, k in bracket(u, x) if terms is None else terms:
                 sub = known(pre, b)
-                for w2, c2 in (yield pre, b) if sub is None else sub:
+                if sub is None:
+                    yield pre, b
+                    sub = scratch[pre, b]
+                for w2, c2 in sub:
                     acc[w2] = acc.get(w2, 0) + k * c2
-            out = scratch[w, x] = tuple([item for item in acc.items() if item[1]])
-            return out
+            scratch[w, x] = tuple([item for item in acc.items() if item[1]])
 
         def solve(word, letter):
             out = known(word, letter)
             if out is None:
                 stack = [frame(word, letter)]
                 while stack:
-                    try:
-                        req = stack[-1].send(out)
-                    except StopIteration as done:
-                        out = done.value
+                    req = next(stack[-1], None)
+                    if req is None:         # the frame stored its product
                         stack.pop()
                     else:
                         stack.append(frame(*req))
-                        out = None
+                out = scratch[word, letter]
             return out
         return solve
 

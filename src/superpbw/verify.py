@@ -30,11 +30,17 @@ from .exprio import divided_key_str, letter_str, mset_str, parse_mset, word_part
 class CheckReport:
     identity: str
     algebra: str
-    params: tuple            # ((name, printable value), ...)
+    format_params: object    # () -> ((name, printable value), ...), called by `params`
     verdict: str             # "pass" | "fail" | "inapplicable"
     detail: str = ""
     diffs: tuple = ()        # ((word string, lhs coeff, rhs coeff), ...)
     seconds: float = 0.0
+
+    @functools.cached_property
+    def params(self):
+        """((name, printable value), ...), formatted on the first read: a
+        check whose line nobody reads never formats its parameters."""
+        return self.format_params()
 
     def line(self):
         bits = ["CHECK id=%s algebra=%s" % (self.identity, self.algebra)]
@@ -534,22 +540,23 @@ def _solve_signs(lhs, template):
     return (None, why) if rest else (eps, None)
 
 
-def _report(ident_id, algebra, params, body):
+def _report(ident_id, algebra, format_params, body):
     """The one builder of a CheckReport, timed around body() -> (verdict,
     detail, diffs); a detail with diffs names the first.  An exception
-    inside body is a FAIL that names it and the params."""
+    inside body is a FAIL that names it and the params, which
+    `format_params()` gives when first read."""
+    rep = CheckReport(ident_id, algebra, format_params, "fail")
     t0 = time.perf_counter()
     try:
-        verdict, detail, diffs = body()
+        rep.verdict, rep.detail, rep.diffs = body()
     except Exception as e:
-        verdict, diffs = "fail", ()
-        detail = "%s: %s" % (type(e).__name__, e)
-        if params:
-            detail += " at " + " ".join("%s=%s" % kv for kv in params)
-    if diffs:
-        detail += "; first difference %s: LHS %s, RHS %s" % diffs[0]
-    return CheckReport(ident_id, algebra, params, verdict, detail, diffs,
-                       time.perf_counter() - t0)
+        rep.detail = "%s: %s" % (type(e).__name__, e)
+        if rep.params:
+            rep.detail += " at " + " ".join("%s=%s" % kv for kv in rep.params)
+    if rep.diffs:
+        rep.detail += "; first difference %s: LHS %s, RHS %s" % rep.diffs[0]
+    rep.seconds = time.perf_counter() - t0
+    return rep
 
 
 def _compare(engine, ident_id, ps, sign_cache):
@@ -586,9 +593,8 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
     identities the +-1 slots are read off from the top degree down, which
     leaves one solution; a sign_cache (keyed per root pair) then confirms
     that later instances read the same signs.  A failing comparison names
-    its first differing word."""
-    params = fmt_params(engine, ps)
-    return _report(ident_id, engine.spec.name, params,
+    its first differing word.  The params are formatted when first read."""
+    return _report(ident_id, engine.spec.name, lambda: fmt_params(engine, ps),
                    lambda: _compare(engine, ident_id, ps, sign_cache))
 
 
@@ -601,15 +607,15 @@ def sweep_identity(engine, ident_id, bounds=None, fixed=None):
     check = IDENTITIES[ident_id]
     bounds = bounds or SweepBounds()
     if check.once:
+        params = check.params(engine, bounds)
         return [_report(ident_id, "-" if check.algebra_free else engine.spec.name,
-                        check.params(engine, bounds),
-                        lambda: check.once(engine, bounds) + ((),))]
+                        lambda: params, lambda: check.once(engine, bounds) + ((),))]
     try:
         instances = [ps for ps in expand(engine, bounds, check.axes, check.where)
                      if all(k not in ps or ps[k] == v for k, v in (fixed or {}).items())]
     except Exception as e:
         # an axis or a `where` predicate raised: one FAIL names it
-        return [_report(ident_id, engine.spec.name, (), lambda: _raise(e))]
+        return [_report(ident_id, engine.spec.name, lambda: (), lambda: _raise(e))]
     sign_cache = {}
     return [verify_identity(engine, ident_id, ps, sign_cache) for ps in instances]
 
@@ -626,11 +632,9 @@ def _is_strings(v):
 
 
 def _is_finite_monoid(v):
-    """Every check of an algebra reads the monoid's basis, so it must be finite."""
-    try:
-        return isinstance(v, str) and monoid_preset(v).finite
-    except ValueError:
-        return False
+    """Every check of an algebra reads the monoid's basis, so it must be
+    finite; a name the monoid reader refuses raises its refusal."""
+    return isinstance(v, str) and monoid_preset(v).finite
 
 
 _BOUND_KEYS = tuple(f.name for f in fields(SweepBounds))
@@ -656,11 +660,19 @@ class SuiteConfig:
 
     def __post_init__(self):
         """Every field is checked, however the config is built; a bad value
-        raises SpecError naming its key, or the unknown id."""
+        raises SpecError naming its key, and the reader's own refusal of it
+        if it has one, or the unknown id."""
+        if not isinstance(self.bounds, SweepBounds):
+            raise SpecError("suite config key 'bounds' wants a SweepBounds, got %r"
+                            % (self.bounds,))
         for k, (ok, wants) in _CONFIG_KEYS.items():
             v = getattr(self.bounds if k in _BOUND_KEYS else self, k)
-            if not ok(v):
-                raise SpecError("suite config key %r wants %s, got %r" % (k, wants, v))
+            try:
+                good, why = ok(v), ""
+            except ValueError as e:
+                good, why = False, ": %s" % e
+            if not good:
+                raise SpecError("suite config key %r wants %s, got %r%s" % (k, wants, v, why))
         for n in self.identities:
             if n not in IDENTITIES:
                 raise SpecError("unknown identity id %r (have %s)" % (n, ", ".join(IDENTITIES)))

@@ -677,6 +677,7 @@ def test_suite_config_past_the_json_parser_limits_exits_2(tmp_path, capsys, text
     (["verify", "--config", "suite.json", "--order="], "it would ignore --order"),
     (["verify", "--config", "suite.json", "--monoid="], "it would ignore --monoid"),
     (["verify", "--config", "suite.json", "--algebra="], "it would ignore --algebra"),
+    (["verify", "--algebra", "sl2", "--monoid=", "--id", "4.2"], "unknown monoid preset ''"),
 ])
 def test_an_empty_flag_value_is_refused(tmp_path, capsys, argv, err):
     """An empty value is a value: its reader refuses it, not the default."""
@@ -825,6 +826,17 @@ def test_verify_needs_a_finite_monoid(capsys):
         assert code == 2 and out == ""
         assert err == ("error: suite config key 'monoid' wants a monoid preset with a finite "
                        "basis (trunc:n), got 'poly'\n")
+
+
+@pytest.mark.parametrize("monoid", ["zz", "trunc:0", "trunc:\u0662"])
+def test_verify_passes_on_the_monoid_readers_refusal(capsys, monoid):
+    # the suite config's rule appends what normalize says of the same name
+    code, _, said = run(capsys, "normalize", "--algebra", "sl2", "--monoid", monoid, "x[a]{1}")
+    assert code == 2 and said.startswith("error: ")
+    code, out, err = run(capsys, "verify", "--algebra", "sl2", "--monoid", monoid, "--id", "4.2")
+    assert code == 2 and out == ""
+    assert err == ("error: suite config key 'monoid' wants a monoid preset with a finite basis "
+                   "(trunc:n), got %r: %s" % (monoid, said[len("error: "):]))
 
 
 def test_verify_config_loads_every_algebra_before_the_first_check(tmp_path, capsys):

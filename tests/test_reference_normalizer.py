@@ -6,6 +6,7 @@ shares only the letter order, the parities and the tables with the engine,
 so a fast path in the engine's rewrite core that drops or misweights a term
 shows up here."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -319,3 +320,45 @@ def test_mul_hands_out_public_letters_only(name):
         for w in z.terms:
             assert all(type(L) is tuple and len(L) == 2 and L[0] in syms
                        and type(L[1]) is tuple for L in w), w
+
+
+
+def _random_word(engine, rng):
+    syms = engine.spec.all_syms()
+    return tuple((rng.choice(syms), rng.choice(ELTS)) for _ in range(rng.randint(1, 4)))
+
+
+def _decoded_memo(engine):
+    return {(engine._decode(w), engine._letters[L]) for w, L in engine._insert_memo}
+
+
+# The solver reads a sub-product from its call's scratch table, then from the
+# engine memo that earlier calls filled, and solves it only if both miss.  A
+# product on an engine whose memo other products filled must come out as on
+# a fresh engine, term for term, in the same order and with the same
+# coefficient types, and the memo must gain only what the fresh engine stores.
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("name", ("sl3", "sp4", "sl21", "osp12"))
+def test_products_on_a_filled_memo_match_a_fresh_engine(name, order):
+    spec, monoid = preset(name), monoid_preset("trunc:3")
+    warm = Engine(spec, monoid, ORDERS[order](spec))
+    rng = random.Random(4101)
+    for _ in range(60):
+        warm.normalize(_random_word(warm, rng))
+    memo = {}
+    for _ in range(60):
+        x = warm.normalize(_random_word(warm, rng))
+        y = UElem({_random_word(warm, rng): 1})
+        before = _decoded_memo(warm)
+        got = warm.mul(x, y)
+        fresh = Engine(spec, monoid, ORDERS[order](spec))
+        want = fresh.mul(x, y)
+        assert [(w, c, type(c)) for w, c in got.terms.items()] == \
+            [(w, c, type(c)) for w, c in want.terms.items()]
+        ref = {}
+        for wx, cx in x.terms.items():
+            for wy in y.terms:
+                for w, c in reference_normalize(warm, wx + wy, cx, memo).items():
+                    ref[w] = ref.get(w, 0) + c
+        assert got.terms == {w: c for w, c in ref.items() if c}
+        assert _decoded_memo(warm) == before | _decoded_memo(fresh)
