@@ -358,7 +358,7 @@ def _spec_from_matrices(name, idx_par, cartans, root_list):
     cartans: list of Cartan matrices h_1..h_l.
     root_list: list of (label, matrix, neg_label, positive).
     Evaluation vectors, coroots, and all brackets are computed exactly from
-    supercommutators; non-integer structure constants are rejected.
+    supercommutators; the spec refuses non-integer structure constants.
     """
     rank = len(cartans)
     labels = [lab for lab, _, _, _ in root_list]
@@ -371,14 +371,7 @@ def _spec_from_matrices(name, idx_par, cartans, root_list):
     coords = _coordinate_map([mats[s] for s in basis_syms])
 
     def expand(m):
-        coeffs = coords(m)
-        out = []
-        for sym, c in zip(basis_syms, coeffs):
-            if c:
-                if c.denominator != 1:
-                    raise SpecError("non-integer structure constant %s" % c)
-                out.append((sym, int(c)))
-        return tuple(out)
+        return tuple((sym, c) for sym, c in zip(basis_syms, coords(m)) if c)
 
     brackets = {}
     for s1 in basis_syms:

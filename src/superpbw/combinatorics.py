@@ -157,13 +157,9 @@ def enumerate_CS(chi, r):
     """All psi: F -> Z>=0 with |psi| = r and sum_phi psi(phi)*phi <= chi (a tuple).
 
     Elements are multisets of multisets; mass on the empty multiset phi = 0 is
-    allowed and absorbs any leftover budget.
+    allowed and absorbs any leftover budget.  Uncached: its one caller,
+    `identities._cartan_plan`, caches what it builds from the result.
     """
-    return _enumerate_CS(chi, r)
-
-
-@functools.cache
-def _enumerate_CS(chi, r):
     if r < 0:
         raise ValueError("r must be >= 0")
     phis = enumerate_sub(chi)  # includes the empty multiset

@@ -219,17 +219,17 @@ def _degree_bound(axes, factors, limit, integral=False, where=None):
         ok = deg < lim
         detail = "degree %s < %d" % (deg, lim)
         if ok and integral:
-            note = _non_integer(engine, value)
+            note = _non_integer(engine, engine.to_divided(value).terms.items())
             ok = note is None
             detail += ", " + (note or "integral")
         return "pass" if ok else "fail", detail
     return IdentityCheck(axes, factors, where=where, run=run)
 
 
-def _non_integer(engine, x):
-    """'non-integer c at key' for the first non-integer coordinate of x in
-    the divided-power basis, or None when x is integral."""
-    for key, c in engine.to_divided(x).terms.items():
+def _non_integer(engine, pairs):
+    """'non-integer c at key' for the first (divided-basis key, coefficient)
+    pair whose coefficient is not an integer, or None when there is none."""
+    for key, c in pairs:
         if c.denominator != 1:
             return "non-integer %s at %s" % (c, divided_key_str(engine, key))
     return None
@@ -346,7 +346,7 @@ def _integrality(engine, bounds):
     """Random products of integral-form generators must have integer
     coordinates in the divided-power basis."""
     def failure(prod):
-        note = _non_integer(engine, prod)
+        note = _non_integer(engine, engine.to_divided(prod).terms.items())
         return note and " -> " + note
     return _sampled(engine, bounds, "%d products of <= %d generators, seed %d" % (
         bounds.integrality_trials, bounds.integrality_gens, bounds.seed), failure)
@@ -365,10 +365,8 @@ def _triangular(engine, bounds):
             tri, factors = lex.triangular_factor(prod)
         except AlgebraError as e:
             return " -> %s" % e
-        for c, *parts in factors:
-            if c.denominator != 1:
-                return " -> non-integer %s at %s" % (c, divided_key_str(tri, sum(parts, ())))
-        return None
+        note = _non_integer(tri, ((sum(parts, ()), c) for c, *parts in factors))
+        return note and " -> " + note
     return _sampled(lex, bounds, "%d products, seed %d" % (bounds.integrality_trials,
                                                              bounds.seed), failure)
 

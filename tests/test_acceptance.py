@@ -6,15 +6,13 @@ in data/acceptance.json, each what `superpbw verify --config` reads: unless it
 says otherwise, r, s, m <= 3 and multisets of size <= 3 over C[t]/(t^4).
 """
 
-import contextlib
-import io
 import json
 import os
 import time
 
 from superpbw.algebra import preset, validate, PRESET_NAMES
-from superpbw.cli import main
 from superpbw.verify import SuiteConfig, get_engine, run_suite
+from support import run_cli
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 with open(os.path.join(DATA, "acceptance.json")) as fh:
@@ -89,11 +87,10 @@ def test_criterion_08_basis_counts():
 
 def test_criterion_09_example_listing():
     def problems(_):
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = main(["basis", "--algebra", "sl21", "--monoid", "trunc:2", "--degree", "2",
-                         "--order=-a1,-a2,-a1-a2,1,2,a1,a2,a1+a2"])
+        code, out, _ = run_cli("basis", "--algebra", "sl21", "--monoid", "trunc:2", "--degree",
+                               "2", "--order=-a1,-a2,-a1-a2,1,2,a1,a2,a1+a2")
         with open(os.path.join(DATA, "sl21_basis_deg2.txt")) as fh:
-            bad = [] if code == 0 and out.getvalue() == fh.read() else ["listing != golden"]
+            bad = [] if code == 0 and out == fh.read() else ["listing != golden"]
         engine = get_engine("sl21", "trunc:2")
         for key in engine.enumerate_basis(2):
             # (negatives)(Cartan)(positives), with no odd letter twice

@@ -20,33 +20,17 @@ from superpbw.coeffalg import MonoidBasis, monoid_preset
 from superpbw.combinatorics import EMPTY, Multiset, enumerate_sub, multinomial, pi_product
 from superpbw import combinatorics, identities
 from superpbw import engine as engine_mod
-from superpbw.engine import AlgebraError, DividedForm, Engine, Order, UElem, _exact, \
+from superpbw.engine import AlgebraError, DividedForm, Engine, UElem, _exact, \
     block_from_divided, block_to_divided, cartan_p
+from superpbw.verify import get_engine, load_engine
+from support import ONE, T, T2, T3, assert_same_terms, h_block
 
 PRESETS = ["sl2", "sl3", "sp4", "sl21", "osp12"]
-ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
 POLY2 = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
-
-
-def make(algebra, monoid="trunc:4", order="triangular"):
-    spec = preset(algebra)
-    return Engine(spec, monoid_preset(monoid),
-                  Order.lexicographic(spec) if order == "lex" else Order.triangular(spec))
 
 
 def unit(engine, i):
     return tuple(1 if j == i else 0 for j in range(1, engine.spec.rank + 1))
-
-
-def h_block(engine, i, chi):
-    """The word of the monomial prod_a (h_i (x) a)^chi(a), one block."""
-    return tuple(sorted(((('h', i), a) for a, e in chi.items() for _ in range(e)),
-                        key=engine._key))
-
-
-def h_to_divided(engine, i, chi):
-    """That monomial over the divided basis, by the cached block conversion."""
-    return DividedForm(dict(block_to_divided(h_block(engine, i, chi), 0, engine.monoid)))
 
 
 class StraighteningCartan:
@@ -112,11 +96,6 @@ def chis(elems, cap):
             for c in itertools.combinations_with_replacement(elems, n)]
 
 
-def _assert_exact(coeffs):
-    for c in coeffs:
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
-
-
 def _check_against_reference(eng, elems, cap):
     ref = StraighteningCartan(eng)
     spec = eng.spec
@@ -126,27 +105,25 @@ def _check_against_reference(eng, elems, cap):
         for hvec in sorted(hvecs):
             want = ref.p_vector(hvec, chi)
             got = eng.p_vector(hvec, chi)
-            assert got == want, (spec.name, hvec, chi)
-            _assert_exact(got.terms.values())
+            assert_same_terms(got, want)
             assert UElem({tuple(sorted(m, key=eng._key)): c
                           for m, c in cartan_p(hvec, chi, eng.monoid)}) == want
         for i in range(1, spec.rank + 1):
-            got = h_to_divided(eng, i, chi)
-            assert got == ref.to_divided_h_mono(i, chi), (spec.name, i, chi)
-            _assert_exact(got.terms.values())
+            assert_same_terms(block_to_divided(h_block(eng, i, chi), 0, eng.monoid),
+                              ref.to_divided_h_mono(i, chi))
 
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_cartan_ring_matches_straightening_reference(name):
     """Every Cartan index and every coroot, |chi| <= 4 over trunc:4."""
-    _check_against_reference(make(name), [ONE, T, T2, T3], 4)
+    _check_against_reference(load_engine(name), [ONE, T, T2, T3], 4)
 
 
 @pytest.mark.parametrize("order", ["triangular", "lex"])
 def test_cartan_ring_matches_straightening_reference_poly2(order):
     # poly2 is where degree order and exponent-tuple order part, and the
     # engine's letter order must stay the tuple order of cartan_p's monomials
-    _check_against_reference(make("sl2", "poly2", order), POLY2, 4)
+    _check_against_reference(load_engine("sl2", "poly2", order), POLY2, 4)
 
 
 @pytest.mark.parametrize("chi", [
@@ -157,7 +134,7 @@ def test_cartan_ring_matches_straightening_reference_poly2(order):
 def test_h_blocks_are_cartan_p_monomials_as_built(chi):
     """Inside a block a canonical word orders letters by exponent tuple, as
     cartan_p builds its monomials, so an h-block converts with no re-sort."""
-    eng = make("sl3", "poly2")
+    eng = load_engine("sl3", "poly2")
     for i in (1, 2):
         hvec = unit(eng, i)[:i]
         block = tuple(sorted((('h', i), a) for a, e in chi.items() for _ in range(e)))
@@ -210,7 +187,7 @@ def test_cartan_p_matches_closed_form(monoid, elems, cap, count):
 
 def test_process_tables_are_keyed_by_monoid_fields():
     for monoid in ("trunc:2", "trunc:4", "poly"):
-        eng = make("sl2", monoid)
+        eng = load_engine("sl2", monoid)
         ref = StraighteningCartan(eng)
         small = Multiset.of(*(a for a in (T, T, T2) if eng.monoid.mul(a, ONE) is not None))
         assert eng.p(1, small) == ref.p_vector((1,), small), monoid
@@ -226,7 +203,8 @@ def test_process_tables_are_keyed_by_monoid_fields():
         eng = Engine(preset("sl2"), m)
         ref = StraighteningCartan(eng)
         assert eng.p(1, chi) == ref.p_vector((1,), chi)
-        assert h_to_divided(eng, 1, chi) == ref.to_divided_h_mono(1, chi)
+        assert_same_terms(block_to_divided(h_block(eng, 1, chi), 0, eng.monoid),
+                          ref.to_divided_h_mono(1, chi))
         h = eng.normalize([(('h', 1), T)] * 2)
         assert eng.to_divided(h) == ref.to_divided_h_mono(1, chi)
 
@@ -286,7 +264,7 @@ def test_the_cartan_inverse_does_not_recurse_down_its_remainders():
 def test_cartan_caches_are_shared_across_orders():
     """A lexicographic engine, with a monoid object of its own, converts what
     a triangular one has converted from cache hits alone."""
-    tri, lex = make("sl3"), make("sl3", order="lex")
+    tri, lex = load_engine("sl3"), load_engine("sl3", order="lex")
     h = tri.normalize([(('h', 1), T), (('h', 1), T2), (('h', 2), T), (('h', 2), T)])
     df = tri.to_divided(h)
     assert tri.from_divided(df) == h
@@ -301,7 +279,7 @@ def test_cartan_caches_are_shared_across_orders():
 
 
 def test_shared_values_cannot_be_corrupted():
-    eng, fresh = make("sl3"), make("sl3")
+    eng, fresh = load_engine("sl3"), load_engine("sl3")
     ref = StraighteningCartan(fresh)
     chi = Multiset.of(T, T, T2)
     h = eng.normalize([(('h', 1), T), (('h', 1), T), (('h', 1), T2), (('h', 2), T)])
@@ -322,7 +300,8 @@ def test_shared_values_cannot_be_corrupted():
             conv.clear()
     assert eng.p(1, chi) == ref.p_vector((1, 0), chi)
     assert eng.p_vector((1, 0), chi) == ref.p_vector((1, 0), chi)
-    assert h_to_divided(eng, 1, chi) == ref.to_divided_h_mono(1, chi)
+    assert_same_terms(block_to_divided(h_block(eng, 1, chi), 0, eng.monoid),
+                      ref.to_divided_h_mono(1, chi))
     assert eng.to_divided(h) == want_df
     assert eng.from_divided(eng.to_divided(h)) == h
 
@@ -348,7 +327,6 @@ def test_every_process_wide_table_holds_tuples():
         engine_mod._cartan_p: ((1, 0), chi, mon),
         engine_mod.block_to_divided: (((('h', 1), T), (('h', 1), T2)), 0, mon),
         combinatorics._enumerate_sub: (chi,),
-        combinatorics._enumerate_CS: (chi, 2),
         combinatorics._enumerate_CP: (4, 3),
         identities._cartan_plan: (chi, 2, mon),
     }
@@ -370,7 +348,6 @@ def test_every_process_wide_table_holds_tuples():
 CONFIGS = [("sl3", "trunc:4", "triangular"), ("sl21", "trunc:4", "triangular"),
            ("osp12", "trunc:4", "triangular"), ("sl2", "poly2", "triangular"),
            ("sl2", "poly2", "lex")]
-_warm = {}
 
 
 def _elems(monoid):
@@ -396,20 +373,17 @@ def canonical_elements(draw):
 @given(canonical_elements())
 def test_warm_block_memo_matches_fresh_engine(case):
     config, words = case
-    warm = _warm.get(config)
-    if warm is None:
-        warm = _warm[config] = make(*config)
+    warm = get_engine(*config)
     x = UElem.sum([warm.normalize(w, c) for w, c in words])
     df = warm.to_divided(x)
     block_to_divided.cache_clear()
     engine_mod._cartan_p.cache_clear()
-    assert df == make(*config).to_divided(x)
-    _assert_exact(df.terms.values())
+    assert_same_terms(df, load_engine(*config).to_divided(x))
     assert warm.from_divided(df) == x
 
 
 def test_block_memo_covers_odd_and_cartan_blocks():
-    eng = make("sl21")
+    eng = load_engine("sl21")
     x = eng.normalize([(('x', 'a2'), T), (('h', 1), T), (('h', 1), T2), (('h', 2), ONE),
                        (('x', 'a1'), T), (('x', 'a1'), T)])
     block_to_divided.cache_clear()
@@ -429,7 +403,7 @@ def test_block_memo_covers_odd_and_cartan_blocks():
     # table: it asks the process-wide cache for nothing
     assert eng.to_divided(x) == df
     assert block_to_divided.cache_info() == after
-    assert df == make("sl21").to_divided(x)
+    assert df == load_engine("sl21").to_divided(x)
 
 
 @pytest.mark.parametrize("names", [("sl3", "sl21"), ("sl21", "sl3")],
@@ -440,7 +414,7 @@ def test_block_cache_keys_by_parity(names):
     word = ((('x', 'a2'), ONE),) * 2
     block_to_divided.cache_clear()
     for name in names:
-        eng = make(name)
+        eng = load_engine(name)
         if name == "sl3":
             assert eng.to_divided(UElem({word: 1})) == DividedForm({word: 2})
         else:

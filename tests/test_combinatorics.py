@@ -228,16 +228,13 @@ def test_memoized_enumerators_match_uncached():
     """The public enumerators return what the uncached bodies return, in the
     same order, on a cold cache and on a warm one; the result is a tuple, and
     a warm call hands out the very tuple the cache holds."""
-    cached = (combinatorics._enumerate_sub, combinatorics._enumerate_CS,
-              combinatorics._enumerate_CP)
+    cached = (combinatorics._enumerate_sub, combinatorics._enumerate_CP)
     for fn in cached:
         fn.cache_clear()
     cases = []
     for size in range(5):
         for chi in all_multisets(("a", "b", "c"), size):
             cases.append((enumerate_sub, combinatorics._enumerate_sub, (chi,)))
-            for k in range(5):
-                cases.append((enumerate_CS, combinatorics._enumerate_CS, (chi, k)))
     for j in range(7):
         for k in range(5):
             cases.append((enumerate_CP, combinatorics._enumerate_CP, (j, k)))

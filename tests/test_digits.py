@@ -14,7 +14,7 @@ from superpbw import verify as ver
 from superpbw.algebra import SpecError, load_spec, preset
 from superpbw.cli import main
 from superpbw.coeffalg import MonoidError, monoid_preset
-from superpbw.engine import AlgebraError, Engine, Order
+from superpbw.engine import AlgebraError, Order
 from superpbw.exprio import ParseError, parse_expr
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -23,7 +23,7 @@ BAD = ("٣", "１", "1_0")
 
 @pytest.fixture(scope="module")
 def sl2():
-    return Engine(preset("sl2"), monoid_preset("poly"))
+    return ver.load_engine("sl2", "poly")
 
 
 @pytest.mark.parametrize("bad", BAD)

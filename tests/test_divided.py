@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpbw.algebra import preset
-from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset, factorial_product
-from superpbw.engine import AlgebraError, DividedForm, Engine, Order, UElem
+from superpbw.engine import AlgebraError, DividedForm, UElem
+from superpbw.verify import get_engine, load_engine
+from support import ONE, T, T2, canonical_word
 
-ONE, T, T2 = (0,), (1,), (2,)
 POLY2 = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
 
 
@@ -40,31 +40,10 @@ def reference_from_divided(engine, df):
     return UElem.sum(terms, df.terms.values())
 
 
-def _sl3_h2_first(spec):
-    """The triangular order of sl3 with h2 listed before h1."""
-    return Order.named(spec, "-a1,-a2,-a1-a2,2,1,a1,a2,a1+a2")
-
-
-CONFIGS = [("sl3", "trunc:3", Order.triangular), ("sl21", "trunc:3", Order.triangular),
-           ("osp12", "trunc:3", Order.triangular), ("sl2", "poly2", Order.triangular),
-           ("sl2", "poly2", Order.lexicographic), ("sl3", "trunc:3", _sl3_h2_first)]
-_engines = {}
-
-
-def engine_for(config):
-    eng = _engines.get(config)
-    if eng is None:
-        algebra, monoid, order = config
-        spec = preset(algebra)
-        eng = _engines[config] = Engine(spec, monoid_preset(monoid), order(spec))
-    return eng
-
-
-def canonical(engine, letters):
-    """The canonical word of a list of letters: sorted, odd repeats dropped."""
-    word = sorted(letters, key=engine._key)
-    return tuple(L for n, L in enumerate(word)
-                 if not (n and L == word[n - 1] and engine._parity[L[0]]))
+# the last is the triangular order of sl3 with h2 listed before h1
+CONFIGS = [("sl3", "trunc:3", "triangular"), ("sl21", "trunc:3", "triangular"),
+           ("osp12", "trunc:3", "triangular"), ("sl2", "poly2", "triangular"),
+           ("sl2", "poly2", "lex"), ("sl3", "trunc:3", "-a1,-a2,-a1-a2,2,1,a1,a2,a1+a2")]
 
 
 @st.composite
@@ -87,15 +66,15 @@ def divided_elements(draw):
 @given(divided_elements())
 def test_from_divided_matches_multiplying_reference(case):
     config, terms = case
-    eng = engine_for(config)
-    df = DividedForm([(canonical(eng, letters), c) for letters, c in terms])
+    eng = get_engine(*config)
+    df = DividedForm([(canonical_word(eng, letters), c) for letters, c in terms])
     got = eng.from_divided(df)
     assert got == reference_from_divided(eng, df)
     assert eng.to_divided(got) == df
 
 
 def test_enumerate_basis_words_are_canonical_and_round_trip():
-    eng = engine_for(("sl21", "trunc:2", Order.triangular))
+    eng = get_engine("sl21", "trunc:2")
     words = eng.enumerate_basis(3)
     assert len(set(words)) == len(words) and () in words
     for w in words:
@@ -114,7 +93,7 @@ def test_enumerate_basis_words_are_canonical_and_round_trip():
     ("sl21", ((('x', 'a2'), T), (('x', 'a2'), T))),         # a repeated odd letter
 ])
 def test_from_divided_refuses_a_key_that_is_not_a_canonical_word(algebra, key):
-    eng = Engine(preset(algebra), monoid_preset("poly"))
+    eng = load_engine(algebra, "poly")
     with pytest.raises(AlgebraError, match="key %s is not a canonical word of %s"
                        % (re.escape(repr(key)), algebra)):
         eng.from_divided(DividedForm({key: 1}))

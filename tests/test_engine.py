@@ -2,8 +2,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from superpbw.algebra import SpecError, SuperAlgebraSpec, preset
 from superpbw.coeffalg import monoid_preset
@@ -11,39 +9,23 @@ from superpbw.combinatorics import Multiset
 from superpbw.engine import AlgebraError, Combination, DividedForm, Engine, NEG_INF, Order, \
     UElem, block_to_divided
 from superpbw.identities import divided_D
-
-ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
-
-
-def make(algebra, monoid="poly", order=None):
-    spec = preset(algebra)
-    o = None
-    if order == "lex":
-        o = Order.lexicographic(spec)
-    return Engine(spec, monoid_preset(monoid), o)
-
-
-def h_to_divided(engine, i, chi):
-    """The monomial prod_a (h_i (x) a)^chi(a) over the divided basis, by the
-    cached block conversion, as a tuple of (word, coeff) pairs."""
-    block = tuple(sorted(((('h', i), a) for a, e in chi.items() for _ in range(e)),
-                         key=engine._key))
-    return block_to_divided(block, 0, engine.monoid)
+from superpbw.verify import load_engine
+from support import ONE, T, T2, T3, assert_same, assert_same_terms, h_block
 
 
 @pytest.fixture(scope="module")
 def sl2():
-    return make("sl2")
+    return load_engine("sl2", "poly")
 
 
 @pytest.fixture(scope="module")
 def sl21():
-    return make("sl21", "trunc:3")
+    return load_engine("sl21", "trunc:3")
 
 
 @pytest.fixture(scope="module")
 def osp12():
-    return make("osp12", "trunc:3")
+    return load_engine("osp12", "trunc:3")
 
 
 def test_normalize_single_swap(sl2):
@@ -102,7 +84,7 @@ def test_symbols_outside_the_order_raise_algebra_error():
     with pytest.raises(AlgebraError, match=r"symbol \('h', 7\) is not in the order"):
         eng.normalize([(('x', 'a'), ONE), (('x', '-a'), ONE), (('x', '-a'), ONE)])
     # so does a hand-built element whose letter names no symbol of the algebra
-    sl2 = make("sl2")
+    sl2 = load_engine("sl2", "poly")
     with pytest.raises(AlgebraError, match=r"symbol \('h', 3\) is not in the order"):
         sl2.mul(sl2.gen_elem(('x', 'a'), T), UElem({((('h', 3), T),): 1}))
 
@@ -154,7 +136,7 @@ def test_to_divided_cartan(sl2):
 
 
 def test_p_basis_convert_examples():
-    eng = make("sl21", "poly")
+    eng = load_engine("sl21", "poly")
     # (h_i (x) a)(h_i (x) b) = p_i(chi_a + chi_b) - p_i(chi_ab)
     x = eng.normalize([(('h', 1), T), (('h', 1), T2)])
     conv = eng.to_divided(x).terms
@@ -201,7 +183,7 @@ def all_letters(engine, elems):
 
 
 def test_pbw_associativity_randomized():
-    eng = make("sl21", "trunc:3")
+    eng = load_engine("sl21", "trunc:3")
     letters = all_letters(eng, [ONE, T])
     import random
     rng = random.Random(7)
@@ -219,7 +201,7 @@ def test_pbw_associativity_randomized():
 def test_super_sign_coherence():
     # x y + y x = [x, y] for odd letters x, y
     for name in ("sl21", "osp12"):
-        eng = make(name, "trunc:3")
+        eng = load_engine(name, "trunc:3")
         for gamma, delta in itertools.product(eng.spec.odd_roots(), repeat=2):
             for a, b in itertools.product([ONE, T], repeat=2):
                 xy = eng.normalize([(('x', gamma), a), (('x', delta), b)])
@@ -233,7 +215,7 @@ def test_super_sign_coherence():
 
 
 def test_degree_subadditivity():
-    eng = make("sl2", "trunc:3")
+    eng = load_engine("sl2", "trunc:3")
     letters = all_letters(eng, [ONE, T])
     import random
     rng = random.Random(3)
@@ -246,7 +228,7 @@ def test_degree_subadditivity():
 
 
 def test_round_trip_divided_randomized():
-    eng = make("sl21", "trunc:3")
+    eng = load_engine("sl21", "trunc:3")
     letters = all_letters(eng, [ONE, T])
     import random
     rng = random.Random(11)
@@ -265,17 +247,15 @@ def test_round_trip_divided_randomized():
 def test_round_trip_p_on_poly2(chi):
     # poly2 is where degree order and exponent-tuple order part; chi and the
     # blocks of p's words are both in tuple order
-    eng = make("sl3", "poly2")
+    eng = load_engine("sl3", "poly2")
     for i in (1, 2):
         p = eng.p(i, chi)
         assert eng.from_divided(eng.to_divided(p)) == p
 
 
 def test_integrality_order_independent():
-    spec = preset("sl21")
-    mon = monoid_preset("trunc:3")
-    tri = Engine(spec, mon, Order.triangular(spec))
-    lex = Engine(spec, mon, Order.lexicographic(spec))
+    tri, lex = load_engine("sl21", "trunc:3"), load_engine("sl21", "trunc:3", "lex")
+    spec = tri.spec
     import random
     rng = random.Random(5)
     gens = []
@@ -296,7 +276,7 @@ def test_integrality_order_independent():
 
 
 def test_enumerate_basis_small(sl2):
-    eng = make("sl2", "trunc:2")
+    eng = load_engine("sl2", "trunc:2")
     assert eng.enumerate_basis(0) == [()]
     keys = eng.enumerate_basis(1)
     assert len(keys) == 7
@@ -326,7 +306,7 @@ def test_triangular_factor(sl21):
 def test_triangular_factor_sl2_instance():
     # normalize((x_a (x) t)(x_-a (x) 1)) splits as the ordered word plus a
     # pure-Cartan term: (x_-a (x) 1)(x_a (x) t) + (h (x) t) with h = -p(chi_t)
-    eng = make("sl2", "trunc:3")
+    eng = load_engine("sl2", "trunc:3")
     x = eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
     _, factored = eng.triangular_factor(x)
     as_dict = {(kneg, kzero, kpos): c for c, kneg, kzero, kpos in factored}
@@ -347,9 +327,8 @@ def test_round_trip_divided_osp12(osp12):
 
 
 def test_triangular_factor_from_other_order():
-    spec = preset("sl2")
-    mon = monoid_preset("trunc:3")
-    lex = Engine(spec, mon, Order.lexicographic(spec))
+    lex = load_engine("sl2", "trunc:3", "lex")
+    spec = lex.spec
     x = lex.normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
     eng, factored = lex.triangular_factor(x)
     assert eng.order.is_triangular()
@@ -362,7 +341,7 @@ def test_triangular_factor_from_other_order():
 
 def test_loop_algebra_bracket():
     # Laurent coefficients: [x+ (x) 1/t, x- (x) t] lands on h (x) 1
-    eng = make("sl2", "laurent")
+    eng = load_engine("sl2", "laurent")
     got = eng.normalize([(('x', 'a'), (-1,)), (('x', '-a'), (1,))])
     want = eng.normalize([(('x', '-a'), (1,)), (('x', 'a'), (-1,))]) \
         + eng.gen_elem(('h', 1), (0,))
@@ -370,7 +349,7 @@ def test_loop_algebra_bracket():
 
 
 def test_two_variable_coefficients():
-    eng = make("sl2", "poly2")
+    eng = load_engine("sl2", "poly2")
     u, v = (1, 0), (0, 1)
     got = eng.normalize([(('x', 'a'), u), (('x', '-a'), v)])
     want = eng.normalize([(('x', '-a'), v), (('x', 'a'), u)]) + eng.gen_elem(('h', 1), (1, 1))
@@ -409,15 +388,10 @@ def test_order_parts_split_the_symbols_by_segment(name, order):
     assert o.is_triangular() == (order != "lex")
 
 
-def _assert_exact(coeffs):
-    for c in coeffs:
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
-
-
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sp4", "sl21", "osp12"])
 def test_coefficients_are_int_or_proper_fraction(name):
     import random
-    eng = make(name, "trunc:3")
+    eng = load_engine(name, "trunc:3")
     rng = random.Random(name)
     letters = all_letters(eng, [ONE, T])
     alpha = eng.spec.even_roots()[0]
@@ -431,28 +405,29 @@ def test_coefficients_are_int_or_proper_fraction(name):
         y = eng.normalize([rng.choice(letters) for _ in range(rng.randint(1, 3))])
         elems += [x, y, eng.mul(x, y)]
     for x in elems:
-        _assert_exact(x.terms.values())
+        # a second conversion reads the engine's block table
         df = eng.to_divided(x)
-        _assert_exact(df.terms.values())
-        back = eng.from_divided(df)
-        _assert_exact(back.terms.values())
-        assert back == x
+        assert_same(df, eng.to_divided(x))
+        assert_same_terms(eng.from_divided(df), x)
     for i in range(1, eng.spec.rank + 1):
         for chi in (Multiset.of(T), Multiset.of(T, T2), Multiset.of(T, T)):
-            _assert_exact(c for _, c in h_to_divided(eng, i, chi))
+            block = h_block(eng, i, chi)
+            assert_same(block_to_divided(block, 0, eng.monoid),
+                        eng.to_divided(UElem({block: 1})))
 
 
 def test_divided_round_trip_with_integer_p_lead():
     # p_1(chi_t + chi_t^2) = (h (x) t)(h (x) t^2) - ... has the int lead 1, so
     # the p-basis inversion divides ints; it must stay exact.
-    eng = make("sl2", "trunc:4")
+    eng = load_engine("sl2", "trunc:4")
     chi = Multiset.of(T, T2)
     assert type(eng.p(1, chi).terms[((('h', 1), T), (('h', 1), T2))]) is int
     x = eng.normalize([(('h', 1), T), (('h', 1), T2)], Fraction(1, 3))
     df = eng.to_divided(x)
-    _assert_exact(df.terms.values())
-    _assert_exact(c for _, c in h_to_divided(eng, 1, chi))
-    assert eng.from_divided(df) == x
+    assert_same(df, eng.to_divided(x))
+    block = h_block(eng, 1, chi)
+    assert_same(block_to_divided(block, 0, eng.monoid), eng.to_divided(UElem({block: 1})))
+    assert_same_terms(eng.from_divided(df), x)
     with pytest.raises(TypeError):
         eng.normalize([(('h', 1), T)], 0.5)
 
@@ -464,7 +439,7 @@ def _folded(eng, word, letter):
 
 
 def test_memo_values_cannot_be_mutated():
-    eng = make("sl2")
+    eng = load_engine("sl2", "poly")
     # the core runs on the engine's letter codes
     word = eng._encode(((('x', 'a'), T),))
     letter = eng._code((('x', '-a'), ONE))
@@ -477,17 +452,18 @@ def test_memo_values_cannot_be_mutated():
     assert {eng._decode(w): c for w, c in got} == \
         eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]).terms
     assert eng.normalize([(('x', 'a'), T), (('x', '-a'), ONE)]) == \
-        make("sl2").normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
-    conv = h_to_divided(eng, 1, Multiset.of(T, T))
+        load_engine("sl2", "poly").normalize([(('x', 'a'), T), (('x', '-a'), ONE)])
+    block = h_block(eng, 1, Multiset.of(T, T))
+    conv = block_to_divided(block, 0, eng.monoid)
     with pytest.raises(AttributeError):
         conv.clear()
-    assert h_to_divided(eng, 1, Multiset.of(T, T)) == conv
+    assert block_to_divided(block, 0, eng.monoid) == conv
 
 
 def test_p_hands_out_copies():
     """Clearing a returned p-element once zeroed every later p(1, chi) and
     broke to_divided of h[1]{t}^2 ("lost its leading monomial")."""
-    eng, fresh = make("sl2"), make("sl2")
+    eng, fresh = load_engine("sl2", "poly"), load_engine("sl2", "poly")
     chi1, chi2 = Multiset.of(T), Multiset.of(T, T)
     eng.p(1, chi1).terms.clear()
     eng.p_vector((1,), chi1).terms[()] = 7
@@ -504,7 +480,7 @@ def test_p_hands_out_copies():
 
 
 def test_divided_power_memo_hands_out_copies():
-    eng, fresh = make("sl2"), make("sl2")
+    eng, fresh = load_engine("sl2", "poly"), load_engine("sl2", "poly")
     sym = ('x', 'a')
     want = fresh.divided_power(sym, T, 2)
     got = eng.divided_power(sym, T, 2)

@@ -4,24 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from superpbw.algebra import preset
-from superpbw.coeffalg import monoid_preset
-from superpbw.engine import AlgebraError, Engine
+from superpbw.engine import AlgebraError
 from superpbw.combinatorics import Multiset
 from superpbw.exprio import ParseError, divided_str, parse_expr, parse_mset, uelem_str, \
     word_parts
-
-ONE, T, T2 = (0,), (1,), (2,)
+from superpbw.verify import load_engine
+from support import ONE, T, T2
 
 
 @pytest.fixture(scope="module")
 def sl2():
-    return Engine(preset("sl2"), monoid_preset("poly"))
+    return load_engine("sl2", "poly")
 
 
 @pytest.fixture(scope="module")
 def sl21():
-    return Engine(preset("sl21"), monoid_preset("trunc:3"))
+    return load_engine("sl21", "trunc:3")
 
 
 def test_parse_letters(sl2):
@@ -149,7 +147,7 @@ def test_divided_round_trip(sl21):
 def test_divided_round_trip_on_poly2(algebra):
     # poly2 is where degree order and exponent-tuple order part: the printed
     # blocks must name the words they print, odd ones included
-    eng = Engine(preset(algebra), monoid_preset("poly2"))
+    eng = load_engine(algebra, "poly2")
     elts = [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1)]
     letters = [(s, e) for s in eng.spec.all_syms() for e in elts]
     rng = random.Random(17)

@@ -22,9 +22,7 @@ an output change is intended) with
     PYTHONPATH=src python tests/test_goldens.py --write
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import random
@@ -32,9 +30,9 @@ import sys
 
 import pytest
 
-from superpbw import cli
 from superpbw.algebra import preset
 from superpbw.verify import SuiteConfig, SweepBounds, run_suite
+from support import run_cli
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "goldens.json")
 
@@ -85,12 +83,15 @@ def divided_print_requests(seed=1011, per_case=40):
     return out
 
 
-def cli_stdout(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    assert code == 0 and not err.getvalue(), (argv, err.getvalue())
-    return out.getvalue()
+def divided_print_outputs():
+    """The stdout of every request, keyed by its argv; each must exit 0
+    with nothing on stderr."""
+    outputs = {}
+    for argv in divided_print_requests():
+        code, out, err = run_cli(*argv)
+        assert code == 0 and not err, (argv, err)
+        outputs[" ".join(argv)] = out
+    return outputs
 
 
 GOLDENS = {
@@ -98,8 +99,7 @@ GOLDENS = {
         ("sl2", "sl21"), SweepBounds(2, 2, 2, 2, integrality_trials=10)),
     "sweep_sl3_sp4_osp12": lambda: suite_outputs(
         ("sl3", "sp4", "osp12"), SweepBounds(1, 1, 1, 1, integrality_trials=10)),
-    "divided_print": lambda: {" ".join(argv): cli_stdout(argv)
-                              for argv in divided_print_requests()},
+    "divided_print": divided_print_outputs,
 }
 
 

@@ -8,23 +8,22 @@ from superpbw.algebra import PRESET_NAMES, preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, \
     enumerate_sub, multinomial, multisets_upto, pi_product
-from superpbw.engine import AlgebraError, Engine, Order, UElem
+from superpbw.engine import AlgebraError, UElem
 from superpbw.identities import _cartan_past_root, _cartan_plan, _divided_word, _k_label, \
     divided_D, eps_chain, lhs_product, pair_slots, rhs_4_4, z_of
 from superpbw.verify import IDENTITIES, SWEEP_IDS, SweepBounds, expand, fmt_params, \
-    get_engine
-
-ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
+    get_engine, load_engine
+from support import ONE, T, T2, T3, assert_same
 
 
 @pytest.fixture(scope="module")
 def sl2():
-    return Engine(preset("sl2"), monoid_preset("poly"))
+    return load_engine("sl2", "poly")
 
 
 @pytest.fixture(scope="module")
 def sl21():
-    return Engine(preset("sl21"), monoid_preset("poly"))
+    return load_engine("sl21", "poly")
 
 
 def test_p_alpha_single(sl21):
@@ -71,7 +70,7 @@ def test_p_alpha_integral_small():
     # composite coroots make this nontrivial: h_{a1+a2} = h1 + h2 in sl21,
     # h_{a1+a2} = h1 + 2 h2 in sp4
     for name, alpha in (("sl21", "a1+a2"), ("sp4", "a1+a2"), ("osp12", "g")):
-        eng = Engine(preset(name), monoid_preset("trunc:3"))
+        eng = load_engine(name, "trunc:3")
         for size in range(5):
             for chi in multisets_upto(eng.monoid.elements(), size):
                 if chi.size != size:
@@ -95,7 +94,7 @@ def test_divided_D_example(sl2):
 
 
 def test_divided_D_truncation():
-    eng = Engine(preset("sl2"), monoid_preset("trunc:3"))
+    eng = load_engine("sl2", "trunc:3")
     # d^m c dies once the exponent clears the bound; surviving terms remain
     got = divided_D(eng, "a", 2, 2, T, T)
     want = eng.divided_power(('x', 'a'), T2, 2)   # the (1,1) partition: (x (x) t^2)^(2)
@@ -110,7 +109,7 @@ def test_eps_chain(sl21):
 
 
 def test_eps_chain_checks_magnitude():
-    sp4 = Engine(preset("sp4"), monoid_preset("poly"))
+    sp4 = load_engine("sp4", "poly")
     r, eps = eps_chain(sp4.spec, "a1", "a2", 3)
     assert r == 0 and len(eps) == 2   # a2, a1+a2, 2a1+a2 chain
     assert all(e in (1, -1) for e in eps)
@@ -129,10 +128,8 @@ def test_left_ideal_congruence():
     the left ideal generated by the letters x_alpha (x) b, checked by
     normalizing under an order that ends in alpha and dropping words whose
     last letter sits at the alpha slot."""
-    spec = preset("sl2")
-    mon = monoid_preset("trunc:4")
-    order = Order.named(spec, "-a,1,a")     # alpha last
-    eng = Engine(spec, mon, order)
+    eng = load_engine("sl2", "trunc:4", "-a,1,a")     # alpha last
+    mon = eng.monoid
     alpha_sym = ('x', 'a')
     for size in range(0, 4):
         for psi in multisets_upto(mon.elements(), size):
@@ -196,19 +193,13 @@ def _ref_cartan_past_root(engine, ps, root, alpha, b, r, x_first=False):
     return UElem.sum(terms)
 
 
-def _same_terms(got, want):
-    """The same terms in the same order, with the same coefficient types."""
-    assert list(got.terms.items()) == list(want.terms.items())
-    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
-
-
 @pytest.mark.parametrize("algebra", ["sl2", "sl3", "sp4", "sl21", "osp12"])
 def test_divided_word_matches_normalized_power(algebra):
     """A scaled power of a root letter is the normalized power and the
     reference's value, over trunc:4 and three scalars: n <= 4 on an even
     root, n = 1 on an odd one, where n = 2 raises."""
-    eng = Engine(preset(algebra), monoid_preset("trunc:4"))
-    _same_terms(_divided_word(eng, []), eng.one())
+    eng = load_engine(algebra, "trunc:4")
+    assert_same(_divided_word(eng, []), eng.one())
     for alpha in (r.label for r in eng.spec.roots):
         sym = ('x', alpha)
         nmax = 1 if eng.spec.parity(sym) else 4
@@ -217,9 +208,9 @@ def test_divided_word_matches_normalized_power(algebra):
             for scalar in (1, -3, Fraction(2, 3)):
                 for n in range(1, nmax + 1):
                     got = _divided_word(eng, [(L, n)], Fraction(scalar) ** n)
-                    _same_terms(got, eng.normalize([L] * n,
+                    assert_same(got, eng.normalize([L] * n,
                                                    Fraction(scalar) ** n / math.factorial(n)))
-                    _same_terms(got, _ref_scaled_divided(eng, sym, a, scalar, n))
+                    assert_same(got, _ref_scaled_divided(eng, sym, a, scalar, n))
             if nmax == 1:
                 with pytest.raises(AlgebraError, match="do not commute"):
                     _divided_word(eng, [(L, 2)])
@@ -229,7 +220,7 @@ def test_divided_word_matches_normalized_power(algebra):
 def test_divided_word_sorts_powers_given_in_any_order(algebra):
     """A product of powers of one even root over several elements, listed in
     either order, is the product of the powers by the normalizer."""
-    eng = Engine(preset(algebra), monoid_preset("trunc:4"))
+    eng = load_engine(algebra, "trunc:4")
     elems = eng.monoid.elements()
     for alpha in eng.spec.even_roots():
         sym = ('x', alpha)
@@ -238,7 +229,7 @@ def test_divided_word_sorts_powers_given_in_any_order(algebra):
                            _ref_scaled_divided(eng, sym, b, 1, m))
             got = _divided_word(eng, [(eng.letter(sym, a), n), (eng.letter(sym, b), m)],
                                 (-2) ** n)
-            _same_terms(got, want)
+            assert_same(got, want)
 
 
 @pytest.mark.parametrize("algebra", ["sl2", "sl3", "sp4", "sl21", "osp12"])
@@ -246,7 +237,7 @@ def test_cartan_past_root_matches_the_mul_reference(algebra):
     """The law built with one-word x-parts equals the law built with one
     `Engine.mul` per divided power, on both sides, over trunc:4: even roots
     at r <= 3, odd roots at r <= 1, |chi| <= 2."""
-    eng = Engine(preset(algebra), monoid_preset("trunc:4"))
+    eng = load_engine(algebra, "trunc:4")
     elems = eng.monoid.elements()
     checked = 0
     for root in eng.spec.roots:
@@ -258,7 +249,7 @@ def test_cartan_past_root_matches_the_mul_reference(algebra):
                                   multisets_upto(elems, 2))):
             ps = {"i": i, "chi": chi}
             got = _cartan_past_root(eng, ps, alpha, alpha, b, r, x_first)
-            _same_terms(got, _ref_cartan_past_root(eng, ps, alpha, alpha, b, r, x_first))
+            assert_same(got, _ref_cartan_past_root(eng, ps, alpha, alpha, b, r, x_first))
             checked += bool(got)
     assert checked > 200
 
@@ -288,7 +279,7 @@ def test_the_plan_is_a_walk_of_the_index_sets():
 def test_divided_D_matches_the_normalized_sum(algebra):
     """D^alpha_{j,k}(d, c) is sum_lam normalize(letters) / prod lam!, for
     j <= 4 and 1 <= k <= 4 over trunc:4 (k = 0 is a base case)."""
-    eng = Engine(preset(algebra), monoid_preset("trunc:4"))
+    eng = load_engine(algebra, "trunc:4")
     mon = eng.monoid
     for alpha, d, c in itertools.product(eng.spec.even_roots(), mon.elements(),
                                          mon.elements()):
@@ -301,17 +292,17 @@ def test_divided_D_matches_the_normalized_sum(algebra):
                     den = math.prod(math.factorial(mult) for _, mult in lam.items())
                     want.append(eng.normalize([(('x', alpha), e) for e in elts],
                                               Fraction(1, den)))
-            _same_terms(divided_D(eng, alpha, j, k, d, c), UElem.sum(want))
+            assert_same(divided_D(eng, alpha, j, k, d, c), UElem.sum(want))
 
 
 def test_the_law_refuses_an_odd_root_past_r_1():
     """Two letters of an odd root do not commute, so neither the law at
     r = 2 nor D at k = 2 has a one-word x-part; both refuse."""
-    eng = Engine(preset("osp12"), monoid_preset("trunc:3"))
+    eng = load_engine("osp12", "trunc:3")
     for chi in (Multiset(), Multiset.of(T)):
         with pytest.raises(AlgebraError, match="odd root g"):
             _cartan_past_root(eng, {"i": 1, "chi": chi}, "g", "g", ONE, 2)
-    sl21 = Engine(preset("sl21"), monoid_preset("trunc:3"))
+    sl21 = load_engine("sl21", "trunc:3")
     with pytest.raises(AlgebraError, match="odd root a2"):
         divided_D(sl21, "a2", 1, 2, T, ONE)
 
@@ -319,7 +310,7 @@ def test_the_law_refuses_an_odd_root_past_r_1():
 def test_sum_agrees_with_the_addition_fold_on_rhs_4_4():
     # the summands of 4.4 folded one `+` at a time, as the builder did before
     # it summed them in one pass: same terms, same coefficient types
-    eng = Engine(preset("sl3"), monoid_preset("trunc:3"))
+    eng = load_engine("sl3", "trunc:3")
     elems = eng.monoid.elements()
     checked = 0
     for alpha, i, b, r, chi in itertools.product(
@@ -331,8 +322,7 @@ def test_sum_agrees_with_the_addition_fold_on_rhs_4_4():
             if xpart:
                 acc = acc + eng.mul(eng.p(i, chi - consumed), xpart)
         got = rhs_4_4(eng, {"alpha": alpha, "i": i, "b": b, "r": r, "chi": chi})
-        assert got.terms == acc.terms
-        assert [type(c) for c in got.terms.values()] == [type(c) for c in acc.terms.values()]
+        assert_same(got, acc)
         checked += bool(got)
     assert checked > 100
 

@@ -20,6 +20,8 @@ from superpbw.algebra import PRESET_NAMES, SuperAlgebraSpec, preset
 from superpbw.coeffalg import monoid_preset
 from superpbw.engine import DividedForm, Engine, UElem, _exact, block_from_divided, \
     block_to_divided
+from superpbw.verify import load_engine
+from support import assert_same, assert_same_terms, canonical_word
 
 COEFFS = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(-3, 4),
           10 ** 29 + 7, 1, -2]
@@ -36,9 +38,9 @@ def odd_square_spec():
     return SuperAlgebraSpec("osp12-odd3", spec.rank, spec.roots, spec.coroots, brackets)
 
 
-ENGINES = [Engine(spec, monoid_preset("trunc:3"))
-           for spec in (preset("sl2"), preset("sl21"), preset("osp12"), odd_square_spec())]
-SUM_ENGINES = ENGINES + [Engine(preset(a), monoid_preset("trunc:3")) for a in ("sl3", "sp4")]
+ENGINES = ([load_engine(a, "trunc:3") for a in ("sl2", "sl21", "osp12")]
+           + [Engine(odd_square_spec(), monoid_preset("trunc:3"))])
+SUM_ENGINES = ENGINES + [load_engine(a, "trunc:3") for a in ("sl3", "sp4")]
 
 
 # -- the per-term Fraction loops the kernels replaced --------------------------
@@ -90,13 +92,6 @@ def ref_sum(elems, scalars=None):
 
 # -- random elements ---------------------------------------------------------
 
-def canonical_word(eng, letters):
-    """The letters sorted into a canonical word, repeated odd letters dropped."""
-    word = sorted(letters, key=eng._key)
-    return tuple(L for n, L in enumerate(word)
-                 if not (n and L == word[n - 1] and eng._parity[L[0]]))
-
-
 @st.composite
 def elements(draw, eng, cls=UElem):
     """Up to four canonical words of up to four letters, each with a
@@ -105,12 +100,6 @@ def elements(draw, eng, cls=UElem):
     terms = draw(st.lists(st.tuples(st.lists(st.sampled_from(letters), max_size=4),
                                     st.sampled_from(COEFFS)), max_size=4))
     return cls([(canonical_word(eng, word), c) for word, c in terms])
-
-
-def assert_same(got, want):
-    assert list(got.terms.items()) == list(want.items())
-    for c in got.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
 
 
 @st.composite
@@ -173,11 +162,6 @@ def test_sum_matches_the_fraction_loop(data):
     assert_same(UElem.sum(iter(elems)), ref_sum(elems))
 
 
-def assert_same_element(got, want):
-    assert got == want
-    assert [type(got.terms[k]) for k in want.terms] == [type(c) for c in want.terms.values()]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mul_sum_is_the_sum_of_the_per_pair_products(data):
@@ -188,8 +172,8 @@ def test_mul_sum_is_the_sum_of_the_per_pair_products(data):
     pairs = data.draw(st.lists(st.tuples(elements(eng), elements(eng)), max_size=4))
     scalars = data.draw(st.none() | st.lists(st.sampled_from(COEFFS + [0]),
                                              min_size=len(pairs), max_size=len(pairs)))
-    assert_same_element(eng.mul_sum(pairs, scalars),
-                        UElem.sum([eng.mul(x, y) for x, y in pairs], scalars))
+    assert_same_terms(eng.mul_sum(pairs, scalars),
+                      UElem.sum([eng.mul(x, y) for x, y in pairs], scalars))
     if len(pairs) == 1:
         assert_same(eng.mul_sum(pairs), ref_mul(eng, *pairs[0]))
 
@@ -219,8 +203,8 @@ def test_product_is_the_left_fold_of_the_fraction_loop(data):
     chains = data.draw(st.lists(st.lists(elements(eng), max_size=3), max_size=3))
     scalars = data.draw(st.none() | st.lists(st.sampled_from(COEFFS + [0]),
                                              min_size=len(chains), max_size=len(chains)))
-    assert_same_element(eng.mul_sum(chains, scalars),
-                        UElem.sum([eng.mul_sum((chain,)) for chain in chains], scalars))
+    assert_same_terms(eng.mul_sum(chains, scalars),
+                      UElem.sum([eng.mul_sum((chain,)) for chain in chains], scalars))
 
 
 def test_product_of_nothing_is_one_and_of_one_factor_is_the_factor():
@@ -247,9 +231,9 @@ def test_letter_triples_multiply_associatively(name):
     triple of letters over trunc:2, and for 300 random triples of canonical
     words over trunc:3.  A two-chain mul_sum with scalars is the sum of its
     per-chain products."""
-    eng = Engine(preset(name), monoid_preset("trunc:2"))
+    eng = load_engine(name, "trunc:2")
     gens = [eng.gen_elem(sym, a) for sym in eng.order.syms for a in eng.monoid.elements()]
-    eng3 = Engine(preset(name), monoid_preset("trunc:3"))
+    eng3 = load_engine(name, "trunc:3")
     words = word_triples(eng3, 300, seed=7)
     for e, triples in ((eng, itertools.product(gens, repeat=3)), (eng3, words)):
         for x, y, z in triples:

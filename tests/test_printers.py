@@ -8,20 +8,18 @@ here as references: they give byte-identical text on random elements of the
 five presets over four monoids in both orders, and on their divided-basis
 images, and the same listing and detail."""
 
-import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpbw import cli
-from superpbw.algebra import PRESET_NAMES, preset
-from superpbw.coeffalg import monoid_preset
-from superpbw.engine import Engine, Order, UElem, word_runs
+from superpbw.algebra import PRESET_NAMES
+from superpbw.engine import UElem, word_runs
 from superpbw.exprio import _join_terms, divided_key_str, divided_str, letter_str, mset_str, \
     uelem_str, word_parts
-from superpbw.verify import _diff_terms
+from superpbw.verify import _diff_terms, get_engine
+from support import run_cli
 
 ELEMENTS = {
     "poly": [(0,), (1,), (2,)],
@@ -93,17 +91,11 @@ def ref_diff_terms(engine, lhs, rhs):
 
 # -- random elements -------------------------------------------------------------
 
-@functools.cache
-def engine_for(algebra, monoid, order):
-    spec = preset(algebra)
-    return Engine(spec, monoid_preset(monoid), Order.named(spec, order))
-
-
 COEFFS = st.one_of(st.integers(-6, 6),
                    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)))
 
 
-ENGINES = st.builds(engine_for, st.sampled_from(PRESET_NAMES), st.sampled_from(sorted(ELEMENTS)),
+ENGINES = st.builds(get_engine, st.sampled_from(PRESET_NAMES), st.sampled_from(sorted(ELEMENTS)),
                     st.sampled_from(ORDERS))
 
 
@@ -161,19 +153,17 @@ def test_diff_terms_names_the_first_five_words_in_print_order(data):
 
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("algebra", PRESET_NAMES)
-def test_basis_lists_in_the_reference_order(algebra, order, capsys):
-    assert cli.main(["basis", "--algebra", algebra, "--monoid", "trunc:2", "--degree", "2",
-                     "--order", order]) == 0
-    spec = preset(algebra)
-    eng = Engine(spec, monoid_preset("trunc:2"), Order.named(spec, order))
-    assert capsys.readouterr().out == ref_basis(eng, 2)
+def test_basis_lists_in_the_reference_order(algebra, order):
+    code, out, _ = run_cli("basis", "--algebra", algebra, "--monoid", "trunc:2", "--degree", "2",
+                           "--order", order)
+    assert code == 0 and out == ref_basis(get_engine(algebra, "trunc:2", order), 2)
 
 
 def test_printers_match_on_each_named_case():
     """One element holding every case the random ones are drawn to reach:
     an odd letter (x[a2] on sl21), an exponent above 1, a multi-letter
     Cartan block, negative and Fraction coefficients; and zero."""
-    eng = engine_for("sl21", "poly2", "lex")
+    eng = get_engine("sl21", "poly2", "lex")
     x = eng.normalize([(('x', 'a1'), (1, 0))] * 2 + [(('h', 1), (0, 1)), (('h', 1), (1, 0))],
                       Fraction(-3, 2))
     x = x + eng.normalize([(('x', 'a2'), (0, 0))], -2)

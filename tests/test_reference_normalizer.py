@@ -13,13 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superpbw.algebra import preset
-from superpbw.coeffalg import monoid_preset
-from superpbw.engine import Engine, Order, UElem
+from superpbw.engine import UElem
 from superpbw.exprio import parse_expr
+from superpbw.verify import load_engine
+from support import assert_same
 
 ALGEBRAS = ("sl2", "sl3", "sp4", "sl21", "osp12")
-ORDERS = {"triangular": Order.triangular, "lex": Order.lexicographic}
+ORDERS = ("triangular", "lex")
 ELTS = ((0,), (1,), (2,))          # 1, t, t^2 in C[t]/(t^3)
 
 
@@ -87,9 +87,7 @@ def engines():
 
 def _engine(engines, name, order, monoid="trunc:3"):
     if (name, order, monoid) not in engines:
-        spec = preset(name)
-        engines[(name, order, monoid)] = (Engine(spec, monoid_preset(monoid),
-                                                 ORDERS[order](spec)), {})
+        engines[(name, order, monoid)] = (load_engine(name, monoid, order), {})
     return engines[(name, order, monoid)]
 
 
@@ -170,7 +168,7 @@ def test_reference_sees_odd_squares_and_isotropic_zeros(engines):
 def test_a_bracket_letter_moving_into_the_prefix_matches_reference():
     # sl3, triangular: P = x[-a1-a2]{1}, S = x[a1]{1}, L = x[-a1-a2]{t}, and
     # [x[a1], x[-a1-a2]] = -x[-a2], which sorts before P's last letter
-    engine = Engine(preset("sl3"), monoid_preset("trunc:3"))
+    engine = load_engine("sl3", "trunc:3")
     one, t = (0,), (1,)
     letters = [(('x', '-a1-a2'), one), (('x', 'a1'), one), (('x', '-a1-a2'), t)]
     got = engine.normalize(letters).terms
@@ -182,8 +180,7 @@ def test_an_odd_prefix_letter_met_again_matches_reference():
     # osp12, order h1, -2g, g, -g, 2g: P = x[g]{1}, S = x[2g]{1}, L = x[-g]{1},
     # and [x[2g], x[-g]] = -x[g] repeats P's odd last letter, whose square
     # is a bracket: x[g]{1}^2 = 2 x[2g]{1^2}
-    spec = preset("osp12")
-    engine = Engine(spec, monoid_preset("trunc:3"), Order.named(spec, "1,-2g,g,-g,2g"))
+    engine = load_engine("osp12", "trunc:3", "1,-2g,g,-g,2g")
     one = (0,)
     letters = [(('x', 'g'), one), (('x', '2g'), one), (('x', '-g'), one)]
     got = engine.normalize(letters).terms
@@ -213,12 +210,8 @@ def test_runs_match_reference(engines, name, order, monoid, root, rs, elts, cart
     assert engine.normalize(letters).terms == reference_normalize(engine, letters, 1, memo)
 
 
-def _sl2_poly():
-    return Engine(preset("sl2"), monoid_preset("poly"))
-
-
 def test_one_letter_past_a_run_matches_reference():
-    engine = _sl2_poly()
+    engine = load_engine("sl2", "poly")
     letters = [(('x', 'a'), (0,))] * 60 + [(('x', '-a'), (0,))]
     assert engine.normalize(letters).terms == reference_normalize(engine, letters, 1, {})
 
@@ -226,7 +219,7 @@ def test_one_letter_past_a_run_matches_reference():
 def test_one_letter_past_a_thousand_letter_run():
     # x[a]^n x[-a] = x[-a] x[a]^n + n h x[a]^(n-1) - n(n-1) x[a]^(n-1): the
     # recursion runs n deep, which must not be the interpreter's stack.
-    engine = _sl2_poly()
+    engine = load_engine("sl2", "poly")
     n = 1000
     xa, xm, h = (('x', 'a'), (0,)), (('x', '-a'), (0,)), (('h', 1), (0,))
     got = engine.normalize([xa] * n + [xm]).terms
@@ -239,7 +232,7 @@ def test_engine_memo_keeps_only_the_folded_pairs():
     # the engine memo holds the (word, letter) pairs the fold asks for that
     # need straightening.  The fold appends the rest in place: here the 6
     # letters of the run x[a1]{t}^6, each appended to the run before it.
-    engine = Engine(preset("sl3"), monoid_preset("poly"))
+    engine = load_engine("sl3", "poly")
     engine.normalize([(('x', 'a1'), (1,))] * 6 + [(('x', '-a1'), (0,))] * 6)
     assert len(engine._insert_memo) == 170
 
@@ -252,19 +245,19 @@ def test_letters_first_seen_out_of_order_match_reference():
     a1 = ('x', 'a1')
     first = [(a1, (5,)), (('x', '-a1'), (1,))]
     second = [(a1, (1,)), (('h', 1), (1,)), (a1, (3,)), (a1, (5,)), (('x', '-a1'), (0,))]
-    engine = Engine(preset("sl3"), monoid_preset("poly"))
+    engine = load_engine("sl3", "poly")
     assert engine.normalize(first).terms == reference_normalize(engine, first, 1, {})
     got = engine.normalize(second).terms
     assert engine._code((a1, (2,))) > engine._code((a1, (5,)))
     assert engine._code((a1, (3,))) > engine._code((a1, (5,)))
-    assert got == Engine(preset("sl3"), monoid_preset("poly")).normalize(second).terms
+    assert got == load_engine("sl3", "poly").normalize(second).terms
     assert got == reference_normalize(engine, second, 1, {})
     assert any((a1, (2,)) in w for w in got)
 
 
 def test_a_bracket_that_truncation_kills_is_stored_empty():
     # sl2/trunc:2: [x[a], x[-a]] = h, but t * t = 0, so the bracket vanishes
-    engine = Engine(preset("sl2"), monoid_preset("trunc:2"))
+    engine = load_engine("sl2", "trunc:2")
     xa, xm = (('x', 'a'), (1,)), (('x', '-a'), (1,))
     got = engine.normalize([xa, xm]).terms
     assert engine._brackets[engine._code(xa), engine._code(xm)] == ()
@@ -274,7 +267,7 @@ def test_a_bracket_that_truncation_kills_is_stored_empty():
 def test_codes_past_255_match_reference():
     # A code is one character, so past 255 letters the code words hold
     # two-byte characters; the core must not care.
-    engine = _sl2_poly()
+    engine = load_engine("sl2", "poly")
     for k in range(300):
         engine._code((('h', 1), (k,)))
     letters = [(('x', 'a'), (1,))] * 4 + [(('h', 1), (2,)), (('x', '-a'), (0,))] * 3
@@ -296,13 +289,13 @@ def test_codes_past_255_match_reference():
     ("osp12", [(('x', 'g'), (0,)), (('x', 'g'), (1,))], 0),
 ])
 def test_fold_appends_only_what_passes_nothing(name, letters, entries):
-    engine = Engine(preset(name), monoid_preset("poly"))
+    engine = load_engine(name, "poly")
     assert engine.normalize(letters).terms == reference_normalize(engine, letters, 1, {})
     assert len(engine._insert_memo) == entries
 
 
 def test_a_power_is_all_appends():
-    engine = _sl2_poly()
+    engine = load_engine("sl2", "poly")
     xa = (('x', 'a'), (1,))
     assert parse_expr(engine, "x[a]{t}^50").terms == {(xa,) * 50: 1} \
         == reference_normalize(engine, [xa] * 50, 1, {})
@@ -311,7 +304,7 @@ def test_a_power_is_all_appends():
 
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_mul_hands_out_public_letters_only(name):
-    engine = Engine(preset(name), monoid_preset("trunc:3"))
+    engine = load_engine(name, "trunc:3")
     syms = engine.spec.all_syms()
     x = UElem.sum(engine.divided_power(sym, (0,), 2) for sym in syms)
     y = engine.normalize([(sym, (1,)) for sym in reversed(syms)])
@@ -340,8 +333,7 @@ def _decoded_memo(engine):
 @pytest.mark.parametrize("order", sorted(ORDERS))
 @pytest.mark.parametrize("name", ("sl3", "sp4", "sl21", "osp12"))
 def test_products_on_a_filled_memo_match_a_fresh_engine(name, order):
-    spec, monoid = preset(name), monoid_preset("trunc:3")
-    warm = Engine(spec, monoid, ORDERS[order](spec))
+    warm = load_engine(name, "trunc:3", order)
     rng = random.Random(4101)
     for _ in range(60):
         warm.normalize(_random_word(warm, rng))
@@ -351,10 +343,8 @@ def test_products_on_a_filled_memo_match_a_fresh_engine(name, order):
         y = UElem({_random_word(warm, rng): 1})
         before = _decoded_memo(warm)
         got = warm.mul(x, y)
-        fresh = Engine(spec, monoid, ORDERS[order](spec))
-        want = fresh.mul(x, y)
-        assert [(w, c, type(c)) for w, c in got.terms.items()] == \
-            [(w, c, type(c)) for w, c in want.terms.items()]
+        fresh = load_engine(name, "trunc:3", order)
+        assert_same(got, fresh.mul(x, y))
         ref = {}
         for wx, cx in x.terms.items():
             for wy in y.terms:

@@ -7,7 +7,6 @@ both orders.  Goldens pin the benchmark's integrality pool and 40
 products drawn on sl21, the table is shown to hand out no value and to die
 with its engine, and each description parses back to its product."""
 
-import functools
 import gc
 import hashlib
 import random
@@ -21,7 +20,7 @@ from superpbw import verify as ver
 from superpbw.algebra import PRESET_NAMES
 from superpbw.combinatorics import Multiset
 from superpbw.exprio import parse_expr
-from superpbw.verify import SweepBounds, load_engine
+from superpbw.verify import SweepBounds, get_engine, load_engine
 
 MONOIDS = ("trunc:2", "trunc:3", "trunc:4")
 ORDERS = ("triangular", "lexicographic")
@@ -65,24 +64,17 @@ def listed(products):
     return [(desc, [(w, c, type(c)) for w, c in x.terms.items()]) for desc, x in products]
 
 
-# one engine per triple for each sampler, so the two share no memo and the
-# new sampler's table fills across examples
-@functools.cache
-def engine_for(algebra, monoid, order, side):
-    return load_engine(algebra, monoid, order)
-
-
 @settings(max_examples=300, deadline=None)
 @given(algebra=st.sampled_from(PRESET_NAMES), monoid=st.sampled_from(MONOIDS),
        order=st.sampled_from(ORDERS), smax=st.integers(0, 3), chimax=st.integers(0, 3),
        gens=st.integers(1, 6), trials=st.integers(1, 5), seed=st.integers(0, 2 ** 32))
 def test_the_table_draws_what_the_per_draw_sampler_drew(algebra, monoid, order, smax, chimax,
                                                         gens, trials, seed):
+    # the new sampler runs on the shared engine, whose table fills across
+    # examples; the reference on a fresh one, so the two share no memo
     bounds = SweepBounds(smax=smax, chimax=chimax)
-    new = ver.sample_products(engine_for(algebra, monoid, order, "table"), gens, trials, seed,
-                              bounds)
-    ref = ref_sample_products(engine_for(algebra, monoid, order, "ref"), gens, trials, seed,
-                              bounds)
+    new = ver.sample_products(get_engine(algebra, monoid, order), gens, trials, seed, bounds)
+    ref = ref_sample_products(load_engine(algebra, monoid, order), gens, trials, seed, bounds)
     assert listed(new) == listed(ref)
 
 

@@ -16,9 +16,9 @@ from superpbw.engine import Engine, UElem
 from superpbw.verify import IDENTITIES, SuiteConfig, SweepBounds, genfun_counts, \
     get_engine, load_engine, run_suite, sweep_identity, verify_identity
 
+from support import ONE, T, T2
 from test_kernels import odd_square_spec
 
-ONE, T, T2 = (0,), (1,), (2,)
 DEG_IDS = tuple("deg%d" % n for n in range(1, 8))
 
 
@@ -554,3 +554,53 @@ def test_get_engine_keys_files_by_content(tmp_path):
     assert sorted(r.label for r in first.spec.roots) == ["-a", "a"]
     path.write_text(table)
     assert get_engine(str(path), "trunc:2") is first
+
+
+# -- sign twists: x_alpha and x_-alpha scaled by -1 --------------------------
+
+def sign_twist(spec, alpha):
+    """spec in the basis with x_alpha and x_-alpha scaled by -1: each term
+    N c of a bracket [z, w] becomes s(z) s(w) s(c) N c, with s = -1 on
+    x_+-alpha and 1 elsewhere, so the h_i and the coroots are untouched."""
+    flipped = {('x', alpha), ('x', spec.negative_of(alpha))}
+
+    def s(sym):
+        return -1 if sym in flipped else 1
+    brackets = {(z, w): tuple((c, s(z) * s(w) * s(c) * n) for c, n in terms)
+                for (z, w), terms in spec.brackets.items()}
+    return algebra.SuperAlgebraSpec("%s-twist-%s" % (spec.name, alpha), spec.rank, spec.roots,
+                                    spec.coroots, brackets)
+
+
+@pytest.mark.parametrize("name, alpha", [(name, None) for name in algebra.PRESET_NAMES]
+                         + [(name, r.label) for name in algebra.PRESET_NAMES
+                            for r in algebra.preset(name).roots if r.positive])
+def test_a_sign_twisted_preset_is_valid_and_passes_every_row(name, alpha):
+    """The RHS builders and the sign read-offs do not lean on the presets'
+    sign choices: every row that reads an algebra passes on each preset and
+    on each one-root twist of it."""
+    if alpha is None:
+        eng = get_engine(name, "trunc:2")
+    else:
+        twisted = sign_twist(algebra.preset(name), alpha)
+        assert algebra.validate(twisted) == []
+        eng = Engine(twisted, monoid_preset("trunc:2"))
+    bounds = SweepBounds(1, 1, 1, 1, integrality_trials=10)
+    passed = 0
+    for ident_id, check in IDENTITIES.items():
+        if not check.algebra_free:
+            for rep in sweep_identity(eng, ident_id, bounds):
+                assert rep.verdict in ("pass", "inapplicable"), rep.line()
+                passed += rep.verdict == "pass"
+    assert passed
+
+
+def test_one_bracket_pair_flipped_alone_is_no_twist():
+    """Negating [x_a1, x_a2] and [x_a2, x_a1] of sl3 alone changes no other
+    constant, which no choice of signs on the basis does: validate refuses."""
+    spec = algebra.preset("sl3")
+    brackets = dict(spec.brackets)
+    for key in ((('x', 'a1'), ('x', 'a2')), (('x', 'a2'), ('x', 'a1'))):
+        brackets[key] = tuple((c, -n) for c, n in brackets[key])
+    assert algebra.validate(algebra.SuperAlgebraSpec("sl3-flip", spec.rank, spec.roots,
+                                                     spec.coroots, brackets))
