@@ -352,20 +352,23 @@ def _coordinate_map(basis_mats):
     return coords
 
 
-def _spec_from_matrices(name, idx_par, cartans, root_list):
+def _spec_from_matrices(name, idx_par, rank, root_list):
     """Build a full spec from matrices.
 
-    cartans: list of Cartan matrices h_1..h_l.
-    root_list: list of (label, matrix, neg_label, positive).
-    Evaluation vectors, coroots, and all brackets are computed exactly from
-    supercommutators; the spec refuses non-integer structure constants.
+    root_list: list of (label, matrix, neg_label, positive).  The Cartan
+    generator h_i is [x_a, x_{-a}], the super bracket, for a the i-th
+    positive root of root_list.  Evaluation vectors, coroots, and all
+    brackets are computed exactly from supercommutators; the spec refuses
+    non-integer structure constants.
     """
-    rank = len(cartans)
     labels = [lab for lab, _, _, _ in root_list]
-    mats = {('h', i + 1): cartans[i] for i in range(rank)}
-    for lab, m, _, _ in root_list:
-        mats[('x', lab)] = m
+    mats = {('x', lab): m for lab, m, _, _ in root_list}
     parities = {s: _mat_parity(m, idx_par) for s, m in mats.items()}
+    simple = [(lab, neg) for lab, _, neg, pos in root_list if pos][:rank]
+    for i, (lab, neg) in enumerate(simple, 1):
+        a, b = ('x', lab), ('x', neg)
+        mats[('h', i)] = _supercomm(mats[a], mats[b], parities[a], parities[b])
+        parities[('h', i)] = 0
     basis_syms = [('h', i) for i in range(1, rank + 1)] + [('x', lab) for lab in labels]
 
     coords = _coordinate_map([mats[s] for s in basis_syms])
@@ -389,38 +392,30 @@ def _spec_from_matrices(name, idx_par, cartans, root_list):
             ev.append(terms.get(('x', lab), 0))
         roots.append(Root(lab, parities[('x', lab)], tuple(ev), neg, pos))
         cor = dict(brackets.get((('x', lab), ('x', neg)), ()))
-        if any(s[0] != 'h' for s in cor):
-            raise SpecError("[x_%s, x_%s] leaves the Cartan" % (lab, neg))
         coroots[lab] = tuple(cor.get(('h', i), 0) for i in range(1, rank + 1))
     return SuperAlgebraSpec(name, rank, roots, coroots, brackets)
 
 
-def _preset_sl2():
-    h1 = _madd(_e(2, 1, 1), _e(2, 2, 2), -1)
-    return _spec_from_matrices(
-        "sl2", (0, 0), [h1],
-        [("a", _e(2, 1, 2), "-a", True),
-         ("-a", _e(2, 2, 1), "a", False)])
-
-
-# the six root vectors of sl3, and of sl(2,1) on the same 3x3 matrices
-_A2_ROOTS = (("a1", _e(3, 1, 2), "-a1", True), ("-a1", _e(3, 2, 1), "a1", False),
-             ("a2", _e(3, 2, 3), "-a2", True), ("-a2", _e(3, 3, 2), "a2", False),
-             ("a1+a2", _e(3, 1, 3), "-a1-a2", True), ("-a1-a2", _e(3, 3, 1), "a1+a2", False))
-
-
-def _preset_sl3():
-    h1 = _madd(_e(3, 1, 1), _e(3, 2, 2), -1)
-    h2 = _madd(_e(3, 2, 2), _e(3, 3, 3), -1)
-    return _spec_from_matrices("sl3", (0, 0, 0), [h1, h2], _A2_ROOTS)
+def sl_mn(name, m, n):
+    """sl(m|n) on its (m+n)x(m+n) matrices, indices 1..m even.  The root
+    e_i - e_j is x = E_ij, labelled a_i+...+a_{j-1} (`a` when m + n = 2), and
+    its negative is E_ji, labelled -a_i-...-a_{j-1}.  The roots come by
+    height, then by row, each positive followed by its negative."""
+    size = m + n
+    roots = []
+    for height in range(1, size):
+        for i in range(1, size - height + 1):
+            j = i + height
+            simple = ["a%d" % k for k in range(i, j)] if size > 2 else ["a"]
+            lab, neg = "+".join(simple), "".join("-" + a for a in simple)
+            roots += [(lab, _e(size, i, j), neg, True), (neg, _e(size, j, i), lab, False)]
+    return _spec_from_matrices(name, (0,) * m + (1,) * n, size - 1, roots)
 
 
 def _preset_sp4():
     # sp(4) on basis e_1, e_2, f_1, f_2; a1 = eps1 - eps2 (short), a2 = 2*eps2 (long)
-    h1 = _madd(_madd(_e(4, 1, 1), _e(4, 3, 3), -1), _madd(_e(4, 2, 2), _e(4, 4, 4), -1), -1)
-    h2 = _madd(_e(4, 2, 2), _e(4, 4, 4), -1)
     return _spec_from_matrices(
-        "sp4", (0, 0, 0, 0), [h1, h2],
+        "sp4", (0, 0, 0, 0), 2,
         [("a1", _madd(_e(4, 1, 2), _e(4, 4, 3), -1), "-a1", True),
          ("-a1", _madd(_e(4, 2, 1), _e(4, 3, 4), -1), "a1", False),
          ("a2", _e(4, 2, 4), "-a2", True),
@@ -429,13 +424,6 @@ def _preset_sp4():
          ("-a1-a2", _madd(_e(4, 4, 1), _e(4, 3, 2), 1), "a1+a2", False),
          ("2a1+a2", _e(4, 1, 3), "-2a1-a2", True),
          ("-2a1-a2", _e(4, 3, 1), "2a1+a2", False)])
-
-
-def _preset_sl21():
-    # sl(2,1) block matrices; indices 1,2 even, 3 odd
-    h1 = _madd(_e(3, 1, 1), _e(3, 2, 2), -1)
-    h2 = _madd(_e(3, 2, 2), _e(3, 3, 3), 1)
-    return _spec_from_matrices("sl21", (0, 0, 1), [h1, h2], _A2_ROOTS)
 
 
 # osp(1,2): even part sl2 on the long root 2g, odd root vectors scaled so that
@@ -472,10 +460,10 @@ def _preset_osp12():
 
 
 _PRESETS = {
-    "sl2": _preset_sl2,
-    "sl3": _preset_sl3,
+    "sl2": functools.partial(sl_mn, "sl2", 2, 0),
+    "sl3": functools.partial(sl_mn, "sl3", 3, 0),
     "sp4": _preset_sp4,
-    "sl21": _preset_sl21,
+    "sl21": functools.partial(sl_mn, "sl21", 2, 1),
     "osp12": _preset_osp12,
 }
 

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from operator import itemgetter
 
+from .algebra import SpecError
 from .combinatorics import Multiset
 from .digits import DIGIT, is_digits
 from .engine import UElem, word_runs
@@ -166,9 +167,10 @@ class _Parser:
                 self.error("h wants a Cartan index")
             sym = ('h', int(label))
         else:
-            if not self.engine.spec.has_root(label):
-                self.error("unknown root label %r in algebra %s"
-                           % (label, self.engine.spec.name))
+            try:
+                self.engine.spec.root(label)
+            except SpecError as e:
+                self.error(str(e))
             sym = ('x', label)
         return self.power(self.engine.normalize([(sym, aelt)]))
 

@@ -251,8 +251,9 @@ def _lemma_5_2(engine, ps, u, v):
             bad.append("mixed Cartan support at %s" % divided_key_str(engine, key))
         if len(key) >= limit:
             bad.append("degree %d !< %d" % (len(key), limit))
-        if c.denominator != 1:
-            bad.append("non-integer %s at %s" % (c, divided_key_str(engine, key)))
+        note = _non_integer(engine, ((key, c),))
+        if note:
+            bad.append(note)
     return "fail" if bad else "pass", "; ".join(bad)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpbw.algebra import Root, SpecError, SuperAlgebraSpec, load_spec, pair_plane, \
-    preset, read_algebra, root_string, spec_from_source, validate, PRESET_NAMES
+    preset, read_algebra, root_string, sl_mn, spec_from_source, validate, PRESET_NAMES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -52,6 +52,17 @@ def test_sl21_matches_supercommutator():
                 m = mats[sym]
                 got = [[g + c * v for g, v in zip(gr, mr)] for gr, mr in zip(got, m)]
             assert got == want, (s1, s2)
+
+
+def test_the_sl31_file_is_the_builders_table():
+    """tests/data/sl31.alg, brackets in one direction, loads to sl(3|1) as
+    `sl_mn` builds it."""
+    with open(os.path.join(DATA, "sl31.alg")) as fh:
+        got = load_spec(fh.read())
+    want = sl_mn("sl31", 3, 1)
+    assert (got.name, got.rank, got.roots) == (want.name, want.rank, want.roots)
+    assert got.coroots == want.coroots
+    assert got.brackets == want.brackets
 
 
 def test_sl21_frozen_facts():
@@ -393,13 +404,14 @@ def test_matrix_presets_match_the_per_bracket_elimination(monkeypatch, name):
 
 def test_matrices_not_closed_under_the_bracket_are_refused():
     from superpbw.algebra import _spec_from_matrices
-    # sl2 without h: [x_a, x_-a] = diag(1, -1) is outside the span
-    with pytest.raises(SpecError, match="not in the span"):
-        _spec_from_matrices("sl2", (0, 0), [],
-                            [("a", [[0, 1], [0, 0]], "-a", True),
-                             ("-a", [[0, 0], [1, 0]], "a", False)])
-    # with h = diag(2, -2) the same bracket is h / 2
-    with pytest.raises(SpecError, match="non-integer structure constant"):
-        _spec_from_matrices("sl2", (0, 0), [[[2, 0], [0, -2]]],
-                            [("a", [[0, 1], [0, 0]], "-a", True),
-                             ("-a", [[0, 0], [1, 0]], "a", False)])
+    a1 = [("a1", E(1, 2), "-a1", True), ("-a1", E(2, 1), "a1", False)]
+    a2 = [("a2", E(2, 3), "-a2", True), ("-a2", E(3, 2), "a2", False)]
+    # without x_{a1+a2}, [x_a1, x_a2] = E13 is outside the span
+    with pytest.raises(SpecError, match="^matrix is not in the span of the basis$"):
+        _spec_from_matrices("sl3", (0, 0, 0), 2, a1 + a2)
+    # with x_{a1+a2} = 2 E13 the same bracket is x_{a1+a2} / 2
+    doubled = [("a1+a2", [[2 * v for v in row] for row in E(1, 3)], "-a1-a2", True),
+               ("-a1-a2", E(3, 1), "a1+a2", False)]
+    with pytest.raises(SpecError, match=r"^bracket x\[a1\] x\[a2\]: non-integer structure "
+                                        "constant 1/2$"):
+        _spec_from_matrices("sl3", (0, 0, 0), 2, a1 + a2 + doubled)

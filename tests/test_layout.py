@@ -1,9 +1,11 @@
 """Guards on the source tree, read as text: the package imports nothing
-outside the standard library, and each helper the test modules share is
-defined once, in support.py."""
+outside the standard library, spells each of its messages once, and each
+helper the test modules share is defined once, in support.py."""
 
 import ast
+import collections
 import os
+import re
 import sys
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -37,6 +39,19 @@ def test_the_package_imports_only_the_standard_library():
                 offenders += ["%s:%d imports %s" % (name, node.lineno, m) for m in modules
                               if m.split(".")[0] not in sys.stdlib_module_names | {"superpbw"}]
     assert not offenders
+
+
+def test_each_message_of_the_package_has_one_owner():
+    """A string literal of the package that holds a % format and has at
+    least 12 characters is spelled once: a second spelling of a message is a
+    rule that two places must keep in step."""
+    places = collections.defaultdict(list)
+    for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        for node in ast.walk(_parsed(os.path.join(PACKAGE, name))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and len(node.value) >= 12 and re.search(r"%[-+ #0-9.]*[a-z]", node.value)):
+                places[node.value].append("%s:%d" % (name, node.lineno))
+    assert not {text: where for text, where in places.items() if len(where) > 1}
 
 
 def test_each_shared_test_helper_has_one_owner():

@@ -38,6 +38,9 @@ class SourceMutant:
     config: dict        # the `verify --config` run that must catch it
 
 
+# sl(3|1) as a table file, which `verify --config` reads by its path
+SL31 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "sl31.alg")
+
 # every id on sl2, sl21 and osp12 at trunc:3, bounds 2: the kill matrix's config,
 # which the first four rows run on their own ids
 WIDE = {"algebras": ["sl2", "sl21", "osp12"], "monoid": "trunc:3", "rmax": 2, "smax": 2,
@@ -70,6 +73,11 @@ SOURCE_MUTANTS = (
     SourceMutant("split_guard_always_true", "engine.py",
                  "if ou if v[0] == u else ku > keys[v[0]]:", "if False:",
                  {"algebras": ["sl3"], "identities": ["L4.4a"], "monoid": "trunc:3",
+                  "rmax": 2, "smax": 2}),
+    # the same edit, seen by 4.6 and L4.4a on a rank-3 table
+    SourceMutant("split_guard_always_true_sl31", "engine.py",
+                 "if ou if v[0] == u else ku > keys[v[0]]:", "if False:",
+                 {"algebras": [SL31], "identities": ["4.6", "L4.4a"], "monoid": "trunc:2",
                   "rmax": 2, "smax": 2}),
     # the fold appends an odd letter to its own copy instead of taking the odd square
     SourceMutant("odd_square_appended", "engine.py", "not odd[L]", "True",

@@ -595,6 +595,21 @@ def test_a_sign_twisted_preset_is_valid_and_passes_every_row(name, alpha):
     assert passed
 
 
+@pytest.mark.parametrize("name, m, n, passed, inapplicable",
+                         [("sl31", 3, 1, 3516, 828), ("sl4", 4, 0, 7644, 4224)])
+def test_every_row_passes_on_a_rank_3_table(name, m, n, passed, inapplicable):
+    """sl(3|1) and sl4, which no preset names, are valid tables on which every
+    row that reads an algebra passes."""
+    spec = algebra.sl_mn(name, m, n)
+    assert algebra.validate(spec) == []
+    eng = Engine(spec, monoid_preset("trunc:2"))
+    bounds = SweepBounds(1, 1, 1, 1, integrality_trials=10, basis_degree=2)
+    verdicts = [rep.verdict for ident_id, check in IDENTITIES.items() if not check.algebra_free
+                for rep in sweep_identity(eng, ident_id, bounds)]
+    assert (verdicts.count("pass"), verdicts.count("inapplicable")) == (passed, inapplicable)
+    assert len(verdicts) == passed + inapplicable
+
+
 def test_one_bracket_pair_flipped_alone_is_no_twist():
     """Negating [x_a1, x_a2] and [x_a2, x_a1] of sl3 alone changes no other
     constant, which no choice of signs on the basis does: validate refuses."""
