@@ -2,13 +2,16 @@
 partition-indexed divided sums D), the factor vocabulary in which every
 algebra check declares its product u*v, and the exact right-hand side of
 every closed-form straightening identity, so the verifier can compare the
-baseline normalizer's u*v against it."""
+baseline normalizer's u*v against it.  A closed-form right-hand side is
+built as `Products`, the products it sums, not yet multiplied, so the
+verifier can fold LHS - RHS into one `mul_sum`."""
 
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, enumerate_sub, \
     multinomial, pi_product
@@ -73,6 +76,19 @@ def eps_chain(spec, alpha, gamma, kmax):
         out.append(1 if c > 0 else -1)
         prev = nxt
     return r, out
+
+
+class Products(NamedTuple):
+    """RHS with a fixed value: sum_k scalars[k] * (the factors of chains[k]
+    multiplied left to right), the arguments of `Engine.mul_sum`, so
+    `engine.mul_sum(*rhs)` is its value.  No chain is multiplied until then."""
+    chains: tuple
+    scalars: tuple
+
+
+def _products(chains, scalars=None):
+    chains = tuple(chains)
+    return Products(chains, (1,) * len(chains) if scalars is None else tuple(scalars))
 
 
 @dataclass
@@ -140,16 +156,25 @@ def lhs_product(engine, factors, ps):
     return engine.mul(u, v)
 
 
+def lhs_minus_rhs(engine, factors, ps, rhs):
+    """u*v - rhs for a `Products` rhs, by the baseline normalizer as one
+    `mul_sum`: the chain (u, v), its factors evaluated here, then the rhs's
+    chains.  Zero exactly when the two sides agree, and then no word is
+    decoded."""
+    u, v = (f.value(engine, ps) for f in factors)
+    return engine.mul_sum(((u, v),) + rhs.chains, (1,) + tuple(-s for s in rhs.scalars))
+
+
 # ---------------------------------------------------------------------------
 # even-generator identities
 
 def rhs_4_1(engine, ps):
-    return engine.mul(engine.p(ps["j"], ps["phi"]), engine.p(ps["i"], ps["chi"]))
+    return _products(((engine.p(ps["j"], ps["phi"]), engine.p(ps["i"], ps["chi"])),))
 
 
 def rhs_4_2(engine, ps):
     beta, b, r, s = ps["beta"], ps["b"], ps["r"], ps["s"]
-    return binomial(r + s, s) * engine.divided_power(('x', beta), b, r + s)
+    return _products(((engine.divided_power(('x', beta), b, r + s),),), (binomial(r + s, s),))
 
 
 def rhs_4_3(engine, ps):
@@ -171,7 +196,7 @@ def rhs_4_3(engine, ps):
                     continue
                 chains.append((dm, engine.p(alpha, k * Multiset.of(ab)), dp) if k else (dm, dp))
                 signs.append(sign)
-    return engine.mul_sum(chains, signs)
+    return _products(chains, signs)
 
 
 @functools.cache
@@ -198,7 +223,7 @@ def _cartan_past_root(engine, ps, root, alpha, b, r, x_first=False):
     ev = alpha(h_i), the x-part first when x_first; the x-part is 0 once a
     factor vanishes.  4.4 and 4.5 are it at any r; L4.3 and 4.7 at r = 1,
     where CS(chi, 1) = {phi <= chi}.  The combinatorics come from the cached
-    `_cartan_plan`; the products are summed by one `mul_sum`."""
+    `_cartan_plan`; returns the products as `Products`."""
     i, chi = ps["i"], ps["chi"]
     ev = engine.spec.root(alpha).ev[i - 1]
     mon = engine.monoid
@@ -222,7 +247,7 @@ def _cartan_past_root(engine, ps, root, alpha, b, r, x_first=False):
             xpart = _divided_word(engine, powers, scale)
             p = engine.p(i, rest)
             pairs.append((xpart, p) if x_first else (p, xpart))
-    return engine.mul_sum(pairs)
+    return _products(pairs)
 
 
 def rhs_4_4(engine, ps):
@@ -245,9 +270,10 @@ CASE_SHAPES = {
 
 
 def _pair_powers(engine, ps, jk_counts):
-    """One summand of the general even-even law: the beta block, the mixed
-    block prod (x_{j alpha + k beta} (x) a^j b^k)^(n), then the alpha block.
-    Zero when some needed root is absent or truncation kills a part."""
+    """One summand of the general even-even law as a chain: the beta block,
+    the mixed block prod (x_{j alpha + k beta} (x) a^j b^k)^(n), then the
+    alpha block.  None when some needed root is absent or truncation kills
+    a part."""
     spec, mon = engine.spec, engine.monoid
     alpha, beta, a, b, r, s = ps["alpha"], ps["beta"], ps["a"], ps["b"], ps["r"], ps["s"]
     factors = [engine.divided_power(('x', beta), b, s - sum(k * n for (_, k), n in jk_counts))]
@@ -255,11 +281,11 @@ def _pair_powers(engine, ps, jk_counts):
         lab = spec.root_sum(alpha, beta, j, k)
         elt = mon.mul(mon.power(a, j), mon.power(b, k))
         if lab is None or elt is None:
-            return UElem()
+            return None
         factors.append(engine.divided_power(('x', lab), elt, n))
     factors.append(engine.divided_power(
         ('x', alpha), a, r - sum(j * n for (j, _), n in jk_counts)))
-    return engine.mul_sum((factors,))
+    return tuple(factors)
 
 
 def pair_slots(shapes, r, s, label):
@@ -284,10 +310,11 @@ def _k_label(shapes, ns):
 def _sign_template(engine, ps, shapes, label):
     """The commuted term plus one +-1 slot per count vector over the shapes
     whose summand survives."""
-    base = _pair_powers(engine, ps, ())
+    base = engine.mul_sum((_pair_powers(engine, ps, ()),))
     slots = []
     for lab, counts in pair_slots(shapes, ps["r"], ps["s"], label):
-        term = _pair_powers(engine, ps, counts)
+        chain = _pair_powers(engine, ps, counts)
+        term = engine.mul_sum((chain,)) if chain else None
         if term:
             slots.append((lab, term))
     return SignTemplate(base, tuple(slots))
@@ -302,20 +329,24 @@ def rhs_4_6(engine, ps):
 
 
 def rhs_L44a(engine, ps):
-    """A2 case: the slots of the template, each signed eps^k by
-    [x_alpha, x_beta] = eps x_{alpha+beta}."""
+    """A2 case: the summands of the template, the one with k mixed letters
+    signed eps^k by [x_alpha, x_beta] = eps x_{alpha+beta}."""
     spec = engine.spec
     alpha, beta = ps["alpha"], ps["beta"]
+    chains, scalars = [_pair_powers(engine, ps, ())], [1]
     absum = spec.root_sum(alpha, beta)
     if absum is None:
         # the factors commute; only the k = 0 term survives
-        return _pair_powers(engine, ps, ())
+        return _products(chains)
     eps = spec.root_constant(alpha, beta, absum)
     if eps not in (1, -1):
         raise AlgebraError("A2 case wants [x_%s, x_%s] = +- x_{%s}" % (alpha, beta, absum))
-    t = _sign_template(engine, ps, CASE_SHAPES["A2"], lambda shapes, ns: ns[0])
-    return UElem.sum([t.base] + [term for _, term in t.slots],
-                     [1] + [eps ** k for k, _ in t.slots])
+    for k, counts in pair_slots(CASE_SHAPES["A2"], ps["r"], ps["s"], lambda shapes, ns: ns[0]):
+        chain = _pair_powers(engine, ps, counts)
+        if chain:
+            chains.append(chain)
+            scalars.append(eps ** k)
+    return _products(chains, scalars)
 
 
 def rhs_L44(engine, ps, kind):
@@ -357,32 +388,36 @@ def rhs_4_8(engine, ps):
     two = spec.root_sum(gamma, gamma)
     a2 = mon.mul(a, a)
     if a2 is None:
-        return UElem()
-    return z * engine.gen_elem(('x', two), a2)
+        return _products(())
+    return _products(((engine.gen_elem(('x', two), a2),),), (z,))
 
 
 def rhs_4_9(engine, ps):
     gamma, a, b = ps["gamma"], ps["a"], ps["b"]
     spec, mon = engine.spec, engine.monoid
     ngamma = spec.negative_of(gamma)
-    acc = -1 * engine.normalize([(('x', ngamma), b), (('x', gamma), a)])
+    chains = [(engine.gen_elem(('x', ngamma), b), engine.gen_elem(('x', gamma), a))]
+    scalars = [-1]
     ab = mon.mul(a, b)
     if ab is not None:
-        acc = acc + engine.hvec_elem(spec.coroot(gamma), ab)
-    return acc
+        chains.append((engine.hvec_elem(spec.coroot(gamma), ab),))
+        scalars.append(1)
+    return _products(chains, scalars)
 
 
 def rhs_4_10(engine, ps):
     gamma, delta, a, b = ps["gamma"], ps["delta"], ps["a"], ps["b"]
     spec, mon = engine.spec, engine.monoid
-    acc = -1 * engine.normalize([(('x', delta), b), (('x', gamma), a)])
+    chains = [(engine.gen_elem(('x', delta), b), engine.gen_elem(('x', gamma), a))]
+    scalars = [-1]
     target = spec.root_sum(gamma, delta)
     ab = mon.mul(a, b)
     if target is not None and ab is not None:
         c = spec.root_constant(gamma, delta, target)
         if c:
-            acc = acc + c * engine.gen_elem(('x', target), ab)
-    return acc
+            chains.append((engine.gen_elem(('x', target), ab),))
+            scalars.append(c)
+    return _products(chains, scalars)
 
 
 def rhs_4_11(engine, ps):
@@ -404,7 +439,7 @@ def rhs_4_11(engine, ps):
             pairs.append((engine.divided_power(('x', partner), b, m - 1),
                           engine.gen_elem(('x', ngamma), ab)))
             scalars.append(c)
-    return engine.mul_sum(pairs, scalars)
+    return _products(pairs, scalars)
 
 
 def rhs_4_12(engine, ps):
@@ -423,4 +458,4 @@ def rhs_4_12(engine, ps):
         pairs.append((engine.gen_elem(('x', lab), elt),
                       engine.divided_power(('x', alpha), a, m - k)))
         scalars.append(sign * binomial(r + k, k))
-    return engine.mul_sum(pairs, scalars)
+    return _products(pairs, scalars)

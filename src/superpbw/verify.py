@@ -187,7 +187,8 @@ class IdentityCheck:
     axes: tuple                 # ((param, axis kind), ...), outermost first
     factors: tuple = ()         # (u, v) in identities' factor vocabulary: the
                                 # product u*v an algebra check is about
-    rhs: object = None          # (engine, params) -> u*v in closed form
+    rhs: object = None          # (engine, params) -> u*v in closed form, as
+                                # identities' Products or a SignTemplate
     where: object = None        # (engine, params) -> False drops the instance
     applicable: object = None   # (engine, params) -> (ok, why not); None: always
     run: object = None          # (engine, params, u, v) -> (verdict, detail), for
@@ -568,9 +569,9 @@ def _compare(engine, ident_id, ps, sign_cache):
     if check.run:
         u, v = (f.value(engine, ps) for f in check.factors)
         return check.run(engine, ps, u, v) + ((),)
-    lhs = ident.lhs_product(engine, check.factors, ps)
     rhs = check.rhs(engine, ps)
     if isinstance(rhs, ident.SignTemplate):
+        lhs = ident.lhs_product(engine, check.factors, ps)
         eps, why = _solve_signs(lhs, rhs)
         known = {} if sign_cache is None else sign_cache.setdefault(
             (ident_id, engine.spec.name, ps["alpha"], ps["beta"]), {})
@@ -581,9 +582,11 @@ def _compare(engine, ident_id, ps, sign_cache):
         known.update(eps)
         signs = " ".join("eps[%s]=%+d" % (lab, eps[lab]) for lab, _ in rhs.slots)
         return "pass", signs or "no slots", ()
-    if lhs == rhs:
+    if not ident.lhs_minus_rhs(engine, check.factors, ps, rhs):
         return "pass", "", ()
-    return "fail", "LHS != RHS", _diff_terms(engine, lhs, rhs)
+    # only a failure computes each side on its own, to name the words
+    return "fail", "LHS != RHS", _diff_terms(
+        engine, ident.lhs_product(engine, check.factors, ps), engine.mul_sum(*rhs))
 
 
 def verify_identity(engine, ident_id, ps, sign_cache=None):
@@ -591,8 +594,10 @@ def verify_identity(engine, ident_id, ps, sign_cache=None):
     Its factors are evaluated once the check applies.  For sign-template
     identities the +-1 slots are read off from the top degree down, which
     leaves one solution; a sign_cache (keyed per root pair) then confirms
-    that later instances read the same signs.  A failing comparison names
-    its first differing word.  The params are formatted when first read."""
+    that later instances read the same signs.  Any other identity is one
+    `mul_sum` of LHS - RHS, which is zero when it passes; a failing
+    comparison computes each side on its own and names its first differing
+    word.  The params are formatted when first read."""
     return _report(ident_id, engine.spec.name, lambda: fmt_params(engine, ps),
                    lambda: _compare(engine, ident_id, ps, sign_cache))
 
@@ -643,7 +648,6 @@ _CONFIG_KEYS = {
     **{k: (lambda v: type(v) is int and v >= 0, "a non-negative integer") for k in _BOUND_KEYS},
     **{k: (lambda v: type(v) is int and v >= 1, "a positive integer")
        for k in ("integrality_gens", "integrality_trials")},
-    "seed": (lambda v: type(v) is int, "an integer"),
     "algebras": (_is_strings, "a list of presets or algebra file paths"),
     "identities": (_is_strings, "a list of identity ids"),
     "monoid": (_is_finite_monoid, "a monoid preset with a finite basis (trunc:n)"),

@@ -219,6 +219,8 @@ def test_sweep_identity_fixed_filter():
     ({"monoid": "poly"}, "monoid"),     # the checks of an algebra read a finite basis
     ({"seed": 1.5}, "seed"),
     ({"integrality_trials": 0}, "integrality_trials"),     # no product would be checked
+    # random.Random(-n) draws as Random(n) does: a negative seed would check n's sample
+    ({"seed": -7}, "seed"),
 ])
 def test_suite_config_rejects_bad_values(raw, key):
     with pytest.raises(SpecError, match="suite config key %r" % key):
@@ -237,8 +239,10 @@ def test_suite_config_rejects_bad_values(raw, key):
      "with a finite basis (trunc:n), got 'zz': unknown monoid preset 'zz'"),
     # JSON has no bounds key: its bound keys are read into a SweepBounds
     ({"bounds": None}, None, "suite config key 'bounds' wants a SweepBounds, got None"),
+    ({"bounds": SweepBounds(seed=-7)}, {"seed": -7},
+     "suite config key 'seed' wants a non-negative integer, got -7"),
 ], ids=["unknown-id", "infinite-monoid", "zero-trials", "algebras-a-string", "unknown-monoid",
-        "bounds-none"])
+        "bounds-none", "negative-seed"])
 def test_a_config_built_in_python_is_refused_as_its_json_is(kwargs, raw, msg):
     with pytest.raises(SpecError) as built:
         run_suite(SuiteConfig(**kwargs))
@@ -398,13 +402,31 @@ def test_failing_basis_counts_say_what_is_wrong(monkeypatch, mutate, oracle, det
 
 def test_failing_comparison_names_the_first_differing_word(monkeypatch):
     check = IDENTITIES["4.2"]
-    monkeypatch.setitem(IDENTITIES, "4.2", replace(
-        check, rhs=lambda e, ps: 2 * ident.rhs_4_2(e, ps)))
+
+    def doubled(e, ps):
+        chains, scalars = ident.rhs_4_2(e, ps)
+        return ident.Products(chains, tuple(2 * s for s in scalars))
+    monkeypatch.setitem(IDENTITIES, "4.2", replace(check, rhs=doubled))
     rep = verify_identity(load_engine("sl2"), "4.2", {"beta": "a", "b": T, "r": 1, "s": 1})
     assert rep.verdict == "fail"
     # x^(1) x^(1) = 2 x^(2) = x^2, against the doubled 2 x^2
     assert rep.detail == "LHS != RHS; first difference x[a]{t}^2: LHS 1, RHS 2"
     assert rep.diffs[0] == ("x[a]{t}^2", "1", "2")
+
+
+def test_a_passing_check_is_one_sum_and_decodes_no_word(monkeypatch):
+    """On a warm engine a passing 4.4 check folds LHS - RHS into one
+    `mul_sum`, whose empty output has no word to decode."""
+    eng = load_engine("sl3")
+    ps = {"alpha": "a1", "i": 1, "b": T, "r": 2, "chi": Multiset.of(ONE, T)}
+    assert verify_identity(eng, "4.4", ps).verdict == "pass"
+    calls = []
+    for name in ("mul_sum", "_decode"):
+        real = getattr(Engine, name)
+        monkeypatch.setattr(Engine, name, lambda self, *args, real=real, name=name: (
+            calls.append(name) or real(self, *args)))
+    assert verify_identity(eng, "4.4", ps).verdict == "pass"
+    assert calls == ["mul_sum"]
 
 
 def test_a_raising_check_names_its_params(monkeypatch):
