@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, enumerate_sub, \
     multinomial, pi_product
 from .engine import AlgebraError, UElem, _exact
-from .algebra import root_string
+from .algebra import pair_plane, root_string
 
 
 def _divided_word(engine, powers, scale=1):
@@ -81,23 +81,16 @@ def eps_chain(spec, alpha, gamma, kmax):
 class Products(NamedTuple):
     """RHS with a fixed value: sum_k scalars[k] * (the factors of chains[k]
     multiplied left to right), the arguments of `Engine.mul_sum`, so
-    `engine.mul_sum(*rhs)` is its value.  No chain is multiplied until then."""
+    `engine.mul_sum(rhs.chains, rhs.scalars)` is its value.  No chain is
+    multiplied until then.  The note is the detail a PASS prints."""
     chains: tuple
     scalars: tuple
+    note: str = ""
 
 
 def _products(chains, scalars=None):
     chains = tuple(chains)
     return Products(chains, (1,) * len(chains) if scalars is None else tuple(scalars))
-
-
-@dataclass
-class SignTemplate:
-    """RHS with undetermined signs: base + sum_k eps_k * slots[k][1],
-    eps_k in {+1, -1}.  Slot labels are printable and distinct, and slot
-    terms nonzero: a sign is read off a slot's longest word."""
-    base: UElem
-    slots: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +264,14 @@ CASE_SHAPES = {
 
 def _pair_powers(engine, ps, jk_counts):
     """One summand of the general even-even law as a chain: the beta block,
-    the mixed block prod (x_{j alpha + k beta} (x) a^j b^k)^(n), then the
+    the mixed block prod (x_{j alpha + k beta} (x) a^j b^k)^(n) in convex
+    order (by slope k/j, descending, from beta's side to alpha's), then the
     alpha block.  None when some needed root is absent or truncation kills
     a part."""
     spec, mon = engine.spec, engine.monoid
     alpha, beta, a, b, r, s = ps["alpha"], ps["beta"], ps["a"], ps["b"], ps["r"], ps["s"]
     factors = [engine.divided_power(('x', beta), b, s - sum(k * n for (_, k), n in jk_counts))]
-    for (j, k), n in jk_counts:
+    for (j, k), n in sorted(jk_counts, key=lambda c: Fraction(*c[0])):
         lab = spec.root_sum(alpha, beta, j, k)
         elt = mon.mul(mon.power(a, j), mon.power(b, k))
         if lab is None or elt is None:
@@ -307,52 +301,46 @@ def _k_label(shapes, ns):
     return ",".join("k%d=%d" % (idx, n) for idx, n in enumerate(ns, 1))
 
 
-def _sign_template(engine, ps, shapes, label):
-    """The commuted term plus one +-1 slot per count vector over the shapes
-    whose summand survives."""
-    base = engine.mul_sum((_pair_powers(engine, ps, ()),))
-    slots = []
-    for lab, counts in pair_slots(shapes, ps["r"], ps["s"], label):
-        chain = _pair_powers(engine, ps, counts)
-        term = engine.mul_sum((chain,)) if chain else None
-        if term:
-            slots.append((lab, term))
-    return SignTemplate(base, tuple(slots))
+def _shape_sign(spec, alpha, beta, shape):
+    """sigma(j, k), the sign of x_{j alpha + k beta}'s summand in Chevalley's
+    commutator formula, from the structure constants through M_{g,d,i} =
+    prod_{m<i} N_{g, d+m g} / i!: sign M_{alpha,beta,j} when k = 1, sign
+    (-1)^k M_{beta,alpha,k} when j = 1, and on G2 sign M_{alpha+beta,alpha,2}
+    for (3, 2) and sign M_{alpha+beta,beta,2} for (2, 3)."""
+    j, k = shape
+    if k == 1:
+        gamma, at, i, m = alpha, beta, j, 1
+    elif j == 1:
+        gamma, at, i, m = beta, alpha, k, (-1) ** k
+    else:
+        gamma, at, i, m = spec.root_sum(alpha, beta), alpha if j == 3 else beta, 2, 1
+    for _ in range(i):
+        nxt = spec.root_sum(gamma, at)
+        m *= spec.root_constant(gamma, at, nxt)
+        at = nxt
+    return (m > 0) - (m < 0)
 
 
-def rhs_4_6(engine, ps):
-    """General even-even straightening with one +-1 slot per nonzero multiset
-    of (j,k) pairs; the empty multiset is the fixed commuted term."""
-    shapes = [(j, k) for j in range(1, ps["r"] + 1) for k in range(1, ps["s"] + 1)
-              if engine.spec.root_sum(ps["alpha"], ps["beta"], j, k) is not None]
-    return _sign_template(engine, ps, shapes, _multiples_label)
-
-
-def rhs_L44a(engine, ps):
-    """A2 case: the summands of the template, the one with k mixed letters
-    signed eps^k by [x_alpha, x_beta] = eps x_{alpha+beta}."""
-    spec = engine.spec
-    alpha, beta = ps["alpha"], ps["beta"]
-    chains, scalars = [_pair_powers(engine, ps, ())], [1]
-    absum = spec.root_sum(alpha, beta)
-    if absum is None:
-        # the factors commute; only the k = 0 term survives
-        return _products(chains)
-    eps = spec.root_constant(alpha, beta, absum)
-    if eps not in (1, -1):
-        raise AlgebraError("A2 case wants [x_%s, x_%s] = +- x_{%s}" % (alpha, beta, absum))
-    for k, counts in pair_slots(CASE_SHAPES["A2"], ps["r"], ps["s"], lambda shapes, ns: ns[0]):
+def rhs_pair(engine, ps, kind=None):
+    """(x_alpha (x) a)^(r) (x_beta (x) b)^(s) straightened: 4.6 when kind is
+    None, else Lemma 4.4's case `kind`, whose shapes are `CASE_SHAPES[kind]`;
+    4.6 takes every (j, k) with j alpha + k beta a root.  The commuted term,
+    then one summand per count vector n of `pair_slots` whose chain
+    survives, signed eps(n) = prod_s sigma_s^(n_s) (`_shape_sign`).  The note
+    names each surviving eps by its slot label, or says there is no slot;
+    A2's names nothing."""
+    spec, alpha, beta = engine.spec, ps["alpha"], ps["beta"]
+    shapes = CASE_SHAPES[kind] if kind else pair_plane(spec, alpha, beta).quadrant
+    chains, scalars, signs = [_pair_powers(engine, ps, ())], [1], []
+    for lab, counts in pair_slots(shapes, ps["r"], ps["s"], _k_label if kind else _multiples_label):
         chain = _pair_powers(engine, ps, counts)
         if chain:
+            eps = math.prod(_shape_sign(spec, alpha, beta, shape) ** n for shape, n in counts)
             chains.append(chain)
-            scalars.append(eps ** k)
-    return _products(chains, scalars)
-
-
-def rhs_L44(engine, ps, kind):
-    """The B2 and G2 cases: one sign slot per nonzero count vector over the
-    case's shapes; G2's k4 slot carries x_{3 alpha + 2 beta}."""
-    return _sign_template(engine, ps, CASE_SHAPES[kind], _k_label)
+            scalars.append(eps)
+            signs.append("eps[%s]=%+d" % (lab, eps))
+    note = "" if kind == "A2" else " ".join(signs) or "no slots"
+    return Products(tuple(chains), tuple(scalars), note)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ GOLDENS maps each golden's name to a function that returns its outputs as
   per identity (its CHECK lines, joined by newlines) plus the SUMMARY line.
   The first dates from before the combinatorics and divided-power memos, the
   second from before the sweeps were declared as axes; sl3, sp4 and osp12
-  cover L4.4a, the L4.4b sign caches and 4.8, 4.11 and deg7.
+  cover L4.4a, the signs L4.4b names and 4.8, 4.11 and deg7.
 - divided_print pins the printed divided basis, one output per CLI request,
   keyed by its argv.  Inside a block the printer lists elements in word
   order, which is their exponent-tuple order.  Degree order would differ on

@@ -9,7 +9,7 @@ from superpbw.coeffalg import monoid_preset
 from superpbw.combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, \
     enumerate_sub, multinomial, multisets_upto, pi_product
 from superpbw.engine import AlgebraError, UElem
-from superpbw.identities import Products, SignTemplate, _cartan_past_root, _cartan_plan, \
+from superpbw.identities import Products, _cartan_past_root, _cartan_plan, \
     _divided_word, _k_label, divided_D, eps_chain, lhs_minus_rhs, lhs_product, pair_slots, \
     rhs_4_4, z_of
 from superpbw.verify import IDENTITIES, SWEEP_IDS, SweepBounds, expand, fmt_params, \
@@ -249,7 +249,8 @@ def test_cartan_past_root_matches_the_mul_reference(algebra):
                 itertools.product(range(1, eng.spec.rank + 1), elems, range(rmax + 1),
                                   multisets_upto(elems, 2))):
             ps = {"i": i, "chi": chi}
-            got = eng.mul_sum(*_cartan_past_root(eng, ps, alpha, alpha, b, r, x_first))
+            rhs = _cartan_past_root(eng, ps, alpha, alpha, b, r, x_first)
+            got = eng.mul_sum(rhs.chains, rhs.scalars)
             assert_same(got, _ref_cartan_past_root(eng, ps, alpha, alpha, b, r, x_first))
             checked += bool(got)
     assert checked > 200
@@ -322,7 +323,8 @@ def test_sum_agrees_with_the_addition_fold_on_rhs_4_4():
                                                 psi)
             if xpart:
                 acc = acc + eng.mul(eng.p(i, chi - consumed), xpart)
-        got = eng.mul_sum(*rhs_4_4(eng, {"alpha": alpha, "i": i, "b": b, "r": r, "chi": chi}))
+        rhs = rhs_4_4(eng, {"alpha": alpha, "i": i, "b": b, "r": r, "chi": chi})
+        got = eng.mul_sum(rhs.chains, rhs.scalars)
         assert_same(got, acc)
         checked += bool(got)
     assert checked > 100
@@ -452,31 +454,22 @@ def test_lhs_product_matches_the_hand_written_lhs(ident_id, algebra):
             "row %s on %s at %s" % (ident_id, algebra, fmt_params(eng, ps))
 
 
-# the rows whose RHS has a fixed value; 4.6, L4.4b and L4.4c leave signs open
-PRODUCTS_IDS = ("4.1", "4.2", "4.3", "4.4", "4.5", "L4.4a", "L4.3", "4.7", "4.8", "4.9",
-                "4.10", "4.11", "4.12")
-
-
 @pytest.mark.parametrize("algebra", PRESET_NAMES)
 def test_one_sum_is_the_difference_of_the_two_sides(algebra):
-    """Every registered rhs builds `Products` or a `SignTemplate`, never an
-    element, and a fixed one exactly on the PRODUCTS_IDS rows; for those,
+    """Every registered rhs builds `Products`, never an element, and
     `lhs_minus_rhs` is lhs_product minus the rhs's products, on every
-    applicable instance at trunc:2 and bounds 1."""
+    applicable instance of every row at trunc:2 and bounds 1."""
     eng = get_engine(algebra, "trunc:2")
-    fixed, compared = set(), 0
+    compared = 0
     for ident_id in SWEEP_IDS:
         check = IDENTITIES[ident_id]
         for ps in expand(eng, SweepBounds(1, 1, 1, 1), check.axes, check.where):
             if check.applicable and not check.applicable(eng, ps)[0]:
                 continue
             rhs = check.rhs(eng, ps)
-            assert type(rhs) in (Products, SignTemplate), ident_id
-            if type(rhs) is SignTemplate:
-                assert ident_id not in PRODUCTS_IDS
-                continue
-            fixed.add(ident_id)
-            want = UElem.sum((lhs_product(eng, check.factors, ps), eng.mul_sum(*rhs)), (1, -1))
+            assert type(rhs) is Products, ident_id
+            want = UElem.sum((lhs_product(eng, check.factors, ps),
+                              eng.mul_sum(rhs.chains, rhs.scalars)), (1, -1))
             assert_same_terms(lhs_minus_rhs(eng, check.factors, ps, rhs), want)
             compared += 1
-    assert fixed <= set(PRODUCTS_IDS) and compared
+    assert compared

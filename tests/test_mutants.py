@@ -79,6 +79,14 @@ SOURCE_MUTANTS = (
                  "if ou if v[0] == u else ku > keys[v[0]]:", "if False:",
                  {"algebras": [SL31], "identities": ["4.6", "L4.4a"], "monoid": "trunc:2",
                   "rmax": 2, "smax": 2}),
+    # the engine negates [x_a1, x_a2] and [x_a2, x_a1] while the table keeps them, a
+    # fault that signs read off the LHS would absorb
+    SourceMutant("bracket_pair_negated", "engine.py", "terms = self.spec.bracket(su, sx)",
+                 "terms = self.spec.bracket(su, sx)\n"
+                 "            if {su, sx} == {('x', 'a1'), ('x', 'a2')}:\n"
+                 "                terms = tuple((s, -k) for s, k in terms)",
+                 {"algebras": ["sp4"], "identities": ["4.6", "L4.4b"], "monoid": "trunc:2",
+                  "rmax": 2, "smax": 2}),
     # the fold appends an odd letter to its own copy instead of taking the odd square
     SourceMutant("odd_square_appended", "engine.py", "not odd[L]", "True",
                  {"algebras": ["osp12"], "identities": ["4.8"], "monoid": "trunc:2",

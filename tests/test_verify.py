@@ -1,8 +1,11 @@
+import glob
 import itertools
 import json
 import os
+import re
 from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -16,10 +19,12 @@ from superpbw.engine import Engine, UElem
 from superpbw.verify import IDENTITIES, SuiteConfig, SweepBounds, genfun_counts, \
     get_engine, load_engine, run_suite, sweep_identity, verify_identity
 
-from support import ONE, T, T2
+from support import ONE, T, T2, run_cli
 from test_kernels import odd_square_spec
 
 DEG_IDS = tuple("deg%d" % n for n in range(1, 8))
+DATA = os.path.join(os.path.dirname(__file__), "data")
+G2 = os.path.join(DATA, "g2.alg")       # g2 on its 7-dimensional representation
 
 
 def run_once(engine, ident_id, **bounds):
@@ -71,16 +76,18 @@ def test_sign_solving_reports_assignment():
 
 
 def test_sign_reuse_across_coefficients():
+    """One root pair's signs serve every coefficient pair: each slot a PASS
+    names carries the same eps for every (a, b)."""
     eng = get_engine("sp4")
-    cache = {}
-    bounds = SweepBounds(rmax=2, smax=2)
-    reports = []
+    signs = {}
     for a in eng.monoid.elements():
         for b in eng.monoid.elements():
             ps = {"alpha": "a1", "beta": "a2", "a": a, "b": b, "r": 2, "s": 2}
-            reports.append(verify_identity(eng, "L4.4b", ps, cache))
-    assert all(r.verdict == "pass" for r in reports)
-    assert len(cache) == 1   # one root pair, one shared assignment
+            rep = verify_identity(eng, "L4.4b", ps)
+            assert rep.verdict == "pass"
+            for lab, eps in re.findall(r"eps\[([^\]]*)\]=([+-]1)", rep.detail):
+                assert signs.setdefault(lab, eps) == eps, lab
+    assert len(signs) == 3      # k1 + 2 k2 <= r = 2: three nonzero slots
 
 
 def test_each_plane_is_classified_once_per_spec(monkeypatch):
@@ -404,8 +411,8 @@ def test_failing_comparison_names_the_first_differing_word(monkeypatch):
     check = IDENTITIES["4.2"]
 
     def doubled(e, ps):
-        chains, scalars = ident.rhs_4_2(e, ps)
-        return ident.Products(chains, tuple(2 * s for s in scalars))
+        rhs = ident.rhs_4_2(e, ps)
+        return ident.Products(rhs.chains, tuple(2 * s for s in rhs.scalars))
     monkeypatch.setitem(IDENTITIES, "4.2", replace(check, rhs=doubled))
     rep = verify_identity(load_engine("sl2"), "4.2", {"beta": "a", "b": T, "r": 1, "s": 1})
     assert rep.verdict == "fail"
@@ -465,58 +472,81 @@ def test_params_formatted_when_read_are_the_eager_ones(monkeypatch, algebra, ide
     assert calls == instances
 
 
-@pytest.mark.parametrize("slots, cached, detail", [
-    # base + eps X = lhs forces eps = +1, which the cache has as -1
-    ((1,), {"k": -1}, "cached signs fail: not reusable"),
-    # base + eps X = lhs with base = lhs and X != 0: no eps works
-    ((0,), {}, "no sign assignment zeroes the difference"),
-    # base + eps X + eps' X = lhs with base = lhs: eps' = -eps, two ways; the
-    # read-off refuses the two slots of one degree that share their word X
-    ((0, 0), {}, "slots k and k' share their read-off word"),
-])
-def test_sign_template_failures_say_why(monkeypatch, slots, cached, detail):
-    """A crafted template on L4.4b's row: base = lhs - sum(slots) X, one slot
-    X per entry, X = h[1]{1}."""
-    eng = get_engine("sp4")
-    ps = {"alpha": "a1", "beta": "a2", "a": ONE, "b": ONE, "r": 1, "s": 1}
-    check = IDENTITIES["L4.4b"]
-    x = eng.gen_elem(('h', 1), ONE)
+# -- the pair rows' signs against a reference that reads them off the LHS -----
 
-    def template(e, ps):
-        lhs = ident.lhs_product(e, check.factors, ps)
-        return ident.SignTemplate(lhs - sum(slots) * x,
-                                  tuple(("k" + "'" * n, x) for n in range(len(slots))))
-    monkeypatch.setitem(IDENTITIES, "L4.4b", replace(check, rhs=template))
-    rep = verify_identity(eng, "L4.4b", ps, {("L4.4b", "sp4", "a1", "a2"): dict(cached)})
-    assert rep.verdict == "fail"
-    assert rep.detail.split(";")[0] == detail
+class Template(NamedTuple):
+    """base + sum_k eps_k * slots[k][1], eps_k in {+1, -1}: a pair law with
+    its signs left open.  Slot labels are distinct and slot terms nonzero."""
+    base: UElem
+    slots: tuple
 
 
-def test_sign_read_off_checks_what_is_left(monkeypatch):
-    """One slot h1 h2 + h1 whose top word reads +1 against a difference of
-    h1 h2 alone, so the lower word h1 is left over."""
-    eng = get_engine("sp4")
-    ps = {"alpha": "a1", "beta": "a2", "a": ONE, "b": ONE, "r": 1, "s": 1}
-    check = IDENTITIES["L4.4b"]
-    h1, h2 = eng.gen_elem(('h', 1), ONE), eng.gen_elem(('h', 2), ONE)
+def open_signs(engine, rhs):
+    """The template of a pair row's `Products`: the commuted term as the
+    base and each later chain as a slot, labelled as the note names it."""
+    labels = re.findall(r"eps\[([^\]]*)\]", rhs.note)
+    terms = [engine.mul_sum((chain,)) for chain in rhs.chains]
+    assert len(labels) == len(terms) - 1
+    return Template(terms[0], tuple(zip(labels, terms[1:])))
 
-    def template(e, ps):
-        lhs = ident.lhs_product(e, check.factors, ps)
-        return ident.SignTemplate(lhs - e.mul(h1, h2), (("k", e.mul(h1, h2) + h1),))
-    monkeypatch.setitem(IDENTITIES, "L4.4b", replace(check, rhs=template))
-    rep = verify_identity(eng, "L4.4b", ps)
-    assert rep.verdict == "fail"
-    assert rep.detail.split(";")[0] == "no sign assignment zeroes the difference"
+
+def solve_signs(lhs, template):
+    """The reference read-off: the +-1 slots from the top degree down.  A
+    slot's longest word lies in no other slot of its degree, so its
+    coefficient in what is left fixes eps.  Returns ({label: eps}, None) or
+    (None, why)."""
+    rest, eps, why = lhs - template.base, {}, "no sign assignment zeroes the difference"
+    tops = sorted(((max(t.terms, key=len), lab, t) for lab, t in template.slots),
+                  key=lambda top: -len(top[0]))
+    for w, lab, t in tops:
+        shared = [m for v, m, u in tops if m != lab and len(v) == len(w) and w in u.terms]
+        c, d = rest.terms.get(w, 0), t.terms[w]
+        if shared or c not in (d, -d):
+            return None, ("slots %s and %s share their read-off word" % (lab, shared[0])
+                          if shared else why)
+        eps[lab] = e = 1 if c == d else -1
+        rest = UElem.sum((rest, t), (1, -e))
+    return (None, why) if rest else (eps, None)
 
 
 def enumerate_signs(lhs, template):
-    """The reference: every eps in {+-1}^slots with base + sum eps_k T_k =
-    lhs, found by trying all 2^slots assignments."""
+    """The read-off's own reference: every eps in {+-1}^slots with base +
+    sum eps_k T_k = lhs, found by trying all 2^slots assignments."""
     target = lhs - template.base
     labels = [lab for lab, _ in template.slots]
     terms = [t for _, t in template.slots]
     return [dict(zip(labels, bits)) for bits in itertools.product((1, -1), repeat=len(terms))
             if UElem.sum(terms, bits) == target]
+
+
+@pytest.mark.parametrize("slots, detail", [
+    # base + eps X = lhs with base = lhs and X != 0: no eps works
+    pytest.param((0,), "no sign assignment zeroes the difference", id="no-assignment"),
+    # base + eps X + eps' X = lhs with base = lhs: eps' = -eps, two ways; the
+    # read-off refuses the two slots of one degree that share their word X
+    pytest.param((0, 0), "slots k and k' share their read-off word", id="shared-word"),
+])
+def test_reference_read_off_says_why(slots, detail):
+    """A crafted template on L4.4b's product: base = lhs - sum(slots) X, one
+    slot X per entry, X = h[1]{1}."""
+    eng = get_engine("sp4")
+    ps = {"alpha": "a1", "beta": "a2", "a": ONE, "b": ONE, "r": 1, "s": 1}
+    lhs = ident.lhs_product(eng, IDENTITIES["L4.4b"].factors, ps)
+    x = eng.gen_elem(('h', 1), ONE)
+    template = Template(lhs - sum(slots) * x,
+                        tuple(("k" + "'" * n, x) for n in range(len(slots))))
+    assert solve_signs(lhs, template) == (None, detail)
+
+
+def test_sign_read_off_checks_what_is_left():
+    """One slot h1 h2 + h1 whose top word reads +1 against a difference of
+    h1 h2 alone, so the lower word h1 is left over."""
+    eng = get_engine("sp4")
+    ps = {"alpha": "a1", "beta": "a2", "a": ONE, "b": ONE, "r": 1, "s": 1}
+    lhs = ident.lhs_product(eng, IDENTITIES["L4.4b"].factors, ps)
+    h1, h2 = eng.gen_elem(('h', 1), ONE), eng.gen_elem(('h', 2), ONE)
+    template = Template(lhs - eng.mul(h1, h2), (("k", eng.mul(h1, h2) + h1),))
+    assert solve_signs(lhs, template) == (None, "no sign assignment zeroes the difference")
 
 
 @pytest.mark.parametrize("algebra, ident_id", [("sl3", "4.6"), ("sp4", "4.6"), ("sp4", "L4.4b")])
@@ -530,36 +560,99 @@ def test_read_off_signs_match_the_enumeration(algebra, ident_id):
         if not check.applicable(eng, ps)[0]:
             continue
         lhs = ident.lhs_product(eng, check.factors, ps)
-        template = check.rhs(eng, ps)
+        template = open_signs(eng, check.rhs(eng, ps))
         ref = enumerate_signs(lhs, template)
         assert len(ref) <= 1
-        eps, why = ver._solve_signs(lhs, template)
+        eps, why = solve_signs(lhs, template)
         assert eps == (ref[0] if ref else None)
         assert (why is None) == bool(ref)
         solved += bool(ref)
     assert solved
 
 
-def test_read_off_solves_twenty_one_letter_slots(monkeypatch):
+def test_read_off_solves_twenty_one_letter_slots():
     """Twenty slots x[a]{t^n} of one degree with mixed signs, where the
     enumeration would sum 2^20 assignments."""
     eng = get_engine("sl2", "poly")
-    ps = {"alpha": "a", "beta": "a", "a": T, "b": T, "r": 1, "s": 1}
-    check = IDENTITIES["4.6"]
     signs = [1 if n % 3 else -1 for n in range(1, 21)]
     slots = tuple(("n%d" % n, eng.gen_elem(('x', 'a'), (n,))) for n in range(1, 21))
+    lhs = eng.mul(eng.gen_elem(('x', 'a'), T), eng.gen_elem(('x', 'a'), T))
+    template = Template(lhs - UElem.sum([x for _, x in slots], signs), slots)
+    assert solve_signs(lhs, template) == ({"n%d" % n: e for n, e in enumerate(signs, 1)}, None)
 
-    def template(e, ps):
-        lhs = ident.lhs_product(e, check.factors, ps)
-        return ident.SignTemplate(lhs - UElem.sum([x for _, x in slots], signs), slots)
-    monkeypatch.setitem(IDENTITIES, "4.6", replace(check, rhs=template, applicable=None))
-    rep = verify_identity(eng, "4.6", ps)
-    assert rep.verdict == "pass"
-    assert rep.detail == " ".join("eps[n%d]=%+d" % (n, e) for n, e in enumerate(signs, 1))
+
+@pytest.mark.parametrize("name, alpha", [("sl3", None), ("sp4", None), ("g2", None)]
+                         + [(name, r.label) for name in ("sl3", "sp4")
+                            for r in algebra.preset(name).roots if r.positive])
+def test_predicted_signs_are_the_read_off_signs(name, alpha):
+    """On every applicable instance of 4.6, L4.4b and L4.4c at trunc:2, bounds
+    2, the signs the pair rows take from the table are the ones the
+    reference reads off the LHS, slot by slot, on sl3, sp4, g2 and each
+    one-root twist of sl3 and sp4."""
+    spec = algebra.load_spec(open(G2).read(), "g2") if name == "g2" else algebra.preset(name)
+    eng = Engine(sign_twist(spec, alpha) if alpha else spec, monoid_preset("trunc:2"))
+    compared = {}
+    for ident_id in ("4.6", "L4.4b", "L4.4c"):
+        check = IDENTITIES[ident_id]
+        for ps in ver.expand(eng, SweepBounds(rmax=2, smax=2), check.axes, check.where):
+            if not check.applicable(eng, ps)[0]:
+                continue
+            rhs = check.rhs(eng, ps)
+            template = open_signs(eng, rhs)
+            eps, why = solve_signs(ident.lhs_product(eng, check.factors, ps), template)
+            assert why is None, (ident_id, ver.fmt_params(eng, ps))
+            assert [eps[lab] for lab, _ in template.slots] == list(rhs.scalars[1:])
+            compared[ident_id] = compared.get(ident_id, 0) + len(template.slots)
+    assert compared["4.6"] and (compared.get("L4.4b") if name == "sp4" else True)
+    assert compared.get("L4.4c") if name == "g2" else "L4.4c" not in compared
+
+
+def test_the_a2_case_meets_a_non_unit_constant_in_its_gate():
+    """At the bottom of an A2 string the constant of [x_alpha, x_beta] is
+    +-1, or the gate's `pair_plane` refuses the table, so L4.4a's sign
+    eps = N_{alpha,beta} is always a unit."""
+    spec = algebra.preset("sl3")
+    brackets = dict(spec.brackets)
+    for pair in ((('x', 'a1'), ('x', 'a2')), (('x', 'a2'), ('x', 'a1'))):
+        brackets[pair] = tuple((sym, 2 * c) for sym, c in brackets[pair])
+    bad = algebra.SuperAlgebraSpec("bad", spec.rank, spec.roots, spec.coroots, brackets)
+    rep = verify_identity(Engine(bad, monoid_preset("trunc:2")), "L4.4a",
+                          {"alpha": "a1", "beta": "a2", "a": ONE, "b": ONE, "r": 1, "s": 1})
+    assert rep.verdict == "fail"
+    assert rep.detail.startswith(
+        "SpecError: |c_{a1,a2}| = 2 but the root string gives r+1 = 1 at "), rep.detail
+
+
+def test_4_6_passes_on_g2():
+    """On G2, x_{alpha+beta} and x_{alpha+2beta} do not commute when alpha is
+    long and beta short, so 4.6 holds only with its mixed block in convex
+    order; a block ordered j first fails 24 of these checks."""
+    code, out, _ = run_cli("verify", "--algebra", G2, "--id", "4.6", "--monoid", "trunc:1")
+    assert (code, out.splitlines()[-1]) == (
+        0, "SUMMARY checks=1920 pass=1536 fail=0 inapplicable=384")
+
+
+def test_lemma_4_4_g2_case_applies_and_passes_on_g2():
+    verdicts = [rep.verdict for rep in sweep_identity(get_engine(G2, "trunc:2"), "L4.4c",
+                                                      SweepBounds(rmax=2, smax=2))]
+    assert (verdicts.count("pass"), verdicts.count("fail")) == (1296, 0)
+
+
+def test_every_row_passes_on_some_table():
+    """Each row but `comb`, which reads no algebra, gives at least one PASS
+    on the presets or the tables of tests/data at trunc:2 and bounds 1."""
+    bounds = SweepBounds(1, 1, 1, 1, integrality_trials=5, basis_degree=2)
+    tables = list(algebra.PRESET_NAMES) + sorted(glob.glob(os.path.join(DATA, "*.alg")))
+    never = [ident_id for ident_id in IDENTITIES if ident_id != "comb"]
+    for table in tables:
+        eng = get_engine(table, "trunc:2")
+        never = [ident_id for ident_id in never
+                 if all(rep.verdict != "pass" for rep in sweep_identity(eng, ident_id, bounds))]
+    assert never == []
 
 
 def test_get_engine_keys_files_by_content(tmp_path):
-    table = open(os.path.join(os.path.dirname(__file__), "data", "sl2.alg")).read()
+    table = open(os.path.join(DATA, "sl2.alg")).read()
     path = tmp_path / "mine.alg"
     path.write_text(table)
     first = get_engine(str(path), "trunc:2")
@@ -598,8 +691,8 @@ def sign_twist(spec, alpha):
                          + [(name, r.label) for name in algebra.PRESET_NAMES
                             for r in algebra.preset(name).roots if r.positive])
 def test_a_sign_twisted_preset_is_valid_and_passes_every_row(name, alpha):
-    """The RHS builders and the sign read-offs do not lean on the presets'
-    sign choices: every row that reads an algebra passes on each preset and
+    """The RHS builders and the signs they read from the table do not lean on
+    the presets' sign choices: every row that reads an algebra passes on each preset and
     on each one-root twist of it."""
     if alpha is None:
         eng = get_engine(name, "trunc:2")
