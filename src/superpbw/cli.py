@@ -82,8 +82,8 @@ def cmd_verify(args):
         if ignored or texts:
             raise UsageError("--config runs the suite the file declares; it would ignore %s"
                              % ", ".join("--" + k for k in ignored + list(texts)))
-        result = ver.run_suite(ver.SuiteConfig.from_path(args.config), emit=print)
-        return 0 if result.ok else 1
+        config = ver.SuiteConfig.from_path(args.config)
+        return _suite_exit(config, ver.run_suite(config, emit=print))
 
     if args.algebra is None:
         raise UsageError("verify wants --algebra or --config")
@@ -103,7 +103,15 @@ def cmd_verify(args):
             fixed[k] = ver.parse_value(engine, kinds[k], text)
         except ValueError as e:
             raise UsageError("--%s: %s" % (k, e))
-    return 0 if ver.run_suite(config, emit=print, order=order, fixed=fixed).ok else 1
+    return _suite_exit(config, ver.run_suite(config, emit=print, order=order, fixed=fixed))
+
+
+def _suite_exit(config, result):
+    """verify's exit code, 1 when a check failed; each requested id that
+    applied to no instance is named on stderr, and leaves the code as it is."""
+    for ident_id in result.idle(config.identities):
+        print("note: %s applied to no instance" % ident_id, file=sys.stderr)
+    return 0 if result.ok else 1
 
 
 def cmd_basis(args):

@@ -8,6 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import attrgetter
+from types import MappingProxyType
 
 from .combinatorics import Multiset, enumerate_sub, multinomial, pi_product
 from .digits import is_int
@@ -135,28 +136,34 @@ class Combination:
     types are never equal.  `sum` is the one way to add many elements: it
     adds integer numerators over one common denominator, and builds a
     Fraction only for an output coefficient that is not integral.
+
+    An element is immutable: `terms` is a read-only view, set once when the
+    element is built, and cannot be rebound, so a value stored in a memo
+    can be handed out as it is.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        """Sum (key, coeff) pairs, or take a dict, of any exact coefficients."""
+        """Sum (key, coeff) pairs, or take a mapping, of any exact coefficients."""
         acc = {}
-        for k, c in (terms.items() if isinstance(terms, dict) else terms):
+        for k, c in (terms.items() if hasattr(terms, "items") else terms):
             acc[k] = acc.get(k, 0) + _exact(c)
-        self.terms = {k: _exact(c) for k, c in acc.items() if c}
+        _set_terms(self, MappingProxyType({k: _exact(c) for k, c in acc.items() if c}))
 
     @classmethod
     def _wrap(cls, terms):
-        """An element over a dict of exact nonzero coefficients, as it is."""
+        """An element over a dict of exact nonzero coefficients, as it is;
+        no one may write into that dict afterwards."""
         out = cls.__new__(cls)
-        out.terms = terms
+        _set_terms(out, MappingProxyType(terms))
         return out
 
-    def _copy(self):
-        """The same element with its own terms dict, for handing out a
-        memoized value (keys and coefficients are immutable)."""
-        return self._wrap(dict(self.terms))
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
 
     @classmethod
     def sum(cls, elems, scalars=None):
@@ -198,6 +205,10 @@ class Combination:
 
     def __bool__(self):
         return bool(self.terms)
+
+
+# the slot's own setter, the one way to set `terms`
+_set_terms = Combination.terms.__set__
 
 
 class UElem(Combination):
@@ -336,8 +347,10 @@ def block_to_divided(block, odd, monoid):
 
 class Engine:
     """Straightening engine for one (algebra, coefficient monoid, order)
-    triple.  All operations are pure; the memo tables are transparent caches,
-    and no caller gets hold of a value stored in one."""
+    triple.  All operations are pure, and the memo tables are transparent
+    caches.  `divided_power` and `p_vector` hand out the value stored in
+    their memo itself, which no caller can change, since elements are
+    immutable."""
 
     def __init__(self, spec, monoid, order=None):
         self.spec = spec
@@ -355,6 +368,10 @@ class Engine:
         self._insert_memo = {}
         self._p_memo = {}
         self._divpow_memo = {}
+        # id(value) -> `_coded_form(value)` for each value of `_p_memo` and
+        # `_divpow_memo`: those memos keep each value alive and never drop
+        # one, so its id names it for the engine's life
+        self._coded = {}
         # by block function (block_to_divided, block_from_divided): block ->
         # that function's tuple for it, on this engine's parities and monoid
         self._blocks = {}
@@ -405,6 +422,19 @@ class Engine:
 
     def _decode(self, word):
         return tuple(map(self._letters.__getitem__, word))
+
+    def _coded_form(self, x):
+        """(d, ((code word, numerator), ...)) for an element: its words
+        encoded and its coefficients put over their common denominator d."""
+        d, xs = over_common(x.terms)
+        encode = self._encode
+        return d, tuple([(encode(w), c) for w, c in xs])
+
+    def _memoize(self, memo, key, value):
+        """Store value in memo under key, and its coded form in `_coded`."""
+        memo[key] = value
+        self._coded[id(value)] = self._coded_form(value)
+        return value
 
     def _bracket(self, u, x):
         """[u, x] for letter codes, as (code, k) pairs, the monoid product of
@@ -621,24 +651,26 @@ class Engine:
         and an empty sum zero.  The words of each chain's first factor must
         be canonical for this engine, as every UElem it returns is; a later
         factor's letters are folded in one at a time (`_fold_into`).  Each
-        factor's words are encoded once over its common denominator; chain
-        k's denominator d_k is the product of its factors', and its first
-        factor is scaled to the lcm d of the d_k.  A chain's partial product
-        stays code words, its zero terms dropped after each factor, and only
-        its last factor folds into the output that every chain shares, with
-        one solver and its sub-product table, built on the call's first memo
-        miss (`_insert`); that output is decoded and divided by d once.
+        factor's words are encoded once over its common denominator, a memo
+        value's when it entered its memo (read from `_coded`), any other's
+        on each call; chain k's denominator d_k is the product of its
+        factors', and its first factor is scaled to the lcm d of the d_k.
+        A chain's partial product stays code words, its zero terms dropped
+        after each factor, and only its last factor folds into the output
+        that every chain shares, with one solver and its sub-product table,
+        built on the call's first memo miss (`_insert`); that output is
+        decoded and divided by d once.
         Scaling changes no zero test, so one chain's terms come in the
         nested `mul`s' order."""
         unit = [("", 1)]
-        encode = self._encode
+        coded = self._coded.get
         parts = []
         for chain in chains:
             dk, factors = 1, []
             for y in chain:
-                dy, ys = over_common(y.terms)
+                dy, ys = coded(id(y)) or self._coded_form(y)
                 dk *= dy
-                factors.append([(encode(w), c) for w, c in ys])
+                factors.append(ys)
             parts.append((dk, factors + [unit] * (2 - len(factors))))
         ds, ss = scalars_over_common(scalars, len(parts))
         d = math.lcm(*[p[0] for p in parts])
@@ -674,9 +706,9 @@ class Engine:
             self.letter(sym, aelt)
             if r == 0:
                 return self.one()
-            hit = self._divpow_memo[key] = self.normalize([(sym, aelt)] * r,
-                                                          Fraction(1, math.factorial(r)))
-        return hit._copy()
+            hit = self._memoize(self._divpow_memo, key, self.normalize(
+                [(sym, aelt)] * r, Fraction(1, math.factorial(r))))
+        return hit
 
     def adopt(self, x):
         """Re-normalize a UElem produced by another engine over the same
@@ -720,9 +752,9 @@ class Engine:
         key = (tuple(hvec), chi)
         hit = self._p_memo.get(key)
         if hit is None:
-            hit = self._p_memo[key] = UElem._wrap({tuple(sorted(mono, key=self._key)): c
-                                                   for mono, c in cartan_p(*key, self.monoid)})
-        return hit._copy()
+            hit = self._memoize(self._p_memo, key, UElem._wrap(
+                {tuple(sorted(mono, key=self._key)): c for mono, c in cartan_p(*key, self.monoid)}))
+        return hit
 
     def p(self, which, chi):
         """p_i(chi) for a Cartan index, or p_alpha(chi) for a root label

@@ -274,8 +274,9 @@ def _generator_kinds(engine, bounds):
 
 # engine -> {draw key: (label, UElem)}: each generator a sample draws is built
 # on its engine's first draw of it, through `_generator`, and read again on
-# every later draw.  The values go only to `mul_sum`, which does not change
-# its factors; the table dies with its engine.
+# every later draw.  A divided power or p-element is the engine's memo value
+# itself, immutable as every element is, and `mul_sum` reads its coded form;
+# the table dies with its engine.
 _drawn = weakref.WeakKeyDictionary()
 
 
@@ -703,6 +704,12 @@ class SuiteResult:
         c = self.counts
         return "SUMMARY checks=%d pass=%d fail=%d inapplicable=%d" % (
             len(self.reports), c["pass"], c["fail"], c["inapplicable"])
+
+    def idle(self, identities):
+        """The ids among `identities` that have no PASS and no FAIL: they
+        applied to no instance."""
+        applied = {r.identity for r in self.reports if r.verdict != "inapplicable"}
+        return [i for i in identities if i not in applied]
 
 
 def run_suite(config, emit=None, order="triangular", fixed=None):

@@ -1,6 +1,6 @@
 """What several test modules share, each defined once here: the element
-constants, the two ways to compare elements, canonical words, Cartan block
-words and an in-process CLI run.  Engines come from `verify.load_engine`
+constants, the two ways to compare elements, the check that an element is
+read-only, canonical words, Cartan block words and an in-process CLI run.  Engines come from `verify.load_engine`
 (fresh) and `verify.get_engine` (shared).
 
 The package is imported inside the functions that need it, never at module
@@ -15,10 +15,10 @@ ONE, T, T2, T3 = (0,), (1,), (2,), (3,)
 
 
 def _pairs(x):
-    """The (key, coefficient) pairs of an element, a dict of terms or a
+    """The (key, coefficient) pairs of an element, a mapping of terms or a
     sequence of pairs, in their order."""
     terms = getattr(x, "terms", x)
-    return list(terms.items() if isinstance(terms, dict) else terms)
+    return list(terms.items() if hasattr(terms, "items") else terms)
 
 
 def _assert_exact(pairs):
@@ -29,7 +29,7 @@ def _assert_exact(pairs):
 def assert_same(got, want):
     """got has want's terms in want's order, each coefficient of the type
     want's has, and each an int or a Fraction that is not integral.  Either
-    side is an element, a dict of terms or a sequence of (key, coeff) pairs."""
+    side is an element, a mapping of terms or a sequence of (key, coeff) pairs."""
     got, want = _pairs(got), _pairs(want)
     assert got == want
     assert [type(c) for _, c in got] == [type(c) for _, c in want]
@@ -45,6 +45,25 @@ def assert_same_terms(got, want):
     assert got == want
     assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}
     _assert_exact(got.items())
+
+
+def assert_read_only(x):
+    """Every way to write into an element raises: setting or deleting a term,
+    clearing the terms, and rebinding or deleting `terms`; x is unchanged."""
+    import pytest
+    before = list(x.terms.items())
+    key = next(iter(x.terms), ())
+    with pytest.raises(TypeError):
+        x.terms[key] = 7
+    with pytest.raises(TypeError):
+        del x.terms[key]
+    with pytest.raises(AttributeError):
+        x.terms.clear()
+    with pytest.raises(AttributeError):
+        x.terms = {(): 1}
+    with pytest.raises(AttributeError):
+        del x.terms
+    assert list(x.terms.items()) == before
 
 
 def canonical_word(engine, letters):

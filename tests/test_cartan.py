@@ -23,7 +23,7 @@ from superpbw import engine as engine_mod
 from superpbw.engine import AlgebraError, DividedForm, Engine, UElem, _exact, \
     block_from_divided, block_to_divided, cartan_p
 from superpbw.verify import get_engine, load_engine
-from support import ONE, T, T2, T3, assert_same_terms, h_block
+from support import ONE, T, T2, T3, assert_read_only, assert_same_terms, h_block
 
 PRESETS = ["sl2", "sl3", "sp4", "sl21", "osp12"]
 POLY2 = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
@@ -284,12 +284,10 @@ def test_shared_values_cannot_be_corrupted():
     chi = Multiset.of(T, T, T2)
     h = eng.normalize([(('h', 1), T), (('h', 1), T), (('h', 1), T2), (('h', 2), T)])
     want_df = fresh.to_divided(h)
-    # returned elements are copies
-    eng.p(1, chi).terms.clear()
-    got = eng.p_vector((1, 0), chi)
-    got.terms[()] = 7
-    eng.to_divided(h).terms.clear()
-    eng.to_divided(h).terms[()] = 3
+    # returned elements are read-only, and a p-element is the memo's own value
+    assert eng.p(1, chi) is eng.p_vector((1, 0), chi)
+    for x in (eng.p(1, chi), eng.to_divided(h)):
+        assert_read_only(x)
     # returned conversion tuples are immutable
     for conv in (cartan_p((1, 0), chi, eng.monoid),
                  block_to_divided(h_block(eng, 1, chi), 0, eng.monoid),

@@ -10,7 +10,8 @@ from superpbw.engine import AlgebraError, Combination, DividedForm, Engine, NEG_
     UElem, block_to_divided
 from superpbw.identities import divided_D
 from superpbw.verify import load_engine
-from support import ONE, T, T2, T3, assert_same, assert_same_terms, h_block
+from support import ONE, T, T2, T3, assert_read_only, assert_same, assert_same_terms, \
+    h_block
 
 
 @pytest.fixture(scope="module")
@@ -460,43 +461,69 @@ def test_memo_values_cannot_be_mutated():
     assert block_to_divided(block, 0, eng.monoid) == conv
 
 
-def test_p_hands_out_copies():
+def test_p_hands_out_its_memo_value_read_only():
     """Clearing a returned p-element once zeroed every later p(1, chi) and
-    broke to_divided of h[1]{t}^2 ("lost its leading monomial")."""
+    broke to_divided of h[1]{t}^2 ("lost its leading monomial").  p hands
+    out the memo's own value, and every write into it raises."""
     eng, fresh = load_engine("sl2", "poly"), load_engine("sl2", "poly")
     chi1, chi2 = Multiset.of(T), Multiset.of(T, T)
-    eng.p(1, chi1).terms.clear()
-    eng.p_vector((1,), chi1).terms[()] = 7
-    assert eng.p(1, chi1) == fresh.p(1, chi1)
-    assert eng.p(1, chi2) == fresh.p(1, chi2)
-    got = eng.p(1, chi2)
-    got.terms.clear()
-    got.terms = {(): 1}
-    assert eng.p(1, chi2) == fresh.p(1, chi2)
+    assert eng.p(1, chi2) is eng.p(1, chi2) is eng.p_vector((1,), chi2)
+    for chi in (chi1, chi2):
+        assert_read_only(eng.p(1, chi))
+        assert eng.p(1, chi) == fresh.p(1, chi)
     h2 = eng.normalize([(('h', 1), T)] * 2)
     assert eng.to_divided(h2) == fresh.to_divided(h2)
     assert eng.to_divided(h2).terms == {((('h', 1), T), (('h', 1), T)): 2,
                                         ((('h', 1), T2),): -1}
 
 
-def test_divided_power_memo_hands_out_copies():
+def test_divided_power_hands_out_its_memo_value_read_only():
     eng, fresh = load_engine("sl2", "poly"), load_engine("sl2", "poly")
     sym = ('x', 'a')
     want = fresh.divided_power(sym, T, 2)
     got = eng.divided_power(sym, T, 2)
-    assert eng._divpow_memo[(sym, T, 2)] == want
-    got.terms.clear()
-    eng.divided_power(sym, T, 2).terms[()] = 5
-    assert eng._divpow_memo[(sym, T, 2)] == want
+    assert got is eng.divided_power(sym, T, 2) is eng._divpow_memo[(sym, T, 2)]
+    assert_read_only(got)
     assert eng.divided_power(sym, T, 2) == want
-    assert eng.divided_power(sym, T, 2) is not eng.divided_power(sym, T, 2)
     x3 = eng.normalize([(sym, T)] * 3)
     assert eng.mul(eng.divided_power(sym, T, 2), eng.gen_elem(sym, T)) == \
         Fraction(1, 2) * x3
 
 
+def test_a_memoized_factor_is_encoded_once_per_engine(monkeypatch):
+    """A divided power and a p-element are encoded as they enter their memo;
+    every later mul_sum reads that form and encodes only its other factors."""
+    eng = load_engine("sl3", "trunc:4")
+    u = eng.divided_power(('x', 'a1'), T, 2)
+    v = eng.p(1, Multiset.of(T, T2))
+    x = eng.gen_elem(('x', '-a1'), ONE)
+    want = eng.mul_sum(((u, v, x), (v, u)), (1, -1))
+    encoded, encode = [], eng._encode
+    monkeypatch.setattr(eng, "_encode", lambda word: encoded.append(word) or encode(word))
+    assert eng.mul_sum(((u, v), (v, u)), (1, -1)) == eng.super_comm(u, v)
+    assert encoded == []
+    assert eng.mul_sum(((u, v, x), (v, u)), (1, -1)) == want
+    assert encoded == list(x.terms)
+
+
 W1 = (((('x', 'a'), T), 1),)   # the word x[a]{t}
 W2 = (((('h', 1), T), 2),)     # the word h[1]{t}^2
+
+
+def test_elements_are_read_only():
+    """Built from pairs, from a dict, from another element's terms, or by
+    the arithmetic and the engine: every write raises, and the terms of an
+    element build an equal one."""
+    for cls in (UElem, DividedForm):
+        x = cls({W1: 1, W2: Fraction(-1, 2)})
+        for y in (x, cls([(W1, 1)]), cls(), x + x, -x, cls.sum([x], [3])):
+            assert_read_only(y)
+            assert cls(y.terms) == y
+    eng = load_engine("sl2", "poly")
+    h = eng.normalize([(('x', 'a'), T), (('h', 1), T), (('x', '-a'), ONE)], Fraction(1, 3))
+    for y in (h, eng.mul(h, h), eng.to_divided(h), eng.from_divided(eng.to_divided(h))):
+        assert_read_only(y)
+        assert type(y)(y.terms) == y
 
 
 def test_uelem_and_divided_form_are_never_equal():

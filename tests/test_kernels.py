@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from superpbw.algebra import PRESET_NAMES, SuperAlgebraSpec, preset
 from superpbw.coeffalg import monoid_preset
+from superpbw.combinatorics import Multiset
 from superpbw.engine import DividedForm, Engine, UElem, _exact, block_from_divided, \
     block_to_divided
 from superpbw.verify import load_engine
-from support import assert_same, assert_same_terms, canonical_word
+from support import assert_read_only, assert_same, assert_same_terms, canonical_word
 
 COEFFS = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(-3, 4),
           10 ** 29 + 7, 1, -2]
@@ -139,14 +140,14 @@ def engine_and_data(draw):
 @given(engine_and_data())
 def test_mul_and_conversions_match_the_fraction_loops(data):
     """The engines stay warm across examples, so later ones read the block
-    tables that earlier ones filled; clearing a returned element changes no
-    later conversion."""
+    tables that earlier ones filled; a returned element cannot be written
+    into, and a later conversion gives the same."""
     eng, x, y, df = data
     assert_same(eng.mul(x, y), ref_mul(eng, x, y))
     want = ref_convert(eng, x, block_to_divided)
     got = eng.to_divided(x)
     assert_same(got, want)
-    got.terms.clear()
+    assert_read_only(got)
     assert_same(eng.to_divided(x), want)
     assert_same(eng.from_divided(df), ref_convert(eng, df, block_from_divided))
 
@@ -214,6 +215,39 @@ def test_product_of_nothing_is_one_and_of_one_factor_is_the_factor():
         assert_same(eng.mul_sum([[]]), {(): 1})
         assert_same(eng.mul_sum(((x,),)), x.terms)
         assert_same(eng.mul_sum([iter([x])]), x.terms)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_memoized_factors_multiply_as_the_fraction_loop(name):
+    """Chains of divided powers and of p-elements of |chi| >= 2, which have
+    Fraction coefficients, over trunc:3: each factor is a memo value that
+    mul_sum reads in its stored coded form, and the one chain's product is
+    the left fold of the Fraction loop, terms, order and coefficient types,
+    on the first call and again on the next.  Two chains with scalars give
+    the sum of their products."""
+    eng = load_engine(name, "trunc:3")
+    rng = random.Random(11)
+    elems, spec = eng.monoid.elements(), eng.spec
+
+    def factor():
+        if rng.random() < 0.5:
+            alpha = rng.choice(spec.even_roots())
+            return eng.divided_power(('x', alpha), rng.choice(elems), rng.randint(1, 3))
+        chi = Multiset.of(*rng.choices(elems, k=rng.randint(2, 3)))
+        return eng.p(rng.randint(1, spec.rank), chi)
+
+    chains = [[factor() for _ in range(rng.randint(1, 3))] for _ in range(12)]
+    assert any(type(c) is Fraction for chain in chains for y in chain for c in y.terms.values())
+    for chain in chains:
+        assert all(id(y) in eng._coded for y in chain)
+        want = chain[0]
+        for y in chain[1:]:
+            want = UElem._wrap(ref_mul(eng, want, y))
+        assert_same(eng.mul_sum((chain,)), want)
+        assert_same(eng.mul_sum((chain,)), want)
+    for pair in zip(chains, chains[1:]):
+        assert_same_terms(eng.mul_sum(pair, (Fraction(-3, 4), 2)),
+                          UElem.sum([eng.mul_sum((c,)) for c in pair], (Fraction(-3, 4), 2)))
 
 
 def word_triples(eng, n, seed):

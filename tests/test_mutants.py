@@ -127,6 +127,13 @@ SOURCE_MUTANTS = (
     SourceMutant("pi_product_skips_power", "combinatorics.py", "p = monoid.power(a, m)", "p = a",
                  {"algebras": ["sl21"], "identities": ["4.3", "4.4", "4.5", "deg1", "deg2"],
                   "monoid": "trunc:3", "rmax": 2, "smax": 2, "mmax": 2, "chimax": 2}),
+    # a memoized factor's coded form keeps its numerators but drops their
+    # denominator: (x (x) a)^(2) is read as x^2, not x^2 / 2
+    SourceMutant("coded_denominator_dropped", "engine.py",
+                 "self._coded[id(value)] = self._coded_form(value)",
+                 "self._coded[id(value)] = (1, self._coded_form(value)[1])",
+                 {"algebras": ["sl2"], "identities": ["4.3", "4.4"], "monoid": "trunc:2",
+                  "rmax": 2, "smax": 2, "chimax": 2}),
     # MonoidBasis.mul keeps a product of total degree trunc (power still drops it)
     SourceMutant("trunc_mul_off_by_one", "coeffalg.py",
                  "c = tuple(x + y for x, y in zip(a, b))\n"

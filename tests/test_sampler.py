@@ -4,8 +4,8 @@ replaced, which built every drawn generator afresh, is kept here as the
 reference: both give the same descriptions and the same products, term for
 term and in the same order, on the five presets over trunc:2 to trunc:4 in
 both orders.  Goldens pin the benchmark's integrality pool and 40
-products drawn on sl21, the table is shown to hand out no value and to die
-with its engine, and each description parses back to its product."""
+products drawn on sl21, the table's values are shown to be read-only and
+the table to die with its engine, and each description parses back to its product."""
 
 import gc
 import hashlib
@@ -21,6 +21,7 @@ from superpbw.algebra import PRESET_NAMES
 from superpbw.combinatorics import Multiset
 from superpbw.exprio import parse_expr
 from superpbw.verify import SweepBounds, get_engine, load_engine
+from support import assert_read_only
 
 MONOIDS = ("trunc:2", "trunc:3", "trunc:4")
 ORDERS = ("triangular", "lexicographic")
@@ -119,16 +120,18 @@ def test_the_sampled_products_on_sl21_are_unchanged():
     assert digest.hexdigest() == "e8a6e7b2f056be327bf6d2841a93f79009810b2a173a90157c2ad6ba3cea3a8f"
 
 
-# -- the table hands out no value and dies with its engine ----------------------
+# -- the table's values are read-only, and it dies with its engine --------------
 
 def test_a_changed_product_does_not_change_later_draws():
+    """Neither a product nor a generator the table holds, a memo value of
+    the engine, can be written into, and later draws are the same."""
     bounds = SweepBounds(smax=2, chimax=2)
     eng = load_engine("sl21", "trunc:3")
     want = listed(ref_sample_products(load_engine("sl21", "trunc:3"), 4, 30, 7, bounds))
     for _, x in ver.sample_products(eng, 4, 30, 7, bounds):
-        for w in x.terms:
-            x.terms[w] = 99
-        x.terms[()] = 5
+        assert_read_only(x)
+    for _, x in ver._drawn[eng].values():
+        assert_read_only(x)
     assert listed(ver.sample_products(eng, 4, 30, 7, bounds)) == want
 
 
