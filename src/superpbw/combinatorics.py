@@ -43,6 +43,15 @@ class Multiset:
         raise AttributeError("Multiset is immutable")
 
     @classmethod
+    def _of_sorted(cls, items):
+        """The Multiset of an items tuple already as `items()` returns one:
+        positive multiplicities, elements distinct and in order.  Nothing is
+        checked or sorted, so no `__lt__` runs on multisets of multisets."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_items", items)
+        return out
+
+    @classmethod
     def of(cls, *elems):
         """Multiset from a listing with repetitions, e.g. of(a, a, b) = 2chi_a + chi_b."""
         return cls((e, 1) for e in elems)
@@ -149,42 +158,60 @@ def enumerate_sub(chi):
 @functools.cache
 def _enumerate_sub(chi):
     elems = [e for e, _ in chi.items()]
-    return tuple(Multiset(zip(elems, counts))
-                 for counts in itertools.product(*(range(m + 1) for _, m in chi.items())))
+    return tuple(Multiset(zip(elems, counts)) for counts in sub_counts(chi))
+
+
+def sub_counts(chi):
+    """The count vector over chi's support of each psi <= chi, in the order
+    of `enumerate_sub(chi)`."""
+    return tuple(itertools.product(*(range(m + 1) for _, m in chi.items())))
 
 
 def enumerate_CS(chi, r):
     """All psi: F -> Z>=0 with |psi| = r and sum_phi psi(phi)*phi <= chi (a tuple).
 
     Elements are multisets of multisets; mass on the empty multiset phi = 0 is
-    allowed and absorbs any leftover budget.  Uncached: its one caller,
-    `identities._cartan_plan`, caches what it builds from the result.
+    allowed and absorbs any leftover budget.  A depth-first search over the
+    phi of `enumerate_sub` in its order, each read as its count vector over
+    chi's support (`sub_counts`), with the room chi - sum psi(phi)*phi left
+    as an int tuple: psi(0) takes any part of the budget, and a nonzero phi
+    at most min_s room(s) // phi(s) of it.  A branch whose budget exceeds
+    the room left is cut, since each count on a nonzero phi uses at least one
+    unit of room.  The psi come in the order of their count vectors, and a
+    Multiset is built only for each psi emitted, its pairs put in Multiset
+    order by the rank of each phi, sorted once per call.  Uncached: its one
+    caller, `identities._cartan_plan`, caches what it builds from the result.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    phis = enumerate_sub(chi)  # includes the empty multiset
+    phis = enumerate_sub(chi)   # phis[0] is the empty multiset
+    vecs = sub_counts(chi)
+    sizes = [sum(v) for v in vecs]
+    rank = [0] * len(phis)
+    for n, k in enumerate(sorted(range(len(phis)), key=lambda k: phis[k].items())):
+        rank[k] = n
     out = []
+    path = []                   # (rank, index, count) of each nonzero count so far
 
-    def rec(idx, budget, consumed, acc):
+    def rec(idx, budget, room, left):
+        if budget > left:
+            return
+        if budget == 0:
+            out.append(Multiset._of_sorted(tuple((phis[k], c) for _, k, c in sorted(path))))
+            return
         if idx == len(phis):
-            if budget == 0:
-                out.append(Multiset(acc))
             return
-        phi = phis[idx]
-        if not phi:
-            # phi = 0 consumes nothing, so any count up to the budget works
-            for c in range(budget + 1):
-                rec(idx + 1, budget - c, consumed, acc + [(phi, c)])
-            return
-        c = 0
-        while c <= budget:
-            extra = c * phi
-            if not (consumed + extra) <= chi:
-                break
-            rec(idx + 1, budget - c, consumed + extra, acc + [(phi, c)])
-            c += 1
+        v = vecs[idx]
+        rec(idx + 1, budget, room, left)
+        for c in range(1, min(budget, min(a // m for a, m in zip(room, v) if m)) + 1):
+            path.append((rank[idx], idx, c))
+            rec(idx + 1, budget - c, tuple(a - c * m for a, m in zip(room, v)),
+                left - c * sizes[idx])
+            path.pop()
 
-    rec(0, r, EMPTY, [])
+    for c in range(r + 1):      # psi(0) = c; the last count vector is chi's own
+        path[:] = [(rank[0], 0, c)] if c else []
+        rec(1, r - c, vecs[-1], chi.size)
     return tuple(out)
 
 

@@ -367,6 +367,8 @@ class Engine:
         self._brackets = {}
         self._insert_memo = {}
         self._p_memo = {}
+        # (type(which), which) -> the h-vector `p` reads for it
+        self._hvecs = {}
         self._divpow_memo = {}
         # id(value) -> `_coded_form(value)` for each value of `_p_memo` and
         # `_divpow_memo`: those memos keep each value alive and never drop
@@ -758,14 +760,22 @@ class Engine:
 
     def p(self, which, chi):
         """p_i(chi) for a Cartan index, or p_alpha(chi) for a root label
-        (the coroot map sends h to h_alpha)."""
-        if isinstance(which, int):
-            self._cartan(which)
-            hvec = tuple(1 if j == which else 0 for j in range(1, self.spec.rank + 1))
-        else:
-            self.spec.root(which)       # an unknown label is named as such
-            hvec = self.spec.coroot(which)
-        return self.p_vector(hvec, chi)
+        (the coroot map sends h to h_alpha).  The h-vector of each `which`
+        is checked and built once, then read from `_hvecs`; its key holds the
+        type, so a value the checks refuse is refused, even one equal to a
+        stored key (1.0 == 1, but 1.0 is no Cartan index)."""
+        key = (type(which), which)
+        hvec = self._hvecs.get(key)
+        if hvec is None:
+            if isinstance(which, int):
+                self._cartan(which)
+                hvec = tuple(1 if j == which else 0 for j in range(1, self.spec.rank + 1))
+            else:
+                self.spec.root(which)       # an unknown label is named as such
+                hvec = tuple(self.spec.coroot(which))
+            self._hvecs[key] = hvec
+        hit = self._p_memo.get((hvec, chi))
+        return self.p_vector(hvec, chi) if hit is None else hit
 
     # -- divided / p-basis conversion --------------------------------------
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import Multiset, binomial, enumerate_CP, enumerate_CS, enumerate_sub, \
-    multinomial, pi_product
+    multinomial, pi_product, sub_counts
 from .engine import AlgebraError, UElem, _exact
 from .algebra import pair_plane, root_string
 
@@ -199,14 +199,25 @@ def _cartan_plan(chi, r, monoid):
     phi <= chi in `enumerate_sub` order, pi(phi) None when truncation kills
     it; terms lists, for each psi in CS(chi, r) in `enumerate_CS` order, the
     (index into phis, psi(phi)) pairs of psi and the remainder
-    chi - sum_phi psi(phi) phi.  Cached once per process for every engine."""
+    chi - sum_phi psi(phi) phi, taken on the count vectors of `sub_counts`
+    and built as one Multiset.  The psi come from `enumerate_CS` itself, so
+    the plan and the index set cannot drift apart, and the tracer's count of
+    `enumerate_CS` calls sees each plan miss.  Cached once per process for
+    every engine."""
     subs = enumerate_sub(chi)
     index = {phi: k for k, phi in enumerate(subs)}
+    vecs = sub_counts(chi)
     phis = tuple((phi.size, multinomial(phi), pi_product(phi, monoid)) for phi in subs)
-    terms = tuple((tuple((index[phi], n) for phi, n in psi.items()),
-                   chi - Multiset([(a, n * m) for phi, n in psi.items() for a, m in phi.items()]))
-                  for psi in enumerate_CS(chi, r))
-    return phis, terms
+    terms = []
+    for psi in enumerate_CS(chi, r):
+        counts = tuple((index[phi], n) for phi, n in psi.items())
+        rest = list(vecs[-1])       # chi's own count vector
+        for k, n in counts:
+            for s, m in enumerate(vecs[k]):
+                rest[s] -= n * m
+        terms.append((counts, Multiset._of_sorted(
+            tuple((e, m) for (e, _), m in zip(chi.items(), rest) if m))))
+    return phis, tuple(terms)
 
 
 def _cartan_past_root(engine, ps, root, alpha, b, r, x_first=False):

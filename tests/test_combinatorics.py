@@ -153,6 +153,70 @@ def test_enumerate_CS_against_naive(items, r):
     assert set(got) == naive_CS(chi, r)
 
 
+def ref_enumerate_CS(chi, r):
+    """The reference CS(chi, r): a search over the phi of `enumerate_sub`
+    that adds phi multisets and tests `<= chi` at every node, and builds
+    each psi with `Multiset`'s own sort."""
+    phis = enumerate_sub(chi)
+    out = []
+
+    def rec(idx, budget, consumed, acc):
+        if idx == len(phis):
+            if budget == 0:
+                out.append(Multiset(acc))
+            return
+        phi = phis[idx]
+        if not phi:
+            for c in range(budget + 1):
+                rec(idx + 1, budget - c, consumed, acc + [(phi, c)])
+            return
+        c = 0
+        while c <= budget and consumed + c * phi <= chi:
+            rec(idx + 1, budget - c, consumed + c * phi, acc + [(phi, c)])
+            c += 1
+
+    rec(0, r, Multiset(), [])
+    return tuple(out)
+
+
+def test_enumerate_CS_is_the_reference_search():
+    """The same tuple as the reference: the same psi, in the same order,
+    each with its pairs in the same order, for every chi on <= 4 elements
+    with |chi| <= 4 and every r <= 4."""
+    for size in range(5):
+        for combo in itertools.combinations_with_replacement("abcd", size):
+            chi = Multiset.of(*combo)
+            for r in range(5):
+                got, want = enumerate_CS(chi, r), ref_enumerate_CS(chi, r)
+                assert type(got) is tuple and got == want, (chi, r)
+                assert [psi.items() for psi in got] == [psi.items() for psi in want]
+
+
+def test_enumerate_CS_builds_a_multiset_only_for_each_psi(monkeypatch):
+    """The search runs on count vectors: it builds the 239 psi of
+    CS(aabbcc, 4) and the 27 phi of a cold `enumerate_sub`, and no other
+    Multiset, where adding phi multisets at each node built thousands."""
+    built = []
+    init, of_sorted = Multiset.__init__, Multiset._of_sorted.__func__
+
+    def counted_init(self, items=()):
+        built.append("init")
+        init(self, items)
+
+    def counted_of_sorted(cls, items):
+        built.append("of_sorted")
+        return of_sorted(cls, items)
+
+    chi = Multiset.of(*"aabbcc")
+    combinatorics._enumerate_sub.cache_clear()
+    monkeypatch.setattr(Multiset, "__init__", counted_init)
+    monkeypatch.setattr(Multiset, "_of_sorted", classmethod(counted_of_sorted))
+    got = enumerate_CS(chi, 4)
+    monkeypatch.undo()
+    assert len(got) == 239 and len(enumerate_sub(chi)) == 27
+    assert len(built) <= 239 + 27, (built.count("init"), built.count("of_sorted"))
+
+
 def naive_CP(j, k):
     """Nested loops over part values."""
     out = set()

@@ -477,6 +477,26 @@ def test_p_hands_out_its_memo_value_read_only():
                                         ((('h', 1), T2),): -1}
 
 
+def test_p_checks_each_index_or_label_on_first_sight():
+    """p reads a seen index's h-vector from its table, but a value the
+    checks refuse stays refused: 1.0 == 1, yet after p(1, chi) the call
+    p(1.0, chi) still names 1.0 as an unknown root label.  A refusal stores
+    nothing, and a label and an index give their own h-vectors."""
+    eng = load_engine("sl3", "trunc:4")
+    chi = Multiset.of(T, T2)
+    want = eng.p(1, chi)
+    assert eng.p(1, chi) is want is eng.p_vector((1, 0), chi)
+    for _ in range(2):
+        with pytest.raises(SpecError, match="unknown root label 1.0"):
+            eng.p(1.0, chi)
+        with pytest.raises(AlgebraError, match="no Cartan generator h3"):
+            eng.p(3, chi)
+    assert eng.p(True, chi) is want
+    assert eng.p(2, chi) is eng.p_vector((0, 1), chi)
+    assert eng.p('a1', chi) is eng.p_vector(eng.spec.coroot('a1'), chi)
+    assert eng.p('a1+a2', chi) == load_engine("sl3", "trunc:4").p('a1+a2', chi)
+
+
 def test_divided_power_hands_out_its_memo_value_read_only():
     eng, fresh = load_engine("sl2", "poly"), load_engine("sl2", "poly")
     sym = ('x', 'a')

@@ -277,6 +277,27 @@ def test_the_plan_is_a_walk_of_the_index_sets():
                 for counts, rest in terms] == want
 
 
+@pytest.mark.parametrize("monoid", ["trunc:2", "trunc:4", "poly"])
+def test_the_plan_equals_the_plan_of_multiset_remainders(monoid):
+    """The plan takes each remainder chi - sum psi(phi) phi on count vectors;
+    it equals, pairs and their order included, the plan that subtracts a
+    Multiset of the pairs from chi, for every chi on <= 4 elements with
+    |chi| <= 4 and every r <= 4."""
+    mon = monoid_preset(monoid)
+    elems = mon.elements() if mon.finite else [ONE, T, T2, T3]
+    for chi, r in itertools.product(multisets_upto(elems, 4), range(5)):
+        subs = enumerate_sub(chi)
+        index = {phi: k for k, phi in enumerate(subs)}
+        want = (tuple((phi.size, multinomial(phi), pi_product(phi, mon)) for phi in subs),
+                tuple((tuple((index[phi], n) for phi, n in psi.items()),
+                       chi - Multiset([(a, n * m) for phi, n in psi.items()
+                                       for a, m in phi.items()]))
+                      for psi in enumerate_CS(chi, r)))
+        got = _cartan_plan(chi, r, mon)
+        assert got == want, (chi, r)
+        assert [rest.items() for _, rest in got[1]] == [rest.items() for _, rest in want[1]]
+
+
 @pytest.mark.parametrize("algebra", ["sl3", "sp4"])
 def test_divided_D_matches_the_normalized_sum(algebra):
     """D^alpha_{j,k}(d, c) is sum_lam normalize(letters) / prod lam!, for

@@ -134,6 +134,12 @@ SOURCE_MUTANTS = (
                  "self._coded[id(value)] = (1, self._coded_form(value)[1])",
                  {"algebras": ["sl2"], "identities": ["4.3", "4.4"], "monoid": "trunc:2",
                   "rmax": 2, "smax": 2, "chimax": 2}),
+    # CS(chi, r) cuts a branch whose budget only equals its room, so each psi
+    # that uses all of chi is lost
+    SourceMutant("cs_prune_too_tight", "combinatorics.py",
+                 "if budget > left:", "if budget >= left:",
+                 {"algebras": ["sl2"], "identities": ["4.4", "4.5"], "monoid": "trunc:2",
+                  "rmax": 1, "smax": 1, "chimax": 1}),
     # MonoidBasis.mul keeps a product of total degree trunc (power still drops it)
     SourceMutant("trunc_mul_off_by_one", "coeffalg.py",
                  "c = tuple(x + y for x, y in zip(a, b))\n"
